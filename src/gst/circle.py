@@ -73,6 +73,22 @@ def dyadic_arc(index: int, depth: int) -> Arc:
 # Tail models for gap families that are not materialized
 # ---------------------------------------------------------------------------
 
+# S = sum_{k>=2} 1/(k log^2 k), to double precision: the partial sum to N
+# plus the Euler-Maclaurin midpoint tail 1/log(N + 1/2) gives this value
+# for every N from 10^6 to 4 10^6.  The log-series gap families normalize
+# their amplitude by it.
+LOG_SERIES = 2.109742801236892
+LOG_SERIES_TERMS = 4_000_000
+
+
+def log_series_tail(K) -> float:
+    """sum_{k > K} 1/(k log^2 k); the midpoint tail beyond the summed terms."""
+    if K >= LOG_SERIES_TERMS:
+        return 1.0 / math.log(K + 0.5)
+    ks = np.arange(2.0, K + 1.0)
+    return LOG_SERIES - float(np.sum(1.0 / (ks * np.log(ks) ** 2)))
+
+
 @dataclass(frozen=True)
 class GapTail:
     """Closed-form description of the unmaterialized gaps of a set.
@@ -97,13 +113,11 @@ class GapTail:
                 if q < 1 else math.inf
         if self.kind == "harmonic_log":
             amp, first = self.params
-            # Euler-Maclaurin midpoint: sum_{k>K} 1/(k log^2 k) ~ 1/log(K+1/2)
-            return amp / math.log(first + 0.5)
+            return amp * log_series_tail(first)
         if self.kind == "stagewise_log":
             amp, first = self.params
-            ks = np.arange(first, first + 2_000_000) + 2.0
-            s = float(np.sum(1.0 / (ks * np.log(ks) ** 2)))
-            return amp * (s + 1.0 / math.log(first + 2_000_000 + 1.5))
+            # stage j holds the k = j + 2 term
+            return amp * log_series_tail(first + 1)
         raise ValueError(self.kind)
 
     def levels(self, n_levels: int):
@@ -253,13 +267,6 @@ class CantorGenerator:
         raise ValueError(self.kind)
 
 
-def _stagewise_amp() -> float:
-    ks = np.arange(2.0, 4_000_002.0)
-    s = float(np.sum(1.0 / (ks * np.log(ks) ** 2)))
-    s += 1.0 / math.log(4_000_002.5)  # midpoint tail of the series
-    return 1.0 / s
-
-
 class CantorPart:
     """A Cantor-type singular component realized at a finite stage count.
 
@@ -276,11 +283,15 @@ class CantorPart:
         self.generator = generator
         self.stages = stages
         self.mass = float(mass)
+        if not 0.0 < self.mass < math.inf:
+            raise ValueError(f"component mass {mass!r} must be finite and "
+                             "positive")
         self._atoms_cache = None
         self.carrier = self._build_carrier(min(carrier_depth, stages))
 
     def _cells(self, upto: int):
-        cells = [(Fraction(0), Fraction(1))]  # (left endpoint, length)
+        """(left endpoint, length) of the stage-``upto`` cells, in order."""
+        cells = [(Fraction(0), Fraction(1))]
         for j in range(upto):
             g = self.generator.stage_gap(j) / (1 << j)  # per-cell gap
             out = []
@@ -294,17 +305,12 @@ class CantorPart:
         return cells
 
     def _build_carrier(self, depth: int) -> ClosedCircleSet:
-        gaps = []
-        cells = [(Fraction(0), Fraction(1))]
-        for j in range(depth):
-            g = self.generator.stage_gap(j) / (1 << j)
-            out = []
-            for pos, ln in cells:
-                child = (ln - g) / 2
-                gaps.append(Arc(float(pos + child) % 1.0, float(g)))
-                out.append((pos, child))
-                out.append((pos + child + g, child))
-            cells = out
+        # the gaps removed by stages < depth are exactly the spaces between
+        # consecutive stage-depth cells (the first starts at 0, the last
+        # ends at 1, so no gap wraps)
+        cells = self._cells(depth)
+        gaps = [Arc(float(pos + ln) % 1.0, float(nxt - pos - ln))
+                for (pos, ln), (nxt, _) in zip(cells, cells[1:])]
         if self.generator.kind == "triadic":
             # level n has 2^(n-1) gaps of length 3^-n
             tail = GapTail("geometric_levels", (1.0, 2.0, 1.0, 1.0 / 3.0, depth))
@@ -328,14 +334,8 @@ def triadic_generator() -> CantorGenerator:
     return CantorGenerator("triadic")
 
 
-_STAGEWISE_AMP = None
-
-
 def stagewise_log_generator() -> CantorGenerator:
-    global _STAGEWISE_AMP
-    if _STAGEWISE_AMP is None:
-        _STAGEWISE_AMP = _stagewise_amp()
-    return CantorGenerator("stagewise_log", Fraction(_STAGEWISE_AMP))
+    return CantorGenerator("stagewise_log", Fraction(1.0 / LOG_SERIES))
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +348,10 @@ class MultiplierLayer:
 
     depth: int
     factors: dict  # arc index -> factor in [0,1]
+
+    def __post_init__(self):
+        if not all(0.0 <= f <= 1.0 for f in self.factors.values()):
+            raise ValueError("multiplier factors must lie in [0,1]")
 
     def factor_at(self, pos: Fraction) -> float:
         return self.factors.get(dyadic_index(pos, self.depth), 1.0)
@@ -369,11 +373,16 @@ class CircleMeasure:
 
     def __init__(self, atoms=(), cantor_parts=(), multipliers=(),
                  grating_meta: Optional[dict] = None, name: str = ""):
-        self.atom_list = [(p if isinstance(p, Fraction) else Fraction(p), float(m))
-                          for p, m in atoms]
-        for p, m in self.atom_list:
-            if m <= 0:
-                raise ValueError("atom masses must be positive")
+        self.atom_list = []
+        for p, m in atoms:
+            if isinstance(p, float) and not math.isfinite(p):
+                raise ValueError(f"atom position {p!r} is not finite")
+            m = float(m)
+            if not 0.0 < m < math.inf:
+                raise ValueError(f"atom mass {m!r} must be finite and "
+                                 "positive")
+            self.atom_list.append(
+                (p if isinstance(p, Fraction) else Fraction(p), m))
         self.cantor_parts = tuple(cantor_parts)
         self.multipliers = tuple(multipliers)
         self.grating_meta = grating_meta
@@ -395,6 +404,7 @@ class CircleMeasure:
             for layer in self.multipliers:
                 fac = np.array([layer.factor_at(p) for p in pos])
                 masses = masses * fac
+            # masses are validated positive: zeros come from factor-0 layers
             keep = masses > 0
             pos = [p for p, k in zip(pos, keep) if k]
             self._realized = (pos, masses[keep])
@@ -408,15 +418,10 @@ class CircleMeasure:
         _, masses = self.realized()
         return float(np.sum(masses))
 
-    def is_zero(self) -> bool:
-        return self.total_mass() == 0.0
-
     # -- queries -------------------------------------------------------------
 
-    def mass_of_arc(self, arc: Arc, eps: float = 1e-12) -> MassResult:
+    def mass_of_arc(self, arc: Arc) -> MassResult:
         """Measure of a half-open arc; exact by the atomic realization."""
-        if eps <= 0:
-            raise ValueError("eps must be positive")
         pos, masses = self.realized()
         start = Fraction(arc.start)
         length = Fraction(arc.length)
@@ -443,18 +448,12 @@ class CircleMeasure:
             multipliers=self.multipliers + (MultiplierLayer(depth, factors),),
             grating_meta=meta, name=name or self.name)
 
-    def restrict(self, closed_set: ClosedCircleSet,
-                 eps: float = 1e-12) -> "CircleMeasure":
+    def restrict(self, closed_set: ClosedCircleSet) -> "CircleMeasure":
         """Restriction to a closed set: atoms kept iff they lie in the set."""
         pos, masses = self.realized()
         kept = [(p, m) for p, m in zip(pos, masses)
                 if closed_set.contains_point(float(p))]
         return CircleMeasure(atoms=kept, name=f"{self.name}|restricted")
-
-    def __add__(self, other: "CircleMeasure") -> "CircleMeasure":
-        pos1, m1 = self.realized()
-        pos2, m2 = other.realized()
-        return CircleMeasure(atoms=list(zip(pos1, m1)) + list(zip(pos2, m2)))
 
 
 def zero_measure() -> CircleMeasure:

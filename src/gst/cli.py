@@ -139,7 +139,7 @@ def cmd_measure(args) -> dict:
             raise UncertifiedResult(json.dumps(out))
         return out
     grid = _resolve_grid(args.grid, w)
-    dec = roberts.decompose(mu, grid, args.c, w, args.kmax, args.eps)
+    dec = roberts.decompose(mu, grid, args.c, w, args.kmax)
     levels = []
     for rep in dec.reports:
         levels.append({
@@ -212,7 +212,10 @@ def cmd_dual(args) -> dict:
             else json.loads(args.g)
         f = util.load_json(args.f) if args.f.endswith(".json") \
             else json.loads(args.f)
-        val = duality.cauchy_pairing_poly(g, f)
+        try:
+            val = duality.cauchy_pairing_poly(g, f)
+        except ArithmeticError as exc:
+            raise UncertifiedResult(json.dumps({"error": str(exc)}))
         return {"pairing": {"re": val.real, "im": val.imag}}
     w = _resolve_weight(args.weight)
     coeffs = util.load_json(args.f) if args.f.endswith(".json") \
@@ -245,14 +248,13 @@ def cmd_report_cyclicity(args) -> dict:
         return out
     out["verdict"] = "cyclic evidence: mu_C = mu"
     grid = _resolve_grid(args.grid, w)
-    decay_rows = []
-    for kmax in (2, 4, 6):
-        dec = roberts.decompose(mu, grid, args.c, w, kmax)
-        decay_rows.append({"k_max": kmax,
-                           "residual_mass": dec.residual.total_mass()})
-    out["residual_decay"] = decay_rows
-    dec = roberts.decompose(mu, grid, args.c, w,
-                            min(args.kmax, len(grid.depths)))
+    dec = roberts.decompose(mu, grid, args.c, w, max(6, args.kmax))
+    masses = dec.residual_masses
+    out["residual_decay"] = [
+        {"k_max": kmax, "residual_mass": masses[min(kmax, len(masses)) - 1]}
+        for kmax in (2, 4, 6)]
+    if args.kmax < len(masses):
+        dec = roberts.decompose(mu, grid, args.c, w, args.kmax)
     margins = []
     for piece, rep in zip(dec.pieces, dec.reports):
         if rep.depth > 50:
@@ -306,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--grid", default="auto")
     m.add_argument("--c", type=float, default=0.1)
     m.add_argument("--kmax", type=int, default=3)
-    m.add_argument("--eps", type=float, default=1e-12)
 
     i = sub.add_parser("inner", help="evaluate a singular inner function")
     i.add_argument("inner_cmd", choices=["eval"])

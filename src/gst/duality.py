@@ -20,9 +20,9 @@ import numpy as np
 from scipy import integrate
 
 from .circle import CircleMeasure
-from .inner_outer import (AnalyticValue, BlaschkeSeq, blaschke_deriv_many,
-                          blaschke_many, singular_inner_deriv_many,
-                          singular_inner_many, unit_point)
+from .inner_outer import (AnalyticValue, BlaschkeSeq, blaschke_many,
+                          singular_inner_deriv_many, singular_inner_many,
+                          unit_point)
 from .weights import Weight, check_A2, _dini_tail
 
 FINITE = "finite"
@@ -64,19 +64,6 @@ def atomic_inner_function(mu: CircleMeasure) -> DiscFunction:
         lambda z: singular_inner_many(mu, z)[0],
         lambda z: singular_inner_deriv_many(mu, z),
         tag="atomic_inner", name=f"S[{mu.name}]")
-
-
-def blaschke_function(B: BlaschkeSeq) -> DiscFunction:
-    return DiscFunction(lambda z: blaschke_many(B, z),
-                        lambda z: blaschke_deriv_many(B, z),
-                        tag="rational", name="blaschke")
-
-
-def product_function(a: DiscFunction, b: DiscFunction) -> DiscFunction:
-    return DiscFunction(
-        lambda z: a(z) * b(z),
-        lambda z: a.deriv(z) * b(z) + a(z) * b.deriv(z),
-        tag="product", name=f"{a.name}*{b.name}")
 
 
 def derivative_consistency(f: DiscFunction, points, step: float = 1e-6
@@ -183,9 +170,6 @@ def cauchy_pairing_poly(g_coeffs, f_coeffs, validate: bool = True) -> complex:
     return exact
 
 
-cauchy_pairing = cauchy_pairing_poly
-
-
 @dataclass(frozen=True)
 class GreenCheck:
     lhs: complex
@@ -202,8 +186,7 @@ def green_oracle(g_coeffs, f_coeffs, r: float) -> complex:
     return complex(np.sum(a[:n] * np.conj(b[:n]) * r ** (2.0 * ns)))
 
 
-def green_identity_check(g_coeffs, f_coeffs, r: float,
-                         w_unused: Optional[Weight] = None) -> GreenCheck:
+def green_identity_check(g_coeffs, f_coeffs, r: float) -> GreenCheck:
     """Boundary pairing at radius r against its area-integral form.
 
     lhs = int g(r zeta) conj(f(r zeta)) dm(zeta); rhs = g(0) conj(f(0)) +
@@ -263,8 +246,7 @@ class ModelKernelSpec:
 
 
 def model_kernel(spec: ModelKernelSpec, z: complex,
-                 lam: Optional[complex] = None,
-                 eps: float = 1e-12) -> AnalyticValue:
+                 lam: Optional[complex] = None) -> AnalyticValue:
     """kappa(z, lam) = (1 - conj(Theta(lam)) Theta(z)) / (1 - conj(lam) z).
 
     The base point defaults to the one carried by the spec.

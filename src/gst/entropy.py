@@ -211,8 +211,7 @@ def _gap_integral_values(w: Weight, lens: np.ndarray, lam: float):
     return total_mid, err
 
 
-def entropy_integral(E: ClosedCircleSet, w: Weight,
-                     quad_depth: int = 45) -> TaggedValue:
+def entropy_integral(E: ClosedCircleSet, w: Weight) -> TaggedValue:
     """Circle integral of log w(dist(., E)) via per-gap change of variables.
 
     Each gap of length L contributes 2*int_0^{L/2} log w(t) dt: the distance

@@ -8,7 +8,6 @@ whole suite stays fast.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -104,22 +103,9 @@ def stagewise_divergent_set(depth: int = 10) -> ClosedCircleSet:
     return part.carrier
 
 
-_HARMONIC_AMP = None
-
-
-def _harmonic_amp() -> float:
-    global _HARMONIC_AMP
-    if _HARMONIC_AMP is None:
-        ks = np.arange(2.0, 4_000_002.0)
-        inv = 1.0 / (ks * np.log(ks) ** 2)
-        _HARMONIC_AMP = 1.0 / (float(np.sum(inv)) +
-                               1.0 / math.log(4_000_002.5))
-    return _HARMONIC_AMP
-
-
 def harmonic_log_set(materialized: int = HARMONIC_MATERIALIZED) -> ClosedCircleSet:
     """Gaps of length A/(k log^2 k): the canonical divergent gap family."""
-    amp = _harmonic_amp()
+    amp = 1.0 / circle.LOG_SERIES
     ks = np.arange(2.0, materialized + 2.0)
     lens = amp / (ks * np.log(ks) ** 2)
     starts = np.concatenate([[0.0], np.cumsum(lens)[:-1]])

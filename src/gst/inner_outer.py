@@ -70,19 +70,6 @@ def eval_blaschke(B: BlaschkeSeq, z: complex) -> AnalyticValue:
     return AnalyticValue(val, len(B.zeros) * 1e-14 * max(1.0, abs(val)))
 
 
-def blaschke_deriv_many(B: BlaschkeSeq, z: np.ndarray) -> np.ndarray:
-    # product rule: B' = B * sum_k b_k'/b_k away from zeros; assembled stably
-    vals = blaschke_many(B, z)
-    logd = np.zeros(z.shape, dtype=complex)
-    for lam in B.zeros:
-        if lam == 0:
-            logd = logd + 1.0 / z
-        else:
-            logd = logd + (abs(lam) ** 2 - 1.0) / (
-                (lam - z) * (1.0 - np.conj(lam) * z))
-    return vals * logd
-
-
 # ---------------------------------------------------------------------------
 # Singular inner functions (realized measures: closed-form exponential sums)
 # ---------------------------------------------------------------------------
@@ -154,7 +141,7 @@ def singular_inner_deriv_many(mu: CircleMeasure, z: np.ndarray) -> np.ndarray:
 # Outer functions from piecewise-constant boundary data
 # ---------------------------------------------------------------------------
 
-def _herglotz_arc(a: float, b: float, z: complex, eps: float):
+def _herglotz_arc(a: float, b: float, z: complex):
     """int over t in [a,b] of (zeta+z)/(zeta-z) dt, adaptive bisection."""
     nodes, wts = np.polynomial.legendre.leggauss(12)
     nodes6, wts6 = np.polynomial.legendre.leggauss(6)
@@ -182,7 +169,7 @@ def _herglotz_arc(a: float, b: float, z: complex, eps: float):
     return out, err
 
 
-def eval_outer(segments, z: complex, eps: float = 1e-10) -> AnalyticValue:
+def eval_outer(segments, z: complex) -> AnalyticValue:
     """Outer function with piecewise-constant boundary log-modulus.
 
     ``segments``: iterable of (Arc, log_modulus).  They should cover the
@@ -195,7 +182,7 @@ def eval_outer(segments, z: complex, eps: float = 1e-10) -> AnalyticValue:
     for arc, logm in segments:
         if logm == 0.0:
             continue
-        h, e = _herglotz_arc(arc.start, arc.start + arc.length, z, eps)
+        h, e = _herglotz_arc(arc.start, arc.start + arc.length, z)
         total += logm * h
         err += abs(logm) * e
     val = np.exp(total)
@@ -472,8 +459,7 @@ def psi_sum_many(G: CarlesonOuter, z: np.ndarray):
     return acc, tail
 
 
-def eval_carleson(G: CarlesonOuter, z: complex,
-                  eps: float = 1e-10) -> AnalyticValue:
+def eval_carleson(G: CarlesonOuter, z: complex) -> AnalyticValue:
     vals, errs = carleson_many(G, np.array([z]))
     return AnalyticValue(complex(vals[0]), float(errs[0]))
 

@@ -32,8 +32,8 @@ class GratingReport:
     depth: int
     threshold: float
     heavy_arcs: tuple          # dyadic indices, sorted
+    heavy_masses: tuple        # mass before capping, per heavy arc
     light_arcs: tuple          # mass-carrying light indices, sorted
-    heavy_mass_before: float
     total_mass_before: float
 
     @property
@@ -41,8 +41,7 @@ class GratingReport:
         return len(self.heavy_arcs)
 
 
-def grate(mu: CircleMeasure, n: int, c: float, w: Weight,
-          eps: float = 1e-12):
+def grate(mu: CircleMeasure, n: int, c: float, w: Weight):
     """One grating pass; returns (capped measure, report).
 
     Ties (arc mass equal to the threshold) count as light, so the capped
@@ -54,15 +53,14 @@ def grate(mu: CircleMeasure, n: int, c: float, w: Weight,
         raise ValueError("grating depth must be at least 1")
     thr = grating_threshold(n, c, w)
     masses = mu.arc_masses_at_depth(n)
-    heavy = {i: m for i, m in masses.items() if m > thr}
+    heavy = sorted((i, m) for i, m in masses.items() if m > thr)
     light = tuple(sorted(i for i, m in masses.items() if 0 < m <= thr))
-    factors = {i: thr / m for i, m in heavy.items()}
+    factors = {i: thr / m for i, m in heavy}
     meta = {"depth": n, "c": c, "threshold": thr}
     piece = mu.scaled_on_arcs(n, factors, meta=meta, name=f"{mu.name}|grate{n}")
     report = GratingReport(
-        depth=n, threshold=thr, heavy_arcs=tuple(sorted(heavy)),
-        light_arcs=light,
-        heavy_mass_before=math.fsum(heavy.values()),
+        depth=n, threshold=thr, heavy_arcs=tuple(i for i, _ in heavy),
+        heavy_masses=tuple(m for _, m in heavy), light_arcs=light,
         total_mass_before=mu.total_mass())
     return piece, report
 
@@ -71,6 +69,7 @@ def grate(mu: CircleMeasure, n: int, c: float, w: Weight,
 class RobertsDecomposition:
     pieces: list
     residual: CircleMeasure
+    residual_masses: list         # residual total mass after each level
     heavy_sets: list              # (depth, sorted indices) per level
     reports: list
     c: float
@@ -132,8 +131,13 @@ class RobertsDecomposition:
 
 
 def decompose(mu: CircleMeasure, grid: DyadicGrid, c: float, w: Weight,
-              k_max: int, eps: float = 1e-12) -> RobertsDecomposition:
-    """Iterated gratings over the grid depths; stops after k_max levels."""
+              k_max: int) -> RobertsDecomposition:
+    """Iterated gratings over the grid depths; stops after k_max levels.
+
+    The residual is the remainder after the last level; ``residual_masses``
+    records the remainder's mass after every level, so one call at k levels
+    answers every k_max up to k.
+    """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     levels = min(k_max, len(grid.depths))
@@ -142,24 +146,20 @@ def decompose(mu: CircleMeasure, grid: DyadicGrid, c: float, w: Weight,
         raise ValueError("grid fails the w-grid condition")
     total = mu.total_mass()
     remainder = mu
-    pieces, reports, heavy_sets = [], [], []
+    pieces, reports, heavy_sets, residual_masses = [], [], [], []
     for k in range(levels):
         n = grid.depths[k]
-        piece, report = grate(remainder, n, c, w, eps)
+        piece, report = grate(remainder, n, c, w)
         pieces.append(piece)
         reports.append(report)
         heavy_sets.append((n, report.heavy_arcs))
-        heavy_masses = remainder.arc_masses_at_depth(n)
-        rem_factors = {}
-        for i in report.heavy_arcs:
-            rem_factors[i] = 1.0 - report.threshold / heavy_masses[i]
+        rem_factors = {i: 1.0 - report.threshold / m
+                       for i, m in zip(report.heavy_arcs, report.heavy_masses)}
         for i in report.light_arcs:
             rem_factors[i] = 0.0
         remainder = remainder.scaled_on_arcs(
             n, rem_factors, name=f"{mu.name}|rem{k + 1}")
-    residual = CircleMeasure(
-        atoms=list(zip(*remainder.realized())) if remainder.realized()[1].size
-        else (), name=f"{mu.name}|residual")
+        residual_masses.append(remainder.total_mass())
     # entropy bookkeeping: all light arcs inside the previous heavy union,
     # counted in closed form since depth-n arcs share one length
     ledger = 0.0
@@ -177,8 +177,8 @@ def decompose(mu: CircleMeasure, grid: DyadicGrid, c: float, w: Weight,
                       "bound_value": c * m_h * neg_log_at_depth(w, n),
                       "total_mass": total})
     return RobertsDecomposition(
-        pieces=pieces, residual=residual, heavy_sets=heavy_sets,
-        reports=reports, c=c, grid=grid, beta=beta,
+        pieces=pieces, residual=remainder, residual_masses=residual_masses,
+        heavy_sets=heavy_sets, reports=reports, c=c, grid=grid, beta=beta,
         carrier_entropy_bound=(beta / c) * total,
         light_entropy_ledger=ledger, decay_certificates=decay,
         total_mass=total)

@@ -1,23 +1,13 @@
-"""Shared plumbing: deterministic JSON reports, CSV mirroring, thread cap."""
+"""Shared plumbing: deterministic JSON reports and CSV mirroring."""
 
 from __future__ import annotations
 
 import csv
 import json
-import os
 import time
 from pathlib import Path
 
 SCHEMA = "gst-1"
-
-
-def thread_cap() -> int:
-    """Worker cap honored by batch evaluations (env GST_THREADS)."""
-    raw = os.environ.get("GST_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return max(1, os.cpu_count() or 1)
 
 
 def report(command: str, params: dict, results: dict,
@@ -29,7 +19,6 @@ def report(command: str, params: dict, results: dict,
         "results": results,
         "meta": {
             "runtime_s": round(time.time() - started, 6),
-            "threads": thread_cap(),
         },
     }
 

@@ -189,14 +189,16 @@ def from_spec(spec) -> Weight:
     if isinstance(spec, str):
         kind, _, rest = spec.partition(":")
         args = [float(x) for x in rest.split(",") if x]
-        if kind == "power":
+        if kind == "power" and len(args) == 1:
             return power(args[0])
-        if kind == "log":
+        if kind == "log" and len(args) <= 2:
             return log_power(args[0] if args else 1.0,
                              int(args[1]) if len(args) > 1 else 1)
-        if kind == "exp_log":
+        if kind == "exp_log" and len(args) == 2:
             return exp_log(args[0], args[1])
-        raise InvalidWeightError(f"unknown weight spec string {spec!r}")
+        raise InvalidWeightError(
+            f"weight spec {spec!r} is not power:a, log[:c[,depth]] or "
+            "exp_log:a,b")
     kind = spec["kind"]
     hint = spec.get("lambda_hint")
     if kind == "power":

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -41,9 +42,22 @@ class TestClosedSets:
         assert math.fsum(g.length for g in E.gaps) == pytest.approx(1.0)
 
     def test_tailed_set_accounts_mass(self):
-        E = fixtures.triadic_cantor_set(8)
-        gaps = math.fsum(g.length for g in E.gaps)
-        assert gaps + E.tail.gap_mass() == pytest.approx(1.0, abs=1e-9)
+        for E, tol in ((fixtures.triadic_cantor_set(8), 1e-9),
+                       (fixtures.stagewise_divergent_set(), 1e-12),
+                       (fixtures.harmonic_log_set(), 1e-12)):
+            gaps = math.fsum(g.length for g in E.gaps)
+            assert gaps + E.tail.gap_mass() == pytest.approx(1.0, abs=tol), \
+                E.name
+
+    def test_log_series_constant(self):
+        n = 10 ** 6
+        ks = np.arange(2.0, n + 1.0)
+        s = float(np.sum(1.0 / (ks * np.log(ks) ** 2)))
+        assert abs(circle.LOG_SERIES - (s + 1.0 / math.log(n + 0.5))) <= 1e-14
+        # the summed and the midpoint regimes of the tail meet without a gap
+        k = circle.LOG_SERIES_TERMS
+        step = circle.log_series_tail(k - 1) - circle.log_series_tail(k)
+        assert step == pytest.approx(1.0 / (k * math.log(k) ** 2), rel=1e-6)
 
     def test_union_splits_gap(self):
         E = set_union(point_set([0.0]), point_set([0.5]))

@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from gst import cli
+from gst import circle, cli, roberts, weights
+from gst.grids import DyadicGrid
 
 
 def run(argv, capsys):
@@ -118,6 +120,91 @@ class TestReportCyclicity:
         decay = [row["residual_mass"] for row in res["residual_decay"]]
         assert decay[0] > decay[1] > decay[2]
         assert all(m["ok"] for m in res["corona_margins"])
+
+
+# 1024 atoms: cheap enough to run the whole report at several --kmax
+SMALL_DIVERGENT = json.dumps({"cantor": [{"generator": "stagewise_log",
+                                          "depth": 10, "mass": 1.0}]})
+
+
+@pytest.fixture(scope="module")
+def separate_decays():
+    mu = circle.measure_from_json(json.loads(SMALL_DIVERGENT))
+    grid = DyadicGrid((4, 8, 12, 16, 20, 24))
+    return [{"k_max": k, "residual_mass": roberts.decompose(
+                mu, grid, 0.1, weights.power(1.0), k).residual.total_mass()}
+            for k in (2, 4, 6)]
+
+
+class TestReportSinglePass:
+    @pytest.mark.parametrize("kmax", [2, 4, None])
+    def test_one_decomposition_per_report(self, kmax, capsys, monkeypatch,
+                                          separate_decays):
+        calls = {"decompose": [], "arc_masses": 0}
+        decompose = roberts.decompose
+        arc_masses = circle.CircleMeasure.arc_masses_at_depth
+
+        def counting_decompose(*args):
+            calls["decompose"].append(args[4])
+            return decompose(*args)
+
+        def counting_arc_masses(mu, depth):
+            calls["arc_masses"] += 1
+            return arc_masses(mu, depth)
+
+        monkeypatch.setattr(roberts, "decompose", counting_decompose)
+        monkeypatch.setattr(circle.CircleMeasure, "arc_masses_at_depth",
+                            counting_arc_masses)
+        argv = ["report", "cyclicity", "--measure", SMALL_DIVERGENT,
+                "--weight", "power:1"]
+        code, rep = run(argv + (["--kmax", str(kmax)] if kmax else []),
+                        capsys)
+        assert code == 0
+        assert rep["results"]["residual_decay"] == separate_decays
+        # the decay rows come from one 6-level run; a shorter dossier
+        # needs one more run of its own
+        if kmax is None:
+            assert calls == {"decompose": [6], "arc_masses": 6}
+        else:
+            assert calls == {"decompose": [6, kmax], "arc_masses": 6 + kmax}
+
+
+def _random_poly(rng) -> str:
+    mags = 10.0 ** rng.uniform(-3.0, 3.0, 50)
+    return json.dumps((mags * rng.choice([-1.0, 1.0], 50)).tolist())
+
+
+_RNG = np.random.default_rng(0)
+BAD_INPUTS = {
+    "nan_atom_mass": (["inner", "eval", "--measure",
+                       '{"atoms": [{"pos": 0.0, "mass": NaN}]}',
+                       "--z", "0.5"], 1),
+    "negative_cantor_mass": (["measure", "classify", "--measure",
+                              '{"cantor": [{"generator": "triadic", '
+                              '"depth": 6, "mass": -1}]}',
+                              "--weight", "power:1"], 1),
+    "negative_factor": (["measure", "classify", "--measure",
+                         '{"cantor": [{"generator": "triadic", "depth": 6, '
+                         '"mass": 1}], "multipliers": [{"depth": 2, '
+                         '"factors": {"0": -2}}]}', "--weight", "power:1"],
+                        1),
+    "infinite_position": (["inner", "eval", "--measure",
+                           '{"atoms": [{"pos": Infinity, "mass": 1.0}]}',
+                           "--z", "0.5"], 1),
+    "power_without_exponent": (["weight", "check", "--weight", "power"], 1),
+    "pairing_quadrature_fails": (["dual", "pair", "--g", _random_poly(_RNG),
+                                  "--f", _random_poly(_RNG)], 2),
+}
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+    def test_exit_code_without_traceback(self, name, capsys):
+        argv, expected = BAD_INPUTS[name]
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == expected
+        assert "Traceback" not in captured.out + captured.err
 
 
 class TestDeterminism:

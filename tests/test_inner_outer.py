@@ -69,7 +69,8 @@ class TestSingularInner:
         b = fixtures.two_atom_fixture()
         va, ea = singular_inner_many(a, zs)
         vb, eb = singular_inner_many(b, zs)
-        vab, eab = singular_inner_many(a + b, zs)
+        ab = CircleMeasure(atoms=a.atom_list + b.atom_list)
+        vab, eab = singular_inner_many(ab, zs)
         assert np.max(np.abs(va * vb - vab)) <= np.max(ea + eb + eab) + 1e-12
 
     def test_modulus_below_one(self):

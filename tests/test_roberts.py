@@ -100,6 +100,15 @@ class TestDecompose:
         assert masses[1] / masses[0] < 1.0
         assert masses[2] / masses[1] < 1.0
 
+    @pytest.mark.parametrize("name", ["atom", "two_atoms", "triadic_cantor",
+                                      "divergent_cantor"])
+    def test_residual_masses_match_shorter_runs(self, name):
+        mu = fixtures.measure_fixtures()[name]
+        masses = decompose(mu, DECAY_GRID, 0.1, W_T, 6).residual_masses
+        assert masses == [
+            decompose(mu, DECAY_GRID, 0.1, W_T, k).residual.total_mass()
+            for k in range(1, 7)]
+
     def test_divergent_fully_consumed_at_larger_c(self):
         # entropy-free measures are consumed entirely once the thresholds
         # catch up with the realization: the residual vanishes exactly
