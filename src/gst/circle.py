@@ -17,21 +17,13 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
+from .util import as_int
+
 CIRCLE_TOL = 1e-12
-
-
-def frac_mod1(x: Fraction) -> Fraction:
-    return x - (x.numerator // x.denominator)
-
-
-def dyadic_index(pos: Fraction, depth: int) -> int:
-    """Index of the depth-n dyadic arc containing pos (exact)."""
-    num, den = pos.numerator, pos.denominator
-    return ((num << depth) // den) % (1 << depth)
 
 
 @dataclass(frozen=True)
@@ -59,9 +51,9 @@ class Arc:
         rel = (x - self.start) % 1
         return rel < self.length
 
-    def contains_open(self, x, margin: float = 0.0) -> bool:
+    def contains_open(self, x) -> bool:
         rel = (x - self.start) % 1
-        return margin < rel < self.length - margin
+        return 0.0 < rel < self.length
 
 
 def dyadic_arc(index: int, depth: int) -> Arc:
@@ -172,13 +164,13 @@ class ClosedCircleSet:
         return (f"ClosedCircleSet({self.name or len(self.gaps)} gaps"
                 f"{', tailed' if self.tail else ''})")
 
-    def _gap_at(self, x: float, margin: float = 0.0) -> Optional[Arc]:
+    def _gap_at(self, x: float) -> Optional[Arc]:
         if not self.gaps:
             return None
         i = bisect_right(self._starts, x) - 1
         for j in (i, len(self.gaps) - 1):  # last gap may wrap past 1
             g = self.gaps[j]
-            if g.contains_open(x, margin):
+            if g.contains_open(x):
                 return g
         return None
 
@@ -191,10 +183,28 @@ class ClosedCircleSet:
         return min(rel, g.length - rel)
 
     def contains_point(self, x) -> bool:
-        # points within CIRCLE_TOL of a gap endpoint count as set points:
-        # endpoints belong to the set and float images of exact endpoints
-        # may land a few ulps inside the open gap
-        return self._gap_at(float(x) % 1.0, margin=CIRCLE_TOL) is None
+        return bool(self.contains_points([float(x)])[0])
+
+    def contains_points(self, xs) -> np.ndarray:
+        """Set membership of each entry of a float array.
+
+        Points within CIRCLE_TOL of a gap endpoint count as set points:
+        endpoints belong to the set and float images of exact endpoints
+        may land a few ulps inside the open gap.
+        """
+        xs = np.asarray(xs, dtype=float) % 1.0
+        if not self.gaps:
+            return np.ones(xs.shape, dtype=bool)
+        starts = np.array(self._starts)
+        lengths = np.array([g.length for g in self.gaps])
+
+        def in_gap(j):
+            rel = (xs - starts[j]) % 1.0
+            return (CIRCLE_TOL < rel) & (rel < lengths[j] - CIRCLE_TOL)
+
+        # as in _gap_at: the gap starting at or before x, and the last gap
+        i = np.searchsorted(starts, xs, side="right") - 1
+        return ~(in_gap(i) | in_gap(len(self.gaps) - 1))
 
     def points(self) -> list:
         """Gap endpoints (all are set points); the full set for finite sets."""
@@ -246,6 +256,16 @@ def set_union(e1: ClosedCircleSet, e2: ClosedCircleSet) -> ClosedCircleSet:
 # Cantor-type generators and measure components
 # ---------------------------------------------------------------------------
 
+# exact numerators are summed in two int64 limbs: hi 2^LIMB + lo
+LIMB = 40
+LIMB_MASK = (1 << LIMB) - 1
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class CantorGenerator:
     """Binary splitting rule: stage j removes a centered gap from each cell.
@@ -271,46 +291,64 @@ class CantorPart:
     """A Cantor-type singular component realized at a finite stage count.
 
     The realization places each terminal cell's mass as an atom at the
-    cell's left endpoint (a point of the true carrier).  ``carrier`` keeps
-    the underlying closed set, including its unmaterialized tail, for
-    entropy certificates.
+    cell's left endpoint (a point of the true carrier).  Cell i turns right
+    at stage j when bit ``stages - 1 - j`` of i is set (stage 0 is the most
+    significant bit), and its left endpoint is the sum of the right-turn
+    offsets of those stages.  The offsets are integers over one common
+    denominator ``den`` (3^stages for triadic parts, a power of two for
+    stagewise ones), so every endpoint is known exactly.  ``carrier``
+    keeps the underlying closed set, including its unmaterialized tail,
+    for entropy certificates.
     """
 
     def __init__(self, generator: CantorGenerator, stages: int, mass: float,
                  carrier_depth: int = 10):
+        stages = as_int(stages, "stage count")
         if stages < 1 or stages > 22:
             raise ValueError("stages must lie in 1..22 at desk scale")
         self.generator = generator
         self.stages = stages
+        self.size = 1 << stages
         self.mass = float(mass)
         if not 0.0 < self.mass < math.inf:
             raise ValueError(f"component mass {mass!r} must be finite and "
                              "positive")
-        self._atoms_cache = None
+        self.den, self._offsets, self._lengths = self._stage_offsets()
         self.carrier = self._build_carrier(min(carrier_depth, stages))
 
-    def _cells(self, upto: int):
-        """(left endpoint, length) of the stage-``upto`` cells, in order."""
-        cells = [(Fraction(0), Fraction(1))]
-        for j in range(upto):
+    def _stage_offsets(self):
+        """(den, right-turn offset per stage, cell length after each
+        stage), the last two as integer numerators over den."""
+        child, offsets, lengths = Fraction(1), [], []
+        for j in range(self.stages):
             g = self.generator.stage_gap(j) / (1 << j)  # per-cell gap
-            out = []
-            for pos, ln in cells:
-                child = (ln - g) / 2
-                if child <= 0:
-                    raise ValueError("stage gaps exceed cell length")
-                out.append((pos, child))
-                out.append((pos + child + g, child))
-            cells = out
-        return cells
+            child = (child - g) / 2
+            if child <= 0:
+                raise ValueError("stage gaps exceed cell length")
+            offsets.append(child + g)
+            lengths.append(child)
+        den = math.lcm(*(f.denominator for f in offsets + lengths))
+        # positions round once (see positions): a numerator below 2^53 is
+        # exact in float, a power-of-two denominator divides exactly
+        if not (den < 2 ** 53 or
+                (den & (den - 1) == 0 and den <= 2 ** (53 + LIMB))):
+            raise ValueError("stage offsets need a denominator below 2^53 "
+                             f"or a power of two up to 2^{53 + LIMB}")
+        return (den, [int(f * den) for f in offsets],
+                [int(f * den) for f in lengths])
 
     def _build_carrier(self, depth: int) -> ClosedCircleSet:
         # the gaps removed by stages < depth are exactly the spaces between
         # consecutive stage-depth cells (the first starts at 0, the last
-        # ends at 1, so no gap wraps)
-        cells = self._cells(depth)
-        gaps = [Arc(float(pos + ln) % 1.0, float(nxt - pos - ln))
-                for (pos, ln), (nxt, _) in zip(cells, cells[1:])]
+        # ends at 1, so no gap wraps); a stage-depth cell starts where its
+        # leftmost terminal cell does
+        starts, _ = self.exact(
+            np.arange(1 << depth, dtype=np.int64) << (self.stages - depth))
+        starts = starts.tolist()
+        ln = self._lengths[depth - 1] if depth else self.den
+        den = self.den
+        gaps = [Arc((a + ln) / den % 1.0, (b - a - ln) / den)
+                for a, b in zip(starts, starts[1:])]
         if self.generator.kind == "triadic":
             # level n has 2^(n-1) gaps of length 3^-n
             tail = GapTail("geometric_levels", (1.0, 2.0, 1.0, 1.0 / 3.0, depth))
@@ -320,14 +358,34 @@ class CantorPart:
             name = f"stagewise({depth})"
         return ClosedCircleSet(gaps, tail=tail, name=name)
 
-    def atoms(self):
-        """(positions as Fractions, masses ndarray) of the realization."""
-        if self._atoms_cache is None:
-            cells = self._cells(self.stages)
-            pos = [c[0] for c in cells]
-            masses = np.full(len(cells), self.mass / len(cells))
-            self._atoms_cache = (pos, masses)
-        return self._atoms_cache
+    def positions(self) -> np.ndarray:
+        """Left endpoints of the terminal cells in cell order, each the
+        correctly rounded float64 of the exact endpoint.
+
+        Built by doubling: each stage replaces every cell by its left
+        child and then its right child, offset by that stage's step.
+        """
+        hi = lo = np.zeros(1, dtype=np.int64)
+        for step in self._offsets:
+            hi = np.stack([hi, hi + (step >> LIMB)], axis=1).ravel()
+            lo = np.stack([lo, lo + (step & LIMB_MASK)], axis=1).ravel()
+        # hi 2^LIMB and lo are exact floats: the sum rounds once, and the
+        # division is exact or the numerator was
+        return (hi * 2.0 ** LIMB + lo) / float(self.den)
+
+    def masses(self) -> np.ndarray:
+        return np.full(self.size, self.mass / self.size)
+
+    def exact(self, cells: np.ndarray):
+        """(numerators, den) of the exact left endpoints of the given cells:
+        an object array of Python ints over one denominator."""
+        hi = np.zeros(cells.size, dtype=np.int64)
+        lo = np.zeros(cells.size, dtype=np.int64)
+        for j, step in enumerate(self._offsets):
+            turn = (cells >> (self.stages - 1 - j)) & 1
+            hi += turn * (step >> LIMB)
+            lo += turn * (step & LIMB_MASK)
+        return hi.astype(object) * (1 << LIMB) + lo.astype(object), self.den
 
 
 def triadic_generator() -> CantorGenerator:
@@ -336,6 +394,29 @@ def triadic_generator() -> CantorGenerator:
 
 def stagewise_log_generator() -> CantorGenerator:
     return CantorGenerator("stagewise_log", Fraction(1.0 / LOG_SERIES))
+
+
+class _Atoms:
+    """The point masses of a measure, reduced mod 1, as one block of its
+    realization (beside the Cantor parts)."""
+
+    def __init__(self, atom_list):
+        self.num = np.array([p.numerator % p.denominator
+                             for p, _ in atom_list], dtype=object)
+        self.den = np.array([p.denominator for p, _ in atom_list],
+                            dtype=object)
+        self._masses = np.array([m for _, m in atom_list], dtype=float)
+        self.size = len(atom_list)
+
+    def positions(self) -> np.ndarray:
+        # int / int is the correctly rounded quotient
+        return (self.num / self.den).astype(float)
+
+    def masses(self) -> np.ndarray:
+        return self._masses
+
+    def exact(self, rows: np.ndarray):
+        return self.num[rows], self.den[rows]
 
 
 # ---------------------------------------------------------------------------
@@ -350,11 +431,112 @@ class MultiplierLayer:
     factors: dict  # arc index -> factor in [0,1]
 
     def __post_init__(self):
+        depth = as_int(self.depth, "multiplier depth")
+        if depth < 0:
+            raise ValueError(f"multiplier depth {depth} is negative")
+        object.__setattr__(self, "depth", depth)
         if not all(0.0 <= f <= 1.0 for f in self.factors.values()):
             raise ValueError("multiplier factors must lie in [0,1]")
+        # i < 2^depth without building 2^depth
+        if not all(hasattr(i, "__index__") and i >= 0
+                   and int(i).bit_length() <= depth for i in self.factors):
+            raise ValueError("multiplier arc indices must be integers in "
+                             f"0..2^{depth}-1")
 
-    def factor_at(self, pos: Fraction) -> float:
-        return self.factors.get(dyadic_index(pos, self.depth), 1.0)
+    def factors_at(self, idx: np.ndarray) -> np.ndarray:
+        """The factor of each given arc index (1 off the listed arcs)."""
+        if not self.factors:
+            return np.ones(idx.size)
+        if idx.dtype == object:  # indices past depth 62
+            return np.array([self.factors.get(i, 1.0) for i in idx.tolist()],
+                            dtype=float)
+        keys = np.array(sorted(self.factors), dtype=np.int64)
+        vals = np.array([self.factors[k] for k in keys.tolist()], dtype=float)
+        at = np.minimum(np.searchsorted(keys, idx), keys.size - 1)
+        return np.where(keys[at] == idx, vals[at], 1.0)
+
+
+class Realization(NamedTuple):
+    """The atoms of a measure with its multiplier layers applied.
+
+    ``pos`` holds the correctly rounded float64 of each atom's exact
+    position in [0,1); ``rows`` locates the atom in ``blocks`` (the
+    measure's atoms, then each Cantor part's cells), whose exact data
+    settles every query the float position cannot.  All arrays are
+    read-only.
+    """
+
+    pos: np.ndarray
+    masses: np.ndarray
+    rows: np.ndarray
+    blocks: tuple
+
+    def exact(self, sel: np.ndarray):
+        """(numerators, denominators) of the exact positions of the atoms
+        ``sel``, as object arrays of Python ints."""
+        rows = self.rows[sel]
+        num = np.empty(rows.size, dtype=object)
+        den = np.empty(rows.size, dtype=object)
+        start = 0
+        for block in self.blocks:
+            inside = (rows >= start) & (rows < start + block.size)
+            num[inside], den[inside] = block.exact(rows[inside] - start)
+            start += block.size
+        return num, den
+
+    def indices(self, depth: int) -> np.ndarray:
+        """Index of the depth-n dyadic arc holding each atom (exact): int64
+        up to depth 62, Python ints (an object array) beyond."""
+        if depth > 62:
+            num, den = self.exact(np.arange(self.pos.size))
+            return (num << depth) // den
+        scaled = self.pos * 2.0 ** depth
+        idx = np.floor(scaled).astype(np.int64)
+        # positions are within 2^-54 of the exact ones, so the float index
+        # is exact for every atom more than 2^-52 from an arc edge (past
+        # depth ~52 no atom is)
+        near = np.flatnonzero(
+            np.abs(scaled - np.rint(scaled)) <= 2.0 ** (depth - 52))
+        if near.size:
+            num, den = self.exact(near)
+            idx[near] = ((num << depth) // den).astype(np.int64)
+        return idx
+
+    def in_arc(self, start: float, length: float) -> np.ndarray:
+        """Mask of the atoms in the half-open arc [start, start + length)
+        mod 1 (exact)."""
+        s = Fraction(start)
+        e = s + Fraction(length)
+        # x lies in the arc iff s <= x < e, or x < e - 1 when it wraps
+        ends = (start, float(e), float(e - 1))
+        x = self.pos
+        inside = ((x >= ends[0]) & (x < ends[1])) | (x < ends[2])
+        # x and the float ends are within 2^-52 of the exact values, so the
+        # float comparisons hold for atoms 2^-50 or more from every end
+        near = np.flatnonzero(np.any(
+            [np.abs(x - t) <= 2.0 ** -50 for t in ends], axis=0))
+        if near.size:
+            num, den = self.exact(near)
+            inside[near] = [s <= Fraction(a, b) < e or Fraction(a, b) < e - 1
+                            for a, b in zip(num, den)]
+        return inside
+
+    def scaled(self, layer: MultiplierLayer) -> "Realization":
+        """This realization with one more layer applied; atoms whose mass
+        drops to 0 (factor-0 arcs) are left out."""
+        masses = self.masses * layer.factors_at(self.indices(layer.depth))
+        keep = masses > 0
+        if keep.all():
+            return self._replace(masses=_frozen(masses))
+        return Realization(_frozen(self.pos[keep]), _frozen(masses[keep]),
+                           _frozen(self.rows[keep]), self.blocks)
+
+
+def _realize_blocks(blocks: tuple) -> Realization:
+    pos = np.concatenate([b.positions() for b in blocks])
+    masses = np.concatenate([b.masses() for b in blocks])
+    return Realization(_frozen(pos), _frozen(masses),
+                       _frozen(np.arange(pos.size, dtype=np.int64)), blocks)
 
 
 @dataclass(frozen=True)
@@ -368,7 +550,7 @@ class CircleMeasure:
 
     Multiplier layers damp the measure on selected dyadic arcs; gratings
     are recorded this way.  All mass queries are exact (err = 0) because
-    components realize to finitely many atoms.
+    components realize to finitely many atoms with exact positions.
     """
 
     def __init__(self, atoms=(), cantor_parts=(), multipliers=(),
@@ -388,72 +570,84 @@ class CircleMeasure:
         self.grating_meta = grating_meta
         self.name = name
         self._realized = None
+        self._parent = None  # a measure one multiplier layer short of this
+        self._sorted = None
 
     # -- realization --------------------------------------------------------
 
-    def realized(self):
-        """(positions list[Fraction], masses ndarray) with multipliers applied."""
+    def realized(self) -> Realization:
+        """The atoms with every multiplier layer applied (cached)."""
         if self._realized is None:
-            pos: list = [frac_mod1(p) for p, _ in self.atom_list]
-            masses = [m for _, m in self.atom_list]
-            for part in self.cantor_parts:
-                ppos, pmass = part.atoms()
-                pos.extend(frac_mod1(p) for p in ppos)
-                masses.extend(pmass)
-            masses = np.array(masses, dtype=float)
-            for layer in self.multipliers:
-                fac = np.array([layer.factor_at(p) for p in pos])
-                masses = masses * fac
-            # masses are validated positive: zeros come from factor-0 layers
-            keep = masses > 0
-            pos = [p for p, k in zip(pos, keep) if k]
-            self._realized = (pos, masses[keep])
+            if self._parent is not None:
+                # carried forward: only the last layer is new
+                self._realized = self._parent.realized().scaled(
+                    self.multipliers[-1])
+                self._parent = None
+            else:
+                r = _realize_blocks((_Atoms(self.atom_list),)
+                                    + self.cantor_parts)
+                for layer in self.multipliers:
+                    r = r.scaled(layer)
+                self._realized = r
         return self._realized
 
     def positions_float(self) -> np.ndarray:
-        pos, _ = self.realized()
-        return np.array([float(p) for p in pos])
+        return self.realized().pos
 
     def total_mass(self) -> float:
-        _, masses = self.realized()
-        return float(np.sum(masses))
+        return float(np.sum(self.realized().masses))
+
+    def sorted_atoms(self):
+        """(sorted positions, the same unrolled over two turns, prefix sums
+        of their masses over the two turns, total mass); cached for window
+        queries."""
+        if self._sorted is None:
+            r = self.realized()
+            order = np.argsort(r.pos)
+            p = r.pos[order]
+            m = r.masses[order]
+            self._sorted = (
+                p, np.concatenate([p, p + 1.0]),
+                np.concatenate([[0.0], np.cumsum(np.concatenate([m, m]))]),
+                float(np.sum(m)))
+        return self._sorted
 
     # -- queries -------------------------------------------------------------
 
     def mass_of_arc(self, arc: Arc) -> MassResult:
         """Measure of a half-open arc; exact by the atomic realization."""
-        pos, masses = self.realized()
-        start = Fraction(arc.start)
-        length = Fraction(arc.length)
-        total = 0.0
-        for p, m in zip(pos, masses):
-            if frac_mod1(p - start) < length:
-                total += m
-        return MassResult(total, 0.0)
+        r = self.realized()
+        inside = r.masses[r.in_arc(arc.start, arc.length)]
+        # cumsum adds in atom order, one mass at a time
+        return MassResult(float(np.cumsum(inside)[-1]) if inside.size else 0.0,
+                          0.0)
 
     def arc_masses_at_depth(self, depth: int) -> dict:
         """Masses of all depth-n dyadic arcs carrying mass (exact)."""
-        pos, masses = self.realized()
-        out: dict = {}
-        for p, m in zip(pos, masses):
-            i = dyadic_index(p, depth)
-            out[i] = out.get(i, 0.0) + m
-        return out
+        r = self.realized()
+        keys, where = np.unique(r.indices(depth), return_inverse=True)
+        # bincount adds each arc's masses in atom order
+        return dict(zip(keys.tolist(),
+                        np.bincount(where, weights=r.masses).tolist()))
 
     def scaled_on_arcs(self, depth: int, factors: dict, meta=None,
                        name: str = "") -> "CircleMeasure":
-        """New measure with an extra multiplier layer at the given depth."""
-        return CircleMeasure(
+        """New measure with an extra multiplier layer at the given depth;
+        it realizes from this measure's realization."""
+        out = CircleMeasure(
             atoms=self.atom_list, cantor_parts=self.cantor_parts,
             multipliers=self.multipliers + (MultiplierLayer(depth, factors),),
             grating_meta=meta, name=name or self.name)
+        out._parent = self
+        return out
 
     def restrict(self, closed_set: ClosedCircleSet) -> "CircleMeasure":
         """Restriction to a closed set: atoms kept iff they lie in the set."""
-        pos, masses = self.realized()
-        kept = [(p, m) for p, m in zip(pos, masses)
-                if closed_set.contains_point(float(p))]
-        return CircleMeasure(atoms=kept, name=f"{self.name}|restricted")
+        r = self.realized()
+        kept = np.flatnonzero(closed_set.contains_points(r.pos))
+        num, den = r.exact(kept)
+        atoms = zip(map(Fraction, num, den), r.masses[kept].tolist())
+        return CircleMeasure(atoms=atoms, name=f"{self.name}|restricted")
 
 
 def zero_measure() -> CircleMeasure:
@@ -488,18 +682,11 @@ def modulus_of_continuity(nu: CircleMeasure, delta: float,
     """
     if not 0 < delta <= 1:
         raise ValueError("delta must lie in (0,1]")
-    pos = nu.positions_float()
-    _, masses = nu.realized()
-    if pos.size == 0:
+    p, p2, csum, total = nu.sorted_atoms()
+    if p.size == 0:
         return ModulusOfMeasure(delta, 0.0, 0.0)
-    order = np.argsort(pos)
-    p = pos[order]
-    m = masses[order]
-    # unroll one extra turn so windows may wrap
-    p2 = np.concatenate([p, p + 1.0])
-    csum = np.concatenate([[0.0], np.cumsum(np.concatenate([m, m]))])
+    # windows may wrap: p2 and csum run over two turns
     n = p.size
-    total = float(np.sum(m))
     ends = np.searchsorted(p2, p + delta, side="left")
     lo = float(np.max(csum[ends] - csum[np.arange(n)]))
     lo = min(lo, total)
@@ -565,13 +752,13 @@ def measure_from_json(obj: dict) -> CircleMeasure:
             gen = stagewise_log_generator()
         else:
             raise ValueError(f"unknown generator {gen_name!r}")
-        parts.append(CantorPart(gen, int(c["depth"]), c["mass"]))
+        parts.append(CantorPart(gen, c["depth"], c["mass"]))
     raw_layers = obj.get("multipliers", ())
     if isinstance(raw_layers, dict):  # a single grating layer
         raw_layers = [raw_layers]
     layers = []
     for lay in raw_layers:
-        layers.append(MultiplierLayer(int(lay["depth"]),
+        layers.append(MultiplierLayer(lay["depth"],
                                       {int(k): float(v)
                                        for k, v in lay["factors"].items()}))
     return CircleMeasure(atoms=atoms, cantor_parts=parts, multipliers=layers,

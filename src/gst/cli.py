@@ -178,7 +178,10 @@ def _auto_carleson(E, w, samples):
     def passes(G):
         return privalov.privalov_boundary_estimate(D, G, max(256,
                                                              samples // 8)).ok
-    return inner_outer.auto_carleson_N(E, w, passes)
+    try:
+        return inner_outer.auto_carleson_N(E, w, passes)
+    except inner_outer.NoAdmissibleN as exc:
+        raise UncertifiedResult(json.dumps({"error": str(exc)}))
 
 
 def cmd_carleson(args) -> dict:

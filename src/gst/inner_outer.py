@@ -76,8 +76,7 @@ def eval_blaschke(B: BlaschkeSeq, z: complex) -> AnalyticValue:
 
 def _herglotz_sum(mu: CircleMeasure, z: np.ndarray):
     """sum_atoms m (zeta+z)/(zeta-z) and the accumulated |term| budget."""
-    pos = mu.positions_float()
-    _, masses = mu.realized()
+    pos, masses = mu.realized()[:2]
     if pos.size == 0:
         return np.zeros(z.shape, dtype=complex), np.zeros(z.shape)
     zeta = unit_point(pos)
@@ -120,8 +119,7 @@ def eval_singular_inner(mu: CircleMeasure, z: complex,
 
 def singular_inner_deriv_many(mu: CircleMeasure, z: np.ndarray) -> np.ndarray:
     # S' = -S * sum m 2 zeta / (zeta - z)^2
-    pos = mu.positions_float()
-    _, masses = mu.realized()
+    pos, masses = mu.realized()[:2]
     z = np.asarray(z, dtype=complex)
     vals, _ = singular_inner_many(mu, z)
     if pos.size == 0:
@@ -471,6 +469,10 @@ def carleson_many(G: CarlesonOuter, z: np.ndarray):
     return vals, errs
 
 
+class NoAdmissibleN(RuntimeError):
+    """No N up to the cap passed the acceptance predicate."""
+
+
 def auto_carleson_N(E: ClosedCircleSet, w: Weight, passes,
                     n_max: float = 2.0 ** 20) -> CarlesonOuter:
     """Double N until the given predicate accepts the built function."""
@@ -480,4 +482,4 @@ def auto_carleson_N(E: ClosedCircleSet, w: Weight, passes,
         if passes(G):
             return G
         N *= 2.0
-    raise RuntimeError("no admissible N below the cap")
+    raise NoAdmissibleN("no admissible N below the cap")

@@ -94,13 +94,9 @@ class RobertsDecomposition:
         return True
 
     def residual_in_heavy_sets(self) -> bool:
-        pos, _ = self.residual.realized()
-        from .circle import dyadic_index
-        for depth, heavy in self.heavy_sets:
-            hs = set(heavy)
-            if any(dyadic_index(p, depth) not in hs for p in pos):
-                return False
-        return True
+        r = self.residual.realized()
+        return all(set(r.indices(depth).tolist()) <= set(heavy)
+                   for depth, heavy in self.heavy_sets)
 
     def residual_carrier_gaps(self) -> list:
         """Gap lengths of the recorded carrier: complement arcs of the final

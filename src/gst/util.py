@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 import time
 from pathlib import Path
 
@@ -67,3 +68,13 @@ def write_csv(path: str, rows: list) -> None:
 
 def load_json(path: str) -> dict:
     return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def as_int(value, what: str) -> int:
+    """``value`` as an int: ints and integral floats pass, anything else
+    (10.7, inf, nan, a string) raises ValueError instead of being truncated."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not hasattr(value, "__index__"):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return operator.index(value)

@@ -18,6 +18,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import integrate, optimize, special
 
+from .util import as_int
+
 ORDER_TOL = 1e-12
 CONTINUITY_DEPTH = 20
 CONTINUITY_TOL = 1e-2
@@ -193,7 +195,8 @@ def from_spec(spec) -> Weight:
             return power(args[0])
         if kind == "log" and len(args) <= 2:
             return log_power(args[0] if args else 1.0,
-                             int(args[1]) if len(args) > 1 else 1)
+                             as_int(args[1], "log depth")
+                             if len(args) > 1 else 1)
         if kind == "exp_log" and len(args) == 2:
             return exp_log(args[0], args[1])
         raise InvalidWeightError(
@@ -204,7 +207,7 @@ def from_spec(spec) -> Weight:
     if kind == "power":
         return power(spec["alpha"], hint)
     if kind == "log_power":
-        return log_power(spec["c"], int(spec.get("depth", 1)),
+        return log_power(spec["c"], as_int(spec.get("depth", 1), "log depth"),
                          hint if hint is not None else 1.0)
     if kind == "exp_log":
         return exp_log(spec["alpha"], spec["beta"], hint)

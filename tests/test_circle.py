@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gst import circle, fixtures
-from gst.circle import (Arc, atom_measure, dyadic_index,
-                        modulus_of_continuity, point_set, set_union)
+from gst.circle import (Arc, CantorPart, CircleMeasure, MultiplierLayer,
+                        atom_measure, modulus_of_continuity, point_set,
+                        set_union)
 
 
 class TestArc:
@@ -181,5 +182,190 @@ class TestDyadicIndex:
     @given(st.integers(0, 2 ** 20 - 1), st.integers(1, 20))
     @settings(max_examples=60, deadline=None)
     def test_matches_floor(self, num, depth):
-        p = Fraction(num, 2 ** 20)
-        assert dyadic_index(p, depth) == (num >> (20 - depth))
+        mu = atom_measure(Fraction(num, 2 ** 20))
+        assert mu.realized().indices(depth).tolist() == [num >> (20 - depth)]
+
+    def test_just_below_an_edge(self):
+        # rounds to 0.5 in float, but lies in the left half
+        mu = atom_measure(Fraction(1, 2) - Fraction(1, 2 ** 80))
+        assert mu.positions_float().tolist() == [0.5]
+        for depth in (1, 2, 40, 62, 63, 79, 80):
+            assert mu.realized().indices(depth).tolist() == [
+                2 ** (depth - 1) - 1]
+        assert mu.realized().indices(81).tolist() == [2 ** 80 - 2]
+
+
+# ---------------------------------------------------------------------------
+# Reference realization: exact Fractions, one cell at a time
+# ---------------------------------------------------------------------------
+
+def frac_mod1(x: Fraction) -> Fraction:
+    return x - (x.numerator // x.denominator)
+
+
+def dyadic_index(pos: Fraction, depth: int) -> int:
+    num, den = pos.numerator, pos.denominator
+    return ((num << depth) // den) % (1 << depth)
+
+
+def oracle_cells(part: CantorPart, upto: int) -> list:
+    """(left endpoint, length) of the stage-``upto`` cells, in order."""
+    cells = [(Fraction(0), Fraction(1))]
+    for j in range(upto):
+        g = part.generator.stage_gap(j) / (1 << j)  # per-cell gap
+        out = []
+        for pos, ln in cells:
+            child = (ln - g) / 2
+            out.append((pos, child))
+            out.append((pos + child + g, child))
+        cells = out
+    return cells
+
+
+def oracle_realize(mu: CircleMeasure):
+    """(exact positions, masses): every layer applied to every atom."""
+    pos = [frac_mod1(p) for p, _ in mu.atom_list]
+    masses = [m for _, m in mu.atom_list]
+    for part in mu.cantor_parts:
+        cells = oracle_cells(part, part.stages)
+        pos.extend(frac_mod1(c[0]) for c in cells)
+        masses.extend(np.full(len(cells), part.mass / len(cells)))
+    masses = np.array(masses, dtype=float)
+    for layer in mu.multipliers:
+        masses = masses * np.array(
+            [layer.factors.get(dyadic_index(p, layer.depth), 1.0)
+             for p in pos])
+    keep = masses > 0
+    return [p for p, k in zip(pos, keep) if k], masses[keep]
+
+
+def oracle_arc_mass(pos, masses, start: float, length: float) -> float:
+    total = 0.0
+    for p, m in zip(pos, masses):
+        if frac_mod1(p - Fraction(start)) < Fraction(length):
+            total += m
+    return total
+
+
+TRICKY_POSITIONS = [
+    Fraction(1, 2) - Fraction(1, 2 ** 80), Fraction(1, 2), 0.5,
+    Fraction(1, 3), Fraction(1) - Fraction(1, 2 ** 70), Fraction(-1, 4),
+    Fraction(3, 2 ** 60), 0.0, 0.75, Fraction(5, 7) + Fraction(1, 2 ** 64),
+]
+
+atom_positions = st.one_of(
+    st.sampled_from(TRICKY_POSITIONS),
+    st.floats(-2.0, 2.0),
+    st.fractions(-1, 2, max_denominator=10 ** 30))
+
+
+@st.composite
+def measures(draw):
+    atoms = draw(st.lists(st.tuples(atom_positions, st.floats(0.01, 2.0)),
+                          max_size=3))
+    parts = [CantorPart(gen(), stages, mass)
+             for gen, stages, mass in draw(st.lists(st.tuples(
+                 st.sampled_from([circle.triadic_generator,
+                                  circle.stagewise_log_generator]),
+                 st.integers(1, 10), st.floats(0.01, 2.0)), max_size=2))]
+    layers = []
+    for depth in draw(st.lists(st.integers(0, 12), max_size=2)):
+        keys = draw(st.lists(st.integers(0, 2 ** depth - 1), max_size=6))
+        layers.append(MultiplierLayer(depth, {
+            k: draw(st.sampled_from([0.0, 0.5, 0.3, 1.0])) for k in keys}))
+    return CircleMeasure(atoms=atoms, cantor_parts=parts, multipliers=layers)
+
+
+class TestArrayCore:
+    """The array realization against the exact reference, bit for bit."""
+
+    @given(measures(), st.lists(st.integers(1, 70), min_size=1, max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_positions_masses_indices(self, mu, depths):
+        pos, masses = oracle_realize(mu)
+        r = mu.realized()
+        assert r.pos.tolist() == [float(p) for p in pos]
+        assert r.masses.tolist() == masses.tolist()
+        for depth in depths + [53, 54]:
+            assert r.indices(depth).tolist() == [dyadic_index(p, depth)
+                                                 for p in pos]
+            want: dict = {}
+            for p, m in zip(pos, masses):
+                i = dyadic_index(p, depth)
+                want[i] = want.get(i, 0.0) + m
+            assert mu.arc_masses_at_depth(depth) == want
+
+    @given(measures(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_mass_of_arc(self, mu, data):
+        pos, masses = oracle_realize(mu)
+        floats = [float(p) % 1.0 for p in pos] or [0.25]
+        # arcs starting or ending on atoms (the float images of exact
+        # positions), dyadic arcs, and arcs wrapping past 0
+        start = data.draw(st.one_of(st.sampled_from(floats),
+                                    st.floats(0.0, 0.999)))
+        end = data.draw(st.one_of(st.sampled_from(floats),
+                                  st.floats(0.0, 0.999)))
+        arcs = [Arc(start, (end - start) % 1.0 or 1.0),
+                Arc(start, 1.0 - start) if start > 0 else Arc(0.0, 1.0),
+                circle.dyadic_arc(data.draw(st.integers(0, 63)), 6),
+                Arc(0.75, 0.5)]
+        for arc in arcs:
+            assert mu.mass_of_arc(arc).mass == oracle_arc_mass(
+                pos, masses, arc.start, arc.length)
+
+    @given(measures())
+    @settings(max_examples=25, deadline=None)
+    def test_restrict(self, mu):
+        pos, masses = oracle_realize(mu)
+        sets = [fixtures.triadic_cantor_set(6),
+                point_set([float(p) for p in pos[:3]] or [0.0])]
+        for E in sets:
+            got = mu.restrict(E).atom_list
+            assert got == [(p, m) for p, m in zip(pos, masses)
+                           if E.contains_point(float(p))]
+
+    def test_all_depths_on_mixed_measure(self):
+        mu = CircleMeasure(
+            atoms=[(p, 0.1) for p in TRICKY_POSITIONS],
+            cantor_parts=[CantorPart(circle.triadic_generator(), 7, 1.0),
+                          CantorPart(circle.stagewise_log_generator(), 8,
+                                     0.5)],
+            multipliers=[MultiplierLayer(3, {1: 0.0, 4: 0.5}),
+                         MultiplierLayer(9, {300: 0.25})])
+        pos, masses = oracle_realize(mu)
+        r = mu.realized()
+        assert r.masses.tolist() == masses.tolist()
+        for depth in range(1, 71):
+            assert r.indices(depth).tolist() == [dyadic_index(p, depth)
+                                                 for p in pos]
+
+    @pytest.mark.parametrize("stages", [1, 4, 10])
+    def test_carrier_gaps_from_exact_cells(self, stages):
+        for gen in (circle.triadic_generator(),
+                    circle.stagewise_log_generator()):
+            part = CantorPart(gen, stages, 1.0)
+            cells = oracle_cells(part, stages)
+            want = [(float(p + ln) % 1.0, float(q - p - ln))
+                    for (p, ln), (q, _) in zip(cells, cells[1:])]
+            assert [(g.start, g.length) for g in part.carrier.gaps] == want
+
+    def test_realized_arrays_are_read_only(self):
+        r = fixtures.triadic_cantor_measure(6).realized()
+        for a in (r.pos, r.masses, r.rows):
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    def test_modulus_sorts_once(self, monkeypatch):
+        mu = fixtures.triadic_cantor_measure(8)
+        want = [modulus_of_continuity(mu, d)
+                for d in (0.5, 0.01, 2.0 ** -12)]
+        calls = []
+        argsort = np.argsort
+        monkeypatch.setattr(
+            np, "argsort", lambda *a, **k: calls.append(1) or argsort(*a, **k))
+        again = fixtures.triadic_cantor_measure(8)
+        got = [modulus_of_continuity(again, d)
+               for d in (0.5, 0.01, 2.0 ** -12)]
+        assert got == want
+        assert len(calls) == 1

@@ -192,6 +192,35 @@ BAD_INPUTS = {
                            '{"atoms": [{"pos": Infinity, "mass": 1.0}]}',
                            "--z", "0.5"], 1),
     "power_without_exponent": (["weight", "check", "--weight", "power"], 1),
+    "infinite_cantor_depth": (["measure", "classify", "--measure",
+                               '{"cantor": [{"generator": "triadic", '
+                               '"depth": Infinity, "mass": 1}]}',
+                               "--weight", "power:1"], 1),
+    "infinite_multiplier_depth": (["measure", "classify", "--measure",
+                                   '{"atoms": [{"pos": 0.1, "mass": 1}], '
+                                   '"multipliers": [{"depth": Infinity, '
+                                   '"factors": {"0": 0.5}}]}',
+                                   "--weight", "power:1"], 1),
+    "infinite_log_depth": (["weight", "check", "--weight", "log:1,inf"], 1),
+    "fractional_cantor_depth": (["measure", "classify", "--measure",
+                                 '{"cantor": [{"generator": "triadic", '
+                                 '"depth": 10.7, "mass": 1}]}',
+                                 "--weight", "power:1"], 1),
+    "factor_key_beyond_depth": (["measure", "classify", "--measure",
+                                 '{"atoms": [{"pos": 0.1, "mass": 1}], '
+                                 '"multipliers": [{"depth": 3, '
+                                 '"factors": {"99": 0.5}}]}',
+                                 "--weight", "power:1"], 1),
+    "negative_factor_key": (["measure", "classify", "--measure",
+                             '{"atoms": [{"pos": 0.1, "mass": 1}], '
+                             '"multipliers": [{"depth": 3, '
+                             '"factors": {"-1": 0.5}}]}',
+                             "--weight", "power:1"], 1),
+    "negative_multiplier_depth": (["measure", "classify", "--measure",
+                                   '{"atoms": [{"pos": 0.1, "mass": 1}], '
+                                   '"multipliers": [{"depth": -2, '
+                                   '"factors": {"0": 0.5}}]}',
+                                   "--weight", "power:1"], 1),
     "pairing_quadrature_fails": (["dual", "pair", "--g", _random_poly(_RNG),
                                   "--f", _random_poly(_RNG)], 2),
 }
@@ -205,6 +234,21 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert code == expected
         assert "Traceback" not in captured.out + captured.err
+
+
+class TestNoAdmissibleN:
+    def test_failed_boundary_estimate_exits_two(self, capsys, monkeypatch):
+        from gst import privalov
+
+        class Failing:
+            ok = False
+
+        monkeypatch.setattr(privalov, "privalov_boundary_estimate",
+                            lambda *args: Failing())
+        code, rep = run(["privalov", "check", "--set", "fixture:point",
+                         "--weight", "power:1", "--samples", "512"], capsys)
+        assert code == 2
+        assert "no admissible N" in rep["results"]["uncertified"]["error"]
 
 
 class TestDeterminism:

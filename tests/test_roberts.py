@@ -1,11 +1,12 @@
 """Grating passes and the iterated decomposition on the fixture measures."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
-from gst import entropy, fixtures, weights
-from gst.circle import zero_measure
+from gst import circle, entropy, fixtures, weights
+from gst.circle import CantorPart, CircleMeasure, MultiplierLayer, zero_measure
 from gst.grids import DyadicGrid
 from gst.roberts import decompose, grate, grating_threshold
 
@@ -143,3 +144,36 @@ class TestDecompose:
             d = decompose(mu, GRID, 0.1, W_T, 3)
             for cert in d.decay_certificates:
                 assert cert["bound_value"] <= cert["total_mass"] + 1e-12
+
+
+class TestCarryForward:
+    def test_carried_realization_is_the_fresh_one(self, monkeypatch):
+        made = []
+        scaled_on_arcs = CircleMeasure.scaled_on_arcs
+
+        def recording(self, *args, **kwargs):
+            made.append(scaled_on_arcs(self, *args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(CircleMeasure, "scaled_on_arcs", recording)
+        mu = CircleMeasure(
+            atoms=[(Fraction(1, 3), 0.2), (0.5, 0.1)],
+            cantor_parts=[CantorPart(circle.stagewise_log_generator(), 10,
+                                     1.0),
+                          CantorPart(circle.triadic_generator(), 8, 0.5)])
+        decompose(mu, DECAY_GRID, 0.1, W_T, 6)
+        assert len(made) == 12  # a piece and a remainder per level
+        layers = []
+        factors_at = MultiplierLayer.factors_at
+        monkeypatch.setattr(MultiplierLayer, "factors_at",
+                            lambda *a: layers.append(1) or factors_at(*a))
+        for m in made:
+            carried = m.realized()
+            fresh = CircleMeasure(atoms=m.atom_list,
+                                  cantor_parts=m.cantor_parts,
+                                  multipliers=m.multipliers).realized()
+            for a, b in zip(carried[:3], fresh[:3]):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        # the six pieces were still unrealized: one layer each when carried,
+        # k layers for the fresh realization of a level-k measure
+        assert len(layers) == 6 + 2 * sum(range(1, 7))
