@@ -172,41 +172,45 @@ def cmd_inner(args) -> dict:
     return out
 
 
-def _auto_carleson(E, w, samples):
-    D = privalov.PrivalovDomain(E)
+def _carleson_check(args, spec: str):
+    """(G, boundary estimate, meta) for N given as a number or "auto".
 
-    def passes(G):
-        return privalov.privalov_boundary_estimate(D, G, max(256,
-                                                             samples // 8)).ok
-    try:
-        return inner_outer.auto_carleson_N(E, w, passes)
-    except inner_outer.NoAdmissibleN as exc:
-        raise UncertifiedResult(json.dumps({"error": str(exc)}))
-
-
-def cmd_carleson(args) -> dict:
+    "auto" takes the first N of the doubling ladder that passes on an
+    eighth of the samples (at least 256); the estimate then runs on all.
+    """
     E = _resolve_set(args.set)
     w = _resolve_weight(args.weight)
-    if args.N == "auto":
-        G = _auto_carleson(E, w, args.samples)
-    else:
-        G = inner_outer.carleson_outer(E, w, float(args.N))
     D = privalov.PrivalovDomain(E)
+    search = 0
+    if spec == "auto":
+        zs, hs = privalov.boundary_samples_with_profile(
+            D, max(256, args.samples // 8))
+        try:
+            G = inner_outer.auto_carleson_N(E, w, zs, hs)
+        except inner_outer.NoAdmissibleN as exc:
+            raise UncertifiedResult(json.dumps({"error": str(exc)}))
+        tried, search = list(inner_outer.n_ladder(G.N)), zs.size
+    else:
+        G = inner_outer.carleson_outer(E, w, float(spec))
+        tried = [G.N]
     est = privalov.privalov_boundary_estimate(D, G, args.samples)
+    meta = {"N_tried": tried, "search_samples": search,
+            "final_samples": est.n_samples,
+            "psi_kernel_evals": (search + est.n_samples) * G.coeffs.size}
+    return G, est, meta
+
+
+def cmd_carleson(args):
+    G, est, meta = _carleson_check(args, args.N)
     return {"N": G.N, "whitney_arcs": len(G.whitney.arcs),
             "boundary_max_ratio": est.max_ratio, "boundary_ok": est.ok,
-            "samples": est.n_samples}
+            "samples": est.n_samples}, meta
 
 
-def cmd_privalov(args) -> dict:
-    E = _resolve_set(args.set)
-    w = _resolve_weight(args.weight)
-    G = _auto_carleson(E, w, args.samples) if args.carleson == "auto" \
-        else inner_outer.carleson_outer(E, w, float(args.carleson))
-    D = privalov.PrivalovDomain(E)
-    est = privalov.privalov_boundary_estimate(D, G, args.samples)
+def cmd_privalov(args):
+    G, est, meta = _carleson_check(args, args.carleson)
     return {"N_used": G.N, "max_ratio": est.max_ratio, "ok": est.ok,
-            "samples": est.n_samples}
+            "samples": est.n_samples}, meta
 
 
 def cmd_dual(args) -> dict:
@@ -381,9 +385,10 @@ def main(argv=None) -> int:
             grids.GridConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    results, meta = results if isinstance(results, tuple) else (results, None)
     rep = util.report(args.command, {k: v for k, v in vars(args).items()
                                      if k not in ("out", "csv")}, results,
-                      started)
+                      started, meta)
     util.emit(rep, args.out, args.csv)
     return 0
 

@@ -12,7 +12,7 @@ bounded through the per-gap coefficient tails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .circle import Arc, CircleMeasure, ClosedCircleSet, modulus_of_continuity
@@ -23,6 +23,7 @@ from .weights import Weight, effective_lambda, _maximize_unit
 TWO_PI = 2.0 * math.pi
 FLOAT_TERM = 5e-15
 WHITNEY_LEVELS = 60
+BLOCK_ELEMS = 1 << 14  # terms per kernel-sum block: scratch stays in cache
 
 
 @dataclass(frozen=True)
@@ -74,22 +75,54 @@ def eval_blaschke(B: BlaschkeSeq, z: complex) -> AnalyticValue:
 # Singular inner functions (realized measures: closed-form exponential sums)
 # ---------------------------------------------------------------------------
 
+def _cauchy_sum(z, sources, terms, dtypes=(complex,)):
+    """Per-target sums over the sources of a kernel's terms.
+
+    ``terms(zt, *chunk, work, *parts)`` writes the (targets, sources)
+    terms of each output, one per dtype, into ``parts``; ``work`` is
+    complex scratch of the same shape.  Sources go in chunks of
+    4e6 // z.size columns, targets in row blocks of about BLOCK_ELEMS
+    terms, and the scratch is allocated once and reused by every block.
+    A row's sum depends only on that row, so every bit is what unblocked
+    chunks give.
+    """
+    z = np.asarray(z, dtype=complex)
+    flat = z.reshape(-1)
+    n = sources[0].size
+    width = max(1, int(4e6 // max(1, z.size)))
+    cols = max(1, min(width, n))
+    rows = max(1, BLOCK_ELEMS // cols)
+    outs = [np.zeros(flat.size, dtype=d) for d in dtypes]
+    size = min(rows, flat.size) * cols
+    scratch = [np.empty(size, dtype=d) for d in (complex,) + tuple(dtypes)]
+    for r in range(0, flat.size, rows):
+        zt = flat[r:r + rows, None]
+        accs = [out[r:r + rows] for out in outs]
+        for i in range(0, n, width):
+            chunk = [s[i:i + width] for s in sources]
+            shape = (zt.shape[0], chunk[0].size)
+            work, *parts = [b[:shape[0] * shape[1]].reshape(shape)
+                            for b in scratch]
+            terms(zt, *chunk, work, *parts)
+            for acc, part in zip(accs, parts):
+                acc += np.sum(part, axis=-1)
+    return tuple(out.reshape(z.shape) for out in outs)
+
+
+def _herglotz_terms(zt, zc, mc, work, terms, budget):
+    # (zeta + z) / (zeta - z) times m, and m |.| for the budget; ``terms``
+    # holds zeta - z until the product overwrites it
+    ker = np.divide(np.add(zc, zt, out=work), np.subtract(zc, zt, out=terms),
+                    out=work)
+    np.multiply(mc, ker, out=terms)
+    np.multiply(mc, np.abs(ker, out=budget), out=budget)
+
+
 def _herglotz_sum(mu: CircleMeasure, z: np.ndarray):
     """sum_atoms m (zeta+z)/(zeta-z) and the accumulated |term| budget."""
     pos, masses = mu.realized()[:2]
-    if pos.size == 0:
-        return np.zeros(z.shape, dtype=complex), np.zeros(z.shape)
-    zeta = unit_point(pos)
-    total = np.zeros(z.shape, dtype=complex)
-    budget = np.zeros(z.shape, dtype=float)
-    chunk = max(1, int(4e6 // max(1, z.size)))
-    for i in range(0, pos.size, chunk):
-        zc = zeta[i:i + chunk]
-        mc = masses[i:i + chunk]
-        ker = (zc[None, ...] + z[..., None]) / (zc[None, ...] - z[..., None])
-        total = total + np.sum(mc * ker, axis=-1)
-        budget = budget + np.sum(mc * np.abs(ker), axis=-1)
-    return total, budget
+    return _cauchy_sum(z, (unit_point(pos), masses), _herglotz_terms,
+                       (complex, float))
 
 
 def singular_inner_many(mu: CircleMeasure, z: np.ndarray):
@@ -117,6 +150,12 @@ def eval_singular_inner(mu: CircleMeasure, z: complex,
     return AnalyticValue(complex(vals[0]), float(errs[0]))
 
 
+def _deriv_terms(zt, zc, mc, work, terms):
+    # m 2 zeta / (zeta - z)^2
+    np.divide(mc * 2.0 * zc, np.square(np.subtract(zc, zt, out=work),
+                                       out=work), out=terms)
+
+
 def singular_inner_deriv_many(mu: CircleMeasure, z: np.ndarray) -> np.ndarray:
     # S' = -S * sum m 2 zeta / (zeta - z)^2
     pos, masses = mu.realized()[:2]
@@ -124,14 +163,7 @@ def singular_inner_deriv_many(mu: CircleMeasure, z: np.ndarray) -> np.ndarray:
     vals, _ = singular_inner_many(mu, z)
     if pos.size == 0:
         return np.zeros(z.shape, dtype=complex)
-    zeta = unit_point(pos)
-    acc = np.zeros(z.shape, dtype=complex)
-    chunk = max(1, int(4e6 // max(1, z.size)))
-    for i in range(0, pos.size, chunk):
-        zc = zeta[i:i + chunk]
-        mc = masses[i:i + chunk]
-        acc = acc + np.sum(mc * 2.0 * zc[None, ...] /
-                           (zc[None, ...] - z[..., None]) ** 2, axis=-1)
+    acc, = _cauchy_sum(z, (unit_point(pos), masses), _deriv_terms)
     return -vals * acc
 
 
@@ -407,8 +439,8 @@ def carleson_outer(E: ClosedCircleSet, w: Weight, N: float,
     rho_k = 1 + m(J_k); every pole rho_k xi_k sits outside the closed disc
     at distance m(J_k), and Re psi_k > 0 on the disc.
     """
-    if N <= 0:
-        raise ValueError("N must be positive")
+    if not 0.0 < N < math.inf:
+        raise ValueError(f"N must be positive and finite, got {N!r}")
     res = entropy_sum(E, w).result
     if res.tag != "finite":
         raise ValueError("Carleson outer functions need finite entropy")
@@ -437,17 +469,15 @@ def carleson_outer(E: ClosedCircleSet, w: Weight, N: float,
                          np.asarray(ends), np.array(tails), np.array(scales))
 
 
+def _psi_terms(zt, cf, pl, ct, work, terms):
+    # m log(1/w(m)) xi / (rho xi - z)
+    np.divide(cf * ct, np.subtract(pl, zt, out=work), out=terms)
+
+
 def psi_sum_many(G: CarlesonOuter, z: np.ndarray):
     """(sum_k psi_k(z), truncation bound) on an array of disc points."""
     z = np.asarray(z, dtype=complex)
-    acc = np.zeros(z.shape, dtype=complex)
-    chunk = max(1, int(4e6 // max(1, z.size)))
-    for i in range(0, G.coeffs.size, chunk):
-        cf = G.coeffs[i:i + chunk]
-        pl = G.poles[i:i + chunk]
-        ct = G.centers[i:i + chunk]
-        acc = acc + np.sum(cf * ct[None, ...] /
-                           (pl[None, ...] - z[..., None]), axis=-1)
+    acc, = _cauchy_sum(z, (G.coeffs, G.poles, G.centers), _psi_terms)
     # tail: for each gap endpoint the remaining poles cluster within a few
     # tail lengths of the endpoint
     tail = np.zeros(z.shape, dtype=float)
@@ -464,22 +494,47 @@ def eval_carleson(G: CarlesonOuter, z: complex) -> AnalyticValue:
 
 def carleson_many(G: CarlesonOuter, z: np.ndarray):
     psi, tail = psi_sum_many(G, z)
-    vals = np.exp(-G.N * psi)
-    errs = np.abs(vals) * np.expm1(G.N * tail)
+    return _carleson_bound(psi, tail, G.N)
+
+
+def _carleson_bound(psi, tail, N: float):
+    """(values, error radii) of exp(-N psi) from psi and its tail bound."""
+    vals = np.exp(-N * psi)
+    errs = np.abs(vals) * np.expm1(N * tail)
     return vals, errs
 
 
+def boundary_ratio(psi, tail, N: float, wh) -> tuple:
+    """(max of (|G| + err) / w(h) over samples at depths h, whether it stays
+    within 1 + 1e-9) for G = exp(-N psi); ``wh`` holds the w(h)."""
+    vals, errs = _carleson_bound(psi, tail, N)
+    worst = float(np.max((np.abs(vals) + errs) / wh))
+    return worst, worst <= 1.0 + 1e-9
+
+
 class NoAdmissibleN(RuntimeError):
-    """No N up to the cap passed the acceptance predicate."""
+    """No N up to the cap kept |G| + err below w(h) at the samples."""
 
 
-def auto_carleson_N(E: ClosedCircleSet, w: Weight, passes,
-                    n_max: float = 2.0 ** 20) -> CarlesonOuter:
-    """Double N until the given predicate accepts the built function."""
+def n_ladder(n_max: float):
+    """N = 1, 2, 4, ... up to n_max, the order in which the search tries N."""
     N = 1.0
     while N <= n_max:
-        G = carleson_outer(E, w, N)
-        if passes(G):
-            return G
+        yield N
         N *= 2.0
+
+
+def auto_carleson_N(E: ClosedCircleSet, w: Weight, zs, hs,
+                    n_max: float = 2.0 ** 20) -> CarlesonOuter:
+    """The first N of the doubling ladder whose G = exp(-N psi) satisfies
+    |G(z)| + err <= w(h) at the samples ``zs`` of depths ``hs``.
+
+    psi and its tail bound do not depend on N: one sum serves every rung.
+    """
+    G = carleson_outer(E, w, 1.0)
+    psi, tail = psi_sum_many(G, zs)
+    wh = np.asarray(w(hs))
+    for N in n_ladder(n_max):
+        if boundary_ratio(psi, tail, N, wh)[1]:
+            return replace(G, N=N)
     raise NoAdmissibleN("no admissible N below the cap")

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle import ClosedCircleSet
-from .inner_outer import CarlesonOuter, carleson_many, \
-    growth_norm_estimate, unit_point
+from .inner_outer import CarlesonOuter, boundary_ratio, carleson_many, \
+    growth_norm_estimate, psi_sum_many, unit_point
 from .weights import Weight
 
 H_MAX = 1.0 / 32.0
@@ -95,11 +95,9 @@ def privalov_boundary_estimate(D: PrivalovDomain, G: CarlesonOuter,
                                count: int = 4096) -> BoundaryEstimate:
     """max over inner-boundary samples of |G(z)| / w(1-|z|)."""
     zs, hs = boundary_samples_with_profile(D, count)
-    vals, errs = carleson_many(G, zs)
-    w = G.weight
-    ratios = (np.abs(vals) + errs) / np.asarray(w(hs))
-    worst = float(np.max(ratios))
-    return BoundaryEstimate(worst, worst <= 1.0 + 1e-9, zs.size)
+    psi, tail = psi_sum_many(G, zs)
+    worst, ok = boundary_ratio(psi, tail, G.N, np.asarray(G.weight(hs)))
+    return BoundaryEstimate(worst, ok, zs.size)
 
 
 @dataclass(frozen=True)

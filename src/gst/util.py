@@ -12,7 +12,9 @@ SCHEMA = "gst-1"
 
 
 def report(command: str, params: dict, results: dict,
-           started: float) -> dict:
+           started: float, meta: dict | None = None) -> dict:
+    """The report; ``meta`` adds work counters next to the runtime and
+    stays out of the deterministic ``results``."""
     return {
         "schema": SCHEMA,
         "command": command,
@@ -20,6 +22,7 @@ def report(command: str, params: dict, results: dict,
         "results": results,
         "meta": {
             "runtime_s": round(time.time() - started, 6),
+            **(meta or {}),
         },
     }
 

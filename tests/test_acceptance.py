@@ -162,8 +162,7 @@ def test_criterion_08_carleson_privalov():
                      (fixtures.triadic_cantor_set(6), "triadic")):
         D = PrivalovDomain(E)
         for w in (W_T, W_SQRT):
-            G = auto_carleson_N(
-                E, w, lambda g: privalov_boundary_estimate(D, g, 512).ok)
+            G = auto_carleson_N(E, w, *boundary_samples_with_profile(D, 512))
             est = privalov_boundary_estimate(D, G, 4096)
             assert est.ok, (ename, w.label())
             # embedding for monomials up to degree 32, one G-evaluation pass

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from gst import circle, cli, roberts, weights
+from gst import circle, cli, inner_outer, privalov, roberts, weights
 from gst.grids import DyadicGrid
 
 
@@ -223,6 +223,14 @@ BAD_INPUTS = {
                                    "--weight", "power:1"], 1),
     "pairing_quadrature_fails": (["dual", "pair", "--g", _random_poly(_RNG),
                                   "--f", _random_poly(_RNG)], 2),
+    "privalov_nan_N": (["privalov", "check", "--set", "fixture:point",
+                        "--weight", "power:1", "--carleson", "nan"], 1),
+    "privalov_infinite_N": (["privalov", "check", "--set", "fixture:point",
+                             "--weight", "power:1", "--carleson", "inf"], 1),
+    "carleson_nan_N": (["carleson", "build", "--set", "fixture:point",
+                        "--weight", "power:1", "--N", "nan"], 1),
+    "carleson_infinite_N": (["carleson", "build", "--set", "fixture:point",
+                             "--weight", "power:1", "--N", "inf"], 1),
 }
 
 
@@ -238,17 +246,58 @@ class TestBadInput:
 
 class TestNoAdmissibleN:
     def test_failed_boundary_estimate_exits_two(self, capsys, monkeypatch):
-        from gst import privalov
-
-        class Failing:
-            ok = False
-
-        monkeypatch.setattr(privalov, "privalov_boundary_estimate",
-                            lambda *args: Failing())
+        # psi = 0 makes G = 1 at every N, above w(h) <= 1/32 on the lid
+        monkeypatch.setattr(inner_outer, "psi_sum_many", lambda G, z: (
+            np.zeros(z.shape, dtype=complex), np.zeros(z.shape)))
         code, rep = run(["privalov", "check", "--set", "fixture:point",
                          "--weight", "power:1", "--samples", "512"], capsys)
         assert code == 2
         assert "no admissible N" in rep["results"]["uncertified"]["error"]
+
+
+class TestNSearchSumsOnce:
+    def test_one_build_two_sums_and_meta(self, capsys, monkeypatch):
+        calls = {"carleson_outer": 0, "psi_sum_many": 0}
+        build = inner_outer.carleson_outer
+        psi_sum = inner_outer.psi_sum_many
+
+        def counting_build(*args):
+            calls["carleson_outer"] += 1
+            return build(*args)
+
+        def counting_psi_sum(G, z):
+            calls["psi_sum_many"] += 1
+            return psi_sum(G, z)
+
+        monkeypatch.setattr(inner_outer, "carleson_outer", counting_build)
+        for module in (inner_outer, privalov):
+            monkeypatch.setattr(module, "psi_sum_many", counting_psi_sum)
+        code, rep = run(["privalov", "check", "--set", "fixture:point",
+                         "--weight", "power:1", "--samples", "2048"], capsys)
+        assert code == 0
+        res, meta = rep["results"], rep["meta"]
+        assert res["N_used"] >= 4.0  # the search tried at least three N
+        assert calls == {"carleson_outer": 1, "psi_sum_many": 2}
+        D = privalov.PrivalovDomain(circle.point_set([0.0]))
+        search = privalov.boundary_samples_with_profile(D, 256)[0].size
+        arcs = 2 * inner_outer.WHITNEY_LEVELS
+        assert meta["N_tried"] == [2.0 ** j for j in range(
+            int(np.log2(res["N_used"])) + 1)]
+        assert meta["search_samples"] == search
+        assert meta["final_samples"] == res["samples"]
+        assert meta["psi_kernel_evals"] == (search + res["samples"]) * arcs
+
+    def test_fixed_N_meta(self, capsys):
+        code, rep = run(["carleson", "build", "--set", "fixture:point",
+                         "--weight", "power:1", "--N", "8",
+                         "--samples", "512"], capsys)
+        assert code == 0
+        samples = rep["results"]["samples"]
+        assert rep["meta"]["N_tried"] == [8.0]
+        assert rep["meta"]["search_samples"] == 0
+        assert rep["meta"]["final_samples"] == samples
+        assert rep["meta"]["psi_kernel_evals"] == \
+            samples * rep["results"]["whitney_arcs"]
 
 
 class TestDeterminism:

@@ -6,18 +6,125 @@ import math
 import numpy as np
 import pytest
 
-from gst import fixtures, weights
+from gst import fixtures, inner_outer, weights
 from gst.circle import Arc, CircleMeasure, point_set, zero_measure
 from gst.grids import DyadicGrid
-from gst.inner_outer import (BlaschkeSeq, auto_carleson_N, blaschke_many,
-                             carleson_many, carleson_outer,
+from gst.inner_outer import (BlaschkeSeq, _herglotz_sum, auto_carleson_N,
+                             blaschke_many, carleson_many, carleson_outer,
                              corona_datum_check, eval_blaschke, eval_outer,
                              eval_singular_inner, growth_norm_estimate,
                              lower_bound_check, moment_check, psi_sum_many,
-                             singular_inner_many, unit_point, whitney)
+                             singular_inner_deriv_many, singular_inner_many,
+                             unit_point, whitney)
 from gst.roberts import decompose
 
 W_T = weights.power(1.0)
+
+
+# -- oracle: the unblocked chunked loops the kernel sums were folded from ----
+
+def oracle_herglotz_sum(mu, z):
+    pos, masses = mu.realized()[:2]
+    if pos.size == 0:
+        return np.zeros(z.shape, dtype=complex), np.zeros(z.shape)
+    zeta = unit_point(pos)
+    total = np.zeros(z.shape, dtype=complex)
+    budget = np.zeros(z.shape, dtype=float)
+    chunk = max(1, int(4e6 // max(1, z.size)))
+    for i in range(0, pos.size, chunk):
+        zc = zeta[i:i + chunk]
+        mc = masses[i:i + chunk]
+        ker = (zc[None, ...] + z[..., None]) / (zc[None, ...] - z[..., None])
+        total = total + np.sum(mc * ker, axis=-1)
+        budget = budget + np.sum(mc * np.abs(ker), axis=-1)
+    return total, budget
+
+
+def oracle_deriv_many(mu, z):
+    pos, masses = mu.realized()[:2]
+    vals, _ = singular_inner_many(mu, z)
+    if pos.size == 0:
+        return np.zeros(z.shape, dtype=complex)
+    zeta = unit_point(pos)
+    acc = np.zeros(z.shape, dtype=complex)
+    chunk = max(1, int(4e6 // max(1, z.size)))
+    for i in range(0, pos.size, chunk):
+        zc = zeta[i:i + chunk]
+        mc = masses[i:i + chunk]
+        acc = acc + np.sum(mc * 2.0 * zc[None, ...] /
+                           (zc[None, ...] - z[..., None]) ** 2, axis=-1)
+    return -vals * acc
+
+
+def oracle_psi_sum(G, z):
+    acc = np.zeros(z.shape, dtype=complex)
+    chunk = max(1, int(4e6 // max(1, z.size)))
+    for i in range(0, G.coeffs.size, chunk):
+        cf = G.coeffs[i:i + chunk]
+        pl = G.poles[i:i + chunk]
+        ct = G.centers[i:i + chunk]
+        acc = acc + np.sum(cf * ct[None, ...] /
+                           (pl[None, ...] - z[..., None]), axis=-1)
+    return acc
+
+
+def _disc_points(count, seed=0):
+    rng = np.random.default_rng(seed)
+    r = 1.0 - 2.0 ** -rng.uniform(0.0, 20.0, count)
+    return r * unit_point(rng.uniform(0.0, 1.0, count))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and \
+        a.tobytes() == b.tobytes()
+
+
+# 2048 atoms and 1800 Whitney arcs: 4488 and 6118 targets span several
+# source chunks; ROWS targets fill whole row blocks at 2048 sources,
+# 2 ROWS + 1 and the other counts do not
+KERNEL_MU = fixtures.triadic_cantor_measure(11)
+KERNEL_G = carleson_outer(fixtures.triadic_cantor_set(4), W_T, 1.0)
+ROWS = inner_outer.BLOCK_ELEMS // 2048
+TARGET_COUNTS = [0, 1, 7, ROWS, 2 * ROWS + 1, 257, 4488, 6118]
+
+
+class TestKernelSumOracle:
+    @pytest.mark.parametrize("count", TARGET_COUNTS)
+    def test_herglotz_and_derivative_bitwise(self, count):
+        z = _disc_points(count, count)
+        for got, want in zip(_herglotz_sum(KERNEL_MU, z),
+                             oracle_herglotz_sum(KERNEL_MU, z)):
+            assert _same_bits(got, want)
+        assert _same_bits(singular_inner_deriv_many(KERNEL_MU, z),
+                          oracle_deriv_many(KERNEL_MU, z))
+
+    @pytest.mark.parametrize("count", TARGET_COUNTS)
+    def test_psi_bitwise(self, count):
+        z = _disc_points(count, count)
+        assert _same_bits(psi_sum_many(KERNEL_G, z)[0],
+                          oracle_psi_sum(KERNEL_G, z))
+
+    def test_empty_measure_and_grid_shaped_targets(self):
+        z = _disc_points(60).reshape(6, 10)
+        for mu in (zero_measure(), KERNEL_MU):
+            for got, want in zip(_herglotz_sum(mu, z),
+                                 oracle_herglotz_sum(mu, z)):
+                assert _same_bits(got, want)
+            assert _same_bits(singular_inner_deriv_many(mu, z),
+                              oracle_deriv_many(mu, z))
+        assert _same_bits(psi_sum_many(KERNEL_G, z)[0],
+                          oracle_psi_sum(KERNEL_G, z))
+
+    @pytest.mark.parametrize("block", [1, 1000, 5000])
+    def test_any_row_block_gives_the_same_bits(self, block, monkeypatch):
+        monkeypatch.setattr(inner_outer, "BLOCK_ELEMS", block)
+        z = _disc_points(257, 1)
+        for got, want in zip(_herglotz_sum(KERNEL_MU, z),
+                             oracle_herglotz_sum(KERNEL_MU, z)):
+            assert _same_bits(got, want)
+        assert _same_bits(psi_sum_many(KERNEL_G, z)[0],
+                          oracle_psi_sum(KERNEL_G, z))
 
 
 class TestBlaschke:
@@ -287,12 +394,16 @@ class TestCarlesonOuter:
             carleson_outer(E, W_T, 1.0)
 
     def test_auto_N_doubles_until_pass(self):
-        from gst.privalov import PrivalovDomain, privalov_boundary_estimate
+        from gst.privalov import PrivalovDomain, boundary_samples_with_profile
         E = point_set([0.0])
         D = PrivalovDomain(E)
-        G = auto_carleson_N(E, W_T, lambda g:
-                            privalov_boundary_estimate(D, g, 256).ok)
+        G = auto_carleson_N(E, W_T, *boundary_samples_with_profile(D, 256))
         assert G.N >= 2.0
+
+    @pytest.mark.parametrize("N", [0.0, -1.0, math.nan, math.inf])
+    def test_N_must_be_positive_and_finite(self, N):
+        with pytest.raises(ValueError):
+            carleson_outer(point_set([0.0]), W_T, N)
 
     def test_eval_carleson_scalar(self):
         from gst.inner_outer import eval_carleson

@@ -7,12 +7,28 @@ import pytest
 
 from gst import fixtures, weights
 from gst.circle import point_set
-from gst.inner_outer import auto_carleson_N, carleson_outer
+from gst.inner_outer import NoAdmissibleN, auto_carleson_N, carleson_outer
 from gst.privalov import (H_MAX, PrivalovDomain, boundary_samples,
                           boundary_samples_with_profile, embedding_check,
                           privalov_boundary_estimate)
 
 W_T = weights.power(1.0)
+
+
+def oracle_auto_N(E, w, passes, n_max=2.0 ** 20):
+    """The search as a doubling loop that builds and tests G at every N."""
+    N = 1.0
+    while N <= n_max:
+        G = carleson_outer(E, w, N)
+        if passes(G):
+            return G
+        N *= 2.0
+    raise NoAdmissibleN("no admissible N below the cap")
+
+
+def auto_N(E, w, count):
+    D = PrivalovDomain(E)
+    return auto_carleson_N(E, w, *boundary_samples_with_profile(D, count))
 
 
 class TestGeometry:
@@ -82,9 +98,7 @@ class TestBoundaryEstimate:
     def test_auto_N_point_set(self):
         E = point_set([0.0])
         D = PrivalovDomain(E)
-        G = auto_carleson_N(E, W_T,
-                            lambda g: privalov_boundary_estimate(D, g,
-                                                                 256).ok)
+        G = auto_N(E, W_T, 256)
         res = privalov_boundary_estimate(D, G, 2048)
         assert res.ok and res.max_ratio <= 1.0 + 1e-9
 
@@ -98,29 +112,54 @@ class TestBoundaryEstimate:
     def test_triadic_auto_N(self):
         E = fixtures.triadic_cantor_set(5)
         D = PrivalovDomain(E)
-        G = auto_carleson_N(E, W_T,
-                            lambda g: privalov_boundary_estimate(D, g,
-                                                                 256).ok)
+        G = auto_N(E, W_T, 256)
         res = privalov_boundary_estimate(D, G, 2048)
         assert res.ok
+
+
+class TestNSearchOracle:
+    @pytest.mark.parametrize("E", [point_set([0.0]),
+                                   fixtures.triadic_cantor_set(5),
+                                   fixtures.triadic_cantor_set(7)],
+                             ids=["point", "triadic5", "triadic7"])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_same_N_and_estimate_as_the_doubling_loop(self, E, alpha):
+        w = weights.power(alpha)
+        D = PrivalovDomain(E)
+        seen = []
+
+        def passes(G):
+            seen.append(privalov_boundary_estimate(D, G, 256))
+            return seen[-1].ok
+
+        want = oracle_auto_N(E, w, passes)
+        got = auto_N(E, w, 256)
+        assert got.N == want.N
+        assert privalov_boundary_estimate(D, got, 256) == seen[-1]
+
+    def test_cap_below_the_admissible_N(self):
+        E = point_set([0.0])
+        D = PrivalovDomain(E)
+        zs, hs = boundary_samples_with_profile(D, 256)
+        N = auto_carleson_N(E, W_T, zs, hs).N
+        assert N >= 2.0
+        assert auto_carleson_N(E, W_T, zs, hs, n_max=N).N == N
+        with pytest.raises(NoAdmissibleN):
+            auto_carleson_N(E, W_T, zs, hs, n_max=N / 2.0)
 
 
 class TestEmbedding:
     def test_monomial(self):
         E = point_set([0.0])
         D = PrivalovDomain(E)
-        G = auto_carleson_N(E, W_T,
-                            lambda g: privalov_boundary_estimate(D, g,
-                                                                 256).ok)
+        G = auto_N(E, W_T, 256)
         res = embedding_check(D, G, [0] * 16 + [1], W_T, 512)
         assert res.ok
 
     def test_constant(self):
         E = point_set([0.0])
         D = PrivalovDomain(E)
-        G = auto_carleson_N(E, W_T,
-                            lambda g: privalov_boundary_estimate(D, g,
-                                                                 256).ok)
+        G = auto_N(E, W_T, 256)
         res = embedding_check(D, G, [1.0], W_T, 256)
         assert res.ok
 
