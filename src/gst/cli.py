@@ -8,7 +8,9 @@ reports carry the schema tag and a deterministic results block.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import sys
 import time
 
@@ -67,7 +69,18 @@ def _resolve_grid(spec: str, w: weights.Weight) -> grids.DyadicGrid:
 
 
 def _parse_complex(text: str) -> complex:
-    return complex(text.replace("i", "j"))
+    z = complex(text.replace("i", "j"))
+    if not cmath.isfinite(z):
+        raise CliError(f"{text!r} is not a finite complex number")
+    return z
+
+
+def finite_float(text: str) -> float:
+    """The argparse type of every float flag: NaN and infinities exit 1."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"{text!r} is not finite")
+    return x
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -167,7 +180,7 @@ def cmd_inner(args) -> dict:
     out = {"z": {"re": z.real, "im": z.imag},
            "value": {"re": val.value.real, "im": val.value.imag},
            "abs": abs(val.value), "err": val.err}
-    if val.err > args.eps:
+    if not val.err <= args.eps:  # a NaN radius certifies nothing
         raise UncertifiedResult(json.dumps(out))
     return out
 
@@ -177,26 +190,33 @@ def _carleson_check(args, spec: str):
 
     "auto" takes the first N of the doubling ladder that passes on an
     eighth of the samples (at least 256); the estimate then runs on all.
+    The search and the estimate read one psi sum over their distinct
+    points (psi does not depend on N).
     """
     E = _resolve_set(args.set)
     w = _resolve_weight(args.weight)
     D = privalov.PrivalovDomain(E)
-    search = 0
-    if spec == "auto":
-        zs, hs = privalov.boundary_samples_with_profile(
-            D, max(256, args.samples // 8))
+    auto = spec == "auto"
+    G = inner_outer.carleson_outer(E, w, 1.0 if auto else float(spec))
+    zs, hs = privalov.boundary_samples_with_profile(D, args.samples)
+    search_zs, search_hs = privalov.boundary_samples_with_profile(
+        D, max(256, args.samples // 8)) if auto else (zs[:0], hs[:0])
+    k = search_zs.size
+    points, rows = np.unique(np.concatenate([search_zs, zs]),
+                             return_inverse=True)
+    psi, tail = inner_outer.psi_sum_many(G, points)
+    psi, tail = psi[rows], tail[rows]  # per sample, the search's first
+    tried = [G.N]
+    if auto:
         try:
-            G = inner_outer.auto_carleson_N(E, w, zs, hs)
+            G = inner_outer.auto_carleson_N(G, psi[:k], tail[:k], search_hs)
         except inner_outer.NoAdmissibleN as exc:
             raise UncertifiedResult(json.dumps({"error": str(exc)}))
-        tried, search = list(inner_outer.n_ladder(G.N)), zs.size
-    else:
-        G = inner_outer.carleson_outer(E, w, float(spec))
-        tried = [G.N]
-    est = privalov.privalov_boundary_estimate(D, G, args.samples)
-    meta = {"N_tried": tried, "search_samples": search,
-            "final_samples": est.n_samples,
-            "psi_kernel_evals": (search + est.n_samples) * G.coeffs.size}
+        tried = list(inner_outer.n_ladder(G.N))
+    est = privalov.privalov_boundary_estimate(G, psi[k:], tail[k:], hs)
+    meta = {"N_tried": tried, "search_samples": k,
+            "final_samples": est.n_samples, "distinct_samples": points.size,
+            "psi_kernel_evals": points.size * G.coeffs.size}
     return G, est, meta
 
 
@@ -263,6 +283,7 @@ def cmd_report_cyclicity(args) -> dict:
     if args.kmax < len(masses):
         dec = roberts.decompose(mu, grid, args.c, w, args.kmax)
     margins = []
+    meta = {"corona_samples": 0, "herglotz_kernel_evals": 0}
     for piece, rep in zip(dec.pieces, dec.reports):
         if rep.depth > 50:
             continue
@@ -270,13 +291,16 @@ def cmd_report_cyclicity(args) -> dict:
                                             grid_density=32)
         margins.append({"depth": rep.depth, "min_combined": cc.min_combined,
                         "bound": cc.bound, "ok": cc.ok})
+        meta["corona_samples"] += cc.n_samples
+        meta["herglotz_kernel_evals"] += \
+            cc.n_samples * piece.positions_float().size
     out["corona_margins"] = margins
     out["corona_parameters"] = inner_outer.corona_parameter_report(
         w, args.c, grid.depths[0], K=args.K)
     out["mass_balance_error"] = dec.mass_balance_error()
     out["light_entropy_ledger"] = dec.light_entropy_ledger
     out["carrier_entropy_bound"] = dec.carrier_entropy_bound
-    return out
+    return out, meta
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -290,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("weight_cmd", choices=["check"])
     w.add_argument("--weight", required=True)
     w.add_argument("--depth", type=int, default=12)
-    w.add_argument("--alpha", type=float)
+    w.add_argument("--alpha", type=finite_float)
     w.add_argument("--quad-depth", type=int, default=40)
 
     s = sub.add_parser("set", help="entropy of a closed null set")
@@ -304,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("grid_cmd", choices=["build", "verify"])
     g.add_argument("--weight", required=True)
     g.add_argument("--n0", type=int, default=4)
-    g.add_argument("--C", type=float, default=3.0)
+    g.add_argument("--C", type=finite_float, default=3.0)
     g.add_argument("--k", type=int, default=5)
     g.add_argument("--grid")
 
@@ -313,14 +337,14 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--measure", required=True)
     m.add_argument("--weight", required=True)
     m.add_argument("--grid", default="auto")
-    m.add_argument("--c", type=float, default=0.1)
+    m.add_argument("--c", type=finite_float, default=0.1)
     m.add_argument("--kmax", type=int, default=3)
 
     i = sub.add_parser("inner", help="evaluate a singular inner function")
     i.add_argument("inner_cmd", choices=["eval"])
     i.add_argument("--measure", required=True)
     i.add_argument("--z", required=True)
-    i.add_argument("--eps", type=float, default=1e-10)
+    i.add_argument("--eps", type=finite_float, default=1e-10)
 
     c = sub.add_parser("carleson", help="build the gap-family outer function")
     c.add_argument("carleson_cmd", choices=["build"])
@@ -348,9 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--measure", required=True)
     r.add_argument("--weight", required=True)
     r.add_argument("--grid", default="[4,8,12,16,20,24]")
-    r.add_argument("--c", type=float, default=0.1)
+    r.add_argument("--c", type=finite_float, default=0.1)
     r.add_argument("--kmax", type=int, default=6)
-    r.add_argument("--K", type=float, default=10.0,
+    r.add_argument("--K", type=finite_float, default=10.0,
                    help="solvability constant used in parameter reporting")
     return p
 

@@ -23,6 +23,7 @@ from .weights import Weight, effective_lambda, _maximize_unit
 TWO_PI = 2.0 * math.pi
 FLOAT_TERM = 5e-15
 WHITNEY_LEVELS = 60
+CHUNK = 1 << 14  # source columns per partial sum of a kernel sum
 BLOCK_ELEMS = 1 << 14  # terms per kernel-sum block: scratch stays in cache
 
 
@@ -80,17 +81,16 @@ def _cauchy_sum(z, sources, terms, dtypes=(complex,)):
 
     ``terms(zt, *chunk, work, *parts)`` writes the (targets, sources)
     terms of each output, one per dtype, into ``parts``; ``work`` is
-    complex scratch of the same shape.  Sources go in chunks of
-    4e6 // z.size columns, targets in row blocks of about BLOCK_ELEMS
-    terms, and the scratch is allocated once and reused by every block.
-    A row's sum depends only on that row, so every bit is what unblocked
-    chunks give.
+    complex scratch of the same shape.  Sources go in chunks of CHUNK
+    columns, summed in order; targets go in row blocks of about
+    BLOCK_ELEMS terms, and the scratch is allocated once and reused by
+    every block.  A target's sum depends only on that target and the
+    sources: batching, order and BLOCK_ELEMS never change a bit.
     """
     z = np.asarray(z, dtype=complex)
     flat = z.reshape(-1)
     n = sources[0].size
-    width = max(1, int(4e6 // max(1, z.size)))
-    cols = max(1, min(width, n))
+    cols = max(1, min(CHUNK, n))
     rows = max(1, BLOCK_ELEMS // cols)
     outs = [np.zeros(flat.size, dtype=d) for d in dtypes]
     size = min(rows, flat.size) * cols
@@ -98,8 +98,8 @@ def _cauchy_sum(z, sources, terms, dtypes=(complex,)):
     for r in range(0, flat.size, rows):
         zt = flat[r:r + rows, None]
         accs = [out[r:r + rows] for out in outs]
-        for i in range(0, n, width):
-            chunk = [s[i:i + width] for s in sources]
+        for i in range(0, n, CHUNK):
+            chunk = [s[i:i + CHUNK] for s in sources]
             shape = (zt.shape[0], chunk[0].size)
             work, *parts = [b[:shape[0] * shape[1]].reshape(shape)
                             for b in scratch]
@@ -109,20 +109,21 @@ def _cauchy_sum(z, sources, terms, dtypes=(complex,)):
     return tuple(out.reshape(z.shape) for out in outs)
 
 
-def _herglotz_terms(zt, zc, mc, work, terms, budget):
+def _herglotz_terms(zt, zc, mz, mc, work, terms, budget):
     # (zeta + z) / (zeta - z) times m, and m |.| for the budget; ``terms``
     # holds zeta - z until the product overwrites it
     ker = np.divide(np.add(zc, zt, out=work), np.subtract(zc, zt, out=terms),
                     out=work)
-    np.multiply(mc, ker, out=terms)
+    np.multiply(mz, ker, out=terms)
     np.multiply(mc, np.abs(ker, out=budget), out=budget)
 
 
 def _herglotz_sum(mu: CircleMeasure, z: np.ndarray):
     """sum_atoms m (zeta+z)/(zeta-z) and the accumulated |term| budget."""
     pos, masses = mu.realized()[:2]
-    return _cauchy_sum(z, (unit_point(pos), masses), _herglotz_terms,
-                       (complex, float))
+    # the masses as complex once: the cast the product would make per term
+    return _cauchy_sum(z, (unit_point(pos), masses.astype(complex), masses),
+                       _herglotz_terms, (complex, float))
 
 
 def singular_inner_many(mu: CircleMeasure, z: np.ndarray):
@@ -150,10 +151,10 @@ def eval_singular_inner(mu: CircleMeasure, z: complex,
     return AnalyticValue(complex(vals[0]), float(errs[0]))
 
 
-def _deriv_terms(zt, zc, mc, work, terms):
-    # m 2 zeta / (zeta - z)^2
-    np.divide(mc * 2.0 * zc, np.square(np.subtract(zc, zt, out=work),
-                                       out=work), out=terms)
+def _deriv_terms(zt, zc, res, work, terms):
+    # m 2 zeta / (zeta - z)^2; the residues m 2 zeta are formed once per sum
+    np.divide(res, np.square(np.subtract(zc, zt, out=work), out=work),
+              out=terms)
 
 
 def singular_inner_deriv_many(mu: CircleMeasure, z: np.ndarray) -> np.ndarray:
@@ -163,7 +164,8 @@ def singular_inner_deriv_many(mu: CircleMeasure, z: np.ndarray) -> np.ndarray:
     vals, _ = singular_inner_many(mu, z)
     if pos.size == 0:
         return np.zeros(z.shape, dtype=complex)
-    acc, = _cauchy_sum(z, (unit_point(pos), masses), _deriv_terms)
+    zeta = unit_point(pos)
+    acc, = _cauchy_sum(z, (zeta, masses * 2.0 * zeta), _deriv_terms)
     return -vals * acc
 
 
@@ -329,33 +331,20 @@ def corona_datum_check(mu_k: CircleMeasure, n_k: int, c: float, w: Weight,
     support_angles = pos[:: max(1, pos.size // grid_density)]
     base = np.arange(grid_density) / grid_density
     angles = np.unique(np.concatenate([base, support_angles]))
-    worst = math.inf
-    count = 0
-    pow_cap = 2.0 ** n_k
-
-    def combined(zs):
-        vals, errs = singular_inner_many(mu_k, zs)
-        mod = np.maximum(np.abs(vals) - errs, 0.0)
-        with np.errstate(divide="ignore"):
-            mono = np.exp(pow_cap * np.log(np.maximum(np.abs(zs), 1e-300)))
-        mono = np.where(np.abs(zs) == 0.0, 0.0, mono)
-        return mod + mono
-
-    for j in range(min(n_k, 50) + 1):
-        r = 1.0 - 2.0 ** -j
-        zs = r * unit_point(angles) if r > 0 else np.array([0.0 + 0.0j])
-        vals = combined(zs)
-        worst = min(worst, float(np.min(vals)))
-        count += zs.size
-    # outer zone: radial-only refinement; the monomial term already clears 1/4
-    for i in range(1, 9):
-        r = 1.0 - 2.0 ** -n_k * 2.0 ** -i
-        zs = r * unit_point(support_angles if support_angles.size else
-                            np.array([0.0]))
-        vals = combined(zs)
-        worst = min(worst, float(np.min(vals)))
-        count += zs.size
-    return CoronaCheck(worst, bound, worst >= bound - 1e-15, count)
+    rays = support_angles if support_angles.size else np.array([0.0])
+    grid = [1.0 - 2.0 ** -j for j in range(1, min(n_k, 50) + 1)]
+    # outer zone: radial-only refinement; the monomial term clears 1/4
+    outer = [1.0 - 2.0 ** -n_k * 2.0 ** -i for i in range(1, 9)]
+    zs = np.concatenate([np.zeros(1, dtype=complex)]
+                        + [r * unit_point(angles) for r in grid]
+                        + [r * unit_point(rays) for r in outer])
+    vals, errs = singular_inner_many(mu_k, zs)
+    mod = np.maximum(np.abs(vals) - errs, 0.0)
+    with np.errstate(divide="ignore"):
+        mono = np.exp(2.0 ** n_k * np.log(np.maximum(np.abs(zs), 1e-300)))
+    mono = np.where(np.abs(zs) == 0.0, 0.0, mono)
+    worst = float(np.min(mod + mono))
+    return CoronaCheck(worst, bound, worst >= bound - 1e-15, zs.size)
 
 
 def corona_parameter_report(w: Weight, c: float, n0: int,
@@ -469,15 +458,15 @@ def carleson_outer(E: ClosedCircleSet, w: Weight, N: float,
                          np.asarray(ends), np.array(tails), np.array(scales))
 
 
-def _psi_terms(zt, cf, pl, ct, work, terms):
-    # m log(1/w(m)) xi / (rho xi - z)
-    np.divide(cf * ct, np.subtract(pl, zt, out=work), out=terms)
+def _psi_terms(zt, pl, res, work, terms):
+    # m log(1/w(m)) xi / (rho xi - z); the residues are formed once per sum
+    np.divide(res, np.subtract(pl, zt, out=work), out=terms)
 
 
 def psi_sum_many(G: CarlesonOuter, z: np.ndarray):
     """(sum_k psi_k(z), truncation bound) on an array of disc points."""
     z = np.asarray(z, dtype=complex)
-    acc, = _cauchy_sum(z, (G.coeffs, G.poles, G.centers), _psi_terms)
+    acc, = _cauchy_sum(z, (G.poles, G.coeffs * G.centers), _psi_terms)
     # tail: for each gap endpoint the remaining poles cluster within a few
     # tail lengths of the endpoint
     tail = np.zeros(z.shape, dtype=float)
@@ -524,16 +513,15 @@ def n_ladder(n_max: float):
         N *= 2.0
 
 
-def auto_carleson_N(E: ClosedCircleSet, w: Weight, zs, hs,
+def auto_carleson_N(G: CarlesonOuter, psi, tail, hs,
                     n_max: float = 2.0 ** 20) -> CarlesonOuter:
-    """The first N of the doubling ladder whose G = exp(-N psi) satisfies
-    |G(z)| + err <= w(h) at the samples ``zs`` of depths ``hs``.
+    """G at the first N of the doubling ladder whose exp(-N psi) satisfies
+    |G(z)| + err <= w(h) at the samples, from ``(psi, tail)`` =
+    ``psi_sum_many(G, zs)`` and the samples' depths ``hs``.
 
     psi and its tail bound do not depend on N: one sum serves every rung.
     """
-    G = carleson_outer(E, w, 1.0)
-    psi, tail = psi_sum_many(G, zs)
-    wh = np.asarray(w(hs))
+    wh = np.asarray(G.weight(hs))
     for N in n_ladder(n_max):
         if boundary_ratio(psi, tail, N, wh)[1]:
             return replace(G, N=N)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .circle import ClosedCircleSet
 from .inner_outer import CarlesonOuter, boundary_ratio, carleson_many, \
-    growth_norm_estimate, psi_sum_many, unit_point
+    growth_norm_estimate, unit_point
 from .weights import Weight
 
 H_MAX = 1.0 / 32.0
@@ -91,13 +91,13 @@ class BoundaryEstimate:
     n_samples: int
 
 
-def privalov_boundary_estimate(D: PrivalovDomain, G: CarlesonOuter,
-                               count: int = 4096) -> BoundaryEstimate:
-    """max over inner-boundary samples of |G(z)| / w(1-|z|)."""
-    zs, hs = boundary_samples_with_profile(D, count)
-    psi, tail = psi_sum_many(G, zs)
+def privalov_boundary_estimate(G: CarlesonOuter, psi, tail,
+                               hs) -> BoundaryEstimate:
+    """max over inner-boundary samples of |G(z)| / w(1-|z|), from
+    ``(psi, tail)`` = ``psi_sum_many(G, zs)`` at the samples ``zs`` of
+    ``boundary_samples_with_profile`` and their cusp heights ``hs``."""
     worst, ok = boundary_ratio(psi, tail, G.N, np.asarray(G.weight(hs)))
-    return BoundaryEstimate(worst, ok, zs.size)
+    return BoundaryEstimate(worst, ok, len(hs))
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,9 @@ from gst.duality import (DIVERGES, FINITE, ModelKernelSpec, fw_norm,
 from gst.grids import DyadicGrid, feasible_grid, geometric_sum_margin, \
     verify_grid
 from gst.inner_outer import (BlaschkeSeq, auto_carleson_N, carleson_many,
-                             corona_datum_check, lower_bound_check,
-                             moment_check, unit_point)
+                             carleson_outer, corona_datum_check,
+                             lower_bound_check, moment_check, psi_sum_many,
+                             unit_point)
 from gst.privalov import (PrivalovDomain, boundary_samples_with_profile,
                           privalov_boundary_estimate)
 from gst.roberts import decompose
@@ -162,8 +163,11 @@ def test_criterion_08_carleson_privalov():
                      (fixtures.triadic_cantor_set(6), "triadic")):
         D = PrivalovDomain(E)
         for w in (W_T, W_SQRT):
-            G = auto_carleson_N(E, w, *boundary_samples_with_profile(D, 512))
-            est = privalov_boundary_estimate(D, G, 4096)
+            zs, hs = boundary_samples_with_profile(D, 512)
+            G = carleson_outer(E, w, 1.0)
+            G = auto_carleson_N(G, *psi_sum_many(G, zs), hs)
+            zs, hs = boundary_samples_with_profile(D, 4096)
+            est = privalov_boundary_estimate(G, *psi_sum_many(G, zs), hs)
             assert est.ok, (ename, w.label())
             # embedding for monomials up to degree 32, one G-evaluation pass
             zs, _ = boundary_samples_with_profile(D, 1024)

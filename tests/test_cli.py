@@ -121,6 +121,24 @@ class TestReportCyclicity:
         assert decay[0] > decay[1] > decay[2]
         assert all(m["ok"] for m in res["corona_margins"])
 
+    def test_meta_counts_one_herglotz_sum_per_piece(self, capsys,
+                                                     monkeypatch):
+        sums = []
+        herglotz = inner_outer._herglotz_sum
+
+        def counting(mu, z):
+            sums.append((z.size, mu.positions_float().size))
+            return herglotz(mu, z)
+
+        monkeypatch.setattr(inner_outer, "_herglotz_sum", counting)
+        code, rep = run(["report", "cyclicity", "--measure", SMALL_DIVERGENT,
+                         "--weight", "power:1"], capsys)
+        assert code == 0
+        assert len(sums) == len(rep["results"]["corona_margins"]) == 6
+        assert rep["meta"]["corona_samples"] == sum(t for t, _ in sums)
+        assert rep["meta"]["herglotz_kernel_evals"] == \
+            sum(t * a for t, a in sums)
+
 
 # 1024 atoms: cheap enough to run the whole report at several --kmax
 SMALL_DIVERGENT = json.dumps({"cantor": [{"generator": "stagewise_log",
@@ -231,6 +249,20 @@ BAD_INPUTS = {
                         "--weight", "power:1", "--N", "nan"], 1),
     "carleson_infinite_N": (["carleson", "build", "--set", "fixture:point",
                              "--weight", "power:1", "--N", "inf"], 1),
+    "inner_nan_z": (["inner", "eval", "--measure", "fixture:atom",
+                     "--z", "nan"], 1),
+    "inner_nan_eps": (["inner", "eval", "--measure", "fixture:atom",
+                       "--z", "0.5", "--eps", "nan"], 1),
+    "grid_nan_C": (["grid", "build", "--weight", "power:1", "--C", "nan"], 1),
+    "decompose_nan_c": (["measure", "decompose", "--measure", "fixture:atom",
+                         "--weight", "power:1", "--c", "nan"], 1),
+    "report_nan_K": (["report", "cyclicity", "--measure", "fixture:atom",
+                      "--weight", "power:1", "--K", "nan"], 1),
+    "report_infinite_c": (["report", "cyclicity", "--measure",
+                           "fixture:atom", "--weight", "power:1",
+                           "--c", "inf"], 1),
+    "weight_infinite_alpha": (["weight", "check", "--weight", "power:1",
+                               "--alpha", "-inf"], 1),
 }
 
 
@@ -242,6 +274,17 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert code == expected
         assert "Traceback" not in captured.out + captured.err
+
+
+class TestUncertifiedRadius:
+    def test_nan_radius_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(inner_outer, "eval_singular_inner",
+                            lambda mu, z, eps: inner_outer.AnalyticValue(
+                                0.5 + 0.0j, float("nan")))
+        code = cli.main(["inner", "eval", "--measure", "fixture:atom",
+                         "--z", "0.5"])
+        capsys.readouterr()
+        assert code == 2
 
 
 class TestNoAdmissibleN:
@@ -256,7 +299,7 @@ class TestNoAdmissibleN:
 
 
 class TestNSearchSumsOnce:
-    def test_one_build_two_sums_and_meta(self, capsys, monkeypatch):
+    def test_one_build_one_sum_and_meta(self, capsys, monkeypatch):
         calls = {"carleson_outer": 0, "psi_sum_many": 0}
         build = inner_outer.carleson_outer
         psi_sum = inner_outer.psi_sum_many
@@ -270,22 +313,25 @@ class TestNSearchSumsOnce:
             return psi_sum(G, z)
 
         monkeypatch.setattr(inner_outer, "carleson_outer", counting_build)
-        for module in (inner_outer, privalov):
-            monkeypatch.setattr(module, "psi_sum_many", counting_psi_sum)
+        monkeypatch.setattr(inner_outer, "psi_sum_many", counting_psi_sum)
         code, rep = run(["privalov", "check", "--set", "fixture:point",
                          "--weight", "power:1", "--samples", "2048"], capsys)
         assert code == 0
         res, meta = rep["results"], rep["meta"]
         assert res["N_used"] >= 4.0  # the search tried at least three N
-        assert calls == {"carleson_outer": 1, "psi_sum_many": 2}
+        assert calls == {"carleson_outer": 1, "psi_sum_many": 1}
         D = privalov.PrivalovDomain(circle.point_set([0.0]))
-        search = privalov.boundary_samples_with_profile(D, 256)[0].size
+        search = privalov.boundary_samples_with_profile(D, 256)[0]
+        final = privalov.boundary_samples_with_profile(D, 2048)[0]
+        distinct = np.unique(np.concatenate([search, final])).size
+        assert distinct < search.size + final.size  # the sets overlap
         arcs = 2 * inner_outer.WHITNEY_LEVELS
         assert meta["N_tried"] == [2.0 ** j for j in range(
             int(np.log2(res["N_used"])) + 1)]
-        assert meta["search_samples"] == search
-        assert meta["final_samples"] == res["samples"]
-        assert meta["psi_kernel_evals"] == (search + res["samples"]) * arcs
+        assert meta["search_samples"] == search.size
+        assert meta["final_samples"] == res["samples"] == final.size
+        assert meta["distinct_samples"] == distinct
+        assert meta["psi_kernel_evals"] == distinct * arcs
 
     def test_fixed_N_meta(self, capsys):
         code, rep = run(["carleson", "build", "--set", "fixture:point",
@@ -296,6 +342,7 @@ class TestNSearchSumsOnce:
         assert rep["meta"]["N_tried"] == [8.0]
         assert rep["meta"]["search_samples"] == 0
         assert rep["meta"]["final_samples"] == samples
+        assert rep["meta"]["distinct_samples"] == samples
         assert rep["meta"]["psi_kernel_evals"] == \
             samples * rep["results"]["whitney_arcs"]
 

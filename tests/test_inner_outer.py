@@ -2,13 +2,16 @@
 the gap-family outer function."""
 
 import math
+from dataclasses import replace
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from gst import fixtures, inner_outer, weights
 from gst.circle import Arc, CircleMeasure, point_set, zero_measure
-from gst.grids import DyadicGrid
+from gst.grids import DyadicGrid, neg_log_at_depth
 from gst.inner_outer import (BlaschkeSeq, _herglotz_sum, auto_carleson_N,
                              blaschke_many, carleson_many, carleson_outer,
                              corona_datum_check, eval_blaschke, eval_outer,
@@ -21,7 +24,7 @@ from gst.roberts import decompose
 W_T = weights.power(1.0)
 
 
-# -- oracle: the unblocked chunked loops the kernel sums were folded from ----
+# -- oracle: the unblocked loops over the same fixed source chunks -----------
 
 def oracle_herglotz_sum(mu, z):
     pos, masses = mu.realized()[:2]
@@ -30,7 +33,7 @@ def oracle_herglotz_sum(mu, z):
     zeta = unit_point(pos)
     total = np.zeros(z.shape, dtype=complex)
     budget = np.zeros(z.shape, dtype=float)
-    chunk = max(1, int(4e6 // max(1, z.size)))
+    chunk = inner_outer.CHUNK
     for i in range(0, pos.size, chunk):
         zc = zeta[i:i + chunk]
         mc = masses[i:i + chunk]
@@ -47,7 +50,7 @@ def oracle_deriv_many(mu, z):
         return np.zeros(z.shape, dtype=complex)
     zeta = unit_point(pos)
     acc = np.zeros(z.shape, dtype=complex)
-    chunk = max(1, int(4e6 // max(1, z.size)))
+    chunk = inner_outer.CHUNK
     for i in range(0, pos.size, chunk):
         zc = zeta[i:i + chunk]
         mc = masses[i:i + chunk]
@@ -58,7 +61,7 @@ def oracle_deriv_many(mu, z):
 
 def oracle_psi_sum(G, z):
     acc = np.zeros(z.shape, dtype=complex)
-    chunk = max(1, int(4e6 // max(1, z.size)))
+    chunk = inner_outer.CHUNK
     for i in range(0, G.coeffs.size, chunk):
         cf = G.coeffs[i:i + chunk]
         pl = G.poles[i:i + chunk]
@@ -125,6 +128,55 @@ class TestKernelSumOracle:
             assert _same_bits(got, want)
         assert _same_bits(psi_sum_many(KERNEL_G, z)[0],
                           oracle_psi_sum(KERNEL_G, z))
+
+
+# -- the contract: a target's sum depends only on the target and the sources
+
+
+@lru_cache(maxsize=None)
+def _sources(kind, n):
+    """A measure of n atoms, or a Carleson function cut to n Whitney arcs."""
+    if kind == "psi":
+        G = carleson_outer(fixtures.triadic_cantor_set(8), W_T, 1.0)
+        return replace(G, coeffs=G.coeffs[:n], poles=G.poles[:n],
+                       centers=G.centers[:n])
+    stages = int(math.log2(n))
+    part = fixtures.triadic_cantor_measure(stages).cantor_parts
+    extra = [(Fraction(k, 7 * n), 0.25) for k in range(n - 2 ** stages)]
+    return CircleMeasure(atoms=extra, cantor_parts=part)
+
+
+KERNELS = {
+    "herglotz": _herglotz_sum,
+    "deriv": lambda mu, z: (singular_inner_deriv_many(mu, z),),
+    "psi": psi_sum_many,
+}
+
+
+def _batches(n, rng):
+    """Index sets: the full batch, reversed, random splits, single targets."""
+    yield np.arange(n)
+    yield np.arange(n)[::-1]
+    cuts = np.sort(rng.choice(np.arange(1, n), 3, replace=False))
+    yield from np.split(rng.permutation(n), cuts)
+    for i in rng.choice(n, 4, replace=False):
+        yield np.array([i])
+
+
+class TestTargetOnlyContract:
+    # the targets outnumber 4e6 / sources, where the retired sizing
+    # 4e6 // targets cut the sources into narrower chunks
+    @pytest.mark.parametrize("kind", sorted(KERNELS))
+    @pytest.mark.parametrize("n", [2048, 16384, 16387])
+    def test_batching_never_changes_a_bit(self, kind, n):
+        src = _sources(kind, n)
+        count = int(4.5e6 // n)
+        z = _disc_points(count, n)
+        full = KERNELS[kind](src, z)
+        rng = np.random.default_rng(n)
+        for idx in _batches(count, rng):
+            for got, want in zip(KERNELS[kind](src, z[idx]), full):
+                assert _same_bits(got, want[idx]), (kind, n, idx[:4])
 
 
 class TestBlaschke:
@@ -283,7 +335,52 @@ class TestLowerEnvelope:
         assert res.ok
 
 
+def oracle_corona(mu_k, n_k, c, w, grid_density=64):
+    """The corona check as one Herglotz sum per ring and per outer ray set."""
+    pos = mu_k.positions_float()
+    support_angles = pos[:: max(1, pos.size // grid_density)]
+    base = np.arange(grid_density) / grid_density
+    angles = np.unique(np.concatenate([base, support_angles]))
+    worst, count = math.inf, 0
+
+    def combined(zs):
+        vals, errs = singular_inner_many(mu_k, zs)
+        mod = np.maximum(np.abs(vals) - errs, 0.0)
+        with np.errstate(divide="ignore"):
+            mono = np.exp(2.0 ** n_k * np.log(np.maximum(np.abs(zs), 1e-300)))
+        return mod + np.where(np.abs(zs) == 0.0, 0.0, mono)
+
+    rings = [(1.0 - 2.0 ** -j) * unit_point(angles) if j else
+             np.array([0.0 + 0.0j]) for j in range(min(n_k, 50) + 1)]
+    rays = unit_point(support_angles if support_angles.size else
+                      np.array([0.0]))
+    rings += [(1.0 - 2.0 ** -n_k * 2.0 ** -i) * rays for i in range(1, 9)]
+    for zs in rings:
+        worst = min(worst, float(np.min(combined(zs))))
+        count += zs.size
+    bound = math.exp(-12.0 * c * neg_log_at_depth(w, n_k))
+    return inner_outer.CoronaCheck(worst, bound, worst >= bound - 1e-15,
+                                   count)
+
+
 class TestCorona:
+    def test_one_sum_per_check_equals_the_per_ring_oracle(self, monkeypatch):
+        d = decompose(fixtures.divergent_cantor_measure(12),
+                      DyadicGrid((4, 8, 12, 16, 20, 24)), 0.1, W_T, 6)
+        calls = []
+        herglotz = inner_outer._herglotz_sum
+
+        def counting(mu, z):
+            calls.append(z.size)
+            return herglotz(mu, z)
+
+        monkeypatch.setattr(inner_outer, "_herglotz_sum", counting)
+        for piece, rep in zip(d.pieces, d.reports):
+            calls.clear()
+            got = corona_datum_check(piece, rep.depth, 0.1, W_T, 32)
+            assert calls == [got.n_samples]
+            assert got == oracle_corona(piece, rep.depth, 0.1, W_T, 32)
+
     def test_zero_piece_trivial(self):
         meta = {"depth": 4, "c": 0.1, "threshold": 1.0}
         mu = CircleMeasure(grating_meta=meta, name="zero")
@@ -397,7 +494,9 @@ class TestCarlesonOuter:
         from gst.privalov import PrivalovDomain, boundary_samples_with_profile
         E = point_set([0.0])
         D = PrivalovDomain(E)
-        G = auto_carleson_N(E, W_T, *boundary_samples_with_profile(D, 256))
+        zs, hs = boundary_samples_with_profile(D, 256)
+        G = carleson_outer(E, W_T, 1.0)
+        G = auto_carleson_N(G, *psi_sum_many(G, zs), hs)
         assert G.N >= 2.0
 
     @pytest.mark.parametrize("N", [0.0, -1.0, math.nan, math.inf])

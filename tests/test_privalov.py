@@ -7,7 +7,8 @@ import pytest
 
 from gst import fixtures, weights
 from gst.circle import point_set
-from gst.inner_outer import NoAdmissibleN, auto_carleson_N, carleson_outer
+from gst.inner_outer import (NoAdmissibleN, auto_carleson_N, carleson_outer,
+                             psi_sum_many)
 from gst.privalov import (H_MAX, PrivalovDomain, boundary_samples,
                           boundary_samples_with_profile, embedding_check,
                           privalov_boundary_estimate)
@@ -27,8 +28,14 @@ def oracle_auto_N(E, w, passes, n_max=2.0 ** 20):
 
 
 def auto_N(E, w, count):
-    D = PrivalovDomain(E)
-    return auto_carleson_N(E, w, *boundary_samples_with_profile(D, count))
+    zs, hs = boundary_samples_with_profile(PrivalovDomain(E), count)
+    G = carleson_outer(E, w, 1.0)
+    return auto_carleson_N(G, *psi_sum_many(G, zs), hs)
+
+
+def estimate(D, G, count):
+    zs, hs = boundary_samples_with_profile(D, count)
+    return privalov_boundary_estimate(G, *psi_sum_many(G, zs), hs)
 
 
 class TestGeometry:
@@ -99,21 +106,21 @@ class TestBoundaryEstimate:
         E = point_set([0.0])
         D = PrivalovDomain(E)
         G = auto_N(E, W_T, 256)
-        res = privalov_boundary_estimate(D, G, 2048)
+        res = estimate(D, G, 2048)
         assert res.ok and res.max_ratio <= 1.0 + 1e-9
 
     def test_tiny_N_fails(self):
         E = point_set([0.0])
         D = PrivalovDomain(E)
         G = carleson_outer(E, W_T, 1e-12)  # essentially G = 1
-        res = privalov_boundary_estimate(D, G, 256)
+        res = estimate(D, G, 256)
         assert not res.ok
 
     def test_triadic_auto_N(self):
         E = fixtures.triadic_cantor_set(5)
         D = PrivalovDomain(E)
         G = auto_N(E, W_T, 256)
-        res = privalov_boundary_estimate(D, G, 2048)
+        res = estimate(D, G, 2048)
         assert res.ok
 
 
@@ -129,23 +136,25 @@ class TestNSearchOracle:
         seen = []
 
         def passes(G):
-            seen.append(privalov_boundary_estimate(D, G, 256))
+            seen.append(estimate(D, G, 256))
             return seen[-1].ok
 
         want = oracle_auto_N(E, w, passes)
         got = auto_N(E, w, 256)
         assert got.N == want.N
-        assert privalov_boundary_estimate(D, got, 256) == seen[-1]
+        assert estimate(D, got, 256) == seen[-1]
 
     def test_cap_below_the_admissible_N(self):
         E = point_set([0.0])
         D = PrivalovDomain(E)
         zs, hs = boundary_samples_with_profile(D, 256)
-        N = auto_carleson_N(E, W_T, zs, hs).N
+        G = carleson_outer(E, W_T, 1.0)
+        psi, tail = psi_sum_many(G, zs)
+        N = auto_carleson_N(G, psi, tail, hs).N
         assert N >= 2.0
-        assert auto_carleson_N(E, W_T, zs, hs, n_max=N).N == N
+        assert auto_carleson_N(G, psi, tail, hs, n_max=N).N == N
         with pytest.raises(NoAdmissibleN):
-            auto_carleson_N(E, W_T, zs, hs, n_max=N / 2.0)
+            auto_carleson_N(G, psi, tail, hs, n_max=N / 2.0)
 
 
 class TestEmbedding:
