@@ -16,8 +16,10 @@ first input of the benchmark's ``cyclicity`` workload at seeds 1-3;
 ``inner eval`` on triadic measures of 2^10 and 2^14 atoms; ``measure
 decompose``; ``privalov check`` and ``carleson build --N auto`` on the
 one-point set and the triadic sets of depth 5-7, and the first input of
-the ``boundary`` workload at seeds 1-3.  ``--show`` prints each results
-block under its line.
+the ``boundary`` workload at seeds 1-3; ``weight check --alpha 0.5`` on
+four majorants and a table weight that is not subadditive; ``grid build``;
+``set entropy --form both`` on the triadic set.  ``--show`` prints each
+results block under its line.
 
 Usage:
     PYTHONPATH=src python scripts/results_digest.py [--show]
@@ -36,6 +38,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # for bench
 from bench.workloads import Boundary, Cyclicity  # noqa: E402
 
 SEEDS = (1, 2, 3)
+WEIGHTS = ("power:0.3", "power:0.7", "power:1.5", "exp_log:1.0,0.8")
+# 2 w(1/8) < w(1/4): not subadditive, first seen at depth 3
+TABLE_WEIGHT = json.dumps({"kind": "table", "lambda_hint": 0.5, "points": [
+    [0, 0], [0.09, 0.1], [0.19, 0.25], [1, 1]]})
 Z_POINTS = ("0.3+0.1i", "0.99", "-0.5+0.8i", "0.0005-0.9999i")
 
 
@@ -80,6 +86,13 @@ def cases():
         workload = Boundary(seed)
         workload.setup()
         yield f"boundary workload seed {seed}", workload.next_op().argv
+    for name, weight in [(w, w) for w in WEIGHTS] + [("table", TABLE_WEIGHT)]:
+        yield f"weight check {name}", (
+            "weight", "check", "--weight", weight, "--alpha", "0.5")
+    yield "grid build power:0.5", ("grid", "build", "--weight", "power:0.5")
+    yield "set entropy triadic power:1", (
+        "set", "entropy", "--set", "fixture:triadic", "--weight", "power:1",
+        "--form", "both")
 
 
 def results_block(argv) -> tuple:

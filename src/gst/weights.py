@@ -22,8 +22,12 @@ from .util import as_int
 
 ORDER_TOL = 1e-12
 CONTINUITY_DEPTH = 20
+MAX_GRID_DEPTH = 16
 CONTINUITY_TOL = 1e-2
 DEFAULT_LAMBDAS = (4.0, 2.0, 1.0, 0.5, 0.25, 0.125)
+
+_CONTINUITY_GRID = np.linspace(0.0, 1.0, 2 ** CONTINUITY_DEPTH + 1)
+_CONTINUITY_GRID.setflags(write=False)
 
 
 class InvalidWeightError(ValueError):
@@ -251,12 +255,19 @@ def _validate_values(w: Weight, vals: np.ndarray) -> None:
 def check_modulus_of_continuity(w: Weight, grid_depth: int) -> ModulusCheck:
     """Certify monotonicity, continuity, w(0)=0 and subadditivity on a dyadic grid.
 
-    Subadditivity is swept coarse-to-fine so the returned witness is the
-    first violating pair at the coarsest failing resolution.
+    Monotonicity and continuity are checked on the fixed 2^CONTINUITY_DEPTH
+    grid.  Subadditivity, w(s) + w(t) >= w(s + t), is swept over the grids
+    k/2^d for d = 2 .. grid_depth, coarse to fine, one row s = i/2^d at a
+    time against every t = j/2^d with i <= j and i + j <= 2^d.  The returned
+    witness is thus the first violating pair, in row-major order, at the
+    coarsest failing resolution.  Scratch memory is O(2^grid_depth) and time
+    O(4^grid_depth); grid_depth must lie in 4 .. MAX_GRID_DEPTH.
     """
     if grid_depth < 4:
         raise ValueError("grid_depth must be at least 4")
-    fine = np.linspace(0.0, 1.0, 2 ** CONTINUITY_DEPTH + 1)
+    if grid_depth > MAX_GRID_DEPTH:
+        raise ValueError(f"grid_depth must be at most {MAX_GRID_DEPTH}")
+    fine = _CONTINUITY_GRID
     fvals = np.asarray(w(fine))
     _validate_values(w, fvals)
     if abs(fvals[0]) > ORDER_TOL:
@@ -275,15 +286,12 @@ def check_modulus_of_continuity(w: Weight, grid_depth: int) -> ModulusCheck:
         n = 2 ** depth
         grid = np.arange(n + 1) / n
         vals = np.asarray(w(grid))
-        # vals[i] + vals[j] >= vals[i+j] for 1 <= i <= j, i + j <= n
-        i_idx = np.arange(1, n)
-        sums = vals[i_idx][:, None] + vals[i_idx][None, :]
-        tot = i_idx[:, None] + i_idx[None, :]
-        valid = (tot <= n) & (i_idx[:, None] <= i_idx[None, :])
-        viol = valid & (sums + ORDER_TOL < vals[np.minimum(tot, n)])
-        if np.any(viol):
-            ii, jj = np.argwhere(viol)[0]
-            return ModulusCheck(False, (grid[ii + 1], grid[jj + 1]), "not subadditive")
+        for i in range(1, n // 2 + 1):
+            # vals[i] + vals[j] >= vals[i+j] for i <= j <= n - i
+            viol = vals[i] + vals[i:n - i + 1] + ORDER_TOL < vals[2 * i:]
+            if viol.any():
+                j = i + int(np.argmax(viol))
+                return ModulusCheck(False, (grid[i], grid[j]), "not subadditive")
     return ModulusCheck(True)
 
 
@@ -414,6 +422,8 @@ def check_A2(w: Weight, alpha: float, quad_depth: int) -> A2Check:
     """Dini-type integral of w^alpha with a certified (or evidenced) tail."""
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0,1]")
+    if quad_depth < 1:
+        raise ValueError("quad_depth must be at least 1")
     # precondition at majorant level: some power of w^(1+alpha) is subadditive
     if not check_majorant(w.pow(1.0 + alpha), grid_depth=8).ok:
         raise InvalidWeightError("w^(1+alpha) is not a majorant")

@@ -263,6 +263,15 @@ BAD_INPUTS = {
                            "--c", "inf"], 1),
     "weight_infinite_alpha": (["weight", "check", "--weight", "power:1",
                                "--alpha", "-inf"], 1),
+    "weight_zero_quad_depth": (["weight", "check", "--weight", "power:0.5",
+                                "--alpha", "0.5", "--quad-depth", "0"], 1),
+    "weight_negative_quad_depth": (["weight", "check", "--weight",
+                                    "power:0.5", "--alpha", "0.5",
+                                    "--quad-depth", "-3"], 1),
+    "weight_depth_above_cap": (["weight", "check", "--weight", "power:1",
+                                "--depth", "17"], 1),
+    "weight_depth_40": (["weight", "check", "--weight", "power:1",
+                         "--depth", "40"], 1),
 }
 
 

@@ -1,14 +1,76 @@
 """Weight regularity checks against closed-form and grid-sweep oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gst import fixtures, weights
-from gst.weights import (check_A1, check_A2, check_condition_a,
+from gst.weights import (CONTINUITY_DEPTH, CONTINUITY_TOL, ORDER_TOL,
+                         ModulusCheck, check_A1, check_A2, check_condition_a,
                          check_condition_b, check_majorant,
                          check_modulus_of_continuity, effective_lambda,
                          almost_decreasing_violation)
+
+
+def oracle_modulus_check(w, grid_depth):
+    """The n x n subadditivity sweep: every pair of one depth at once."""
+    fine = np.linspace(0.0, 1.0, 2 ** CONTINUITY_DEPTH + 1)
+    fvals = np.asarray(w(fine))
+    weights._validate_values(w, fvals)
+    if abs(fvals[0]) > ORDER_TOL:
+        return ModulusCheck(False, (0.0, 0.0), "w(0) != 0")
+    jumps = np.diff(fvals)
+    if np.any(jumps < -ORDER_TOL):
+        i = int(np.argmax(jumps < -ORDER_TOL))
+        return ModulusCheck(False, (fine[i], fine[i + 1]), "not nondecreasing")
+    if np.any(jumps[1:] > CONTINUITY_TOL):
+        i = 1 + int(np.argmax(jumps[1:] > CONTINUITY_TOL))
+        return ModulusCheck(False, (fine[i], fine[i + 1]), "jump discontinuity")
+    for depth in range(2, grid_depth + 1):
+        n = 2 ** depth
+        grid = np.arange(n + 1) / n
+        vals = np.asarray(w(grid))
+        i_idx = np.arange(1, n)
+        sums = vals[i_idx][:, None] + vals[i_idx][None, :]
+        tot = i_idx[:, None] + i_idx[None, :]
+        valid = (tot <= n) & (i_idx[:, None] <= i_idx[None, :])
+        viol = valid & (sums + ORDER_TOL < vals[np.minimum(tot, n)])
+        if np.any(viol):
+            ii, jj = np.argwhere(viol)[0]
+            return ModulusCheck(False, (grid[ii + 1], grid[jj + 1]),
+                                "not subadditive")
+    return ModulusCheck(True)
+
+
+def assert_matches_oracle(w, depths=range(4, 13)):
+    for depth in depths:
+        got = check_modulus_of_continuity(w, depth)
+        want = oracle_modulus_check(w, depth)
+        assert (got.ok, got.witness, got.reason) == \
+            (want.ok, want.witness, want.reason), (w.label(), depth)
+
+
+@st.composite
+def planted_tables(draw):
+    """A table weight near t^a with w(2s) = 2 w(s) + delta at a dyadic s.
+
+    Half the deltas sit around ORDER_TOL, so the sweep's tolerance decides.
+    """
+    a = draw(st.floats(0.2, 1.0))
+    m = draw(st.integers(2, 12))
+    s = draw(st.integers(1, 2 ** (m - 1))) / 2 ** m
+    delta = draw(st.one_of(st.floats(1e-9, 0.5), st.floats(0.0, 3e-12)))
+    top = 2 * s ** a + delta
+    knots = draw(st.lists(st.floats(1e-4, 1.0 - 1e-4), max_size=6))
+    points = {0.0: 0.0, s: s ** a, 2 * s: top, 1.0: max(1.0, top)}
+    for t in knots:
+        if t < s:
+            points.setdefault(t, t ** a)
+        elif t > 2 * s:
+            points.setdefault(t, max(t ** a, top))
+    return weights.table_weight(points.items())
 
 
 class TestModulusOfContinuity:
@@ -34,6 +96,37 @@ class TestModulusOfContinuity:
         bad = weights.custom_weight("bad", lambda t: np.asarray(t) - 0.5)
         with pytest.raises(weights.InvalidWeightError):
             check_modulus_of_continuity(bad, 8)
+
+    @pytest.mark.parametrize("depth", [3, weights.MAX_GRID_DEPTH + 1])
+    def test_depth_out_of_range_rejected(self, depth):
+        with pytest.raises(ValueError):
+            check_modulus_of_continuity(weights.power(0.5), depth)
+
+
+class TestRowSweepOracle:
+    @pytest.mark.parametrize("name", sorted(fixtures.builtin_majorants()))
+    def test_builtin_majorants(self, name):
+        assert_matches_oracle(fixtures.builtin_majorants()[name])
+
+    @pytest.mark.parametrize("make", [fixtures.non_majorant_weight,
+                                      fixtures.fast_decay_weight])
+    def test_failing_fixtures(self, make):
+        assert_matches_oracle(make())
+
+    @given(planted_tables())
+    @settings(max_examples=20, deadline=None)
+    def test_planted_violation_tables(self, w):
+        assert_matches_oracle(w)
+
+    def test_scratch_memory_is_linear(self):
+        w = weights.power(0.5)
+        tracemalloc.start()
+        try:
+            check_modulus_of_continuity(w, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
 
 
 class TestMajorant:
@@ -101,6 +194,11 @@ class TestA2:
     def test_log_first_power_diverges(self):
         res = check_A2(weights.log_power(1.0), 1.0, 40)
         assert not res.ok
+
+    @pytest.mark.parametrize("quad_depth", [0, -3])
+    def test_non_positive_quad_depth_rejected(self, quad_depth):
+        with pytest.raises(ValueError):
+            check_A2(weights.power(0.5), 0.5, quad_depth)
 
 
 class TestConditionA:
