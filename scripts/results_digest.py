@@ -11,24 +11,39 @@ change that claims to keep results is checked with
     PYTHONPATH=src python scripts/results_digest.py > b
     diff a b
 
+A change that moves floats within their error radii is checked on the
+``--show`` outputs instead:
+
+    PYTHONPATH=<parent checkout>/src python scripts/results_digest.py \
+        --show > a
+    PYTHONPATH=src python scripts/results_digest.py --show > b
+    python scripts/results_digest.py --compare a b
+
+which requires equal exit codes, strings, booleans, integers and shapes
+case by case (exit status 1 otherwise) and prints, per case, the largest
+relative move of each float field (list entries pooled under ``[]``).
+
 The cases: ``report cyclicity`` on the divergent Cantor fixture and on the
 first input of the benchmark's ``cyclicity`` workload at seeds 1-3;
 ``inner eval`` on triadic measures of 2^10 and 2^14 atoms; ``measure
 decompose``; ``privalov check`` and ``carleson build --N auto`` on the
-one-point set and the triadic sets of depth 5-7, and the first input of
-the ``boundary`` workload at seeds 1-3; ``weight check --alpha 0.5`` on
-four majorants and a table weight that is not subadditive; ``grid build``;
-``set entropy --form both`` on the triadic set.  ``--show`` prints each
-results block under its line.
+one-point set and the triadic sets of depth 5-7, and the second input of
+the ``boundary`` workload at seeds 1-3 (the first is the unrotated set
+at every seed; the second is rotated, so its set may wrap angle 0);
+``weight check --alpha 0.5`` on four majorants and a table weight that is
+not subadditive; ``grid build``; ``set entropy --form both`` on the
+triadic set.  ``--show`` prints each results block under its line.
 
 Usage:
     PYTHONPATH=src python scripts/results_digest.py [--show]
+    python scripts/results_digest.py --compare SHOW_A SHOW_B
 """
 
 import argparse
 import hashlib
 import io
 import json
+import math
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -85,6 +100,7 @@ def cases():
     for seed in SEEDS:
         workload = Boundary(seed)
         workload.setup()
+        workload.next_op()
         yield f"boundary workload seed {seed}", workload.next_op().argv
     for name, weight in [(w, w) for w in WEIGHTS] + [("table", TABLE_WEIGHT)]:
         yield f"weight check {name}", (
@@ -105,11 +121,65 @@ def results_block(argv) -> tuple:
     return code, json.loads(text)["results"] if text.strip() else None
 
 
+def load_show(path) -> dict:
+    """label -> (exit code, results block) from a ``--show`` output."""
+    lines = Path(path).read_text().splitlines()
+    out = {}
+    for head, body in zip(lines[::2], lines[1::2]):
+        _, code, label = head.split(" ", 2)
+        out[label] = (int(code), json.loads(body))
+    return out
+
+
+def diff_blocks(a, b, path, moves, problems) -> None:
+    """Walk two results blocks side by side: the largest relative move of
+    each float field goes in ``moves``, any other difference in
+    ``problems``."""
+    if isinstance(a, float) and isinstance(b, float):
+        same = a == b or (math.isnan(a) and math.isnan(b))
+        rel = 0.0 if same else abs(a - b) / max(abs(a), abs(b))
+        moves[path] = max(moves.get(path, 0.0), rel)
+    elif isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        for key in a:
+            diff_blocks(a[key], b[key], f"{path}.{key}" if path else key,
+                        moves, problems)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for x, y in zip(a, b):
+            diff_blocks(x, y, path + "[]", moves, problems)
+    elif type(a) is not type(b) or a != b:
+        problems.append(f"{path or 'results'}: {a!r} != {b!r}")
+
+
+def compare(path_a, path_b) -> int:
+    a, b = load_show(path_a), load_show(path_b)
+    bad = sorted(set(a) ^ set(b))
+    for label in bad:
+        print(f"{label}: in one output only")
+    for label in (k for k in a if k in b):
+        (code_a, res_a), (code_b, res_b) = a[label], b[label]
+        moves, problems = {}, []
+        if code_a != code_b:
+            problems.append(f"exit code {code_a} != {code_b}")
+        diff_blocks(res_a, res_b, "", moves, problems)
+        print(label)
+        for p in problems:
+            print(f"  DIFFERS {p}")
+        for field, rel in moves.items():
+            print(f"  {field}: {rel:.3g}")
+        if problems:
+            bad.append(label)
+    return 1 if bad else 0
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--show", action="store_true",
                     help="print each results block under its line")
+    ap.add_argument("--compare", nargs=2, metavar="SHOW",
+                    help="compare two --show outputs case by case")
     args = ap.parse_args()
+    if args.compare:
+        return compare(*args.compare)
     for label, argv in cases():
         code, results = results_block(argv)
         text = json.dumps(results, sort_keys=True)

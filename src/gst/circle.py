@@ -435,11 +435,20 @@ class MultiplierLayer:
         if depth < 0:
             raise ValueError(f"multiplier depth {depth} is negative")
         object.__setattr__(self, "depth", depth)
-        if not all(0.0 <= f <= 1.0 for f in self.factors.values()):
+        vals = np.fromiter(self.factors.values(), dtype=float,
+                           count=len(self.factors))
+        if not np.all((vals >= 0.0) & (vals <= 1.0)):
             raise ValueError("multiplier factors must lie in [0,1]")
-        # i < 2^depth without building 2^depth
-        if not all(hasattr(i, "__index__") and i >= 0
-                   and int(i).bit_length() <= depth for i in self.factors):
+        # i < 2^depth without building 2^depth; keys that do not fit one
+        # integer array (bools, big or non-integer keys) go one by one
+        keys = np.array(list(self.factors))
+        if keys.dtype.kind in "iu":
+            ok = keys.size == 0 or (keys.min() >= 0 and
+                                    int(keys.max()).bit_length() <= depth)
+        else:
+            ok = all(hasattr(i, "__index__") and i >= 0
+                     and int(i).bit_length() <= depth for i in self.factors)
+        if not ok:
             raise ValueError("multiplier arc indices must be integers in "
                              f"0..2^{depth}-1")
 
@@ -572,6 +581,7 @@ class CircleMeasure:
         self._realized = None
         self._parent = None  # a measure one multiplier layer short of this
         self._sorted = None
+        self._kernel_tree = None  # built by inner_outer on first use
 
     # -- realization --------------------------------------------------------
 

@@ -13,6 +13,7 @@ import json
 import math
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -204,7 +205,8 @@ def _carleson_check(args, spec: str):
     k = search_zs.size
     points, rows = np.unique(np.concatenate([search_zs, zs]),
                              return_inverse=True)
-    psi, tail = inner_outer.psi_sum_many(G, points)
+    work = Counter()
+    psi, tail = inner_outer.psi_sum_many(G, points, work)
     psi, tail = psi[rows], tail[rows]  # per sample, the search's first
     tried = [G.N]
     if auto:
@@ -216,7 +218,8 @@ def _carleson_check(args, spec: str):
     est = privalov.privalov_boundary_estimate(G, psi[k:], tail[k:], hs)
     meta = {"N_tried": tried, "search_samples": k,
             "final_samples": est.n_samples, "distinct_samples": points.size,
-            "psi_kernel_evals": points.size * G.coeffs.size}
+            "psi_direct_pairs": work["direct_pairs"],
+            "psi_far_evals": work["far_evals"]}
     return G, est, meta
 
 
@@ -283,17 +286,18 @@ def cmd_report_cyclicity(args) -> dict:
     if args.kmax < len(masses):
         dec = roberts.decompose(mu, grid, args.c, w, args.kmax)
     margins = []
-    meta = {"corona_samples": 0, "herglotz_kernel_evals": 0}
+    samples, work = 0, Counter()
     for piece, rep in zip(dec.pieces, dec.reports):
         if rep.depth > 50:
             continue
         cc = inner_outer.corona_datum_check(piece, rep.depth, args.c, w,
-                                            grid_density=32)
+                                            grid_density=32, work=work)
         margins.append({"depth": rep.depth, "min_combined": cc.min_combined,
                         "bound": cc.bound, "ok": cc.ok})
-        meta["corona_samples"] += cc.n_samples
-        meta["herglotz_kernel_evals"] += \
-            cc.n_samples * piece.positions_float().size
+        samples += cc.n_samples
+    meta = {"corona_samples": samples,
+            "herglotz_direct_pairs": work["direct_pairs"],
+            "herglotz_far_evals": work["far_evals"]}
     out["corona_margins"] = margins
     out["corona_parameters"] = inner_outer.corona_parameter_report(
         w, args.c, grid.depths[0], K=args.K)

@@ -94,6 +94,8 @@ def fw_norm(f: DiscFunction, w: Weight, quad_depth: int = 40,
     decaying the norm is tagged divergent; otherwise the geometric trend
     extrapolates the remaining tail.
     """
+    if quad_depth < 1:
+        raise ValueError("quad_depth must be at least 1")
     nodes, wts = np.polynomial.legendre.leggauss(10)
     th = (np.arange(n_angles) + 0.5) / n_angles
     ez = unit_point(th)

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
+
 import numpy as np
 
 from .circle import Arc, CircleMeasure, ClosedCircleSet, modulus_of_continuity
@@ -23,8 +25,12 @@ from .weights import Weight, effective_lambda, _maximize_unit
 TWO_PI = 2.0 * math.pi
 FLOAT_TERM = 5e-15
 WHITNEY_LEVELS = 60
-CHUNK = 1 << 14  # source columns per partial sum of a kernel sum
-BLOCK_ELEMS = 1 << 14  # terms per kernel-sum block: scratch stays in cache
+LEAF = 16  # most sources in a leaf of a kernel-sum tree
+DIRECT_MAX = 256  # up to this many sources a kernel sum adds every term
+ORDER = 24  # expansion order of a far node
+OPEN = 0.25  # a node is far from z when its radius is at most OPEN |z - c|
+TARGET_BLOCK = 256  # targets walked together: the scratch stays a few MB
+SLACK = 1.0 + 2.0 ** -40  # covers the rounding of node radii and weight sums
 
 
 @dataclass(frozen=True)
@@ -76,71 +82,211 @@ def eval_blaschke(B: BlaschkeSeq, z: complex) -> AnalyticValue:
 # Singular inner functions (realized measures: closed-form exponential sums)
 # ---------------------------------------------------------------------------
 
-def _cauchy_sum(z, sources, terms, dtypes=(complex,)):
-    """Per-target sums over the sources of a kernel's terms.
+class KernelTree(NamedTuple):
+    """The sources of a Cauchy sum  sum_k a_k / (p_k - z)  on a binary tree.
 
-    ``terms(zt, *chunk, work, *parts)`` writes the (targets, sources)
-    terms of each output, one per dtype, into ``parts``; ``work`` is
-    complex scratch of the same shape.  Sources go in chunks of CHUNK
-    columns, summed in order; targets go in row blocks of about
-    BLOCK_ELEMS terms, and the scratch is allocated once and reused by
-    every block.  A target's sum depends only on that target and the
-    sources: batching, order and BLOCK_ELEMS never change a bit.
+    The sources are sorted by angle and padded (weight 0 at the last
+    position) to 2^depth leaves of equal count; the nodes of a level split
+    them into equal runs, so the tree is count-balanced however the
+    sources crowd.  Up to DIRECT_MAX sources make one leaf.  Internal
+    nodes go in heap order (the root is node 1, the children of node i are
+    2i and 2i + 1) with their centres c (the middle of their bounding
+    boxes), radii rho >= max |p_k - c| and weight sums A >= sum |a_k|,
+    both raised by SLACK over their float values, and, on the levels
+    where a target in the closed disc could find a node far, the moments
+    M_q = sum a_k (p_k - c)^q for q <= ORDER.
+    """
+
+    p: np.ndarray  # (sources per leaf, leaves): column j, each leaf's jth
+    a: np.ndarray
+    centres: np.ndarray  # per internal node
+    radii: np.ndarray
+    weights: np.ndarray
+    moments: np.ndarray  # (ORDER + 1, internal nodes)
+    far_levels: tuple  # per internal level: whether it holds moments
+
+
+def kernel_tree(p, a) -> KernelTree:
+    p = np.asarray(p, dtype=complex).reshape(-1)
+    a = np.asarray(a, dtype=complex).reshape(-1)
+    depth = 0 if p.size <= DIRECT_MAX else math.ceil(math.log2(p.size / LEAF))
+    width = -(-p.size // 2 ** depth)
+    order = np.argsort(np.angle(p), kind="stable")
+    pad = width * 2 ** depth - p.size
+    p = np.concatenate([p[order], np.repeat(p[order[-1:]], pad)])
+    a = np.concatenate([a[order], np.zeros(pad, dtype=complex)])
+    centres = np.zeros(2 ** depth, dtype=complex)
+    radii, weights = np.zeros(2 ** depth), np.zeros(2 ** depth)
+    moments = np.zeros((ORDER + 1, 2 ** depth), dtype=complex)
+    far_levels = []
+    for lev in range(depth):
+        at = slice(2 ** lev, 2 ** (lev + 1))
+        pr, ar = p.reshape(2 ** lev, -1), a.reshape(2 ** lev, -1)
+        c = 0.5 * (pr.real.min(axis=1) + pr.real.max(axis=1)) + \
+            0.5j * (pr.imag.min(axis=1) + pr.imag.max(axis=1))
+        d = pr - c[:, None]
+        centres[at] = c
+        radii[at] = np.abs(d).max(axis=1) * SLACK
+        weights[at] = np.abs(ar).sum(axis=1) * SLACK
+        far_levels.append(bool(np.any(radii[at] <= OPEN * (np.abs(c) + 1.0))))
+        t = ar
+        for q in range(ORDER + 1 if far_levels[-1] else 0):
+            t = t * d if q else t
+            moments[q, at] = t.sum(axis=1)
+    return KernelTree(p.reshape(2 ** depth, width).T.copy(),
+                      a.reshape(2 ** depth, width).T.copy(), centres, radii,
+                      weights, moments, tuple(far_levels))
+
+
+def _cauchy_sum(z, tree: KernelTree, power: int = 1, work=None):
+    """(sums, budget, truncation) of  sum_k a_k / (p_k - z)^power  per
+    target, for power 1 or 2, by a Barnes-Hut walk of ``tree``.
+
+    Each target walks the tree from the root.  A node of centre c, radius
+    rho and weight sum A is far when rho <= OPEN R, R = |z - c|; with
+    w = 1/(z - c) and theta = rho/R its sources then sum as
+
+        power 1:  -sum_{q<=P} M_q w^(q+1),
+        power 2:   sum_{q<=P} (q+1) M_q w^(q+2)
+
+    (P the tree's order, ORDER when it was built; Horner in w), and the
+    orders dropped are at most A theta^(P+1) / ((1-theta) R), resp.
+    A theta^(P+1) ((P+2) - (P+1) theta) / ((1-theta)^2 R^2): their sum
+    over far nodes is ``truncation``.  Other nodes open into their
+    children, and the sources of each leaf reached are summed term by
+    term.  ``budget`` sums |a_k / (p_k - z)^power| over those terms and
+    A / (R - rho)^power over far nodes; the latter is at least the former
+    over the node's sources, so no budget falls below the term-by-term
+    one.
+
+    The far field's own rounding fits 2 FLOAT_TERM = 90 u per unit of
+    budget (unit roundoff u; a complex product errs by sqrt(5) u, the
+    quotient w by 7 u with z - c).  The computed a_k (p_k - c)^q err by
+    3.3 q u relative, a moment's sum by s u per term as on the term-by-term
+    path, and Horner's w^(q+1) by 10.3 (q+1) u: order q errs by
+    (13.6 (q+1) + s) u A theta^q / R at most, all orders by
+    (13.6 / (1-theta)^2 + s / (1-theta)) u A / R, against a budget of
+    90 u A / ((1-theta) R).  The same count for power 2 gives
+    (27.2 / (1-theta)^3 + (s+1) / (1-theta)^2) u A / R^2 against
+    90 u A / ((1-theta)^2 R^2).  With theta <= 1/4 both hold for s <= 52:
+    pairwise sums of up to 2^40 sources.  SLACK covers the rounding of the
+    radii, weight sums and bounds themselves.
+
+    A target's contributions add in an order fixed by the target and the
+    tree alone, so its bits never depend on the other targets; targets go
+    in blocks of TARGET_BLOCK to keep the scratch small.  ``work``, a
+    Counter, gains the terms summed directly (``direct_pairs``) and the
+    far-node expansions (``far_evals``).
     """
     z = np.asarray(z, dtype=complex)
     flat = z.reshape(-1)
-    n = sources[0].size
-    cols = max(1, min(CHUNK, n))
-    rows = max(1, BLOCK_ELEMS // cols)
-    outs = [np.zeros(flat.size, dtype=d) for d in dtypes]
-    size = min(rows, flat.size) * cols
-    scratch = [np.empty(size, dtype=d) for d in (complex,) + tuple(dtypes)]
-    for r in range(0, flat.size, rows):
-        zt = flat[r:r + rows, None]
-        accs = [out[r:r + rows] for out in outs]
-        for i in range(0, n, CHUNK):
-            chunk = [s[i:i + CHUNK] for s in sources]
-            shape = (zt.shape[0], chunk[0].size)
-            work, *parts = [b[:shape[0] * shape[1]].reshape(shape)
-                            for b in scratch]
-            terms(zt, *chunk, work, *parts)
-            for acc, part in zip(accs, parts):
-                acc += np.sum(part, axis=-1)
-    return tuple(out.reshape(z.shape) for out in outs)
+    re, im, budget, trunc = (np.zeros(flat.size) for _ in range(4))
+    width, leaves = tree.p.shape
+    P = tree.moments.shape[0] - 1
+    moments = tree.moments if power == 1 else \
+        tree.moments * np.arange(1.0, P + 2.0)[:, None]
+    direct = far_evals = 0
+    for b in range(0, flat.size, TARGET_BLOCK):
+        zb = flat[b:b + TARGET_BLOCK]
+        n = zb.size
+        accs = [x[b:b + n] for x in (re, im, budget, trunc)]
+        tg = np.arange(n)
+        nd = np.ones(n, dtype=np.intp)
+        far_pairs = []
+        for has_moments in tree.far_levels:
+            if has_moments:
+                dz = zb[tg] - tree.centres[nd]
+                far = tree.radii[nd] <= OPEN * np.abs(dz)
+                far_pairs.append((tg[far], nd[far], dz[far]))
+                tg, nd = tg[~far], nd[~far]
+            tg = np.repeat(tg, 2)
+            nd = (2 * nd[:, None] + np.arange(2)).reshape(-1)
+        if far_pairs:
+            ft, fn, dz = (np.concatenate(x) for x in zip(*far_pairs))
+            w = 1.0 / dz
+            # Horner; no product is written over one of its own inputs:
+            # numpy rounds those in place differently for long arrays
+            y, wy, m = np.take(moments[P], fn), np.empty_like(w), \
+                np.empty_like(w)
+            for q in range(P - 1, -1, -1):
+                np.add(np.multiply(y, w, out=wy),
+                       np.take(moments[q], fn, out=m), out=y)
+            R, rho, A = np.abs(dz), tree.radii[fn], tree.weights[fn]
+            theta = rho / R
+            tail = A * theta ** (P + 1) / ((1.0 - theta) * R)
+            if power == 1:
+                y = -(y * w)
+            else:
+                y = y * w * w
+                tail *= ((P + 2) - (P + 1) * theta) / (
+                    (1.0 - theta) * R)
+            _add_at(accs, ft, n, y, A / (R - rho) ** power, tail)
+            far_evals += ft.size
+        # each leaf's terms in source order, then the leaves per target
+        leaf, zt = nd - leaves, zb[tg]
+        pair, pair_bud = np.zeros(tg.size, dtype=complex), np.zeros(tg.size)
+        for j in range(width):
+            diff = np.take(tree.p[j], leaf) - zt
+            term = np.take(tree.a[j], leaf) / (diff if power == 1 else
+                                               np.square(diff))
+            pair += term
+            pair_bud += np.abs(term)
+        _add_at(accs, tg, n, pair, pair_bud, None)
+        direct += tg.size * width
+    if work is not None:
+        work["direct_pairs"] += direct
+        work["far_evals"] += far_evals
+    sums = np.empty(flat.size, dtype=complex)
+    sums.real, sums.imag = re, im
+    return sums.reshape(z.shape), budget.reshape(z.shape), \
+        trunc.reshape(z.shape)
 
 
-def _herglotz_terms(zt, zc, mz, mc, work, terms, budget):
-    # (zeta + z) / (zeta - z) times m, and m |.| for the budget; ``terms``
-    # holds zeta - z until the product overwrites it
-    ker = np.divide(np.add(zc, zt, out=work), np.subtract(zc, zt, out=terms),
-                    out=work)
-    np.multiply(mz, ker, out=terms)
-    np.multiply(mc, np.abs(ker, out=budget), out=budget)
+def _add_at(accs, idx, n, vals, bud, tail):
+    """Add per-pair values, budgets and truncation bounds to their targets,
+    each target's in the order of ``idx``."""
+    for acc, v in zip(accs, (vals.real, vals.imag, bud, tail)):
+        if v is not None:
+            acc += np.bincount(idx, weights=v, minlength=n)
 
 
-def _herglotz_sum(mu: CircleMeasure, z: np.ndarray):
-    """sum_atoms m (zeta+z)/(zeta-z) and the accumulated |term| budget."""
-    pos, masses = mu.realized()[:2]
-    # the masses as complex once: the cast the product would make per term
-    return _cauchy_sum(z, (unit_point(pos), masses.astype(complex), masses),
-                       _herglotz_terms, (complex, float))
+def _rounding_radius(budget):
+    """The float error of a kernel sum of this budget: FLOAT_TERM twice
+    per unit of sum |term| (a per-term model)."""
+    return budget * FLOAT_TERM * 2.0
 
 
-def singular_inner_many(mu: CircleMeasure, z: np.ndarray):
+def _herglotz_tree(mu: CircleMeasure) -> KernelTree:
+    """The measure's Herglotz sources on a kernel tree, built once per
+    measure: m (zeta+z)/(zeta-z) = 2 m zeta / (zeta - z) - m."""
+    if mu._kernel_tree is None:
+        pos, masses = mu.realized()[:2]
+        zeta = unit_point(pos)
+        mu._kernel_tree = kernel_tree(zeta, 2.0 * masses * zeta)
+    return mu._kernel_tree
+
+
+def _herglotz_sum(mu: CircleMeasure, z: np.ndarray, work=None):
+    """sum_atoms m (zeta+z)/(zeta-z) and its error radius."""
+    total = float(np.sum(mu.realized().masses))
+    s, budget, trunc = _cauchy_sum(z, _herglotz_tree(mu), work=work)
+    return s - total, _rounding_radius(budget + total) + trunc
+
+
+def singular_inner_many(mu: CircleMeasure, z: np.ndarray, work=None):
     """(values, errs) of S_mu on an array of interior points."""
     z = np.asarray(z, dtype=complex)
-    h, budget = _herglotz_sum(mu, z)
+    h, err = _herglotz_sum(mu, z, work)
     with np.errstate(under="ignore"):
         vals = np.exp(-h)
-    errs = np.abs(vals) * budget * FLOAT_TERM * 2.0
-    return vals, errs
+    return vals, np.abs(vals) * err
 
 
 def log_modulus_many(mu: CircleMeasure, z: np.ndarray):
     """(log|S_mu|, err) on interior points, safe where |S| underflows."""
     z = np.asarray(z, dtype=complex)
-    h, budget = _herglotz_sum(mu, z)
-    return -h.real, budget * FLOAT_TERM * 2.0
+    h, err = _herglotz_sum(mu, z)
+    return -h.real, err
 
 
 def eval_singular_inner(mu: CircleMeasure, z: complex,
@@ -151,22 +297,11 @@ def eval_singular_inner(mu: CircleMeasure, z: complex,
     return AnalyticValue(complex(vals[0]), float(errs[0]))
 
 
-def _deriv_terms(zt, zc, res, work, terms):
-    # m 2 zeta / (zeta - z)^2; the residues m 2 zeta are formed once per sum
-    np.divide(res, np.square(np.subtract(zc, zt, out=work), out=work),
-              out=terms)
-
-
 def singular_inner_deriv_many(mu: CircleMeasure, z: np.ndarray) -> np.ndarray:
     # S' = -S * sum m 2 zeta / (zeta - z)^2
-    pos, masses = mu.realized()[:2]
     z = np.asarray(z, dtype=complex)
     vals, _ = singular_inner_many(mu, z)
-    if pos.size == 0:
-        return np.zeros(z.shape, dtype=complex)
-    zeta = unit_point(pos)
-    acc, = _cauchy_sum(z, (zeta, masses * 2.0 * zeta), _deriv_terms)
-    return -vals * acc
+    return -vals * _cauchy_sum(z, _herglotz_tree(mu), power=2)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -313,12 +448,13 @@ class CoronaCheck:
 
 
 def corona_datum_check(mu_k: CircleMeasure, n_k: int, c: float, w: Weight,
-                       grid_density: int = 64) -> CoronaCheck:
+                       grid_density: int = 64, work=None) -> CoronaCheck:
     """inf over the disc of |S_mu_k(z)| + |z|^(2^n_k) against w(2^-n_k)^(12c).
 
     Sampling is two-zone: a radial-angular grid on |z| <= 1 - 2^-n_k (with
     extra rays through the support), and radial rays beyond, where the
-    monomial term alone is at least 1/4 and dominates the bound.
+    monomial term alone is at least 1/4 and dominates the bound.  ``work``
+    gains the kernel sum's counts (see ``_cauchy_sum``).
     """
     meta = mu_k.grating_meta
     if meta is None or meta.get("depth") != n_k or meta.get("c") != c:
@@ -338,7 +474,7 @@ def corona_datum_check(mu_k: CircleMeasure, n_k: int, c: float, w: Weight,
     zs = np.concatenate([np.zeros(1, dtype=complex)]
                         + [r * unit_point(angles) for r in grid]
                         + [r * unit_point(rays) for r in outer])
-    vals, errs = singular_inner_many(mu_k, zs)
+    vals, errs = singular_inner_many(mu_k, zs, work)
     mod = np.maximum(np.abs(vals) - errs, 0.0)
     with np.errstate(divide="ignore"):
         mono = np.exp(2.0 ** n_k * np.log(np.maximum(np.abs(zs), 1e-300)))
@@ -458,18 +594,13 @@ def carleson_outer(E: ClosedCircleSet, w: Weight, N: float,
                          np.asarray(ends), np.array(tails), np.array(scales))
 
 
-def _psi_terms(zt, pl, res, work, terms):
-    # m log(1/w(m)) xi / (rho xi - z); the residues are formed once per sum
-    np.divide(res, np.subtract(pl, zt, out=work), out=terms)
-
-
-def psi_sum_many(G: CarlesonOuter, z: np.ndarray):
+def psi_sum_many(G: CarlesonOuter, z: np.ndarray, work=None):
     """(sum_k psi_k(z), truncation bound) on an array of disc points."""
     z = np.asarray(z, dtype=complex)
-    acc, = _cauchy_sum(z, (G.poles, G.coeffs * G.centers), _psi_terms)
-    # tail: for each gap endpoint the remaining poles cluster within a few
-    # tail lengths of the endpoint
-    tail = np.zeros(z.shape, dtype=float)
+    acc, _, tail = _cauchy_sum(z, kernel_tree(G.poles, G.coeffs * G.centers),
+                               work=work)
+    # the Whitney tail: for each gap endpoint the remaining poles cluster
+    # within a few tail lengths of the endpoint
     for e, tc, sc in zip(G.gap_endpoints, G.tail_coeffs, G.tail_scale):
         d = np.maximum(np.abs(z - e) - 16.0 * sc, sc)
         tail = tail + tc / d

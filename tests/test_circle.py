@@ -177,6 +177,25 @@ class TestJsonForms:
         mu = circle.measure_from_json(obj)
         assert mu.total_mass() == pytest.approx(0.25)
 
+    # integer keys check as one array, the rest one by one: both agree
+    @pytest.mark.parametrize("depth, factors, error", [
+        (3, {}, None), (3, {0: 0.0, 7: 1.0}, None), (3, {8: 0.5}, "indices"),
+        (3, {-1: 0.5}, "indices"), (0, {0: 0.5}, None),
+        (0, {1: 0.5}, "indices"), (70, {2 ** 69: 0.5, 3: 0.1}, None),
+        (70, {2 ** 70: 0.5}, "indices"), (3, {True: 0.5}, None),
+        (3, {1.0: 0.5}, "indices"), (3, {"1": 0.5}, "indices"),
+        (3, {1: -0.1}, "factors"), (3, {1: float("nan")}, "factors"),
+        (3, {1: 1.5, 9: 0.5}, "factors")])
+    def test_multiplier_layer_validation(self, depth, factors, error):
+        if error is None:
+            assert MultiplierLayer(depth, factors).factors == factors
+            return
+        message = {"indices": "arc indices must be integers in "
+                              f"0..2^{depth}-1",
+                   "factors": "factors must lie in"}[error]
+        with pytest.raises(ValueError, match=message.replace("^", r"\^")):
+            MultiplierLayer(depth, factors)
+
 
 class TestDyadicIndex:
     @given(st.integers(0, 2 ** 20 - 1), st.integers(1, 20))

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, report schema, exit codes."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -126,18 +127,25 @@ class TestReportCyclicity:
         sums = []
         herglotz = inner_outer._herglotz_sum
 
-        def counting(mu, z):
-            sums.append((z.size, mu.positions_float().size))
-            return herglotz(mu, z)
+        def counting(mu, z, work=None):
+            sums.append((mu, z))
+            return herglotz(mu, z, work)
 
         monkeypatch.setattr(inner_outer, "_herglotz_sum", counting)
         code, rep = run(["report", "cyclicity", "--measure", SMALL_DIVERGENT,
                          "--weight", "power:1"], capsys)
         assert code == 0
+        meta = rep["meta"]
         assert len(sums) == len(rep["results"]["corona_margins"]) == 6
-        assert rep["meta"]["corona_samples"] == sum(t for t, _ in sums)
-        assert rep["meta"]["herglotz_kernel_evals"] == \
-            sum(t * a for t, a in sums)
+        assert meta["corona_samples"] == sum(z.size for _, z in sums)
+        # the walk's own counts, summed over the pieces' sums
+        work = Counter()
+        for mu, z in sums:
+            herglotz(mu, z, work)
+        assert meta["herglotz_direct_pairs"] == work["direct_pairs"] > 0
+        assert meta["herglotz_far_evals"] == work["far_evals"] > 0
+        nominal = sum(z.size * mu.positions_float().size for mu, z in sums)
+        assert work["direct_pairs"] + work["far_evals"] < nominal
 
 
 # 1024 atoms: cheap enough to run the whole report at several --kmax
@@ -268,6 +276,12 @@ BAD_INPUTS = {
     "weight_negative_quad_depth": (["weight", "check", "--weight",
                                     "power:0.5", "--alpha", "0.5",
                                     "--quad-depth", "-3"], 1),
+    "fw_norm_zero_quad_depth": (["dual", "fw-norm", "--f", "[0,1]",
+                                 "--weight", "power:0.5",
+                                 "--quad-depth", "0"], 1),
+    "fw_norm_negative_quad_depth": (["dual", "fw-norm", "--f", "[0,1]",
+                                     "--weight", "power:0.5",
+                                     "--quad-depth", "-3"], 1),
     "weight_depth_above_cap": (["weight", "check", "--weight", "power:1",
                                 "--depth", "17"], 1),
     "weight_depth_40": (["weight", "check", "--weight", "power:1",
@@ -299,7 +313,7 @@ class TestUncertifiedRadius:
 class TestNoAdmissibleN:
     def test_failed_boundary_estimate_exits_two(self, capsys, monkeypatch):
         # psi = 0 makes G = 1 at every N, above w(h) <= 1/32 on the lid
-        monkeypatch.setattr(inner_outer, "psi_sum_many", lambda G, z: (
+        monkeypatch.setattr(inner_outer, "psi_sum_many", lambda G, z, work: (
             np.zeros(z.shape, dtype=complex), np.zeros(z.shape)))
         code, rep = run(["privalov", "check", "--set", "fixture:point",
                          "--weight", "power:1", "--samples", "512"], capsys)
@@ -317,9 +331,9 @@ class TestNSearchSumsOnce:
             calls["carleson_outer"] += 1
             return build(*args)
 
-        def counting_psi_sum(G, z):
+        def counting_psi_sum(G, z, work=None):
             calls["psi_sum_many"] += 1
-            return psi_sum(G, z)
+            return psi_sum(G, z, work)
 
         monkeypatch.setattr(inner_outer, "carleson_outer", counting_build)
         monkeypatch.setattr(inner_outer, "psi_sum_many", counting_psi_sum)
@@ -340,7 +354,15 @@ class TestNSearchSumsOnce:
         assert meta["search_samples"] == search.size
         assert meta["final_samples"] == res["samples"] == final.size
         assert meta["distinct_samples"] == distinct
-        assert meta["psi_kernel_evals"] == distinct * arcs
+        work = Counter()
+        psi_sum(inner_outer.carleson_outer(circle.point_set([0.0]),
+                                           weights.power(1.0), 1.0),
+                np.unique(np.concatenate([search, final])), work)
+        assert meta["psi_direct_pairs"] == work["direct_pairs"]
+        assert meta["psi_far_evals"] == work["far_evals"]
+        # 120 Whitney arcs are few enough to sum every term directly
+        assert arcs <= inner_outer.DIRECT_MAX
+        assert work == {"direct_pairs": distinct * arcs, "far_evals": 0}
 
     def test_fixed_N_meta(self, capsys):
         code, rep = run(["carleson", "build", "--set", "fixture:point",
@@ -352,8 +374,9 @@ class TestNSearchSumsOnce:
         assert rep["meta"]["search_samples"] == 0
         assert rep["meta"]["final_samples"] == samples
         assert rep["meta"]["distinct_samples"] == samples
-        assert rep["meta"]["psi_kernel_evals"] == \
+        assert rep["meta"]["psi_direct_pairs"] == \
             samples * rep["results"]["whitney_arcs"]
+        assert rep["meta"]["psi_far_evals"] == 0
 
 
 class TestDeterminism:

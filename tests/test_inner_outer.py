@@ -2,12 +2,14 @@
 the gap-family outer function."""
 
 import math
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gst import fixtures, inner_outer, weights
 from gst.circle import Arc, CircleMeasure, point_set, zero_measure
@@ -24,51 +26,41 @@ from gst.roberts import decompose
 W_T = weights.power(1.0)
 
 
-# -- oracle: the unblocked loops over the same fixed source chunks -----------
+# -- oracle: direct summation over fixed source chunks, with its radius -----
+
+CHUNK = 1 << 14
+
+
+def _direct(z, zeta, terms):
+    """(sum, radius) of per-source terms summed directly, CHUNK at a time;
+    the radius is the per-term float model on sum |term|."""
+    total = np.zeros(z.shape, dtype=complex)
+    budget = np.zeros(z.shape, dtype=float)
+    for i in range(0, zeta.size, CHUNK):
+        t = terms(slice(i, i + CHUNK), z[..., None])
+        total = total + np.sum(t, axis=-1)
+        budget = budget + np.sum(np.abs(t), axis=-1)
+    return total, inner_outer._rounding_radius(budget)
+
 
 def oracle_herglotz_sum(mu, z):
     pos, masses = mu.realized()[:2]
-    if pos.size == 0:
-        return np.zeros(z.shape, dtype=complex), np.zeros(z.shape)
     zeta = unit_point(pos)
-    total = np.zeros(z.shape, dtype=complex)
-    budget = np.zeros(z.shape, dtype=float)
-    chunk = inner_outer.CHUNK
-    for i in range(0, pos.size, chunk):
-        zc = zeta[i:i + chunk]
-        mc = masses[i:i + chunk]
-        ker = (zc[None, ...] + z[..., None]) / (zc[None, ...] - z[..., None])
-        total = total + np.sum(mc * ker, axis=-1)
-        budget = budget + np.sum(mc * np.abs(ker), axis=-1)
-    return total, budget
+    return _direct(z, zeta, lambda s, zt: masses[s] * (zeta[s] + zt) /
+                   (zeta[s] - zt))
 
 
-def oracle_deriv_many(mu, z):
+def oracle_deriv_sum(mu, z):
+    """sum m 2 zeta / (zeta - z)^2, the sum behind S' = -S times it."""
     pos, masses = mu.realized()[:2]
-    vals, _ = singular_inner_many(mu, z)
-    if pos.size == 0:
-        return np.zeros(z.shape, dtype=complex)
     zeta = unit_point(pos)
-    acc = np.zeros(z.shape, dtype=complex)
-    chunk = inner_outer.CHUNK
-    for i in range(0, pos.size, chunk):
-        zc = zeta[i:i + chunk]
-        mc = masses[i:i + chunk]
-        acc = acc + np.sum(mc * 2.0 * zc[None, ...] /
-                           (zc[None, ...] - z[..., None]) ** 2, axis=-1)
-    return -vals * acc
+    return _direct(z, zeta, lambda s, zt: masses[s] * 2.0 * zeta[s] /
+                   (zeta[s] - zt) ** 2)
 
 
 def oracle_psi_sum(G, z):
-    acc = np.zeros(z.shape, dtype=complex)
-    chunk = inner_outer.CHUNK
-    for i in range(0, G.coeffs.size, chunk):
-        cf = G.coeffs[i:i + chunk]
-        pl = G.poles[i:i + chunk]
-        ct = G.centers[i:i + chunk]
-        acc = acc + np.sum(cf * ct[None, ...] /
-                           (pl[None, ...] - z[..., None]), axis=-1)
-    return acc
+    return _direct(z, G.poles, lambda s, zt: G.coeffs[s] * G.centers[s] /
+                   (G.poles[s] - zt))
 
 
 def _disc_points(count, seed=0):
@@ -83,51 +75,159 @@ def _same_bits(a, b):
         a.tobytes() == b.tobytes()
 
 
+def _tree_sum(sources, z, power=1):
+    """(sum, radius, truncation) of the tree walk; the radius is the float
+    model plus the truncation."""
+    s, budget, trunc = inner_outer._cauchy_sum(
+        z, inner_outer.kernel_tree(*sources), power)
+    return s, inner_outer._rounding_radius(budget) + trunc, trunc
+
+
+def _herglotz_sources(mu):
+    pos, masses = mu.realized()[:2]
+    zeta = unit_point(pos)
+    return zeta, 2.0 * masses * zeta
+
+
+def _within(got, want):
+    """Tree and direct sums agree within the sum of their radii, and the
+    tree's radius is not below the direct one (up to the rounding of the
+    budget sums themselves, which add in different orders)."""
+    (s, rad), (d, drad) = got, want
+    assert s.shape == d.shape
+    assert np.all(rad * (1.0 + 1e-12) >= drad)
+    assert np.all(np.abs(s - d) <= rad + drad)
+
+
+def check_herglotz_and_derivative(mu, z):
+    h, err = _herglotz_sum(mu, z)
+    want = oracle_herglotz_sum(mu, z)
+    _within((h, err), want)
+    assert np.all(err >= want[1])  # the reported radius: no rounding slack
+    s2, rad2, _ = _tree_sum(_herglotz_sources(mu), z, power=2)
+    _within((s2, rad2), oracle_deriv_sum(mu, z))
+    # the public values are the tree's, bit for bit
+    vals, errs = singular_inner_many(mu, z)
+    assert _same_bits(vals, np.exp(-h))
+    assert _same_bits(errs, np.abs(vals) * err)
+    assert _same_bits(singular_inner_deriv_many(mu, z), -vals * s2)
+
+
+def check_psi(G, z):
+    s, rad, trunc = _tree_sum((G.poles, G.coeffs * G.centers), z)
+    _within((s, rad), oracle_psi_sum(G, z))
+    psi, tail = psi_sum_many(G, z)
+    # the reported tail holds the truncation (the float model stays out)
+    assert _same_bits(psi, s) and np.all(tail >= trunc)
+
+
 # 2048 atoms and 1800 Whitney arcs: 4488 and 6118 targets span several
-# source chunks; ROWS targets fill whole row blocks at 2048 sources,
-# 2 ROWS + 1 and the other counts do not
+# target blocks, and 7, 8 and 17 targets leave blocks partly filled
 KERNEL_MU = fixtures.triadic_cantor_measure(11)
 KERNEL_G = carleson_outer(fixtures.triadic_cantor_set(4), W_T, 1.0)
-ROWS = inner_outer.BLOCK_ELEMS // 2048
-TARGET_COUNTS = [0, 1, 7, ROWS, 2 * ROWS + 1, 257, 4488, 6118]
+TARGET_COUNTS = [0, 1, 7, 8, 17, 257, 4488, 6118]
+
+
+# positions spread over the circle, crowding both sides of angle 0, and
+# repeated; targets at the origin and at depths 2^-1 to 2^-40
+POSITIONS = st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                      st.floats(0.0, 1e-6), st.floats(1.0 - 1e-6, 1.0,
+                                                       exclude_max=True))
+MASSES = st.floats(1e-6, 1.0)
+
+
+@st.composite
+def measures_and_targets(draw):
+    atoms = draw(st.lists(st.tuples(POSITIONS, MASSES), max_size=300))
+    atoms += atoms[:draw(st.integers(0, len(atoms)))]  # repeated atoms
+    mu = CircleMeasure(atoms=atoms)
+    depth = np.array(draw(st.lists(st.integers(1, 40), min_size=1,
+                                   max_size=40)), dtype=float)
+    angles = np.array(draw(st.lists(POSITIONS, min_size=depth.size,
+                                    max_size=depth.size)))
+    z = (1.0 - 2.0 ** -depth) * unit_point(angles)
+    return mu, np.concatenate([[0.0 + 0.0j], z])
 
 
 class TestKernelSumOracle:
+    """The tree walk against direct summation: the sums agree within the
+    sum of their radii (float model plus truncation), and the tree's
+    radius dominates the direct one.  The public kernel values are the
+    walk's bit for bit."""
+
     @pytest.mark.parametrize("count", TARGET_COUNTS)
     def test_herglotz_and_derivative_bitwise(self, count):
-        z = _disc_points(count, count)
-        for got, want in zip(_herglotz_sum(KERNEL_MU, z),
-                             oracle_herglotz_sum(KERNEL_MU, z)):
-            assert _same_bits(got, want)
-        assert _same_bits(singular_inner_deriv_many(KERNEL_MU, z),
-                          oracle_deriv_many(KERNEL_MU, z))
+        check_herglotz_and_derivative(KERNEL_MU, _disc_points(count, count))
 
     @pytest.mark.parametrize("count", TARGET_COUNTS)
     def test_psi_bitwise(self, count):
-        z = _disc_points(count, count)
-        assert _same_bits(psi_sum_many(KERNEL_G, z)[0],
-                          oracle_psi_sum(KERNEL_G, z))
+        check_psi(KERNEL_G, _disc_points(count, count))
 
     def test_empty_measure_and_grid_shaped_targets(self):
         z = _disc_points(60).reshape(6, 10)
         for mu in (zero_measure(), KERNEL_MU):
-            for got, want in zip(_herglotz_sum(mu, z),
-                                 oracle_herglotz_sum(mu, z)):
-                assert _same_bits(got, want)
-            assert _same_bits(singular_inner_deriv_many(mu, z),
-                              oracle_deriv_many(mu, z))
-        assert _same_bits(psi_sum_many(KERNEL_G, z)[0],
-                          oracle_psi_sum(KERNEL_G, z))
+            check_herglotz_and_derivative(mu, z)
+        check_psi(KERNEL_G, z)
+
+    @given(measures_and_targets())
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_measures_and_depths(self, case):
+        check_herglotz_and_derivative(*case)
+
+    @pytest.mark.parametrize("order", [2, 4, 8])
+    def test_low_orders_stay_within_their_bound(self, order, monkeypatch):
+        # truncation dominates the radius here: an expansion that drops an
+        # order its bound counts fails this
+        monkeypatch.setattr(inner_outer, "ORDER", order)
+        z = _disc_points(4488, 3)
+        # a fresh measure: a measure keeps the tree of its first sum
+        check_herglotz_and_derivative(fixtures.triadic_cantor_measure(11), z)
+        check_psi(KERNEL_G, z)
+
+    def test_work_counts(self):
+        z = _disc_points(4488, 5)
+        for sources in (_herglotz_sources(KERNEL_MU),
+                        (KERNEL_G.poles, KERNEL_G.coeffs * KERNEL_G.centers)):
+            work = Counter()
+            inner_outer._cauchy_sum(z, inner_outer.kernel_tree(*sources),
+                                    work=work)
+            assert work["far_evals"] > 0
+            assert 0 < work["direct_pairs"] + \
+                (inner_outer.ORDER + 1) * work["far_evals"] < \
+                z.size * sources[0].size / 2
+        # up to DIRECT_MAX sources: every term, no expansion
+        work = Counter()
+        few = _herglotz_sources(fixtures.triadic_cantor_measure(8))
+        inner_outer._cauchy_sum(z, inner_outer.kernel_tree(*few), work=work)
+        assert work == {"direct_pairs": z.size * 256, "far_evals": 0}
+
+    def test_a_measure_builds_its_tree_once(self, monkeypatch):
+        builds = []
+        build = inner_outer.kernel_tree
+
+        def counting(p, a):
+            builds.append(p.size)
+            return build(p, a)
+
+        monkeypatch.setattr(inner_outer, "kernel_tree", counting)
+        mu = fixtures.triadic_cantor_measure(9)
+        z = _disc_points(50, 2)
+        first = _herglotz_sum(mu, z)
+        singular_inner_deriv_many(mu, z)
+        again = _herglotz_sum(mu, z)
+        assert builds == [512]
+        assert all(_same_bits(a, b) for a, b in zip(first, again))
 
     @pytest.mark.parametrize("block", [1, 1000, 5000])
     def test_any_row_block_gives_the_same_bits(self, block, monkeypatch):
-        monkeypatch.setattr(inner_outer, "BLOCK_ELEMS", block)
         z = _disc_points(257, 1)
-        for got, want in zip(_herglotz_sum(KERNEL_MU, z),
-                             oracle_herglotz_sum(KERNEL_MU, z)):
-            assert _same_bits(got, want)
-        assert _same_bits(psi_sum_many(KERNEL_G, z)[0],
-                          oracle_psi_sum(KERNEL_G, z))
+        want = [_herglotz_sum(KERNEL_MU, z), psi_sum_many(KERNEL_G, z),
+                (singular_inner_deriv_many(KERNEL_MU, z),)]
+        monkeypatch.setattr(inner_outer, "TARGET_BLOCK", block)
+        got = [_herglotz_sum(KERNEL_MU, z), psi_sum_many(KERNEL_G, z),
+               (singular_inner_deriv_many(KERNEL_MU, z),)]
+        for g, w in zip(got, want):
+            assert all(_same_bits(a, b) for a, b in zip(g, w))
 
 
 # -- the contract: a target's sum depends only on the target and the sources
@@ -370,9 +470,9 @@ class TestCorona:
         calls = []
         herglotz = inner_outer._herglotz_sum
 
-        def counting(mu, z):
+        def counting(mu, z, work=None):
             calls.append(z.size)
-            return herglotz(mu, z)
+            return herglotz(mu, z, work)
 
         monkeypatch.setattr(inner_outer, "_herglotz_sum", counting)
         for piece, rep in zip(d.pieces, d.reports):
