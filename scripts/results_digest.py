@@ -31,8 +31,10 @@ one-point set and the triadic sets of depth 5-7, and the second input of
 the ``boundary`` workload at seeds 1-3 (the first is the unrotated set
 at every seed; the second is rotated, so its set may wrap angle 0);
 ``weight check --alpha 0.5`` on four majorants and a table weight that is
-not subadditive; ``grid build``; ``set entropy --form both`` on the
-triadic set.  ``--show`` prints each results block under its line.
+not subadditive, and ``weight check`` at ``--depth`` 14 and 16; ``grid
+build`` and ``set entropy --form both`` on the triadic set, each with a
+power and an ``exp_log`` weight.  ``--show`` prints each results block
+under its line.
 
 Usage:
     PYTHONPATH=src python scripts/results_digest.py [--show]
@@ -53,7 +55,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # for bench
 from bench.workloads import Boundary, Cyclicity  # noqa: E402
 
 SEEDS = (1, 2, 3)
-WEIGHTS = ("power:0.3", "power:0.7", "power:1.5", "exp_log:1.0,0.8")
+EXP_LOG_WEIGHT = "exp_log:1.0,0.8"
+WEIGHTS = ("power:0.3", "power:0.7", "power:1.5", EXP_LOG_WEIGHT)
 # 2 w(1/8) < w(1/4): not subadditive, first seen at depth 3
 TABLE_WEIGHT = json.dumps({"kind": "table", "lambda_hint": 0.5, "points": [
     [0, 0], [0.09, 0.1], [0.19, 0.25], [1, 1]]})
@@ -80,9 +83,10 @@ def cases():
             Cyclicity(seed).next_op().argv
     for stages in (10, 14):
         for z in Z_POINTS:
+            # one token: argparse reads a separate "-0.5+0.8i" as an option
             yield f"inner eval 2^{stages} atoms z={z}", (
                 "inner", "eval", "--measure", _triadic_measure(stages),
-                "--z", z)
+                f"--z={z}")
     for fixture in ("triadic_cantor", "divergent_cantor"):
         yield f"measure decompose {fixture}", (
             "measure", "decompose", "--measure", f"fixture:{fixture}",
@@ -105,10 +109,16 @@ def cases():
     for name, weight in [(w, w) for w in WEIGHTS] + [("table", TABLE_WEIGHT)]:
         yield f"weight check {name}", (
             "weight", "check", "--weight", weight, "--alpha", "0.5")
-    yield "grid build power:0.5", ("grid", "build", "--weight", "power:0.5")
-    yield "set entropy triadic power:1", (
-        "set", "entropy", "--set", "fixture:triadic", "--weight", "power:1",
-        "--form", "both")
+    # depth 14 sweeps blocks of 4 rows, depth 16 blocks of one row
+    for depth in (14, 16):
+        yield f"weight check power:0.5 depth {depth}", (
+            "weight", "check", "--weight", "power:0.5", "--depth", str(depth))
+    for weight in ("power:0.5", EXP_LOG_WEIGHT):
+        yield f"grid build {weight}", ("grid", "build", "--weight", weight)
+    for weight in ("power:1", EXP_LOG_WEIGHT):
+        yield f"set entropy triadic {weight}", (
+            "set", "entropy", "--set", "fixture:triadic", "--weight", weight,
+            "--form", "both")
 
 
 def results_block(argv) -> tuple:

@@ -86,10 +86,11 @@ def finite_float(text: str) -> float:
 
 # -- subcommand handlers -----------------------------------------------------
 
-def cmd_weight(args) -> dict:
+def cmd_weight(args):
     w = _resolve_weight(args.weight)
-    moc = weights.check_modulus_of_continuity(w, args.depth)
-    maj = weights.check_majorant(w)
+    work = Counter()
+    moc = weights.check_modulus_of_continuity(w, args.depth, work)
+    maj = weights.check_majorant(w, work=work)
     out = {
         "label": w.label(),
         "modulus_of_continuity": {"ok": moc.ok, "witness": moc.witness,
@@ -103,9 +104,10 @@ def cmd_weight(args) -> dict:
     except weights.InvalidWeightError as exc:
         out["A1"] = {"error": str(exc)}
     if args.alpha is not None:
-        a2 = weights.check_A2(w, args.alpha, args.quad_depth)
+        a2 = weights.check_A2(w, args.alpha, args.quad_depth, work)
         out["A2"] = {"dini_integral": a2.dini_integral, "ok": a2.ok}
-    return out
+    return out, {"continuity_grids": work["continuity_grids"],
+                 "sweep_rows": work["sweep_rows"]}
 
 
 def cmd_set_entropy(args) -> dict:

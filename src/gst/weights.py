@@ -16,6 +16,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import integrate, optimize, special
 
 from .util import as_int
@@ -24,6 +25,7 @@ ORDER_TOL = 1e-12
 CONTINUITY_DEPTH = 20
 MAX_GRID_DEPTH = 16
 CONTINUITY_TOL = 1e-2
+SWEEP_BLOCK = 2 ** 16  # elements one block of the subadditivity sweep compares
 DEFAULT_LAMBDAS = (4.0, 2.0, 1.0, 0.5, 0.25, 0.125)
 
 _CONTINUITY_GRID = np.linspace(0.0, 1.0, 2 ** CONTINUITY_DEPTH + 1)
@@ -248,51 +250,114 @@ class ModulusCheck:
 
 
 def _validate_values(w: Weight, vals: np.ndarray) -> None:
-    if np.any(~np.isfinite(vals)) or np.any(vals < 0):
+    if not (np.isfinite(vals).all() and vals.min() >= 0):
         raise InvalidWeightError(f"{w.label()} returned a negative or non-finite value")
 
 
-def check_modulus_of_continuity(w: Weight, grid_depth: int) -> ModulusCheck:
-    """Certify monotonicity, continuity, w(0)=0 and subadditivity on a dyadic grid.
-
-    Monotonicity and continuity are checked on the fixed 2^CONTINUITY_DEPTH
-    grid.  Subadditivity, w(s) + w(t) >= w(s + t), is swept over the grids
-    k/2^d for d = 2 .. grid_depth, coarse to fine, one row s = i/2^d at a
-    time against every t = j/2^d with i <= j and i + j <= 2^d.  The returned
-    witness is thus the first violating pair, in row-major order, at the
-    coarsest failing resolution.  Scratch memory is O(2^grid_depth) and time
-    O(4^grid_depth); grid_depth must lie in 4 .. MAX_GRID_DEPTH.
-    """
+def _check_grid_depth(grid_depth: int) -> None:
     if grid_depth < 4:
         raise ValueError("grid_depth must be at least 4")
     if grid_depth > MAX_GRID_DEPTH:
         raise ValueError(f"grid_depth must be at most {MAX_GRID_DEPTH}")
+
+
+def _continuity_violation(w: Weight, work=None) -> Optional[ModulusCheck]:
+    """The failed check of w on the 2^CONTINUITY_DEPTH grid, or None.
+
+    Raises InvalidWeightError on a negative or non-finite value, then checks
+    w(0) = 0, monotonicity and jumps.  ``work``, a Counter, gains one
+    ``continuity_grids``.
+    """
+    if work is not None:
+        work["continuity_grids"] += 1
     fine = _CONTINUITY_GRID
     fvals = np.asarray(w(fine))
     _validate_values(w, fvals)
     if abs(fvals[0]) > ORDER_TOL:
         return ModulusCheck(False, (0.0, 0.0), "w(0) != 0")
     jumps = np.diff(fvals)
-    if np.any(jumps < -ORDER_TOL):
+    if jumps.min() < -ORDER_TOL:
         i = int(np.argmax(jumps < -ORDER_TOL))
         return ModulusCheck(False, (fine[i], fine[i + 1]), "not nondecreasing")
     # The step off t = 0 is exempt: slowly-vanishing weights (iterated logs)
     # are continuous at 0 but no finite grid resolves that; w(0) = 0 plus
     # monotonicity certifies the endpoint.
-    if np.any(jumps[1:] > CONTINUITY_TOL):
+    if jumps[1:].max() > CONTINUITY_TOL:
         i = 1 + int(np.argmax(jumps[1:] > CONTINUITY_TOL))
         return ModulusCheck(False, (fine[i], fine[i + 1]), "jump discontinuity")
+    return None
+
+
+def _first_violation(vals: np.ndarray, work=None) -> Optional[tuple]:
+    """The first (i, j), row-major, with vals[i] + vals[j] + ORDER_TOL <
+    vals[i + j] over 1 <= i <= j <= n - i, where n = vals.size - 1.
+
+    Rows [i0, i1) are compared at once, at most SWEEP_BLOCK elements: row i
+    reads vals[i + k] and vals[2i + k] for k < n - 2 i0 + 1 through two
+    read-only sliding windows.  The source is zero-padded and the target
+    -inf-padded, so no window reads past its array and every k past the
+    row's own end, k > n - 2i, compares against -inf and is no violation.
+    ``work``, a Counter, gains the rows compared as ``sweep_rows``.
+    """
+    n = vals.size - 1
+    last = n // 2
+    rows = max(1, min(last, SWEEP_BLOCK // n))
+    src = sliding_window_view(np.concatenate([vals, np.zeros(last)]), n - 1)
+    tgt = sliding_window_view(
+        np.concatenate([vals, np.full(n - 1, -np.inf)]), n - 1)
+    for i0 in range(1, last + 1, rows):
+        i1 = min(i0 + rows, last + 1)
+        width = n - 2 * i0 + 1
+        viol = (vals[i0:i1, None] + src[i0:i1, :width] + ORDER_TOL
+                < tgt[2 * i0:2 * i1:2, :width])
+        if work is not None:
+            work["sweep_rows"] += i1 - i0
+        hit = viol.any(axis=1)
+        if hit.any():
+            r = int(np.argmax(hit))
+            return i0 + r, i0 + r + int(np.argmax(viol[r]))
+    return None
+
+
+def _subadditivity_violation(w: Weight, grid_depth: int,
+                             work=None) -> Optional[ModulusCheck]:
+    """The first pair (s, t) with w(s) + w(t) + ORDER_TOL < w(s + t), or None.
+
+    The grids k/2^d for d = 2 .. grid_depth are swept coarse to fine, and
+    each grid's values are validated as the continuity grid's are.
+    """
     for depth in range(2, grid_depth + 1):
         n = 2 ** depth
         grid = np.arange(n + 1) / n
         vals = np.asarray(w(grid))
-        for i in range(1, n // 2 + 1):
-            # vals[i] + vals[j] >= vals[i+j] for i <= j <= n - i
-            viol = vals[i] + vals[i:n - i + 1] + ORDER_TOL < vals[2 * i:]
-            if viol.any():
-                j = i + int(np.argmax(viol))
-                return ModulusCheck(False, (grid[i], grid[j]), "not subadditive")
-    return ModulusCheck(True)
+        _validate_values(w, vals)
+        hit = _first_violation(vals, work)
+        if hit is not None:
+            return ModulusCheck(False, (grid[hit[0]], grid[hit[1]]),
+                                "not subadditive")
+    return None
+
+
+def check_modulus_of_continuity(w: Weight, grid_depth: int,
+                                work=None) -> ModulusCheck:
+    """Certify monotonicity, continuity, w(0)=0 and subadditivity on a dyadic grid.
+
+    The check has two halves, run in this order.  Monotonicity and
+    continuity are checked on the fixed 2^CONTINUITY_DEPTH grid
+    (``_continuity_violation``).  Subadditivity, w(s) + w(t) >= w(s + t), is
+    then swept over the grids k/2^d for d = 2 .. grid_depth, coarse to fine,
+    in blocks of rows s = i/2^d, each row against every t = j/2^d with
+    i <= j and i + j <= 2^d (``_subadditivity_violation``).  The returned
+    witness is thus the first failed continuity check, or else the first
+    violating pair, in row-major order, at the coarsest failing resolution.
+    Scratch memory is O(2^grid_depth) and time O(4^grid_depth); grid_depth
+    must lie in 4 .. MAX_GRID_DEPTH.  ``work``, a Counter, gains
+    ``continuity_grids`` and ``sweep_rows``.
+    """
+    _check_grid_depth(grid_depth)
+    return (_continuity_violation(w, work)
+            or _subadditivity_violation(w, grid_depth, work)
+            or ModulusCheck(True))
 
 
 @dataclass(frozen=True)
@@ -302,12 +367,23 @@ class MajorantCheck:
 
 
 def check_majorant(w: Weight, lambda_candidates=DEFAULT_LAMBDAS,
-                   grid_depth: int = 10) -> MajorantCheck:
-    """First lambda in the candidate list with w^lambda a modulus of continuity."""
+                   grid_depth: int = 10, work=None) -> MajorantCheck:
+    """First lambda in the candidate list with w^lambda a modulus of continuity.
+
+    A candidate passes when both halves of check_modulus_of_continuity
+    pass, so each is swept first: the sweep usually fails on the coarsest
+    grids, and only a candidate that passes it pays for the
+    2^CONTINUITY_DEPTH continuity grid.  A NaN or negative value off every
+    sweep grid is thus found (InvalidWeightError) only at a candidate whose
+    sweep passes.  ``work`` is as in check_modulus_of_continuity.
+    """
     if not lambda_candidates:
         raise ValueError("need at least one lambda candidate")
+    _check_grid_depth(grid_depth)
     for lam in lambda_candidates:
-        if check_modulus_of_continuity(w.pow(lam), grid_depth).ok:
+        wl = w.pow(lam)
+        if (_subadditivity_violation(wl, grid_depth, work) is None
+                and _continuity_violation(wl, work) is None):
             return MajorantCheck(True, lam)
     return MajorantCheck(False)
 
@@ -418,14 +494,17 @@ def _dini_tail(w: Weight, alpha: float, s: float) -> float:
     return blocks[0] * rho / (1.0 - rho) + sum(blocks[1:])
 
 
-def check_A2(w: Weight, alpha: float, quad_depth: int) -> A2Check:
-    """Dini-type integral of w^alpha with a certified (or evidenced) tail."""
+def check_A2(w: Weight, alpha: float, quad_depth: int, work=None) -> A2Check:
+    """Dini-type integral of w^alpha with a certified (or evidenced) tail.
+
+    ``work`` is as in check_modulus_of_continuity, for the majorant check.
+    """
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0,1]")
     if quad_depth < 1:
         raise ValueError("quad_depth must be at least 1")
     # precondition at majorant level: some power of w^(1+alpha) is subadditive
-    if not check_majorant(w.pow(1.0 + alpha), grid_depth=8).ok:
+    if not check_majorant(w.pow(1.0 + alpha), grid_depth=8, work=work).ok:
         raise InvalidWeightError("w^(1+alpha) is not a majorant")
     total = 0.0
     for j in range(quad_depth):

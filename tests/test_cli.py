@@ -23,6 +23,18 @@ class TestSubcommands:
         assert rep["schema"] == "gst-1"
         assert rep["results"]["majorant"]["ok"]
 
+    @pytest.mark.parametrize("spec", ["power:1.5", "power:0.3",
+                                      "exp_log:1.0,0.8"])
+    def test_weight_check_meta_counts_continuity_grids(self, spec, capsys):
+        # one grid each for the modulus check, the majorant search and A2's
+        # majorant precondition: a search pays only for the λ that passes
+        code, rep = run(["weight", "check", "--weight", spec, "--alpha",
+                         "0.5"], capsys)
+        assert code == 0
+        assert rep["meta"]["continuity_grids"] == 3
+        assert rep["meta"]["sweep_rows"] > 0
+        assert "continuity_grids" not in rep["results"]
+
     def test_set_entropy(self, capsys):
         code, rep = run(["set", "entropy", "--set", "fixture:point",
                          "--weight", "power:1"], capsys)

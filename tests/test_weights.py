@@ -1,14 +1,16 @@
 """Weight regularity checks against closed-form and grid-sweep oracles."""
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gst import fixtures, weights
-from gst.weights import (CONTINUITY_DEPTH, CONTINUITY_TOL, ORDER_TOL,
-                         ModulusCheck, check_A1, check_A2, check_condition_a,
+from gst.weights import (CONTINUITY_DEPTH, CONTINUITY_TOL, DEFAULT_LAMBDAS,
+                         ORDER_TOL, SWEEP_BLOCK, MajorantCheck, ModulusCheck,
+                         check_A1, check_A2, check_condition_a,
                          check_condition_b, check_majorant,
                          check_modulus_of_continuity, effective_lambda,
                          almost_decreasing_violation)
@@ -42,6 +44,24 @@ def oracle_modulus_check(w, grid_depth):
             return ModulusCheck(False, (grid[ii + 1], grid[jj + 1]),
                                 "not subadditive")
     return ModulusCheck(True)
+
+
+def oracle_majorant(w, lambdas, grid_depth):
+    """The search that checks every candidate in full, continuity first."""
+    for lam in lambdas:
+        if oracle_modulus_check(w.pow(lam), grid_depth).ok:
+            return True, lam
+    return False, None
+
+
+def row_sweep_reference(vals):
+    """The first violating (i, j) of one grid's values, one row at a time."""
+    n = vals.size - 1
+    for i in range(1, n // 2 + 1):
+        viol = vals[i] + vals[i:n - i + 1] + ORDER_TOL < vals[2 * i:]
+        if viol.any():
+            return i, i + int(np.argmax(viol))
+    return None
 
 
 def assert_matches_oracle(w, depths=range(4, 13)):
@@ -127,6 +147,119 @@ class TestRowSweepOracle:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
+
+
+class TestBlockSweep:
+    """The block sweep against the row-at-a-time sweep at depths 13 and 14,
+    where a block holds 8 and 4 rows."""
+
+    @staticmethod
+    def planted(depth, i, j, delta=1e-9):
+        """Values k/n (every pair ties) whose first violation is (i, j).
+
+        Rows before i gain 3 delta, so every pair in them keeps a gap of at
+        least 2 delta; the targets i + j and, where it fits, i + j + 2 gain
+        delta, so row i first fails at j.
+        """
+        n = 2 ** depth
+        vals = np.arange(n + 1) / n
+        vals[1:i] += 3 * delta
+        vals[i + j] += delta
+        if i + j + 2 <= n:
+            vals[i + j + 2] += delta
+        return vals
+
+    @pytest.mark.parametrize("depth", [13, 14])
+    @pytest.mark.parametrize("where", ["block first row", "block last row",
+                                       "row n/2"])
+    def test_planted_witness(self, depth, where):
+        n = 2 ** depth
+        rows = SWEEP_BLOCK // n
+        i = {"block first row": 1 + 100 * rows,
+             "block last row": 101 * rows,
+             "row n/2": n // 2}[where]
+        j = max(i, n - i - 5)
+        vals = self.planted(depth, i, j)
+        work = Counter()
+        assert weights._first_violation(vals, work) == (i, j) \
+            == row_sweep_reference(vals)
+        # the sweep stops at the end of the witness's block
+        assert work["sweep_rows"] == min(n // 2, (i - 1) // rows * rows + rows)
+
+    @pytest.mark.parametrize("depth", [13, 14])
+    def test_no_violation_sweeps_every_row(self, depth):
+        n = 2 ** depth
+        vals = np.sqrt(np.arange(n + 1) / n)
+        work = Counter()
+        assert weights._first_violation(vals, work) is None
+        assert row_sweep_reference(vals) is None
+        assert work["sweep_rows"] == n // 2
+
+    @given(st.integers(13, 14), st.lists(st.integers(1, 2 ** 14), min_size=1,
+                                         max_size=4), st.booleans())
+    @settings(max_examples=10, deadline=None)
+    def test_perturbed_values(self, depth, spots, lower):
+        # k/n with a few values moved by 1e-9: raised targets or lowered
+        # sources make the violations
+        n = 2 ** depth
+        vals = np.arange(n + 1) / n
+        for k in spots:
+            vals[min(k, n)] += -1e-9 if lower else 1e-9
+        assert weights._first_violation(vals) == row_sweep_reference(vals)
+
+
+class TestMajorantSearchOracle:
+    """check_majorant's (ok, lam) against the search that runs the n x n
+    oracle on every candidate, continuity grid first."""
+
+    @pytest.mark.parametrize("depth", [8, 10])
+    @pytest.mark.parametrize("name", sorted(fixtures.builtin_majorants()) + [
+        "non_majorant", "fast_decay"])
+    def test_fixtures(self, name, depth):
+        w = {**fixtures.builtin_majorants(),
+             "non_majorant": fixtures.non_majorant_weight(),
+             "fast_decay": fixtures.fast_decay_weight()}[name]
+        res = check_majorant(w, DEFAULT_LAMBDAS, depth)
+        assert (res.ok, res.lam) == oracle_majorant(w, DEFAULT_LAMBDAS, depth)
+
+    @given(planted_tables(), st.sampled_from([8, 10]))
+    @settings(max_examples=10, deadline=None)
+    def test_planted_violation_tables(self, w, depth):
+        res = check_majorant(w, DEFAULT_LAMBDAS, depth)
+        assert (res.ok, res.lam) == oracle_majorant(w, DEFAULT_LAMBDAS, depth)
+
+    def test_continuity_grid_evaluated_once(self, monkeypatch):
+        # t^1.5: the sweep rejects λ = 4, 2 and 1, and λ = 0.5 passes; a
+        # search that checks each candidate in full evaluates the grid 4 times
+        sizes = []
+        call = weights.Weight.__call__
+
+        def counting(self, t):
+            sizes.append(np.size(t))
+            return call(self, t)
+
+        monkeypatch.setattr(weights.Weight, "__call__", counting)
+        work = Counter()
+        assert check_majorant(weights.power(1.5), work=work) == \
+            MajorantCheck(True, 0.5)
+        assert sizes.count(2 ** CONTINUITY_DEPTH + 1) == 1
+        assert work["continuity_grids"] == 1
+
+    def test_nan_off_the_sweep_grids(self):
+        # NaN on |t - 0.3| < 1e-5, which no dyadic grid up to depth 10
+        # meets: t^4 fails the sweep before the continuity grid would see
+        # the NaN, and t^0.5 passes it, so the continuity grid raises
+        w = weights.custom_weight("t, NaN near 0.3", lambda t: np.where(
+            np.abs(np.asarray(t) - 0.3) < 1e-5, np.nan, t))
+        assert check_majorant(w, (4.0,)) == MajorantCheck(False)
+        with pytest.raises(weights.InvalidWeightError):
+            check_majorant(w, (4.0, 0.5))
+
+    def test_nan_on_a_sweep_grid_raises(self):
+        w = weights.custom_weight("t, NaN near 0.75", lambda t: np.where(
+            np.abs(np.asarray(t) - 0.75) < 1e-5, np.nan, t))
+        with pytest.raises(weights.InvalidWeightError):
+            check_majorant(w, (4.0,))
 
 
 class TestMajorant:
