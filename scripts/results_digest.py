@@ -33,8 +33,10 @@ at every seed; the second is rotated, so its set may wrap angle 0);
 ``weight check --alpha 0.5`` on four majorants and a table weight that is
 not subadditive, and ``weight check`` at ``--depth`` 14 and 16; ``grid
 build`` and ``set entropy --form both`` on the triadic set, each with a
-power and an ``exp_log`` weight.  ``--show`` prints each results block
-under its line.
+power and an ``exp_log`` weight; two certified divergences, whose
+infinite bounds the report writes as null: ``set entropy --form both`` on
+the stagewise divergent set and ``dual fw-norm`` under ``power:1.5``.
+``--show`` prints each results block under its line.
 
 Usage:
     PYTHONPATH=src python scripts/results_digest.py [--show]
@@ -119,6 +121,11 @@ def cases():
         yield f"set entropy triadic {weight}", (
             "set", "entropy", "--set", "fixture:triadic", "--weight", weight,
             "--form", "both")
+    yield "set entropy stagewise_divergent power:1", (
+        "set", "entropy", "--set", "fixture:stagewise_divergent", "--weight",
+        "power:1", "--form", "both")
+    yield "dual fw-norm power:1.5", (
+        "dual", "fw-norm", "--f", "[0,1]", "--weight", "power:1.5")
 
 
 def results_block(argv) -> tuple:

@@ -14,6 +14,7 @@ classification.
 from __future__ import annotations
 
 import math
+import reprlib
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +22,7 @@ from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .util import as_int
+from .util import as_float, as_floats, as_int, as_list, as_str, fields
 
 CIRCLE_TOL = 1e-12
 
@@ -309,8 +310,8 @@ class CantorPart:
         self.generator = generator
         self.stages = stages
         self.size = 1 << stages
-        self.mass = float(mass)
-        if not 0.0 < self.mass < math.inf:
+        self.mass = as_float(mass, "component mass")
+        if not self.mass > 0.0:
             raise ValueError(f"component mass {mass!r} must be finite and "
                              "positive")
         self.den, self._offsets, self._lengths = self._stage_offsets()
@@ -726,11 +727,16 @@ def set_to_json(e: ClosedCircleSet) -> dict:
 
 
 def set_from_json(obj: dict) -> ClosedCircleSet:
+    fields(obj, "set", "gaps")
     tail = None
     if "tail" in obj:
-        tail = GapTail(obj["tail"]["kind"], tuple(obj["tail"]["params"]))
-    return ClosedCircleSet([Arc(s, ln) for s, ln in obj["gaps"]], tail=tail,
-                           name=obj.get("name", ""))
+        t = fields(obj["tail"], "set tail", "kind", "params")
+        tail = GapTail(as_str(t["kind"], "tail kind"),
+                       tuple(as_floats(t["params"], "tail parameter")))
+    return ClosedCircleSet([Arc(*as_floats(g, "gap", 2))
+                            for g in as_list(obj["gaps"], "gaps")],
+                           tail=tail,
+                           name=as_str(obj.get("name", ""), "set name"))
 
 
 def measure_to_json(mu: CircleMeasure) -> dict:
@@ -752,24 +758,29 @@ def measure_to_json(mu: CircleMeasure) -> dict:
 
 
 def measure_from_json(obj: dict) -> CircleMeasure:
-    atoms = [(a["pos"], a["mass"]) for a in obj.get("atoms", ())]
+    fields(obj, "measure")
+    atoms = []
+    for a in as_list(obj.get("atoms", []), "atoms"):
+        fields(a, "atom", "pos", "mass")
+        atoms.append((as_float(a["pos"], "atom position"),
+                      as_float(a["mass"], "atom mass")))
     parts = []
-    for c in obj.get("cantor", ()):
+    for c in as_list(obj.get("cantor", []), "cantor"):
+        fields(c, "cantor part", "generator", "depth", "mass")
         gen_name = c["generator"]
         if gen_name == "triadic":
             gen = triadic_generator()
-        elif gen_name in ("stagewise_log", "divergent"):
+        elif gen_name == "stagewise_log":
             gen = stagewise_log_generator()
         else:
-            raise ValueError(f"unknown generator {gen_name!r}")
+            raise ValueError(f"unknown generator {reprlib.repr(gen_name)}")
         parts.append(CantorPart(gen, c["depth"], c["mass"]))
-    raw_layers = obj.get("multipliers", ())
-    if isinstance(raw_layers, dict):  # a single grating layer
-        raw_layers = [raw_layers]
     layers = []
-    for lay in raw_layers:
-        layers.append(MultiplierLayer(lay["depth"],
-                                      {int(k): float(v)
-                                       for k, v in lay["factors"].items()}))
+    for lay in as_list(obj.get("multipliers", []), "multipliers"):
+        fields(lay, "multiplier layer", "depth", "factors")
+        factors = fields(lay["factors"], "multiplier factors")
+        layers.append(MultiplierLayer(lay["depth"], {
+            int(k): as_float(v, "multiplier factor")
+            for k, v in factors.items()}))
     return CircleMeasure(atoms=atoms, cantor_parts=parts, multipliers=layers,
-                         name=obj.get("name", ""))
+                         name=as_str(obj.get("name", ""), "measure name"))

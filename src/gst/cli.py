@@ -1,8 +1,11 @@
 """Command-line front end: fixtures, decompositions, checks, JSON reports.
 
 Exit codes: 0 success, 1 validation error, 2 uncertified result.
-Inputs are JSON files, inline JSON, or fixture:NAME references; all
-reports carry the schema tag and a deterministic results block.
+Operands are fixture:NAME references, inline JSON, *.json files or
+compact text forms, all read by ``_operand``.  Reports are strict JSON
+with the schema tag and a deterministic results block; a non-finite
+float is written as null, and a NaN in the results makes the result
+uncertified.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import math
 import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
@@ -22,51 +26,75 @@ from . import circle, duality, entropy, fixtures, grids, inner_outer, \
 
 
 class CliError(Exception):
-    exit_code = 1
+    pass
 
 
 class UncertifiedResult(Exception):
-    exit_code = 2
+    """A result that certifies nothing; ``block`` is reported under
+    ``results.uncertified`` with exit code 2."""
+
+    def __init__(self, block: dict):
+        super().__init__(block)
+        self.block = block
 
 
-def _resolve_weight(spec: str) -> weights.Weight:
-    if spec.startswith("{"):
-        return weights.from_spec(json.loads(spec))
-    if spec.endswith(".json"):
-        return weights.from_spec(util.load_json(spec))
-    return weights.from_spec(spec)
+def _operand(args, flag: str, cls: type, parse):
+    """The object that the operand ``--flag`` names.
 
-
-def _resolve_measure(spec: str) -> circle.CircleMeasure:
-    if spec.startswith("fixture:"):
-        obj = fixtures.named_fixture(spec.split(":", 1)[1])
-        if not isinstance(obj, circle.CircleMeasure):
-            raise CliError(f"{spec} is not a measure fixture")
+    ``fixture:NAME`` is the named fixture, which must be a ``cls``; text
+    starting with ``{`` or ``[`` is inline JSON and a ``*.json`` name a
+    JSON file, both handed to ``parse``; any other text goes to ``parse``
+    as it is (the compact weight forms, ``auto``).
+    """
+    text = getattr(args, flag)
+    if text is None:
+        raise CliError(f"--{flag} is required")
+    if text.startswith("fixture:"):
+        obj = fixtures.named_fixture(text[len("fixture:"):])
+        if not isinstance(obj, cls):
+            raise CliError(f"{text} is not a {cls.__name__} fixture")
         return obj
-    if spec.startswith("{"):
-        return circle.measure_from_json(json.loads(spec))
-    return circle.measure_from_json(util.load_json(spec))
+    if text.startswith(("{", "[")):
+        raw = text
+    elif text.endswith(".json"):
+        raw = Path(text).read_text(encoding="utf-8")
+    else:
+        return parse(text)
+    try:
+        obj = json.loads(raw)
+    except RecursionError:
+        raise CliError(f"--{flag} nests too deeply") from None
+    return parse(obj)
 
 
-def _resolve_set(spec: str) -> circle.ClosedCircleSet:
-    if spec.startswith("fixture:"):
-        obj = fixtures.named_fixture(spec.split(":", 1)[1])
-        if not isinstance(obj, circle.ClosedCircleSet):
-            raise CliError(f"{spec} is not a set fixture")
-        return obj
-    if spec.startswith("{"):
-        return circle.set_from_json(json.loads(spec))
-    return circle.set_from_json(util.load_json(spec))
+def _weight(args) -> weights.Weight:
+    return _operand(args, "weight", weights.Weight, weights.from_spec)
 
 
-def _resolve_grid(spec: str, w: weights.Weight) -> grids.DyadicGrid:
-    if spec == "auto":
-        return grids.feasible_grid(w, 4, 3.0, 5)
-    if spec.startswith("{"):
-        return grids.grid_from_json(json.loads(spec))
-    if spec.startswith("["):
-        return grids.DyadicGrid(tuple(json.loads(spec)))
-    return grids.grid_from_json(util.load_json(spec))
+def _measure(args) -> circle.CircleMeasure:
+    return _operand(args, "measure", circle.CircleMeasure,
+                    circle.measure_from_json)
+
+
+def _set(args) -> circle.ClosedCircleSet:
+    return _operand(args, "set", circle.ClosedCircleSet, circle.set_from_json)
+
+
+def _grid(args, w: weights.Weight) -> grids.DyadicGrid:
+    return _operand(args, "grid", grids.DyadicGrid, lambda obj: (
+        grids.feasible_grid(w, 4, 3.0, 5) if obj == "auto"
+        else grids.grid_from_json(obj)))
+
+
+def _coefficients(args, flag: str) -> list:
+    """A polynomial's coefficients: a flat, nonempty list of finite
+    numbers."""
+    def parse(obj):
+        coeffs = util.as_floats(obj, f"--{flag} coefficient")
+        if not coeffs:
+            raise CliError(f"--{flag} lists no coefficients")
+        return coeffs
+    return _operand(args, flag, list, parse)
 
 
 def _parse_complex(text: str) -> complex:
@@ -87,7 +115,7 @@ def finite_float(text: str) -> float:
 # -- subcommand handlers -----------------------------------------------------
 
 def cmd_weight(args):
-    w = _resolve_weight(args.weight)
+    w = _weight(args)
     work = Counter()
     moc = weights.check_modulus_of_continuity(w, args.depth, work)
     maj = weights.check_majorant(w, work=work)
@@ -111,8 +139,8 @@ def cmd_weight(args):
 
 
 def cmd_set_entropy(args) -> dict:
-    E = _resolve_set(args.set)
-    w = _resolve_weight(args.weight)
+    E = _set(args)
+    w = _weight(args)
     res = entropy.entropy_sum(E, w).result
     out = {"form": "sum", "tag": res.tag, "value": res.value,
            "low": res.low, "high": res.high, "evidence": res.evidence}
@@ -123,16 +151,16 @@ def cmd_set_entropy(args) -> dict:
         out = {"sum": out, "integral": out_i} if args.form == "both" else out_i
     if (res.tag if args.form == "sum" else out.get("tag", res.tag)) \
             == entropy.UNDECIDED:
-        raise UncertifiedResult(json.dumps(out))
+        raise UncertifiedResult(out)
     return out
 
 
 def cmd_grid(args) -> dict:
-    w = _resolve_weight(args.weight)
+    w = _weight(args)
     if args.grid_cmd == "build":
         g = grids.build_grid(w, args.n0, args.C, args.k)
     else:
-        g = _resolve_grid(args.grid, w)
+        g = _grid(args, w)
     v = grids.verify_grid(g, w)
     return {"depths": list(g.depths), "beta": v.beta,
             "is_w_grid": v.is_w_grid, "superlacunary": v.superlacunary,
@@ -140,8 +168,8 @@ def cmd_grid(args) -> dict:
 
 
 def cmd_measure(args) -> dict:
-    w = _resolve_weight(args.weight)
-    mu = _resolve_measure(args.measure)
+    w = _weight(args)
+    mu = _measure(args)
     if args.measure_cmd == "classify":
         cls = entropy.classify_measure(mu, w)
         out = {
@@ -152,9 +180,9 @@ def cmd_measure(args) -> dict:
             "undecided_components": len(cls.undecided),
         }
         if cls.undecided:
-            raise UncertifiedResult(json.dumps(out))
+            raise UncertifiedResult(out)
         return out
-    grid = _resolve_grid(args.grid, w)
+    grid = _grid(args, w)
     dec = roberts.decompose(mu, grid, args.c, w, args.kmax)
     levels = []
     for rep in dec.reports:
@@ -177,14 +205,14 @@ def cmd_measure(args) -> dict:
 
 
 def cmd_inner(args) -> dict:
-    mu = _resolve_measure(args.measure)
+    mu = _measure(args)
     z = _parse_complex(args.z)
     val = inner_outer.eval_singular_inner(mu, z, args.eps)
     out = {"z": {"re": z.real, "im": z.imag},
            "value": {"re": val.value.real, "im": val.value.imag},
            "abs": abs(val.value), "err": val.err}
     if not val.err <= args.eps:  # a NaN radius certifies nothing
-        raise UncertifiedResult(json.dumps(out))
+        raise UncertifiedResult(out)
     return out
 
 
@@ -196,8 +224,8 @@ def _carleson_check(args, spec: str):
     The search and the estimate read one psi sum over their distinct
     points (psi does not depend on N).
     """
-    E = _resolve_set(args.set)
-    w = _resolve_weight(args.weight)
+    E = _set(args)
+    w = _weight(args)
     D = privalov.PrivalovDomain(E)
     auto = spec == "auto"
     G = inner_outer.carleson_outer(E, w, 1.0 if auto else float(spec))
@@ -215,7 +243,7 @@ def _carleson_check(args, spec: str):
         try:
             G = inner_outer.auto_carleson_N(G, psi[:k], tail[:k], search_hs)
         except inner_outer.NoAdmissibleN as exc:
-            raise UncertifiedResult(json.dumps({"error": str(exc)}))
+            raise UncertifiedResult({"error": str(exc)})
         tried = list(inner_outer.n_ladder(G.N))
     est = privalov.privalov_boundary_estimate(G, psi[k:], tail[k:], hs)
     meta = {"N_tried": tried, "search_samples": k,
@@ -240,26 +268,18 @@ def cmd_privalov(args):
 
 def cmd_dual(args) -> dict:
     if args.dual_cmd == "pair":
-        g = util.load_json(args.g) if args.g.endswith(".json") \
-            else json.loads(args.g)
-        f = util.load_json(args.f) if args.f.endswith(".json") \
-            else json.loads(args.f)
-        try:
-            val = duality.cauchy_pairing_poly(g, f)
-        except ArithmeticError as exc:
-            raise UncertifiedResult(json.dumps({"error": str(exc)}))
+        val = duality.cauchy_pairing_poly(_coefficients(args, "g"),
+                                          _coefficients(args, "f"))
         return {"pairing": {"re": val.real, "im": val.imag}}
-    w = _resolve_weight(args.weight)
-    coeffs = util.load_json(args.f) if args.f.endswith(".json") \
-        else json.loads(args.f)
-    res = duality.fw_norm(duality.poly_function(coeffs), w, args.quad_depth)
+    f, w = _coefficients(args, "f"), _weight(args)
+    res = duality.fw_norm(duality.poly_function(f), w, args.quad_depth)
     return {"tag": res.tag, "value": res.value,
             "tail_estimate": res.tail_estimate}
 
 
 def cmd_report_cyclicity(args) -> dict:
-    w = _resolve_weight(args.weight)
-    mu = _resolve_measure(args.measure)
+    w = _weight(args)
+    mu = _measure(args)
     cls = entropy.classify_measure(mu, w)
     out = {
         "measure": mu.name,
@@ -271,7 +291,7 @@ def cmd_report_cyclicity(args) -> dict:
     }
     if cls.undecided:
         out["verdict"] = "undecided"
-        raise UncertifiedResult(json.dumps(out, default=util._default))
+        raise UncertifiedResult(out)
     total = mu.total_mass()
     if cls.mu_P.total_mass() > 1e-12 * (1.0 + total):
         out["verdict"] = ("not cyclic: mu_P = mu" if
@@ -279,7 +299,7 @@ def cmd_report_cyclicity(args) -> dict:
                           else "not cyclic: mu_P nonzero")
         return out
     out["verdict"] = "cyclic evidence: mu_C = mu"
-    grid = _resolve_grid(args.grid, w)
+    grid = _grid(args, w)
     dec = roberts.decompose(mu, grid, args.c, w, max(6, args.kmax))
     masses = dec.residual_masses
     out["residual_decay"] = [
@@ -403,24 +423,29 @@ def main(argv=None) -> int:
         "dual": cmd_dual,
         "report": cmd_report_cyclicity,
     }
+    params = {k: v for k, v in vars(args).items() if k not in ("out", "csv")}
     try:
-        results = handlers[args.command](args)
-    except UncertifiedResult as exc:
-        rep = util.report(args.command, vars(args),
-                          {"uncertified": json.loads(str(exc))}, started)
-        util.emit(rep, args.out, args.csv)
-        return 2
+        try:
+            results = handlers[args.command](args)
+            results, meta = results if isinstance(results, tuple) \
+                else (results, None)
+            field = util.nan_field(results)
+            if field is not None:
+                raise UncertifiedResult({"error": f"{field} is NaN",
+                                         **results})
+            code = 0
+        except (UncertifiedResult, ArithmeticError) as exc:
+            # an overflow or a failed cross-check certifies nothing
+            block = exc.block if isinstance(exc, UncertifiedResult) \
+                else {"error": f"{type(exc).__name__}: {exc}"}
+            results, meta, code = {"uncertified": block}, None, 2
+        util.emit(util.report(args.command, params, results, started, meta),
+                  args.out, args.csv)
+        return code
     except (CliError, ValueError, KeyError, OSError,
-            weights.InvalidWeightError, weights.UncertifiedError,
-            grids.GridConstructionError) as exc:
+            weights.UncertifiedError, grids.GridConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    results, meta = results if isinstance(results, tuple) else (results, None)
-    rep = util.report(args.command, {k: v for k, v in vars(args).items()
-                                     if k not in ("out", "csv")}, results,
-                      started, meta)
-    util.emit(rep, args.out, args.csv)
-    return 0
 
 
 if __name__ == "__main__":

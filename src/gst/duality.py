@@ -12,6 +12,7 @@ so the unit disc has measure 1.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -163,9 +164,12 @@ def pairing_boundary_quadrature(g_coeffs, f_coeffs, base_scale: int = 12
 def cauchy_pairing_poly(g_coeffs, f_coeffs, validate: bool = True) -> complex:
     """Coefficient pairing sum a_n conj(b_n), the r -> 1- boundary limit."""
     exact = pairing_exact(g_coeffs, f_coeffs)
+    if not cmath.isfinite(exact):
+        raise ArithmeticError(f"coefficient pairing {exact} is not finite")
     if validate:
         quad = pairing_boundary_quadrature(g_coeffs, f_coeffs)
-        if abs(quad - exact) > 1e-8 * (1.0 + abs(exact)):
+        # written so that a NaN difference fails it
+        if not abs(quad - exact) <= 1e-8 * (1.0 + abs(exact)):
             raise ArithmeticError(
                 f"boundary quadrature {quad} disagrees with coefficients "
                 f"{exact}")

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from .util import as_float, as_int, as_list, fields
 from .weights import Weight, effective_lambda
 
 DEPTH_CAP = 10 ** 7
@@ -29,10 +30,14 @@ class DyadicGrid:
     lam: float = 1.0
 
     def __post_init__(self):
+        if not self.depths or self.depths[0] < 1:
+            raise ValueError("grid depths must start at a positive depth")
         if any(b <= a for a, b in zip(self.depths, self.depths[1:])):
             raise ValueError("grid depths must be strictly increasing")
-        if self.C_param is not None and self.C_param <= 2:
+        if self.C_param is not None and not self.C_param > 2:
             raise ValueError("construction parameter C must exceed 2")
+        if not self.lam > 0:
+            raise ValueError("grid lambda must be positive")
 
     def __len__(self):
         return len(self.depths)
@@ -162,6 +167,13 @@ def grid_to_json(g: DyadicGrid) -> dict:
     return {"depths": list(g.depths), "C": g.C_param, "lambda": g.lam}
 
 
-def grid_from_json(obj: dict) -> DyadicGrid:
-    return DyadicGrid(tuple(int(n) for n in obj["depths"]),
-                      C_param=obj.get("C"), lam=obj.get("lambda", 1.0))
+def grid_from_json(obj) -> DyadicGrid:
+    """A grid from its JSON form, or from the bare list of its depths."""
+    if isinstance(obj, list):
+        obj = {"depths": obj}
+    fields(obj, "grid", "depths")
+    C = obj.get("C")
+    return DyadicGrid(tuple(as_int(n, "grid depth")
+                            for n in as_list(obj["depths"], "grid depths")),
+                      C_param=None if C is None else as_float(C, "grid C"),
+                      lam=as_float(obj.get("lambda", 1.0), "grid lambda"))

@@ -11,6 +11,7 @@ resolution, nothing finer.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional
@@ -19,7 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import integrate, optimize, special
 
-from .util import as_int
+from .util import as_float, as_floats, as_int, as_list, fields
 
 ORDER_TOL = 1e-12
 CONTINUITY_DEPTH = 20
@@ -147,33 +148,48 @@ class Weight:
         return self.kind
 
 
+def _positive(value, what: str) -> float:
+    x = as_float(value, what)
+    if not x > 0:
+        raise InvalidWeightError(f"{what} must be positive, got {x!r}")
+    return x
+
+
+def _hint(lambda_hint, default: Optional[float] = None) -> Optional[float]:
+    """A finite positive lambda_hint, or ``default`` in place of None."""
+    return default if lambda_hint is None else _positive(lambda_hint,
+                                                         "lambda_hint")
+
+
 def power(alpha: float, lambda_hint: Optional[float] = None) -> Weight:
-    if alpha <= 0:
-        raise InvalidWeightError("power exponent must be positive")
-    hint = lambda_hint if lambda_hint is not None else min(1.0, 1.0 / alpha)
-    return Weight("power", (alpha,), lambda_hint=hint)
+    alpha = _positive(alpha, "power exponent")
+    return Weight("power", (alpha,),
+                  lambda_hint=_hint(lambda_hint, min(1.0, 1.0 / alpha)))
 
 
 def log_power(c: float, depth: int = 1,
               lambda_hint: Optional[float] = None) -> Weight:
-    if c <= 0 or depth < 1:
-        raise InvalidWeightError("log_power needs c > 0 and depth >= 1")
+    c = _positive(c, "log_power c")
+    depth = as_int(depth, "log depth")
+    if depth < 1:
+        raise InvalidWeightError("log_power needs depth >= 1")
     # log^-c is subadditive only once the exponent is brought down to ~1
-    hint = lambda_hint if lambda_hint is not None else min(1.0, 1.0 / c)
-    return Weight("log_power", (c, depth), lambda_hint=hint)
+    return Weight("log_power", (c, depth),
+                  lambda_hint=_hint(lambda_hint, min(1.0, 1.0 / c)))
 
 
 def exp_log(alpha: float, beta: float,
             lambda_hint: Optional[float] = None) -> Weight:
-    if alpha <= 0 or beta <= 0:
-        raise InvalidWeightError("exp_log needs alpha, beta > 0")
-    if lambda_hint is None and beta <= 1:
-        lambda_hint = 1.0
-    return Weight("exp_log", (alpha, beta), lambda_hint=lambda_hint)
+    alpha = _positive(alpha, "exp_log alpha")
+    beta = _positive(beta, "exp_log beta")
+    return Weight("exp_log", (alpha, beta),
+                  lambda_hint=_hint(lambda_hint, 1.0 if beta <= 1 else None))
 
 
 def table_weight(points, lambda_hint: Optional[float] = None) -> Weight:
-    pts = sorted((float(t), float(v)) for t, v in points)
+    pts = sorted(tuple(as_floats(p, "table point", 2)) for p in points)
+    if not pts:
+        raise InvalidWeightError("table needs points")
     ts = tuple(p[0] for p in pts)
     ws = tuple(p[1] for p in pts)
     if ts[0] != 0.0 or abs(ws[0]) > ORDER_TOL:
@@ -182,7 +198,8 @@ def table_weight(points, lambda_hint: Optional[float] = None) -> Weight:
         raise InvalidWeightError("table must reach t = 1")
     if any(b < a - ORDER_TOL for a, b in zip(ws, ws[1:])):
         raise InvalidWeightError("table values must be nondecreasing")
-    return Weight("table", (ts, ws), lambda_hint=lambda_hint, name="table")
+    return Weight("table", (ts, ws), lambda_hint=_hint(lambda_hint),
+                  name="table")
 
 
 def custom_weight(name, eval_fn, log_eval=None, lambda_hint=None) -> Weight:
@@ -200,26 +217,28 @@ def from_spec(spec) -> Weight:
         if kind == "power" and len(args) == 1:
             return power(args[0])
         if kind == "log" and len(args) <= 2:
-            return log_power(args[0] if args else 1.0,
-                             as_int(args[1], "log depth")
-                             if len(args) > 1 else 1)
+            return log_power(*(args or [1.0]))
         if kind == "exp_log" and len(args) == 2:
             return exp_log(args[0], args[1])
         raise InvalidWeightError(
             f"weight spec {spec!r} is not power:a, log[:c[,depth]] or "
             "exp_log:a,b")
-    kind = spec["kind"]
+    kind = fields(spec, "weight", "kind")["kind"]
     hint = spec.get("lambda_hint")
     if kind == "power":
+        fields(spec, "power weight", "alpha")
         return power(spec["alpha"], hint)
     if kind == "log_power":
-        return log_power(spec["c"], as_int(spec.get("depth", 1), "log depth"),
+        fields(spec, "log_power weight", "c")
+        return log_power(spec["c"], spec.get("depth", 1),
                          hint if hint is not None else 1.0)
     if kind == "exp_log":
+        fields(spec, "exp_log weight", "alpha", "beta")
         return exp_log(spec["alpha"], spec["beta"], hint)
-    if kind in ("table", "custom_table"):
-        return table_weight(spec["points"], hint)
-    raise InvalidWeightError(f"unknown weight kind {kind!r}")
+    if kind == "table":
+        fields(spec, "table weight", "points")
+        return table_weight(as_list(spec["points"], "table points"), hint)
+    raise InvalidWeightError(f"unknown weight kind {reprlib.repr(kind)}")
 
 
 def to_spec(w: Weight) -> dict:

@@ -1,12 +1,15 @@
 """Command-line interface: subcommands, report schema, exit codes."""
 
+import io
 import json
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gst import circle, cli, inner_outer, privalov, roberts, weights
+from gst import circle, cli, grids, inner_outer, privalov, roberts, weights
 from gst.grids import DyadicGrid
 
 
@@ -301,14 +304,284 @@ BAD_INPUTS = {
 }
 
 
+def _classify(measure: str) -> list:
+    return ["measure", "classify", "--measure", measure, "--weight",
+            "power:1"]
+
+
+def _entropy(set_spec: str, weight: str = "power:1") -> list:
+    return ["set", "entropy", "--set", set_spec, "--weight", weight]
+
+
+def _point_entropy(weight: str) -> list:
+    return _entropy("fixture:point", weight)
+
+
+def _verify(grid: str, weight: str = "power:1") -> list:
+    return ["grid", "verify", "--weight", weight, "--grid", grid]
+
+
+def _triadic(mass: str) -> str:
+    return ('{"cantor": [{"generator": "triadic", "depth": 4, "mass": '
+            f'{mass}}}]}}')
+
+
+# every operand goes through one reader and one family of field readers
+BAD_INPUTS.update({
+    # weights: NaN, strings and bools in any field, in any form
+    "weight_compact_nan_power": (_point_entropy("power:nan"), 1),
+    "weight_compact_nan_log": (_point_entropy("log:nan"), 1),
+    "weight_compact_nan_exp_log": (_point_entropy("exp_log:nan,1"), 1),
+    "weight_compact_infinite_power": (_point_entropy("power:inf"), 1),
+    "weight_json_nan_alpha": (_point_entropy(
+        '{"kind": "power", "alpha": NaN}'), 1),
+    "weight_json_string_alpha": (_point_entropy(
+        '{"kind": "power", "alpha": "x"}'), 1),
+    "weight_table_nan_point": (_point_entropy(
+        '{"kind": "table", "points": [[0, 0], [0.5, NaN], [1, 1]]}'), 1),
+    "weight_table_points_number": (_point_entropy(
+        '{"kind": "table", "points": 5}'), 1),
+    "weight_table_points_empty": (_point_entropy(
+        '{"kind": "table", "points": []}'), 1),
+    "weight_removed_custom_table": (_point_entropy(
+        '{"kind": "custom_table", "points": [[0, 0], [1, 1]]}'), 1),
+    "weight_nan_lambda_hint": (_point_entropy(
+        '{"kind": "power", "alpha": 1, "lambda_hint": NaN}'), 1),
+    "weight_string_lambda_hint": (_point_entropy(
+        '{"kind": "power", "alpha": 1, "lambda_hint": "a"}'), 1),
+    "weight_bool_log_depth": (_point_entropy(
+        '{"kind": "log_power", "c": 1, "depth": true}'), 1),
+    "weight_not_an_object": (_point_entropy("[1]"), 1),
+    "weight_set_fixture": (_point_entropy("fixture:point"), 1),
+    # measures
+    "measure_atoms_number": (_classify('{"atoms": 5}'), 1),
+    "measure_atom_pair": (_classify('{"atoms": [[0.1, 1]]}'), 1),
+    "measure_null_mass": (_classify(_triadic("null")), 1),
+    "measure_string_mass": (_classify(_triadic('"1"')), 1),
+    "measure_bool_mass": (_classify(_triadic("true")), 1),
+    "measure_factors_list": (_classify(
+        '{"atoms": [{"pos": 0.1, "mass": 1}], '
+        '"multipliers": [{"depth": 2, "factors": [1]}]}'), 1),
+    "measure_removed_bare_layer": (_classify(
+        '{"atoms": [{"pos": 0.1, "mass": 1}], '
+        '"multipliers": {"depth": 2, "factors": {"0": 0.5}}}'), 1),
+    "measure_removed_divergent_generator": (_classify(
+        '{"cantor": [{"generator": "divergent", "depth": 4, '
+        '"mass": 1}]}'), 1),
+    "measure_list_name": (_classify(
+        '{"atoms": [{"pos": 0.1, "mass": 1}], "name": [1]}'), 1),
+    # sets
+    "set_gaps_number": (_entropy('{"gaps": 5}'), 1),
+    "set_tail_number": (_entropy('{"gaps": [], "tail": 5}'), 1),
+    "set_tail_string_param": (_entropy(
+        '{"gaps": [], "tail": {"kind": "harmonic_log", '
+        '"params": [1, "x"]}}'), 1),
+    "set_bool_gap_length": (_entropy('{"gaps": [[0.0, true]]}'), 1),
+    "set_measure_fixture": (_entropy("fixture:atom"), 1),
+    # grids
+    "grid_string_depth": (_verify('[4, "a"]'), 1),
+    "grid_fractional_depth": (_verify("[4.5, 8]"), 1),
+    "grid_negative_depth": (_verify("[-4, 8]"), 1),
+    "grid_bool_depth": (_verify("[true, 8]"), 1),
+    "grid_nan_C_json": (_verify('{"depths": [4, 8], "C": NaN}'), 1),
+    "grid_empty": (_verify("[]"), 1),
+    "grid_nested_too_deeply": (_verify("[" * 5000), 1),
+    "grid_verify_without_grid": (["grid", "verify", "--weight", "power:1"],
+                                 1),
+    # w(2^-100000) underflows: log(1/w) overflows a float
+    "grid_verify_overflow": (_verify("[4, 100000]", "exp_log:1,100"), 2),
+    # dual coefficient lists
+    "pair_object_coefficients": (["dual", "pair", "--g", '{"a": 1}',
+                                  "--f", "[1]"], 1),
+    "pair_nested_coefficients": (["dual", "pair", "--g", "[[1, 2]]",
+                                  "--f", "[1]"], 1),
+    "pair_empty_coefficients": (["dual", "pair", "--g", "[]", "--f", "[1]"],
+                                1),
+    "pair_without_f": (["dual", "pair", "--g", "[1]"], 1),
+    "pair_overflow": (["dual", "pair", "--g", "[1e308, 1e308]",
+                       "--f", "[1e308, 1]"], 2),
+    "fw_norm_number_coefficients": (["dual", "fw-norm", "--f", "5",
+                                     "--weight", "power:1"], 1),
+    "fw_norm_without_f": (["dual", "fw-norm", "--weight", "power:1"], 1),
+    "fw_norm_without_weight": (["dual", "fw-norm", "--f", "[0, 1]"], 1),
+    # output paths
+    "out_in_missing_directory": (["--out", "/no/such/dir/rep.json"]
+                                 + _point_entropy("power:1"), 1),
+    "csv_in_missing_directory": (["--csv", "/no/such/dir/rep.csv",
+                                  "measure", "decompose", "--measure",
+                                  "fixture:atom", "--weight", "power:1",
+                                  "--grid", "[4, 12]", "--kmax", "2"], 1),
+    # a NaN error radius: uncertified, reported as strict JSON
+    "inner_overflowing_atom": (["inner", "eval", "--measure",
+                                '{"atoms": [{"pos": 0.0, "mass": 1e308}]}',
+                                "--z", "0.5"], 2),
+})
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not strict JSON")
+
+
+def assert_contract(code: int, out: str, err: str,
+                    expected=(0, 1, 2)) -> None:
+    """The exit code is expected, nothing printed a traceback, and stdout
+    is empty or one strict JSON report."""
+    assert code in expected
+    assert "Traceback" not in out + err
+    if out.strip():
+        json.loads(out, parse_constant=_reject_constant)
+
+
 class TestBadInput:
     @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
     def test_exit_code_without_traceback(self, name, capsys):
         argv, expected = BAD_INPUTS[name]
         code = cli.main(argv)
         captured = capsys.readouterr()
-        assert code == expected
-        assert "Traceback" not in captured.out + captured.err
+        assert_contract(code, captured.out, captured.err, (expected,))
+
+
+class TestOperandReader:
+    def test_file_needs_json_suffix(self, tmp_path, capsys):
+        text = json.dumps({"atoms": [{"pos": 0.25, "mass": 1.0}]})
+        (tmp_path / "mu.json").write_text(text)
+        (tmp_path / "mu.txt").write_text(text)
+        code, rep = run(_classify(str(tmp_path / "mu.json")), capsys)
+        assert code == 0 and rep["results"]["total_mass"] == 1.0
+        assert cli.main(_classify(str(tmp_path / "mu.txt"))) == 1
+
+    def test_grid_list_and_object_forms_agree(self, capsys):
+        _, listed = run(_verify("[4, 12, 36]"), capsys)
+        _, whole = run(_verify('{"depths": [4, 12, 36]}'), capsys)
+        assert listed["results"] == whole["results"]
+
+
+class TestStrictOutput:
+    def test_divergent_entropy_is_certified_with_null_bounds(self, capsys):
+        code = cli.main(_entropy("fixture:stagewise_divergent") +
+                        ["--form", "both"])
+        captured = capsys.readouterr()
+        assert_contract(code, captured.out, captured.err, (0,))
+        res = json.loads(captured.out)["results"]
+        for form in ("sum", "integral"):
+            assert res[form]["tag"] == "diverges"
+            assert res[form]["low"] is None and res[form]["high"] is None
+            assert res[form]["value"] is None
+
+    def test_nan_in_results_exits_two_naming_the_field(self, capsys,
+                                                       monkeypatch):
+        monkeypatch.setattr(grids, "verify_grid", lambda g, w: grids.GridCheck(
+            False, float("nan"), False))
+        code = cli.main(_verify("[4, 12]"))
+        captured = capsys.readouterr()
+        assert_contract(code, captured.out, captured.err, (2,))
+        block = json.loads(captured.out)["results"]["uncertified"]
+        assert block["error"] == "results.beta is NaN"
+        assert block["beta"] is None and block["depths"] == [4, 12]
+
+
+# -- fuzzing the operands: their shapes and values, not their sizes -------
+
+# values that are not finite numbers, each a JSON value
+JUNK = st.sampled_from([None, True, False, "x", "", float("nan"),
+                        float("inf"), -float("inf"), [], {}, [1], {"a": 1}])
+NUMBER = st.one_of(st.floats(), st.integers(-3, 3), JUNK)
+# depths stay small: a large one is a size, not a malformed operand
+DEPTH = st.one_of(st.integers(-2, 6), st.sampled_from([2.0, 2.5]), JUNK)
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj)  # NaN and Infinity as the tokens json reads
+
+
+def _object(required: dict, optional: dict):
+    return st.one_of(st.fixed_dictionaries(required, optional=optional),
+                     JUNK).map(_dumps)
+
+
+def _text_or(strategy):
+    """The operand as any text too: fixture names, file names, junk."""
+    return st.one_of(strategy, st.text(max_size=6),
+                     st.sampled_from(["fixture:point", "fixture:atom",
+                                      "fixture:nope", "no_file.json",
+                                      "auto", "{", "[1,"]))
+
+
+WEIGHTS = _text_or(st.one_of(
+    st.builds(lambda kind, args: f"{kind}:{','.join(args)}",
+              st.sampled_from(["power", "log", "exp_log", "nope"]),
+              # bounded: the second number of log:c,depth is a depth
+              st.lists(st.one_of(st.floats(-8.0, 8.0).map(repr),
+                                 st.sampled_from(["1", "2", "x", "", "nan",
+                                                  "inf", "-inf"])),
+                       max_size=3)),
+    _object({"kind": st.one_of(st.sampled_from(
+        ["power", "log_power", "exp_log", "table"]), JUNK)},
+        {"alpha": NUMBER, "beta": NUMBER, "c": NUMBER, "depth": DEPTH,
+         "lambda_hint": NUMBER,
+         "points": st.one_of(st.lists(st.lists(NUMBER, max_size=3),
+                                      max_size=4), JUNK)})))
+
+_LAYER = st.one_of(st.fixed_dictionaries({
+    "depth": DEPTH,
+    "factors": st.one_of(st.dictionaries(
+        st.sampled_from(["0", "1", "3", "-1", "99", "x"]), NUMBER,
+        max_size=3), JUNK)}), JUNK)
+MEASURES = _text_or(_object({}, {
+    "atoms": st.one_of(st.lists(st.one_of(st.fixed_dictionaries(
+        {"pos": NUMBER, "mass": NUMBER}), JUNK), max_size=3), JUNK),
+    "cantor": st.one_of(st.lists(st.one_of(st.fixed_dictionaries({
+        "generator": st.one_of(st.sampled_from(["triadic",
+                                                "stagewise_log"]), JUNK),
+        "depth": DEPTH, "mass": NUMBER}), JUNK), max_size=2), JUNK),
+    "multipliers": st.one_of(st.lists(_LAYER, max_size=2), JUNK),
+    "name": st.one_of(st.text(max_size=3), JUNK)}))
+
+SETS = _text_or(_object({"gaps": st.one_of(st.lists(st.one_of(
+    st.lists(NUMBER, max_size=3), st.just([0.0, 1.0]), JUNK), max_size=3),
+    JUNK)}, {
+    "tail": st.one_of(st.fixed_dictionaries({
+        "kind": st.one_of(st.sampled_from(["geometric_levels",
+                                           "harmonic_log",
+                                           "stagewise_log"]), JUNK),
+        "params": st.one_of(st.lists(NUMBER, max_size=5), JUNK)}), JUNK),
+    "name": st.one_of(st.text(max_size=3), JUNK)}))
+
+_DEPTHS = st.lists(st.one_of(st.integers(-2, 40), JUNK), max_size=4)
+GRIDS = _text_or(st.one_of(_DEPTHS.map(_dumps), _object(
+    {"depths": st.one_of(_DEPTHS, JUNK)},
+    {"C": NUMBER, "lambda": NUMBER})))
+
+COEFFICIENTS = _text_or(st.one_of(
+    st.lists(st.one_of(st.floats(), st.integers(-3, 3)), max_size=4),
+    st.lists(NUMBER, max_size=3), JUNK).map(_dumps))
+
+COMMANDS = st.one_of(
+    WEIGHTS.map(lambda w: _point_entropy(w) + ["--form", "sum"]),
+    MEASURES.map(_classify),
+    MEASURES.map(lambda m: ["inner", "eval", "--measure", m, "--z", "0.5"]),
+    SETS.map(_entropy),
+    GRIDS.map(_verify),
+    GRIDS.map(lambda g: ["measure", "decompose", "--measure",
+                         "fixture:two_atoms", "--weight", "power:1",
+                         "--grid", g, "--kmax", "2"]),
+    st.tuples(COEFFICIENTS, COEFFICIENTS).map(
+        lambda gf: ["dual", "pair", "--g", gf[0], "--f", gf[1]]),
+    COEFFICIENTS.map(lambda f: ["dual", "fw-norm", "--f", f, "--weight",
+                                "power:0.5"]),
+    st.tuples(SETS, st.sampled_from(["8", "auto"])).map(
+        lambda sn: ["carleson", "build", "--set", sn[0], "--weight",
+                    "power:1", "--N", sn[1], "--samples", "64"]))
+
+
+class TestFuzzOperands:
+    @given(COMMANDS)
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_exit_code_contract(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+        assert_contract(code, out.getvalue(), err.getvalue())
 
 
 class TestUncertifiedRadius:

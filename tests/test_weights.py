@@ -381,6 +381,25 @@ class TestWeightSpecs:
         w2 = weights.from_spec(spec)
         assert w2(0.25) == pytest.approx(w(0.25))
 
+    # NaN passes a test written as x <= 0, so each is written as not x > 0
+    @pytest.mark.parametrize("make", [
+        lambda: weights.power(float("nan")),
+        lambda: weights.power(float("inf")),
+        lambda: weights.power("0.5"),
+        lambda: weights.log_power(float("nan")),
+        lambda: weights.log_power(1.0, True),
+        lambda: weights.exp_log(1.0, float("nan")),
+        lambda: weights.exp_log(float("-inf"), 1.0),
+        lambda: weights.power(1.0, lambda_hint=float("nan")),
+        lambda: weights.power(1.0, lambda_hint="a"),
+        lambda: weights.power(1.0, lambda_hint=0.0),
+        lambda: weights.table_weight([(0.0, 0.0), (0.5, float("nan")),
+                                      (1.0, 1.0)]),
+        lambda: weights.table_weight([])])
+    def test_constructors_reject_non_finite_parameters(self, make):
+        with pytest.raises(ValueError):
+            make()
+
     def test_table_requires_monotone(self):
         with pytest.raises(weights.InvalidWeightError):
             weights.table_weight([(0.0, 0.0), (0.5, 0.9), (1.0, 0.5)])
