@@ -27,9 +27,13 @@ The cases: ``report cyclicity`` on the divergent Cantor fixture and on the
 first input of the benchmark's ``cyclicity`` workload at seeds 1-3;
 ``inner eval`` on triadic measures of 2^10 and 2^14 atoms; ``measure
 decompose``; ``privalov check`` and ``carleson build --N auto`` on the
-one-point set and the triadic sets of depth 5-7, and the second input of
-the ``boundary`` workload at seeds 1-3 (the first is the unrotated set
-at every seed; the second is rotated, so its set may wrap angle 0);
+one-point set, the triadic sets of depth 5-7 and the
+``triadic_union_point`` set (inline JSON, many distinct gap lengths),
+each under ``power:1`` and ``power:0.5``; the second input of the
+``boundary`` workload at seeds 1-3 (the first is the unrotated set at
+every seed; the second is rotated, so its set may wrap angle 0); one
+``privalov check --samples 300`` on the depth-6 triadic set turned so
+that a gap wraps angle 0;
 ``weight check --alpha 0.5`` on four majorants and a table weight that is
 not subadditive, and ``weight check`` at ``--depth`` 14 and 16; ``grid
 build`` and ``set entropy --form both`` on the triadic set, each with a
@@ -70,9 +74,18 @@ def _triadic_measure(stages: int) -> str:
                                    "mass": 1.0}]})
 
 
-def _triadic_set(depth: int) -> str:
+def _triadic_set(depth: int, offset: float = 0.0) -> str:
+    """The triadic set of this depth turned by ``offset``, as JSON."""
     from gst import circle, fixtures
-    return json.dumps(circle.set_to_json(fixtures.triadic_cantor_set(depth)))
+    obj = circle.set_to_json(fixtures.triadic_cantor_set(depth))
+    obj["gaps"] = sorted([(s + offset) % 1.0, ln] for s, ln in obj["gaps"])
+    return json.dumps(obj)
+
+
+def _union_point_set() -> str:
+    from gst import circle, fixtures
+    E = fixtures.entropy_set_fixtures()["triadic_union_point"][0]
+    return json.dumps(circle.set_to_json(E))
 
 
 def cases():
@@ -95,7 +108,8 @@ def cases():
             "--weight", "power:1", "--grid", "[4,8,12,16,20,24]",
             "--kmax", "6")
     sets = [("point", "fixture:point")] + [
-        (f"triadic {d}", _triadic_set(d)) for d in (5, 6, 7)]
+        (f"triadic {d}", _triadic_set(d)) for d in (5, 6, 7)] + [
+        ("triadic_union_point", _union_point_set())]
     for name, spec in sets:
         for weight in ("power:1", "power:0.5"):
             yield f"privalov check {name} {weight}", (
@@ -108,6 +122,10 @@ def cases():
         workload.setup()
         workload.next_op()
         yield f"boundary workload seed {seed}", workload.next_op().argv
+    # turned by 0.6, the gap (1/3, 2/3) wraps angle 0
+    yield "privalov check triadic 6 rotated 0.6 samples 300", (
+        "privalov", "check", "--set", _triadic_set(6, 0.6), "--weight",
+        "power:1", "--samples", "300")
     for name, weight in [(w, w) for w in WEIGHTS] + [("table", TABLE_WEIGHT)]:
         yield f"weight check {name}", (
             "weight", "check", "--weight", weight, "--alpha", "0.5")

@@ -22,7 +22,8 @@ from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .util import as_float, as_floats, as_int, as_list, as_str, fields
+from .util import as_dict, as_float, as_floats, as_int, as_list, as_str, \
+    fields
 
 CIRCLE_TOL = 1e-12
 
@@ -97,13 +98,29 @@ class GapTail:
     kind: str
     params: tuple
 
+    def __post_init__(self):
+        count = {"geometric_levels": 5, "harmonic_log": 2,
+                 "stagewise_log": 2}.get(self.kind)
+        if count is None:
+            raise ValueError(f"unknown tail kind {reprlib.repr(self.kind)}")
+        *scales, first = as_floats(self.params, f"{self.kind} parameter",
+                                   count)
+        if not all(x > 0 for x in scales):
+            raise ValueError(f"{self.kind} needs positive parameters before "
+                             f"the first level, got {self.params!r}")
+        if as_int(first, f"{self.kind} first level") < (
+                2 if self.kind == "harmonic_log" else 0):
+            raise ValueError(f"{self.kind} first level {first!r} is too "
+                             "small")
+        if self.kind == "geometric_levels" and not scales[1] * scales[3] < 1:
+            raise ValueError("geometric_levels needs base * ratio < 1")
+
     def gap_mass(self) -> float:
         if self.kind == "geometric_levels":
             count0, base, length0, ratio, first = self.params
             # sum_{n > first} count0 * base^(n-1) * length0 * ratio^n
             q = base * ratio
-            return count0 * length0 * ratio * q ** first / (1.0 - q) * 1.0 \
-                if q < 1 else math.inf
+            return count0 * length0 * ratio * q ** first / (1.0 - q)
         if self.kind == "harmonic_log":
             amp, first = self.params
             return amp * log_series_tail(first)
@@ -196,8 +213,7 @@ class ClosedCircleSet:
         xs = np.asarray(xs, dtype=float) % 1.0
         if not self.gaps:
             return np.ones(xs.shape, dtype=bool)
-        starts = np.array(self._starts)
-        lengths = np.array([g.length for g in self.gaps])
+        starts, lengths = self.gap_arrays()
 
         def in_gap(j):
             rel = (xs - starts[j]) % 1.0
@@ -206,6 +222,11 @@ class ClosedCircleSet:
         # as in _gap_at: the gap starting at or before x, and the last gap
         i = np.searchsorted(starts, xs, side="right") - 1
         return ~(in_gap(i) | in_gap(len(self.gaps) - 1))
+
+    def gap_arrays(self) -> tuple:
+        """(starts, lengths) of the gaps, as float arrays in start order."""
+        return (np.array(self._starts, dtype=float),
+                np.array([g.length for g in self.gaps], dtype=float))
 
     def points(self) -> list:
         """Gap endpoints (all are set points); the full set for finite sets."""
@@ -216,7 +237,7 @@ class ClosedCircleSet:
         return sorted(pts)
 
     def gap_lengths_decreasing(self) -> np.ndarray:
-        return np.sort(np.array([g.length for g in self.gaps]))[::-1]
+        return np.sort(self.gap_arrays()[1])[::-1]
 
 
 def point_set(positions) -> ClosedCircleSet:
@@ -727,7 +748,7 @@ def set_to_json(e: ClosedCircleSet) -> dict:
 
 
 def set_from_json(obj: dict) -> ClosedCircleSet:
-    fields(obj, "set", "gaps")
+    fields(obj, "set", "gaps", optional=("tail", "name"))
     tail = None
     if "tail" in obj:
         t = fields(obj["tail"], "set tail", "kind", "params")
@@ -758,7 +779,7 @@ def measure_to_json(mu: CircleMeasure) -> dict:
 
 
 def measure_from_json(obj: dict) -> CircleMeasure:
-    fields(obj, "measure")
+    fields(obj, "measure", optional=("atoms", "cantor", "multipliers", "name"))
     atoms = []
     for a in as_list(obj.get("atoms", []), "atoms"):
         fields(a, "atom", "pos", "mass")
@@ -778,7 +799,7 @@ def measure_from_json(obj: dict) -> CircleMeasure:
     layers = []
     for lay in as_list(obj.get("multipliers", []), "multipliers"):
         fields(lay, "multiplier layer", "depth", "factors")
-        factors = fields(lay["factors"], "multiplier factors")
+        factors = as_dict(lay["factors"], "multiplier factors")
         layers.append(MultiplierLayer(lay["depth"], {
             int(k): as_float(v, "multiplier factor")
             for k, v in factors.items()}))

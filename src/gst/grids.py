@@ -16,7 +16,7 @@ from typing import Optional
 from .util import as_float, as_int, as_list, fields
 from .weights import Weight, effective_lambda
 
-DEPTH_CAP = 10 ** 7
+DEPTH_CAP = 10 ** 7  # deepest grid level: n log 2 stays an ordinary float
 
 
 class GridConstructionError(RuntimeError):
@@ -34,6 +34,8 @@ class DyadicGrid:
             raise ValueError("grid depths must start at a positive depth")
         if any(b <= a for a, b in zip(self.depths, self.depths[1:])):
             raise ValueError("grid depths must be strictly increasing")
+        if self.depths[-1] > DEPTH_CAP:
+            raise ValueError(f"grid depths must be at most {DEPTH_CAP}")
         if self.C_param is not None and not self.C_param > 2:
             raise ValueError("construction parameter C must exceed 2")
         if not self.lam > 0:
@@ -67,8 +69,8 @@ def build_grid(w: Weight, n0: int, C: float, k_max: int) -> DyadicGrid:
     """Recursive grid construction: each step multiplies eta by at least C."""
     if C <= 2:
         raise ValueError("C must exceed 2")
-    if n0 < 1:
-        raise ValueError("n0 must be a positive integer")
+    if not 1 <= n0 <= DEPTH_CAP:
+        raise ValueError(f"n0 must be an integer in 1 .. {DEPTH_CAP}")
     lam = effective_lambda(w)
     if lam * neg_log_at_depth(w, n0) <= math.log(2.0) * (1.0 + 1e-12):
         raise ValueError(
@@ -171,7 +173,7 @@ def grid_from_json(obj) -> DyadicGrid:
     """A grid from its JSON form, or from the bare list of its depths."""
     if isinstance(obj, list):
         obj = {"depths": obj}
-    fields(obj, "grid", "depths")
+    fields(obj, "grid", "depths", optional=("C", "lambda"))
     C = obj.get("C")
     return DyadicGrid(tuple(as_int(n, "grid depth")
                             for n in as_list(obj["depths"], "grid depths")),

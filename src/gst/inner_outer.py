@@ -503,22 +503,16 @@ def corona_parameter_report(w: Weight, c: float, n0: int,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class WhitneyArc:
-    start: float
-    length: float
-    gap_index: int
-    generation: int
-    side: int  # -1 left family, +1 right family
-
-
-@dataclass(frozen=True)
 class WhitneyDecomposition:
-    arcs: tuple
+    """The Whitney arcs of a set: ``arcs`` is a record array with fields
+    ``start`` and ``length``, in (gap, level, side) order."""
+
+    arcs: np.recarray
     parent: ClosedCircleSet
     levels: int
 
     def lengths(self) -> np.ndarray:
-        return np.array([a.length for a in self.arcs])
+        return np.ascontiguousarray(self.arcs.length)
 
 
 def whitney(E: ClosedCircleSet, levels: int = WHITNEY_LEVELS
@@ -532,14 +526,12 @@ def whitney(E: ClosedCircleSet, levels: int = WHITNEY_LEVELS
     """
     if not E.gaps:
         raise ValueError("set has no gaps")
-    arcs = []
-    for gi, g in enumerate(E.gaps):
-        a, L = g.start, g.length
-        for k in range(levels):
-            ln = L * 2.0 ** -(k + 2)
-            arcs.append(WhitneyArc((a + ln) % 1.0, ln, gi, k, -1))
-            arcs.append(WhitneyArc((a + L - 2.0 * ln) % 1.0, ln, gi, k, +1))
-    return WhitneyDecomposition(tuple(arcs), E, levels)
+    a, L = (x[:, None] for x in E.gap_arrays())
+    ln = L * np.ldexp(1.0, -np.arange(2, levels + 2))  # (gap, level)
+    starts = np.stack([(a + ln) % 1.0, (a + L - 2.0 * ln) % 1.0], axis=-1)
+    return WhitneyDecomposition(
+        np.rec.fromarrays([starts.reshape(-1), np.repeat(ln.reshape(-1), 2)],
+                          names="start,length"), E, levels)
 
 
 @dataclass
@@ -575,23 +567,18 @@ def carleson_outer(E: ClosedCircleSet, w: Weight, N: float,
     if np.any(u < 0):
         raise ValueError("w must stay below 1 on Whitney arc lengths")
     coeffs = lens * u
-    mids = np.array([(a.start + a.length / 2.0) % 1.0 for a in wd.arcs])
-    centers = unit_point(mids)
+    centers = unit_point((wd.arcs.start + lens / 2.0) % 1.0)
     rhos = 1.0 + lens
     lam = effective_lambda(w)
-    ends = []
-    tails = []
-    scales = []
-    for gi, g in enumerate(E.gaps):
-        for side, e in ((-1, g.start), (+1, g.start + g.length)):
-            m_last = g.length * 2.0 ** -(levels + 1)
-            u_last = -float(w.log(m_last))
-            # coefficient tail of one geometric family below the last level
-            tails.append(m_last * (u_last + 2.0 * math.log(4.0) / lam))
-            ends.append(complex(unit_point(e % 1.0)))
-            scales.append(m_last)
+    # per gap endpoint, in (gap, side) order: the coefficient tail of one
+    # geometric family below the last level
+    starts, gap_lens = E.gap_arrays()
+    m_last = np.repeat(gap_lens * 2.0 ** -(levels + 1), 2)
+    tails = m_last * (-np.asarray(w.log(m_last)) + 2.0 * math.log(4.0) / lam)
+    ends = unit_point(np.stack([starts, starts + gap_lens], axis=-1)
+                      .reshape(-1) % 1.0)
     return CarlesonOuter(wd, w, N, coeffs, rhos * centers, centers, rhos,
-                         np.asarray(ends), np.array(tails), np.array(scales))
+                         ends, tails, m_last)
 
 
 def psi_sum_many(G: CarlesonOuter, z: np.ndarray, work=None):

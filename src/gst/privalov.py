@@ -62,21 +62,20 @@ def boundary_samples_with_profile(D: PrivalovDomain, count: int):
         raise ValueError("count must be positive")
     gaps = D.E.gaps
     total = sum(g.length for g in gaps)
-    zs, hs = [], []
     dens = 16  # geometric offsets per endpoint
-    for g in gaps:
-        n_uni = max(3, int(round(count * g.length / total)))
-        s = np.unique(np.concatenate([
-            (np.arange(1, n_uni) / n_uni),
-            2.0 ** -np.arange(2, dens + 2),
-            1.0 - 2.0 ** -np.arange(2, dens + 2),
-        ]))
-        q = g.length * s * (1.0 - s)  # rel (L - rel) / L without cancellation
-        h = 0.5 * q * q
-        t = (g.start + g.length * s) % 1.0
-        zs.extend(unit_point(t) * (1.0 - h))
-        hs.extend(h)
-    return np.asarray(zs, dtype=complex), np.asarray(hs, dtype=float)
+    n_uni = [max(3, int(round(count * g.length / total))) for g in gaps]
+    offsets = {n: np.unique(np.concatenate([
+        np.arange(1, n) / n,
+        2.0 ** -np.arange(2, dens + 2),
+        1.0 - 2.0 ** -np.arange(2, dens + 2),
+    ])) for n in set(n_uni)}
+    # a set without gaps has no samples
+    s = np.concatenate([np.zeros(0)] + [offsets[n] for n in n_uni])
+    start, length = (np.repeat(x, [offsets[n].size for n in n_uni])
+                     for x in D.E.gap_arrays())
+    q = length * s * (1.0 - s)  # rel (L - rel) / L without cancellation
+    h = 0.5 * q * q
+    return unit_point((start + length * s) % 1.0) * (1.0 - h), h
 
 
 def boundary_samples(D: PrivalovDomain, count: int) -> np.ndarray:

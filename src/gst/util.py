@@ -152,11 +152,22 @@ def as_floats(value, what: str, length: int | None = None) -> list:
     return [as_float(x, what) for x in as_list(value, what, length)]
 
 
-def fields(obj, what: str, *required: str) -> dict:
-    """``obj`` if it is a JSON object holding every ``required`` key."""
-    if not isinstance(obj, dict):
-        raise _invalid(what, "a JSON object", obj)
+def as_dict(value, what: str) -> dict:
+    """``value`` as a JSON object (any keys)."""
+    if not isinstance(value, dict):
+        raise _invalid(what, "a JSON object", value)
+    return value
+
+
+def fields(obj, what: str, *required: str, optional=()) -> dict:
+    """``obj`` if it is a JSON object holding every ``required`` key and no
+    key outside ``required`` and ``optional``."""
+    as_dict(obj, what)
     for key in required:
         if key not in obj:
             raise ValueError(f"{what} needs the field {key!r}")
+    for key in obj:
+        if key not in required and key not in optional:
+            raise ValueError(f"{what} has the unknown field "
+                             f"{reprlib.repr(key)}")
     return obj

@@ -25,6 +25,7 @@ from .util import as_float, as_floats, as_int, as_list, fields
 ORDER_TOL = 1e-12
 CONTINUITY_DEPTH = 20
 MAX_GRID_DEPTH = 16
+MAX_LOG_DEPTH = 16  # most nested logs in a log_power weight
 CONTINUITY_TOL = 1e-2
 SWEEP_BLOCK = 2 ** 16  # elements one block of the subadditivity sweep compares
 DEFAULT_LAMBDAS = (4.0, 2.0, 1.0, 0.5, 0.25, 0.125)
@@ -171,8 +172,9 @@ def log_power(c: float, depth: int = 1,
               lambda_hint: Optional[float] = None) -> Weight:
     c = _positive(c, "log_power c")
     depth = as_int(depth, "log depth")
-    if depth < 1:
-        raise InvalidWeightError("log_power needs depth >= 1")
+    if not 1 <= depth <= MAX_LOG_DEPTH:
+        raise InvalidWeightError(
+            f"log_power depth must lie in 1 .. {MAX_LOG_DEPTH}, got {depth}")
     # log^-c is subadditive only once the exponent is brought down to ~1
     return Weight("log_power", (c, depth),
                   lambda_hint=_hint(lambda_hint, min(1.0, 1.0 / c)))
@@ -207,6 +209,10 @@ def custom_weight(name, eval_fn, log_eval=None, lambda_hint=None) -> Weight:
                   _eval=eval_fn, _log_eval=log_eval)
 
 
+# every field a weight's JSON form may hold; each kind takes some of them
+_SPEC_FIELDS = ("alpha", "beta", "c", "depth", "points", "lambda_hint")
+
+
 def from_spec(spec) -> Weight:
     """Build a weight from its JSON form, e.g. {"kind": "power", "alpha": 0.5}."""
     if isinstance(spec, Weight):
@@ -223,20 +229,24 @@ def from_spec(spec) -> Weight:
         raise InvalidWeightError(
             f"weight spec {spec!r} is not power:a, log[:c[,depth]] or "
             "exp_log:a,b")
-    kind = fields(spec, "weight", "kind")["kind"]
+    kind = fields(spec, "weight", "kind", optional=_SPEC_FIELDS)["kind"]
     hint = spec.get("lambda_hint")
     if kind == "power":
-        fields(spec, "power weight", "alpha")
+        fields(spec, "power weight", "kind", "alpha",
+               optional=("lambda_hint",))
         return power(spec["alpha"], hint)
     if kind == "log_power":
-        fields(spec, "log_power weight", "c")
+        fields(spec, "log_power weight", "kind", "c",
+               optional=("depth", "lambda_hint"))
         return log_power(spec["c"], spec.get("depth", 1),
                          hint if hint is not None else 1.0)
     if kind == "exp_log":
-        fields(spec, "exp_log weight", "alpha", "beta")
+        fields(spec, "exp_log weight", "kind", "alpha", "beta",
+               optional=("lambda_hint",))
         return exp_log(spec["alpha"], spec["beta"], hint)
     if kind == "table":
-        fields(spec, "table weight", "points")
+        fields(spec, "table weight", "kind", "points",
+               optional=("lambda_hint",))
         return table_weight(as_list(spec["points"], "table points"), hint)
     raise InvalidWeightError(f"unknown weight kind {reprlib.repr(kind)}")
 

@@ -197,6 +197,33 @@ class TestJsonForms:
             MultiplierLayer(depth, factors)
 
 
+class TestGapTail:
+    @pytest.mark.parametrize("kind, params, message", [
+        ("geometric_levels", (1, 2, 1, 0, -1), "positive parameters"),
+        ("geometric_levels", (1, 0, 1, 0.3, 0), "positive parameters"),
+        ("geometric_levels", (1, 2, 1, 0.5, 0), r"base \* ratio < 1"),
+        ("geometric_levels", (1, 2, 1, 0.3, -1), "first level -1"),
+        ("geometric_levels", (1, 2, 1, 0.3, 1.5), "must be an integer"),
+        ("geometric_levels", (1, 2, 1, 0.3), "list of 5"),
+        ("harmonic_log", (1, 1), "first level 1"),
+        ("harmonic_log", (0, 5), "positive parameters"),
+        ("harmonic_log", (1, float("nan")), "finite number"),
+        ("stagewise_log", (-1, 3), "positive parameters"),
+        ("stagewise_log", (1, -3), "first level -3"),
+        ("geometric", (1, 2), "unknown tail kind"),
+    ])
+    def test_ranges_checked_when_built(self, kind, params, message):
+        with pytest.raises(ValueError, match=message):
+            circle.GapTail(kind, params)
+
+    @pytest.mark.parametrize("kind, params", [
+        ("geometric_levels", (1, 2, 1, 0.49, 0)),
+        ("harmonic_log", (1e-3, 2)), ("stagewise_log", (1.0, 0.0))])
+    def test_smallest_first_levels_build(self, kind, params):
+        tail = circle.GapTail(kind, params)
+        assert 0.0 < tail.gap_mass() < math.inf
+
+
 class TestDyadicIndex:
     @given(st.integers(0, 2 ** 20 - 1), st.integers(1, 20))
     @settings(max_examples=60, deadline=None)

@@ -2,14 +2,17 @@
 
 import io
 import json
+import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gst import circle, cli, grids, inner_outer, privalov, roberts, weights
+from gst import (circle, cli, fixtures, grids, inner_outer, privalov, roberts,
+                 weights)
 from gst.grids import DyadicGrid
 
 
@@ -418,6 +421,60 @@ BAD_INPUTS.update({
 })
 
 
+def _tail(kind: str, params: list) -> list:
+    return _entropy(json.dumps({"gaps": [], "tail": {"kind": kind,
+                                                     "params": params}}))
+
+
+# tail ranges, depth caps and unknown fields: each is bad input
+BAD_INPUTS.update({
+    # tails: every parameter checked for its range when the tail is built
+    "tail_zero_ratio": (_tail("geometric_levels", [1, 2, 1, 0, -1]), 1),
+    "tail_negative_count": (_tail("geometric_levels", [-1, 2, 1, 0.3, 0]),
+                            1),
+    "tail_base_ratio_one": (_tail("geometric_levels", [1, 2, 1, 0.5, 0]), 1),
+    "tail_negative_first_level": (_tail("geometric_levels",
+                                        [1, 2, 1, 0.3, -1]), 1),
+    "tail_fractional_first_level": (_tail("geometric_levels",
+                                          [1, 2, 1, 0.3, 1.5]), 1),
+    "tail_four_geometric_params": (_tail("geometric_levels", [1, 2, 1, 0.3]),
+                                   1),
+    "tail_harmonic_first_below_two": (_tail("harmonic_log", [1, 1]), 1),
+    "tail_harmonic_zero_amp": (_tail("harmonic_log", [0, 5]), 1),
+    "tail_stagewise_negative_amp": (_tail("stagewise_log", [-1, 3]), 1),
+    "tail_stagewise_negative_first": (_tail("stagewise_log", [1, -3]), 1),
+    "tail_unknown_kind": (_tail("geometric", [1, 2, 1, 0.3, 0]), 1),
+    # depths: a log nesting and a grid depth beyond their caps
+    "weight_log_depth_1e16": (_point_entropy("log:1,1e16"), 1),
+    "weight_json_log_depth_above_cap": (_point_entropy(
+        '{"kind": "log_power", "c": 1, "depth": 17}'), 1),
+    "grid_depth_10_to_400": (_verify(f"[4, {10 ** 400}]"), 1),
+    "grid_depth_above_cap": (_verify(f"[4, {grids.DEPTH_CAP + 1}]"), 1),
+    "grid_build_n0_10_to_400": (["grid", "build", "--weight", "power:1",
+                                 "--n0", str(10 ** 400)], 1),
+    # unknown fields, misspelt or of another kind
+    "measure_atom_typo": (_classify('{"atom": [{"pos": 0.1, "mass": 1}]}'),
+                          1),
+    "measure_atom_unknown_field": (_classify(
+        '{"atoms": [{"pos": 0.1, "mass": 1, "weight": 2}]}'), 1),
+    "measure_cantor_unknown_field": (_classify(
+        '{"cantor": [{"generator": "triadic", "depth": 4, "mass": 1, '
+        '"stages": 4}]}'), 1),
+    "measure_layer_unknown_field": (_classify(
+        '{"atoms": [{"pos": 0.1, "mass": 1}], "multipliers": [{"depth": 2, '
+        '"factors": {"0": 0.5}, "scale": 1}]}'), 1),
+    "set_unknown_field": (_entropy('{"gaps": [[0.0, 1.0]], "tial": null}'),
+                          1),
+    "set_tail_unknown_field": (_entropy(
+        '{"gaps": [], "tail": {"kind": "harmonic_log", "params": [1, 5], '
+        '"first": 5}}'), 1),
+    "weight_unknown_field": (_point_entropy(
+        '{"kind": "power", "alpha": 1, "alpah": 2}'), 1),
+    "weight_field_of_another_kind": (_point_entropy(
+        '{"kind": "power", "alpha": 1, "beta": 2}'), 1),
+    "grid_unknown_field": (_verify('{"depths": [4, 8], "lamda": 2}'), 1),
+})
+
 def _reject_constant(token):
     raise ValueError(f"{token} is not strict JSON")
 
@@ -455,6 +512,65 @@ class TestOperandReader:
         _, whole = run(_verify('{"depths": [4, 12, 36]}'), capsys)
         assert listed["results"] == whole["results"]
 
+
+class TestJsonRoundTrip:
+    """Every field a ``*_to_json`` writes reads back, and so does every
+    operand the benchmark's workloads build."""
+
+    @staticmethod
+    def _through_json(obj):
+        return json.loads(json.dumps(obj, allow_nan=False))
+
+    def test_sets(self):
+        sets = [E for E, _ in fixtures.entropy_set_fixtures().values()]
+        sets += [fixtures.named_fixture(name) for name in
+                 ("point", "two_points", "triadic", "harmonic_log",
+                  "stagewise_divergent")]
+        for E in sets:
+            obj = circle.set_to_json(E)
+            again = circle.set_from_json(self._through_json(obj))
+            assert circle.set_to_json(again) == obj
+
+    def test_measures(self):
+        measures = list(fixtures.measure_fixtures().values())
+        measures.append(circle.measure_from_json({
+            "atoms": [{"pos": 0.1, "mass": 1.0}], "name": "damped",
+            "cantor": [{"generator": "stagewise_log", "depth": 6,
+                        "mass": 0.5}],
+            "multipliers": [{"depth": 2, "factors": {"1": 0.5}}]}))
+        for mu in measures:
+            obj = circle.measure_to_json(mu)
+            again = circle.measure_from_json(self._through_json(obj))
+            assert circle.measure_to_json(again) == obj
+
+    def test_weights(self):
+        ws = {**fixtures.builtin_majorants(), **fixtures.a1_family(),
+              "table": weights.table_weight([[0, 0], [0.5, 0.6], [1, 1]])}
+        for w in ws.values():
+            spec = weights.to_spec(w)
+            again = weights.from_spec(self._through_json(spec))
+            assert weights.to_spec(again) == spec
+
+    def test_grids(self):
+        built = [grids.feasible_grid(w, 4, 3.0, 5)
+                 for w in fixtures.builtin_majorants().values()]
+        for g in built + [DyadicGrid((4, 8, 12))]:
+            obj = grids.grid_to_json(g)
+            assert grids.grid_from_json(self._through_json(obj)) == g
+
+    def test_workload_operands(self):
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+        from bench import workloads
+        readers = {"weight": cli._weight, "measure": cli._measure,
+                   "set": cli._set}
+        for name in ("cyclicity", "boundary", "certify"):
+            wl = workloads.make(name, 1)
+            wl.setup()
+            for _ in range(2 * len(wl.kinds) + 1):
+                args = cli.build_parser().parse_args(wl.next_op().argv)
+                for flag, read in readers.items():
+                    if getattr(args, flag, None) is not None:
+                        read(args)
 
 class TestStrictOutput:
     def test_divergent_entropy_is_certified_with_null_bounds(self, capsys):

@@ -75,3 +75,13 @@ class TestJson:
         again = grid_from_json(grid_to_json(g))
         assert again.depths == g.depths
         assert again.C_param == g.C_param
+
+    def test_depths_capped(self):
+        assert DyadicGrid((4, grids.DEPTH_CAP)).depths[-1] == grids.DEPTH_CAP
+        for depths in ([4, grids.DEPTH_CAP + 1], [4, 10 ** 400]):
+            with pytest.raises(ValueError, match="at most"):
+                grid_from_json(depths)
+
+    def test_unknown_field_named(self):
+        with pytest.raises(ValueError, match="unknown field 'lamda'"):
+            grid_from_json({"depths": [4, 8], "lamda": 2.0})

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gst import fixtures, inner_outer, weights
-from gst.circle import Arc, CircleMeasure, point_set, zero_measure
+from gst import circle
+from gst.circle import (Arc, CircleMeasure, point_set, set_union,
+                        zero_measure)
 from gst.grids import DyadicGrid, neg_log_at_depth
 from gst.inner_outer import (BlaschkeSeq, _herglotz_sum, auto_carleson_N,
                              blaschke_many, carleson_many, carleson_outer,
@@ -514,6 +516,91 @@ class TestCorona:
         rep2 = corona_parameter_report(W_T, 0.1, 8, K=10.0)
         assert not rep2["admissible_c"]
         assert not corona_parameter_report(W_T, 0.001, 8)["admissible_n0"]
+
+
+# -- oracles: the retired per-arc Whitney loop and per-gap endpoint loop ----
+
+def rotated_set(E, offset):
+    """E turned by ``offset``; a gap that crosses angle 0 wraps past 1."""
+    obj = circle.set_to_json(E)
+    obj["gaps"] = sorted([(s + offset) % 1.0, ln] for s, ln in obj["gaps"])
+    return circle.set_from_json(obj)
+
+
+ORACLE_SETS = {
+    "point": lambda: point_set([0.0]),
+    **{f"triadic{d}": (lambda d=d: fixtures.triadic_cantor_set(d))
+       for d in range(1, 8)},
+    "triadic_union_point": lambda: set_union(fixtures.triadic_cantor_set(),
+                                             point_set([0.5])),
+    # the gap (1/3, 2/3) turns to (0.933.., 1.266..) and wraps angle 0
+    "rotated_triadic5": lambda: rotated_set(fixtures.triadic_cantor_set(5),
+                                            0.6),
+}
+
+
+def oracle_whitney(E, levels):
+    """(starts, lengths) of the Whitney arcs, one arc at a time."""
+    starts, lengths = [], []
+    for g in E.gaps:
+        a, L = g.start, g.length
+        for k in range(levels):
+            ln = L * 2.0 ** -(k + 2)
+            starts += [(a + ln) % 1.0, (a + L - 2.0 * ln) % 1.0]
+            lengths += [ln, ln]
+    return np.array(starts), np.array(lengths)
+
+
+def oracle_carleson_arrays(E, w, levels):
+    """The arrays of carleson_outer, arc by arc and gap endpoint by gap
+    endpoint."""
+    starts, lens = oracle_whitney(E, levels)
+    coeffs = lens * -np.asarray(w.log(lens))
+    centers = unit_point(np.array([(a + ln / 2.0) % 1.0
+                                   for a, ln in zip(starts, lens)]))
+    rhos = 1.0 + lens
+    lam = weights.effective_lambda(w)
+    ends, tails, scales = [], [], []
+    for g in E.gaps:
+        for e in (g.start, g.start + g.length):
+            m_last = g.length * 2.0 ** -(levels + 1)
+            u_last = -float(w.log(m_last))
+            tails.append(m_last * (u_last + 2.0 * math.log(4.0) / lam))
+            ends.append(complex(unit_point(e % 1.0)))
+            scales.append(m_last)
+    return {"coeffs": coeffs, "poles": rhos * centers, "centers": centers,
+            "rhos": rhos, "gap_endpoints": np.asarray(ends),
+            "tail_coeffs": np.array(tails), "tail_scale": np.array(scales)}
+
+
+class TestWhitneyOracle:
+    @pytest.mark.parametrize("levels", [1, 12, 60])
+    @pytest.mark.parametrize("name", sorted(ORACLE_SETS))
+    def test_arcs_bitwise(self, name, levels):
+        E = ORACLE_SETS[name]()
+        wd = whitney(E, levels)
+        starts, lengths = oracle_whitney(E, levels)
+        assert len(wd.arcs) == starts.size == 2 * levels * len(E.gaps)
+        assert _same_bits(wd.arcs.start, starts)
+        assert _same_bits(wd.arcs.length, lengths)
+        assert _same_bits(wd.lengths(), lengths)
+        row = wd.arcs[-1]
+        assert (row.start, row.length) == (starts[-1], lengths[-1])
+
+    @pytest.mark.parametrize("w", [W_T, weights.power(0.5),
+                                   weights.exp_log(1.0, 0.8)],
+                             ids=["t", "t^0.5", "exp_log"])
+    @pytest.mark.parametrize("levels", [1, 12, 60])
+    @pytest.mark.parametrize("name", sorted(ORACLE_SETS))
+    def test_carleson_arrays_bitwise(self, name, levels, w):
+        E = ORACLE_SETS[name]()
+        G = carleson_outer(E, w, 1.0, levels)
+        for key, want in oracle_carleson_arrays(E, w, levels).items():
+            assert _same_bits(getattr(G, key), want), key
+
+    def test_rotated_set_wraps_angle_zero(self):
+        E = ORACLE_SETS["rotated_triadic5"]()
+        assert any(g.start + g.length > 1.0 for g in E.gaps)
 
 
 class TestWhitney:

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from gst import fixtures, weights
-from gst.circle import point_set
+from gst import circle, fixtures, weights
+from gst.circle import point_set, set_union
 from gst.inner_outer import (NoAdmissibleN, auto_carleson_N, carleson_outer,
-                             psi_sum_many)
+                             psi_sum_many, unit_point)
 from gst.privalov import (H_MAX, PrivalovDomain, boundary_samples,
                           boundary_samples_with_profile, embedding_check,
                           privalov_boundary_estimate)
@@ -99,6 +99,61 @@ class TestBoundarySamples:
         D = PrivalovDomain(point_set([0.0]))
         zs = boundary_samples(D, 4)
         assert np.min(np.abs(zs)) == pytest.approx(1.0 - 1.0 / 32.0)
+
+
+def oracle_samples(D, count):
+    """boundary_samples_with_profile one gap at a time."""
+    gaps = D.E.gaps
+    total = sum(g.length for g in gaps)
+    zs, hs = [], []
+    for g in gaps:
+        n_uni = max(3, int(round(count * g.length / total)))
+        s = np.unique(np.concatenate([
+            np.arange(1, n_uni) / n_uni,
+            2.0 ** -np.arange(2, 18),
+            1.0 - 2.0 ** -np.arange(2, 18),
+        ]))
+        q = g.length * s * (1.0 - s)
+        h = 0.5 * q * q
+        t = (g.start + g.length * s) % 1.0
+        zs.extend(unit_point(t) * (1.0 - h))
+        hs.extend(h)
+    return np.asarray(zs, dtype=complex), np.asarray(hs, dtype=float)
+
+
+def rotated_set(E, offset):
+    """E turned by ``offset``; a gap that crosses angle 0 wraps past 1."""
+    obj = circle.set_to_json(E)
+    obj["gaps"] = sorted([(s + offset) % 1.0, ln] for s, ln in obj["gaps"])
+    return circle.set_from_json(obj)
+
+
+ORACLE_SETS = {
+    "point": lambda: point_set([0.0]),
+    **{f"triadic{d}": (lambda d=d: fixtures.triadic_cantor_set(d))
+       for d in range(1, 8)},
+    "triadic_union_point": lambda: set_union(fixtures.triadic_cantor_set(),
+                                             point_set([0.5])),
+    "rotated_triadic5": lambda: rotated_set(fixtures.triadic_cantor_set(5),
+                                            0.6),
+}
+
+
+class TestSamplesOracle:
+    @pytest.mark.parametrize("count", [1, 300, 2048])
+    @pytest.mark.parametrize("name", sorted(ORACLE_SETS))
+    def test_points_and_heights_bitwise(self, name, count):
+        D = PrivalovDomain(ORACLE_SETS[name]())
+        zs, hs = boundary_samples_with_profile(D, count)
+        want_zs, want_hs = oracle_samples(D, count)
+        assert zs.dtype == want_zs.dtype and hs.dtype == want_hs.dtype
+        assert np.array_equal(zs.view(np.int64), want_zs.view(np.int64))
+        assert np.array_equal(hs.view(np.int64), want_hs.view(np.int64))
+
+    def test_no_gaps_no_samples(self):
+        zs, hs = boundary_samples_with_profile(
+            PrivalovDomain(circle.ClosedCircleSet([])), 64)
+        assert zs.shape == hs.shape == (0,)
 
 
 class TestBoundaryEstimate:

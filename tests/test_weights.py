@@ -400,6 +400,24 @@ class TestWeightSpecs:
         with pytest.raises(ValueError):
             make()
 
+    def test_log_depth_capped(self):
+        depth = weights.MAX_LOG_DEPTH
+        assert weights.log_power(1.0, depth).params == (1.0, depth)
+        for bad in (depth + 1, 10 ** 16, 0):
+            with pytest.raises(weights.InvalidWeightError, match="depth"):
+                weights.log_power(1.0, bad)
+        with pytest.raises(ValueError, match="depth"):
+            weights.from_spec("log:1,1e16")
+
+    @pytest.mark.parametrize("spec, field", [
+        ({"kind": "power", "alpha": 1, "alpah": 2}, "alpah"),
+        ({"kind": "power", "alpha": 1, "beta": 2}, "beta"),
+        ({"kind": "exp_log", "alpha": 1, "beta": 1, "depth": 2}, "depth"),
+        ({"kind": "table", "points": [[0, 0], [1, 1]], "c": 1}, "c")])
+    def test_unknown_fields_named(self, spec, field):
+        with pytest.raises(ValueError, match=f"unknown field '{field}'"):
+            weights.from_spec(spec)
+
     def test_table_requires_monotone(self):
         with pytest.raises(weights.InvalidWeightError):
             weights.table_weight([(0.0, 0.0), (0.5, 0.9), (1.0, 0.5)])
