@@ -26,7 +26,7 @@ relative move of each float field (list entries pooled under ``[]``).
 The cases: ``report cyclicity`` on the divergent Cantor fixture and on the
 first input of the benchmark's ``cyclicity`` workload at seeds 1-3;
 ``inner eval`` on triadic measures of 2^10 and 2^14 atoms; ``measure
-decompose``; ``privalov check`` and ``carleson build --N auto`` on the
+decompose``, once on an atom with a depth-2000 grid level; ``privalov check`` and ``carleson build --N auto`` on the
 one-point set, the triadic sets of depth 5-7 and the
 ``triadic_union_point`` set (inline JSON, many distinct gap lengths),
 each under ``power:1`` and ``power:0.5``; the second input of the
@@ -107,6 +107,10 @@ def cases():
             "measure", "decompose", "--measure", f"fixture:{fixture}",
             "--weight", "power:1", "--grid", "[4,8,12,16,20,24]",
             "--kmax", "6")
+    # 2^2000 arcs: counts past the float range
+    yield "measure decompose atom deep grid", (
+        "measure", "decompose", "--measure", "fixture:atom", "--weight",
+        "power:1", "--grid", "[4,2000]", "--kmax", "2")
     sets = [("point", "fixture:point")] + [
         (f"triadic {d}", _triadic_set(d)) for d in (5, 6, 7)] + [
         ("triadic_union_point", _union_point_set())]

@@ -133,7 +133,8 @@ def cmd_weight(args):
         out["A1"] = {"error": str(exc)}
     if args.alpha is not None:
         a2 = weights.check_A2(w, args.alpha, args.quad_depth, work)
-        out["A2"] = {"dini_integral": a2.dini_integral, "ok": a2.ok}
+        out["A2"] = {"dini_integral": a2.dini_integral, "ok": a2.ok,
+                     "low": a2.low, "high": a2.high}
     return out, {"continuity_grids": work["continuity_grids"],
                  "sweep_rows": work["sweep_rows"]}
 

@@ -18,13 +18,12 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
 
 from .circle import CircleMeasure
 from .inner_outer import (AnalyticValue, BlaschkeSeq, blaschke_many,
                           singular_inner_deriv_many, singular_inner_many,
                           unit_point)
-from .weights import Weight, check_A2, _dini_tail
+from .weights import Bracket, Weight, check_A2, dini_brackets
 
 FINITE = "finite"
 DIVERGES = "diverges"
@@ -419,7 +418,7 @@ def derivative_growth_check(f: DiscFunction, w: Weight,
 class ContainmentCheck:
     ok: bool
     fw: FwNorm
-    bound_integral: float
+    bound: Bracket
     ratio: float
 
 
@@ -428,8 +427,8 @@ def aw_in_fw_check(f: DiscFunction, w: Weight, alpha: float, p: float,
     """Derivative-growth functions embed in the dual class of the p-th power.
 
     Requires 0 < p < 1 - alpha and the Dini-type condition at alpha; the
-    reported ratio compares the computed norm with the governing integral
-    int_0^1 w^(1-p)(t)/t dt.
+    reported ratio compares the computed norm with the midpoint of
+    ``bound``, the bracket of the governing integral int_0^1 w^(1-p)(t)/t dt.
     """
     if not 0 < p < 1.0 - alpha:
         raise ValueError("need 0 < p < 1 - alpha")
@@ -438,17 +437,11 @@ def aw_in_fw_check(f: DiscFunction, w: Weight, alpha: float, p: float,
         raise ValueError("the Dini-type condition fails at this alpha")
     growth = derivative_growth_check(f, w)
     fw = fw_norm(f, w.pow(p), quad_depth)
-    bound = 0.0
-    for j in range(quad_depth):
-        lo, hi = 2.0 ** -(j + 1), 2.0 ** -j
-        val, _ = integrate.quad(
-            lambda u: math.exp((1.0 - p) * w.log(math.exp(u))),
-            math.log(lo), math.log(hi), limit=80)
-        bound += val
-    bound += _dini_tail(w, 1.0 - p, 2.0 ** -quad_depth)
+    body, tail = dini_brackets(w, 1.0 - p, quad_depth)
+    bound = body + tail
     ok = growth.ok and fw.tag == FINITE
-    ratio = (fw.value / bound) if (fw.value is not None and bound > 0) \
-        else math.inf
+    ratio = (fw.value / bound.mid
+             if fw.value is not None and bound.mid > 0 else math.inf)
     return ContainmentCheck(ok, fw, bound, ratio)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .circle import Arc, CircleMeasure, ClosedCircleSet, modulus_of_continuity
 from .entropy import entropy_sum
 from .grids import neg_log_at_depth
-from .weights import Weight, effective_lambda, _maximize_unit
+from .weights import Weight, effective_lambda, moment_sup
 
 TWO_PI = 2.0 * math.pi
 FLOAT_TERM = 5e-15
@@ -399,10 +399,14 @@ class MomentCheck:
 
 
 def moment_check(w: Weight, n: int) -> MomentCheck:
-    """Monomial growth norm against the 3 w(1/n) envelope."""
+    """Monomial growth norm against the 3 w(1/n) envelope.
+
+    ``sup`` is moment_sup's upper bound on sup_r w(1 - r) r^n, so a passing
+    check is certified.
+    """
     if n < 2:
         raise ValueError("moment bound applies from n = 2 on")
-    _, sup = _maximize_unit(lambda r: w(1.0 - r) * r ** n)
+    sup = moment_sup(w, n).high
     bound = 3.0 * w(1.0 / n)
     return MomentCheck(sup, bound, sup <= bound * (1.0 + 1e-12))
 

@@ -164,11 +164,12 @@ def decompose(mu: CircleMeasure, grid: DyadicGrid, c: float, w: Weight,
         n_k, heavy_k = heavy_sets[k]
         sub = 2 ** (n_k - n_prev)
         light_count = len(heavy_prev) * sub - len(heavy_k)
-        ledger += light_count * 2.0 ** -n_k * neg_log_at_depth(w, n_k)
+        # exact int division: past depth 1023 the count overflows a float
+        ledger += light_count / 2 ** n_k * neg_log_at_depth(w, n_k)
     beta = check.beta
     decay = []
     for (n, heavy), rep in zip(heavy_sets, reports):
-        m_h = len(heavy) * 2.0 ** -n
+        m_h = len(heavy) / 2 ** n
         decay.append({"depth": n, "heavy_measure": m_h,
                       "bound_value": c * m_h * neg_log_at_depth(w, n),
                       "total_mass": total})

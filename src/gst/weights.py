@@ -18,7 +18,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import integrate, optimize, special
 
 from .util import as_float, as_floats, as_int, as_list, fields
 
@@ -29,6 +28,19 @@ MAX_LOG_DEPTH = 16  # most nested logs in a log_power weight
 CONTINUITY_TOL = 1e-2
 SWEEP_BLOCK = 2 ** 16  # elements one block of the subadditivity sweep compares
 DEFAULT_LAMBDAS = (4.0, 2.0, 1.0, 0.5, 0.25, 0.125)
+UNIT_ROUNDOFF = 2.0 ** -53
+# relative error allowed in one computed value of w or of an integrand:
+# 2^13 ulps, room for the exp/log/pow chains of the analytic kinds at
+# arguments up to about 700 in magnitude
+ROUND_REL = 2.0 ** -40
+DINI_CELLS = 2 ** 12  # cells per dyadic block of a Dini integral
+DINI_NODES = 2 ** 20  # past this many nodes a Dini block gets fewer cells
+NEG_LOG_BLOCKS = 48
+NEG_LOG_CELLS = 2 ** 12  # cells per dyadic block of neg_log_integral
+SUP_RTOL = 2.0 ** -20  # how far a moment_sup cell's bound may pass its best
+SUP_SPLIT = 8
+SUP_ROUNDS = 16
+CF_TERMS = 4096  # most terms of Legendre's continued fraction
 
 _CONTINUITY_GRID = np.linspace(0.0, 1.0, 2 ** CONTINUITY_DEPTH + 1)
 _CONTINUITY_GRID.setflags(write=False)
@@ -478,49 +490,220 @@ def check_A1(w: Weight, depth: int) -> A1Check:
     return A1Check(lo, hi, ok)
 
 
+# ---------------------------------------------------------------------------
+# Certified brackets for integrals and sups of monotone functions
+# ---------------------------------------------------------------------------
+
 @dataclass(frozen=True)
-class A2Check:
-    dini_integral: float
-    ok: bool
-    tail: float = 0.0
+class Bracket:
+    """A certified enclosure low <= value <= high; high may be inf."""
+
+    low: float
+    high: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "low", float(self.low))
+        object.__setattr__(self, "high", float(self.high))
+
+    @property
+    def mid(self) -> float:
+        return 0.5 * (self.low + self.high)
+
+    def __add__(self, other: "Bracket") -> "Bracket":
+        # fsum rounds once, so one step outward keeps the enclosure
+        return Bracket(
+            math.nextafter(math.fsum((self.low, other.low)), -math.inf),
+            math.nextafter(math.fsum((self.high, other.high)), math.inf))
 
 
-def _dini_tail(w: Weight, alpha: float, s: float) -> float:
-    """Closed-form bound for int_0^s w^alpha(t) dt/t, by weight kind."""
-    if w.kind == "power":
-        e = alpha * w.params[0]
-        return s ** e / e
-    if w.kind == "log_power":
-        c, depth = w.params
-        if depth > 1:
-            return math.inf  # iterated-log weights are never Dini
-        e = alpha * c
-        if e <= 1.0:
-            return math.inf
-        return (1.0 + math.log(1.0 / s)) ** (1.0 - e) / (e - 1.0)
-    if w.kind == "exp_log":
-        a, beta = w.params
-        c = alpha * a
-        x = 1.0 + math.log(1.0 / s)
-        # int_x^inf exp(-c y^beta) dy via the upper incomplete gamma function
-        return (special.gamma(1.0 / beta) *
-                special.gammaincc(1.0 / beta, c * x ** beta) /
-                (beta * c ** (1.0 / beta)))
+def _widen(low: float, high: float, rel: float = ROUND_REL) -> Bracket:
+    """[low, high] moved outward by ``rel`` of each magnitude."""
+    return Bracket(low - rel * abs(low), high + rel * abs(high))
+
+
+def monotone_integral(fn, nodes) -> Bracket:
+    """Bracket of the integral of a monotone fn over [nodes[0], nodes[-1]].
+
+    ``nodes`` is an increasing array and fn a vectorized function on it.
+    On each cell between two nodes the integral lies between the cell's
+    width times the smaller and times the larger endpoint value, so the
+    lower and upper Riemann sums enclose the whole integral whichever way
+    fn runs.  Each sum is widened by ROUND_REL per value plus one unit
+    roundoff per cell for the products and the summation (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 4), taken of
+    the largest |fn| times the interval's length.
+    """
+    vals = np.asarray(fn(nodes), dtype=float)
+    if np.isnan(vals).any():
+        raise InvalidWeightError("integrand is NaN on the quadrature grid")
+    widths = np.diff(nodes)
+    lower = float(np.sum(np.minimum(vals[:-1], vals[1:]) * widths))
+    upper = float(np.sum(np.maximum(vals[:-1], vals[1:]) * widths))
+    size = float(np.max(np.abs(vals))) * float(nodes[-1] - nodes[0])
+    pad = (ROUND_REL + (widths.size + 1) * UNIT_ROUNDOFF) * size
+    return Bracket(lower - pad, upper + pad)
+
+
+def _legendre_cf(sigma: float, x: float) -> tuple:
+    """(low, high, terms): two consecutive convergents of Legendre's
+    continued fraction (DLMF 8.9.2)
+
+        e^x x^-sigma Gamma(sigma, x)
+            = 1/(x + (1 - sigma)/(1 + 1/(x + (2 - sigma)/(1 + 2/(x + ...)))))
+
+    for 0 < sigma <= 1 and x > 0.  Every partial numerator is then >= 0, so
+    any two consecutive convergents enclose the value; the fraction stops
+    when they agree to a few ulps, or after CF_TERMS terms.
+    """
+    p0, p1, q0, q1 = 1.0, 0.0, 0.0, 1.0  # numerators and denominators
+    f_prev = f = math.inf
+    for j in range(1, CF_TERMS + 1):
+        m = j // 2
+        if j % 2:
+            num, den = float(max(m, 1)), x
+        else:
+            num, den = m - sigma, 1.0
+        p0, p1 = p1, den * p1 + num * p0
+        q0, q1 = q1, den * q1 + num * q0
+        p0, p1, q0, q1 = p0 / q1, p1 / q1, q0 / q1, 1.0  # rescale
+        f_prev, f = f, p1
+        if abs(f - f_prev) <= 4.0 * UNIT_ROUNDOFF * f:
+            break
+    return min(f, f_prev), max(f, f_prev), j
+
+
+def _exp_log_tail(c: float, beta: float, y0: float) -> Bracket:
+    """Bracket of int_y0^inf exp(-c y^beta) dy = Gamma(s, x) / (beta c^s)
+    with s = 1/beta and x = c y0^beta.
+
+    The recurrence Gamma(m + 1, x) = x^m e^-x + m Gamma(m, x) (DLMF 8.8.2)
+    lowers s into sigma in (0, 1], where _legendre_cf brackets
+    Gamma(sigma, x).  With Gamma(m, x) = x^(m-1) e^-x Q_m it reads
+    Q_(m+1) = 1 + (m/x) Q_m, whose terms are positive, and the integral is
+    y0^(1-beta) e^-x Q_s / (beta c), formed on the log scale.  Past
+    CF_TERMS steps of the recurrence (beta < 1/CF_TERMS), or where x
+    underflows, the bracket is [0, inf].
+    """
+    s = 1.0 / beta
+    steps = math.ceil(s) - 1
+    sigma = s - steps
+    x = c * y0 ** beta
+    if steps > CF_TERMS or not x > 0.0:
+        return Bracket(0.0, math.inf)
+    low, high, terms = _legendre_cf(sigma, x)
+    q_low, q_high, m = x * low, x * high, sigma
+    for _ in range(steps):
+        q_low, q_high = 1.0 + m / x * q_low, 1.0 + m / x * q_high
+        m += 1.0
+    parts = ((1.0 - beta) * math.log(y0), -x, -math.log(beta * c))
+    log_low = math.fsum(parts + (math.log(q_low),))
+    log_high = math.fsum(parts + (math.log(q_high),))
+    # the recurrences' rounding grows with their lengths, the exponential's
+    # with the size of its argument's parts; past the float range low stays
+    # finite and high is inf, and an underflowed exponential is off by at
+    # most the least subnormal
+    size = sum(abs(p) for p in parts) + abs(math.log(q_high))
+    rel = (8.0 * (terms + steps) + 4.0 * (size + 4.0)) * UNIT_ROUNDOFF
+    high = math.exp(log_high) if log_high < 709.0 else math.inf
+    return Bracket(math.exp(min(log_low, 709.0)) * (1.0 - rel),
+                   high * (1.0 + rel) + math.ulp(0.0))
+
+
+def _dini_integrand(w: Weight, alpha: float):
+    """u -> w(e^u)^alpha, nondecreasing in u = log t."""
+    return lambda u: np.exp(alpha * np.asarray(w.log(np.exp(u))))
+
+
+def _evidence_tail(w: Weight, alpha: float, u0: float) -> Bracket:
+    """Tail below s = e^u0 of a weight with no closed form.
+
+    The four dyadic blocks below s are bracketed, which bounds the tail
+    from below; above, the last block's geometric trend is extrapolated,
+    which is evidence rather than a certificate, and needs lambda_hint.
+    """
     if w.lambda_hint is None:
         raise UncertifiedError(
             f"no tail certificate for {w.label()} (missing lambda_hint)")
-    # Evidence-based geometric extrapolation from trailing dyadic blocks.
-    blocks = []
-    for j in range(4):
-        a, b = s / 2 ** (j + 1), s / 2 ** j
-        val, _ = integrate.quad(lambda t: w(t) ** alpha / t, a, b)
-        blocks.append(val)
-    if blocks[0] <= 0:
-        return 0.0
-    rho = (blocks[3] / blocks[0]) ** (1.0 / 3.0) if blocks[3] > 0 else 0.0
+    fn = _dini_integrand(w, alpha)
+    edges = [u0 - j * math.log(2.0) for j in range(5)]
+    blocks = [monotone_integral(fn, np.linspace(lo, hi, DINI_CELLS + 1))
+              for hi, lo in zip(edges, edges[1:])]
+    if blocks[0].high == 0.0:
+        return Bracket(0.0, 0.0)  # w vanishes on [s/2, s], so on [0, s]
+    near = blocks[0] + blocks[1] + blocks[2] + blocks[3]
+    first, last = blocks[0].mid, blocks[3].mid
+    rho = (last / first) ** (1.0 / 3.0) if last > 0 else 0.0
     if rho >= 0.95:
-        return math.inf
-    return blocks[0] * rho / (1.0 - rho) + sum(blocks[1:])
+        return Bracket(near.low, math.inf)
+    return Bracket(near.low, near.high + blocks[3].high * rho / (1.0 - rho))
+
+
+def _dini_tail(w: Weight, alpha: float, u0: float) -> Bracket:
+    """Bracket of int_0^s w^alpha(t) dt/t, s = e^u0, by weight kind.
+
+    power, log_power and exp_log are in closed form (exp_log through the
+    upper incomplete gamma function); Bracket(0, inf) marks a divergent
+    tail.  Other kinds go to _evidence_tail.
+    """
+    if w.kind == "power":
+        e = alpha * w.params[0]
+        tail = math.exp(e * u0) / e
+        return _widen(tail, tail)
+    if w.kind == "log_power":
+        c, depth = w.params
+        e = alpha * c
+        if depth > 1 or e <= 1.0:
+            return Bracket(0.0, math.inf)  # iterated logs are never Dini
+        tail = (1.0 - u0) ** (1.0 - e) / (e - 1.0)
+        return _widen(tail, tail)
+    if w.kind == "exp_log":
+        a, beta = w.params
+        return _exp_log_tail(alpha * a, beta, 1.0 - u0)
+    return _evidence_tail(w, alpha, u0)
+
+
+def dini_brackets(w: Weight, alpha: float, depth: int) -> tuple:
+    """Brackets of int_s^1 w^alpha(t) dt/t and of the tail int_0^s, where
+    s = 2^-depth.
+
+    In u = log t the first is the integral of the nondecreasing
+    w(e^u)^alpha over [-depth log 2, 0], bracketed by monotone_integral
+    with DINI_CELLS cells per dyadic block (fewer past DINI_NODES nodes in
+    all).  Power and single-log weights take their closed forms:
+    (1 - s^e)/e for t^a and (1 - y^(1-e))/(e - 1), y = 1 + log(1/s), for
+    log^-c, with e = alpha a or alpha c.
+    """
+    u0 = math.log(2.0) * -depth
+    tail = _dini_tail(w, alpha, u0)
+    if w.kind == "power":
+        e = alpha * w.params[0]
+        body = -math.expm1(e * u0) / e
+    elif w.kind == "log_power" and w.params[1] == 1:
+        e, log_y = alpha * w.params[0], math.log(1.0 - u0)
+        body = (log_y if e == 1.0
+                else -math.expm1((1.0 - e) * log_y) / (e - 1.0))
+    else:
+        cells = max(1, min(DINI_CELLS, DINI_NODES // depth))
+        nodes = math.log(2.0) * (np.arange(-depth * cells, 1) / cells)
+        return monotone_integral(_dini_integrand(w, alpha), nodes), tail
+    return _widen(body, body), tail
+
+
+@dataclass(frozen=True)
+class A2Check:
+    """The Dini-type integral int_0^1 w^alpha(t) dt/t.
+
+    [low, high] encloses it (high is inf when the tail diverges) and
+    ``dini_integral`` is the midpoint, or without a finite tail the
+    midpoint of the part above 2^-quad_depth; ``tail`` is the upper bound
+    of the part below.  Every number is a Python float.
+    """
+
+    dini_integral: float
+    ok: bool
+    tail: float
+    low: float
+    high: float
 
 
 def check_A2(w: Weight, alpha: float, quad_depth: int, work=None) -> A2Check:
@@ -535,31 +718,51 @@ def check_A2(w: Weight, alpha: float, quad_depth: int, work=None) -> A2Check:
     # precondition at majorant level: some power of w^(1+alpha) is subadditive
     if not check_majorant(w.pow(1.0 + alpha), grid_depth=8, work=work).ok:
         raise InvalidWeightError("w^(1+alpha) is not a majorant")
-    total = 0.0
-    for j in range(quad_depth):
-        a, b = 2.0 ** -(j + 1), 2.0 ** -j
-        val, _ = integrate.quad(
-            lambda u: math.exp(alpha * w.log(math.exp(u))),
-            math.log(a), math.log(b), limit=100)
-        total += val
-    tail = _dini_tail(w, alpha, 2.0 ** -quad_depth)
-    ok = math.isfinite(tail)
-    return A2Check(total + (tail if ok else 0.0), ok, tail)
+    body, tail = dini_brackets(w, alpha, quad_depth)
+    total = body + tail
+    ok = math.isfinite(tail.high)
+    return A2Check(total.mid if ok else body.mid, ok, tail.high,
+                   total.low, total.high)
 
 
-def _maximize_unit(fn) -> tuple:
-    """Max of fn over (0,1): coarse bracket plus bounded local refinement."""
-    grid = np.linspace(1e-9, 1.0 - 1e-9, 513)
-    vals = np.array([fn(t) for t in grid])
-    i = int(np.argmax(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    res = optimize.minimize_scalar(lambda t: -fn(t), bounds=(lo, hi),
-                                   method="bounded",
-                                   options={"xatol": 1e-12})
-    if -res.fun >= vals[i]:
-        return float(res.x), float(-res.fun)
-    return float(grid[i]), float(vals[i])
+def moment_sup(w: Weight, n: int) -> Bracket:
+    """Bracket of sup over 0 < t < 1 of t^n w(1 - t).
+
+    In s = 1 - t the function is (1 - s)^n w(s), a nonincreasing factor
+    times a nondecreasing one, so on a cell [a, b] it is at most
+    (1 - a)^n w(b), while its values at the nodes are lower bounds.  Cells
+    are geometric in s, since the maximum sits near s = 1/n: one per octave
+    from 2^-1022 to 1, plus [0, 2^-1022], where the bound is w(2^-1022).
+    Each cell whose bound beats the best node value by more than SUP_RTOL
+    is split into SUP_SPLIT, for at most SUP_ROUNDS rounds.  Power weights
+    take the closed form at s = a/(n + a).
+    """
+    if w.kind == "power":
+        a = w.params[0]
+        s = a / (n + a)
+        peak = math.exp(n * math.log1p(-s) + a * math.log(s))
+        return _widen(peak, peak)
+    edges = np.arange(-1022.0, 1.0)[None, :]  # log2 s, one row per parent
+    steps = np.arange(SUP_SPLIT + 1) / SUP_SPLIT
+    low, high = 0.0, float(w(2.0 ** -1022))
+    for round_ in range(SUP_ROUNDS + 1):
+        s = np.exp2(edges)
+        with np.errstate(divide="ignore"):
+            decay = np.exp(n * np.log1p(-s))
+        vals = np.asarray(w(s), dtype=float)
+        low = max(low, float(np.max(decay * vals)))
+        bound = (np.maximum(decay[:, :-1], decay[:, 1:])
+                 * np.maximum(vals[:, :-1], vals[:, 1:]))
+        split = bound > low * (1.0 + SUP_RTOL)
+        if round_ == SUP_ROUNDS or not split.any():
+            high = max(high, float(np.max(bound)))
+            break
+        high = max(high, float(np.max(bound[~split], initial=0.0)))
+        left, right = edges[:, :-1][split], edges[:, 1:][split]
+        edges = left[:, None] + (right - left)[:, None] * steps
+        edges[:, -1] = right
+    # each value is a product of two computed factors
+    return _widen(low, high, 3.0 * ROUND_REL)
 
 
 @dataclass(frozen=True)
@@ -570,7 +773,10 @@ class ConditionACheck:
 
 
 def check_condition_a(w: Weight, n_max: int) -> ConditionACheck:
-    """Moment-type decay: sup_t t^n w(1-t) <= C1 w(1/n)^kappa with C1 <= 10."""
+    """Moment-type decay: sup_t t^n w(1-t) <= C1 w(1/n)^kappa with C1 <= 10.
+
+    Each sup is moment_sup's upper bound, so a passing check is certified.
+    """
     if n_max < 8:
         raise ValueError("n_max must be at least 8")
     w0 = w(0.0)
@@ -579,9 +785,8 @@ def check_condition_a(w: Weight, n_max: int) -> ConditionACheck:
     ns, sups = [], []
     n = 2
     while n <= n_max:
-        _, sup = _maximize_unit(lambda t: t ** n * w(1.0 - t))
         ns.append(n)
-        sups.append(sup)
+        sups.append(moment_sup(w, n).high)
         n *= 2
     c1_cap = 10.0
     kappas = []
@@ -606,22 +811,29 @@ class ConditionBCheck:
     ok: bool
 
 
-def neg_log_integral(w: Weight, ell: float, lam: float) -> float:
-    """int_0^ell log(1/w(t)) dt with a certified bracket at the endpoint."""
-    eps = ell * 2.0 ** -48
-    total = 0.0
-    for j in range(48):
-        a, b = ell * 2.0 ** -(j + 1), ell * 2.0 ** -j
-        val, _ = integrate.quad(lambda t: -w.log(t), a, b, limit=80)
-        total += val
-    # |log w| <= (1/lam)(log(1/t) + c0) below eps, c0 from almost-decreasing at eps
-    c0 = -lam * w.log(eps) - math.log(eps)
-    total += (eps * (1.0 + math.log(1.0 / eps)) + eps * max(c0, 0.0)) / lam
-    return total
+def neg_log_integral(w: Weight, ell: float, lam: float) -> Bracket:
+    """Bracket of int_0^ell log(1/w(t)) dt, w^lam subadditive.
+
+    log(1/w) is nonincreasing, so NEG_LOG_BLOCKS dyadic blocks below ell,
+    NEG_LOG_CELLS uniform cells each, go to monotone_integral.  Below
+    eps = ell 2^-NEG_LOG_BLOCKS, log(1/w(eps)) <= log(1/w(t)) and, since
+    subadditivity gives w^lam(t) >= w^lam(eps) t / (2 eps),
+    log(1/w(t)) <= log(1/w(eps)) + log(2 eps/t)/lam, whose integral over
+    [0, eps] is eps (log(1/w(eps)) + (1 + log 2)/lam).
+    """
+    starts = ell * np.exp2(-np.arange(NEG_LOG_BLOCKS, 0, -1.0))
+    cells = 1.0 + np.arange(NEG_LOG_CELLS) / NEG_LOG_CELLS
+    nodes = np.append((starts[:, None] * cells).ravel(), ell)
+    body = monotone_integral(lambda t: -np.asarray(w.log(t)), nodes)
+    eps = float(starts[0])
+    at_eps = -w.log(eps)
+    tail = _widen(eps * at_eps, eps * (at_eps + (1.0 + math.log(2.0)) / lam))
+    return body + tail
 
 
 def check_condition_b(w: Weight, depth: int) -> ConditionBCheck:
-    """Averaged-entropy comparability: int_0^l log(1/w) <= C2 l log(1/w(l))."""
+    """Averaged-entropy comparability: int_0^l log(1/w) <= C2 l log(1/w(l)),
+    with the integral's upper bound in C2."""
     lam = effective_lambda(w)
     worst = 0.0
     for j in range(2, depth + 1):
@@ -629,5 +841,5 @@ def check_condition_b(w: Weight, depth: int) -> ConditionBCheck:
         denom = -w.log(ell) * ell
         if denom <= 0:
             continue  # w(l) = 1 boundary convention: excluded from the max
-        worst = max(worst, neg_log_integral(w, ell, lam) / denom)
+        worst = max(worst, neg_log_integral(w, ell, lam).high / denom)
     return ConditionBCheck(worst, math.isfinite(worst) and worst > 0)

@@ -1,0 +1,252 @@
+"""Certified brackets of the weight layer against 30-digit mpmath oracles.
+
+Each oracle is computed independently of the bracket it checks: Dini
+integrals and entropy integrals by mpmath quadrature in the variable
+y = 1 + log(1/t), the Gamma tail by ``mpmath.gammainc``, and moment sups by
+a root of the derivative of log(t^n w(1 - t)) in the variable log(1 - t).
+"""
+
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import mpmath
+import numpy as np
+import pytest
+
+import gst
+from gst import fixtures, inner_outer, weights
+from gst.weights import Bracket
+
+mpmath.mp.dps = 30
+LOG2 = mpmath.log(2)
+
+# the certify workload's weight strata at their extremes: power exponents
+# in [0.2, 0.45], [0.55, 0.9] and [1.1, 2.0], exp_log alpha in [0.5, 1.5]
+# and beta in [0.6, 1.0]
+CERTIFY_POWERS = (0.2, 0.45, 0.55, 0.9, 1.1, 2.0)
+CERTIFY_EXP_LOGS = [(a, b) for a in (0.5, 1.5) for b in (0.6, 1.0)]
+
+
+def mp_log_w(w, y):
+    """log w(t) at y = 1 + log(1/t), in mpmath."""
+    if w.kind == "power":
+        return -w.params[0] * (y - 1)
+    if w.kind == "log_power":
+        c, depth = w.params
+        val = y
+        for _ in range(depth - 1):
+            val = 1 + mpmath.log(val)
+        return -c * mpmath.log(val)
+    if w.kind == "exp_log":
+        a, beta = w.params
+        return -a * y ** beta
+    raise AssertionError(w.kind)
+
+
+def oracle_dini(w, alpha, depth):
+    """(body, tail): int_s^1 and int_0^s of w^alpha(t) dt/t, s = 2^-depth,
+    as integrals over y in [1, y0] and [y0, inf)."""
+    # the split sits at the float the code uses, u0 = -depth log 2
+    y0 = 1 - mpmath.mpf(math.log(2.0) * -depth)
+
+    def f(y):
+        return mpmath.exp(alpha * mp_log_w(w, y))
+
+    # breakpoints on the integrand's own scale: geometric towards y = 1,
+    # and past y0 multiples of the length over which log f drops by one;
+    # the tail is summed relative to f(y0), since quad's tolerance is
+    # absolute and the tail can be 1e-264
+    body = mpmath.quad(f, [1] + [1 + (y0 - 1) / 2 ** k
+                                 for k in range(12, -1, -1)])
+    scale = 1 / abs(mpmath.diff(lambda y: alpha * mp_log_w(w, y), y0))
+    at_y0 = f(y0)
+    tail = at_y0 * mpmath.quad(
+        lambda y: f(y) / at_y0,
+        [y0 + scale * k for k in (0, 0.5, 1, 2, 4, 8, 16, 32, 64, 256)]
+        + [mpmath.inf])
+    return body, tail
+
+
+def assert_in(value, bracket: Bracket):
+    assert bracket.low <= value <= bracket.high, (float(value), bracket)
+
+
+def dini_cases():
+    for a in CERTIFY_POWERS + (0.5, 1.0):
+        yield weights.power(a), 0.5
+    yield weights.log_power(2.0), 1.0
+    yield weights.log_power(3.0), 0.5
+    yield weights.log_power(1.0, depth=2), 0.5  # body only: never Dini
+    yield weights.exp_log(0.6, 0.65), 0.5
+    yield weights.exp_log(1.0, 0.8), 0.5
+    yield weights.exp_log(1.0, 0.5), 0.5
+    yield weights.exp_log(2.0, 1.7), 1.0
+    for a, b in CERTIFY_EXP_LOGS:
+        yield weights.exp_log(a, b), 0.5
+
+
+@pytest.mark.parametrize("w, alpha", list(dini_cases()),
+                         ids=lambda v: v.label() if hasattr(v, "label")
+                         else str(v))
+def test_dini_brackets_hold_the_oracle(w, alpha):
+    body, tail = weights.dini_brackets(w, alpha, 40)
+    want_body, want_tail = oracle_dini(w, alpha, 40)
+    assert_in(want_body, body)
+    # the grid's width is (log 2 / DINI_CELLS) (f(0) - f(u0)), f <= w(1)^alpha
+    assert body.high - body.low <= (
+        1.01 * math.log(2.0) / weights.DINI_CELLS * w(1.0) ** alpha + 1e-12)
+    if math.isfinite(tail.high):
+        assert_in(want_tail, tail)
+        assert_in(want_body + want_tail, body + tail)
+
+
+@pytest.mark.parametrize("w", [weights.exp_log(a, b)
+                               for a, b in CERTIFY_EXP_LOGS]
+                         + [weights.power(a) for a in CERTIFY_POWERS],
+                         ids=lambda w: w.label())
+def test_check_A2_bracket_holds_the_oracle(w):
+    res = weights.check_A2(w, 0.5, 40)
+    body, tail = oracle_dini(w, 0.5, 40)
+    assert res.ok
+    assert res.low <= body + tail <= res.high
+    assert res.low <= res.dini_integral <= res.high
+    assert res.tail >= tail
+
+
+def test_power_dini_is_two_over_a_to_ulps():
+    for a in CERTIFY_POWERS:
+        res = weights.check_A2(weights.power(a), 0.5, 40)
+        assert abs(res.dini_integral - 2.0 / a) <= 4 * math.ulp(2.0 / a)
+
+
+def test_check_A2_fields_are_python_floats():
+    for w in (weights.exp_log(1.0, 0.8), weights.power(0.5),
+              weights.log_power(1.0)):
+        res = weights.check_A2(w, 0.5 if w.kind != "log_power" else 1.0, 40)
+        for name in ("dini_integral", "tail", "low", "high"):
+            assert type(getattr(res, name)) is float, (w.label(), name)
+        assert type(res.ok) is bool
+    b = weights.dini_brackets(weights.exp_log(1.0, 0.8), 0.5, 40)[0]
+    assert type(b.low) is float and type(b.high) is float
+    assert type(Bracket(np.float64(1.0), 2).high) is float
+
+
+def test_divergent_tail_has_infinite_high():
+    res = weights.check_A2(weights.log_power(1.0), 1.0, 40)
+    assert not res.ok and res.high == math.inf and res.tail == math.inf
+    assert res.low <= res.dini_integral < math.inf
+
+
+def test_table_tail_low_is_certified():
+    # a table has no closed form: its body is bracketed on the grid, its
+    # tail below 2^-40 extrapolated; the tail's low is the four blocks below
+    w = weights.table_weight([(0, 0), (0.09, 0.1), (0.19, 0.25), (1, 1)], 0.5)
+    body, tail = weights.dini_brackets(w, 0.5, 40)
+    slope = mpmath.mpf(0.1) / mpmath.mpf(0.09)
+    s = mpmath.mpf(2) ** -40
+    # w(t) = slope t below 0.09: int_0^s (slope t)^0.5 dt/t = 2 sqrt(slope s)
+    want_tail = 2 * mpmath.sqrt(slope * s)
+    assert tail.low <= want_tail <= tail.high
+
+    def f(t):
+        return mpmath.sqrt(float(w(float(t)))) / t
+
+    # the table's own interpolation between float nodes; pieces at breaks
+    want_body = mpmath.quad(f, [s, 2 ** -20, 0.01, 0.09, 0.19, 1])
+    assert_in(want_body, body)
+
+
+@pytest.mark.parametrize("c", [0.01, 0.25, 0.75, 3.0])
+@pytest.mark.parametrize("beta", [0.1, 0.5, 0.6, 0.65, 0.8, 1.0, 1.5, 3.0])
+@pytest.mark.parametrize("depth", [1, 12, 40])
+def test_gamma_tail_holds_gammainc(c, beta, depth):
+    y0 = 1.0 - math.log(2.0) * -depth
+    got = weights._exp_log_tail(c, beta, y0)
+    s = 1 / mpmath.mpf(beta)
+    want = (mpmath.gammainc(s, mpmath.mpf(c) * mpmath.mpf(y0) ** beta)
+            / (beta * mpmath.mpf(c) ** s))
+    assert_in(want, got)
+    if want > 1e-290:
+        assert got.high - got.low <= 1e-6 * float(want)
+
+
+@pytest.mark.parametrize("w", [weights.power(1.0), weights.power(0.5),
+                               weights.power(2.0), weights.log_power(1.0),
+                               weights.log_power(2.0),
+                               weights.exp_log(1.0, 0.5),
+                               weights.exp_log(1.0, 0.8)],
+                         ids=lambda w: w.label())
+@pytest.mark.parametrize("j", [2, 6, 12])
+def test_neg_log_integral_holds_the_oracle(w, j):
+    ell = 2.0 ** -j
+    got = weights.neg_log_integral(w, ell, weights.effective_lambda(w))
+    # int_0^ell -log w(t) dt = int_{y_ell}^inf -log w(y) e^(1-y) dy
+    y_ell = 1 + j * LOG2
+    want = mpmath.quad(lambda y: -mp_log_w(w, y) * mpmath.exp(1 - y),
+                       [y_ell, y_ell + 1, y_ell + 10, mpmath.inf])
+    assert_in(want, got)
+    assert got.high - got.low <= 1e-3 * float(want)
+
+
+def oracle_moment_sup(w, n):
+    """sup over 0 < t < 1 of t^n w(1 - t): the root of the derivative of
+    log g in x = log s, s = 1 - t, started at the best of a dense grid."""
+    def log_g(x):
+        s = mpmath.exp(x)
+        return n * mpmath.log(1 - s) + mp_log_w(w, 1 - x)
+
+    xs = np.linspace(-700.0, -1e-9, 200001)
+    s = np.exp(xs)
+    best = mpmath.mpf(xs[int(np.argmax(n * np.log1p(-s) + w.log(s)))])
+    root = mpmath.findroot(lambda x: mpmath.diff(log_g, x), best)
+    return mpmath.exp(max(log_g(root), log_g(best)))
+
+
+MOMENT_WEIGHTS = list(fixtures.builtin_majorants().items())
+
+
+@pytest.mark.parametrize("name, w", MOMENT_WEIGHTS,
+                         ids=[k for k, _ in MOMENT_WEIGHTS])
+def test_moment_check_sup_bounds_the_oracle(name, w):
+    for n in (4, 16, 64, 256, 1024):
+        want = oracle_moment_sup(w, n)
+        bracket = weights.moment_sup(w, n)
+        assert_in(want, bracket)
+        assert bracket.high <= float(want) * (1 + 4 * weights.SUP_RTOL)
+        res = inner_outer.moment_check(w, n)
+        assert res.sup == bracket.high and res.sup >= want
+
+
+@pytest.mark.parametrize("w", [weights.power(1.0), weights.power(0.5),
+                               weights.power(2.0), weights.exp_log(1.0, 0.5),
+                               weights.log_power(2.0)],
+                         ids=lambda w: w.label())
+def test_condition_a_compares_certified_sups(w, monkeypatch):
+    seen = []
+    moment_sup = weights.moment_sup
+
+    def recording(w_, n):
+        out = moment_sup(w_, n)
+        seen.append((n, out))
+        return out
+
+    monkeypatch.setattr(weights, "moment_sup", recording)
+    weights.check_condition_a(w, 64)
+    assert [n for n, _ in seen] == [2, 4, 8, 16, 32, 64]
+    for n, bracket in seen:
+        assert_in(oracle_moment_sup(w, n), bracket)
+
+
+def test_import_leaves_scipy_out():
+    code = ("import sys, gst.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    src = str(Path(gst.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "[]"

@@ -65,6 +65,27 @@ class TestSubcommands:
         assert res["heavy_nesting"]
         assert len(res["levels"]) == 3
 
+    def test_measure_decompose_deep_grid(self, capsys):
+        # 2^2000 arcs at the last level: the light-arc count and the heavy
+        # measure are formed by exact int division, not through 2.0 ** -n
+        code, rep = run(["measure", "decompose", "--measure", "fixture:atom",
+                         "--weight", "power:1", "--grid", "[4,2000]",
+                         "--kmax", "2"], capsys)
+        assert code == 0
+        res = rep["results"]
+        assert [lv["depth"] for lv in res["levels"]] == [4, 2000]
+        assert res["mass_balance_error"] <= 1e-9
+
+    @pytest.mark.parametrize("spec", ["power:0.3", "exp_log:1.0,0.8"])
+    def test_weight_check_dini_bracket(self, spec, capsys):
+        code, rep = run(["weight", "check", "--weight", spec, "--alpha",
+                         "0.5"], capsys)
+        assert code == 0
+        a2 = rep["results"]["A2"]
+        assert a2["ok"] is True
+        assert a2["low"] <= a2["dini_integral"] <= a2["high"]
+        assert a2["high"] - a2["low"] <= 1e-3 * a2["dini_integral"]
+
     def test_inner_eval(self, capsys):
         code, rep = run(["inner", "eval", "--measure", "fixture:atom",
                          "--z", "0.0+0.0i", "--eps", "1e-8"], capsys)
