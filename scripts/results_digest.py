@@ -23,10 +23,13 @@ which requires equal exit codes, strings, booleans, integers and shapes
 case by case (exit status 1 otherwise) and prints, per case, the largest
 relative move of each float field (list entries pooled under ``[]``).
 
-The cases: ``report cyclicity`` on the divergent Cantor fixture and on the
+The cases: ``report cyclicity`` on the divergent Cantor fixture, once
+more with ``--kmax 2`` (a second, shorter decomposition), and on the
 first input of the benchmark's ``cyclicity`` workload at seeds 1-3;
 ``inner eval`` on triadic measures of 2^10 and 2^14 atoms; ``measure
-decompose``, once on an atom with a depth-2000 grid level; ``privalov check`` and ``carleson build --N auto`` on the
+decompose``, once on an atom with a depth-2000 grid level and once on a
+measure with a depth-70 multiplier layer (arc indices past int64);
+``privalov check`` and ``carleson build --N auto`` on the
 one-point set, the triadic sets of depth 5-7 and the
 ``triadic_union_point`` set (inline JSON, many distinct gap lengths),
 each under ``power:1`` and ``power:0.5``; the second input of the
@@ -54,6 +57,7 @@ import json
 import math
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # for bench
@@ -93,6 +97,9 @@ def cases():
     yield "report cyclicity divergent_cantor", (
         "report", "cyclicity", "--measure", "fixture:divergent_cantor",
         "--weight", "power:1")
+    yield "report cyclicity divergent_cantor kmax 2", (
+        "report", "cyclicity", "--measure", "fixture:divergent_cantor",
+        "--weight", "power:1", "--kmax", "2")
     for seed in SEEDS:
         yield f"report cyclicity workload seed {seed}", \
             Cyclicity(seed).next_op().argv
@@ -111,6 +118,14 @@ def cases():
     yield "measure decompose atom deep grid", (
         "measure", "decompose", "--measure", "fixture:atom", "--weight",
         "power:1", "--grid", "[4,2000]", "--kmax", "2")
+    deep_layer = {
+        "atoms": [{"pos": 0.1, "mass": 1.0}, {"pos": 0.6, "mass": 0.5}],
+        "cantor": [{"generator": "triadic", "depth": 8, "mass": 1.0}],
+        "multipliers": [{"depth": 70, "factors": {
+            "0": 0.25, str(int(Fraction(0.1) * 2 ** 70)): 0.5}}]}
+    yield "measure decompose depth-70 multiplier layer", (
+        "measure", "decompose", "--measure", json.dumps(deep_layer),
+        "--weight", "power:1", "--grid", "[4,8,12,16,20,24]", "--kmax", "6")
     sets = [("point", "fixture:point")] + [
         (f"triadic {d}", _triadic_set(d)) for d in (5, 6, 7)] + [
         ("triadic_union_point", _union_point_set())]

@@ -14,6 +14,8 @@ classification.
 from __future__ import annotations
 
 import math
+import operator
+import re
 import reprlib
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -26,6 +28,8 @@ from .util import as_dict, as_float, as_floats, as_int, as_list, as_str, \
     fields
 
 CIRCLE_TOL = 1e-12
+# the one spelling of a multiplier arc index in JSON
+ARC_INDEX = re.compile("0|[1-9][0-9]*")
 
 
 @dataclass(frozen=True)
@@ -445,46 +449,65 @@ class _Atoms:
 # Measures
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiplierLayer:
-    """Per-dyadic-arc damping factors at one depth (sparse; default 1)."""
+    """Per-dyadic-arc damping factors at one depth (sparse; default 1).
+
+    ``keys`` are the listed arc indices, strictly increasing: int64 up to
+    depth 62 and Python ints (an object array) beyond, as
+    ``Realization.indices`` gives them; ``factors`` are their factors in
+    [0,1].
+    """
 
     depth: int
-    factors: dict  # arc index -> factor in [0,1]
+    keys: np.ndarray
+    factors: np.ndarray
 
     def __post_init__(self):
         depth = as_int(self.depth, "multiplier depth")
         if depth < 0:
             raise ValueError(f"multiplier depth {depth} is negative")
-        object.__setattr__(self, "depth", depth)
-        vals = np.fromiter(self.factors.values(), dtype=float,
-                           count=len(self.factors))
-        if not np.all((vals >= 0.0) & (vals <= 1.0)):
+        keys, factors = np.asarray(self.keys), np.asarray(self.factors)
+        if keys.ndim != 1 or factors.shape != keys.shape:
+            raise ValueError("a multiplier layer needs one factor per key")
+        if factors.dtype.kind != "f" or not np.all(
+                (factors >= 0.0) & (factors <= 1.0)):
             raise ValueError("multiplier factors must lie in [0,1]")
-        # i < 2^depth without building 2^depth; keys that do not fit one
-        # integer array (bools, big or non-integer keys) go one by one
-        keys = np.array(list(self.factors))
-        if keys.dtype.kind in "iu":
-            ok = keys.size == 0 or (keys.min() >= 0 and
-                                    int(keys.max()).bit_length() <= depth)
+        if keys.dtype == object:
+            ok = all(type(i) is int for i in keys.tolist())
         else:
-            ok = all(hasattr(i, "__index__") and i >= 0
-                     and int(i).bit_length() <= depth for i in self.factors)
-        if not ok:
+            ok = keys.dtype.kind in "iu"
+        # increasing, so the first and last keys bound the rest
+        if not (ok and np.all(keys[1:] > keys[:-1]) and (
+                keys.size == 0 or (int(keys[0]) >= 0 and
+                                   int(keys[-1]) >> depth == 0))):
+            raise ValueError("multiplier arc indices must be integers in "
+                             f"0..2^{depth}-1, increasing")
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "keys", _frozen(
+            keys.astype(np.int64 if depth <= 62 else object)))
+        object.__setattr__(self, "factors", _frozen(factors.astype(float)))
+
+    @classmethod
+    def from_dict(cls, depth, factors: dict) -> "MultiplierLayer":
+        """The layer of an ``{arc index: factor}`` dict, its keys read one
+        by one: any integer passes, anything else is rejected."""
+        if not all(hasattr(i, "__index__") for i in factors):
             raise ValueError("multiplier arc indices must be integers in "
                              f"0..2^{depth}-1")
+        items = sorted((operator.index(i), f) for i, f in factors.items())
+        return cls(depth, np.array([i for i, _ in items], dtype=object),
+                   np.array([f for _, f in items], dtype=float))
+
+    def as_dict(self) -> dict:
+        return dict(zip(self.keys.tolist(), self.factors.tolist()))
 
     def factors_at(self, idx: np.ndarray) -> np.ndarray:
         """The factor of each given arc index (1 off the listed arcs)."""
-        if not self.factors:
+        if not self.keys.size:
             return np.ones(idx.size)
-        if idx.dtype == object:  # indices past depth 62
-            return np.array([self.factors.get(i, 1.0) for i in idx.tolist()],
-                            dtype=float)
-        keys = np.array(sorted(self.factors), dtype=np.int64)
-        vals = np.array([self.factors[k] for k in keys.tolist()], dtype=float)
-        at = np.minimum(np.searchsorted(keys, idx), keys.size - 1)
-        return np.where(keys[at] == idx, vals[at], 1.0)
+        at = np.minimum(np.searchsorted(self.keys, idx), self.keys.size - 1)
+        return np.where(self.keys[at] == idx, self.factors[at], 1.0)
 
 
 class Realization(NamedTuple):
@@ -552,10 +575,13 @@ class Realization(NamedTuple):
                             for a, b in zip(num, den)]
         return inside
 
-    def scaled(self, layer: MultiplierLayer) -> "Realization":
+    def scaled(self, layer: MultiplierLayer, idx=None) -> "Realization":
         """This realization with one more layer applied; atoms whose mass
-        drops to 0 (factor-0 arcs) are left out."""
-        masses = self.masses * layer.factors_at(self.indices(layer.depth))
+        drops to 0 (factor-0 arcs) are left out.  ``idx`` are the atoms'
+        indices at the layer's depth, when the caller has them."""
+        if idx is None:
+            idx = self.indices(layer.depth)
+        masses = self.masses * layer.factors_at(idx)
         keep = masses > 0
         if keep.all():
             return self._replace(masses=_frozen(masses))
@@ -654,23 +680,31 @@ class CircleMeasure:
         return MassResult(float(np.cumsum(inside)[-1]) if inside.size else 0.0,
                           0.0)
 
-    def arc_masses_at_depth(self, depth: int) -> dict:
-        """Masses of all depth-n dyadic arcs carrying mass (exact)."""
+    def arc_masses_at_depth(self, depth: int, idx=None) -> tuple:
+        """(keys, masses): the increasing indices of the depth-n dyadic
+        arcs holding atoms, as ``Realization.indices`` types them, and each
+        arc's mass (exact).  ``idx`` are the atoms' depth-n indices, when
+        the caller has them."""
         r = self.realized()
-        keys, where = np.unique(r.indices(depth), return_inverse=True)
+        keys, where = np.unique(r.indices(depth) if idx is None else idx,
+                                return_inverse=True)
         # bincount adds each arc's masses in atom order
-        return dict(zip(keys.tolist(),
-                        np.bincount(where, weights=r.masses).tolist()))
+        masses = np.bincount(where, weights=r.masses)
+        return keys, masses.astype(float, copy=False)  # int64 when empty
 
-    def scaled_on_arcs(self, depth: int, factors: dict, meta=None,
+    def scaled_on_arcs(self, layer: MultiplierLayer, idx=None, meta=None,
                        name: str = "") -> "CircleMeasure":
-        """New measure with an extra multiplier layer at the given depth;
-        it realizes from this measure's realization."""
+        """New measure with one more multiplier layer; it realizes from
+        this measure's realization, at once when ``idx``, the atoms'
+        indices at the layer's depth, is given."""
         out = CircleMeasure(
             atoms=self.atom_list, cantor_parts=self.cantor_parts,
-            multipliers=self.multipliers + (MultiplierLayer(depth, factors),),
-            grating_meta=meta, name=name or self.name)
-        out._parent = self
+            multipliers=self.multipliers + (layer,), grating_meta=meta,
+            name=name or self.name)
+        if idx is None:
+            out._parent = self
+        else:
+            out._realized = self.realized().scaled(layer, idx)
         return out
 
     def restrict(self, closed_set: ClosedCircleSet) -> "CircleMeasure":
@@ -771,7 +805,7 @@ def measure_to_json(mu: CircleMeasure) -> dict:
     if mu.multipliers:
         out["multipliers"] = [
             {"depth": layer.depth,
-             "factors": {str(k): v for k, v in layer.factors.items()}}
+             "factors": {str(k): v for k, v in layer.as_dict().items()}}
             for layer in mu.multipliers]
     if mu.name:
         out["name"] = mu.name
@@ -800,7 +834,12 @@ def measure_from_json(obj: dict) -> CircleMeasure:
     for lay in as_list(obj.get("multipliers", []), "multipliers"):
         fields(lay, "multiplier layer", "depth", "factors")
         factors = as_dict(lay["factors"], "multiplier factors")
-        layers.append(MultiplierLayer(lay["depth"], {
+        for k in factors:
+            if not (isinstance(k, str) and ARC_INDEX.fullmatch(k)):
+                raise ValueError(f"multiplier arc index {reprlib.repr(k)} "
+                                 "must be a decimal integer without sign, "
+                                 "spaces or leading zeros")
+        layers.append(MultiplierLayer.from_dict(lay["depth"], {
             int(k): as_float(v, "multiplier factor")
             for k, v in factors.items()}))
     return CircleMeasure(atoms=atoms, cantor_parts=parts, multipliers=layers,

@@ -14,6 +14,7 @@ import argparse
 import cmath
 import json
 import math
+import reprlib
 import sys
 import time
 from collections import Counter
@@ -36,6 +37,17 @@ class UncertifiedResult(Exception):
     def __init__(self, block: dict):
         super().__init__(block)
         self.block = block
+
+
+def _json_object(pairs) -> dict:
+    """A JSON object whose keys are all distinct: ``json.loads`` alone
+    keeps the last of a repeated key and drops the others unseen."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise CliError(f"JSON key {reprlib.repr(key)} is repeated")
+        obj[key] = value
+    return obj
 
 
 def _operand(args, flag: str, cls: type, parse):
@@ -61,7 +73,7 @@ def _operand(args, flag: str, cls: type, parse):
     else:
         return parse(text)
     try:
-        obj = json.loads(raw)
+        obj = json.loads(raw, object_pairs_hook=_json_object)
     except RecursionError:
         raise CliError(f"--{flag} nests too deeply") from None
     return parse(obj)

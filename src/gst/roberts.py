@@ -14,7 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .circle import CircleMeasure
+import numpy as np
+
+from .circle import CircleMeasure, MultiplierLayer
 from .grids import DyadicGrid, neg_log_at_depth, verify_grid
 from .weights import Weight
 
@@ -27,41 +29,45 @@ def grating_threshold(n: int, c: float, w: Weight) -> float:
     return c * 2.0 ** -n * u
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GratingReport:
+    """Index arrays are typed as ``Realization.indices`` types them."""
+
     depth: int
     threshold: float
-    heavy_arcs: tuple          # dyadic indices, sorted
-    heavy_masses: tuple        # mass before capping, per heavy arc
-    light_arcs: tuple          # mass-carrying light indices, sorted
+    heavy_arcs: np.ndarray     # dyadic indices, increasing
+    heavy_masses: np.ndarray   # mass before capping, per heavy arc
+    light_arcs: np.ndarray     # mass-carrying light indices, increasing
     total_mass_before: float
 
     @property
     def heavy_count(self) -> int:
-        return len(self.heavy_arcs)
+        return self.heavy_arcs.size
 
 
-def grate(mu: CircleMeasure, n: int, c: float, w: Weight):
+def grate(mu: CircleMeasure, n: int, c: float, w: Weight, idx=None):
     """One grating pass; returns (capped measure, report).
 
     Ties (arc mass equal to the threshold) count as light, so the capped
-    measure agrees with mu there.
+    measure agrees with mu there.  ``idx`` are the atoms' depth-n indices,
+    when the caller has them.
     """
     if c <= 0:
         raise ValueError("grating parameter c must be positive")
     if n < 1:
         raise ValueError("grating depth must be at least 1")
     thr = grating_threshold(n, c, w)
-    masses = mu.arc_masses_at_depth(n)
-    heavy = sorted((i, m) for i, m in masses.items() if m > thr)
-    light = tuple(sorted(i for i, m in masses.items() if 0 < m <= thr))
-    factors = {i: thr / m for i, m in heavy}
-    meta = {"depth": n, "c": c, "threshold": thr}
-    piece = mu.scaled_on_arcs(n, factors, meta=meta, name=f"{mu.name}|grate{n}")
+    keys, masses = mu.arc_masses_at_depth(n, idx)
+    heavy = masses > thr
+    light = (masses > 0) & ~heavy
     report = GratingReport(
-        depth=n, threshold=thr, heavy_arcs=tuple(i for i, _ in heavy),
-        heavy_masses=tuple(m for _, m in heavy), light_arcs=light,
+        depth=n, threshold=thr, heavy_arcs=keys[heavy],
+        heavy_masses=masses[heavy], light_arcs=keys[light],
         total_mass_before=mu.total_mass())
+    meta = {"depth": n, "c": c, "threshold": thr}
+    piece = mu.scaled_on_arcs(
+        MultiplierLayer(n, report.heavy_arcs, thr / report.heavy_masses),
+        meta=meta, name=f"{mu.name}|grate{n}")
     return piece, report
 
 
@@ -86,16 +92,12 @@ class RobertsDecomposition:
         return abs(recon - self.total_mass)
 
     def heavy_nesting_ok(self) -> bool:
-        for (d0, h0), (d1, h1) in zip(self.heavy_sets, self.heavy_sets[1:]):
-            parents = set(h0)
-            shift = d1 - d0
-            if any((i >> shift) not in parents for i in h1):
-                return False
-        return True
+        return all(np.isin(h1 >> (d1 - d0), h0).all() for (d0, h0), (d1, h1)
+                   in zip(self.heavy_sets, self.heavy_sets[1:]))
 
     def residual_in_heavy_sets(self) -> bool:
         r = self.residual.realized()
-        return all(set(r.indices(depth).tolist()) <= set(heavy)
+        return all(np.isin(r.indices(depth), heavy).all()
                    for depth, heavy in self.heavy_sets)
 
     def residual_carrier_gaps(self) -> list:
@@ -105,25 +107,16 @@ class RobertsDecomposition:
         depth, heavy = self.heavy_sets[-1]
         if depth > 500:
             raise ValueError("carrier gaps not materializable at this depth")
-        if not heavy:
+        if not heavy.size:
             raise ValueError("no heavy arcs at the final level")
-        scale = 2.0 ** -depth
-        idx = sorted(heavy)
-        runs = []
-        run_start = prev = idx[0]
-        for i in idx[1:]:
-            if i != prev + 1:
-                runs.append((run_start, prev))
-                run_start = i
-            prev = i
-        runs.append((run_start, prev))
-        gaps = []
-        for (a0, a1), (b0, _b1) in zip(
-                runs, runs[1:] + [(runs[0][0] + 2 ** depth, 0)]):
-            length = (b0 - a1 - 1) * scale
-            if length > 0:
-                gaps.append(length)
-        return gaps
+        # runs of consecutive heavy arcs; a gap runs from the end of one to
+        # the start of the next, the last one around to the first
+        breaks = np.flatnonzero(np.diff(heavy) != 1)
+        ends = heavy[np.append(breaks, heavy.size - 1)]
+        starts = heavy[np.append(0, breaks + 1)]
+        lengths = (np.append(starts[1:], starts[0] + 2 ** depth) - ends - 1
+                   ) * 2.0 ** -depth
+        return lengths[lengths > 0].tolist()
 
 
 def decompose(mu: CircleMeasure, grid: DyadicGrid, c: float, w: Weight,
@@ -145,16 +138,20 @@ def decompose(mu: CircleMeasure, grid: DyadicGrid, c: float, w: Weight,
     pieces, reports, heavy_sets, residual_masses = [], [], [], []
     for k in range(levels):
         n = grid.depths[k]
-        piece, report = grate(remainder, n, c, w)
+        # one index pass per level, shared by the grating and the remainder
+        idx = remainder.realized().indices(n)
+        piece, report = grate(remainder, n, c, w, idx)
         pieces.append(piece)
         reports.append(report)
         heavy_sets.append((n, report.heavy_arcs))
-        rem_factors = {i: 1.0 - report.threshold / m
-                       for i, m in zip(report.heavy_arcs, report.heavy_masses)}
-        for i in report.light_arcs:
-            rem_factors[i] = 0.0
+        # the remainder keeps 1 - thr/m of a heavy arc, nothing of a light one
+        keys = np.concatenate([report.heavy_arcs, report.light_arcs])
+        factors = np.concatenate([1.0 - report.threshold / report.heavy_masses,
+                                  np.zeros(report.light_arcs.size)])
+        order = np.argsort(keys, kind="stable")
         remainder = remainder.scaled_on_arcs(
-            n, rem_factors, name=f"{mu.name}|rem{k + 1}")
+            MultiplierLayer(n, keys[order], factors[order]), idx,
+            name=f"{mu.name}|rem{k + 1}")
         residual_masses.append(remainder.total_mass())
     # entropy bookkeeping: all light arcs inside the previous heavy union,
     # counted in closed form since depth-n arcs share one length
@@ -163,13 +160,13 @@ def decompose(mu: CircleMeasure, grid: DyadicGrid, c: float, w: Weight,
         n_prev, heavy_prev = heavy_sets[k - 1]
         n_k, heavy_k = heavy_sets[k]
         sub = 2 ** (n_k - n_prev)
-        light_count = len(heavy_prev) * sub - len(heavy_k)
+        light_count = heavy_prev.size * sub - heavy_k.size
         # exact int division: past depth 1023 the count overflows a float
         ledger += light_count / 2 ** n_k * neg_log_at_depth(w, n_k)
     beta = check.beta
     decay = []
     for (n, heavy), rep in zip(heavy_sets, reports):
-        m_h = len(heavy) / 2 ** n
+        m_h = heavy.size / 2 ** n
         decay.append({"depth": n, "heavy_measure": m_h,
                       "bound_value": c * m_h * neg_log_at_depth(w, n),
                       "total_mass": total})

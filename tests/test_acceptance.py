@@ -77,12 +77,13 @@ def test_criterion_03_roberts_decomposition():
     for name, mu in fixtures.measure_fixtures().items():
         dec = decompose(mu, GRID_3, 0.1, W_T, 3)
         for piece, rep in zip(dec.pieces, dec.reports):
-            masses = piece.arc_masses_at_depth(rep.depth)
-            for i in rep.heavy_arcs:
-                assert abs(masses[i] - rep.threshold) <= 1e-12 * rep.threshold, \
-                    (name, rep.depth, i)
-            for m in masses.values():
-                assert m <= rep.threshold * (1.0 + 1e-12), (name, rep.depth)
+            keys, masses = piece.arc_masses_at_depth(rep.depth)
+            heavy = masses[np.isin(keys, rep.heavy_arcs)]
+            assert heavy.size == rep.heavy_count, (name, rep.depth)
+            assert np.all(np.abs(heavy - rep.threshold)
+                          <= 1e-12 * rep.threshold), (name, rep.depth)
+            assert np.all(masses <= rep.threshold * (1.0 + 1e-12)), \
+                (name, rep.depth)
         assert dec.mass_balance_error() <= 1e-9, name
         assert dec.heavy_nesting_ok(), name
         assert dec.light_entropy_ledger <= dec.carrier_entropy_bound + 1e-12, \

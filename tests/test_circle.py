@@ -92,8 +92,8 @@ class TestMassQueries:
 
     def test_partition_additivity_cantor(self):
         mu = fixtures.triadic_cantor_measure(stages=8)
-        masses = mu.arc_masses_at_depth(7)
-        assert sum(masses.values()) == pytest.approx(1.0, abs=1e-12)
+        _, masses = mu.arc_masses_at_depth(7)
+        assert sum(masses) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestModulus:
@@ -188,13 +188,46 @@ class TestJsonForms:
         (3, {1: 1.5, 9: 0.5}, "factors")])
     def test_multiplier_layer_validation(self, depth, factors, error):
         if error is None:
-            assert MultiplierLayer(depth, factors).factors == factors
+            assert MultiplierLayer.from_dict(depth, factors).as_dict() == \
+                factors
             return
         message = {"indices": "arc indices must be integers in "
                               f"0..2^{depth}-1",
                    "factors": "factors must lie in"}[error]
         with pytest.raises(ValueError, match=message.replace("^", r"\^")):
-            MultiplierLayer(depth, factors)
+            MultiplierLayer.from_dict(depth, factors)
+
+
+    @pytest.mark.parametrize("depth, keys, factors, error", [
+        (3, np.array([0, 7]), [0.0, 1.0], None),
+        (70, np.array([3, 2 ** 69], dtype=object), [0.5, 0.1], None),
+        (70, np.array([3, 9]), [0.5, 0.1], None),
+        (3, np.array([2, 5], dtype=object), [0.5, 0.1], None),
+        (3, np.array([5, 2]), [0.5, 0.1], "indices"),
+        (70, np.array([2 ** 69, 3], dtype=object), [0.5, 0.1], "indices"),
+        (3, np.array([2, 2]), [0.5, 0.1], "indices"),
+        (3, np.array([1, 8]), [0.5, 0.1], "indices"),
+        (3, np.array([-1, 2]), [0.5, 0.1], "indices"),
+        (70, np.array([3, 2 ** 70], dtype=object), [0.5, 0.1], "indices"),
+        (3, np.array([1.0, 2.0]), [0.5, 0.1], "indices"),
+        (3, np.array([1, True], dtype=object), [0.5, 0.1], "indices"),
+        (3, np.array([1, 2]), [0.5, float("nan")], "factors"),
+        (3, np.array([1, 2]), [0.5, 1.5], "factors"),
+        (3, np.array([1, 2]), [-0.1, 0.5], "factors"),
+        (3, np.array([1, 2]), [0.5], "one factor per key")])
+    def test_array_layer_validation(self, depth, keys, factors, error):
+        factors = np.array(factors)
+        if error is None:
+            layer = MultiplierLayer(depth, keys, factors)
+            assert layer.keys.dtype == (np.int64 if depth <= 62 else object)
+            assert layer.as_dict() == dict(zip(keys.tolist(),
+                                               factors.tolist()))
+            return
+        message = {"indices": "arc indices must be integers in "
+                              f"0..2^{depth}-1",
+                   "factors": "factors must lie in"}.get(error, error)
+        with pytest.raises(ValueError, match=message.replace("^", r"\^")):
+            MultiplierLayer(depth, keys, factors)
 
 
 class TestGapTail:
@@ -279,7 +312,7 @@ def oracle_realize(mu: CircleMeasure):
     masses = np.array(masses, dtype=float)
     for layer in mu.multipliers:
         masses = masses * np.array(
-            [layer.factors.get(dyadic_index(p, layer.depth), 1.0)
+            [layer.as_dict().get(dyadic_index(p, layer.depth), 1.0)
              for p in pos])
     keep = masses > 0
     return [p for p, k in zip(pos, keep) if k], masses[keep]
@@ -317,7 +350,7 @@ def measures(draw):
     layers = []
     for depth in draw(st.lists(st.integers(0, 12), max_size=2)):
         keys = draw(st.lists(st.integers(0, 2 ** depth - 1), max_size=6))
-        layers.append(MultiplierLayer(depth, {
+        layers.append(MultiplierLayer.from_dict(depth, {
             k: draw(st.sampled_from([0.0, 0.5, 0.3, 1.0])) for k in keys}))
     return CircleMeasure(atoms=atoms, cantor_parts=parts, multipliers=layers)
 
@@ -339,7 +372,11 @@ class TestArrayCore:
             for p, m in zip(pos, masses):
                 i = dyadic_index(p, depth)
                 want[i] = want.get(i, 0.0) + m
-            assert mu.arc_masses_at_depth(depth) == want
+            keys, arc_masses = mu.arc_masses_at_depth(depth)
+            assert keys.dtype == (np.int64 if depth <= 62 else object)
+            assert arc_masses.dtype == float
+            assert keys.tolist() == sorted(want)
+            assert arc_masses.tolist() == [want[i] for i in sorted(want)]
 
     @given(measures(), st.data())
     @settings(max_examples=40, deadline=None)
@@ -377,8 +414,8 @@ class TestArrayCore:
             cantor_parts=[CantorPart(circle.triadic_generator(), 7, 1.0),
                           CantorPart(circle.stagewise_log_generator(), 8,
                                      0.5)],
-            multipliers=[MultiplierLayer(3, {1: 0.0, 4: 0.5}),
-                         MultiplierLayer(9, {300: 0.25})])
+            multipliers=[MultiplierLayer.from_dict(3, {1: 0.0, 4: 0.5}),
+                         MultiplierLayer.from_dict(9, {300: 0.25})])
         pos, masses = oracle_realize(mu)
         r = mu.realized()
         assert r.masses.tolist() == masses.tolist()

@@ -213,9 +213,9 @@ class TestReportSinglePass:
             calls["decompose"].append(args[4])
             return decompose(*args)
 
-        def counting_arc_masses(mu, depth):
+        def counting_arc_masses(mu, depth, idx=None):
             calls["arc_masses"] += 1
-            return arc_masses(mu, depth)
+            return arc_masses(mu, depth, idx)
 
         monkeypatch.setattr(roberts, "decompose", counting_decompose)
         monkeypatch.setattr(circle.CircleMeasure, "arc_masses_at_depth",
@@ -345,6 +345,12 @@ def _verify(grid: str, weight: str = "power:1") -> list:
     return ["grid", "verify", "--weight", weight, "--grid", grid]
 
 
+def _factors(items: str) -> str:
+    """An atom damped by one depth-5 layer with these factor items."""
+    return ('{"atoms": [{"pos": 0.1, "mass": 1}], "multipliers": '
+            f'[{{"depth": 5, "factors": {{{items}}}}}]}}')
+
+
 def _triadic(mass: str) -> str:
     return ('{"cantor": [{"generator": "triadic", "depth": 4, "mass": '
             f'{mass}}}]}}')
@@ -394,6 +400,18 @@ BAD_INPUTS.update({
         '"mass": 1}]}'), 1),
     "measure_list_name": (_classify(
         '{"atoms": [{"pos": 0.1, "mass": 1}], "name": [1]}'), 1),
+    # a repeated key would keep only its last value
+    "measure_repeated_key": (_classify(
+        '{"atoms": [{"pos": 0.1, "mass": 1.0}], '
+        '"atoms": [{"pos": 0.2, "mass": 5.0}]}'), 1),
+    "measure_repeated_factor_key": (_classify(_factors('"1": 0.5, "1": 0.9')),
+                                    1),
+    # factor keys are canonical decimals: no two spellings of one arc
+    "measure_factor_key_leading_zeros": (_classify(
+        _factors('"1": 0.5, "001": 0.9')), 1),
+    "measure_factor_key_underscore": (_classify(_factors('"2_0": 0.5')), 1),
+    "measure_factor_key_space": (_classify(_factors('" 7": 0.5')), 1),
+    "measure_factor_key_plus": (_classify(_factors('"+7": 0.5')), 1),
     # sets
     "set_gaps_number": (_entropy('{"gaps": 5}'), 1),
     "set_tail_number": (_entropy('{"gaps": [], "tail": 5}'), 1),

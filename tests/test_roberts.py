@@ -3,12 +3,15 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gst import circle, entropy, fixtures, weights
 from gst.circle import CantorPart, CircleMeasure, MultiplierLayer, zero_measure
-from gst.grids import DyadicGrid
+from gst.grids import DyadicGrid, neg_log_at_depth
 from gst.roberts import decompose, grate, grating_threshold
+from test_circle import measures
 
 W_T = weights.power(1.0)
 GRID = DyadicGrid((4, 12, 36))
@@ -22,35 +25,35 @@ class TestGrate:
 
     def test_heavy_atom_capped(self):
         piece, rep = grate(fixtures.atom_fixture(), 4, 0.1, W_T)
-        assert rep.heavy_arcs == (0,)
+        assert rep.heavy_arcs.tolist() == [0]
         assert piece.total_mass() == pytest.approx(rep.threshold, rel=1e-12)
 
     def test_light_atom_passes_through(self):
         from gst.circle import atom_measure
         mu = atom_measure(0, 0.01)
         piece, rep = grate(mu, 4, 0.1, W_T)
-        assert not rep.heavy_arcs
+        assert rep.heavy_count == 0
         assert piece.total_mass() == pytest.approx(0.01)
 
     def test_zero_measure(self):
         piece, rep = grate(zero_measure(), 4, 0.1, W_T)
         assert piece.total_mass() == 0.0
-        assert not rep.heavy_arcs and not rep.light_arcs
+        assert rep.heavy_count == 0 and rep.light_arcs.size == 0
 
     def test_difference_nonnegative_on_heavy(self):
         mu = fixtures.triadic_cantor_measure()
         piece, rep = grate(mu, 4, 0.1, W_T)
-        before = mu.arc_masses_at_depth(4)
-        after = piece.arc_masses_at_depth(4)
-        for i, m in before.items():
-            assert after[i] <= m + 1e-15
+        keys, before = mu.arc_masses_at_depth(4)
+        after_keys, after = piece.arc_masses_at_depth(4)
+        assert after_keys.tolist() == keys.tolist()
+        assert np.all(after <= before + 1e-15)
 
     def test_tie_counts_as_light(self):
         from gst.circle import atom_measure
         thr = grating_threshold(4, 0.1, W_T)
         mu = atom_measure(0, thr)
         _, rep = grate(mu, 4, 0.1, W_T)
-        assert not rep.heavy_arcs
+        assert rep.heavy_count == 0 and rep.light_arcs.tolist() == [0]
 
 
 class TestDecompose:
@@ -88,9 +91,8 @@ class TestDecompose:
         assert d.residual_in_heavy_sets()
         # dyadic-level modulus bound, exact at each level
         for piece, rep in zip(d.pieces, d.reports):
-            masses = piece.arc_masses_at_depth(rep.depth)
-            for m in masses.values():
-                assert m <= rep.threshold * (1.0 + 1e-12)
+            _, masses = piece.arc_masses_at_depth(rep.depth)
+            assert np.all(masses <= rep.threshold * (1.0 + 1e-12))
         assert d.light_entropy_ledger <= d.carrier_entropy_bound + 1e-12
 
     def test_divergent_residual_decays(self):
@@ -177,3 +179,164 @@ class TestCarryForward:
         # the six pieces were still unrealized: one layer each when carried,
         # k layers for the fresh realization of a level-k measure
         assert len(layers) == 6 + 2 * sum(range(1, 7))
+
+    def test_one_index_pass_per_level(self, monkeypatch):
+        # the grating and the remainder share one pass; each piece makes
+        # its own when it is realized
+        calls = []
+        indices = circle.Realization.indices
+        monkeypatch.setattr(circle.Realization, "indices",
+                            lambda r, depth: calls.append(depth)
+                            or indices(r, depth))
+        d = decompose(fixtures.divergent_cantor_measure(), DECAY_GRID, 0.1,
+                      W_T, 6)
+        assert calls == list(DECAY_GRID.depths)
+        for piece in d.pieces:
+            piece.realized()
+        assert calls == 2 * list(DECAY_GRID.depths)
+
+
+# ---------------------------------------------------------------------------
+# Reference grating: the dict-and-sort implementation the arrays replaced
+# ---------------------------------------------------------------------------
+
+def oracle_arc_masses(mu: CircleMeasure, n: int) -> dict:
+    """Arc index -> mass, each arc's masses added in atom order."""
+    r = mu.realized()
+    masses: dict = {}
+    for i, m in zip(r.indices(n).tolist(), r.masses.tolist()):
+        masses[i] = masses.get(i, 0.0) + m
+    return masses
+
+
+def oracle_grate(mu: CircleMeasure, n: int, c: float, w):
+    """(piece, (threshold, heavy indices, heavy masses, light indices))."""
+    thr = grating_threshold(n, c, w)
+    masses = oracle_arc_masses(mu, n)
+    heavy = sorted((i, m) for i, m in masses.items() if m > thr)
+    light = sorted(i for i, m in masses.items() if 0 < m <= thr)
+    piece = mu.scaled_on_arcs(MultiplierLayer.from_dict(
+        n, {i: thr / m for i, m in heavy}))
+    return piece, (thr, [i for i, _ in heavy], [m for _, m in heavy], light)
+
+
+def oracle_decompose(mu: CircleMeasure, depths, c: float, w):
+    remainder, pieces, reports, residual_masses = mu, [], [], []
+    for n in depths:
+        piece, rep = oracle_grate(remainder, n, c, w)
+        thr, heavy, heavy_masses, light = rep
+        factors = {i: 1.0 - thr / m for i, m in zip(heavy, heavy_masses)}
+        factors.update(dict.fromkeys(light, 0.0))
+        remainder = remainder.scaled_on_arcs(
+            MultiplierLayer.from_dict(n, factors))
+        pieces.append(piece)
+        reports.append(rep)
+        residual_masses.append(remainder.total_mass())
+    ledger = 0.0
+    for (n0, (_, h0, _, _)), (n1, (_, h1, _, _)) in zip(
+            zip(depths, reports), zip(depths[1:], reports[1:])):
+        light_count = len(h0) * 2 ** (n1 - n0) - len(h1)
+        ledger += light_count / 2 ** n1 * neg_log_at_depth(w, n1)
+    total = mu.total_mass()
+    decay = [{"depth": n, "heavy_measure": len(h) / 2 ** n,
+              "bound_value": c * (len(h) / 2 ** n) * neg_log_at_depth(w, n),
+              "total_mass": total} for n, (_, h, _, _) in zip(depths, reports)]
+    return pieces, remainder, reports, residual_masses, ledger, decay
+
+
+def oracle_nesting_ok(heavy_sets) -> bool:
+    for (d0, h0), (d1, h1) in zip(heavy_sets, heavy_sets[1:]):
+        if any((i >> (d1 - d0)) not in set(h0) for i in h1):
+            return False
+    return True
+
+
+def oracle_carrier_gaps(depth: int, heavy: list) -> list:
+    runs = []
+    run_start = prev = heavy[0]
+    for i in heavy[1:]:
+        if i != prev + 1:
+            runs.append((run_start, prev))
+            run_start = i
+        prev = i
+    runs.append((run_start, prev))
+    gaps = []
+    for (_, a1), (b0, _) in zip(runs, runs[1:] + [(runs[0][0] + 2 ** depth,
+                                                   0)]):
+        length = (b0 - a1 - 1) * 2.0 ** -depth
+        if length > 0:
+            gaps.append(length)
+    return gaps
+
+
+def assert_same_bits(a: np.ndarray, b: np.ndarray):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    if a.dtype == object:
+        assert all(type(x) is int for x in a.tolist())
+        assert a.tolist() == b.tolist()
+    else:
+        assert a.tobytes() == b.tobytes()
+
+
+@st.composite
+def grids(draw):
+    """Strictly increasing depths, one of them past the int64 index range,
+    or the two-level grid whose arc counts pass the float range."""
+    deep = draw(st.sampled_from([(4, 2000), None]))
+    if deep:
+        return deep
+    depths = draw(st.lists(st.integers(1, 40), max_size=3)) + [
+        draw(st.integers(63, 80))]
+    return tuple(sorted(set(depths)))
+
+
+class TestArrayGrating:
+    """The array grating against the dict-based reference, bit for bit."""
+
+    @given(measures(), grids(), st.sampled_from([0.02, 0.1, 1.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dict_oracle(self, mu, depths, c):
+        self.check(mu, depths, c)
+
+    @pytest.mark.parametrize("depths", [(70,), (4, 70, 75), (63, 2000)])
+    def test_light_arcs_past_depth_62(self, depths):
+        # atoms below the depth-70 threshold (4.1e-21 at c = 0.1) are light
+        # at any depth of the grid: object-typed light indices
+        mu = CircleMeasure(atoms=[(Fraction(1, 3), 1e-25), (0.5, 1.0),
+                                  (Fraction(1, 7), 1e-30)],
+                           cantor_parts=[CantorPart(
+                               circle.triadic_generator(), 6, 1e-24)])
+        self.check(mu, depths, 0.1)
+
+    @staticmethod
+    def check(mu, depths, c):
+        d = decompose(mu, DyadicGrid(depths), c, W_T, len(depths))
+        pieces, residual, reports, residual_masses, ledger, decay = \
+            oracle_decompose(mu, depths, c, W_T)
+        for rep, (thr, heavy, heavy_masses, light), n in zip(
+                d.reports, reports, depths):
+            index_type = np.int64 if n <= 62 else object
+            assert rep.depth == n and rep.threshold == thr
+            assert_same_bits(rep.heavy_arcs, np.array(heavy, index_type))
+            assert_same_bits(rep.light_arcs, np.array(light, index_type))
+            assert_same_bits(rep.heavy_masses, np.array(heavy_masses, float))
+        for got, want in zip(d.pieces + [d.residual], pieces + [residual]):
+            for a, b in zip(got.realized()[:3], want.realized()[:3]):
+                assert_same_bits(a, b)
+        assert d.residual_masses == residual_masses
+        assert d.light_entropy_ledger == ledger
+        assert d.decay_certificates == decay
+        heavy_sets = [(n, rep[1]) for n, rep in zip(depths, reports)]
+        assert d.heavy_nesting_ok() == oracle_nesting_ok(heavy_sets)
+        assert d.residual_in_heavy_sets()
+        n, heavy = heavy_sets[-1]
+        if n <= 500 and heavy:
+            assert d.residual_carrier_gaps() == oracle_carrier_gaps(n, heavy)
+        return d
+
+    def test_carrier_gaps_on_shallow_grid(self):
+        mu = fixtures.triadic_cantor_measure()
+        d = decompose(mu, GRID, 0.1, W_T, 2)
+        n, heavy = d.heavy_sets[-1]
+        assert d.residual_carrier_gaps() == oracle_carrier_gaps(
+            n, heavy.tolist())
