@@ -40,7 +40,11 @@ that a gap wraps angle 0;
 ``weight check --alpha 0.5`` on four majorants and a table weight that is
 not subadditive, and ``weight check`` at ``--depth`` 14 and 16; ``grid
 build`` and ``set entropy --form both`` on the triadic set, each with a
-power and an ``exp_log`` weight; two certified divergences, whose
+power and an ``exp_log`` weight; ``set entropy --form both`` on the
+triadic set under ``log:3`` and under its JSON form
+``{"kind": "log_power", "c": 3}``, whose results must be equal, and on
+the ``harmonic_log`` set under ``exp_log:1,0.5``, whose entropy is
+finite but uncertified (exit 2); two certified divergences, whose
 infinite bounds the report writes as null: ``set entropy --form both`` on
 the stagewise divergent set and ``dual fw-norm`` under ``power:1.5``.
 ``--show`` prints each results block under its line.
@@ -158,6 +162,15 @@ def cases():
         yield f"set entropy triadic {weight}", (
             "set", "entropy", "--set", "fixture:triadic", "--weight", weight,
             "--form", "both")
+    # one weight in its two spec forms: the two results must be equal
+    for weight in ("log:3", '{"kind": "log_power", "c": 3}'):
+        yield f"set entropy triadic {weight}", (
+            "set", "entropy", "--set", "fixture:triadic", "--weight", weight,
+            "--form", "both")
+    # a finite sum that has no certificate: undecided, exit 2
+    yield "set entropy harmonic_log exp_log:1,0.5", (
+        "set", "entropy", "--set", "fixture:harmonic_log", "--weight",
+        "exp_log:1,0.5", "--form", "both")
     yield "set entropy stagewise_divergent power:1", (
         "set", "entropy", "--set", "fixture:stagewise_divergent", "--weight",
         "power:1", "--form", "both")

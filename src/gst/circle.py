@@ -30,6 +30,8 @@ from .util import as_dict, as_float, as_floats, as_int, as_list, as_str, \
 CIRCLE_TOL = 1e-12
 # the one spelling of a multiplier arc index in JSON
 ARC_INDEX = re.compile("0|[1-9][0-9]*")
+# most bits of exact arc indices (atoms times depth) one pass may form
+INDEX_BITS = 2 ** 30
 
 
 @dataclass(frozen=True)
@@ -540,8 +542,13 @@ class Realization(NamedTuple):
 
     def indices(self, depth: int) -> np.ndarray:
         """Index of the depth-n dyadic arc holding each atom (exact): int64
-        up to depth 62, Python ints (an object array) beyond."""
+        up to depth 62, Python ints (an object array) beyond, for at most
+        INDEX_BITS bits in all."""
         if depth > 62:
+            if self.pos.size * depth > INDEX_BITS:
+                raise ValueError(
+                    f"exact arc indices of {self.pos.size} atoms at depth "
+                    f"{depth} exceed {INDEX_BITS} bits")
             num, den = self.exact(np.arange(self.pos.size))
             return (num << depth) // den
         scaled = self.pos * 2.0 ** depth
@@ -736,8 +743,7 @@ class ModulusOfMeasure:
     lower: float
 
 
-def modulus_of_continuity(nu: CircleMeasure, delta: float,
-                          eps: float = 1e-12) -> ModulusOfMeasure:
+def modulus_of_continuity(nu: CircleMeasure, delta: float) -> ModulusOfMeasure:
     """Two-sided bracket for sup { nu(I) : m(I) <= delta }.
 
     lower: exact maximum over windows anchored at atom positions; for the

@@ -20,8 +20,6 @@ import time
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
-
 from . import circle, duality, entropy, fixtures, grids, inner_outer, \
     privalov, roberts, util, weights
 
@@ -232,10 +230,9 @@ def cmd_inner(args) -> dict:
 def _carleson_check(args, spec: str):
     """(G, boundary estimate, meta) for N given as a number or "auto".
 
-    "auto" takes the first N of the doubling ladder that passes on an
-    eighth of the samples (at least 256); the estimate then runs on all.
-    The search and the estimate read one psi sum over their distinct
-    points (psi does not depend on N).
+    "auto" takes the first N of the doubling ladder that passes on the
+    samples; the estimate then runs on the same samples, from the same
+    psi sum (psi does not depend on N).
     """
     E = _set(args)
     w = _weight(args)
@@ -243,24 +240,17 @@ def _carleson_check(args, spec: str):
     auto = spec == "auto"
     G = inner_outer.carleson_outer(E, w, 1.0 if auto else float(spec))
     zs, hs = privalov.boundary_samples_with_profile(D, args.samples)
-    search_zs, search_hs = privalov.boundary_samples_with_profile(
-        D, max(256, args.samples // 8)) if auto else (zs[:0], hs[:0])
-    k = search_zs.size
-    points, rows = np.unique(np.concatenate([search_zs, zs]),
-                             return_inverse=True)
     work = Counter()
-    psi, tail = inner_outer.psi_sum_many(G, points, work)
-    psi, tail = psi[rows], tail[rows]  # per sample, the search's first
+    psi, tail = inner_outer.psi_sum_many(G, zs, work)
     tried = [G.N]
     if auto:
         try:
-            G = inner_outer.auto_carleson_N(G, psi[:k], tail[:k], search_hs)
+            G = inner_outer.auto_carleson_N(G, psi, tail, hs)
         except inner_outer.NoAdmissibleN as exc:
             raise UncertifiedResult({"error": str(exc)})
         tried = list(inner_outer.n_ladder(G.N))
-    est = privalov.privalov_boundary_estimate(G, psi[k:], tail[k:], hs)
-    meta = {"N_tried": tried, "search_samples": k,
-            "final_samples": est.n_samples, "distinct_samples": points.size,
+    est = privalov.privalov_boundary_estimate(G, psi, tail, hs)
+    meta = {"N_tried": tried, "final_samples": est.n_samples,
             "psi_direct_pairs": work["direct_pairs"],
             "psi_far_evals": work["far_evals"]}
     return G, est, meta

@@ -3,8 +3,8 @@ splitting of a singular measure into its entropy-carried and entropy-free
 parts.
 
 Divergence is evidenced, not proven: either a generator-aware analytic
-certificate (integral comparison) or monotone partial sums crossing a
-configurable threshold.  Finiteness of a lazily generated gap family always
+certificate (integral comparison) or monotone partial sums crossing
+DIVERGENCE_THRESHOLD.  Finiteness of a lazily generated gap family always
 comes with a closed-form tail bound; when neither certificate applies the
 result is tagged undecided.
 """
@@ -95,8 +95,10 @@ def _tail_sum_bounds(tail: GapTail, w: Weight):
                 return (acc - rem, acc + rem)
     if tail.kind == "harmonic_log":
         amp, first = tail.params
-        if w.kind in ("power", "exp_log"):
-            # sum_k l_k log(1/w(l_k)) >~ sum_k c/(k log k) = inf
+        if w.kind == "power" or (w.kind == "exp_log" and w.params[1] >= 1):
+            # log(1/w(l)) >~ log(1/l), so sum_k l_k log(1/w(l_k))
+            # >~ sum_k c/(k log k) = inf; exp_log with beta < 1 gives terms
+            # ~ 1/(k log^(2 - beta) k), whose sum is finite
             return (-math.inf, -math.inf)
         if w.kind == "log_power" and w.params[1] == 1:
             c = w.params[0]
@@ -138,8 +140,7 @@ class EntropySumResult:
     result: TaggedValue
 
 
-def entropy_sum(E: ClosedCircleSet, w: Weight,
-                threshold: float = DIVERGENCE_THRESHOLD) -> EntropySumResult:
+def entropy_sum(E: ClosedCircleSet, w: Weight) -> EntropySumResult:
     """Sum of m(I) log w(m(I)) over complementary arcs, largest first."""
     lens = E.gap_lengths_decreasing()
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -162,9 +163,10 @@ def entropy_sum(E: ClosedCircleSet, w: Weight,
         gen_terms = counts * lens_t * np.asarray(w.log(lens_t))
         gen_partial = explicit + np.cumsum(gen_terms)
         trace = _decimate(np.concatenate([partial, gen_partial]))
-        if gen_partial[-1] < -threshold:
+        if gen_partial[-1] < -DIVERGENCE_THRESHOLD:
             tv = TaggedValue(DIVERGES, None, -math.inf, float(gen_partial[-1]),
-                             f"partial sums beyond {threshold:g}", trace)
+                             f"partial sums beyond {DIVERGENCE_THRESHOLD:g}",
+                             trace)
         else:
             tv = TaggedValue(UNDECIDED, None, -math.inf,
                              float(gen_partial[-1]),

@@ -45,26 +45,6 @@ class DyadicGrid:
         return len(self.depths)
 
 
-def neg_log_at_depth(w: Weight, n: int) -> float:
-    """log(1/w(2^-n)), analytic in n for the built-in kinds (no underflow)."""
-    u = n * math.log(2.0)
-    if w.kind == "power":
-        return w.params[0] * u
-    if w.kind == "log_power":
-        c, depth = w.params
-        val = 1.0 + u
-        for _ in range(depth - 1):
-            val = 1.0 + math.log(val)
-        return c * math.log(val)
-    if w.kind == "exp_log":
-        alpha, beta = w.params
-        return alpha * (1.0 + u) ** beta
-    t = 2.0 ** -n
-    if t == 0.0:
-        return math.inf
-    return -float(w.log(t))
-
-
 def build_grid(w: Weight, n0: int, C: float, k_max: int) -> DyadicGrid:
     """Recursive grid construction: each step multiplies eta by at least C."""
     if C <= 2:
@@ -72,12 +52,12 @@ def build_grid(w: Weight, n0: int, C: float, k_max: int) -> DyadicGrid:
     if not 1 <= n0 <= DEPTH_CAP:
         raise ValueError(f"n0 must be an integer in 1 .. {DEPTH_CAP}")
     lam = effective_lambda(w)
-    if lam * neg_log_at_depth(w, n0) <= math.log(2.0) * (1.0 + 1e-12):
+    if lam * w.neg_log_at_depth(n0) <= math.log(2.0) * (1.0 + 1e-12):
         raise ValueError(
             f"w^lambda(2^-{n0}) >= 1/2: choose a larger starting depth n0")
 
     def eta(n: int) -> float:
-        return lam * neg_log_at_depth(w, n)
+        return lam * w.neg_log_at_depth(n)
 
     depths = [n0]
     for _ in range(k_max):
@@ -135,7 +115,7 @@ def verify_grid(g: DyadicGrid, w: Weight) -> GridCheck:
     holds with that exponent.  The product property is checked in log
     space: sum_{j<=k} log(1/w(2^-n_j)) <= log(1/w(2^-n_{k+1})).
     """
-    us = [neg_log_at_depth(w, n) for n in g.depths]
+    us = [w.neg_log_at_depth(n) for n in g.depths]
     if any(u <= 0 or not math.isfinite(u) for u in us):
         return GridCheck(False, math.nan, False)
     if len(us) == 1:
@@ -156,7 +136,7 @@ def geometric_sum_margin(g: DyadicGrid, w: Weight) -> float:
     """Worst slack in sum_{j<=k} eta_j <= eta_{k+1} / (C-1) over built grids."""
     if g.C_param is None:
         raise ValueError("grid lacks a construction parameter")
-    us = [neg_log_at_depth(w, n) for n in g.depths]
+    us = [w.neg_log_at_depth(n) for n in g.depths]
     worst = -math.inf
     running = 0.0
     for j in range(len(us) - 1):

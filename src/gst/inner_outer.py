@@ -19,7 +19,6 @@ import numpy as np
 
 from .circle import Arc, CircleMeasure, ClosedCircleSet, modulus_of_continuity
 from .entropy import entropy_sum
-from .grids import neg_log_at_depth
 from .weights import Weight, effective_lambda, moment_sup
 
 TWO_PI = 2.0 * math.pi
@@ -463,7 +462,7 @@ def corona_datum_check(mu_k: CircleMeasure, n_k: int, c: float, w: Weight,
     meta = mu_k.grating_meta
     if meta is None or meta.get("depth") != n_k or meta.get("c") != c:
         raise ValueError("measure is not tagged as a grating at this depth")
-    log_bound = -12.0 * c * neg_log_at_depth(w, n_k)
+    log_bound = -12.0 * c * w.neg_log_at_depth(n_k)
     bound = math.exp(log_bound)
     if bound >= 0.25:
         raise ValueError("need w(2^-n)^{12c} < 1/4 for the outer zone bound")
@@ -496,7 +495,7 @@ def corona_parameter_report(w: Weight, c: float, n0: int,
     """
     product = 48.0 * c * K
     cap = min(0.25, 3.0 ** (-1.0 / K))
-    start = math.exp(-12.0 * c * neg_log_at_depth(w, n0))
+    start = math.exp(-12.0 * c * w.neg_log_at_depth(n0))
     return {"K": K, "c": c, "n0": n0, "product_48cK": product,
             "admissible_c": product < 1.0, "start_value": start,
             "start_cap": cap, "admissible_n0": start < cap}

@@ -17,13 +17,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circle import CircleMeasure, MultiplierLayer
-from .grids import DyadicGrid, neg_log_at_depth, verify_grid
+from .grids import DyadicGrid, verify_grid
 from .weights import Weight
 
 
 def grating_threshold(n: int, c: float, w: Weight) -> float:
     """c * 2^-n * log(1/w(2^-n)); positive for every admissible weight."""
-    u = neg_log_at_depth(w, n)
+    u = w.neg_log_at_depth(n)
     if not u > 0:
         raise ValueError(f"w(2^-{n}) must lie strictly below 1")
     return c * 2.0 ** -n * u
@@ -162,13 +162,13 @@ def decompose(mu: CircleMeasure, grid: DyadicGrid, c: float, w: Weight,
         sub = 2 ** (n_k - n_prev)
         light_count = heavy_prev.size * sub - heavy_k.size
         # exact int division: past depth 1023 the count overflows a float
-        ledger += light_count / 2 ** n_k * neg_log_at_depth(w, n_k)
+        ledger += light_count / 2 ** n_k * w.neg_log_at_depth(n_k)
     beta = check.beta
     decay = []
     for (n, heavy), rep in zip(heavy_sets, reports):
         m_h = heavy.size / 2 ** n
         decay.append({"depth": n, "heavy_measure": m_h,
-                      "bound_value": c * m_h * neg_log_at_depth(w, n),
+                      "bound_value": c * m_h * w.neg_log_at_depth(n),
                       "total_mass": total})
     return RobertsDecomposition(
         pieces=pieces, residual=remainder, residual_masses=residual_masses,

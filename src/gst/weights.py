@@ -54,21 +54,49 @@ class UncertifiedError(RuntimeError):
     """A tail or error bound could not be certified for this weight."""
 
 
-def _nested_log(t: np.ndarray, depth: int) -> np.ndarray:
-    # L_1(t) = log(e/t), L_{d+1}(t) = 1 + log L_d(t); L_d(1) = 1, L_d(0+) = inf.
-    with np.errstate(divide="ignore"):
-        val = 1.0 + np.log(1.0 / t)
+def _nested_log(val, depth: int, log=np.log):
+    # L_1(t) = 1 + log(1/t) = val, L_{d+1}(t) = 1 + log L_d(t); L_d(1) = 1,
+    # L_d(0+) = inf.  ``log`` is np.log on arrays, math.log on a float.
     for _ in range(depth - 1):
-        val = 1.0 + np.log(val)
+        val = 1.0 + log(val)
     return val
+
+
+@dataclass(frozen=True)
+class WeightKind:
+    """Everything one built-in weight kind decides.
+
+    ``fields`` name the parameters in ``params`` order, as the JSON form
+    spells them and the compact form ``short:v1,v2`` lists them; a spec
+    gives at least the first ``required``.  ``make`` builds the weight
+    from them and ``spec(params)`` gives them back.  ``value(t, *params)``
+    is w on an array t, ``label(*params)`` its name, ``hint(*params)`` the
+    default lambda_hint and ``pow(params, lam)`` the params of w^lam.  A
+    closed-form kind also gives log w(t) as ``log(t, *params)`` and
+    log(1/w(e^-u)) for a float u as ``neg_log(u, *params)``, both free of
+    underflow, and takes the t -> 0 limit at t = 0.
+    """
+
+    fields: tuple
+    required: int
+    make: Callable
+    value: Callable
+    label: Callable
+    hint: Callable = lambda *params: None
+    short: Optional[str] = None
+    pow: Callable = lambda params, lam: (params[0] * lam,) + params[1:]
+    spec: Callable = tuple
+    log: Optional[Callable] = None
+    neg_log: Optional[Callable] = None
 
 
 @dataclass(frozen=True)
 class Weight:
     """A weight with vectorized evaluation and an analytic log form.
 
-    ``log_eval`` returns log w(t); keeping it analytic lets checks reason
-    about weights whose values underflow float64 (fast-decay fixtures).
+    ``log`` returns log w(t); keeping it analytic lets checks reason about
+    weights whose values underflow float64 (fast-decay fixtures).  The
+    formulas are those of ``KINDS[kind]``, or ``_eval`` and ``_log_eval``.
     """
 
     kind: str
@@ -80,38 +108,21 @@ class Weight:
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
+        kind = KINDS.get(self.kind)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            if self.kind == "power":
-                (alpha,) = self.params
-                out = np.power(t_arr, alpha)
-            elif self.kind == "log_power":
-                c, depth = self.params
-                out = np.power(_nested_log(t_arr, depth), -c)
-            elif self.kind == "exp_log":
-                alpha, beta = self.params
-                out = np.exp(-alpha * np.power(1.0 + np.log(1.0 / t_arr), beta))
-            elif self.kind == "table":
-                ts, ws = self.params
-                out = np.interp(t_arr, ts, ws)
-            else:
-                out = np.asarray(self._eval(t_arr), dtype=float)
-        if self.kind in ("power", "log_power", "exp_log"):
+            out = (np.asarray(self._eval(t_arr), dtype=float) if kind is None
+                   else kind.value(t_arr, *self.params))
+        if kind is not None and kind.log is not None:
             out = np.where(t_arr == 0.0, 0.0, out)  # the t -> 0 limit
         return float(out) if np.isscalar(t) or out.ndim == 0 else out
 
     def log(self, t):
         """log w(t), finite for t > 0 whenever mathematically finite."""
         t_arr = np.asarray(t, dtype=float)
+        kind = KINDS.get(self.kind)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            if self.kind == "power":
-                (alpha,) = self.params
-                out = alpha * np.log(t_arr)
-            elif self.kind == "log_power":
-                c, depth = self.params
-                out = -c * np.log(_nested_log(t_arr, depth))
-            elif self.kind == "exp_log":
-                alpha, beta = self.params
-                out = -alpha * np.power(1.0 + np.log(1.0 / t_arr), beta)
+            if kind is not None and kind.log is not None:
+                out = kind.log(t_arr, *self.params)
             elif self._log_eval is not None:
                 out = np.asarray(self._log_eval(t_arr), dtype=float)
             else:
@@ -124,25 +135,25 @@ class Weight:
                 out = np.log(vals)
         return float(out) if np.isscalar(t) or out.ndim == 0 else out
 
+    def neg_log_at_depth(self, n: int) -> float:
+        """log(1/w(2^-n)), free of underflow for the closed-form kinds."""
+        kind = KINDS.get(self.kind)
+        if kind is not None and kind.neg_log is not None:
+            return kind.neg_log(n * math.log(2.0), *self.params)
+        t = 2.0 ** -n
+        if t == 0.0:
+            return math.inf
+        return -float(self.log(t))
+
     def pow(self, lam: float) -> "Weight":
-        """The weight w^lam (exact on the analytic kinds)."""
-        if self.kind == "power":
-            return Weight("power", (self.params[0] * lam,),
-                          name=f"{self.label()}^{lam:g}")
-        if self.kind == "log_power":
-            c, depth = self.params
-            return Weight("log_power", (c * lam, depth),
-                          name=f"{self.label()}^{lam:g}")
-        if self.kind == "exp_log":
-            a, b = self.params
-            return Weight("exp_log", (a * lam, b), name=f"{self.label()}^{lam:g}")
-        if self.kind == "table":
-            ts, ws = self.params
-            return Weight("table", (ts, tuple(v ** lam for v in ws)),
-                          name=f"{self.label()}^{lam:g}")
+        """The weight w^lam (exact on the built-in kinds)."""
+        name = f"{self.label()}^{lam:g}"
+        kind = KINDS.get(self.kind)
+        if kind is not None:
+            return Weight(self.kind, kind.pow(self.params, lam), name=name)
         base = self
         return Weight(
-            "custom", (lam,) + self.params, name=f"{self.label()}^{lam:g}",
+            "custom", (lam,) + self.params, name=name,
             _eval=lambda t: np.power(base(t), lam),
             _log_eval=(lambda t: lam * np.asarray(base.log(t)))
             if base._log_eval is not None else None,
@@ -151,14 +162,8 @@ class Weight:
     def label(self) -> str:
         if self.name:
             return self.name
-        if self.kind == "power":
-            return f"t^{self.params[0]:g}"
-        if self.kind == "log_power":
-            c, depth = self.params
-            return f"{'log' * depth}^-{c:g}"
-        if self.kind == "exp_log":
-            return f"exp(-{self.params[0]:g} log^{self.params[1]:g})"
-        return self.kind
+        kind = KINDS.get(self.kind)
+        return self.kind if kind is None else kind.label(*self.params)
 
 
 def _positive(value, what: str) -> float:
@@ -168,16 +173,16 @@ def _positive(value, what: str) -> float:
     return x
 
 
-def _hint(lambda_hint, default: Optional[float] = None) -> Optional[float]:
-    """A finite positive lambda_hint, or ``default`` in place of None."""
-    return default if lambda_hint is None else _positive(lambda_hint,
-                                                         "lambda_hint")
+def _weight(kind: str, params: tuple, lambda_hint) -> Weight:
+    """A built-in weight; a lambda_hint of None takes the kind's default."""
+    return Weight(kind, params, lambda_hint=KINDS[kind].hint(*params)
+                  if lambda_hint is None
+                  else _positive(lambda_hint, "lambda_hint"))
 
 
 def power(alpha: float, lambda_hint: Optional[float] = None) -> Weight:
-    alpha = _positive(alpha, "power exponent")
-    return Weight("power", (alpha,),
-                  lambda_hint=_hint(lambda_hint, min(1.0, 1.0 / alpha)))
+    return _weight("power", (_positive(alpha, "power exponent"),),
+                   lambda_hint)
 
 
 def log_power(c: float, depth: int = 1,
@@ -187,17 +192,13 @@ def log_power(c: float, depth: int = 1,
     if not 1 <= depth <= MAX_LOG_DEPTH:
         raise InvalidWeightError(
             f"log_power depth must lie in 1 .. {MAX_LOG_DEPTH}, got {depth}")
-    # log^-c is subadditive only once the exponent is brought down to ~1
-    return Weight("log_power", (c, depth),
-                  lambda_hint=_hint(lambda_hint, min(1.0, 1.0 / c)))
+    return _weight("log_power", (c, depth), lambda_hint)
 
 
 def exp_log(alpha: float, beta: float,
             lambda_hint: Optional[float] = None) -> Weight:
-    alpha = _positive(alpha, "exp_log alpha")
-    beta = _positive(beta, "exp_log beta")
-    return Weight("exp_log", (alpha, beta),
-                  lambda_hint=_hint(lambda_hint, 1.0 if beta <= 1 else None))
+    return _weight("exp_log", (_positive(alpha, "exp_log alpha"),
+                               _positive(beta, "exp_log beta")), lambda_hint)
 
 
 def table_weight(points, lambda_hint: Optional[float] = None) -> Weight:
@@ -212,71 +213,86 @@ def table_weight(points, lambda_hint: Optional[float] = None) -> Weight:
         raise InvalidWeightError("table must reach t = 1")
     if any(b < a - ORDER_TOL for a, b in zip(ws, ws[1:])):
         raise InvalidWeightError("table values must be nondecreasing")
-    return Weight("table", (ts, ws), lambda_hint=_hint(lambda_hint),
-                  name="table")
+    return _weight("table", (ts, ws), lambda_hint)
 
 
-def custom_weight(name, eval_fn, log_eval=None, lambda_hint=None) -> Weight:
-    return Weight("custom", (), lambda_hint=lambda_hint, name=name,
-                  _eval=eval_fn, _log_eval=log_eval)
+def custom_weight(name, eval_fn, log_eval=None) -> Weight:
+    return Weight("custom", (), name=name, _eval=eval_fn, _log_eval=log_eval)
 
 
-# every field a weight's JSON form may hold; each kind takes some of them
-_SPEC_FIELDS = ("alpha", "beta", "c", "depth", "points", "lambda_hint")
+KINDS = {
+    "power": WeightKind(
+        fields=("alpha",), required=1, short="power", make=power,
+        value=lambda t, a: np.power(t, a),
+        log=lambda t, a: a * np.log(t),
+        neg_log=lambda u, a: a * u,
+        label=lambda a: f"t^{a:g}",
+        hint=lambda a: min(1.0, 1.0 / a)),
+    "log_power": WeightKind(
+        fields=("c", "depth"), required=1, short="log", make=log_power,
+        value=lambda t, c, depth: np.power(
+            _nested_log(1.0 + np.log(1.0 / t), depth), -c),
+        log=lambda t, c, depth: -c * np.log(
+            _nested_log(1.0 + np.log(1.0 / t), depth)),
+        neg_log=lambda u, c, depth: c * math.log(
+            _nested_log(1.0 + u, depth, math.log)),
+        label=lambda c, depth: f"{'log' * depth}^-{c:g}",
+        # log^-c is subadditive only once the exponent is brought down to ~1
+        hint=lambda c, depth: min(1.0, 1.0 / c)),
+    "exp_log": WeightKind(
+        fields=("alpha", "beta"), required=2, short="exp_log", make=exp_log,
+        value=lambda t, a, b: np.exp(-a * np.power(1.0 + np.log(1.0 / t), b)),
+        log=lambda t, a, b: -a * np.power(1.0 + np.log(1.0 / t), b),
+        neg_log=lambda u, a, b: a * (1.0 + u) ** b,
+        label=lambda a, b: f"exp(-{a:g} log^{b:g})",
+        hint=lambda a, b: 1.0 if b <= 1 else None),
+    "table": WeightKind(
+        fields=("points",), required=1,
+        # a JSON table is a list of points; table_weight takes any iterable
+        make=lambda points, lambda_hint=None: table_weight(
+            as_list(points, "table points"), lambda_hint),
+        value=lambda t, ts, ws: np.interp(t, ts, ws),
+        label=lambda ts, ws: "table",
+        pow=lambda params, lam: (params[0],
+                                 tuple(v ** lam for v in params[1])),
+        spec=lambda params: ([[t, v] for t, v in zip(*params)],)),
+}
 
 
 def from_spec(spec) -> Weight:
-    """Build a weight from its JSON form, e.g. {"kind": "power", "alpha": 0.5}."""
+    """Build a weight from its JSON form, e.g. {"kind": "power", "alpha": 0.5},
+    or from its compact form: power:a, log:c[,depth] or exp_log:a,b.  The
+    compact form is read into the JSON form, so both build the same weight.
+    """
     if isinstance(spec, Weight):
         return spec
     if isinstance(spec, str):
-        kind, _, rest = spec.partition(":")
+        short, _, rest = spec.partition(":")
         args = [float(x) for x in rest.split(",") if x]
-        if kind == "power" and len(args) == 1:
-            return power(args[0])
-        if kind == "log" and len(args) <= 2:
-            return log_power(*(args or [1.0]))
-        if kind == "exp_log" and len(args) == 2:
-            return exp_log(args[0], args[1])
-        raise InvalidWeightError(
-            f"weight spec {spec!r} is not power:a, log[:c[,depth]] or "
-            "exp_log:a,b")
-    kind = fields(spec, "weight", "kind", optional=_SPEC_FIELDS)["kind"]
-    hint = spec.get("lambda_hint")
-    if kind == "power":
-        fields(spec, "power weight", "kind", "alpha",
-               optional=("lambda_hint",))
-        return power(spec["alpha"], hint)
-    if kind == "log_power":
-        fields(spec, "log_power weight", "kind", "c",
-               optional=("depth", "lambda_hint"))
-        return log_power(spec["c"], spec.get("depth", 1),
-                         hint if hint is not None else 1.0)
-    if kind == "exp_log":
-        fields(spec, "exp_log weight", "kind", "alpha", "beta",
-               optional=("lambda_hint",))
-        return exp_log(spec["alpha"], spec["beta"], hint)
-    if kind == "table":
-        fields(spec, "table weight", "kind", "points",
-               optional=("lambda_hint",))
-        return table_weight(as_list(spec["points"], "table points"), hint)
-    raise InvalidWeightError(f"unknown weight kind {reprlib.repr(kind)}")
+        kind = next((k for k, rec in KINDS.items() if rec.short == short
+                     and rec.required <= len(args) <= len(rec.fields)), None)
+        if kind is None:
+            raise InvalidWeightError(
+                f"weight spec {spec!r} is not power:a, log:c[,depth] or "
+                "exp_log:a,b")
+        spec = {"kind": kind, **dict(zip(KINDS[kind].fields, args))}
+    # any field here: the kind's own fields are checked below
+    kind = fields(spec, "weight", "kind", optional=spec)["kind"]
+    rec = KINDS.get(kind) if isinstance(kind, str) else None
+    if rec is None:
+        raise InvalidWeightError(f"unknown weight kind {reprlib.repr(kind)}")
+    fields(spec, f"{kind} weight", "kind", *rec.fields[:rec.required],
+           optional=rec.fields + ("lambda_hint",))
+    return rec.make(*(spec[f] for f in rec.fields if f in spec),
+                    lambda_hint=spec.get("lambda_hint"))
 
 
 def to_spec(w: Weight) -> dict:
-    if w.kind == "power":
-        return {"kind": "power", "alpha": w.params[0], "lambda_hint": w.lambda_hint}
-    if w.kind == "log_power":
-        return {"kind": "log_power", "c": w.params[0], "depth": w.params[1],
-                "lambda_hint": w.lambda_hint}
-    if w.kind == "exp_log":
-        return {"kind": "exp_log", "alpha": w.params[0], "beta": w.params[1],
-                "lambda_hint": w.lambda_hint}
-    if w.kind == "table":
-        ts, ws = w.params
-        return {"kind": "table", "points": [[t, v] for t, v in zip(ts, ws)],
-                "lambda_hint": w.lambda_hint}
-    raise InvalidWeightError(f"weight kind {w.kind!r} has no JSON form")
+    kind = KINDS.get(w.kind)
+    if kind is None:
+        raise InvalidWeightError(f"weight kind {w.kind!r} has no JSON form")
+    return {"kind": w.kind, **dict(zip(kind.fields, kind.spec(w.params))),
+            "lambda_hint": w.lambda_hint}
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +446,7 @@ def check_majorant(w: Weight, lambda_candidates=DEFAULT_LAMBDAS,
 
 
 @lru_cache(maxsize=256)
-def effective_lambda(w: Weight, grid_depth: int = 10) -> float:
+def effective_lambda(w: Weight) -> float:
     """Largest certified lambda with w^lambda a modulus of continuity.
 
     The declared lambda_hint is validated before use; candidates are tried
@@ -439,15 +455,16 @@ def effective_lambda(w: Weight, grid_depth: int = 10) -> float:
     cands = list(DEFAULT_LAMBDAS)
     if w.lambda_hint is not None:
         cands = sorted(set(cands) | {float(w.lambda_hint)}, reverse=True)
-    res = check_majorant(w, tuple(cands), grid_depth)
+    res = check_majorant(w, tuple(cands))
     if not res.ok:
         raise UncertifiedError(f"{w.label()} is not certified as a majorant")
     return res.lam
 
 
-def almost_decreasing_violation(w: Weight, lam: float, depth: int = 12) -> float:
-    """Worst violation of  w^lam(t)/t <= 2 w^lam(s)/s  over sampled 0<s<t<1."""
-    t = np.arange(1, 2 ** depth + 1) / 2 ** depth
+def almost_decreasing_violation(w: Weight, lam: float) -> float:
+    """Worst violation of  w^lam(t)/t <= 2 w^lam(s)/s  over 0 < s < t <= 1
+    sampled at k/2^12."""
+    t = np.arange(1, 2 ** 12 + 1) / 2 ** 12
     with np.errstate(divide="ignore"):
         q = lam * np.asarray(w.log(t)) - np.log(t)  # log of w^lam(t)/t
     # violation at t is q[t] - min_{s<t} q[s] - log 2, positive where the

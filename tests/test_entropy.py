@@ -49,6 +49,16 @@ class TestEntropySum:
                           weights.log_power(1.0, depth=2)).result
         assert res.tag == "undecided"
 
+    @pytest.mark.parametrize("beta", [0.5, 0.9, 1.0, 1.5])
+    def test_harmonic_log_under_exp_log(self, beta):
+        # log(1/w(l_k)) ~ log^beta k: the terms ~ 1/(k log^(2-beta) k) sum
+        # to a finite value for beta < 1, which no certificate here
+        # brackets, and diverge for beta >= 1
+        E, w = fixtures.harmonic_log_set(), weights.exp_log(1.0, beta)
+        want = DIVERGES if beta >= 1 else "undecided"
+        assert entropy_sum(E, w).result.tag == want
+        assert entropy_integral(E, w).tag == want
+
 
 class TestEntropyIntegral:
     def test_single_point_closed_form(self):

@@ -15,7 +15,7 @@ from gst import fixtures, inner_outer, weights
 from gst import circle
 from gst.circle import (Arc, CircleMeasure, point_set, set_union,
                         zero_measure)
-from gst.grids import DyadicGrid, neg_log_at_depth
+from gst.grids import DyadicGrid
 from gst.inner_outer import (BlaschkeSeq, _herglotz_sum, auto_carleson_N,
                              blaschke_many, carleson_many, carleson_outer,
                              corona_datum_check, eval_blaschke, eval_outer,
@@ -460,7 +460,7 @@ def oracle_corona(mu_k, n_k, c, w, grid_density=64):
     for zs in rings:
         worst = min(worst, float(np.min(combined(zs))))
         count += zs.size
-    bound = math.exp(-12.0 * c * neg_log_at_depth(w, n_k))
+    bound = math.exp(-12.0 * c * w.neg_log_at_depth(n_k))
     return inner_outer.CoronaCheck(worst, bound, worst >= bound - 1e-15,
                                    count)
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from gst import circle, entropy, fixtures, weights
 from gst.circle import CantorPart, CircleMeasure, MultiplierLayer, zero_measure
-from gst.grids import DyadicGrid, neg_log_at_depth
+from gst.grids import DyadicGrid
 from gst.roberts import decompose, grate, grating_threshold
 from test_circle import measures
 
@@ -236,10 +236,10 @@ def oracle_decompose(mu: CircleMeasure, depths, c: float, w):
     for (n0, (_, h0, _, _)), (n1, (_, h1, _, _)) in zip(
             zip(depths, reports), zip(depths[1:], reports[1:])):
         light_count = len(h0) * 2 ** (n1 - n0) - len(h1)
-        ledger += light_count / 2 ** n1 * neg_log_at_depth(w, n1)
+        ledger += light_count / 2 ** n1 * w.neg_log_at_depth(n1)
     total = mu.total_mass()
     decay = [{"depth": n, "heavy_measure": len(h) / 2 ** n,
-              "bound_value": c * (len(h) / 2 ** n) * neg_log_at_depth(w, n),
+              "bound_value": c * (len(h) / 2 ** n) * w.neg_log_at_depth(n),
               "total_mass": total} for n, (_, h, _, _) in zip(depths, reports)]
     return pieces, remainder, reports, residual_masses, ledger, decay
 

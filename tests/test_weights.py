@@ -375,6 +375,26 @@ class TestWeightSpecs:
         w = weights.from_spec({"kind": "power", "alpha": alpha})
         assert w(t) == pytest.approx(t ** alpha, rel=1e-12)
 
+    @pytest.mark.parametrize("name", sorted({**fixtures.builtin_majorants(),
+                                             **fixtures.a1_family()}))
+    def test_compact_and_json_forms_agree(self, name):
+        w = {**fixtures.builtin_majorants(), **fixtures.a1_family()}[name]
+        short, names = {"power": ("power", ["alpha"]),
+                        "log_power": ("log", ["c", "depth"]),
+                        "exp_log": ("exp_log", ["alpha", "beta"])}[w.kind]
+        compact = weights.from_spec(
+            f"{short}:" + ",".join(repr(float(v)) for v in w.params))
+        json_form = weights.from_spec({"kind": w.kind,
+                                       **dict(zip(names, w.params))})
+        assert compact == json_form == w
+
+        def lam(w):  # None where no lambda is certified
+            try:
+                return weights.effective_lambda(w)
+            except weights.UncertifiedError:
+                return None
+        assert lam(compact) == lam(json_form)
+
     def test_table_roundtrip(self):
         w = weights.table_weight([(0.0, 0.0), (0.5, 0.3), (1.0, 1.0)])
         spec = weights.to_spec(w)
