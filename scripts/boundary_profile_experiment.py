@@ -38,15 +38,16 @@ def main() -> int:
     for N in (1.0, 2.0, 4.0, 8.0, 16.0):
         G = carleson_outer(E, w, N)
         # circle samples in the largest gap, log-spaced toward one endpoint
-        g0 = max(E.gaps, key=lambda g: g.length)
+        j = int(np.argmax(E.lengths))
         ss = 2.0 ** -np.arange(2, 24)
-        ts = (g0.start + g0.length * ss) % 1.0
+        ts = (E.starts[j] + E.lengths[j] * ss) % 1.0
         zc = unit_point(ts) * (1.0 - 1e-12)
         vals, _ = carleson_many(G, zc)
-        for t, s, v in zip(ts, ss, vals):
+        dists = E.dist(ts)
+        for t, d, v in zip(ts, dists, vals):
             rows.append({"N": N, "kind": "circle", "coord": float(t),
-                         "dist": float(E.dist(t)), "abs_G": float(abs(v)),
-                         "w_ref": float(w(E.dist(t)))})
+                         "dist": float(d), "abs_G": float(abs(v)),
+                         "w_ref": float(w(d))})
         zs, hs = boundary_samples_with_profile(D, 256)
         vals, _ = carleson_many(G, zs)
         worst = float(np.max((np.abs(vals)) / np.asarray(w(hs))))

@@ -29,6 +29,8 @@ first input of the benchmark's ``cyclicity`` workload at seeds 1-3;
 ``inner eval`` on triadic measures of 2^10 and 2^14 atoms; ``measure
 decompose``, once on an atom with a depth-2000 grid level and once on a
 measure with a depth-70 multiplier layer (arc indices past int64);
+``measure classify`` on inline triadic (10 stages) and stagewise_log (12
+stages) measures, whose Cantor parts build their carrier sets;
 ``privalov check`` and ``carleson build --N auto`` on the
 one-point set, the triadic sets of depth 5-7 and the
 ``triadic_union_point`` set (inline JSON, many distinct gap lengths),
@@ -42,11 +44,13 @@ not subadditive, and ``weight check`` at ``--depth`` 14 and 16; ``grid
 build`` and ``set entropy --form both`` on the triadic set, each with a
 power and an ``exp_log`` weight; ``set entropy --form both`` on the
 triadic set under ``log:3`` and under its JSON form
-``{"kind": "log_power", "c": 3}``, whose results must be equal, and on
-the ``harmonic_log`` set under ``exp_log:1,0.5``, whose entropy is
-finite but uncertified (exit 2); two certified divergences, whose
-infinite bounds the report writes as null: ``set entropy --form both`` on
-the stagewise divergent set and ``dual fw-norm`` under ``power:1.5``.
+``{"kind": "log_power", "c": 3}``, whose results must be equal, on the
+``triadic_union_point`` set (inline JSON) with its gaps listed in
+reverse order, and on the ``harmonic_log`` set under ``exp_log:1,0.5``,
+whose finite entropy rests on the tail's remainder bound; two certified
+divergences, whose infinite bounds the report writes as null: ``set
+entropy --form both`` on the stagewise divergent set and ``dual
+fw-norm`` under ``power:1.5``.
 ``--show`` prints each results block under its line.
 
 Usage:
@@ -90,10 +94,15 @@ def _triadic_set(depth: int, offset: float = 0.0) -> str:
     return json.dumps(obj)
 
 
-def _union_point_set() -> str:
+def _union_point_set(reverse: bool = False) -> str:
+    """The ``triadic_union_point`` set as JSON, its gaps in start order or
+    in reverse."""
     from gst import circle, fixtures
-    E = fixtures.entropy_set_fixtures()["triadic_union_point"][0]
-    return json.dumps(circle.set_to_json(E))
+    obj = circle.set_to_json(
+        fixtures.entropy_set_fixtures()["triadic_union_point"][0])
+    if reverse:
+        obj["gaps"].reverse()
+    return json.dumps(obj)
 
 
 def cases():
@@ -130,6 +139,13 @@ def cases():
     yield "measure decompose depth-70 multiplier layer", (
         "measure", "decompose", "--measure", json.dumps(deep_layer),
         "--weight", "power:1", "--grid", "[4,8,12,16,20,24]", "--kmax", "6")
+    # each Cantor part builds its carrier set from its exact cells
+    for generator, stages in (("triadic", 10), ("stagewise_log", 12)):
+        measure = {"cantor": [{"generator": generator, "depth": stages,
+                               "mass": 1.0}]}
+        yield f"measure classify {generator} {stages} stages", (
+            "measure", "classify", "--measure", json.dumps(measure),
+            "--weight", "power:1")
     sets = [("point", "fixture:point")] + [
         (f"triadic {d}", _triadic_set(d)) for d in (5, 6, 7)] + [
         ("triadic_union_point", _union_point_set())]
@@ -167,7 +183,11 @@ def cases():
         yield f"set entropy triadic {weight}", (
             "set", "entropy", "--set", "fixture:triadic", "--weight", weight,
             "--form", "both")
-    # a finite sum that has no certificate: undecided, exit 2
+    # gaps in any order: the set sorts them by start
+    yield "set entropy triadic_union_point gaps reversed", (
+        "set", "entropy", "--set", _union_point_set(reverse=True), "--weight",
+        "power:1", "--form", "both")
+    # a finite sum certified by the remainder bound of the exp_log tail
     yield "set entropy harmonic_log exp_log:1,0.5", (
         "set", "entropy", "--set", "fixture:harmonic_log", "--weight",
         "exp_log:1,0.5", "--form", "both")

@@ -17,10 +17,9 @@ import math
 import operator
 import re
 import reprlib
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -47,21 +46,9 @@ class Arc:
         if not (0.0 < self.length <= 1.0):
             raise ValueError("arc length must lie in (0,1]")
 
-    @property
-    def end(self) -> float:
-        return (self.start + self.length) % 1.0
-
-    @property
-    def midpoint(self) -> float:
-        return (self.start + self.length / 2.0) % 1.0
-
     def contains(self, x) -> bool:
         rel = (x - self.start) % 1
         return rel < self.length
-
-    def contains_open(self, x) -> bool:
-        rel = (x - self.start) % 1
-        return 0.0 < rel < self.length
 
 
 def dyadic_arc(index: int, depth: int) -> Arc:
@@ -161,53 +148,77 @@ class GapTail:
 class ClosedCircleSet:
     """A closed Lebesgue-null subset of the circle, stored via its gaps.
 
-    ``gaps`` are disjoint open arcs sorted by start; their lengths together
-    with the tail model's gap mass must exhaust the circle.  Points of the
-    set are exactly the points in no open gap.
+    The gaps are the disjoint open arcs (start, start + length), given in
+    any order and kept as two read-only float arrays ``starts`` and
+    ``lengths`` sorted by start; their lengths together with the tail
+    model's gap mass must exhaust the circle.  The last gap may wrap past
+    angle 0.  Points of the set are exactly the points in no open gap.
     """
 
-    def __init__(self, gaps: Iterable[Arc], tail: Optional[GapTail] = None,
+    def __init__(self, starts, lengths, tail: Optional[GapTail] = None,
                  name: str = ""):
-        self.gaps = tuple(sorted(gaps, key=lambda g: g.start))
+        starts = np.asarray(starts, dtype=float)
+        lengths = np.asarray(lengths, dtype=float)
+        if starts.ndim != 1 or lengths.shape != starts.shape:
+            raise ValueError("a closed set needs one gap length per start")
+        # NaN fails both comparisons
+        if not np.all((starts >= 0.0) & (starts < 1.0)):
+            raise ValueError("gap starts must lie in [0,1)")
+        if not np.all((lengths > 0.0) & (lengths <= 1.0)):
+            raise ValueError("gap lengths must lie in (0,1]")
+        order = starts.argsort(kind="stable")
+        self.starts = _frozen(starts[order])
+        self.lengths = _frozen(lengths[order])
         self.tail = tail
         self.name = name
-        total = math.fsum(g.length for g in self.gaps)
+        total = math.fsum(self.lengths.tolist())
         tail_mass = tail.gap_mass() if tail is not None else 0.0
         # the empty-gap set is the whole circle: the degenerate identity
         # element for restriction, exempt from the null-set requirement
-        if self.gaps or tail is not None:
+        if self.starts.size or tail is not None:
             if abs(total + tail_mass - 1.0) > 1e-9:
                 raise ValueError(
                     f"gap lengths sum to {total + tail_mass}, expected 1")
-        for a, b in zip(self.gaps, self.gaps[1:]):
-            if a.start + a.length > b.start + CIRCLE_TOL:
-                raise ValueError("gaps overlap")
-        self._starts = [g.start for g in self.gaps]
+        ends = self.starts + self.lengths
+        # each gap against the next, and the last, past angle 0, against
+        # the first
+        if np.any(ends[:-1] > self.starts[1:] + CIRCLE_TOL) or (
+                ends.size and ends[-1] - 1.0 > self.starts[0] + CIRCLE_TOL):
+            raise ValueError("gaps overlap")
 
     def __repr__(self):
-        return (f"ClosedCircleSet({self.name or len(self.gaps)} gaps"
+        return (f"ClosedCircleSet({self.name or self.starts.size} gaps"
                 f"{', tailed' if self.tail else ''})")
 
-    def _gap_at(self, x: float) -> Optional[Arc]:
-        if not self.gaps:
-            return None
-        i = bisect_right(self._starts, x) - 1
-        for j in (i, len(self.gaps) - 1):  # last gap may wrap past 1
-            g = self.gaps[j]
-            if g.contains_open(x):
-                return g
-        return None
+    def gap_index(self, xs, tol: float = 0.0) -> np.ndarray:
+        """Index of the open gap holding each entry of a float array, or -1,
+        with every gap shrunk by ``tol`` at both ends.
 
-    def dist(self, x: float) -> float:
-        """Arc-length distance from x to the set (0 on the set itself)."""
-        g = self._gap_at(x % 1.0)
-        if g is None:
-            return 0.0
-        rel = (x - g.start) % 1.0
-        return min(rel, g.length - rel)
+        Only the gap starting at or before x can hold it, or the last gap,
+        which may wrap past 1.
+        """
+        xs = np.asarray(xs, dtype=float) % 1.0
+        n = self.starts.size
+        if not n:
+            return np.full(xs.shape, -1)
 
-    def contains_point(self, x) -> bool:
-        return bool(self.contains_points([float(x)])[0])
+        def holds(j):
+            rel = (xs - self.starts[j]) % 1.0
+            return (tol < rel) & (rel < self.lengths[j] - tol)
+
+        # before the first start, the gap at or before x is the last
+        i = (np.searchsorted(self.starts, xs, side="right") - 1) % n
+        return np.where(holds(i), i, np.where(holds(n - 1), n - 1, -1))
+
+    def dist(self, xs) -> np.ndarray:
+        """Arc-length distance from each entry of a float array to the set
+        (0 on the set itself)."""
+        xs = np.asarray(xs, dtype=float)
+        j = self.gap_index(xs)
+        if not self.starts.size:
+            return np.zeros(xs.shape)
+        rel = (xs - self.starts[j]) % 1.0
+        return np.where(j < 0, 0.0, np.minimum(rel, self.lengths[j] - rel))
 
     def contains_points(self, xs) -> np.ndarray:
         """Set membership of each entry of a float array.
@@ -216,46 +227,18 @@ class ClosedCircleSet:
         endpoints belong to the set and float images of exact endpoints
         may land a few ulps inside the open gap.
         """
-        xs = np.asarray(xs, dtype=float) % 1.0
-        if not self.gaps:
-            return np.ones(xs.shape, dtype=bool)
-        starts, lengths = self.gap_arrays()
-
-        def in_gap(j):
-            rel = (xs - starts[j]) % 1.0
-            return (CIRCLE_TOL < rel) & (rel < lengths[j] - CIRCLE_TOL)
-
-        # as in _gap_at: the gap starting at or before x, and the last gap
-        i = np.searchsorted(starts, xs, side="right") - 1
-        return ~(in_gap(i) | in_gap(len(self.gaps) - 1))
-
-    def gap_arrays(self) -> tuple:
-        """(starts, lengths) of the gaps, as float arrays in start order."""
-        return (np.array(self._starts, dtype=float),
-                np.array([g.length for g in self.gaps], dtype=float))
-
-    def points(self) -> list:
-        """Gap endpoints (all are set points); the full set for finite sets."""
-        pts = set()
-        for g in self.gaps:
-            pts.add(g.start % 1.0)
-            pts.add((g.start + g.length) % 1.0)
-        return sorted(pts)
-
-    def gap_lengths_decreasing(self) -> np.ndarray:
-        return np.sort(self.gap_arrays()[1])[::-1]
+        return self.gap_index(xs, CIRCLE_TOL) < 0
 
 
 def point_set(positions) -> ClosedCircleSet:
     """The finite set consisting of the given points."""
-    pos = sorted(p % 1.0 for p in positions)
-    if not pos:
+    pos = np.sort(np.asarray(positions, dtype=float) % 1.0)
+    if not pos.size:
         raise ValueError("need at least one point")
-    gaps = []
-    for a, b in zip(pos, pos[1:] + [pos[0] + 1.0]):
-        if b - a > 0:
-            gaps.append(Arc(a % 1.0, b - a))
-    return ClosedCircleSet(gaps, name=f"{len(pos)} points")
+    step = np.append(pos[1:], pos[0] + 1.0) - pos
+    keep = step > 0
+    return ClosedCircleSet(pos[keep] % 1.0, step[keep],
+                           name=f"{pos.size} points")
 
 
 def set_union(e1: ClosedCircleSet, e2: ClosedCircleSet) -> ClosedCircleSet:
@@ -264,20 +247,20 @@ def set_union(e1: ClosedCircleSet, e2: ClosedCircleSet) -> ClosedCircleSet:
         raise ValueError("cannot union two tailed sets")
     if e2.tail is not None:
         e1, e2 = e2, e1
-    # insert every point of e2 into the gap structure of e1
-    gaps = list(e1.gaps)
-    for p in e2.points():
+    # insert every point of e2, its gap endpoints, into the gaps of e1
+    gaps = list(zip(e1.starts.tolist(), e1.lengths.tolist()))
+    for p in np.unique(np.concatenate([
+            e2.starts % 1.0, (e2.starts + e2.lengths) % 1.0])).tolist():
         out = []
-        for g in gaps:
-            rel = (p - g.start) % 1.0
-            if 0 < rel < g.length:
-                out.append(Arc(g.start, rel))
-                out.append(Arc((g.start + rel) % 1.0, g.length - rel))
+        for start, length in gaps:
+            rel = (p - start) % 1.0
+            if 0 < rel < length:
+                out += [(start, rel), ((start + rel) % 1.0, length - rel)]
             else:
-                out.append(g)
+                out.append((start, length))
         gaps = out
-    return ClosedCircleSet(gaps, tail=e1.tail,
-                           name=f"union({e1.name},{e2.name})")
+    return ClosedCircleSet(*np.array(gaps, dtype=float).reshape(-1, 2).T,
+                           tail=e1.tail, name=f"union({e1.name},{e2.name})")
 
 
 # ---------------------------------------------------------------------------
@@ -370,13 +353,14 @@ class CantorPart:
         # consecutive stage-depth cells (the first starts at 0, the last
         # ends at 1, so no gap wraps); a stage-depth cell starts where its
         # leftmost terminal cell does
-        starts, _ = self.exact(
+        cells, _ = self.exact(
             np.arange(1 << depth, dtype=np.int64) << (self.stages - depth))
-        starts = starts.tolist()
         ln = self._lengths[depth - 1] if depth else self.den
-        den = self.den
-        gaps = [Arc((a + ln) / den % 1.0, (b - a - ln) / den)
-                for a, b in zip(starts, starts[1:])]
+        # Python int / int on the object arrays: each quotient correctly
+        # rounded
+        a, b = cells[:-1], cells[1:]
+        starts = ((a + ln) / self.den % 1.0).astype(float)
+        lengths = ((b - a - ln) / self.den).astype(float)
         if self.generator.kind == "triadic":
             # level n has 2^(n-1) gaps of length 3^-n
             tail = GapTail("geometric_levels", (1.0, 2.0, 1.0, 1.0 / 3.0, depth))
@@ -384,7 +368,7 @@ class CantorPart:
         else:
             tail = GapTail("stagewise_log", (float(self.generator.amp), depth))
             name = f"stagewise({depth})"
-        return ClosedCircleSet(gaps, tail=tail, name=name)
+        return ClosedCircleSet(starts, lengths, tail=tail, name=name)
 
     def positions(self) -> np.ndarray:
         """Left endpoints of the terminal cells in cell order, each the
@@ -779,7 +763,7 @@ def modulus_of_continuity(nu: CircleMeasure, delta: float) -> ModulusOfMeasure:
 # ---------------------------------------------------------------------------
 
 def set_to_json(e: ClosedCircleSet) -> dict:
-    out = {"gaps": [[g.start, g.length] for g in e.gaps]}
+    out = {"gaps": np.stack([e.starts, e.lengths], axis=-1).tolist()}
     if e.tail is not None:
         out["tail"] = {"kind": e.tail.kind, "params": list(e.tail.params)}
     if e.name:
@@ -794,9 +778,9 @@ def set_from_json(obj: dict) -> ClosedCircleSet:
         t = fields(obj["tail"], "set tail", "kind", "params")
         tail = GapTail(as_str(t["kind"], "tail kind"),
                        tuple(as_floats(t["params"], "tail parameter")))
-    return ClosedCircleSet([Arc(*as_floats(g, "gap", 2))
-                            for g in as_list(obj["gaps"], "gaps")],
-                           tail=tail,
+    gaps = np.array([as_floats(g, "gap", 2)
+                     for g in as_list(obj["gaps"], "gaps")], dtype=float)
+    return ClosedCircleSet(*gaps.reshape(-1, 2).T, tail=tail,
                            name=as_str(obj.get("name", ""), "set name"))
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import reprlib
@@ -332,6 +333,7 @@ def cmd_report_cyclicity(args) -> dict:
     return out, meta
 
 
+@functools.cache  # parsing leaves the parser as it was: one per process
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="gst",
                                 description=__doc__.splitlines()[0])

@@ -97,22 +97,35 @@ def _tail_sum_bounds(tail: GapTail, w: Weight):
         amp, first = tail.params
         if w.kind == "power" or (w.kind == "exp_log" and w.params[1] >= 1):
             # log(1/w(l)) >~ log(1/l), so sum_k l_k log(1/w(l_k))
-            # >~ sum_k c/(k log k) = inf; exp_log with beta < 1 gives terms
-            # ~ 1/(k log^(2 - beta) k), whose sum is finite
+            # >~ sum_k c/(k log k) = inf
             return (-math.inf, -math.inf)
-        if w.kind == "log_power" and w.params[1] == 1:
+        if not (w.kind == "exp_log" or
+                (w.kind == "log_power" and w.params[1] == 1)):
+            return None
+        # explicit terms, then a bound on the rest from k = m on
+        ks = np.arange(first + 1, first + 1 + GENERATOR_TERM_BUDGET,
+                       dtype=float)
+        lens = amp / (ks * np.log(ks) ** 2)
+        acc = float(np.sum(lens * np.asarray(w.log(lens))))
+        m = ks[-1] + 1.0
+        y = math.log(m)
+        c0 = max(0.0, math.log(1.0 / amp))
+        if w.kind == "log_power":
             c = w.params[0]
-            ks = np.arange(first + 1, first + 1 + GENERATOR_TERM_BUDGET,
-                           dtype=float)
-            lens = amp / (ks * np.log(ks) ** 2)
-            acc = float(np.sum(lens * np.asarray(w.log(lens))))
-            m = ks[-1] + 1.0
             # remainder via  u(l_k) <= c (k0 + log log k),  integral in y = log x
-            k0 = math.log(3.0) + max(0.0, math.log(1.0 / amp))
-            y = math.log(m)
+            k0 = math.log(3.0) + c0
             rem = amp * c * (k0 + math.log(y) + 1.0) / y
             return (acc - rem, acc + rem)
-        return None
+        # exp_log, beta < 1: log(1/l_k) <= log k + 2 log log k + c0, so
+        # log(1/w(l_k)) <= alpha log^beta(k) (1 + delta)^beta for k >= m,
+        # delta decreasing in k; the terms are then at most
+        # alpha amp (1 + delta)^beta / (k log^(2 - beta) k), whose sum from
+        # m on is at most the integral from m - 1
+        alpha, beta = w.params
+        delta = (1.0 + c0 + 2.0 * math.log(y)) / y
+        rem = (alpha * amp * (1.0 + delta) ** beta
+               * math.log(m - 1.0) ** (beta - 1.0) / (1.0 - beta))
+        return (acc - rem, acc)
     if tail.kind == "stagewise_log":
         amp, first = tail.params
         if w.kind in ("power", "exp_log") or (
@@ -142,7 +155,7 @@ class EntropySumResult:
 
 def entropy_sum(E: ClosedCircleSet, w: Weight) -> EntropySumResult:
     """Sum of m(I) log w(m(I)) over complementary arcs, largest first."""
-    lens = E.gap_lengths_decreasing()
+    lens = np.sort(E.lengths)[::-1]
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = lens * np.asarray(w.log(lens))
     if np.any(np.isneginf(terms)):
@@ -219,9 +232,8 @@ def entropy_integral(E: ClosedCircleSet, w: Weight) -> TaggedValue:
     Each gap of length L contributes 2*int_0^{L/2} log w(t) dt: the distance
     to the set sweeps (0, L/2] twice per gap.
     """
-    lens = np.array([g.length for g in E.gaps])
     lam = effective_lambda(w)
-    vals, err = _gap_integral_values(w, lens, lam)
+    vals, err = _gap_integral_values(w, E.lengths, lam)
     if np.any(~np.isfinite(vals)):
         return TaggedValue(DIVERGES, None, -math.inf, -math.inf,
                            "log w not integrable on a gap")

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import circle, weights
-from .circle import (Arc, CantorPart, CircleMeasure, ClosedCircleSet, GapTail,
+from .circle import (CantorPart, CircleMeasure, ClosedCircleSet, GapTail,
                      point_set, set_union, stagewise_log_generator,
                      triadic_generator)
 from .weights import Weight
@@ -109,9 +109,8 @@ def harmonic_log_set(materialized: int = HARMONIC_MATERIALIZED) -> ClosedCircleS
     ks = np.arange(2.0, materialized + 2.0)
     lens = amp / (ks * np.log(ks) ** 2)
     starts = np.concatenate([[0.0], np.cumsum(lens)[:-1]])
-    gaps = [Arc(float(s), float(ln)) for s, ln in zip(starts, lens)]
     tail = GapTail("harmonic_log", (amp, materialized + 1))
-    return ClosedCircleSet(gaps, tail=tail, name="harmonic_log")
+    return ClosedCircleSet(starts, lens, tail=tail, name="harmonic_log")
 
 
 def entropy_set_fixtures() -> dict:

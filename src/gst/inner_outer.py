@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circle import Arc, CircleMeasure, ClosedCircleSet, modulus_of_continuity
+from .circle import CircleMeasure, ClosedCircleSet, modulus_of_continuity
 from .entropy import entropy_sum
 from .weights import Weight, effective_lambda, moment_sup
 
@@ -527,9 +527,9 @@ def whitney(E: ClosedCircleSet, levels: int = WHITNEY_LEVELS
     endpoint.  Truncation at ``levels`` leaves 2^-levels of each gap
     uncovered next to the endpoints.
     """
-    if not E.gaps:
+    if not E.starts.size:
         raise ValueError("set has no gaps")
-    a, L = (x[:, None] for x in E.gap_arrays())
+    a, L = E.starts[:, None], E.lengths[:, None]
     ln = L * np.ldexp(1.0, -np.arange(2, levels + 2))  # (gap, level)
     starts = np.stack([(a + ln) % 1.0, (a + L - 2.0 * ln) % 1.0], axis=-1)
     return WhitneyDecomposition(
@@ -575,10 +575,9 @@ def carleson_outer(E: ClosedCircleSet, w: Weight, N: float,
     lam = effective_lambda(w)
     # per gap endpoint, in (gap, side) order: the coefficient tail of one
     # geometric family below the last level
-    starts, gap_lens = E.gap_arrays()
-    m_last = np.repeat(gap_lens * 2.0 ** -(levels + 1), 2)
+    m_last = np.repeat(E.lengths * 2.0 ** -(levels + 1), 2)
     tails = m_last * (-np.asarray(w.log(m_last)) + 2.0 * math.log(4.0) / lam)
-    ends = unit_point(np.stack([starts, starts + gap_lens], axis=-1)
+    ends = unit_point(np.stack([E.starts, E.starts + E.lengths], axis=-1)
                       .reshape(-1) % 1.0)
     return CarlesonOuter(wd, w, N, coeffs, rhos * centers, centers, rhos,
                          ends, tails, m_last)

@@ -28,14 +28,16 @@ PROFILE_DIST_HIGH = 1.0 / 2.0
 class PrivalovDomain:
     E: ClosedCircleSet
 
-    def profile(self, t: float) -> float:
-        """Cusp height h over the boundary point at arc coordinate t."""
-        g = self.E._gap_at(t % 1.0)
-        if g is None:
-            return 0.0
-        rel = (t - g.start) % 1.0
-        q = rel * (g.length - rel) / g.length
-        return 0.5 * q * q
+    def profile(self, t) -> np.ndarray:
+        """Cusp height h over the boundary points at arc coordinates t."""
+        t = np.asarray(t, dtype=float)
+        j = self.E.gap_index(t)
+        if not self.E.starts.size:
+            return np.zeros(t.shape)
+        rel = (t - self.E.starts[j]) % 1.0
+        length = self.E.lengths[j]
+        q = rel * (length - rel) / length
+        return np.where(j < 0, 0.0, 0.5 * q * q)
 
     def contains(self, z: complex) -> bool:
         if z == 0:
@@ -43,10 +45,10 @@ class PrivalovDomain:
         t = (np.angle(z) / (2.0 * math.pi)) % 1.0
         # one-sided float guard: |unit_point(t)| itself rounds within an ulp
         # of 1, so points of the lid curve must not leak inside
-        return abs(z) < 1.0 - self.profile(float(t)) - 1e-15
+        return bool(abs(z) < 1.0 - self.profile(t) - 1e-15)
 
     def boundary_point(self, t: float) -> complex:
-        return complex(unit_point(t % 1.0)) * (1.0 - self.profile(t))
+        return complex(unit_point(t % 1.0)) * (1.0 - float(self.profile(t)))
 
 
 def boundary_samples_with_profile(D: PrivalovDomain, count: int):
@@ -60,10 +62,10 @@ def boundary_samples_with_profile(D: PrivalovDomain, count: int):
     """
     if count < 1:
         raise ValueError("count must be positive")
-    gaps = D.E.gaps
-    total = sum(g.length for g in gaps)
+    lengths = D.E.lengths.tolist()
+    total = sum(lengths)  # left to right in start order
     dens = 16  # geometric offsets per endpoint
-    n_uni = [max(3, int(round(count * g.length / total))) for g in gaps]
+    n_uni = [max(3, int(round(count * ln / total))) for ln in lengths]
     offsets = {n: np.unique(np.concatenate([
         np.arange(1, n) / n,
         2.0 ** -np.arange(2, dens + 2),
@@ -72,7 +74,7 @@ def boundary_samples_with_profile(D: PrivalovDomain, count: int):
     # a set without gaps has no samples
     s = np.concatenate([np.zeros(0)] + [offsets[n] for n in n_uni])
     start, length = (np.repeat(x, [offsets[n].size for n in n_uni])
-                     for x in D.E.gap_arrays())
+                     for x in (D.E.starts, D.E.lengths))
     q = length * s * (1.0 - s)  # rel (L - rel) / L without cancellation
     h = 0.5 * q * q
     return unit_point((start + length * s) % 1.0) * (1.0 - h), h

@@ -1,6 +1,7 @@
 """Arc arithmetic, closed null sets and singular measure queries."""
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -8,9 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gst import circle, fixtures
-from gst.circle import (Arc, CantorPart, CircleMeasure, MultiplierLayer,
-                        atom_measure, modulus_of_continuity, point_set,
-                        set_union)
+from gst.circle import (CIRCLE_TOL, Arc, CantorPart, CircleMeasure,
+                        MultiplierLayer, atom_measure, modulus_of_continuity,
+                        point_set, set_union)
+from gst.privalov import PrivalovDomain
 
 
 class TestArc:
@@ -40,13 +42,13 @@ class TestClosedSets:
 
     def test_gap_lengths_cover_circle(self):
         E = point_set([0.0, 0.25, 0.5])
-        assert math.fsum(g.length for g in E.gaps) == pytest.approx(1.0)
+        assert math.fsum(E.lengths) == pytest.approx(1.0)
 
     def test_tailed_set_accounts_mass(self):
         for E, tol in ((fixtures.triadic_cantor_set(8), 1e-9),
                        (fixtures.stagewise_divergent_set(), 1e-12),
                        (fixtures.harmonic_log_set(), 1e-12)):
-            gaps = math.fsum(g.length for g in E.gaps)
+            gaps = math.fsum(E.lengths)
             assert gaps + E.tail.gap_mass() == pytest.approx(1.0, abs=tol), \
                 E.name
 
@@ -62,8 +64,8 @@ class TestClosedSets:
 
     def test_union_splits_gap(self):
         E = set_union(point_set([0.0]), point_set([0.5]))
-        assert len(E.gaps) == 2
-        assert E.contains_point(0.5)
+        assert E.starts.size == 2
+        assert E.contains_points([0.5])[0]
 
 
 class TestMassQueries:
@@ -150,7 +152,7 @@ class TestRestrict:
             1.0, abs=1e-12)
 
     def test_full_circle_is_identity(self):
-        full = circle.ClosedCircleSet([], name="full")
+        full = circle.ClosedCircleSet([], [], name="full")
         mu = fixtures.two_atom_fixture()
         assert mu.restrict(full).total_mass() == mu.total_mass()
 
@@ -167,7 +169,7 @@ class TestJsonForms:
     def test_set_roundtrip(self):
         E = fixtures.triadic_cantor_set(5)
         again = circle.set_from_json(circle.set_to_json(E))
-        assert len(again.gaps) == len(E.gaps)
+        assert again.starts.size == E.starts.size
         assert again.tail.gap_mass() == pytest.approx(E.tail.gap_mass())
 
     def test_multiplier_layer_applies(self):
@@ -406,7 +408,7 @@ class TestArrayCore:
         for E in sets:
             got = mu.restrict(E).atom_list
             assert got == [(p, m) for p, m in zip(pos, masses)
-                           if E.contains_point(float(p))]
+                           if E.contains_points([float(p)])[0]]
 
     def test_all_depths_on_mixed_measure(self):
         mu = CircleMeasure(
@@ -431,7 +433,9 @@ class TestArrayCore:
             cells = oracle_cells(part, stages)
             want = [(float(p + ln) % 1.0, float(q - p - ln))
                     for (p, ln), (q, _) in zip(cells, cells[1:])]
-            assert [(g.start, g.length) for g in part.carrier.gaps] == want
+            carrier = part.carrier
+            assert list(zip(carrier.starts.tolist(),
+                            carrier.lengths.tolist())) == want
 
     def test_realized_arrays_are_read_only(self):
         r = fixtures.triadic_cantor_measure(6).realized()
@@ -452,3 +456,155 @@ class TestArrayCore:
                for d in (0.5, 0.01, 2.0 ** -12)]
         assert got == want
         assert len(calls) == 1
+
+
+# -- oracle: the retired tuple-of-Arc gap lookup ------------------------------
+
+def oracle_gaps(E) -> tuple:
+    return tuple(Arc(s, ln)
+                 for s, ln in zip(E.starts.tolist(), E.lengths.tolist()))
+
+
+def oracle_gap_at(gaps, x):
+    """The gap starting at or before x, else the last gap (it may wrap
+    past 1), if x lies in it: one Arc at a time."""
+    if not gaps:
+        return None
+    i = bisect_right([g.start for g in gaps], x) - 1
+    for j in (i, len(gaps) - 1):
+        rel = (x - gaps[j].start) % 1
+        if 0.0 < rel < gaps[j].length:
+            return gaps[j]
+    return None
+
+
+def oracle_dist(gaps, x) -> float:
+    g = oracle_gap_at(gaps, x % 1.0)
+    if g is None:
+        return 0.0
+    rel = (x - g.start) % 1.0
+    return min(rel, g.length - rel)
+
+
+def oracle_profile(gaps, t) -> float:
+    g = oracle_gap_at(gaps, t % 1.0)
+    if g is None:
+        return 0.0
+    rel = (t - g.start) % 1.0
+    q = rel * (g.length - rel) / g.length
+    return 0.5 * q * q
+
+
+def oracle_contains_points(gaps, xs) -> np.ndarray:
+    xs = np.asarray(xs, dtype=float) % 1.0
+    if not gaps:
+        return np.ones(xs.shape, dtype=bool)
+    starts = np.array([g.start for g in gaps])
+    lengths = np.array([g.length for g in gaps])
+
+    def in_gap(j):
+        rel = (xs - starts[j]) % 1.0
+        return (CIRCLE_TOL < rel) & (rel < lengths[j] - CIRCLE_TOL)
+
+    i = np.searchsorted(starts, xs, side="right") - 1
+    return ~(in_gap(i) | in_gap(len(gaps) - 1))
+
+
+def rotated(E, offset: float):
+    """E turned by ``offset``, its gaps listed in a shuffled order; a gap
+    that crosses angle 0 wraps past 1."""
+    starts = (E.starts + offset) % 1.0
+    order = np.random.default_rng(len(starts)).permutation(starts.size)
+    return circle.ClosedCircleSet(starts[order], E.lengths[order],
+                                  tail=E.tail)
+
+
+@st.composite
+def gap_sets(draw):
+    kind = draw(st.sampled_from(["full", "point", "points", "triadic"]))
+    if kind == "full":
+        return circle.ClosedCircleSet([], [])
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    if kind == "point":
+        return point_set([draw(unit)])
+    if kind == "points":
+        # the last gap wraps angle 0 unless 0 is a point
+        return point_set(draw(st.lists(unit, min_size=2, max_size=8,
+                                       unique=True)))
+    return rotated(fixtures.triadic_cantor_set(draw(st.integers(1, 4))),
+                   draw(unit))
+
+
+def probe_points(E, data) -> np.ndarray:
+    """Every gap end, CIRCLE_TOL and one ulp to either side of it, and a
+    few points drawn in [-2, 2]."""
+    ends = np.concatenate([E.starts, E.starts + E.lengths,
+                           (E.starts + E.lengths) % 1.0, [0.0, 1.0]])
+    xs = np.concatenate([ends, ends - CIRCLE_TOL, ends + CIRCLE_TOL,
+                         np.nextafter(ends, -np.inf),
+                         np.nextafter(ends, np.inf)])
+    more = data.draw(st.lists(st.floats(-2.0, 2.0), max_size=16))
+    return np.concatenate([xs, np.array(more, dtype=float)])
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+class TestGapArrays:
+    """The one array gap lookup against the retired scalar one."""
+
+    @given(gap_sets(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_lookups_match_the_arc_oracle(self, E, data):
+        gaps = oracle_gaps(E)
+        xs = probe_points(E, data)
+        assert np.array_equal(E.contains_points(xs),
+                              oracle_contains_points(gaps, xs))
+        assert _same_bits(E.dist(xs), [oracle_dist(gaps, x)
+                                       for x in xs.tolist()])
+        assert _same_bits(PrivalovDomain(E).profile(xs),
+                          [oracle_profile(gaps, x) for x in xs.tolist()])
+        j = E.gap_index(xs)
+        for x, k in zip(xs.tolist(), j.tolist()):
+            g = oracle_gap_at(gaps, x % 1.0)
+            assert (g is None) if k < 0 else (g == gaps[k])
+
+    def test_gaps_kept_sorted_by_start(self):
+        base = fixtures.triadic_cantor_set(3)
+        E = rotated(base, 0.6)
+        want = sorted(zip(((base.starts + 0.6) % 1.0).tolist(),
+                          base.lengths.tolist()))
+        assert list(zip(E.starts.tolist(), E.lengths.tolist())) == want
+        assert np.any(E.starts + E.lengths > 1.0)
+        for a in (E.starts, E.lengths):
+            assert a.dtype == np.float64
+            with pytest.raises(ValueError):
+                a[0] = 0.5
+
+    @pytest.mark.parametrize("starts, lengths, message", [
+        ([1.0], [1.0], "starts must lie in"),
+        ([-0.25], [1.0], "starts must lie in"),
+        ([0.0], [0.0], "lengths must lie in"),
+        ([0.0], [1.5], "lengths must lie in"),
+        ([float("nan")], [1.0], "starts must lie in"),
+        ([0.0], [float("nan")], "lengths must lie in"),
+        ([0.0, 0.5], [1.0], "one gap length per start"),
+        ([[0.0, 0.5]], [[0.5, 0.5]], "one gap length per start"),
+        ([0.0, 0.4], [0.5, 0.5], "gaps overlap"),
+        # the last gap wraps angle 0 into the first: (0.9, 1.4) and (0, 0.5)
+        ([0.0, 0.9], [0.5, 0.5], "gaps overlap"),
+        ([0.9, 0.0], [0.5, 0.5], "gaps overlap"),
+        ([0.0, 0.5], [0.5, 0.6], "sum to"),
+    ])
+    def test_constructor_rejects(self, starts, lengths, message):
+        with pytest.raises(ValueError, match=message):
+            circle.ClosedCircleSet(starts, lengths)
+
+    def test_wrap_touching_first_gap_is_accepted(self):
+        # (0.6, 1.1) ends where (0.1, 0.6) starts, up to rounding
+        E = circle.ClosedCircleSet([0.6, 0.1], [0.5, 0.5])
+        assert E.starts.tolist() == [0.1, 0.6]
+        assert E.contains_points([0.1, 0.6]).all()

@@ -523,6 +523,16 @@ BAD_INPUTS.update({
         '[{"depth": 10000000000, "factors": {"0": 0.5}}]}'), 1),
 })
 
+# lengths summing to 1, but the last gap (0.9, 1.4) wraps angle 0 into the
+# first, (0, 0.5): both cover [0, 0.4) and [0.5, 0.9) is left over
+WRAP_OVERLAP = '{"gaps": [[0.0, 0.5], [0.9, 0.5]]}'
+BAD_INPUTS.update({
+    "set_gap_wraps_into_first": (_entropy(WRAP_OVERLAP), 1),
+    "privalov_gap_wraps_into_first": (["privalov", "check", "--set",
+                                       WRAP_OVERLAP, "--weight", "power:1"],
+                                      1),
+})
+
 def _reject_constant(token):
     raise ValueError(f"{token} is not strict JSON")
 
@@ -830,6 +840,36 @@ class TestDeterminism:
                        "fixture:two_atoms", "--weight", "power:1",
                        "--grid", "[4,12]", "--kmax", "2"], capsys)
         assert rep1["results"] == rep2["results"]
+
+
+class TestOneParser:
+    def test_calls_share_one_parser(self, capsys):
+        cli.build_parser.cache_clear()
+        argv = _point_entropy("power:1")
+        assert run(argv, capsys)[0] == 0
+        assert run(argv, capsys)[0] == 0
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_parse_error_leaves_next_call_unchanged(self, capsys):
+        argv = ["set", "entropy", "--set", "fixture:triadic", "--weight",
+                "power:1", "--form", "both"]
+        cli.build_parser.cache_clear()
+        code, rep = run(argv, capsys)
+        cli.build_parser.cache_clear()
+        # a parse error in the first call on the new parser: a missing
+        # operand, an unknown option and a bad choice
+        for bad in (["set", "entropy", "--set"], ["set", "entropy", "--x"],
+                    ["set", "entropy", "--set", "fixture:point", "--weight",
+                     "power:1", "--form", "sideways"]):
+            assert cli.main(bad) == 1
+        capsys.readouterr()
+        again_code, again = run(argv, capsys)
+        assert cli.build_parser.cache_info().misses == 1
+        assert again_code == code == 0
+        rep["meta"].pop("runtime_s")
+        again["meta"].pop("runtime_s")
+        assert again == rep
 
 
 class TestOutputFiles:

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from gst import entropy, fixtures, weights
@@ -52,12 +53,20 @@ class TestEntropySum:
     @pytest.mark.parametrize("beta", [0.5, 0.9, 1.0, 1.5])
     def test_harmonic_log_under_exp_log(self, beta):
         # log(1/w(l_k)) ~ log^beta k: the terms ~ 1/(k log^(2-beta) k) sum
-        # to a finite value for beta < 1, which no certificate here
-        # brackets, and diverge for beta >= 1
+        # to a finite value for beta < 1 and diverge for beta >= 1
         E, w = fixtures.harmonic_log_set(), weights.exp_log(1.0, beta)
-        want = DIVERGES if beta >= 1 else "undecided"
-        assert entropy_sum(E, w).result.tag == want
+        want = DIVERGES if beta >= 1 else FINITE
+        res = entropy_sum(E, w).result
+        assert res.tag == want
         assert entropy_integral(E, w).tag == want
+        if want == FINITE:
+            assert -math.inf < res.low <= res.value <= res.high < 0.0
+            # the partial sum past the certified terms stays in the bracket
+            counts, lens = E.tail.levels(2 * entropy.GENERATOR_TERM_BUDGET)
+            terms = counts * lens * np.asarray(w.log(lens))
+            partial = res.high + math.fsum(
+                terms[entropy.GENERATOR_TERM_BUDGET:])
+            assert res.low <= partial <= res.high
 
 
 class TestEntropyIntegral:
