@@ -24,8 +24,10 @@ case by case (exit status 1 otherwise) and prints, per case, the largest
 relative move of each float field (list entries pooled under ``[]``).
 
 The cases: ``report cyclicity`` on the divergent Cantor fixture, once
-more with ``--kmax 2`` (a second, shorter decomposition), and on the
-first input of the benchmark's ``cyclicity`` workload at seeds 1-3;
+more with ``--kmax 2`` (a second, shorter decomposition), at ``--c 0.05``
+and at ``--c 0.2`` (pieces at depths 20 and 24 whose minimum is 1.0),
+and on the first input of the benchmark's ``cyclicity`` workload at
+seeds 1-3;
 ``inner eval`` on triadic measures of 2^10 and 2^14 atoms; ``measure
 decompose``, once on an atom with a depth-2000 grid level and once on a
 measure with a depth-70 multiplier layer (arc indices past int64);
@@ -113,6 +115,10 @@ def cases():
     yield "report cyclicity divergent_cantor kmax 2", (
         "report", "cyclicity", "--measure", "fixture:divergent_cantor",
         "--weight", "power:1", "--kmax", "2")
+    for c in ("0.05", "0.2"):
+        yield f"report cyclicity divergent_cantor c {c}", (
+            "report", "cyclicity", "--measure", "fixture:divergent_cantor",
+            "--weight", "power:1", "--c", c)
     for seed in SEEDS:
         yield f"report cyclicity workload seed {seed}", \
             Cyclicity(seed).next_op().argv

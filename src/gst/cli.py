@@ -153,11 +153,12 @@ def cmd_weight(args):
 def cmd_set_entropy(args) -> dict:
     E = _set(args)
     w = _weight(args)
-    res = entropy.entropy_sum(E, w).result
+    summed = entropy.entropy_sum(E, w)
+    res = summed.result
     out = {"form": "sum", "tag": res.tag, "value": res.value,
            "low": res.low, "high": res.high, "evidence": res.evidence}
     if args.form in ("integral", "both"):
-        ri = entropy.entropy_integral(E, w)
+        ri = entropy.entropy_integral(E, w, summed)
         out_i = {"form": "integral", "tag": ri.tag, "value": ri.value,
                  "low": ri.low, "high": ri.high, "evidence": ri.evidence}
         out = {"sum": out, "integral": out_i} if args.form == "both" else out_i
@@ -322,6 +323,7 @@ def cmd_report_cyclicity(args) -> dict:
                         "bound": cc.bound, "ok": cc.ok})
         samples += cc.n_samples
     meta = {"corona_samples": samples,
+            "corona_summed": work["corona_summed"],
             "herglotz_direct_pairs": work["direct_pairs"],
             "herglotz_far_evals": work["far_evals"]}
     out["corona_margins"] = margins

@@ -151,6 +151,7 @@ def gap_entropy_sum(lengths, w: Weight) -> float:
 class EntropySumResult:
     partial_sums: tuple
     result: TaggedValue
+    tail_bounds: Optional[tuple] = None  # the tail's bracket, when built
 
 
 def entropy_sum(E: ClosedCircleSet, w: Weight) -> EntropySumResult:
@@ -190,10 +191,10 @@ def entropy_sum(E: ClosedCircleSet, w: Weight) -> EntropySumResult:
         tv = TaggedValue(DIVERGES, None, -math.inf, -math.inf,
                          "generator tail certificate (integral comparison)",
                          trace)
-        return EntropySumResult(trace, tv)
+        return EntropySumResult(trace, tv, bounds)
     tv = TaggedValue(FINITE, explicit + 0.5 * (lo + hi), explicit + lo,
                      explicit + hi, "generator tail bound", trace)
-    return EntropySumResult(trace, tv)
+    return EntropySumResult(trace, tv, bounds)
 
 
 def _gap_integral_values(w: Weight, lens: np.ndarray, lam: float):
@@ -226,11 +227,14 @@ def _gap_integral_values(w: Weight, lens: np.ndarray, lam: float):
     return total_mid, err
 
 
-def entropy_integral(E: ClosedCircleSet, w: Weight) -> TaggedValue:
+def entropy_integral(E: ClosedCircleSet, w: Weight,
+                     summed: Optional[EntropySumResult] = None) -> TaggedValue:
     """Circle integral of log w(dist(., E)) via per-gap change of variables.
 
     Each gap of length L contributes 2*int_0^{L/2} log w(t) dt: the distance
-    to the set sweeps (0, L/2] twice per gap.
+    to the set sweeps (0, L/2] twice per gap.  ``summed``, the caller's
+    ``entropy_sum(E, w)``, lends its tail bracket and its evidence, so a
+    report of both forms brackets the tail once.
     """
     lam = effective_lambda(w)
     vals, err = _gap_integral_values(w, E.lengths, lam)
@@ -241,10 +245,9 @@ def entropy_integral(E: ClosedCircleSet, w: Weight) -> TaggedValue:
     if E.tail is None:
         return TaggedValue(FINITE, explicit, explicit - err, explicit + err,
                            "finite gap family")
-    sums = _tail_sum_bounds(E.tail, w)
+    sums = (summed and summed.tail_bounds) or _tail_sum_bounds(E.tail, w)
     if sums is None:
-        tail_sum = entropy_sum(E, w)
-        tag = tail_sum.result.tag
+        tag = (summed or entropy_sum(E, w)).result.tag
         return TaggedValue(tag if tag != FINITE else UNDECIDED, None,
                            -math.inf, explicit,
                            "integral tail follows the sum-form evidence")

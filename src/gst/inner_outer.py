@@ -30,6 +30,8 @@ ORDER = 24  # expansion order of a far node
 OPEN = 0.25  # a node is far from z when its radius is at most OPEN |z - c|
 TARGET_BLOCK = 256  # targets walked together: the scratch stays a few MB
 SLACK = 1.0 + 2.0 ** -40  # covers the rounding of node radii and weight sums
+FLOOR_LEVEL = 6  # the tree level whose nodes bound a corona sample's floor
+CORONA_BLOCK = 256  # first block of corona samples summed; blocks then double
 
 
 @dataclass(frozen=True)
@@ -456,8 +458,41 @@ def corona_datum_check(mu_k: CircleMeasure, n_k: int, c: float, w: Weight,
 
     Sampling is two-zone: a radial-angular grid on |z| <= 1 - 2^-n_k (with
     extra rays through the support), and radial rays beyond, where the
-    monomial term alone is at least 1/4 and dominates the bound.  ``work``
-    gains the kernel sum's counts (see ``_cauchy_sum``).
+    monomial term alone is at least 1/4 and dominates the bound.
+
+    The samples are summed best first.  Each gets a floor F(z), at most
+    the value computed there, max(|S| - err, 0) + |z|^(2^n_k), where err
+    is |S| times the Herglotz sum's radius (``_corona_floor``):
+
+    - |S| = exp(-Re H), Re H(z) = sum m (1 - |z|^2) / |zeta - z|^2 (the
+      Poisson kernel).  On level FLOOR_LEVEL of the measure's kernel tree
+      a node of centre c, radius rho and weight sum A >= 2 sum m has its
+      atoms at least max(|z - c| - rho, delta) from z, delta the distance
+      to the nearest atom (searchsorted on the sorted positions, both
+      neighbours, wrapping at angle 0), less 2^-45 for rounded angles.  So Re H <= U = (1 - |z|^2)
+      sum_nodes (A/2) / max(|z - c| - rho, delta)^2; 2^-48 added to
+      1 - |z|^2 covers |z| and |zeta| = 1 +- u as rounded.
+    - The radius is at most E = 2 FLOAT_TERM (B + M) + B 4^-(ORDER+1),
+      B = (5/3) 2M / delta and M the total mass: a term summed directly is
+      at most 2m / delta, and a far node (rho <= R/4, R = |z - c|) has
+      delta <= R + rho, so its budget A / (R - rho) and its truncation
+      A theta^(ORDER+1) / ((1 - theta) R) are at most (5/3) A / delta and
+      (5/3) A 4^-(ORDER+1) / delta.
+    - With the computed Re H within its radius, |S| - err >=
+      e^-U (1 - E)^2 >= e^-U (1 - 2E).  So F = max(e^-U (1 - 2E), 0) +
+      |z|^(2^n_k), its factors shaded by 2^-30 against its own rounding,
+      stays below the computed value.  A sample within 2^-500 of an atom,
+      whose sum may overflow to NaN, gets F = -inf.
+
+    In ascending order of F the samples go to the Herglotz sum in blocks
+    of CORONA_BLOCK, doubling: a block takes only samples whose F is below
+    the running minimum, and the walk stops when none is left.  A sample
+    with F at or above the minimum cannot lower it, a minimum of floats is
+    exact, and a target's bits depend only on the target and the tree
+    (``_cauchy_sum``), so the result is bit for bit that of one sum over
+    every sample; a NaN in a summed block makes the minimum NaN.
+    ``n_samples`` counts every sample; ``work`` gains the kernel sum's
+    counts (see ``_cauchy_sum``) and the samples summed (``corona_summed``).
     """
     meta = mu_k.grating_meta
     if meta is None or meta.get("depth") != n_k or meta.get("c") != c:
@@ -477,13 +512,61 @@ def corona_datum_check(mu_k: CircleMeasure, n_k: int, c: float, w: Weight,
     zs = np.concatenate([np.zeros(1, dtype=complex)]
                         + [r * unit_point(angles) for r in grid]
                         + [r * unit_point(rays) for r in outer])
-    vals, errs = singular_inner_many(mu_k, zs, work)
-    mod = np.maximum(np.abs(vals) - errs, 0.0)
     with np.errstate(divide="ignore"):
         mono = np.exp(2.0 ** n_k * np.log(np.maximum(np.abs(zs), 1e-300)))
     mono = np.where(np.abs(zs) == 0.0, 0.0, mono)
-    worst = float(np.min(mod + mono))
+    floor = _corona_floor(mu_k, zs, mono)
+    order = np.argsort(floor, kind="stable")
+    floor = floor[order]
+    worst, done, size = np.inf, 0, CORONA_BLOCK
+    while done < zs.size and floor[done] < worst:
+        stop = min(done + size, int(np.searchsorted(floor, worst)))
+        at = order[done:stop]
+        vals, errs = singular_inner_many(mu_k, zs[at], work)
+        mod = np.maximum(np.abs(vals) - errs, 0.0)
+        worst = np.minimum(worst, np.min(mod + mono[at]))
+        done, size = stop, 2 * size
+    if work is not None:
+        work["corona_summed"] += done
+    worst = float(worst)
     return CoronaCheck(worst, bound, worst >= bound - 1e-15, zs.size)
+
+
+def _corona_floor(mu: CircleMeasure, zs: np.ndarray, mono: np.ndarray):
+    """Floors F <= max(|S_mu| - err, 0) + mono of the corona values as
+    ``corona_datum_check`` computes them; see there for the derivation."""
+    total = float(np.sum(mu.realized().masses))
+    weight = 2.0 * total * (1.0 + 2.0 ** -30)  # 2M, at least sum |2 m zeta|
+    pos = np.sort(mu.positions_float())
+    if pos.size:
+        right = np.searchsorted(pos, np.angle(zs) / TWO_PI % 1.0) % pos.size
+        near = unit_point(pos[np.stack([right - 1, right])])
+        delta = np.abs(zs - near).min(axis=0) * (1.0 - 2.0 ** -40) - \
+            2.0 ** -45
+    else:
+        delta = np.full(zs.shape, np.inf)
+    tree = _herglotz_tree(mu)
+    lev = min(FLOOR_LEVEL, len(tree.far_levels) - 1)
+    if lev >= 0:
+        at = slice(2 ** lev, 2 ** (lev + 1))
+        c, rho, A = tree.centres[at], tree.radii[at], tree.weights[at]
+    else:  # one leaf: every source is at least delta away
+        c, rho, A = np.zeros(1), np.full(1, np.inf), np.full(1, weight)
+    r = np.abs(zs)
+    poisson = np.empty(zs.size)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for b in range(0, zs.size, TARGET_BLOCK):  # (sample, node) terms
+            rows = slice(b, b + TARGET_BLOCK)
+            gap = np.maximum(np.abs(zs[rows, None] - c) * (1.0 - 2.0 ** -40)
+                             - rho, delta[rows, None])
+            poisson[rows] = np.sum(0.5 * A / np.square(gap), axis=1)
+        poisson *= (1.0 - r) * (1.0 + r) + 2.0 ** -48
+        budget = weight * 5.0 / 3.0 / delta
+        err = (2.0 * FLOAT_TERM * (budget + total)
+               + budget * 0.25 ** tree.moments.shape[0]) * (1.0 + 2.0 ** -30)
+        mod = np.exp(-poisson * (1.0 + 2.0 ** -30)) * (1.0 - 2.0 * err)
+    floor = (np.maximum(mod, 0.0) + mono) * (1.0 - 2.0 ** -30)
+    return np.where(delta > 2.0 ** -500, floor, -np.inf)
 
 
 def corona_parameter_report(w: Weight, c: float, n0: int,

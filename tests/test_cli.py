@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gst import (circle, cli, fixtures, grids, inner_outer, privalov, roberts,
-                 weights)
+from gst import (circle, cli, entropy, fixtures, grids, inner_outer, privalov,
+                 roberts, weights)
 from gst.grids import DyadicGrid
 
 
@@ -161,22 +161,34 @@ class TestReportCyclicity:
         assert decay[0] > decay[1] > decay[2]
         assert all(m["ok"] for m in res["corona_margins"])
 
-    def test_meta_counts_one_herglotz_sum_per_piece(self, capsys,
-                                                     monkeypatch):
-        sums = []
+    def test_meta_counts_the_corona_sums(self, capsys, monkeypatch):
+        sums, checks = [], []
         herglotz = inner_outer._herglotz_sum
+        check = inner_outer.corona_datum_check
 
         def counting(mu, z, work=None):
             sums.append((mu, z))
             return herglotz(mu, z, work)
 
+        def counting_check(*args, **kwargs):
+            checks.append(check(*args, **kwargs))
+            return checks[-1]
+
         monkeypatch.setattr(inner_outer, "_herglotz_sum", counting)
+        monkeypatch.setattr(inner_outer, "corona_datum_check", counting_check)
         code, rep = run(["report", "cyclicity", "--measure", SMALL_DIVERGENT,
                          "--weight", "power:1"], capsys)
         assert code == 0
         meta = rep["meta"]
-        assert len(sums) == len(rep["results"]["corona_margins"]) == 6
-        assert meta["corona_samples"] == sum(z.size for _, z in sums)
+        assert len(checks) == len(rep["results"]["corona_margins"]) == 6
+        assert len({id(mu) for mu, _ in sums}) == 6
+        assert meta["corona_samples"] == sum(cc.n_samples for cc in checks)
+        # best first: each piece sums some of its samples, none twice
+        for piece in {id(mu): mu for mu, _ in sums}.values():
+            z = np.concatenate([z for mu, z in sums if mu is piece])
+            assert np.unique(z).size == z.size
+        assert meta["corona_summed"] == sum(z.size for _, z in sums) < \
+            meta["corona_samples"]
         # the walk's own counts, summed over the pieces' sums
         work = Counter()
         for mu, z in sums:
@@ -829,6 +841,34 @@ class TestNSearchSumsOnce:
         assert rep["meta"]["psi_direct_pairs"] == \
             samples * rep["results"]["whitney_arcs"]
         assert rep["meta"]["psi_far_evals"] == 0
+
+
+class TestEntropyTailOnce:
+    def test_both_forms_bracket_the_tail_once(self, capsys, monkeypatch):
+        # the harmonic_log tail under exp_log sums 10^6 explicit terms
+        builds = []
+        bounds = entropy._tail_sum_bounds
+
+        def counting(tail, w):
+            builds.append(tail)
+            return bounds(tail, w)
+
+        monkeypatch.setattr(entropy, "_tail_sum_bounds", counting)
+        argv = ["set", "entropy", "--set", "fixture:harmonic_log",
+                "--weight", "exp_log:1,0.5", "--form", "both"]
+        code, rep = run(argv, capsys)
+        assert code == 0 and len(builds) == 1
+        res = rep["results"]
+        assert res["sum"]["tag"] == res["integral"]["tag"] == "finite"
+        # the integral form alone builds its own bracket, to the same result
+        builds.clear()
+        code, alone = run(argv[:-1] + ["integral"], capsys)
+        assert code == 0 and len(builds) == 1
+        E = fixtures.harmonic_log_set()
+        w = weights.exp_log(1.0, 0.5)
+        assert entropy.entropy_integral(E, w) == \
+            entropy.entropy_integral(E, w, entropy.entropy_sum(E, w))
+        assert alone["results"] == res["integral"]
 
 
 class TestDeterminism:

@@ -437,6 +437,13 @@ class TestLowerEnvelope:
         assert res.ok
 
 
+def corona_monomial(zs, n_k):
+    """|z|^(2^n_k) as the corona check forms it."""
+    with np.errstate(divide="ignore"):
+        mono = np.exp(2.0 ** n_k * np.log(np.maximum(np.abs(zs), 1e-300)))
+    return np.where(np.abs(zs) == 0.0, 0.0, mono)
+
+
 def oracle_corona(mu_k, n_k, c, w, grid_density=64):
     """The corona check as one Herglotz sum per ring and per outer ray set."""
     pos = mu_k.positions_float()
@@ -448,9 +455,7 @@ def oracle_corona(mu_k, n_k, c, w, grid_density=64):
     def combined(zs):
         vals, errs = singular_inner_many(mu_k, zs)
         mod = np.maximum(np.abs(vals) - errs, 0.0)
-        with np.errstate(divide="ignore"):
-            mono = np.exp(2.0 ** n_k * np.log(np.maximum(np.abs(zs), 1e-300)))
-        return mod + np.where(np.abs(zs) == 0.0, 0.0, mono)
+        return mod + corona_monomial(zs, n_k)
 
     rings = [(1.0 - 2.0 ** -j) * unit_point(angles) if j else
              np.array([0.0 + 0.0j]) for j in range(min(n_k, 50) + 1)]
@@ -473,15 +478,84 @@ class TestCorona:
         herglotz = inner_outer._herglotz_sum
 
         def counting(mu, z, work=None):
-            calls.append(z.size)
+            calls.append(z)
             return herglotz(mu, z, work)
 
         monkeypatch.setattr(inner_outer, "_herglotz_sum", counting)
         for piece, rep in zip(d.pieces, d.reports):
             calls.clear()
-            got = corona_datum_check(piece, rep.depth, 0.1, W_T, 32)
-            assert calls == [got.n_samples]
+            work = Counter()
+            got = corona_datum_check(piece, rep.depth, 0.1, W_T, 32, work)
+            summed = np.concatenate(calls)
+            assert np.unique(summed).size == summed.size  # none twice
+            assert summed.size <= got.n_samples
+            assert summed.size == work["corona_summed"]
             assert got == oracle_corona(piece, rep.depth, 0.1, W_T, 32)
+
+    def test_best_first_skips_samples(self):
+        d = decompose(fixtures.divergent_cantor_measure(12),
+                      DyadicGrid((4, 8, 12, 16)), 0.1, W_T, 4)
+        work = Counter()
+        n = sum(corona_datum_check(piece, rep.depth, 0.1, W_T, 32,
+                                   work).n_samples
+                for piece, rep in zip(d.pieces, d.reports))
+        assert 0 < work["corona_summed"] < n / 2
+
+    @given(measures_and_targets(), st.integers(1, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_floor_is_below_the_computed_value(self, case, n):
+        mu, z = case
+        mono = corona_monomial(z, n)
+        vals, errs = singular_inner_many(mu, z)
+        value = np.maximum(np.abs(vals) - errs, 0.0) + mono
+        floor = inner_outer._corona_floor(mu, z, mono)
+        assert np.all(floor <= value)
+
+    @given(st.lists(st.tuples(POSITIONS, MASSES), max_size=40),
+           st.integers(4, 40), st.sampled_from([0.05, 0.1, 0.2]),
+           st.sampled_from([8, 32]))
+    @settings(max_examples=40, deadline=None)
+    def test_drawn_gratings_equal_the_oracle(self, atoms, n, c, density):
+        # masses scaled so |S| dips well below 1 near the atoms, and some
+        # atoms repeated
+        atoms = [(p, 3.0 * m / len(atoms)) for p, m in atoms] + atoms[:2]
+        mu = CircleMeasure(atoms=atoms, grating_meta={
+            "depth": n, "c": c, "threshold": 1.0})
+        work = Counter()  # c n >= 0.2: the bound is below 1/4
+        got = corona_datum_check(mu, n, c, W_T, density, work)
+        assert got == oracle_corona(mu, n, c, W_T, density)
+        assert work["corona_summed"] <= got.n_samples
+
+    def test_empty_piece_equals_the_oracle(self):
+        mu = CircleMeasure(grating_meta={"depth": 8, "c": 0.1,
+                                         "threshold": 1.0})
+        work = Counter()
+        got = corona_datum_check(mu, 8, 0.1, W_T, 32, work)
+        assert got == oracle_corona(mu, 8, 0.1, W_T, 32)
+        assert got.min_combined == 1.0 and got.ok
+        assert work["corona_summed"] <= got.n_samples
+
+    def test_nan_in_a_summed_block_gives_a_nan_minimum(self, monkeypatch):
+        # from depth 46 the outer rays round onto the circle and through
+        # the atoms: those sums are NaN, with or without pruning
+        mu = CircleMeasure(atoms=[(0.1, 0.5), (0.6, 0.25)], grating_meta={
+            "depth": 46, "c": 0.1, "threshold": 1.0})
+        with np.errstate(all="ignore"):
+            got = corona_datum_check(mu, 46, 0.1, W_T)
+        assert math.isnan(got.min_combined) and not got.ok
+        # a NaN in the first block's lowest-floor sample
+        values = singular_inner_many
+
+        def nan_first(mu, z, work=None):
+            vals, errs = values(mu, z, work)
+            vals[0] = math.nan
+            return vals, errs
+
+        monkeypatch.setattr(inner_outer, "singular_inner_many", nan_first)
+        mu = fixtures.atom_fixture()
+        d = decompose(mu, DyadicGrid((4, 12, 36)), 0.1, W_T, 1)
+        got = corona_datum_check(d.pieces[0], 4, 0.1, W_T)
+        assert math.isnan(got.min_combined) and not got.ok
 
     def test_zero_piece_trivial(self):
         meta = {"depth": 4, "c": 0.1, "threshold": 1.0}
