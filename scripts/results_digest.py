@@ -52,7 +52,8 @@ reverse order, and on the ``harmonic_log`` set under ``exp_log:1,0.5``,
 whose finite entropy rests on the tail's remainder bound; two certified
 divergences, whose infinite bounds the report writes as null: ``set
 entropy --form both`` on the stagewise divergent set and ``dual
-fw-norm`` under ``power:1.5``.
+fw-norm`` under ``power:1.5``; ``dual fw-norm`` under ``power:0.5``, a
+finite norm, and ``dual pair`` of two quadratics.
 ``--show`` prints each results block under its line.
 
 Usage:
@@ -202,6 +203,9 @@ def cases():
         "power:1", "--form", "both")
     yield "dual fw-norm power:1.5", (
         "dual", "fw-norm", "--f", "[0,1]", "--weight", "power:1.5")
+    yield "dual fw-norm power:0.5", (
+        "dual", "fw-norm", "--f", "[0,1]", "--weight", "power:0.5")
+    yield "dual pair", ("dual", "pair", "--g", "[1,2,3]", "--f", "[0,1,0.5]")
 
 
 def results_block(argv) -> tuple:

@@ -1,6 +1,7 @@
 """Quadrature layer pairing growth spaces with their Cauchy duals: the
 derivative-integral norm, the coefficient pairing and its Green-identity
-counterpart, model-space kernels, and boundary smoothness estimators.
+counterpart, and the reproducing and orthogonality checks of model-space
+kernels.
 
 Boundary integrals of inner-type functions are taken at dilated radii
 1 - 2^-k with Richardson extrapolation: the integrand is then smooth, the
@@ -20,17 +21,18 @@ from typing import Callable, Optional
 import numpy as np
 
 from .circle import CircleMeasure
-from .inner_outer import (AnalyticValue, BlaschkeSeq, blaschke_many,
-                          singular_inner_deriv_many, singular_inner_many,
+from .inner_outer import (BlaschkeSeq, blaschke_many, singular_inner_many,
                           unit_point)
-from .weights import Bracket, Weight, check_A2, dini_brackets
+from .weights import Weight
 
 FINITE = "finite"
 DIVERGES = "diverges"
+PAIRING_SCALE = 12  # the boundary pairing's first radius is 1 - 2^-12
+QUAD_DEPTH_MAX = 53  # deeper annuli have nodes that round to r = 1
 
 
 # ---------------------------------------------------------------------------
-# Disc functions with certified derivatives
+# Disc functions with their derivatives
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -39,8 +41,6 @@ class DiscFunction:
 
     f: Callable
     df: Callable
-    tag: str = "callable"
-    name: str = ""
 
     def __call__(self, z):
         return self.f(np.asarray(z, dtype=complex))
@@ -55,23 +55,7 @@ def poly_function(coeffs) -> DiscFunction:
     return DiscFunction(
         lambda z: np.polynomial.polynomial.polyval(z, c),
         lambda z: np.polynomial.polynomial.polyval(z, dc) if dc.size
-        else np.zeros_like(z),
-        tag="polynomial", name=f"poly(deg {c.size - 1})")
-
-
-def atomic_inner_function(mu: CircleMeasure) -> DiscFunction:
-    return DiscFunction(
-        lambda z: singular_inner_many(mu, z)[0],
-        lambda z: singular_inner_deriv_many(mu, z),
-        tag="atomic_inner", name=f"S[{mu.name}]")
-
-
-def derivative_consistency(f: DiscFunction, points, step: float = 1e-6
-                           ) -> float:
-    """Worst centered-difference mismatch of f' on interior points."""
-    zs = np.asarray(points, dtype=complex)
-    fd = (f(zs + step) - f(zs - step)) / (2.0 * step)
-    return float(np.max(np.abs(fd - f.deriv(zs))))
+        else np.zeros_like(z))
 
 
 # ---------------------------------------------------------------------------
@@ -90,12 +74,16 @@ def fw_norm(f: DiscFunction, w: Weight, quad_depth: int = 40,
             n_angles: int = 128) -> FwNorm:
     """|f(0)| + integral over the disc of |f'| dA / w(1-|z|).
 
+    Annulus j spans radii 1 - 2^-j to 1 - 2^-(j+1), for j < quad_depth.
     Annulus contributions toward |z| = 1 are monitored: if they stop
     decaying the norm is tagged divergent; otherwise the geometric trend
-    extrapolates the remaining tail.
+    extrapolates the remaining tail.  Past QUAD_DEPTH_MAX the Gauss nodes
+    of the last annulus round to r = 1 in float64, where w(1 - r) = 0, so
+    deeper quadratures are refused.
     """
-    if quad_depth < 1:
-        raise ValueError("quad_depth must be at least 1")
+    if not 1 <= quad_depth <= QUAD_DEPTH_MAX:
+        raise ValueError(
+            f"quad_depth must lie in [1, {QUAD_DEPTH_MAX}], got {quad_depth}")
     nodes, wts = np.polynomial.legendre.leggauss(10)
     th = (np.arange(n_angles) + 0.5) / n_angles
     ez = unit_point(th)
@@ -142,16 +130,16 @@ def pairing_exact(g_coeffs, f_coeffs) -> complex:
     return complex(np.sum(a[:n] * np.conj(b[:n])))
 
 
-def pairing_boundary_quadrature(g_coeffs, f_coeffs, base_scale: int = 12
-                                ) -> complex:
-    """Limit boundary pairing at r -> 1-, Richardson over three radii."""
+def pairing_boundary_quadrature(g_coeffs, f_coeffs) -> complex:
+    """Limit boundary pairing at r -> 1-, Richardson over the radii
+    1 - 2^-k for k = PAIRING_SCALE, PAIRING_SCALE + 1, PAIRING_SCALE + 2."""
     a = _poly_coeffs(g_coeffs)
     b = _poly_coeffs(f_coeffs)
     n_nodes = 4 * (max(a.size, b.size) + 2)
     th = (np.arange(n_nodes) + 0.5) / n_nodes
     ez = unit_point(th)
     vals = []
-    for k in (base_scale, base_scale + 1, base_scale + 2):
+    for k in range(PAIRING_SCALE, PAIRING_SCALE + 3):
         r = 1.0 - 2.0 ** -k
         gv = np.polynomial.polynomial.polyval(r * ez, a)
         fv = np.polynomial.polynomial.polyval(r * ez, b)
@@ -250,23 +238,10 @@ class ModelKernelSpec:
         return out
 
 
-def model_kernel(spec: ModelKernelSpec, z: complex,
-                 lam: Optional[complex] = None) -> AnalyticValue:
-    """kappa(z, lam) = (1 - conj(Theta(lam)) Theta(z)) / (1 - conj(lam) z).
-
-    The base point defaults to the one carried by the spec.
-    """
-    lam = spec.lam if lam is None else lam
-    if abs(z) >= 1.0 or abs(lam) >= 1.0:
-        raise ValueError("kernel arguments must lie in the open disc")
-    tz = complex(spec.theta_many(np.array([z]))[0])
-    tl = complex(spec.theta_many(np.array([lam]))[0])
-    val = (1.0 - np.conj(tl) * tz) / (1.0 - np.conj(lam) * z)
-    return AnalyticValue(complex(val), 1e-13 * (1.0 + abs(val)))
-
-
 def _kernel_many(spec: ModelKernelSpec, zs: np.ndarray, lam: complex
                  ) -> np.ndarray:
+    """kappa(z, lam) = (1 - conj(Theta(lam)) Theta(z)) / (1 - conj(lam) z)
+    at each z of ``zs``."""
     tz = spec.theta_many(zs)
     tl = complex(spec.theta_many(np.array([lam]))[0])
     return (1.0 - np.conj(tl) * tz) / (1.0 - np.conj(lam) * zs)
@@ -347,118 +322,3 @@ def orthogonal_decomposition_check(theta_p: ModelKernelSpec,
     singular = (theta_p.singular is not None or theta_c.singular is not None)
     val = _dilated_boundary_mean(integrand, boundary_n, singular=singular)
     return OrthogonalityCheck(val, abs(val) <= tol, tol)
-
-
-# ---------------------------------------------------------------------------
-# Boundary smoothness estimators
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AwEstimate:
-    value: float
-    sup_part: float
-    holder_part: float
-
-
-def aw_norm_estimate(f, w: Weight, boundary_n: int = 512,
-                     max_chord: float = 0.5) -> AwEstimate:
-    """Lower-bound estimator of the sup norm plus the w-Hoelder quotient.
-
-    ``f`` maps arrays of boundary points to values; pairs of nodes with
-    chordal distance above ``max_chord`` are skipped (w lives on [0,1]).
-    """
-    th = (np.arange(boundary_n) + 0.5) / boundary_n
-    zs = unit_point(th)
-    vals = np.asarray(f(zs))
-    sup = float(np.max(np.abs(vals)))
-    diffs = np.abs(vals[:, None] - vals[None, :])
-    chords = np.abs(zs[:, None] - zs[None, :])
-    mask = (chords > 0) & (chords <= max_chord)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quots = np.where(mask, diffs / np.asarray(w(np.where(mask, chords, 1.0))),
-                         0.0)
-    holder = float(np.max(quots))
-    return AwEstimate(sup + holder, sup, holder)
-
-
-@dataclass(frozen=True)
-class DerivativeGrowthCheck:
-    C_fit: float
-    per_level: tuple
-    ok: bool
-
-
-def derivative_growth_check(f: DiscFunction, w: Weight,
-                            levels=(4, 6, 8), boundary_n: int = 512,
-                            growth_tol: float = 1.2) -> DerivativeGrowthCheck:
-    """|f'(z)| (1-|z|) / (w(1-|z|) ||f||-estimate), swept over radius levels.
-
-    The fit constant should stabilize across levels for boundary-smooth f;
-    a persistent geometric climb marks f outside the smoothness class.
-    """
-    aw = aw_norm_estimate(f, w, boundary_n).value
-    # offset grid plus the axis directions: boundary singularities of the
-    # standard fixtures sit at angle 0, which an offset grid never probes
-    th = np.concatenate([(np.arange(64) + 0.5) / 64.0, [0.0, 0.25, 0.5, 0.75]])
-    ez = unit_point(th)
-    fits = []
-    for J in levels:
-        worst = 0.0
-        for j in range(J + 1):
-            d = 2.0 ** -j
-            zs = (1.0 - d) * ez
-            dv = np.abs(f.deriv(zs))
-            worst = max(worst, float(np.max(dv)) * d / (float(w(d)) * aw))
-        fits.append(worst)
-    ok = fits[-1] <= growth_tol * fits[-2]
-    return DerivativeGrowthCheck(fits[-1], tuple(fits), ok)
-
-
-@dataclass(frozen=True)
-class ContainmentCheck:
-    ok: bool
-    fw: FwNorm
-    bound: Bracket
-    ratio: float
-
-
-def aw_in_fw_check(f: DiscFunction, w: Weight, alpha: float, p: float,
-                   quad_depth: int = 40) -> ContainmentCheck:
-    """Derivative-growth functions embed in the dual class of the p-th power.
-
-    Requires 0 < p < 1 - alpha and the Dini-type condition at alpha; the
-    reported ratio compares the computed norm with the midpoint of
-    ``bound``, the bracket of the governing integral int_0^1 w^(1-p)(t)/t dt.
-    """
-    if not 0 < p < 1.0 - alpha:
-        raise ValueError("need 0 < p < 1 - alpha")
-    a2 = check_A2(w, alpha, 30)
-    if not a2.ok:
-        raise ValueError("the Dini-type condition fails at this alpha")
-    growth = derivative_growth_check(f, w)
-    fw = fw_norm(f, w.pow(p), quad_depth)
-    body, tail = dini_brackets(w, 1.0 - p, quad_depth)
-    bound = body + tail
-    ok = growth.ok and fw.tag == FINITE
-    ratio = (fw.value / bound.mid
-             if fw.value is not None and bound.mid > 0 else math.inf)
-    return ContainmentCheck(ok, fw, bound, ratio)
-
-
-def cauchy_projection(coeffs: dict) -> dict:
-    """Drop negative frequencies of a trigonometric polynomial (exact)."""
-    return {int(k): v for k, v in coeffs.items() if int(k) >= 0}
-
-
-def trig_poly_boundary(coeffs: dict):
-    """Boundary evaluator of a trigonometric polynomial."""
-    items = sorted(coeffs.items())
-
-    def f(zs):
-        zs = np.asarray(zs, dtype=complex)
-        out = np.zeros(zs.shape, dtype=complex)
-        for k, c in items:
-            out = out + c * zs ** k if k >= 0 else out + c * np.conj(zs) ** (-k)
-        return out
-
-    return f

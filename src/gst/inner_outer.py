@@ -1,6 +1,7 @@
-"""Certified evaluation of Blaschke products, singular inner and outer
-functions, growth-space norms, and the Carleson outer function built from
-Whitney arcs.
+"""Certified evaluation of singular inner functions, the monomial growth
+norms, the lower envelope and corona datum of the cyclicity report, and the
+Carleson outer function built from Whitney arcs; finite Blaschke products
+serve the model-space kernels of the dual layer.
 
 Singular inner functions of realized measures evaluate in closed form
 (finite exponential sums); error radii track float accumulation.  The
@@ -39,10 +40,6 @@ class AnalyticValue:
     value: complex
     err: float
 
-    @property
-    def modulus(self) -> float:
-        return abs(self.value)
-
 
 def unit_point(t):
     return np.exp(2j * math.pi * np.asarray(t, dtype=float))
@@ -55,7 +52,6 @@ def unit_point(t):
 @dataclass(frozen=True)
 class BlaschkeSeq:
     zeros: tuple
-    rotation: float = 0.0
 
     def __post_init__(self):
         if any(abs(z) >= 1.0 for z in self.zeros):
@@ -63,20 +59,13 @@ class BlaschkeSeq:
 
 
 def blaschke_many(B: BlaschkeSeq, z: np.ndarray) -> np.ndarray:
-    out = np.full(z.shape, np.exp(1j * B.rotation), dtype=complex)
+    out = np.ones(z.shape, dtype=complex)
     for lam in B.zeros:
         if lam == 0:
             out = out * z
         else:
             out = out * (abs(lam) / lam) * (lam - z) / (1.0 - np.conj(lam) * z)
     return out
-
-
-def eval_blaschke(B: BlaschkeSeq, z: complex) -> AnalyticValue:
-    if abs(z) > 1.0 + 1e-12:
-        raise ValueError("Blaschke products are evaluated on the closed disc")
-    val = complex(blaschke_many(B, np.array([z]))[0])
-    return AnalyticValue(val, len(B.zeros) * 1e-14 * max(1.0, abs(val)))
 
 
 # ---------------------------------------------------------------------------
@@ -139,26 +128,21 @@ def kernel_tree(p, a) -> KernelTree:
                       weights, moments, tuple(far_levels))
 
 
-def _cauchy_sum(z, tree: KernelTree, power: int = 1, work=None):
-    """(sums, budget, truncation) of  sum_k a_k / (p_k - z)^power  per
-    target, for power 1 or 2, by a Barnes-Hut walk of ``tree``.
+def _cauchy_sum(z, tree: KernelTree, work=None):
+    """(sums, budget, truncation) of  sum_k a_k / (p_k - z)  per target, by
+    a Barnes-Hut walk of ``tree``.
 
     Each target walks the tree from the root.  A node of centre c, radius
     rho and weight sum A is far when rho <= OPEN R, R = |z - c|; with
     w = 1/(z - c) and theta = rho/R its sources then sum as
-
-        power 1:  -sum_{q<=P} M_q w^(q+1),
-        power 2:   sum_{q<=P} (q+1) M_q w^(q+2)
-
-    (P the tree's order, ORDER when it was built; Horner in w), and the
-    orders dropped are at most A theta^(P+1) / ((1-theta) R), resp.
-    A theta^(P+1) ((P+2) - (P+1) theta) / ((1-theta)^2 R^2): their sum
-    over far nodes is ``truncation``.  Other nodes open into their
-    children, and the sources of each leaf reached are summed term by
-    term.  ``budget`` sums |a_k / (p_k - z)^power| over those terms and
-    A / (R - rho)^power over far nodes; the latter is at least the former
-    over the node's sources, so no budget falls below the term-by-term
-    one.
+    -sum_{q<=P} M_q w^(q+1) (P the tree's order, ORDER when it was built;
+    Horner in w), and the orders dropped are at most
+    A theta^(P+1) / ((1-theta) R): their sum over far nodes is
+    ``truncation``.  Other nodes open into their children, and the sources
+    of each leaf reached are summed term by term.  ``budget`` sums
+    |a_k / (p_k - z)| over those terms and A / (R - rho) over far nodes;
+    the latter is at least the former over the node's sources, so no
+    budget falls below the term-by-term one.
 
     The far field's own rounding fits 2 FLOAT_TERM = 90 u per unit of
     budget (unit roundoff u; a complex product errs by sqrt(5) u, the
@@ -167,9 +151,7 @@ def _cauchy_sum(z, tree: KernelTree, power: int = 1, work=None):
     path, and Horner's w^(q+1) by 10.3 (q+1) u: order q errs by
     (13.6 (q+1) + s) u A theta^q / R at most, all orders by
     (13.6 / (1-theta)^2 + s / (1-theta)) u A / R, against a budget of
-    90 u A / ((1-theta) R).  The same count for power 2 gives
-    (27.2 / (1-theta)^3 + (s+1) / (1-theta)^2) u A / R^2 against
-    90 u A / ((1-theta)^2 R^2).  With theta <= 1/4 both hold for s <= 52:
+    90 u A / ((1-theta) R).  With theta <= 1/4 this holds for s <= 52:
     pairwise sums of up to 2^40 sources.  SLACK covers the rounding of the
     radii, weight sums and bounds themselves.
 
@@ -184,8 +166,6 @@ def _cauchy_sum(z, tree: KernelTree, power: int = 1, work=None):
     re, im, budget, trunc = (np.zeros(flat.size) for _ in range(4))
     width, leaves = tree.p.shape
     P = tree.moments.shape[0] - 1
-    moments = tree.moments if power == 1 else \
-        tree.moments * np.arange(1.0, P + 2.0)[:, None]
     direct = far_evals = 0
     for b in range(0, flat.size, TARGET_BLOCK):
         zb = flat[b:b + TARGET_BLOCK]
@@ -207,29 +187,21 @@ def _cauchy_sum(z, tree: KernelTree, power: int = 1, work=None):
             w = 1.0 / dz
             # Horner; no product is written over one of its own inputs:
             # numpy rounds those in place differently for long arrays
-            y, wy, m = np.take(moments[P], fn), np.empty_like(w), \
+            y, wy, m = np.take(tree.moments[P], fn), np.empty_like(w), \
                 np.empty_like(w)
             for q in range(P - 1, -1, -1):
                 np.add(np.multiply(y, w, out=wy),
-                       np.take(moments[q], fn, out=m), out=y)
+                       np.take(tree.moments[q], fn, out=m), out=y)
             R, rho, A = np.abs(dz), tree.radii[fn], tree.weights[fn]
             theta = rho / R
-            tail = A * theta ** (P + 1) / ((1.0 - theta) * R)
-            if power == 1:
-                y = -(y * w)
-            else:
-                y = y * w * w
-                tail *= ((P + 2) - (P + 1) * theta) / (
-                    (1.0 - theta) * R)
-            _add_at(accs, ft, n, y, A / (R - rho) ** power, tail)
+            _add_at(accs, ft, n, -(y * w), A / (R - rho),
+                    A * theta ** (P + 1) / ((1.0 - theta) * R))
             far_evals += ft.size
         # each leaf's terms in source order, then the leaves per target
         leaf, zt = nd - leaves, zb[tg]
         pair, pair_bud = np.zeros(tg.size, dtype=complex), np.zeros(tg.size)
         for j in range(width):
-            diff = np.take(tree.p[j], leaf) - zt
-            term = np.take(tree.a[j], leaf) / (diff if power == 1 else
-                                               np.square(diff))
+            term = np.take(tree.a[j], leaf) / (np.take(tree.p[j], leaf) - zt)
             pair += term
             pair_bud += np.abs(term)
         _add_at(accs, tg, n, pair, pair_bud, None)
@@ -298,99 +270,9 @@ def eval_singular_inner(mu: CircleMeasure, z: complex,
     return AnalyticValue(complex(vals[0]), float(errs[0]))
 
 
-def singular_inner_deriv_many(mu: CircleMeasure, z: np.ndarray) -> np.ndarray:
-    # S' = -S * sum m 2 zeta / (zeta - z)^2
-    z = np.asarray(z, dtype=complex)
-    vals, _ = singular_inner_many(mu, z)
-    return -vals * _cauchy_sum(z, _herglotz_tree(mu), power=2)[0]
-
-
 # ---------------------------------------------------------------------------
-# Outer functions from piecewise-constant boundary data
+# Monomial growth norms
 # ---------------------------------------------------------------------------
-
-def _herglotz_arc(a: float, b: float, z: complex):
-    """int over t in [a,b] of (zeta+z)/(zeta-z) dt, adaptive bisection."""
-    nodes, wts = np.polynomial.legendre.leggauss(12)
-    nodes6, wts6 = np.polynomial.legendre.leggauss(6)
-
-    def kernel(t):
-        zeta = unit_point(t)
-        return (zeta + z) / (zeta - z)
-
-    out = 0.0 + 0.0j
-    err = 0.0
-    stack = [(a, b)]
-    while stack:
-        lo, hi = stack.pop()
-        mid = 0.5 * (lo + hi)
-        rad = 0.5 * (hi - lo)
-        d = abs(unit_point(mid) - z)
-        if TWO_PI * rad > 0.5 * d and rad > 1e-12:
-            stack.append((lo, mid))
-            stack.append((mid, hi))
-            continue
-        coarse = np.sum(wts6 * kernel(mid + rad * nodes6)) * rad
-        fine = np.sum(wts * kernel(mid + rad * nodes)) * rad
-        out += fine
-        err += abs(fine - coarse)
-    return out, err
-
-
-def eval_outer(segments, z: complex) -> AnalyticValue:
-    """Outer function with piecewise-constant boundary log-modulus.
-
-    ``segments``: iterable of (Arc, log_modulus).  They should cover the
-    circle up to null overlap; uncovered parts contribute log-modulus 0.
-    """
-    if abs(z) >= 1.0:
-        raise ValueError("outer functions are evaluated inside the disc")
-    total = 0.0 + 0.0j
-    err = 0.0
-    for arc, logm in segments:
-        if logm == 0.0:
-            continue
-        h, e = _herglotz_arc(arc.start, arc.start + arc.length, z)
-        total += logm * h
-        err += abs(logm) * e
-    val = np.exp(total)
-    return AnalyticValue(complex(val), float(abs(val) * (err + 1e-14)))
-
-
-# ---------------------------------------------------------------------------
-# Growth-space norms and moments
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GrowthEstimate:
-    sup_estimate: float
-    argmax: complex
-
-    def __float__(self):
-        return self.sup_estimate
-
-
-def growth_norm_estimate(f, w: Weight, J: int = 12) -> GrowthEstimate:
-    """Grid lower bound for sup w(1-|z|) |f(z)|.
-
-    Radii 1 - 2^-j for j <= J with ~2^(j+3) angles each; the estimate is a
-    lower bound of the true norm by construction.
-    """
-    best = -math.inf
-    best_z = 0.0 + 0.0j
-    for j in range(J + 1):
-        r = 1.0 - 2.0 ** -j
-        n_ang = 2 ** (min(j, 14) + 3)
-        th = np.arange(n_ang) / n_ang
-        zs = r * unit_point(th)
-        vals = np.abs(f(zs))
-        wv = w(2.0 ** -j)
-        i = int(np.argmax(vals))
-        if wv * vals[i] > best:
-            best = float(wv * vals[i])
-            best_z = complex(zs[i])
-    return GrowthEstimate(best, best_z)
-
 
 @dataclass(frozen=True)
 class MomentCheck:
@@ -677,11 +559,6 @@ def psi_sum_many(G: CarlesonOuter, z: np.ndarray, work=None):
         d = np.maximum(np.abs(z - e) - 16.0 * sc, sc)
         tail = tail + tc / d
     return acc, tail
-
-
-def eval_carleson(G: CarlesonOuter, z: complex) -> AnalyticValue:
-    vals, errs = carleson_many(G, np.array([z]))
-    return AnalyticValue(complex(vals[0]), float(errs[0]))
 
 
 def carleson_many(G: CarlesonOuter, z: np.ndarray):

@@ -119,6 +119,13 @@ class TestSubcommands:
         assert rep["results"]["tag"] == "finite"
         assert rep["results"]["value"] == pytest.approx(8.0 / 3.0, abs=1e-4)
 
+    def test_dual_fw_norm_deepest_quadrature(self, capsys):
+        code, rep = run(["dual", "fw-norm", "--f", "[0,1]", "--weight",
+                         "power:0.5", "--quad-depth", "53"], capsys)
+        assert code == 0
+        assert rep["results"]["tag"] == "finite"
+        assert abs(rep["results"]["value"] - 8.0 / 3.0) <= 1e-6
+
     def test_privalov_check(self, capsys):
         code, rep = run(["privalov", "check", "--set", "fixture:point",
                          "--weight", "power:1", "--samples", "512"], capsys)
@@ -333,6 +340,10 @@ BAD_INPUTS = {
     "fw_norm_negative_quad_depth": (["dual", "fw-norm", "--f", "[0,1]",
                                      "--weight", "power:0.5",
                                      "--quad-depth", "-3"], 1),
+    # the last annulus's Gauss nodes round to r = 1, where w(0) = 0
+    "fw_norm_quad_depth_past_float": (["dual", "fw-norm", "--f", "[0,1]",
+                                       "--weight", "power:0.5",
+                                       "--quad-depth", "54"], 1),
     "weight_depth_above_cap": (["weight", "check", "--weight", "power:1",
                                 "--depth", "17"], 1),
     "weight_depth_40": (["weight", "check", "--weight", "power:1",

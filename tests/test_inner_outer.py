@@ -1,5 +1,6 @@
-"""Inner/outer evaluation, growth norms, envelope bounds, Whitney arcs and
-the gap-family outer function."""
+"""Blaschke and singular inner evaluation, the kernel-sum walk, monomial
+growth norms, envelope bounds, Whitney arcs and the gap-family outer
+function."""
 
 import math
 from collections import Counter
@@ -13,16 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 from gst import fixtures, inner_outer, weights
 from gst import circle
-from gst.circle import (Arc, CircleMeasure, point_set, set_union,
-                        zero_measure)
+from gst.circle import CircleMeasure, point_set, set_union, zero_measure
 from gst.grids import DyadicGrid
 from gst.inner_outer import (BlaschkeSeq, _herglotz_sum, auto_carleson_N,
                              blaschke_many, carleson_many, carleson_outer,
-                             corona_datum_check, eval_blaschke, eval_outer,
-                             eval_singular_inner, growth_norm_estimate,
+                             corona_datum_check, eval_singular_inner,
                              lower_bound_check, moment_check, psi_sum_many,
-                             singular_inner_deriv_many, singular_inner_many,
-                             unit_point, whitney)
+                             singular_inner_many, unit_point, whitney)
 from gst.roberts import decompose
 
 W_T = weights.power(1.0)
@@ -52,14 +50,6 @@ def oracle_herglotz_sum(mu, z):
                    (zeta[s] - zt))
 
 
-def oracle_deriv_sum(mu, z):
-    """sum m 2 zeta / (zeta - z)^2, the sum behind S' = -S times it."""
-    pos, masses = mu.realized()[:2]
-    zeta = unit_point(pos)
-    return _direct(z, zeta, lambda s, zt: masses[s] * 2.0 * zeta[s] /
-                   (zeta[s] - zt) ** 2)
-
-
 def oracle_psi_sum(G, z):
     return _direct(z, G.poles, lambda s, zt: G.coeffs[s] * G.centers[s] /
                    (G.poles[s] - zt))
@@ -77,11 +67,11 @@ def _same_bits(a, b):
         a.tobytes() == b.tobytes()
 
 
-def _tree_sum(sources, z, power=1):
+def _tree_sum(sources, z):
     """(sum, radius, truncation) of the tree walk; the radius is the float
     model plus the truncation."""
     s, budget, trunc = inner_outer._cauchy_sum(
-        z, inner_outer.kernel_tree(*sources), power)
+        z, inner_outer.kernel_tree(*sources))
     return s, inner_outer._rounding_radius(budget) + trunc, trunc
 
 
@@ -101,18 +91,15 @@ def _within(got, want):
     assert np.all(np.abs(s - d) <= rad + drad)
 
 
-def check_herglotz_and_derivative(mu, z):
+def check_herglotz(mu, z):
     h, err = _herglotz_sum(mu, z)
     want = oracle_herglotz_sum(mu, z)
     _within((h, err), want)
     assert np.all(err >= want[1])  # the reported radius: no rounding slack
-    s2, rad2, _ = _tree_sum(_herglotz_sources(mu), z, power=2)
-    _within((s2, rad2), oracle_deriv_sum(mu, z))
     # the public values are the tree's, bit for bit
     vals, errs = singular_inner_many(mu, z)
     assert _same_bits(vals, np.exp(-h))
     assert _same_bits(errs, np.abs(vals) * err)
-    assert _same_bits(singular_inner_deriv_many(mu, z), -vals * s2)
 
 
 def check_psi(G, z):
@@ -159,7 +146,7 @@ class TestKernelSumOracle:
 
     @pytest.mark.parametrize("count", TARGET_COUNTS)
     def test_herglotz_and_derivative_bitwise(self, count):
-        check_herglotz_and_derivative(KERNEL_MU, _disc_points(count, count))
+        check_herglotz(KERNEL_MU, _disc_points(count, count))
 
     @pytest.mark.parametrize("count", TARGET_COUNTS)
     def test_psi_bitwise(self, count):
@@ -168,13 +155,13 @@ class TestKernelSumOracle:
     def test_empty_measure_and_grid_shaped_targets(self):
         z = _disc_points(60).reshape(6, 10)
         for mu in (zero_measure(), KERNEL_MU):
-            check_herglotz_and_derivative(mu, z)
+            check_herglotz(mu, z)
         check_psi(KERNEL_G, z)
 
     @given(measures_and_targets())
     @settings(max_examples=60, deadline=None)
     def test_drawn_measures_and_depths(self, case):
-        check_herglotz_and_derivative(*case)
+        check_herglotz(*case)
 
     @pytest.mark.parametrize("order", [2, 4, 8])
     def test_low_orders_stay_within_their_bound(self, order, monkeypatch):
@@ -183,7 +170,7 @@ class TestKernelSumOracle:
         monkeypatch.setattr(inner_outer, "ORDER", order)
         z = _disc_points(4488, 3)
         # a fresh measure: a measure keeps the tree of its first sum
-        check_herglotz_and_derivative(fixtures.triadic_cantor_measure(11), z)
+        check_herglotz(fixtures.triadic_cantor_measure(11), z)
         check_psi(KERNEL_G, z)
 
     def test_work_counts(self):
@@ -215,7 +202,7 @@ class TestKernelSumOracle:
         mu = fixtures.triadic_cantor_measure(9)
         z = _disc_points(50, 2)
         first = _herglotz_sum(mu, z)
-        singular_inner_deriv_many(mu, z)
+        singular_inner_many(mu, z)
         again = _herglotz_sum(mu, z)
         assert builds == [512]
         assert all(_same_bits(a, b) for a, b in zip(first, again))
@@ -223,11 +210,9 @@ class TestKernelSumOracle:
     @pytest.mark.parametrize("block", [1, 1000, 5000])
     def test_any_row_block_gives_the_same_bits(self, block, monkeypatch):
         z = _disc_points(257, 1)
-        want = [_herglotz_sum(KERNEL_MU, z), psi_sum_many(KERNEL_G, z),
-                (singular_inner_deriv_many(KERNEL_MU, z),)]
+        want = [_herglotz_sum(KERNEL_MU, z), psi_sum_many(KERNEL_G, z)]
         monkeypatch.setattr(inner_outer, "TARGET_BLOCK", block)
-        got = [_herglotz_sum(KERNEL_MU, z), psi_sum_many(KERNEL_G, z),
-               (singular_inner_deriv_many(KERNEL_MU, z),)]
+        got = [_herglotz_sum(KERNEL_MU, z), psi_sum_many(KERNEL_G, z)]
         for g, w in zip(got, want):
             assert all(_same_bits(a, b) for a, b in zip(g, w))
 
@@ -250,7 +235,6 @@ def _sources(kind, n):
 
 KERNELS = {
     "herglotz": _herglotz_sum,
-    "deriv": lambda mu, z: (singular_inner_deriv_many(mu, z),),
     "psi": psi_sum_many,
 }
 
@@ -281,14 +265,16 @@ class TestTargetOnlyContract:
                 assert _same_bits(got, want[idx]), (kind, n, idx[:4])
 
 
+def _blaschke_at(B, z):
+    return complex(blaschke_many(B, np.array([z], dtype=complex))[0])
+
+
 class TestBlaschke:
     def test_zero_at_origin_is_identity(self):
-        assert eval_blaschke(BlaschkeSeq((0,)), 0.5).value == pytest.approx(
-            0.5)
+        assert _blaschke_at(BlaschkeSeq((0,)), 0.5) == pytest.approx(0.5)
 
     def test_normalization_at_origin(self):
-        assert eval_blaschke(BlaschkeSeq((0.5,)), 0.0).value == pytest.approx(
-            0.5)
+        assert _blaschke_at(BlaschkeSeq((0.5,)), 0.0) == pytest.approx(0.5)
 
     def test_unimodular_on_boundary(self):
         B = BlaschkeSeq((0.3 + 0.2j, -0.5, 0.1j))
@@ -296,18 +282,9 @@ class TestBlaschke:
         vals = np.abs(blaschke_many(B, unit_point(th)))
         assert np.max(np.abs(vals - 1.0)) <= 1e-12
 
-    def test_outside_disc_rejected(self):
-        with pytest.raises(ValueError):
-            eval_blaschke(BlaschkeSeq((0.5,)), 1.5)
-
     def test_zeros_validated(self):
         with pytest.raises(ValueError):
             BlaschkeSeq((1.0,))
-
-    def test_rotation_phase(self):
-        B = BlaschkeSeq((0,), rotation=math.pi / 2.0)
-        v = eval_blaschke(B, 0.5).value
-        assert v == pytest.approx(0.5j)
 
 
 class TestSingularInner:
@@ -350,51 +327,6 @@ class TestSingularInner:
         for r in (1.0 - 1e-6, 1.0 - 1e-9):
             v = eval_singular_inner(mu, -r)
             assert 1.0 - 1e-5 <= abs(v.value) <= 1.0
-
-
-class TestOuter:
-    def test_zero_log_modulus(self):
-        v = eval_outer([(Arc(0.0, 1.0), 0.0)], 0.3 + 0.2j)
-        assert v.value == pytest.approx(1.0)
-
-    def test_constant_log_modulus(self):
-        v = eval_outer([(Arc(0.0, 1.0), math.log(2.0))], 0.4j)
-        assert v.value == pytest.approx(2.0, abs=1e-9)
-
-    def test_half_circle_mean_value(self):
-        segs = [(Arc(0.0, 0.5), math.log(2.0)), (Arc(0.5, 0.5), 0.0)]
-        v = eval_outer(segs, 0.0)
-        assert v.value == pytest.approx(math.sqrt(2.0), abs=1e-9)
-
-
-class TestGrowthNorm:
-    def test_constant_attains_at_origin(self):
-        est = growth_norm_estimate(lambda zs: np.ones_like(zs), W_T, 12)
-        assert est.sup_estimate == pytest.approx(1.0)
-
-    def test_monomial_lower_bound(self):
-        est = growth_norm_estimate(lambda zs: zs ** 100, W_T, 14)
-        true = (1.0 / 101.0) * (100.0 / 101.0) ** 100
-        assert 0.9 * true <= est.sup_estimate <= true * (1.0 + 1e-9)
-
-    def test_atom_inner_between_envelopes(self):
-        mu = fixtures.atom_fixture()
-        est = growth_norm_estimate(lambda zs: singular_inner_many(mu, zs)[0],
-                                   W_T, 10)
-        assert math.exp(-1.0) <= est.sup_estimate <= 1.0
-
-    def test_dilation_convergence(self):
-        # f(r_j .) -> f in the growth norm as r_j -> 1, monotonically
-        mu = fixtures.atom_fixture()
-
-        def diff(r):
-            return growth_norm_estimate(
-                lambda zs: singular_inner_many(mu, r * zs)[0]
-                - singular_inner_many(mu, zs)[0], W_T, 10).sup_estimate
-
-        vals = [diff(1.0 - 2.0 ** -j) for j in range(1, 9)]
-        assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
-        assert vals[-1] <= 0.05 * vals[0]
 
 
 class TestMoment:
@@ -764,10 +696,8 @@ class TestCarlesonOuter:
         with pytest.raises(ValueError):
             carleson_outer(point_set([0.0]), W_T, N)
 
-    def test_eval_carleson_scalar(self):
-        from gst.inner_outer import eval_carleson
-        E = point_set([0.0])
-        G = carleson_outer(E, W_T, 1.0)
-        v = eval_carleson(G, 0.0)
-        assert 0.0 < abs(v.value) < 1.0
-        assert v.err < 1e-9
+    def test_carleson_many_at_origin(self):
+        G = carleson_outer(point_set([0.0]), W_T, 1.0)
+        vals, errs = carleson_many(G, np.zeros(1, dtype=complex))
+        assert 0.0 < abs(vals[0]) < 1.0
+        assert errs[0] < 1e-9

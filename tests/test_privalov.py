@@ -9,8 +9,8 @@ from gst import circle, fixtures, weights
 from gst.circle import point_set, set_union
 from gst.inner_outer import (NoAdmissibleN, auto_carleson_N, carleson_outer,
                              psi_sum_many, unit_point)
-from gst.privalov import (H_MAX, PrivalovDomain, boundary_samples,
-                          boundary_samples_with_profile, embedding_check,
+from gst.privalov import (H_MAX, PrivalovDomain,
+                          boundary_samples_with_profile,
                           privalov_boundary_estimate)
 
 W_T = weights.power(1.0)
@@ -97,7 +97,7 @@ class TestBoundarySamples:
 
     def test_antipodal_included(self):
         D = PrivalovDomain(point_set([0.0]))
-        zs = boundary_samples(D, 4)
+        zs, _ = boundary_samples_with_profile(D, 4)
         assert np.min(np.abs(zs)) == pytest.approx(1.0 - 1.0 / 32.0)
 
 
@@ -211,25 +211,3 @@ class TestNSearchOracle:
         with pytest.raises(NoAdmissibleN):
             auto_carleson_N(G, psi, tail, hs, n_max=N / 2.0)
 
-
-class TestEmbedding:
-    def test_monomial(self):
-        E = point_set([0.0])
-        D = PrivalovDomain(E)
-        G = auto_N(E, W_T, 256)
-        res = embedding_check(D, G, [0] * 16 + [1], W_T, 512)
-        assert res.ok
-
-    def test_constant(self):
-        E = point_set([0.0])
-        D = PrivalovDomain(E)
-        G = auto_N(E, W_T, 256)
-        res = embedding_check(D, G, [1.0], W_T, 256)
-        assert res.ok
-
-    def test_zero_polynomial(self):
-        E = point_set([0.0])
-        D = PrivalovDomain(E)
-        G = carleson_outer(E, W_T, 8.0)
-        res = embedding_check(D, G, [0.0], W_T, 128)
-        assert res.ok
