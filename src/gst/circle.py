@@ -46,15 +46,6 @@ class Arc:
         if not (0.0 < self.length <= 1.0):
             raise ValueError("arc length must lie in (0,1]")
 
-    def contains(self, x) -> bool:
-        rel = (x - self.start) % 1
-        return rel < self.length
-
-
-def dyadic_arc(index: int, depth: int) -> Arc:
-    scale = 2.0 ** -depth
-    return Arc((index % (1 << depth)) * scale, scale)
-
 
 # ---------------------------------------------------------------------------
 # Tail models for gap families that are not materialized
@@ -117,11 +108,9 @@ class GapTail:
         if self.kind == "harmonic_log":
             amp, first = self.params
             return amp * log_series_tail(first)
-        if self.kind == "stagewise_log":
-            amp, first = self.params
-            # stage j holds the k = j + 2 term
-            return amp * log_series_tail(first + 1)
-        raise ValueError(self.kind)
+        amp, first = self.params  # stagewise_log
+        # stage j holds the k = j + 2 term
+        return amp * log_series_tail(first + 1)
 
     def levels(self, n_levels: int):
         """(count, length) arrays for the first n_levels unmaterialized levels."""
@@ -133,12 +122,10 @@ class GapTail:
             amp, first = self.params
             k = np.arange(first + 1, first + 1 + n_levels, dtype=float)
             return np.ones_like(k), amp / (k * np.log(k) ** 2)
-        if self.kind == "stagewise_log":
-            amp, first = self.params
-            j = np.arange(first, first + n_levels, dtype=float)
-            s = amp / ((j + 2.0) * np.log(j + 2.0) ** 2)
-            return 2.0 ** j, s / 2.0 ** j
-        raise ValueError(self.kind)
+        amp, first = self.params  # stagewise_log
+        j = np.arange(first, first + n_levels, dtype=float)
+        s = amp / ((j + 2.0) * np.log(j + 2.0) ** 2)
+        return 2.0 ** j, s / 2.0 ** j
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +589,7 @@ class CircleMeasure:
     """
 
     def __init__(self, atoms=(), cantor_parts=(), multipliers=(),
-                 grating_meta: Optional[dict] = None, name: str = ""):
+                 name: str = ""):
         self.atom_list = []
         for p, m in atoms:
             if isinstance(p, float) and not math.isfinite(p):
@@ -615,10 +602,8 @@ class CircleMeasure:
                 (p if isinstance(p, Fraction) else Fraction(p), m))
         self.cantor_parts = tuple(cantor_parts)
         self.multipliers = tuple(multipliers)
-        self.grating_meta = grating_meta
         self.name = name
         self._realized = None
-        self._parent = None  # a measure one multiplier layer short of this
         self._sorted = None
         self._kernel_tree = None  # built by inner_outer on first use
 
@@ -627,17 +612,10 @@ class CircleMeasure:
     def realized(self) -> Realization:
         """The atoms with every multiplier layer applied (cached)."""
         if self._realized is None:
-            if self._parent is not None:
-                # carried forward: only the last layer is new
-                self._realized = self._parent.realized().scaled(
-                    self.multipliers[-1])
-                self._parent = None
-            else:
-                r = _realize_blocks((_Atoms(self.atom_list),)
-                                    + self.cantor_parts)
-                for layer in self.multipliers:
-                    r = r.scaled(layer)
-                self._realized = r
+            r = _realize_blocks((_Atoms(self.atom_list),) + self.cantor_parts)
+            for layer in self.multipliers:
+                r = r.scaled(layer)
+            self._realized = r
         return self._realized
 
     def positions_float(self) -> np.ndarray:
@@ -647,16 +625,14 @@ class CircleMeasure:
         return float(np.sum(self.realized().masses))
 
     def sorted_atoms(self):
-        """(sorted positions, the same unrolled over two turns, prefix sums
-        of their masses over the two turns, total mass); cached for window
-        queries."""
+        """(sorted positions, prefix sums of their masses over two turns,
+        total mass); cached for window queries."""
         if self._sorted is None:
             r = self.realized()
             order = np.argsort(r.pos)
-            p = r.pos[order]
             m = r.masses[order]
             self._sorted = (
-                p, np.concatenate([p, p + 1.0]),
+                r.pos[order],
                 np.concatenate([[0.0], np.cumsum(np.concatenate([m, m]))]),
                 float(np.sum(m)))
         return self._sorted
@@ -683,19 +659,15 @@ class CircleMeasure:
         masses = np.bincount(where, weights=r.masses)
         return keys, masses.astype(float, copy=False)  # int64 when empty
 
-    def scaled_on_arcs(self, layer: MultiplierLayer, idx=None, meta=None,
+    def scaled_on_arcs(self, layer: MultiplierLayer, idx: np.ndarray,
                        name: str = "") -> "CircleMeasure":
-        """New measure with one more multiplier layer; it realizes from
-        this measure's realization, at once when ``idx``, the atoms'
-        indices at the layer's depth, is given."""
+        """New measure with one more multiplier layer, realized at once from
+        this measure's realization; ``idx`` are its atoms' indices at the
+        layer's depth."""
         out = CircleMeasure(
             atoms=self.atom_list, cantor_parts=self.cantor_parts,
-            multipliers=self.multipliers + (layer,), grating_meta=meta,
-            name=name or self.name)
-        if idx is None:
-            out._parent = self
-        else:
-            out._realized = self.realized().scaled(layer, idx)
+            multipliers=self.multipliers + (layer,), name=name or self.name)
+        out._realized = self.realized().scaled(layer, idx)
         return out
 
     def restrict(self, closed_set: ClosedCircleSet) -> "CircleMeasure":
@@ -705,10 +677,6 @@ class CircleMeasure:
         num, den = r.exact(kept)
         atoms = zip(map(Fraction, num, den), r.masses[kept].tolist())
         return CircleMeasure(atoms=atoms, name=f"{self.name}|restricted")
-
-
-def zero_measure() -> CircleMeasure:
-    return CircleMeasure(name="zero")
 
 
 def atom_measure(position, mass: float = 1.0, name: str = "") -> CircleMeasure:
@@ -722,40 +690,42 @@ def atom_measure(position, mass: float = 1.0, name: str = "") -> CircleMeasure:
 
 @dataclass(frozen=True)
 class ModulusOfMeasure:
-    delta: float
     upper: float
-    lower: float
+
+
+def _count_below(p: np.ndarray, a, b):
+    """(count, s, e): how many of the sorted floats p lie below the exact
+    a + b, with s = a + b in float and e = a + b - s (Knuth's two-sum).  A
+    float lies below s + e iff it lies below s, or at s when e > 0, since
+    |e| is at most half the float spacing at s."""
+    s = a + b
+    bb = s - a
+    e = (a - (s - bb)) + (b - bb)
+    ends = np.searchsorted(p, np.where(e > 0, np.nextafter(s, np.inf), s))
+    return ends, s, e
 
 
 def modulus_of_continuity(nu: CircleMeasure, delta: float) -> ModulusOfMeasure:
-    """Two-sided bracket for sup { nu(I) : m(I) <= delta }.
+    """sup { nu(I) : m(I) <= delta } for the atoms at their float positions
+    (``Realization.pos``), one exact value up to the order of summation.
 
-    lower: exact maximum over windows anchored at atom positions; for the
-    realized measure this is the true supremum, so it is also reported as
-    the upper bound.  The covering family of 2*delta-arcs at stride delta
-    dominates the supremum by subadditivity and is kept as a cross-check
-    (the returned upper never exceeds it).
+    A half-open window of length delta can slide right until its start
+    meets an atom without losing mass, so the supremum is the maximum over
+    windows [p, p + delta) anchored at the atoms p.  Which atoms a window
+    holds is decided exactly, from its end as a float plus its rounding
+    error.
     """
     if not 0 < delta <= 1:
         raise ValueError("delta must lie in (0,1]")
-    p, p2, csum, total = nu.sorted_atoms()
+    p, csum, total = nu.sorted_atoms()
     if p.size == 0:
-        return ModulusOfMeasure(delta, 0.0, 0.0)
-    # windows may wrap: p2 and csum run over two turns
-    n = p.size
-    ends = np.searchsorted(p2, p + delta, side="left")
-    lo = float(np.max(csum[ends] - csum[np.arange(n)]))
-    lo = min(lo, total)
-    # covering upper bound: only the stride windows that meet an atom matter
-    width = min(2.0 * delta, 1.0)
-    js = np.unique(np.concatenate([np.floor(p / delta),
-                                   np.floor(p / delta) - 1.0]))
-    starts = (js * delta) % 1.0
-    a2 = np.searchsorted(p2, starts, side="left")
-    b2 = np.searchsorted(p2, starts + width, side="left")
-    covering = float(np.max(csum[b2] - csum[a2])) if starts.size else 0.0
-    covering = min(covering, total)
-    return ModulusOfMeasure(delta, min(lo, covering), lo)
+        return ModulusOfMeasure(0.0)
+    first, s, e = _count_below(p, p, delta)
+    # past 1 the window runs on into the next turn up to s - 1 + e; s - 1
+    # is exact for s >= 1/2, and for s < 1/2 the end less 1 is negative
+    second = _count_below(p, s - 1.0, e)[0]
+    upper = float(np.max(csum[first + second] - csum[np.arange(p.size)]))
+    return ModulusOfMeasure(min(upper, total))
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .circle import CircleMeasure
+from .entropy import DIVERGES, FINITE
 from .inner_outer import (BlaschkeSeq, blaschke_many, singular_inner_many,
                           unit_point)
 from .weights import Weight
 
-FINITE = "finite"
-DIVERGES = "diverges"
+FW_ANGLES = 128  # angular nodes per radius of the F_w quadrature
 PAIRING_SCALE = 12  # the boundary pairing's first radius is 1 - 2^-12
 QUAD_DEPTH_MAX = 53  # deeper annuli have nodes that round to r = 1
 
@@ -66,12 +66,10 @@ def poly_function(coeffs) -> DiscFunction:
 class FwNorm:
     tag: str
     value: Optional[float]
-    annuli: tuple
     tail_estimate: float = 0.0
 
 
-def fw_norm(f: DiscFunction, w: Weight, quad_depth: int = 40,
-            n_angles: int = 128) -> FwNorm:
+def fw_norm(f: DiscFunction, w: Weight, quad_depth: int = 40) -> FwNorm:
     """|f(0)| + integral over the disc of |f'| dA / w(1-|z|).
 
     Annulus j spans radii 1 - 2^-j to 1 - 2^-(j+1), for j < quad_depth.
@@ -85,7 +83,7 @@ def fw_norm(f: DiscFunction, w: Weight, quad_depth: int = 40,
         raise ValueError(
             f"quad_depth must lie in [1, {QUAD_DEPTH_MAX}], got {quad_depth}")
     nodes, wts = np.polynomial.legendre.leggauss(10)
-    th = (np.arange(n_angles) + 0.5) / n_angles
+    th = (np.arange(FW_ANGLES) + 0.5) / FW_ANGLES
     ez = unit_point(th)
     contributions = []
     for j in range(quad_depth):
@@ -104,13 +102,12 @@ def fw_norm(f: DiscFunction, w: Weight, quad_depth: int = 40,
         ratios = c[-4:] / np.maximum(c[-5:-1], 1e-300)
         rho = float(np.max(ratios))
         if rho >= 0.98 and c[-1] > 1e-13 * (1.0 + np.sum(c)):
-            return FwNorm(DIVERGES, None, tuple(contributions))
+            return FwNorm(DIVERGES, None)
         rho = min(rho, 0.97)
         tail = float(c[-1]) * rho / (1.0 - rho)
     else:
         tail = 0.0
-    return FwNorm(FINITE, head + float(np.sum(c)) + tail,
-                  tuple(contributions), tail)
+    return FwNorm(FINITE, head + float(np.sum(c)) + tail, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -148,18 +145,18 @@ def pairing_boundary_quadrature(g_coeffs, f_coeffs) -> complex:
     return (4.0 * r1[1] - r1[0]) / 3.0
 
 
-def cauchy_pairing_poly(g_coeffs, f_coeffs, validate: bool = True) -> complex:
-    """Coefficient pairing sum a_n conj(b_n), the r -> 1- boundary limit."""
+def cauchy_pairing_poly(g_coeffs, f_coeffs) -> complex:
+    """Coefficient pairing sum a_n conj(b_n), the r -> 1- boundary limit,
+    checked against the boundary quadrature."""
     exact = pairing_exact(g_coeffs, f_coeffs)
     if not cmath.isfinite(exact):
         raise ArithmeticError(f"coefficient pairing {exact} is not finite")
-    if validate:
-        quad = pairing_boundary_quadrature(g_coeffs, f_coeffs)
-        # written so that a NaN difference fails it
-        if not abs(quad - exact) <= 1e-8 * (1.0 + abs(exact)):
-            raise ArithmeticError(
-                f"boundary quadrature {quad} disagrees with coefficients "
-                f"{exact}")
+    quad = pairing_boundary_quadrature(g_coeffs, f_coeffs)
+    # written so that a NaN difference fails it
+    if not abs(quad - exact) <= 1e-8 * (1.0 + abs(exact)):
+        raise ArithmeticError(
+            f"boundary quadrature {quad} disagrees with coefficients "
+            f"{exact}")
     return exact
 
 
@@ -277,7 +274,6 @@ class KernelCheck:
     lhs: complex
     rhs: complex
     ok: bool
-    tolerance: float
 
 
 def kernel_reproducing_check(spec: ModelKernelSpec, lam2: complex,
@@ -295,14 +291,13 @@ def kernel_reproducing_check(spec: ModelKernelSpec, lam2: complex,
         np.conj(_kernel_many(spec, zs, lam2)), boundary_n,
         singular=spec.singular is not None)
     scale = 1.0 + abs(rhs)
-    return KernelCheck(lhs, rhs, abs(lhs - rhs) <= tol * scale, tol * scale)
+    return KernelCheck(lhs, rhs, abs(lhs - rhs) <= tol * scale)
 
 
 @dataclass(frozen=True)
 class OrthogonalityCheck:
     pairing: complex
     ok: bool
-    tolerance: float
 
 
 def orthogonal_decomposition_check(theta_p: ModelKernelSpec,
@@ -321,4 +316,4 @@ def orthogonal_decomposition_check(theta_p: ModelKernelSpec,
 
     singular = (theta_p.singular is not None or theta_c.singular is not None)
     val = _dilated_boundary_mean(integrand, boundary_n, singular=singular)
-    return OrthogonalityCheck(val, abs(val) <= tol, tol)
+    return OrthogonalityCheck(val, abs(val) <= tol)

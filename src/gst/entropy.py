@@ -12,7 +12,7 @@ result is tagged undecided.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -37,18 +37,6 @@ class TaggedValue:
     low: float
     high: float
     evidence: str = ""
-    partial_sums: tuple = field(default=(), repr=False)
-
-    @property
-    def finite(self) -> bool:
-        return self.tag == FINITE
-
-
-def _decimate(arr: np.ndarray, keep: int = 64) -> tuple:
-    if arr.size <= keep:
-        return tuple(float(x) for x in arr)
-    idx = np.unique(np.linspace(0, arr.size - 1, keep).astype(int))
-    return tuple(float(x) for x in arr[idx])
 
 
 def _lambda_log_bound(w: Weight, lam: float) -> float:
@@ -67,9 +55,7 @@ def _tail_sum_bounds(tail: GapTail, w: Weight):
         count0, base, length0, ratio, first = tail.params
         lam = effective_lambda(w)
         c0 = _lambda_log_bound(w, lam)
-        q = base * ratio
-        if q >= 1:
-            return None
+        q = base * ratio  # below 1, as GapTail checks
         # explicit levels until the remainder bound is negligible
         acc = 0.0
         n = first + 1
@@ -149,7 +135,6 @@ def gap_entropy_sum(lengths, w: Weight) -> float:
 
 @dataclass(frozen=True)
 class EntropySumResult:
-    partial_sums: tuple
     result: TaggedValue
     tail_bounds: Optional[tuple] = None  # the tail's bracket, when built
 
@@ -162,39 +147,34 @@ def entropy_sum(E: ClosedCircleSet, w: Weight) -> EntropySumResult:
     if np.any(np.isneginf(terms)):
         tv = TaggedValue(DIVERGES, None, -math.inf, -math.inf,
                          "w vanishes on a gap length")
-        return EntropySumResult((), tv)
-    partial = np.cumsum(terms)
-    explicit = float(partial[-1]) if partial.size else 0.0
-    trace = _decimate(partial)
+        return EntropySumResult(tv)
+    # cumsum adds one term at a time, largest first
+    explicit = float(np.cumsum(terms)[-1]) if terms.size else 0.0
     if E.tail is None:
         tv = TaggedValue(FINITE, explicit, explicit, explicit,
-                         "finite gap family", trace)
-        return EntropySumResult(trace, tv)
+                         "finite gap family")
+        return EntropySumResult(tv)
     bounds = _tail_sum_bounds(E.tail, w)
     if bounds is None:
         # stream generator terms; divergence by threshold is the last resort
         counts, lens_t = E.tail.levels(GENERATOR_TERM_BUDGET)
         gen_terms = counts * lens_t * np.asarray(w.log(lens_t))
-        gen_partial = explicit + np.cumsum(gen_terms)
-        trace = _decimate(np.concatenate([partial, gen_partial]))
-        if gen_partial[-1] < -DIVERGENCE_THRESHOLD:
-            tv = TaggedValue(DIVERGES, None, -math.inf, float(gen_partial[-1]),
-                             f"partial sums beyond {DIVERGENCE_THRESHOLD:g}",
-                             trace)
+        gen_sum = explicit + float(np.cumsum(gen_terms)[-1])
+        if gen_sum < -DIVERGENCE_THRESHOLD:
+            tv = TaggedValue(DIVERGES, None, -math.inf, gen_sum,
+                             f"partial sums beyond {DIVERGENCE_THRESHOLD:g}")
         else:
-            tv = TaggedValue(UNDECIDED, None, -math.inf,
-                             float(gen_partial[-1]),
-                             "no tail certificate for this weight", trace)
-        return EntropySumResult(trace, tv)
+            tv = TaggedValue(UNDECIDED, None, -math.inf, gen_sum,
+                             "no tail certificate for this weight")
+        return EntropySumResult(tv)
     lo, hi = bounds
     if lo == -math.inf:
         tv = TaggedValue(DIVERGES, None, -math.inf, -math.inf,
-                         "generator tail certificate (integral comparison)",
-                         trace)
-        return EntropySumResult(trace, tv, bounds)
+                         "generator tail certificate (integral comparison)")
+        return EntropySumResult(tv, bounds)
     tv = TaggedValue(FINITE, explicit + 0.5 * (lo + hi), explicit + lo,
-                     explicit + hi, "generator tail bound", trace)
-    return EntropySumResult(trace, tv, bounds)
+                     explicit + hi, "generator tail bound")
+    return EntropySumResult(tv, bounds)
 
 
 def _gap_integral_values(w: Weight, lens: np.ndarray, lam: float):

@@ -41,9 +41,6 @@ class DyadicGrid:
         if not self.lam > 0:
             raise ValueError("grid lambda must be positive")
 
-    def __len__(self):
-        return len(self.depths)
-
 
 def build_grid(w: Weight, n0: int, C: float, k_max: int) -> DyadicGrid:
     """Recursive grid construction: each step multiplies eta by at least C."""

@@ -342,6 +342,9 @@ def corona_datum_check(mu_k: CircleMeasure, n_k: int, c: float, w: Weight,
     extra rays through the support), and radial rays beyond, where the
     monomial term alone is at least 1/4 and dominates the bound.
 
+    ``mu_k`` carries no grating tag: the caller passes the depth n_k and
+    the parameter c of the grating that made it (``roberts.decompose``).
+
     The samples are summed best first.  Each gets a floor F(z), at most
     the value computed there, max(|S| - err, 0) + |z|^(2^n_k), where err
     is |S| times the Herglotz sum's radius (``_corona_floor``):
@@ -376,9 +379,6 @@ def corona_datum_check(mu_k: CircleMeasure, n_k: int, c: float, w: Weight,
     ``n_samples`` counts every sample; ``work`` gains the kernel sum's
     counts (see ``_cauchy_sum``) and the samples summed (``corona_summed``).
     """
-    meta = mu_k.grating_meta
-    if meta is None or meta.get("depth") != n_k or meta.get("c") != c:
-        raise ValueError("measure is not tagged as a grating at this depth")
     log_bound = -12.0 * c * w.neg_log_at_depth(n_k)
     bound = math.exp(log_bound)
     if bound >= 0.25:
@@ -476,8 +476,6 @@ class WhitneyDecomposition:
     ``start`` and ``length``, in (gap, level, side) order."""
 
     arcs: np.recarray
-    parent: ClosedCircleSet
-    levels: int
 
     def lengths(self) -> np.ndarray:
         return np.ascontiguousarray(self.arcs.length)
@@ -499,7 +497,7 @@ def whitney(E: ClosedCircleSet, levels: int = WHITNEY_LEVELS
     starts = np.stack([(a + ln) % 1.0, (a + L - 2.0 * ln) % 1.0], axis=-1)
     return WhitneyDecomposition(
         np.rec.fromarrays([starts.reshape(-1), np.repeat(ln.reshape(-1), 2)],
-                          names="start,length"), E, levels)
+                          names="start,length"))
 
 
 @dataclass
@@ -510,7 +508,6 @@ class CarlesonOuter:
     coeffs: np.ndarray = field(repr=False)
     poles: np.ndarray = field(repr=False)
     centers: np.ndarray = field(repr=False)
-    rhos: np.ndarray = field(repr=False)
     gap_endpoints: np.ndarray = field(repr=False)
     tail_coeffs: np.ndarray = field(repr=False)
     tail_scale: np.ndarray = field(repr=False)
@@ -536,7 +533,6 @@ def carleson_outer(E: ClosedCircleSet, w: Weight, N: float,
         raise ValueError("w must stay below 1 on Whitney arc lengths")
     coeffs = lens * u
     centers = unit_point((wd.arcs.start + lens / 2.0) % 1.0)
-    rhos = 1.0 + lens
     lam = effective_lambda(w)
     # per gap endpoint, in (gap, side) order: the coefficient tail of one
     # geometric family below the last level
@@ -544,7 +540,7 @@ def carleson_outer(E: ClosedCircleSet, w: Weight, N: float,
     tails = m_last * (-np.asarray(w.log(m_last)) + 2.0 * math.log(4.0) / lam)
     ends = unit_point(np.stack([E.starts, E.starts + E.lengths], axis=-1)
                       .reshape(-1) % 1.0)
-    return CarlesonOuter(wd, w, N, coeffs, rhos * centers, centers, rhos,
+    return CarlesonOuter(wd, w, N, coeffs, (1.0 + lens) * centers, centers,
                          ends, tails, m_last)
 
 

@@ -23,8 +23,7 @@ from .inner_outer import CarlesonOuter, boundary_ratio, unit_point
 from .inner_outer import carleson_many  # noqa: F401
 
 H_MAX = 1.0 / 32.0
-PROFILE_DIST_LOW = 1.0 / 8.0
-PROFILE_DIST_HIGH = 1.0 / 2.0
+MAX_SAMPLES = 2 ** 20  # time and memory grow linearly in the count
 
 
 @dataclass(frozen=True)
@@ -63,8 +62,9 @@ def boundary_samples_with_profile(D: PrivalovDomain, count: int):
     cusp height 1 - |z| = h is returned exactly: near the endpoints it
     falls below the float resolution of 1 - |z|.
     """
-    if count < 1:
-        raise ValueError("count must be positive")
+    if not 1 <= count <= MAX_SAMPLES:
+        raise ValueError(f"sample count must lie in [1, {MAX_SAMPLES}], "
+                         f"got {count}")
     lengths = D.E.lengths.tolist()
     total = sum(lengths)  # left to right in start order
     dens = 16  # geometric offsets per endpoint

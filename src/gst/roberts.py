@@ -12,7 +12,7 @@ residual supported on the nested intersection of heavy unions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,14 +49,17 @@ def grate(mu: CircleMeasure, n: int, c: float, w: Weight, idx=None):
     """One grating pass; returns (capped measure, report).
 
     Ties (arc mass equal to the threshold) count as light, so the capped
-    measure agrees with mu there.  ``idx`` are the atoms' depth-n indices,
-    when the caller has them.
+    measure agrees with mu there.  ``idx`` are the atoms' depth-n indices
+    (computed here when not given); the capped measure is realized from
+    them at once, with no second index pass.
     """
     if c <= 0:
         raise ValueError("grating parameter c must be positive")
     if n < 1:
         raise ValueError("grating depth must be at least 1")
     thr = grating_threshold(n, c, w)
+    if idx is None:
+        idx = mu.realized().indices(n)
     keys, masses = mu.arc_masses_at_depth(n, idx)
     heavy = masses > thr
     light = (masses > 0) & ~heavy
@@ -64,10 +67,9 @@ def grate(mu: CircleMeasure, n: int, c: float, w: Weight, idx=None):
         depth=n, threshold=thr, heavy_arcs=keys[heavy],
         heavy_masses=masses[heavy], light_arcs=keys[light],
         total_mass_before=mu.total_mass())
-    meta = {"depth": n, "c": c, "threshold": thr}
     piece = mu.scaled_on_arcs(
         MultiplierLayer(n, report.heavy_arcs, thr / report.heavy_masses),
-        meta=meta, name=f"{mu.name}|grate{n}")
+        idx, name=f"{mu.name}|grate{n}")
     return piece, report
 
 
@@ -78,12 +80,9 @@ class RobertsDecomposition:
     residual_masses: list         # residual total mass after each level
     heavy_sets: list              # (depth, sorted indices) per level
     reports: list
-    c: float
-    grid: DyadicGrid
     beta: float
     carrier_entropy_bound: float
     light_entropy_ledger: float
-    decay_certificates: list = field(default_factory=list)
     total_mass: float = 0.0
 
     def mass_balance_error(self) -> float:
@@ -94,11 +93,6 @@ class RobertsDecomposition:
     def heavy_nesting_ok(self) -> bool:
         return all(np.isin(h1 >> (d1 - d0), h0).all() for (d0, h0), (d1, h1)
                    in zip(self.heavy_sets, self.heavy_sets[1:]))
-
-    def residual_in_heavy_sets(self) -> bool:
-        r = self.residual.realized()
-        return all(np.isin(r.indices(depth), heavy).all()
-                   for depth, heavy in self.heavy_sets)
 
     def residual_carrier_gaps(self) -> list:
         """Gap lengths of the recorded carrier: complement arcs of the final
@@ -164,15 +158,8 @@ def decompose(mu: CircleMeasure, grid: DyadicGrid, c: float, w: Weight,
         # exact int division: past depth 1023 the count overflows a float
         ledger += light_count / 2 ** n_k * w.neg_log_at_depth(n_k)
     beta = check.beta
-    decay = []
-    for (n, heavy), rep in zip(heavy_sets, reports):
-        m_h = heavy.size / 2 ** n
-        decay.append({"depth": n, "heavy_measure": m_h,
-                      "bound_value": c * m_h * w.neg_log_at_depth(n),
-                      "total_mass": total})
     return RobertsDecomposition(
         pieces=pieces, residual=remainder, residual_masses=residual_masses,
-        heavy_sets=heavy_sets, reports=reports, c=c, grid=grid, beta=beta,
+        heavy_sets=heavy_sets, reports=reports, beta=beta,
         carrier_entropy_bound=(beta / c) * total,
-        light_entropy_ledger=ledger, decay_certificates=decay,
-        total_mass=total)
+        light_entropy_ledger=ledger, total_mass=total)

@@ -35,6 +35,7 @@ UNIT_ROUNDOFF = 2.0 ** -53
 ROUND_REL = 2.0 ** -40
 DINI_CELLS = 2 ** 12  # cells per dyadic block of a Dini integral
 DINI_NODES = 2 ** 20  # past this many nodes a Dini block gets fewer cells
+MAX_QUAD_DEPTH = 1074  # 2^-1074 is the least positive float
 NEG_LOG_BLOCKS = 48
 NEG_LOG_CELLS = 2 ** 12  # cells per dyadic block of neg_log_integral
 SUP_RTOL = 2.0 ** -20  # how far a moment_sup cell's bound may pass its best
@@ -461,19 +462,6 @@ def effective_lambda(w: Weight) -> float:
     return res.lam
 
 
-def almost_decreasing_violation(w: Weight, lam: float) -> float:
-    """Worst violation of  w^lam(t)/t <= 2 w^lam(s)/s  over 0 < s < t <= 1
-    sampled at k/2^12."""
-    t = np.arange(1, 2 ** 12 + 1) / 2 ** 12
-    with np.errstate(divide="ignore"):
-        q = lam * np.asarray(w.log(t)) - np.log(t)  # log of w^lam(t)/t
-    # violation at t is q[t] - min_{s<t} q[s] - log 2, positive where the
-    # factor-2 almost-decrease fails on the grid
-    best_prefix = np.minimum.accumulate(q)
-    viol = q[1:] - (best_prefix[:-1] + math.log(2.0))
-    return float(np.max(viol))
-
-
 @dataclass(frozen=True)
 class A1Check:
     ratio_low: float
@@ -730,8 +718,9 @@ def check_A2(w: Weight, alpha: float, quad_depth: int, work=None) -> A2Check:
     """
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0,1]")
-    if quad_depth < 1:
-        raise ValueError("quad_depth must be at least 1")
+    if not 1 <= quad_depth <= MAX_QUAD_DEPTH:
+        raise ValueError(f"quad_depth must lie in [1, {MAX_QUAD_DEPTH}], "
+                         f"got {quad_depth}")
     # precondition at majorant level: some power of w^(1+alpha) is subadditive
     if not check_majorant(w.pow(1.0 + alpha), grid_depth=8, work=work).ok:
         raise InvalidWeightError("w^(1+alpha) is not a majorant")

@@ -126,6 +126,14 @@ class TestSubcommands:
         assert rep["results"]["tag"] == "finite"
         assert abs(rep["results"]["value"] - 8.0 / 3.0) <= 1e-6
 
+    def test_weight_deepest_quadrature(self, capsys):
+        code, rep = run(["weight", "check", "--weight", "exp_log:1,0.8",
+                         "--alpha", "0.5", "--quad-depth",
+                         str(weights.MAX_QUAD_DEPTH)], capsys)
+        assert code == 0
+        a2 = rep["results"]["A2"]
+        assert a2["low"] <= a2["dini_integral"] <= a2["high"]
+
     def test_privalov_check(self, capsys):
         code, rep = run(["privalov", "check", "--set", "fixture:point",
                          "--weight", "power:1", "--samples", "512"], capsys)
@@ -348,6 +356,17 @@ BAD_INPUTS = {
                                 "--depth", "17"], 1),
     "weight_depth_40": (["weight", "check", "--weight", "power:1",
                          "--depth", "40"], 1),
+    # 2^-1075 rounds to 0: past MAX_QUAD_DEPTH the Dini body has no floor
+    "weight_quad_depth_past_float": (["weight", "check", "--weight",
+                                      "exp_log:1,0.8", "--alpha", "0.5",
+                                      "--quad-depth", "1075"], 1),
+    "privalov_samples_above_cap": (["privalov", "check", "--set",
+                                    "fixture:point", "--weight", "power:1",
+                                    "--samples", str(2 ** 20 + 1)], 1),
+    "carleson_samples_above_cap": (["carleson", "build", "--set",
+                                    "fixture:point", "--weight", "power:1",
+                                    "--N", "8", "--samples",
+                                    str(2 ** 20 + 1)], 1),
 }
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from gst import fixtures, inner_outer, weights
 from gst import circle
-from gst.circle import CircleMeasure, point_set, set_union, zero_measure
+from gst.circle import CircleMeasure, point_set, set_union
 from gst.grids import DyadicGrid
 from gst.inner_outer import (BlaschkeSeq, _herglotz_sum, auto_carleson_N,
                              blaschke_many, carleson_many, carleson_outer,
@@ -154,7 +154,7 @@ class TestKernelSumOracle:
 
     def test_empty_measure_and_grid_shaped_targets(self):
         z = _disc_points(60).reshape(6, 10)
-        for mu in (zero_measure(), KERNEL_MU):
+        for mu in (CircleMeasure(name="zero"), KERNEL_MU):
             check_herglotz(mu, z)
         check_psi(KERNEL_G, z)
 
@@ -358,7 +358,7 @@ class TestLowerEnvelope:
         assert res.min_margin == pytest.approx(-0.1 / 1.9 + 60.0, rel=1e-6)
 
     def test_zero_measure_margin_zero(self):
-        res = lower_bound_check(zero_measure(), [0.3, -0.5j])
+        res = lower_bound_check(CircleMeasure(name="zero"), [0.3, -0.5j])
         assert res.ok and res.min_margin == pytest.approx(0.0)
 
     def test_triadic_radial_samples(self):
@@ -451,16 +451,14 @@ class TestCorona:
         # masses scaled so |S| dips well below 1 near the atoms, and some
         # atoms repeated
         atoms = [(p, 3.0 * m / len(atoms)) for p, m in atoms] + atoms[:2]
-        mu = CircleMeasure(atoms=atoms, grating_meta={
-            "depth": n, "c": c, "threshold": 1.0})
+        mu = CircleMeasure(atoms=atoms)
         work = Counter()  # c n >= 0.2: the bound is below 1/4
         got = corona_datum_check(mu, n, c, W_T, density, work)
         assert got == oracle_corona(mu, n, c, W_T, density)
         assert work["corona_summed"] <= got.n_samples
 
     def test_empty_piece_equals_the_oracle(self):
-        mu = CircleMeasure(grating_meta={"depth": 8, "c": 0.1,
-                                         "threshold": 1.0})
+        mu = CircleMeasure()
         work = Counter()
         got = corona_datum_check(mu, 8, 0.1, W_T, 32, work)
         assert got == oracle_corona(mu, 8, 0.1, W_T, 32)
@@ -470,8 +468,7 @@ class TestCorona:
     def test_nan_in_a_summed_block_gives_a_nan_minimum(self, monkeypatch):
         # from depth 46 the outer rays round onto the circle and through
         # the atoms: those sums are NaN, with or without pruning
-        mu = CircleMeasure(atoms=[(0.1, 0.5), (0.6, 0.25)], grating_meta={
-            "depth": 46, "c": 0.1, "threshold": 1.0})
+        mu = CircleMeasure(atoms=[(0.1, 0.5), (0.6, 0.25)])
         with np.errstate(all="ignore"):
             got = corona_datum_check(mu, 46, 0.1, W_T)
         assert math.isnan(got.min_combined) and not got.ok
@@ -490,8 +487,7 @@ class TestCorona:
         assert math.isnan(got.min_combined) and not got.ok
 
     def test_zero_piece_trivial(self):
-        meta = {"depth": 4, "c": 0.1, "threshold": 1.0}
-        mu = CircleMeasure(grating_meta=meta, name="zero")
+        mu = CircleMeasure(name="zero")
         res = corona_datum_check(mu, 4, 0.1, W_T)
         assert res.ok and res.min_combined >= 1.0 - 1e-12
 
@@ -507,10 +503,6 @@ class TestCorona:
         n = 12
         r = 1.0 - 2.0 ** -n
         assert r ** (2 ** n) >= 0.25
-
-    def test_untagged_measure_rejected(self):
-        with pytest.raises(ValueError):
-            corona_datum_check(fixtures.atom_fixture(), 4, 0.1, W_T)
 
     def test_parameter_report(self):
         from gst.inner_outer import corona_parameter_report
@@ -563,7 +555,6 @@ def oracle_carleson_arrays(E, w, levels):
     coeffs = lens * -np.asarray(w.log(lens))
     centers = unit_point(np.array([(a + ln / 2.0) % 1.0
                                    for a, ln in zip(starts, lens)]))
-    rhos = 1.0 + lens
     lam = weights.effective_lambda(w)
     ends, tails, scales = [], [], []
     for start, length in zip(E.starts.tolist(), E.lengths.tolist()):
@@ -573,8 +564,8 @@ def oracle_carleson_arrays(E, w, levels):
             tails.append(m_last * (u_last + 2.0 * math.log(4.0) / lam))
             ends.append(complex(unit_point(e % 1.0)))
             scales.append(m_last)
-    return {"coeffs": coeffs, "poles": rhos * centers, "centers": centers,
-            "rhos": rhos, "gap_endpoints": np.asarray(ends),
+    return {"coeffs": coeffs, "poles": (1.0 + lens) * centers,
+            "centers": centers, "gap_endpoints": np.asarray(ends),
             "tail_coeffs": np.array(tails), "tail_scale": np.array(scales)}
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gst import circle, entropy, fixtures, weights
-from gst.circle import CantorPart, CircleMeasure, MultiplierLayer, zero_measure
+from gst.circle import CantorPart, CircleMeasure, MultiplierLayer
 from gst.grids import DyadicGrid
 from gst.roberts import decompose, grate, grating_threshold
 from test_circle import measures
@@ -16,6 +16,13 @@ from test_circle import measures
 W_T = weights.power(1.0)
 GRID = DyadicGrid((4, 12, 36))
 DECAY_GRID = DyadicGrid((4, 8, 12, 16, 20, 24))
+
+
+def residual_in_heavy_sets(d) -> bool:
+    """Every residual atom lies in the heavy union of every level."""
+    r = d.residual.realized()
+    return all(np.isin(r.indices(depth), heavy).all()
+               for depth, heavy in d.heavy_sets)
 
 
 class TestGrate:
@@ -36,7 +43,7 @@ class TestGrate:
         assert piece.total_mass() == pytest.approx(0.01)
 
     def test_zero_measure(self):
-        piece, rep = grate(zero_measure(), 4, 0.1, W_T)
+        piece, rep = grate(CircleMeasure(name="zero"), 4, 0.1, W_T)
         assert piece.total_mass() == 0.0
         assert rep.heavy_count == 0 and rep.light_arcs.size == 0
 
@@ -66,7 +73,7 @@ class TestDecompose:
         # residual is the ground-down atom, still on the original chain
         assert d.residual.total_mass() == pytest.approx(
             1.0 - sum(p.total_mass() for p in d.pieces))
-        assert d.residual_in_heavy_sets()
+        assert residual_in_heavy_sets(d)
 
     def test_below_threshold_consumed_at_once(self):
         from gst.circle import atom_measure
@@ -88,7 +95,7 @@ class TestDecompose:
         d = decompose(mu, GRID, 0.1, W_T, 3)
         assert d.mass_balance_error() <= 1e-9
         assert d.heavy_nesting_ok()
-        assert d.residual_in_heavy_sets()
+        assert residual_in_heavy_sets(d)
         # dyadic-level modulus bound, exact at each level
         for piece, rep in zip(d.pieces, d.reports):
             _, masses = piece.arc_masses_at_depth(rep.depth)
@@ -133,19 +140,14 @@ class TestDecompose:
             om = modulus_of_continuity(piece, 2.0 ** -rep.depth)
             assert om.upper <= 2.0 * rep.threshold * (1.0 + 1e-12)
 
-    def test_grating_meta_recorded(self):
-        d = decompose(fixtures.atom_fixture(), GRID, 0.1, W_T, 2)
-        for piece, rep in zip(d.pieces, d.reports):
-            assert piece.grating_meta["depth"] == rep.depth
-            assert piece.grating_meta["c"] == 0.1
-
     def test_heavy_measure_decay_certificates(self):
         # c m(H_k) log(1/w(2^-n_k)) = mass of the level piece on its heavy
         # union, never above the total mass
         for mu in fixtures.measure_fixtures().values():
             d = decompose(mu, GRID, 0.1, W_T, 3)
-            for cert in d.decay_certificates:
-                assert cert["bound_value"] <= cert["total_mass"] + 1e-12
+            for n, heavy in d.heavy_sets:
+                bound = 0.1 * (heavy.size / 2 ** n) * W_T.neg_log_at_depth(n)
+                assert bound <= d.total_mass + 1e-12
 
 
 class TestCarryForward:
@@ -176,13 +178,13 @@ class TestCarryForward:
                                   multipliers=m.multipliers).realized()
             for a, b in zip(carried[:3], fresh[:3]):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        # the six pieces were still unrealized: one layer each when carried,
-        # k layers for the fresh realization of a level-k measure
-        assert len(layers) == 6 + 2 * sum(range(1, 7))
+        # every carried measure was realized as it was made: no layer
+        # applied here beyond the k of the fresh realization at level k
+        assert len(layers) == 2 * sum(range(1, 7))
 
     def test_one_index_pass_per_level(self, monkeypatch):
-        # the grating and the remainder share one pass; each piece makes
-        # its own when it is realized
+        # the grating and the remainder share one pass, and the pieces
+        # need none when they are used
         calls = []
         indices = circle.Realization.indices
         monkeypatch.setattr(circle.Realization, "indices",
@@ -193,7 +195,7 @@ class TestCarryForward:
         assert calls == list(DECAY_GRID.depths)
         for piece in d.pieces:
             piece.realized()
-        assert calls == 2 * list(DECAY_GRID.depths)
+        assert calls == list(DECAY_GRID.depths)
 
 
 # ---------------------------------------------------------------------------
@@ -209,13 +211,19 @@ def oracle_arc_masses(mu: CircleMeasure, n: int) -> dict:
     return masses
 
 
+def fresh_with_layer(mu: CircleMeasure, layer: MultiplierLayer):
+    """mu with one more layer, realized from scratch when first used."""
+    return CircleMeasure(atoms=mu.atom_list, cantor_parts=mu.cantor_parts,
+                         multipliers=mu.multipliers + (layer,))
+
+
 def oracle_grate(mu: CircleMeasure, n: int, c: float, w):
     """(piece, (threshold, heavy indices, heavy masses, light indices))."""
     thr = grating_threshold(n, c, w)
     masses = oracle_arc_masses(mu, n)
     heavy = sorted((i, m) for i, m in masses.items() if m > thr)
     light = sorted(i for i, m in masses.items() if 0 < m <= thr)
-    piece = mu.scaled_on_arcs(MultiplierLayer.from_dict(
+    piece = fresh_with_layer(mu, MultiplierLayer.from_dict(
         n, {i: thr / m for i, m in heavy}))
     return piece, (thr, [i for i, _ in heavy], [m for _, m in heavy], light)
 
@@ -227,8 +235,8 @@ def oracle_decompose(mu: CircleMeasure, depths, c: float, w):
         thr, heavy, heavy_masses, light = rep
         factors = {i: 1.0 - thr / m for i, m in zip(heavy, heavy_masses)}
         factors.update(dict.fromkeys(light, 0.0))
-        remainder = remainder.scaled_on_arcs(
-            MultiplierLayer.from_dict(n, factors))
+        remainder = fresh_with_layer(
+            remainder, MultiplierLayer.from_dict(n, factors))
         pieces.append(piece)
         reports.append(rep)
         residual_masses.append(remainder.total_mass())
@@ -237,11 +245,7 @@ def oracle_decompose(mu: CircleMeasure, depths, c: float, w):
             zip(depths, reports), zip(depths[1:], reports[1:])):
         light_count = len(h0) * 2 ** (n1 - n0) - len(h1)
         ledger += light_count / 2 ** n1 * w.neg_log_at_depth(n1)
-    total = mu.total_mass()
-    decay = [{"depth": n, "heavy_measure": len(h) / 2 ** n,
-              "bound_value": c * (len(h) / 2 ** n) * w.neg_log_at_depth(n),
-              "total_mass": total} for n, (_, h, _, _) in zip(depths, reports)]
-    return pieces, remainder, reports, residual_masses, ledger, decay
+    return pieces, remainder, reports, residual_masses, ledger
 
 
 def oracle_nesting_ok(heavy_sets) -> bool:
@@ -311,7 +315,7 @@ class TestArrayGrating:
     @staticmethod
     def check(mu, depths, c):
         d = decompose(mu, DyadicGrid(depths), c, W_T, len(depths))
-        pieces, residual, reports, residual_masses, ledger, decay = \
+        pieces, residual, reports, residual_masses, ledger = \
             oracle_decompose(mu, depths, c, W_T)
         for rep, (thr, heavy, heavy_masses, light), n in zip(
                 d.reports, reports, depths):
@@ -325,10 +329,9 @@ class TestArrayGrating:
                 assert_same_bits(a, b)
         assert d.residual_masses == residual_masses
         assert d.light_entropy_ledger == ledger
-        assert d.decay_certificates == decay
         heavy_sets = [(n, rep[1]) for n, rep in zip(depths, reports)]
         assert d.heavy_nesting_ok() == oracle_nesting_ok(heavy_sets)
-        assert d.residual_in_heavy_sets()
+        assert residual_in_heavy_sets(d)
         n, heavy = heavy_sets[-1]
         if n <= 500 and heavy:
             assert d.residual_carrier_gaps() == oracle_carrier_gaps(n, heavy)

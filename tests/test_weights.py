@@ -1,5 +1,6 @@
 """Weight regularity checks against closed-form and grid-sweep oracles."""
 
+import math
 import tracemalloc
 from collections import Counter
 
@@ -12,8 +13,7 @@ from gst.weights import (CONTINUITY_DEPTH, CONTINUITY_TOL, DEFAULT_LAMBDAS,
                          ORDER_TOL, SWEEP_BLOCK, MajorantCheck, ModulusCheck,
                          check_A1, check_A2, check_condition_a,
                          check_condition_b, check_majorant,
-                         check_modulus_of_continuity, effective_lambda,
-                         almost_decreasing_violation)
+                         check_modulus_of_continuity, effective_lambda)
 
 
 def oracle_modulus_check(w, grid_depth):
@@ -283,6 +283,19 @@ class TestMajorant:
             for lam in (0.25, 0.5, 2.0, 4.0):
                 scaled = tuple(lam0 * c for c in (1.0, 0.5, 0.25, 0.125))
                 assert check_majorant(w.pow(lam), scaled).ok, (name, lam)
+
+
+def almost_decreasing_violation(w, lam: float) -> float:
+    """Worst violation of  w^lam(t)/t <= 2 w^lam(s)/s  over 0 < s < t <= 1
+    sampled at k/2^12."""
+    t = np.arange(1, 2 ** 12 + 1) / 2 ** 12
+    with np.errstate(divide="ignore"):
+        q = lam * np.asarray(w.log(t)) - np.log(t)  # log of w^lam(t)/t
+    # violation at t is q[t] - min_{s<t} q[s] - log 2, positive where the
+    # factor-2 almost-decrease fails on the grid
+    best_prefix = np.minimum.accumulate(q)
+    viol = q[1:] - (best_prefix[:-1] + math.log(2.0))
+    return float(np.max(viol))
 
 
 class TestAlmostDecreasing:
