@@ -53,7 +53,8 @@ whose finite entropy rests on the tail's remainder bound; two certified
 divergences, whose infinite bounds the report writes as null: ``set
 entropy --form both`` on the stagewise divergent set and ``dual
 fw-norm`` under ``power:1.5``; ``dual fw-norm`` under ``power:0.5``, a
-finite norm, and ``dual pair`` of two quadratics.
+finite norm, ``dual pair`` of two quadratics, and ``dual pair`` of two
+polynomials of 60 coefficients 1, whose pairing is 60.
 ``--show`` prints each results block under its line.
 
 Usage:
@@ -206,6 +207,9 @@ def cases():
     yield "dual fw-norm power:0.5", (
         "dual", "fw-norm", "--f", "[0,1]", "--weight", "power:0.5")
     yield "dual pair", ("dual", "pair", "--g", "[1,2,3]", "--f", "[0,1,0.5]")
+    # 60 coefficients: the boundary cross-check must hold at high degree
+    ones = json.dumps([1] * 60)
+    yield "dual pair 60 ones", ("dual", "pair", "--g", ones, "--f", ones)
 
 
 def results_block(argv) -> tuple:

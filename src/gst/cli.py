@@ -123,6 +123,14 @@ def finite_float(text: str) -> float:
     return x
 
 
+def positive_float(text: str) -> float:
+    """The argparse type of a float flag that must be finite and > 0."""
+    x = finite_float(text)
+    if not x > 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not positive")
+    return x
+
+
 # -- subcommand handlers -----------------------------------------------------
 
 def cmd_weight(args):
@@ -277,7 +285,7 @@ def cmd_dual(args) -> dict:
                                           _coefficients(args, "f"))
         return {"pairing": {"re": val.real, "im": val.imag}}
     f, w = _coefficients(args, "f"), _weight(args)
-    res = duality.fw_norm(duality.poly_function(f), w, args.quad_depth)
+    res = duality.fw_norm(f, w, args.quad_depth)
     return {"tag": res.tag, "value": res.value,
             "tail_estimate": res.tail_estimate}
 
@@ -407,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--grid", default="[4,8,12,16,20,24]")
     r.add_argument("--c", type=finite_float, default=0.1)
     r.add_argument("--kmax", type=int, default=6)
-    r.add_argument("--K", type=finite_float, default=10.0,
+    r.add_argument("--K", type=positive_float, default=10.0,
                    help="solvability constant used in parameter reporting")
     return p
 

@@ -1,14 +1,13 @@
 """Quadrature layer pairing growth spaces with their Cauchy duals: the
 derivative-integral norm, the coefficient pairing and its Green-identity
 counterpart, and the reproducing and orthogonality checks of model-space
-kernels.
+kernels.  Polynomials are given by their coefficient arrays.
 
-Boundary integrals of inner-type functions are taken at dilated radii
-1 - 2^-k with Richardson extrapolation: the integrand is then smooth, the
-trapezoid rule is spectrally accurate, and the dilation bias is linear in
-1 - r, so two extrapolation levels leave errors far below the tolerances
-used here.  Area integrals use the normalization dA = (Lebesgue area)/pi,
-so the unit disc has measure 1.
+Every boundary limit r -> 1- goes through ``_dilated_boundary_mean``: the
+integrand is averaged over midpoint nodes on dilated circles, where it is
+smooth and the trapezoid rule is spectrally accurate, and the means are
+extrapolated to r = 1.  Area integrals use the normalization
+dA = (Lebesgue area)/pi, so the unit disc has measure 1.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -27,35 +26,20 @@ from .inner_outer import (BlaschkeSeq, blaschke_many, singular_inner_many,
 from .weights import Weight
 
 FW_ANGLES = 128  # angular nodes per radius of the F_w quadrature
-PAIRING_SCALE = 12  # the boundary pairing's first radius is 1 - 2^-12
 QUAD_DEPTH_MAX = 53  # deeper annuli have nodes that round to r = 1
+KERNEL_TOL = 1e-6  # reproducing check, relative to 1 + |kappa(lam2, lam)|
+ORTHOGONAL_TOL = 1e-5  # orthogonality check, absolute
 
 
-# ---------------------------------------------------------------------------
-# Disc functions with their derivatives
-# ---------------------------------------------------------------------------
-
-@dataclass
-class DiscFunction:
-    """An analytic function with vectorized evaluation and derivative."""
-
-    f: Callable
-    df: Callable
-
-    def __call__(self, z):
-        return self.f(np.asarray(z, dtype=complex))
-
-    def deriv(self, z):
-        return self.df(np.asarray(z, dtype=complex))
+def _polyval(z, coeffs):
+    # np.polynomial is imported on first use, so commands that pair
+    # nothing never load it
+    return np.polynomial.polynomial.polyval(z, coeffs)
 
 
-def poly_function(coeffs) -> DiscFunction:
-    c = np.asarray(coeffs, dtype=complex)
-    dc = c[1:] * np.arange(1, c.size)
-    return DiscFunction(
-        lambda z: np.polynomial.polynomial.polyval(z, c),
-        lambda z: np.polynomial.polynomial.polyval(z, dc) if dc.size
-        else np.zeros_like(z))
+def _circle_nodes(n: int) -> np.ndarray:
+    """The n midpoint nodes e^(2 pi i (k + 1/2)/n) on the unit circle."""
+    return unit_point((np.arange(n) + 0.5) / n)
 
 
 # ---------------------------------------------------------------------------
@@ -69,8 +53,9 @@ class FwNorm:
     tail_estimate: float = 0.0
 
 
-def fw_norm(f: DiscFunction, w: Weight, quad_depth: int = 40) -> FwNorm:
-    """|f(0)| + integral over the disc of |f'| dA / w(1-|z|).
+def fw_norm(coeffs, w: Weight, quad_depth: int = 40) -> FwNorm:
+    """|f(0)| + integral over the disc of |f'| dA / w(1-|z|) for the
+    polynomial f of these coefficients.
 
     Annulus j spans radii 1 - 2^-j to 1 - 2^-(j+1), for j < quad_depth.
     Annulus contributions toward |z| = 1 are monitored: if they stop
@@ -82,9 +67,10 @@ def fw_norm(f: DiscFunction, w: Weight, quad_depth: int = 40) -> FwNorm:
     if not 1 <= quad_depth <= QUAD_DEPTH_MAX:
         raise ValueError(
             f"quad_depth must lie in [1, {QUAD_DEPTH_MAX}], got {quad_depth}")
+    c = np.asarray(coeffs, dtype=complex)
+    dc = c[1:] * np.arange(1, c.size)
     nodes, wts = np.polynomial.legendre.leggauss(10)
-    th = (np.arange(FW_ANGLES) + 0.5) / FW_ANGLES
-    ez = unit_point(th)
+    ez = _circle_nodes(FW_ANGLES)
     contributions = []
     for j in range(quad_depth):
         lo, hi = 1.0 - 2.0 ** -j, 1.0 - 2.0 ** -(j + 1)
@@ -92,57 +78,47 @@ def fw_norm(f: DiscFunction, w: Weight, quad_depth: int = 40) -> FwNorm:
         rs = mid + rad * nodes
         total = 0.0
         for r, wt in zip(rs, wts):
-            mean = float(np.mean(np.abs(f.deriv(r * ez))))
+            mean = (float(np.mean(np.abs(_polyval(r * ez, dc)))) if dc.size
+                    else 0.0)
             total += wt * 2.0 * r * mean / float(w(1.0 - r))
         contributions.append(total * rad)
-    head = abs(complex(f(np.array([0.0]))[0]))
-    c = np.array(contributions)
-    pos = c[c > 0]
+    head = abs(complex(c[0]))
+    cs = np.array(contributions)
+    pos = cs[cs > 0]
     if pos.size >= 6:
-        ratios = c[-4:] / np.maximum(c[-5:-1], 1e-300)
+        ratios = cs[-4:] / np.maximum(cs[-5:-1], 1e-300)
         rho = float(np.max(ratios))
-        if rho >= 0.98 and c[-1] > 1e-13 * (1.0 + np.sum(c)):
+        if rho >= 0.98 and cs[-1] > 1e-13 * (1.0 + np.sum(cs)):
             return FwNorm(DIVERGES, None)
         rho = min(rho, 0.97)
-        tail = float(c[-1]) * rho / (1.0 - rho)
+        tail = float(cs[-1]) * rho / (1.0 - rho)
     else:
         tail = 0.0
-    return FwNorm(FINITE, head + float(np.sum(c)) + tail, tail)
+    return FwNorm(FINITE, head + float(np.sum(cs)) + tail, tail)
 
 
 # ---------------------------------------------------------------------------
 # Pairings and the Green identity
 # ---------------------------------------------------------------------------
 
-def _poly_coeffs(p) -> np.ndarray:
-    if isinstance(p, DiscFunction):
-        raise TypeError("coefficient pairing needs raw coefficients")
-    return np.asarray(p, dtype=complex)
-
-
-def pairing_exact(g_coeffs, f_coeffs) -> complex:
-    a = _poly_coeffs(g_coeffs)
-    b = _poly_coeffs(f_coeffs)
+def pairing_exact(g_coeffs, f_coeffs, r: float = 1.0) -> complex:
+    """sum a_n conj(b_n) r^(2n): the pairing of g and f on the circle of
+    radius r, and at r = 1 the coefficient pairing."""
+    a = np.asarray(g_coeffs, dtype=complex)
+    b = np.asarray(f_coeffs, dtype=complex)
     n = min(a.size, b.size)
-    return complex(np.sum(a[:n] * np.conj(b[:n])))
+    ns = np.arange(n)
+    return complex(np.sum(a[:n] * np.conj(b[:n]) * r ** (2.0 * ns)))
 
 
 def pairing_boundary_quadrature(g_coeffs, f_coeffs) -> complex:
-    """Limit boundary pairing at r -> 1-, Richardson over the radii
-    1 - 2^-k for k = PAIRING_SCALE, PAIRING_SCALE + 1, PAIRING_SCALE + 2."""
-    a = _poly_coeffs(g_coeffs)
-    b = _poly_coeffs(f_coeffs)
-    n_nodes = 4 * (max(a.size, b.size) + 2)
-    th = (np.arange(n_nodes) + 0.5) / n_nodes
-    ez = unit_point(th)
-    vals = []
-    for k in range(PAIRING_SCALE, PAIRING_SCALE + 3):
-        r = 1.0 - 2.0 ** -k
-        gv = np.polynomial.polynomial.polyval(r * ez, a)
-        fv = np.polynomial.polynomial.polyval(r * ez, b)
-        vals.append(complex(np.mean(gv * np.conj(fv))))
-    r1 = [2.0 * vals[i + 1] - vals[i] for i in range(2)]
-    return (4.0 * r1[1] - r1[0]) / 3.0
+    """The boundary pairing of g and f as the limit r -> 1- of the mean of
+    g conj(f) on the circle of radius r."""
+    a = np.asarray(g_coeffs, dtype=complex)
+    b = np.asarray(f_coeffs, dtype=complex)
+    return _dilated_boundary_mean(
+        lambda zs: _polyval(zs, a) * np.conj(_polyval(zs, b)),
+        4 * (max(a.size, b.size) + 2))
 
 
 def cauchy_pairing_poly(g_coeffs, f_coeffs) -> complex:
@@ -168,32 +144,22 @@ class GreenCheck:
     ok: bool
 
 
-def green_oracle(g_coeffs, f_coeffs, r: float) -> complex:
-    a = _poly_coeffs(g_coeffs)
-    b = _poly_coeffs(f_coeffs)
-    n = min(a.size, b.size)
-    ns = np.arange(n)
-    return complex(np.sum(a[:n] * np.conj(b[:n]) * r ** (2.0 * ns)))
-
-
 def green_identity_check(g_coeffs, f_coeffs, r: float) -> GreenCheck:
     """Boundary pairing at radius r against its area-integral form.
 
     lhs = int g(r zeta) conj(f(r zeta)) dm(zeta); rhs = g(0) conj(f(0)) +
     r int_D g(rz) conj(f'(rz)) z^-1 dA(z).  In polar coordinates the z^-1
     kernel cancels the area element, so both quadratures are smooth; for
-    polynomials the shared coefficient oracle is exact.
+    polynomials the coefficient oracle ``pairing_exact`` is exact.
     """
     if not 0.0 < r < 1.0:
         raise ValueError("r must lie in (0,1)")
-    a = _poly_coeffs(g_coeffs)
-    b = _poly_coeffs(f_coeffs)
+    a = np.asarray(g_coeffs, dtype=complex)
+    b = np.asarray(f_coeffs, dtype=complex)
     deg = max(a.size, b.size)
-    n_ang = 4 * (deg + 2)
-    th = (np.arange(n_ang) + 0.5) / n_ang
-    ez = unit_point(th)
-    gv = np.polynomial.polynomial.polyval(r * ez, a)
-    fv = np.polynomial.polynomial.polyval(r * ez, b)
+    ez = _circle_nodes(4 * (deg + 2))
+    gv = _polyval(r * ez, a)
+    fv = _polyval(r * ez, b)
     lhs = complex(np.mean(gv * np.conj(fv)))
     db = b[1:] * np.arange(1, b.size) if b.size > 1 else np.zeros(1)
     nodes, wts = np.polynomial.legendre.leggauss(max(10, deg + 2))
@@ -201,14 +167,14 @@ def green_identity_check(g_coeffs, f_coeffs, r: float) -> GreenCheck:
     rhs_int = 0.0 + 0.0j
     for si, wi in zip(s, wts):
         zs = si * ez
-        gv = np.polynomial.polynomial.polyval(r * zs, a)
-        dfv = np.polynomial.polynomial.polyval(r * zs, db)
+        gv = _polyval(r * zs, a)
+        dfv = _polyval(r * zs, db)
         rhs_int += wi * 0.5 * complex(np.mean(gv * np.conj(dfv) *
                                               np.conj(ez) / np.abs(ez)))
     a0 = a[0] if a.size else 0.0
     b0 = b[0] if b.size else 0.0
     rhs = complex(a0 * np.conj(b0)) + 2.0 * r * rhs_int
-    oracle = green_oracle(a, b, r)
+    oracle = pairing_exact(a, b, r)
     ok = abs(lhs - rhs) <= 1e-8 * (1.0 + abs(lhs))
     return GreenCheck(lhs, rhs, oracle, ok)
 
@@ -248,15 +214,15 @@ def _dilated_boundary_mean(fn, boundary_n: int,
                            singular: bool = False) -> complex:
     """Extrapolated limit of mean_theta fn(r e^(2 pi i theta)) as r -> 1-.
 
-    Rational integrands (finite Blaschke content) are analytic across the
-    boundary: deep radii with plain Richardson are exact to rounding.
-    Inner functions of atomic measures have Taylor tails ~ n^(-3/4), so
-    their dilation bias is O(sqrt(1-r)): radii are then tied to the node
-    count (aliasing stays below the bias) and the extrapolation solves in
-    the basis {1, sqrt(h), h}.
+    Rational integrands (polynomials, finite Blaschke content) are
+    analytic across the boundary: the radii 1 - 2^-30, 2^-31 and 2^-32
+    with plain Richardson are exact to rounding.  Inner functions of
+    atomic measures have Taylor tails ~ n^(-3/4), so their dilation bias
+    is O(sqrt(1-r)): radii are then tied to the node count (aliasing stays
+    below the bias) and the extrapolation solves in the basis
+    {1, sqrt(h), h}.
     """
-    th = (np.arange(boundary_n) + 0.5) / boundary_n
-    ez = unit_point(th)
+    ez = _circle_nodes(boundary_n)
     if not singular:
         vals = [complex(np.mean(fn((1.0 - 2.0 ** -k) * ez)))
                 for k in (30, 31, 32)]
@@ -277,21 +243,19 @@ class KernelCheck:
 
 
 def kernel_reproducing_check(spec: ModelKernelSpec, lam2: complex,
-                             boundary_n: int, tol: float = 1e-6,
-                             lam: Optional[complex] = None) -> KernelCheck:
+                             boundary_n: int) -> KernelCheck:
     """Boundary pairing of two kernels against the reproducing value.
 
     The first kernel's base point is the spec's; the pairing with the
     kernel at lam2 must reproduce kappa(lam2, lam).
     """
-    lam = spec.lam if lam is None else lam
-    rhs = complex(_kernel_many(spec, np.array([lam2]), lam)[0])
+    rhs = complex(_kernel_many(spec, np.array([lam2]), spec.lam)[0])
     lhs = _dilated_boundary_mean(
-        lambda zs: _kernel_many(spec, zs, lam) *
+        lambda zs: _kernel_many(spec, zs, spec.lam) *
         np.conj(_kernel_many(spec, zs, lam2)), boundary_n,
         singular=spec.singular is not None)
     scale = 1.0 + abs(rhs)
-    return KernelCheck(lhs, rhs, abs(lhs - rhs) <= tol * scale)
+    return KernelCheck(lhs, rhs, abs(lhs - rhs) <= KERNEL_TOL * scale)
 
 
 @dataclass(frozen=True)
@@ -302,8 +266,7 @@ class OrthogonalityCheck:
 
 def orthogonal_decomposition_check(theta_p: ModelKernelSpec,
                                    theta_c: ModelKernelSpec,
-                                   boundary_n: int,
-                                   tol: float = 1e-5) -> OrthogonalityCheck:
+                                   boundary_n: int) -> OrthogonalityCheck:
     """Kernels of the first factor against first-factor multiples of the
     second factor's kernels: the boundary pairing must vanish.
 
@@ -316,4 +279,4 @@ def orthogonal_decomposition_check(theta_p: ModelKernelSpec,
 
     singular = (theta_p.singular is not None or theta_c.singular is not None)
     val = _dilated_boundary_mean(integrand, boundary_n, singular=singular)
-    return OrthogonalityCheck(val, abs(val) <= tol)
+    return OrthogonalityCheck(val, abs(val) <= ORTHOGONAL_TOL)

@@ -103,13 +103,14 @@ def stagewise_divergent_set(depth: int = 10) -> ClosedCircleSet:
     return part.carrier
 
 
-def harmonic_log_set(materialized: int = HARMONIC_MATERIALIZED) -> ClosedCircleSet:
-    """Gaps of length A/(k log^2 k): the canonical divergent gap family."""
+def harmonic_log_set() -> ClosedCircleSet:
+    """Gaps of length A/(k log^2 k): the canonical divergent gap family,
+    the first HARMONIC_MATERIALIZED of them listed and the rest a tail."""
     amp = 1.0 / circle.LOG_SERIES
-    ks = np.arange(2.0, materialized + 2.0)
+    ks = np.arange(2.0, HARMONIC_MATERIALIZED + 2.0)
     lens = amp / (ks * np.log(ks) ** 2)
     starts = np.concatenate([[0.0], np.cumsum(lens)[:-1]])
-    tail = GapTail("harmonic_log", (amp, materialized + 1))
+    tail = GapTail("harmonic_log", (amp, HARMONIC_MATERIALIZED + 1))
     return ClosedCircleSet(starts, lens, tail=tail, name="harmonic_log")
 
 

@@ -75,7 +75,7 @@ class WeightKind:
     default lambda_hint and ``pow(params, lam)`` the params of w^lam.  A
     closed-form kind also gives log w(t) as ``log(t, *params)`` and
     log(1/w(e^-u)) for a float u as ``neg_log(u, *params)``, both free of
-    underflow, and takes the t -> 0 limit at t = 0.
+    underflow, and its ``value`` itself gives the t -> 0 limit w(0) = +0.0.
     """
 
     fields: tuple
@@ -113,8 +113,6 @@ class Weight:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             out = (np.asarray(self._eval(t_arr), dtype=float) if kind is None
                    else kind.value(t_arr, *self.params))
-        if kind is not None and kind.log is not None:
-            out = np.where(t_arr == 0.0, 0.0, out)  # the t -> 0 limit
         return float(out) if np.isscalar(t) or out.ndim == 0 else out
 
     def log(self, t):

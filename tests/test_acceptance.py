@@ -14,7 +14,7 @@ from gst import entropy, fixtures, weights
 from gst.circle import point_set
 from gst.duality import (DIVERGES, FINITE, ModelKernelSpec, fw_norm,
                          green_identity_check, kernel_reproducing_check,
-                         orthogonal_decomposition_check, poly_function)
+                         orthogonal_decomposition_check)
 from gst.grids import DyadicGrid, feasible_grid, geometric_sum_margin, \
     verify_grid
 from gst.inner_outer import (BlaschkeSeq, auto_carleson_N, carleson_many,
@@ -201,8 +201,9 @@ def test_criterion_09_duality_layer():
                 assert abs(res.lhs - res.oracle) <= 1e-8, (i, j, r)
                 assert abs(res.rhs - res.oracle) <= 1e-8, (i, j, r)
     # reproducing kernels, finite Blaschke at 2^12 nodes
-    spec = ModelKernelSpec(blaschke=BlaschkeSeq((0.5, -0.3 + 0.2j, 0.1j)))
-    kr = kernel_reproducing_check(spec, -0.25 + 0.1j, 2 ** 12, lam=0.3)
+    spec = ModelKernelSpec(blaschke=BlaschkeSeq((0.5, -0.3 + 0.2j, 0.1j)),
+                           lam=0.3)
+    kr = kernel_reproducing_check(spec, -0.25 + 0.1j, 2 ** 12)
     assert abs(kr.lhs - kr.rhs) <= 1e-6
     # orthogonal splitting, including an atomic singular factor
     tp = ModelKernelSpec(blaschke=BlaschkeSeq((0, 0)), lam=0.3)
@@ -212,10 +213,10 @@ def test_criterion_09_duality_layer():
         oc = orthogonal_decomposition_check(tp, tc, n)
         assert abs(oc.pairing) <= 1e-5
     # dual-norm fixture values
-    res = fw_norm(poly_function([0, 1]), W_SQRT)
+    res = fw_norm([0, 1], W_SQRT)
     assert res.tag == FINITE
     assert abs(res.value - 8.0 / 3.0) <= 1e-4
-    assert fw_norm(poly_function([0, 1]), W_T).tag == DIVERGES
+    assert fw_norm([0, 1], W_T).tag == DIVERGES
     _line(9, "dual layer identities", True,
           f"green<=1e-8 (243 pairs), kernel err {abs(kr.lhs - kr.rhs):.1e}, "
           f"fw(z) = {res.value:.6f}")

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gst import (circle, cli, entropy, fixtures, grids, inner_outer, privalov,
-                 roberts, weights)
+from gst import (circle, cli, duality, entropy, fixtures, grids, inner_outer,
+                 privalov, roberts, weights)
 from gst.grids import DyadicGrid
 
 
@@ -97,6 +97,25 @@ class TestSubcommands:
                         capsys)
         assert code == 0
         assert rep["results"]["pairing"]["re"] == pytest.approx(11.0)
+
+    @pytest.mark.parametrize("n", [28, 60, 300, 1000])
+    def test_dual_pair_high_degree(self, n, capsys):
+        ones = json.dumps([1.0] * n)
+        code, rep = run(["dual", "pair", "--g", ones, "--f", ones], capsys)
+        assert code == 0
+        assert rep["results"]["pairing"] == {"re": n, "im": 0.0}
+
+    def test_dual_pair_random_fifty(self, capsys):
+        # magnitudes over six decades and random signs
+        rng = np.random.default_rng(0)
+        g, f = [(10.0 ** rng.uniform(-3.0, 3.0, 50)
+                 * rng.choice([-1.0, 1.0], 50)).tolist() for _ in range(2)]
+        code, rep = run(["dual", "pair", "--g", json.dumps(g),
+                         "--f", json.dumps(f)], capsys)
+        assert code == 0
+        want = duality.pairing_exact(g, f)
+        assert rep["results"]["pairing"] == {"re": want.real,
+                                             "im": want.imag}
 
     def test_measure_classify(self, capsys):
         code, rep = run(["measure", "classify", "--measure",
@@ -261,12 +280,6 @@ class TestReportSinglePass:
             assert calls == {"decompose": [6, kmax], "arc_masses": 6 + kmax}
 
 
-def _random_poly(rng) -> str:
-    mags = 10.0 ** rng.uniform(-3.0, 3.0, 50)
-    return json.dumps((mags * rng.choice([-1.0, 1.0], 50)).tolist())
-
-
-_RNG = np.random.default_rng(0)
 BAD_INPUTS = {
     "nan_atom_mass": (["inner", "eval", "--measure",
                        '{"atoms": [{"pos": 0.0, "mass": NaN}]}',
@@ -313,8 +326,10 @@ BAD_INPUTS = {
                                    '"multipliers": [{"depth": -2, '
                                    '"factors": {"0": 0.5}}]}',
                                    "--weight", "power:1"], 1),
-    "pairing_quadrature_fails": (["dual", "pair", "--g", _random_poly(_RNG),
-                                  "--f", _random_poly(_RNG)], 2),
+    # g conj(f) = 1e20 conj(z) + |z|^2: the boundary mean of 1 drowns in
+    # the rounding of the 1e20 term
+    "pairing_quadrature_fails": (["dual", "pair", "--g", "[1e20,1]",
+                                  "--f", "[0,1]"], 2),
     "privalov_nan_N": (["privalov", "check", "--set", "fixture:point",
                         "--weight", "power:1", "--carleson", "nan"], 1),
     "privalov_infinite_N": (["privalov", "check", "--set", "fixture:point",
@@ -332,6 +347,11 @@ BAD_INPUTS = {
                          "--weight", "power:1", "--c", "nan"], 1),
     "report_nan_K": (["report", "cyclicity", "--measure", "fixture:atom",
                       "--weight", "power:1", "--K", "nan"], 1),
+    "report_zero_K": (["report", "cyclicity", "--measure", "fixture:atom",
+                       "--weight", "power:1", "--K", "0"], 1),
+    "report_negative_K": (["report", "cyclicity", "--measure",
+                           "fixture:atom", "--weight", "power:1", "--K",
+                           "-1"], 1),
     "report_infinite_c": (["report", "cyclicity", "--measure",
                            "fixture:atom", "--weight", "power:1",
                            "--c", "inf"], 1),

@@ -4,33 +4,104 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 
 from gst import fixtures, weights
-from gst.duality import (DIVERGES, FINITE, ModelKernelSpec,
-                         _kernel_many, cauchy_pairing_poly, fw_norm,
-                         green_identity_check, kernel_reproducing_check,
+from gst.duality import (DIVERGES, FINITE, FW_ANGLES, FwNorm,
+                         ModelKernelSpec, _kernel_many, cauchy_pairing_poly,
+                         fw_norm, green_identity_check,
+                         kernel_reproducing_check,
                          orthogonal_decomposition_check,
-                         pairing_boundary_quadrature, pairing_exact,
-                         poly_function)
+                         pairing_boundary_quadrature, pairing_exact)
 from gst.inner_outer import BlaschkeSeq, unit_point
 
 W_T = weights.power(1.0)
 W_SQRT = weights.power(0.5)
 
 
+def wrapped_fw_norm(coeffs, w, quad_depth):
+    """The F_w norm as computed through a function wrapper: f and f' are
+    closures over the coefficients, |f(0)| is an evaluation of f, and the
+    angular nodes are built by hand."""
+    c = np.asarray(coeffs, dtype=complex)
+    dc = c[1:] * np.arange(1, c.size)
+
+    def f(z):
+        return polyval(np.asarray(z, dtype=complex), c)
+
+    def deriv(z):
+        z = np.asarray(z, dtype=complex)
+        return polyval(z, dc) if dc.size else np.zeros_like(z)
+
+    nodes, wts = np.polynomial.legendre.leggauss(10)
+    ez = unit_point((np.arange(FW_ANGLES) + 0.5) / FW_ANGLES)
+    contributions = []
+    for j in range(quad_depth):
+        lo, hi = 1.0 - 2.0 ** -j, 1.0 - 2.0 ** -(j + 1)
+        mid, rad = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        total = 0.0
+        for r, wt in zip(mid + rad * nodes, wts):
+            mean = float(np.mean(np.abs(deriv(r * ez))))
+            total += wt * 2.0 * r * mean / float(w(1.0 - r))
+        contributions.append(total * rad)
+    head = abs(complex(f(np.array([0.0]))[0]))
+    cs = np.array(contributions)
+    if cs[cs > 0].size >= 6:
+        rho = float(np.max(cs[-4:] / np.maximum(cs[-5:-1], 1e-300)))
+        if rho >= 0.98 and cs[-1] > 1e-13 * (1.0 + np.sum(cs)):
+            return FwNorm(DIVERGES, None)
+        rho = min(rho, 0.97)
+        tail = float(cs[-1]) * rho / (1.0 - rho)
+    else:
+        tail = 0.0
+    return FwNorm(FINITE, head + float(np.sum(cs)) + tail, tail)
+
+
+def radius_pairing_oracle(a, b, r):
+    """sum a_n conj(b_n) r^(2n), written out."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    n = min(a.size, b.size)
+    return complex(np.sum(a[:n] * np.conj(b[:n]) * r ** (2.0 * np.arange(n))))
+
+
+def _bits(res):
+    """tag, value and tail estimate, floats as their exact hex forms."""
+    value = None if res.value is None else float(res.value).hex()
+    return res.tag, value, float(res.tail_estimate).hex()
+
+
+_RNG5 = np.random.default_rng(11)
+FW_COEFFS = [[1.0], [0.0, 1.0],
+             _RNG5.normal(size=6) + 1j * _RNG5.normal(size=6),
+             [1e308, 1e308]]
+
+
 class TestFwNorm:
     def test_identity_sqrt_weight_closed_form(self):
-        res = fw_norm(poly_function([0, 1]), W_SQRT)
+        res = fw_norm([0, 1], W_SQRT)
         assert res.tag == FINITE
         assert res.value == pytest.approx(8.0 / 3.0, abs=1e-4)
 
     def test_identity_linear_weight_diverges(self):
-        res = fw_norm(poly_function([0, 1]), W_T)
+        res = fw_norm([0, 1], W_T)
         assert res.tag == DIVERGES
 
     def test_constant(self):
-        res = fw_norm(poly_function([1.0]), W_SQRT)
+        res = fw_norm([1.0], W_SQRT)
         assert res.tag == FINITE and res.value == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("w", [
+        weights.power(0.3), W_SQRT, weights.power(0.97), weights.power(1.5),
+        weights.exp_log(1.0, 0.8),
+        weights.table_weight([(0.0, 0.0), (0.25, 0.4), (1.0, 1.0)])],
+        ids=lambda w: w.label())
+    def test_bits_match_the_wrapped_function(self, w):
+        for coeffs in FW_COEFFS:
+            for depth in (1, 5, 40, 53):
+                assert (_bits(fw_norm(coeffs, w, depth))
+                        == _bits(wrapped_fw_norm(coeffs, w, depth))), (
+                    coeffs, depth)
 
 
 class TestPairing:
@@ -48,6 +119,20 @@ class TestPairing:
         exact = pairing_exact(a, b)
         quad = pairing_boundary_quadrature(a, b)
         assert abs(exact - quad) <= 1e-8 * (1.0 + abs(exact))
+
+    @pytest.mark.parametrize("n", [28, 300, 3000])
+    def test_quadrature_agrees_at_high_degree(self, n):
+        quad = pairing_boundary_quadrature(np.ones(n), np.ones(n))
+        assert abs(quad - n) <= 1e-12 * n
+
+    @pytest.mark.parametrize("r", [0.5, 0.9, 0.99, 1.0])
+    def test_exact_is_the_written_out_sum(self, r):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=6) + 1j * rng.normal(size=6)
+        b = rng.normal(size=9) + 1j * rng.normal(size=9)
+        assert pairing_exact(a, b, r) == radius_pairing_oracle(a, b, r)
+        if r == 1.0:
+            assert pairing_exact(a, b) == complex(np.sum(a * np.conj(b[:6])))
 
 
 class TestGreenIdentity:
@@ -101,21 +186,22 @@ class TestModelKernel:
 
 class TestReproducing:
     def test_shift_kernel(self):
-        spec = ModelKernelSpec(blaschke=BlaschkeSeq((0,)))
-        res = kernel_reproducing_check(spec, 0.1, 2 ** 10, lam=0.3)
+        spec = ModelKernelSpec(blaschke=BlaschkeSeq((0,)), lam=0.3)
+        res = kernel_reproducing_check(spec, 0.1, 2 ** 10)
         assert res.ok
         assert res.lhs == pytest.approx(1.0, abs=1e-9)
 
     def test_cube_matches_closed_form(self):
-        spec = ModelKernelSpec(blaschke=BlaschkeSeq((0, 0, 0)))
-        res = kernel_reproducing_check(spec, -0.2, 2 ** 12, lam=0.3)
+        spec = ModelKernelSpec(blaschke=BlaschkeSeq((0, 0, 0)), lam=0.3)
+        res = kernel_reproducing_check(spec, -0.2, 2 ** 12)
         assert res.ok and abs(res.lhs - res.rhs) <= 1e-6
 
     def test_error_decays_with_nodes(self):
-        spec = ModelKernelSpec(blaschke=BlaschkeSeq((0.5, -0.3 + 0.2j)))
+        spec = ModelKernelSpec(blaschke=BlaschkeSeq((0.5, -0.3 + 0.2j)),
+                               lam=0.4j)
         errs = []
         for n in (2 ** 8, 2 ** 10, 2 ** 12):
-            res = kernel_reproducing_check(spec, 0.25, n, lam=0.4j)
+            res = kernel_reproducing_check(spec, 0.25, n)
             errs.append(abs(res.lhs - res.rhs))
         for e1, e2 in zip(errs, errs[1:]):
             assert e2 <= max(e1 / 2.0, 1e-12)
@@ -170,7 +256,7 @@ class TestDualityBound:
             b = rng.normal(size=deg_f + 1)
             pair = abs(pairing_exact(a, b))
             gn = _growth_sup(a, W_SQRT)
-            fn = fw_norm(poly_function(b), W_SQRT).value
+            fn = fw_norm(b, W_SQRT).value
             if gn * fn > 0:
                 worst = max(worst, pair / (gn * fn))
         assert worst <= 4.0

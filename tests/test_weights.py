@@ -117,6 +117,17 @@ class TestModulusOfContinuity:
         with pytest.raises(weights.InvalidWeightError):
             check_modulus_of_continuity(bad, 8)
 
+    def test_closed_forms_vanish_at_zero(self):
+        # each closed-form value formula gives w(0) = +0.0 by itself
+        params = np.logspace(-300.0, 300.0, 25)
+        ws = [weights.power(a) for a in params]
+        ws += [weights.log_power(c, d) for c in params
+               for d in range(1, weights.MAX_LOG_DEPTH + 1)]
+        ws += [weights.exp_log(a, b) for a in params for b in params]
+        for w in ws:
+            for v in (w(0.0), w(np.zeros(3))[0]):
+                assert v == 0.0 and not np.signbit(v), w.label()
+
     @pytest.mark.parametrize("depth", [3, weights.MAX_GRID_DEPTH + 1])
     def test_depth_out_of_range_rejected(self, depth):
         with pytest.raises(ValueError):
