@@ -42,7 +42,9 @@ every seed; the second is rotated, so its set may wrap angle 0); one
 ``privalov check --samples 300`` on the depth-6 triadic set turned so
 that a gap wraps angle 0;
 ``weight check --alpha 0.5`` on four majorants and a table weight that is
-not subadditive, and ``weight check`` at ``--depth`` 14 and 16; ``grid
+not subadditive, ``weight check`` on ``power:0.15``, ``exp_log:0.1,1.2``
+and a concave table, which their kinds' records settle, and ``weight
+check`` at ``--depth`` 14 and 16; ``grid
 build`` and ``set entropy --form both`` on the triadic set, each with a
 power and an ``exp_log`` weight; ``set entropy --form both`` on the
 triadic set under ``log:3`` and under its JSON form
@@ -82,6 +84,9 @@ WEIGHTS = ("power:0.3", "power:0.7", "power:1.5", EXP_LOG_WEIGHT)
 # 2 w(1/8) < w(1/4): not subadditive, first seen at depth 3
 TABLE_WEIGHT = json.dumps({"kind": "table", "lambda_hint": 0.5, "points": [
     [0, 0], [0.09, 0.1], [0.19, 0.25], [1, 1]]})
+# every segment meets t = 0 at or above 0: its own record proves it
+CONCAVE_TABLE = json.dumps({"kind": "table", "points": [
+    [0, 0], [0.25, 0.5], [0.5, 0.75], [1, 1]]})
 Z_POINTS = ("0.3+0.1i", "0.99", "-0.5+0.8i", "0.0005-0.9999i")
 
 
@@ -176,6 +181,14 @@ def cases():
     for name, weight in [(w, w) for w in WEIGHTS] + [("table", TABLE_WEIGHT)]:
         yield f"weight check {name}", (
             "weight", "check", "--weight", weight, "--alpha", "0.5")
+    # settled by the weight's record: t^0.15, whose continuity grid steps
+    # past CONTINUITY_TOL near t = 2^-20, exp_log with beta > 1, no
+    # majorant, and a table whose segments prove it
+    for name, weight in (("power:0.15", "power:0.15"),
+                         ("exp_log:0.1,1.2", "exp_log:0.1,1.2"),
+                         ("concave table", CONCAVE_TABLE)):
+        yield f"weight check {name} without --alpha", (
+            "weight", "check", "--weight", weight)
     # depth 14 sweeps blocks of 4 rows, depth 16 blocks of one row
     for depth in (14, 16):
         yield f"weight check power:0.5 depth {depth}", (

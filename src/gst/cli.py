@@ -154,7 +154,9 @@ def cmd_weight(args):
         a2 = weights.check_A2(w, args.alpha, args.quad_depth, work)
         out["A2"] = {"dini_integral": a2.dini_integral, "ok": a2.ok,
                      "low": a2.low, "high": a2.high}
-    return out, {"continuity_grids": work["continuity_grids"],
+    return out, {"majorant_certified": maj.certified,
+                 "slope_proofs": work["slope_proofs"],
+                 "continuity_grids": work["continuity_grids"],
                  "sweep_rows": work["sweep_rows"]}
 
 

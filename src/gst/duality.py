@@ -62,26 +62,31 @@ def fw_norm(coeffs, w: Weight, quad_depth: int = 40) -> FwNorm:
     decaying the norm is tagged divergent; otherwise the geometric trend
     extrapolates the remaining tail.  Past QUAD_DEPTH_MAX the Gauss nodes
     of the last annulus round to r = 1 in float64, where w(1 - r) = 0, so
-    deeper quadratures are refused.
+    deeper quadratures are refused.  An annulus sum past the float range
+    raises OverflowError.
     """
     if not 1 <= quad_depth <= QUAD_DEPTH_MAX:
         raise ValueError(
             f"quad_depth must lie in [1, {QUAD_DEPTH_MAX}], got {quad_depth}")
     c = np.asarray(coeffs, dtype=complex)
-    dc = c[1:] * np.arange(1, c.size)
     nodes, wts = np.polynomial.legendre.leggauss(10)
     ez = _circle_nodes(FW_ANGLES)
     contributions = []
-    for j in range(quad_depth):
-        lo, hi = 1.0 - 2.0 ** -j, 1.0 - 2.0 ** -(j + 1)
-        mid, rad = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        rs = mid + rad * nodes
-        total = 0.0
-        for r, wt in zip(rs, wts):
-            mean = (float(np.mean(np.abs(_polyval(r * ez, dc)))) if dc.size
-                    else 0.0)
-            total += wt * 2.0 * r * mean / float(w(1.0 - r))
-        contributions.append(total * rad)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        dc = c[1:] * np.arange(1, c.size)
+        for j in range(quad_depth):
+            lo, hi = 1.0 - 2.0 ** -j, 1.0 - 2.0 ** -(j + 1)
+            mid, rad = 0.5 * (hi + lo), 0.5 * (hi - lo)
+            rs = mid + rad * nodes
+            total = 0.0
+            for r, wt in zip(rs, wts):
+                mean = (float(np.mean(np.abs(_polyval(r * ez, dc))))
+                        if dc.size else 0.0)
+                total += wt * 2.0 * r * mean / float(w(1.0 - r))
+            if not math.isfinite(total):
+                raise OverflowError(
+                    f"F_w annulus {j} sums to {total}: float overflow")
+            contributions.append(total * rad)
     head = abs(complex(c[0]))
     cs = np.array(contributions)
     pos = cs[cs > 0]

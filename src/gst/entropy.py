@@ -215,7 +215,18 @@ def entropy_integral(E: ClosedCircleSet, w: Weight,
     to the set sweeps (0, L/2] twice per gap.  ``summed``, the caller's
     ``entropy_sum(E, w)``, lends its tail bracket and its evidence, so a
     report of both forms brackets the tail once.
+
+    A divergent tail certificate is read before lambda is needed: each
+    gap's integral is at most L log w(L/2) <= L log w(L), its sum term,
+    for any nondecreasing w, so it holds for a weight that is no majorant.
     """
+    sums = None
+    if E.tail is not None:
+        sums = (summed and summed.tail_bounds) or _tail_sum_bounds(E.tail, w)
+        if sums is not None and sums[0] == -math.inf:
+            return TaggedValue(
+                DIVERGES, None, -math.inf, -math.inf,
+                "generator tail certificate (integral comparison)")
     lam = effective_lambda(w)
     vals, err = _gap_integral_values(w, E.lengths, lam)
     if np.any(~np.isfinite(vals)):
@@ -225,16 +236,12 @@ def entropy_integral(E: ClosedCircleSet, w: Weight,
     if E.tail is None:
         return TaggedValue(FINITE, explicit, explicit - err, explicit + err,
                            "finite gap family")
-    sums = (summed and summed.tail_bounds) or _tail_sum_bounds(E.tail, w)
     if sums is None:
         tag = (summed or entropy_sum(E, w)).result.tag
         return TaggedValue(tag if tag != FINITE else UNDECIDED, None,
                            -math.inf, explicit,
                            "integral tail follows the sum-form evidence")
     lo, hi = sums
-    if lo == -math.inf:
-        return TaggedValue(DIVERGES, None, -math.inf, -math.inf,
-                           "generator tail certificate (integral comparison)")
     slack = (1.0 + 2.0 * math.log(2.0) + _lambda_log_bound(w, lam)) / lam
     tail_lo = lo - slack * E.tail.gap_mass()
     tail_hi = hi

@@ -1,11 +1,16 @@
-"""Weights and majorants on [0,1] with grid-certified regularity checks.
+"""Weights and majorants on [0,1] and their regularity checks.
 
 A weight is a continuous nondecreasing function w on [0,1] with w(0) = 0.
 A majorant is a weight such that w^lambda is a modulus of continuity
-(nondecreasing, subadditive, vanishing at 0) for some lambda > 0.  All
-checks in this module operate on dyadic sample grids with an absolute
-comparison tolerance of ORDER_TOL; they certify behaviour at the sampled
-resolution, nothing finer.
+(nondecreasing, subadditive, vanishing at 0) for some lambda > 0.
+
+The built-in kinds are proved: each closed-form ``KINDS`` record gives the
+exact slope sup over u >= 0 of d/du log(1/w(e^-u)), and lambda times it at
+most 1 makes w^lambda(t)/t nonincreasing, so w^lambda a modulus of
+continuity; a table's segments are checked exactly.  The dyadic grids,
+compared with an absolute tolerance of ORDER_TOL, are the fallback for
+what no record settles: a violation they find is a disproof, a pass only
+evidence at the sampled resolution.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import math
 import reprlib
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -42,9 +48,6 @@ SUP_RTOL = 2.0 ** -20  # how far a moment_sup cell's bound may pass its best
 SUP_SPLIT = 8
 SUP_ROUNDS = 16
 CF_TERMS = 4096  # most terms of Legendre's continued fraction
-
-_CONTINUITY_GRID = np.linspace(0.0, 1.0, 2 ** CONTINUITY_DEPTH + 1)
-_CONTINUITY_GRID.setflags(write=False)
 
 
 class InvalidWeightError(ValueError):
@@ -76,6 +79,9 @@ class WeightKind:
     closed-form kind also gives log w(t) as ``log(t, *params)`` and
     log(1/w(e^-u)) for a float u as ``neg_log(u, *params)``, both free of
     underflow, and its ``value`` itself gives the t -> 0 limit w(0) = +0.0.
+    Its ``slope(*params)`` is the exact sup over u >= 0 of
+    d/du log(1/w(e^-u)), a Fraction of the float params, or None where the
+    slope is unbounded (``_record_verdict`` reads it).
     """
 
     fields: tuple
@@ -89,6 +95,7 @@ class WeightKind:
     spec: Callable = tuple
     log: Optional[Callable] = None
     neg_log: Optional[Callable] = None
+    slope: Optional[Callable] = None
 
 
 @dataclass(frozen=True)
@@ -219,14 +226,24 @@ def custom_weight(name, eval_fn, log_eval=None) -> Weight:
     return Weight("custom", (), name=name, _eval=eval_fn, _log_eval=log_eval)
 
 
+def _reciprocal_hint(slope: float) -> float:
+    """min(1, the largest float lam with lam * slope <= 1 exactly): the
+    default lambda, which the slope then proves."""
+    lam = 1.0 / slope
+    if Fraction(lam) * Fraction(slope) > 1:
+        lam = math.nextafter(lam, 0.0)
+    return min(1.0, lam)
+
+
 KINDS = {
     "power": WeightKind(
         fields=("alpha",), required=1, short="power", make=power,
         value=lambda t, a: np.power(t, a),
         log=lambda t, a: a * np.log(t),
         neg_log=lambda u, a: a * u,
+        slope=Fraction,
         label=lambda a: f"t^{a:g}",
-        hint=lambda a: min(1.0, 1.0 / a)),
+        hint=_reciprocal_hint),
     "log_power": WeightKind(
         fields=("c", "depth"), required=1, short="log", make=log_power,
         value=lambda t, c, depth: np.power(
@@ -235,14 +252,17 @@ KINDS = {
             _nested_log(1.0 + np.log(1.0 / t), depth)),
         neg_log=lambda u, c, depth: c * math.log(
             _nested_log(1.0 + u, depth, math.log)),
+        # d/du log L_d(u) is at most 1, its value at u = 0, at any depth
+        slope=lambda c, depth: Fraction(c),
         label=lambda c, depth: f"{'log' * depth}^-{c:g}",
-        # log^-c is subadditive only once the exponent is brought down to ~1
-        hint=lambda c, depth: min(1.0, 1.0 / c)),
+        hint=lambda c, depth: _reciprocal_hint(c)),
     "exp_log": WeightKind(
         fields=("alpha", "beta"), required=2, short="exp_log", make=exp_log,
         value=lambda t, a, b: np.exp(-a * np.power(1.0 + np.log(1.0 / t), b)),
         log=lambda t, a, b: -a * np.power(1.0 + np.log(1.0 / t), b),
         neg_log=lambda u, a, b: a * (1.0 + u) ** b,
+        # a b (1 + u)^(b - 1): its value at u = 0 for b <= 1, unbounded past
+        slope=lambda a, b: Fraction(a) * Fraction(b) if b <= 1 else None,
         label=lambda a, b: f"exp(-{a:g} log^{b:g})",
         hint=lambda a, b: 1.0 if b <= 1 else None),
     "table": WeightKind(
@@ -317,6 +337,63 @@ def _check_grid_depth(grid_depth: int) -> None:
         raise ValueError(f"grid_depth must be at most {MAX_GRID_DEPTH}")
 
 
+@lru_cache(maxsize=1)
+def _continuity_grid() -> np.ndarray:
+    """The read-only 2^CONTINUITY_DEPTH grid, built on first use: only
+    weights that no record settles read it."""
+    grid = np.linspace(0.0, 1.0, 2 ** CONTINUITY_DEPTH + 1)
+    grid.setflags(write=False)
+    return grid
+
+
+def _table_proof(ts, vs, lam: float) -> bool:
+    """Whether f^lam(t)/t is proved nonincreasing on (0, 1], f the
+    piecewise-linear table through (ts, vs), with f(0) = 0 and f
+    nondecreasing and continuous.
+
+    Exactly, in Fractions of the floats: v(0) = 0, and every segment
+    f = v0 + m (t - t0) rises over a positive width with lam m t <= f(t),
+    a linear condition checked at both ends.  At lam = 1 that says the
+    segment meets t = 0 at or above 0.
+    """
+    t, v = [Fraction(x) for x in ts], [Fraction(x) for x in vs]
+    lam = Fraction(lam)
+    return v[0] == 0 and all(
+        t1 > t0 and v1 >= v0 and lam * (v1 - v0) * t0 <= v0 * (t1 - t0)
+        and lam * (v1 - v0) * t1 <= v1 * (t1 - t0)
+        for t0, t1, v0, v1 in zip(t, t[1:], v, v[1:]))
+
+
+def _record_verdict(w: Weight, lam: float, work=None) -> Optional[bool]:
+    """Whether the record of w's kind proves (True) or disproves (False)
+    that w^lam is a modulus of continuity; None where it settles neither.
+
+    With g(u) = lam log(1/w(e^-u)), w^lam(t)/t is nonincreasing exactly
+    when g' <= 1, that is lam times the kind's slope at most 1, compared
+    in Fractions.  A nonincreasing w^lam(t)/t with w(0) = 0 makes w^lam
+    subadditive, w(s + t) <= s w(s)/s + t w(t)/t, and the closed forms
+    are continuous and nondecreasing.  An unbounded slope (exp_log with
+    beta > 1) disproves every lam: there w^lam(t)/t -> 0, while a nonzero
+    nondecreasing subadditive f on [0, 1] has f(t) >= f(1) t/2.  A table
+    is proved by _table_proof twice, for w^lam itself and for the table
+    of the values v^lam that ``w.pow(lam)`` builds, and never disproved.
+    ``work``, a Counter, gains one ``slope_proofs`` per settled verdict.
+    """
+    kind = KINDS.get(w.kind)
+    if w.kind == "table":
+        # a table may start just below 0, where v^lam is not real
+        verdict = (_table_proof(*w.params, lam)
+                   and _table_proof(*w.pow(lam).params, 1.0)) or None
+    elif kind is None or kind.slope is None:
+        verdict = None
+    else:
+        slope = kind.slope(*w.params)
+        verdict = slope is not None and (Fraction(lam) * slope <= 1 or None)
+    if work is not None and verdict is not None:
+        work["slope_proofs"] += 1
+    return verdict
+
+
 def _continuity_violation(w: Weight, work=None) -> Optional[ModulusCheck]:
     """The failed check of w on the 2^CONTINUITY_DEPTH grid, or None.
 
@@ -326,7 +403,7 @@ def _continuity_violation(w: Weight, work=None) -> Optional[ModulusCheck]:
     """
     if work is not None:
         work["continuity_grids"] += 1
-    fine = _CONTINUITY_GRID
+    fine = _continuity_grid()
     fvals = np.asarray(w(fine))
     _validate_values(w, fvals)
     if abs(fvals[0]) > ORDER_TOL:
@@ -396,21 +473,28 @@ def _subadditivity_violation(w: Weight, grid_depth: int,
 
 def check_modulus_of_continuity(w: Weight, grid_depth: int,
                                 work=None) -> ModulusCheck:
-    """Certify monotonicity, continuity, w(0)=0 and subadditivity on a dyadic grid.
+    """Monotonicity, continuity, w(0)=0 and subadditivity of w.
 
-    The check has two halves, run in this order.  Monotonicity and
-    continuity are checked on the fixed 2^CONTINUITY_DEPTH grid
-    (``_continuity_violation``).  Subadditivity, w(s) + w(t) >= w(s + t), is
-    then swept over the grids k/2^d for d = 2 .. grid_depth, coarse to fine,
-    in blocks of rows s = i/2^d, each row against every t = j/2^d with
-    i <= j and i + j <= 2^d (``_subadditivity_violation``).  The returned
+    The kind's record is consulted first (``_record_verdict`` at lambda 1);
+    a disproof has no witness.  What it leaves open goes to the grids,
+    whose pass is evidence at their resolution.  The grid check has two
+    halves, run in this order.  Monotonicity and continuity are checked on
+    the fixed 2^CONTINUITY_DEPTH grid (``_continuity_violation``).
+    Subadditivity, w(s) + w(t) >= w(s + t), is then swept over the grids
+    k/2^d for d = 2 .. grid_depth, coarse to fine, in blocks of rows
+    s = i/2^d, each row against every t = j/2^d with i <= j and
+    i + j <= 2^d (``_subadditivity_violation``).  The returned
     witness is thus the first failed continuity check, or else the first
     violating pair, in row-major order, at the coarsest failing resolution.
     Scratch memory is O(2^grid_depth) and time O(4^grid_depth); grid_depth
     must lie in 4 .. MAX_GRID_DEPTH.  ``work``, a Counter, gains
-    ``continuity_grids`` and ``sweep_rows``.
+    ``slope_proofs``, ``continuity_grids`` and ``sweep_rows``.
     """
     _check_grid_depth(grid_depth)
+    proved = _record_verdict(w, 1.0, work)
+    if proved is not None:
+        return ModulusCheck(True) if proved else ModulusCheck(
+            False, None, "w(t)/t -> 0 as t -> 0: not subadditive")
     return (_continuity_violation(w, work)
             or _subadditivity_violation(w, grid_depth, work)
             or ModulusCheck(True))
@@ -418,15 +502,22 @@ def check_modulus_of_continuity(w: Weight, grid_depth: int,
 
 @dataclass(frozen=True)
 class MajorantCheck:
+    """The first lambda that passed, if any.  ``certified`` says that the
+    verdict rests on the kind's record alone: it proves lam, or it
+    disproves every candidate."""
+
     ok: bool
     lam: Optional[float] = None
+    certified: bool = False
 
 
 def check_majorant(w: Weight, lambda_candidates=DEFAULT_LAMBDAS,
                    grid_depth: int = 10, work=None) -> MajorantCheck:
     """First lambda in the candidate list with w^lambda a modulus of continuity.
 
-    A candidate passes when both halves of check_modulus_of_continuity
+    Each candidate goes to the kind's record first (``_record_verdict``):
+    a proof takes it, a disproof skips it.  A candidate neither settles
+    passes when both halves of check_modulus_of_continuity's grid check
     pass, so each is swept first: the sweep usually fails on the coarsest
     grids, and only a candidate that passes it pays for the
     2^CONTINUITY_DEPTH continuity grid.  A NaN or negative value off every
@@ -436,17 +527,24 @@ def check_majorant(w: Weight, lambda_candidates=DEFAULT_LAMBDAS,
     if not lambda_candidates:
         raise ValueError("need at least one lambda candidate")
     _check_grid_depth(grid_depth)
+    disproved = True
     for lam in lambda_candidates:
-        wl = w.pow(lam)
-        if (_subadditivity_violation(wl, grid_depth, work) is None
-                and _continuity_violation(wl, work) is None):
-            return MajorantCheck(True, lam)
-    return MajorantCheck(False)
+        proved = _record_verdict(w, lam, work)
+        if proved:
+            return MajorantCheck(True, lam, True)
+        if proved is None:
+            disproved = False
+            wl = w.pow(lam)
+            if (_subadditivity_violation(wl, grid_depth, work) is None
+                    and _continuity_violation(wl, work) is None):
+                return MajorantCheck(True, lam)
+    return MajorantCheck(False, certified=disproved)
 
 
 @lru_cache(maxsize=256)
 def effective_lambda(w: Weight) -> float:
-    """Largest certified lambda with w^lambda a modulus of continuity.
+    """Largest lambda with w^lambda a modulus of continuity, by
+    check_majorant: proved by the kind's record, or else grid evidence.
 
     The declared lambda_hint is validated before use; candidates are tried
     largest first because a larger exponent tightens every bound downstream.

@@ -3,6 +3,7 @@
 import io
 import json
 import sys
+import warnings
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -29,17 +30,50 @@ class TestSubcommands:
         assert rep["schema"] == "gst-1"
         assert rep["results"]["majorant"]["ok"]
 
-    @pytest.mark.parametrize("spec", ["power:1.5", "power:0.3",
-                                      "exp_log:1.0,0.8"])
-    def test_weight_check_meta_counts_continuity_grids(self, spec, capsys):
-        # one grid each for the modulus check, the majorant search and A2's
-        # majorant precondition: a search pays only for the λ that passes
+    # (spec, slope_proofs, continuity_grids) with --alpha 0.5: the records
+    # prove the majorant λ and A2's precondition; only t^1.5's modulus check
+    # (slope 1.5 > 1) takes the grids.  No record settles the table (its
+    # last segment meets t = 0 at -0.1), so its modulus check, majorant
+    # search and A2 precondition each pay for one grid, at the λ that
+    # passes.
+    @pytest.mark.parametrize("spec, proofs, grids", [
+        ("power:1.5", 2, 1), ("power:0.3", 3, 0), ("exp_log:1.0,0.8", 3, 0),
+        (json.dumps({"kind": "table", "lambda_hint": 0.5, "points": [
+            [0, 0], [0.5, 0.5], [0.6, 0.5], [1, 0.9]]}), 0, 3)],
+        ids=["power:1.5", "power:0.3", "exp_log:1.0,0.8", "table"])
+    def test_weight_check_meta_counts_continuity_grids(self, spec, proofs,
+                                                       grids, capsys):
         code, rep = run(["weight", "check", "--weight", spec, "--alpha",
                          "0.5"], capsys)
         assert code == 0
-        assert rep["meta"]["continuity_grids"] == 3
+        assert rep["meta"]["slope_proofs"] == proofs
+        assert rep["meta"]["continuity_grids"] == grids
+        assert rep["meta"]["majorant_certified"] == (grids < 3)
         assert rep["meta"]["sweep_rows"] > 0
-        assert "continuity_grids" not in rep["results"]
+        for key in ("slope_proofs", "continuity_grids", "majorant_certified"):
+            assert key not in rep["results"]
+
+    # the continuity grid called t^0.15 and exp_log(0.17, 0.8) jump
+    # discontinuities (their steps near t = 2^-20 pass CONTINUITY_TOL)
+    @pytest.mark.parametrize("spec", ["power:0.15", "exp_log:0.17,0.8"])
+    def test_weight_check_proves_small_exponents(self, spec, capsys):
+        code, rep = run(["weight", "check", "--weight", spec], capsys)
+        assert code == 0
+        assert rep["results"]["modulus_of_continuity"] == {
+            "ok": True, "witness": None, "reason": ""}
+        assert rep["meta"]["continuity_grids"] == 0
+
+    # exp_log with beta > 1 is no majorant; the grids passed λ = 4 and 0.25
+    @pytest.mark.parametrize("spec", ["exp_log:0.1,1.2", "exp_log:0.5,1.5"])
+    def test_weight_check_disproves_exp_log_beta_above_one(self, spec,
+                                                           capsys):
+        code, rep = run(["weight", "check", "--weight", spec], capsys)
+        assert code == 0
+        assert rep["results"]["majorant"] == {"ok": False, "lambda": None}
+        assert not rep["results"]["modulus_of_continuity"]["ok"]
+        assert rep["meta"]["majorant_certified"]
+        assert rep["meta"]["continuity_grids"] == 0
+        assert rep["meta"]["sweep_rows"] == 0
 
     def test_set_entropy(self, capsys):
         code, rep = run(["set", "entropy", "--set", "fixture:point",
@@ -130,6 +164,19 @@ class TestSubcommands:
                          "--grid", "[4,12,36]"], capsys)
         assert code == 0
         assert rep["results"]["is_w_grid"]
+
+    def test_dual_fw_norm_overflow(self, capsys):
+        # f' = 1e308: the first annulus sum overflows, and no numpy warning
+        # reaches stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["dual", "fw-norm", "--f", "[1e308,1e308]",
+                             "--weight", "power:0.5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        error = json.loads(captured.out)["results"]["uncertified"]["error"]
+        assert error.startswith("OverflowError") and "overflow" in error
 
     def test_dual_fw_norm(self, capsys):
         code, rep = run(["dual", "fw-norm", "--f", "[0,1]",
@@ -504,6 +551,8 @@ BAD_INPUTS.update({
     "pair_without_f": (["dual", "pair", "--g", "[1]"], 1),
     "pair_overflow": (["dual", "pair", "--g", "[1e308, 1e308]",
                        "--f", "[1e308, 1]"], 2),
+    "fw_norm_overflow": (["dual", "fw-norm", "--f", "[1e308,1e308]",
+                          "--weight", "power:0.5"], 2),
     "fw_norm_number_coefficients": (["dual", "fw-norm", "--f", "5",
                                      "--weight", "power:1"], 1),
     "fw_norm_without_f": (["dual", "fw-norm", "--weight", "power:1"], 1),

@@ -3,8 +3,10 @@
 import math
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -240,8 +242,11 @@ class TestMajorantSearchOracle:
         assert (res.ok, res.lam) == oracle_majorant(w, DEFAULT_LAMBDAS, depth)
 
     def test_continuity_grid_evaluated_once(self, monkeypatch):
-        # t^1.5: the sweep rejects λ = 4, 2 and 1, and λ = 0.5 passes; a
-        # search that checks each candidate in full evaluates the grid 4 times
+        # a table no record settles (its last segment meets t = 0 at -0.1):
+        # the sweep rejects λ = 4 and 2, and λ = 1 passes; a search that
+        # checks each candidate in full evaluates the grid 3 times.  For
+        # t^1.5 the sweep rejects λ = 4, 2 and 1, and the power record
+        # proves λ = 0.5 without the grid.
         sizes = []
         call = weights.Weight.__call__
 
@@ -250,11 +255,17 @@ class TestMajorantSearchOracle:
             return call(self, t)
 
         monkeypatch.setattr(weights.Weight, "__call__", counting)
-        work = Counter()
-        assert check_majorant(weights.power(1.5), work=work) == \
-            MajorantCheck(True, 0.5)
-        assert sizes.count(2 ** CONTINUITY_DEPTH + 1) == 1
-        assert work["continuity_grids"] == 1
+        table = weights.table_weight([(0, 0), (0.5, 0.5), (0.6, 0.5),
+                                      (1, 0.9)])
+        for w, lam, grids, proofs in ((table, 1.0, 1, 0),
+                                      (weights.power(1.5), 0.5, 0, 1)):
+            sizes.clear()
+            work = Counter()
+            assert check_majorant(w, work=work) == \
+                MajorantCheck(True, lam, grids == 0)
+            assert sizes.count(2 ** CONTINUITY_DEPTH + 1) == grids
+            assert work["continuity_grids"] == grids
+            assert work["slope_proofs"] == proofs
 
     def test_nan_off_the_sweep_grids(self):
         # NaN on |t - 0.3| < 1e-5, which no dyadic grid up to depth 10
@@ -294,6 +305,159 @@ class TestMajorant:
             for lam in (0.25, 0.5, 2.0, 4.0):
                 scaled = tuple(lam0 * c for c in (1.0, 0.5, 0.25, 0.125))
                 assert check_majorant(w.pow(lam), scaled).ok, (name, lam)
+
+
+def strata_corners() -> dict:
+    """The corners of the benchmark's weight strata: power exponents in
+    [0.2, 0.45], [0.55, 0.9] and [1.1, 2.0], exp_log alpha in [0.5, 1.5]
+    and beta in [0.6, 1]."""
+    ws = {f"t^{a:g}": weights.power(a)
+          for a in (0.2, 0.45, 0.55, 0.9, 1.1, 2.0)}
+    ws.update({f"exp_log({a:g},{b:g})": weights.exp_log(a, b)
+               for a in (0.5, 1.5) for b in (0.6, 1.0)})
+    return ws
+
+
+def soundness_weights() -> dict:
+    """The builtin majorants, the A1 family and the strata corners, one
+    entry per distinct weight."""
+    ws = {**fixtures.builtin_majorants(), **fixtures.a1_family(),
+          **strata_corners()}
+    return {(w.kind, w.params): w for w in ws.values()}
+
+
+SOUNDNESS_WEIGHTS = soundness_weights()
+
+
+def oracle_sweep_violation(w, depth: int, block: int = 128):
+    """The first failure on the grid k/2^depth, or None: w(0) != 0, a step
+    down, or a pair with w(s) + w(t) below w(s + t).
+
+    Every pair s = i/n <= 1/2, t = k/n, s + t <= 1 is compared, ``block``
+    rows at a time (pairs with t < s repeat others).  Targets past t = 1 are
+    -inf.  A step down or a shortfall counts past ROUND_REL of the larger
+    value, a relative slack, so values far below ORDER_TOL are held to it
+    too.
+    """
+    n = 2 ** depth
+    grid = np.arange(n + 1) / n
+    vals = np.asarray(w(grid))
+    if vals[0] != 0.0:
+        return "w(0) != 0"
+    down = vals[:-1] > vals[1:] * (1.0 + weights.ROUND_REL)
+    if down.any():
+        return "step down", grid[int(np.argmax(down))]
+    target = sliding_window_view(np.concatenate(
+        [vals * (1.0 - weights.ROUND_REL), np.full(n, -np.inf)]), n + 1)
+    for i0 in range(1, n // 2 + 1, block):
+        i = np.arange(i0, min(i0 + block, n // 2 + 1))
+        viol = vals[i, None] + vals < target[i]
+        if viol.any():
+            r, c = np.argwhere(viol)[0]
+            return "not subadditive", grid[i0 + r], grid[c]
+    return None
+
+
+class TestRecordSoundness:
+    """Every lambda a kind's record proves passes the n x n sweep."""
+
+    @pytest.mark.parametrize("key", sorted(SOUNDNESS_WEIGHTS), ids=str)
+    def test_proved_lambdas_pass_the_sweep(self, key):
+        w = SOUNDNESS_WEIGHTS[key]
+        name = w.label()
+        cands = DEFAULT_LAMBDAS + ((w.lambda_hint,) if w.lambda_hint else ())
+        proved = [lam for lam in cands if weights._record_verdict(w, lam)]
+        for lam in proved:
+            for depth in range(8, 13):
+                assert oracle_sweep_violation(w.pow(lam), depth) is None, \
+                    (name, lam, depth)
+        # every kind here proves its small candidates, bar exp_log with
+        # beta > 1, which the record disproves at every candidate
+        beta_above_one = w.kind == "exp_log" and w.params[1] > 1
+        assert bool(proved) != beta_above_one, name
+        if beta_above_one:
+            assert all(weights._record_verdict(w, lam) is False
+                       for lam in cands)
+
+    def test_oracle_finds_the_violations_the_record_leaves(self):
+        # the oracle is not vacuous: t^2, t^1.5 at λ = 1 and exp_log(0.5, 2)
+        # at λ = 1 (slope unbounded) all fail it
+        assert oracle_sweep_violation(weights.power(2.0), 8) is not None
+        assert oracle_sweep_violation(weights.power(1.5), 8) is not None
+        assert oracle_sweep_violation(weights.exp_log(0.5, 2.0), 8) \
+            is not None
+
+
+class TestRecordMutants:
+    """Cases that a slope bound dropping beta, accepting beta > 1 or
+    comparing a rounded float product would get wrong."""
+
+    def test_exp_log_slope_keeps_beta(self):
+        # alpha beta = 0.9 proves λ = 1; alpha alone (1.5) would not
+        assert check_majorant(weights.exp_log(1.5, 0.6), (1.0,)) == \
+            MajorantCheck(True, 1.0, True)
+        assert weights._record_verdict(weights.exp_log(1.5, 1.0), 1.0) \
+            is None
+
+    @pytest.mark.parametrize("beta", [2.0, 1.2, math.nextafter(1.0, 2.0)])
+    def test_exp_log_beta_above_one_never_certified(self, beta):
+        w = weights.exp_log(1.0, beta)
+        cands = DEFAULT_LAMBDAS + (2.0 ** -1074,)
+        assert check_majorant(w, cands) == MajorantCheck(False, None, True)
+        assert not check_modulus_of_continuity(w, 8).ok
+        with pytest.raises(weights.UncertifiedError):
+            effective_lambda(w)
+
+    @pytest.mark.parametrize("slope", [1.1622, 1.9645])
+    @pytest.mark.parametrize("make", [weights.power, weights.log_power])
+    def test_hint_is_the_largest_proved_lambda(self, make, slope):
+        w = make(slope)
+        hint = w.lambda_hint
+        assert Fraction(hint) * Fraction(slope) <= 1 \
+            < Fraction(math.nextafter(hint, 2.0)) * Fraction(slope)
+        assert check_majorant(w, (hint,)) == MajorantCheck(True, hint, True)
+        # fl(1/slope) times slope rounds to 1.0 but exceeds 1 exactly: the
+        # record leaves it to the grids, which pass it as evidence
+        lam = 1.0 / slope
+        assert lam * slope == 1.0 and Fraction(lam) * Fraction(slope) > 1
+        assert check_majorant(w, (lam,)) == MajorantCheck(True, lam, False)
+
+
+class TestTableProof:
+    def test_concave_table_is_proved(self):
+        w = weights.table_weight([(0, 0), (0.25, 0.5), (0.5, 0.75), (1, 1)])
+        work = Counter()
+        assert check_modulus_of_continuity(w, 8, work).ok
+        # w^4 and w^2 have segments meeting t = 0 below 0, and the sweep
+        # rejects them
+        assert check_majorant(w, work=work) == MajorantCheck(True, 1.0, True)
+        assert work["continuity_grids"] == 0 and work["slope_proofs"] == 2
+
+    @pytest.mark.parametrize("points", [
+        # the last segment meets t = 0 at -0.1
+        [(0, 0), (0.5, 0.5), (0.6, 0.5), (1, 0.9)],
+        # starts just below 0, within ORDER_TOL, where v^lam is not real
+        [(0, -1e-13), (0.5, 0.6), (1, 1)],
+        # a step down within ORDER_TOL
+        [(0, 0), (0.5, 0.6), (0.75, 0.6 - 1e-13), (1, 1)],
+        # a jump at t = 0.5
+        [(0, 0), (0.5, 0.5), (0.5, 0.6), (1, 1)]])
+    def test_tables_left_to_the_grids(self, points):
+        w = weights.table_weight(points)
+        assert weights._record_verdict(w, 1.0) is None
+
+    def test_square_of_the_table_itself(self):
+        # the table through (t, v^2) has every intercept >= 0, but the
+        # square of the table itself is not subadditive, so λ = 2 is left
+        # to the grids
+        ts, vs = (0.0, 0.5, 1.0), (0.0, 0.72, 1.0)
+        w = weights.table_weight(zip(ts, vs))
+        assert weights._table_proof(*w.pow(2.0).params, 1.0)
+        square = weights.custom_weight(
+            "table^2", lambda t: np.interp(t, ts, vs) ** 2)
+        assert oracle_sweep_violation(square, 8) is not None
+        assert weights._record_verdict(w, 2.0) is None
+        assert weights._record_verdict(w, 1.0) is True
 
 
 def almost_decreasing_violation(w, lam: float) -> float:
