@@ -41,8 +41,10 @@ each under ``power:1`` and ``power:0.5``; the second input of the
 every seed; the second is rotated, so its set may wrap angle 0); one
 ``privalov check --samples 300`` on the depth-6 triadic set turned so
 that a gap wraps angle 0;
-``weight check --alpha 0.5`` on four majorants and a table weight that is
-not subadditive, ``weight check`` on ``power:0.15``, ``exp_log:0.1,1.2``
+``weight check --alpha 0.5`` on four majorants, a table weight that is
+not subadditive and two exp_log weights that no record settles, one
+subadditive on every sweep grid and one with the witness (0.25, 0.25),
+``weight check`` on ``power:0.15``, ``exp_log:0.1,1.2``
 and a concave table, which their kinds' records settle, and ``weight
 check`` at ``--depth`` 14 and 16; ``grid
 build`` and ``set entropy --form both`` on the triadic set, each with a
@@ -55,7 +57,9 @@ whose finite entropy rests on the tail's remainder bound; two certified
 divergences, whose infinite bounds the report writes as null: ``set
 entropy --form both`` on the stagewise divergent set and ``dual
 fw-norm`` under ``power:1.5``; ``dual fw-norm`` under ``power:0.5``, a
-finite norm, ``dual pair`` of two quadratics, and ``dual pair`` of two
+finite norm, and of ``[0.4194,1.0486]`` under ``power:0.6063``, the
+benchmark's kind of dual operation, ``dual pair`` of two quadratics, and
+``dual pair`` of two
 polynomials of 60 coefficients 1, whose pairing is 60.
 ``--show`` prints each results block under its line.
 
@@ -189,6 +193,12 @@ def cases():
                          ("concave table", CONCAVE_TABLE)):
         yield f"weight check {name} without --alpha", (
             "weight", "check", "--weight", weight)
+    # exp_log with alpha beta > 1, which no record settles: the modulus
+    # sweep passes every grid on the first and finds (0.25, 0.25) on the
+    # second
+    for weight in ("exp_log:1.094,0.9305", "exp_log:1.4725,0.9796"):
+        yield f"weight check {weight}", (
+            "weight", "check", "--weight", weight, "--alpha", "0.5")
     # depth 14 sweeps blocks of 4 rows, depth 16 blocks of one row
     for depth in (14, 16):
         yield f"weight check power:0.5 depth {depth}", (
@@ -219,6 +229,10 @@ def cases():
         "dual", "fw-norm", "--f", "[0,1]", "--weight", "power:1.5")
     yield "dual fw-norm power:0.5", (
         "dual", "fw-norm", "--f", "[0,1]", "--weight", "power:0.5")
+    # the benchmark's kind of dual operation: a linear f, a power below 1
+    yield "dual fw-norm [0.4194,1.0486] power:0.6063", (
+        "dual", "fw-norm", "--f", "[0.4194,1.0486]", "--weight",
+        "power:0.6063")
     yield "dual pair", ("dual", "pair", "--g", "[1,2,3]", "--f", "[0,1,0.5]")
     # 60 coefficients: the boundary cross-check must hold at high degree
     ones = json.dumps([1] * 60)

@@ -137,7 +137,7 @@ def cmd_weight(args):
     w = _weight(args)
     work = Counter()
     moc = weights.check_modulus_of_continuity(w, args.depth, work)
-    maj = weights.check_majorant(w, work=work)
+    maj = weights.check_majorant(w, weights.lambda_candidates(w), work=work)
     out = {
         "label": w.label(),
         "modulus_of_continuity": {"ok": moc.ok, "witness": moc.witness,
@@ -156,7 +156,6 @@ def cmd_weight(args):
                      "low": a2.low, "high": a2.high}
     return out, {"majorant_certified": maj.certified,
                  "slope_proofs": work["slope_proofs"],
-                 "continuity_grids": work["continuity_grids"],
                  "sweep_rows": work["sweep_rows"]}
 
 

@@ -71,24 +71,26 @@ def fw_norm(coeffs, w: Weight, quad_depth: int = 40) -> FwNorm:
     c = np.asarray(coeffs, dtype=complex)
     nodes, wts = np.polynomial.legendre.leggauss(10)
     ez = _circle_nodes(FW_ANGLES)
-    contributions = []
+    # every (annulus, node) radius at once, the node sum in node order
+    js = np.arange(quad_depth)
+    lo, hi = 1.0 - 2.0 ** -js, 1.0 - 2.0 ** -(js + 1)
+    mid, rad = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    rs = mid[:, None] + rad[:, None] * nodes
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         dc = c[1:] * np.arange(1, c.size)
-        for j in range(quad_depth):
-            lo, hi = 1.0 - 2.0 ** -j, 1.0 - 2.0 ** -(j + 1)
-            mid, rad = 0.5 * (hi + lo), 0.5 * (hi - lo)
-            rs = mid + rad * nodes
-            total = 0.0
-            for r, wt in zip(rs, wts):
-                mean = (float(np.mean(np.abs(_polyval(r * ez, dc))))
-                        if dc.size else 0.0)
-                total += wt * 2.0 * r * mean / float(w(1.0 - r))
-            if not math.isfinite(total):
-                raise OverflowError(
-                    f"F_w annulus {j} sums to {total}: float overflow")
-            contributions.append(total * rad)
+        means = (np.mean(np.abs(_polyval(rs[:, :, None] * ez, dc)), axis=2)
+                 if dc.size else np.zeros_like(rs))
+        terms = wts * 2.0 * rs * means / w(1.0 - rs)
+        totals = np.zeros(quad_depth)
+        for k in range(nodes.size):
+            totals += terms[:, k]
+    bad = ~np.isfinite(totals)
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise OverflowError(
+            f"F_w annulus {j} sums to {float(totals[j])}: float overflow")
     head = abs(complex(c[0]))
-    cs = np.array(contributions)
+    cs = totals * rad
     pos = cs[cs > 0]
     if pos.size >= 6:
         ratios = cs[-4:] / np.maximum(cs[-5:-1], 1e-300)

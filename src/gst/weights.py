@@ -10,7 +10,11 @@ most 1 makes w^lambda(t)/t nonincreasing, so w^lambda a modulus of
 continuity; a table's segments are checked exactly.  The dyadic grids,
 compared with an absolute tolerance of ORDER_TOL, are the fallback for
 what no record settles: a violation they find is a disproof, a pass only
-evidence at the sampled resolution.
+evidence at the sampled resolution.  A built-in weight is continuous and
+nondecreasing with w(0) = 0 by construction (the closed forms for every
+positive parameter, a table because ``table_weight`` rejects a bad start,
+a fall, a negative value and a jump), so only a custom weight, which has
+no record, is sampled on the 2^CONTINUITY_DEPTH continuity grid.
 """
 
 from __future__ import annotations
@@ -152,7 +156,8 @@ class Weight:
         return -float(self.log(t))
 
     def pow(self, lam: float) -> "Weight":
-        """The weight w^lam (exact on the built-in kinds)."""
+        """The weight w^lam: exact on the closed-form kinds; of a table,
+        the table through the points (t, v^lam)."""
         name = f"{self.label()}^{lam:g}"
         kind = KINDS.get(self.kind)
         if kind is not None:
@@ -219,6 +224,14 @@ def table_weight(points, lambda_hint: Optional[float] = None) -> Weight:
         raise InvalidWeightError("table must reach t = 1")
     if any(b < a - ORDER_TOL for a, b in zip(ws, ws[1:])):
         raise InvalidWeightError("table values must be nondecreasing")
+    # no continuity grid samples a table, so these are settled here: a
+    # weight is nonnegative and continuous (one t with two values jumps)
+    if min(ws) < 0.0:
+        raise InvalidWeightError("table values must be nonnegative")
+    jump = next((t0 for (t0, v0), (t1, v1) in zip(pts, pts[1:])
+                 if t0 == t1 and v0 != v1), None)
+    if jump is not None:
+        raise InvalidWeightError(f"table jumps at t = {jump!r}")
     return _weight("table", (ts, ws), lambda_hint)
 
 
@@ -229,10 +242,12 @@ def custom_weight(name, eval_fn, log_eval=None) -> Weight:
 def _reciprocal_hint(slope: float) -> float:
     """min(1, the largest float lam with lam * slope <= 1 exactly): the
     default lambda, which the slope then proves."""
+    if slope <= 1.0:
+        return 1.0  # and 1 / slope may overflow
     lam = 1.0 / slope
     if Fraction(lam) * Fraction(slope) > 1:
         lam = math.nextafter(lam, 0.0)
-    return min(1.0, lam)
+    return lam
 
 
 KINDS = {
@@ -325,9 +340,22 @@ class ModulusCheck:
     reason: str = ""
 
 
-def _validate_values(w: Weight, vals: np.ndarray) -> None:
+def _validate_values(w: Weight, vals: np.ndarray, lam: float = 1.0) -> None:
     if not (np.isfinite(vals).all() and vals.min() >= 0):
-        raise InvalidWeightError(f"{w.label()} returned a negative or non-finite value")
+        name = w.label() if lam == 1.0 else f"{w.label()}^{lam:g}"
+        raise InvalidWeightError(
+            f"{name} returned a negative or non-finite value")
+
+
+def _values(w: Weight, grid: np.ndarray, lam: float) -> np.ndarray:
+    """w(grid)^lam, validated.  The power is taken of w's own values, so a
+    table is read as itself, not as the table through (t, v^lam)."""
+    vals = np.asarray(w(grid))
+    if lam != 1.0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.power(vals, lam)
+    _validate_values(w, vals, lam)
+    return vals
 
 
 def _check_grid_depth(grid_depth: int) -> None:
@@ -375,15 +403,13 @@ def _record_verdict(w: Weight, lam: float, work=None) -> Optional[bool]:
     are continuous and nondecreasing.  An unbounded slope (exp_log with
     beta > 1) disproves every lam: there w^lam(t)/t -> 0, while a nonzero
     nondecreasing subadditive f on [0, 1] has f(t) >= f(1) t/2.  A table
-    is proved by _table_proof twice, for w^lam itself and for the table
-    of the values v^lam that ``w.pow(lam)`` builds, and never disproved.
-    ``work``, a Counter, gains one ``slope_proofs`` per settled verdict.
+    is proved by _table_proof of w^lam itself, the function the grid
+    fallback sweeps, and never disproved.  ``work``, a Counter, gains one
+    ``slope_proofs`` per settled verdict.
     """
     kind = KINDS.get(w.kind)
     if w.kind == "table":
-        # a table may start just below 0, where v^lam is not real
-        verdict = (_table_proof(*w.params, lam)
-                   and _table_proof(*w.pow(lam).params, 1.0)) or None
+        verdict = _table_proof(*w.params, lam) or None
     elif kind is None or kind.slope is None:
         verdict = None
     else:
@@ -394,18 +420,15 @@ def _record_verdict(w: Weight, lam: float, work=None) -> Optional[bool]:
     return verdict
 
 
-def _continuity_violation(w: Weight, work=None) -> Optional[ModulusCheck]:
-    """The failed check of w on the 2^CONTINUITY_DEPTH grid, or None.
+def _continuity_violation(w: Weight, lam: float) -> Optional[ModulusCheck]:
+    """The failed check of w^lam on the 2^CONTINUITY_DEPTH grid, or None.
 
     Raises InvalidWeightError on a negative or non-finite value, then checks
-    w(0) = 0, monotonicity and jumps.  ``work``, a Counter, gains one
-    ``continuity_grids``.
+    w(0) = 0, monotonicity and jumps.  Only a custom weight needs it: a
+    built-in one passes by construction.
     """
-    if work is not None:
-        work["continuity_grids"] += 1
     fine = _continuity_grid()
-    fvals = np.asarray(w(fine))
-    _validate_values(w, fvals)
+    fvals = _values(w, fine, lam)
     if abs(fvals[0]) > ORDER_TOL:
         return ModulusCheck(False, (0.0, 0.0), "w(0) != 0")
     jumps = np.diff(fvals)
@@ -452,9 +475,10 @@ def _first_violation(vals: np.ndarray, work=None) -> Optional[tuple]:
     return None
 
 
-def _subadditivity_violation(w: Weight, grid_depth: int,
+def _subadditivity_violation(w: Weight, grid_depth: int, lam: float,
                              work=None) -> Optional[ModulusCheck]:
-    """The first pair (s, t) with w(s) + w(t) + ORDER_TOL < w(s + t), or None.
+    """The first pair (s, t) with f(s) + f(t) + ORDER_TOL < f(s + t), or
+    None, where f = w^lam.
 
     The grids k/2^d for d = 2 .. grid_depth are swept coarse to fine, and
     each grid's values are validated as the continuity grid's are.
@@ -462,9 +486,7 @@ def _subadditivity_violation(w: Weight, grid_depth: int,
     for depth in range(2, grid_depth + 1):
         n = 2 ** depth
         grid = np.arange(n + 1) / n
-        vals = np.asarray(w(grid))
-        _validate_values(w, vals)
-        hit = _first_violation(vals, work)
+        hit = _first_violation(_values(w, grid, lam), work)
         if hit is not None:
             return ModulusCheck(False, (grid[hit[0]], grid[hit[1]]),
                                 "not subadditive")
@@ -478,25 +500,26 @@ def check_modulus_of_continuity(w: Weight, grid_depth: int,
     The kind's record is consulted first (``_record_verdict`` at lambda 1);
     a disproof has no witness.  What it leaves open goes to the grids,
     whose pass is evidence at their resolution.  The grid check has two
-    halves, run in this order.  Monotonicity and continuity are checked on
-    the fixed 2^CONTINUITY_DEPTH grid (``_continuity_violation``).
-    Subadditivity, w(s) + w(t) >= w(s + t), is then swept over the grids
-    k/2^d for d = 2 .. grid_depth, coarse to fine, in blocks of rows
-    s = i/2^d, each row against every t = j/2^d with i <= j and
+    halves, run in this order.  A custom weight's monotonicity and
+    continuity are checked on the fixed 2^CONTINUITY_DEPTH grid
+    (``_continuity_violation``); a built-in weight has them by
+    construction.  Subadditivity, w(s) + w(t) >= w(s + t), is then swept
+    over the grids k/2^d for d = 2 .. grid_depth, coarse to fine, in blocks
+    of rows s = i/2^d, each row against every t = j/2^d with i <= j and
     i + j <= 2^d (``_subadditivity_violation``).  The returned
     witness is thus the first failed continuity check, or else the first
     violating pair, in row-major order, at the coarsest failing resolution.
     Scratch memory is O(2^grid_depth) and time O(4^grid_depth); grid_depth
     must lie in 4 .. MAX_GRID_DEPTH.  ``work``, a Counter, gains
-    ``slope_proofs``, ``continuity_grids`` and ``sweep_rows``.
+    ``slope_proofs`` and ``sweep_rows``.
     """
     _check_grid_depth(grid_depth)
     proved = _record_verdict(w, 1.0, work)
     if proved is not None:
         return ModulusCheck(True) if proved else ModulusCheck(
             False, None, "w(t)/t -> 0 as t -> 0: not subadditive")
-    return (_continuity_violation(w, work)
-            or _subadditivity_violation(w, grid_depth, work)
+    return ((w.kind not in KINDS and _continuity_violation(w, 1.0))
+            or _subadditivity_violation(w, grid_depth, 1.0, work)
             or ModulusCheck(True))
 
 
@@ -511,32 +534,42 @@ class MajorantCheck:
     certified: bool = False
 
 
-def check_majorant(w: Weight, lambda_candidates=DEFAULT_LAMBDAS,
-                   grid_depth: int = 10, work=None) -> MajorantCheck:
-    """First lambda in the candidate list with w^lambda a modulus of continuity.
+def lambda_candidates(w: Weight) -> tuple:
+    """DEFAULT_LAMBDAS and w's lambda_hint, largest first, since a larger
+    exponent tightens every bound downstream."""
+    if w.lambda_hint is None:
+        return DEFAULT_LAMBDAS
+    return tuple(sorted(set(DEFAULT_LAMBDAS) | {float(w.lambda_hint)},
+                        reverse=True))
+
+
+def check_majorant(w: Weight, candidates, grid_depth: int = 10,
+                   work=None) -> MajorantCheck:
+    """First lambda in ``candidates`` with w^lambda a modulus of continuity.
 
     Each candidate goes to the kind's record first (``_record_verdict``):
     a proof takes it, a disproof skips it.  A candidate neither settles
-    passes when both halves of check_modulus_of_continuity's grid check
-    pass, so each is swept first: the sweep usually fails on the coarsest
-    grids, and only a candidate that passes it pays for the
-    2^CONTINUITY_DEPTH continuity grid.  A NaN or negative value off every
-    sweep grid is thus found (InvalidWeightError) only at a candidate whose
-    sweep passes.  ``work`` is as in check_modulus_of_continuity.
+    passes when check_modulus_of_continuity's grid check of w(t)^lambda
+    passes.  Only a custom weight has a continuity grid, and it is swept
+    first: the sweep usually fails on the coarsest grids, and only a
+    candidate that passes it pays for the 2^CONTINUITY_DEPTH grid.  A NaN
+    or negative value off every sweep grid is thus found
+    (InvalidWeightError) only at a candidate whose sweep passes.  ``work``
+    is as in check_modulus_of_continuity.
     """
-    if not lambda_candidates:
+    if not candidates:
         raise ValueError("need at least one lambda candidate")
     _check_grid_depth(grid_depth)
     disproved = True
-    for lam in lambda_candidates:
+    for lam in candidates:
         proved = _record_verdict(w, lam, work)
         if proved:
             return MajorantCheck(True, lam, True)
         if proved is None:
             disproved = False
-            wl = w.pow(lam)
-            if (_subadditivity_violation(wl, grid_depth, work) is None
-                    and _continuity_violation(wl, work) is None):
+            if (_subadditivity_violation(w, grid_depth, lam, work) is None
+                    and (w.kind in KINDS
+                         or _continuity_violation(w, lam) is None)):
                 return MajorantCheck(True, lam)
     return MajorantCheck(False, certified=disproved)
 
@@ -546,13 +579,9 @@ def effective_lambda(w: Weight) -> float:
     """Largest lambda with w^lambda a modulus of continuity, by
     check_majorant: proved by the kind's record, or else grid evidence.
 
-    The declared lambda_hint is validated before use; candidates are tried
-    largest first because a larger exponent tightens every bound downstream.
+    The declared lambda_hint is validated before use.
     """
-    cands = list(DEFAULT_LAMBDAS)
-    if w.lambda_hint is not None:
-        cands = sorted(set(cands) | {float(w.lambda_hint)}, reverse=True)
-    res = check_majorant(w, tuple(cands))
+    res = check_majorant(w, lambda_candidates(w))
     if not res.ok:
         raise UncertifiedError(f"{w.label()} is not certified as a majorant")
     return res.lam
@@ -818,7 +847,8 @@ def check_A2(w: Weight, alpha: float, quad_depth: int, work=None) -> A2Check:
         raise ValueError(f"quad_depth must lie in [1, {MAX_QUAD_DEPTH}], "
                          f"got {quad_depth}")
     # precondition at majorant level: some power of w^(1+alpha) is subadditive
-    if not check_majorant(w.pow(1.0 + alpha), grid_depth=8, work=work).ok:
+    if not check_majorant(w.pow(1.0 + alpha), DEFAULT_LAMBDAS, grid_depth=8,
+                          work=work).ok:
         raise InvalidWeightError("w^(1+alpha) is not a majorant")
     body, tail = dini_brackets(w, alpha, quad_depth)
     total = body + tail

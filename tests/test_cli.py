@@ -30,28 +30,50 @@ class TestSubcommands:
         assert rep["schema"] == "gst-1"
         assert rep["results"]["majorant"]["ok"]
 
-    # (spec, slope_proofs, continuity_grids) with --alpha 0.5: the records
-    # prove the majorant λ and A2's precondition; only t^1.5's modulus check
-    # (slope 1.5 > 1) takes the grids.  No record settles the table (its
-    # last segment meets t = 0 at -0.1), so its modulus check, majorant
-    # search and A2 precondition each pay for one grid, at the λ that
-    # passes.
-    @pytest.mark.parametrize("spec, proofs, grids", [
-        ("power:1.5", 2, 1), ("power:0.3", 3, 0), ("exp_log:1.0,0.8", 3, 0),
+    # (spec, slope_proofs) with --alpha 0.5: the records prove the majorant
+    # λ and A2's precondition; only t^1.5's modulus check (slope 1.5 > 1)
+    # takes the sweep.  No record settles the table at λ = 1 (its last
+    # segment meets t = 0 at -0.1), so its modulus check, majorant search
+    # and A2 precondition are swept, and its majorant λ is evidence.  A
+    # built-in weight, tables included, evaluates no continuity grid, so
+    # meta no longer counts them.
+    @pytest.mark.parametrize("spec, proofs", [
+        ("power:1.5", 2), ("power:0.3", 3), ("exp_log:1.0,0.8", 3),
         (json.dumps({"kind": "table", "lambda_hint": 0.5, "points": [
-            [0, 0], [0.5, 0.5], [0.6, 0.5], [1, 0.9]]}), 0, 3)],
+            [0, 0], [0.5, 0.5], [0.6, 0.5], [1, 0.9]]}), 0)],
         ids=["power:1.5", "power:0.3", "exp_log:1.0,0.8", "table"])
     def test_weight_check_meta_counts_continuity_grids(self, spec, proofs,
-                                                       grids, capsys):
+                                                       capsys, monkeypatch):
+        sizes = []
+        call = weights.Weight.__call__
+
+        def counting(self, t):
+            sizes.append(np.size(t))
+            return call(self, t)
+
+        monkeypatch.setattr(weights.Weight, "__call__", counting)
         code, rep = run(["weight", "check", "--weight", spec, "--alpha",
                          "0.5"], capsys)
         assert code == 0
+        assert sizes and 2 ** weights.CONTINUITY_DEPTH + 1 not in sizes
+        assert "continuity_grids" not in rep["meta"]
         assert rep["meta"]["slope_proofs"] == proofs
-        assert rep["meta"]["continuity_grids"] == grids
-        assert rep["meta"]["majorant_certified"] == (grids < 3)
+        assert rep["meta"]["majorant_certified"] == (proofs > 0)
         assert rep["meta"]["sweep_rows"] > 0
-        for key in ("slope_proofs", "continuity_grids", "majorant_certified"):
+        for key in ("slope_proofs", "sweep_rows", "majorant_certified"):
             assert key not in rep["results"]
+
+    # the report's λ is the one every downstream bracket uses: for t^1.5
+    # the hint 1/1.5, which the search over DEFAULT_LAMBDAS alone missed
+    @pytest.mark.parametrize("spec", ["power:1.5", "power:0.3", "log:1.7",
+                                      "exp_log:1.3197,0.7744"])
+    def test_weight_check_lambda_is_effective_lambda(self, spec, capsys):
+        code, rep = run(["weight", "check", "--weight", spec], capsys)
+        assert code == 0
+        assert rep["results"]["majorant"]["lambda"] == \
+            weights.effective_lambda(weights.from_spec(spec))
+        if spec == "power:1.5":
+            assert rep["results"]["majorant"]["lambda"] == 1.0 / 1.5
 
     # the continuity grid called t^0.15 and exp_log(0.17, 0.8) jump
     # discontinuities (their steps near t = 2^-20 pass CONTINUITY_TOL)
@@ -61,7 +83,8 @@ class TestSubcommands:
         assert code == 0
         assert rep["results"]["modulus_of_continuity"] == {
             "ok": True, "witness": None, "reason": ""}
-        assert rep["meta"]["continuity_grids"] == 0
+        assert rep["meta"]["majorant_certified"]
+        assert rep["meta"]["sweep_rows"] == 0
 
     # exp_log with beta > 1 is no majorant; the grids passed λ = 4 and 0.25
     @pytest.mark.parametrize("spec", ["exp_log:0.1,1.2", "exp_log:0.5,1.5"])
@@ -72,7 +95,6 @@ class TestSubcommands:
         assert rep["results"]["majorant"] == {"ok": False, "lambda": None}
         assert not rep["results"]["modulus_of_continuity"]["ok"]
         assert rep["meta"]["majorant_certified"]
-        assert rep["meta"]["continuity_grids"] == 0
         assert rep["meta"]["sweep_rows"] == 0
 
     def test_set_entropy(self, capsys):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gst import fixtures, weights
 from gst.weights import (CONTINUITY_DEPTH, CONTINUITY_TOL, DEFAULT_LAMBDAS,
@@ -49,9 +49,12 @@ def oracle_modulus_check(w, grid_depth):
 
 
 def oracle_majorant(w, lambdas, grid_depth):
-    """The search that checks every candidate in full, continuity first."""
+    """The search that checks every candidate in full, continuity first, on
+    w's own values raised to lambda."""
     for lam in lambdas:
-        if oracle_modulus_check(w.pow(lam), grid_depth).ok:
+        wl = weights.custom_weight(f"{w.label()}^{lam:g}",
+                                   lambda t, lam=lam: np.power(w(t), lam))
+        if oracle_modulus_check(wl, grid_depth).ok:
             return True, lam
     return False, None
 
@@ -242,11 +245,14 @@ class TestMajorantSearchOracle:
         assert (res.ok, res.lam) == oracle_majorant(w, DEFAULT_LAMBDAS, depth)
 
     def test_continuity_grid_evaluated_once(self, monkeypatch):
-        # a table no record settles (its last segment meets t = 0 at -0.1):
-        # the sweep rejects λ = 4 and 2, and λ = 1 passes; a search that
-        # checks each candidate in full evaluates the grid 3 times.  For
-        # t^1.5 the sweep rejects λ = 4, 2 and 1, and the power record
-        # proves λ = 0.5 without the grid.
+        # A built-in weight, tables included, is continuous and
+        # nondecreasing by construction, so no check samples the
+        # 2^CONTINUITY_DEPTH grid, however far its grid path runs: the
+        # table's last segment meets t = 0 at -0.1 and exp_log(1.3197,
+        # 0.7744) has slope 1.022, so no record settles λ = 1 for either.
+        # A custom weight has no record: its search sweeps λ = 4 and 2
+        # (t^3 and t^1.5 fail) and evaluates the grid once, after the
+        # sweep of λ = 1 passes.
         sizes = []
         call = weights.Weight.__call__
 
@@ -255,17 +261,24 @@ class TestMajorantSearchOracle:
             return call(self, t)
 
         monkeypatch.setattr(weights.Weight, "__call__", counting)
+        grid = 2 ** CONTINUITY_DEPTH + 1
         table = weights.table_weight([(0, 0), (0.5, 0.5), (0.6, 0.5),
-                                      (1, 0.9)])
-        for w, lam, grids, proofs in ((table, 1.0, 1, 0),
-                                      (weights.power(1.5), 0.5, 0, 1)):
+                                      (1, 0.9)], lambda_hint=0.5)
+        for w, modulus, lam in ((table, True, 1.0),
+                                (weights.power(1.5), False, 1.0 / 1.5),
+                                (weights.exp_log(1.3197, 0.7744), True, 1.0)):
             sizes.clear()
-            work = Counter()
-            assert check_majorant(w, work=work) == \
-                MajorantCheck(True, lam, grids == 0)
-            assert sizes.count(2 ** CONTINUITY_DEPTH + 1) == grids
-            assert work["continuity_grids"] == grids
-            assert work["slope_proofs"] == proofs
+            assert check_modulus_of_continuity(w, 10).ok == modulus
+            res = check_majorant(w, weights.lambda_candidates(w))
+            assert (res.ok, res.lam) == (True, lam)
+            check_A2(w, 0.5, 20)
+            assert sizes and grid not in sizes, w.label()
+        custom = weights.custom_weight("t^0.75", lambda t: np.power(t, 0.75))
+        sizes.clear()
+        assert check_majorant(custom, DEFAULT_LAMBDAS) == \
+            MajorantCheck(True, 1.0)
+        assert sizes.count(grid) == 1 and sizes[-1] == grid
+        assert sizes[-2] == 2 ** 10 + 1  # the last sweep grid of λ = 1
 
     def test_nan_off_the_sweep_grids(self):
         # NaN on |t - 0.3| < 1e-5, which no dyadic grid up to depth 10
@@ -358,6 +371,55 @@ def oracle_sweep_violation(w, depth: int, block: int = 128):
     return None
 
 
+POSITIVE = st.floats(0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def builtin_weights(draw):
+    """A built-in weight anywhere in its kind's parameter range; a table is
+    any point list ``table_weight`` accepts, its steps down within
+    ORDER_TOL and its repeated t values included."""
+    kind = draw(st.sampled_from(["power", "log_power", "exp_log", "table"]))
+    if kind == "power":
+        return weights.power(draw(POSITIVE))
+    if kind == "log_power":
+        return weights.log_power(draw(POSITIVE), draw(
+            st.integers(1, weights.MAX_LOG_DEPTH)))
+    if kind == "exp_log":
+        return weights.exp_log(draw(POSITIVE), draw(POSITIVE))
+    ts = sorted(draw(st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                                        st.floats(0.0, 1.0)), max_size=8)))
+    steps = st.one_of(st.floats(-ORDER_TOL, 0.0), st.floats(0.0, 4.0))
+    v = draw(st.floats(0.0, ORDER_TOL))
+    points = [(0.0, v)]
+    for t in ts + [1.0]:
+        v += draw(steps)
+        points.append((t, v))
+    try:
+        return weights.table_weight(points)
+    except weights.InvalidWeightError:
+        assume(False)
+
+
+class TestBuiltinValues:
+    """The facts that let a built-in weight skip the continuity grid."""
+
+    @given(builtin_weights())
+    @settings(max_examples=40, deadline=None)
+    def test_values_on_the_continuity_grid(self, w):
+        vals = w(weights._continuity_grid())
+        assert np.isfinite(vals).all() and vals.min() >= 0.0
+        if w.kind == "table":
+            assert vals[0] <= ORDER_TOL
+        else:
+            assert vals[0] == 0.0 and vals.max() <= 1.0
+        assert np.diff(vals).min() >= -ORDER_TOL
+        # so the grid check passes, or calls a steep rise a jump, as it
+        # did near t = 2^-20 for t^0.15
+        res = weights._continuity_violation(w, 1.0)
+        assert res is None or res.reason == "jump discontinuity"
+
+
 class TestRecordSoundness:
     """Every lambda a kind's record proves passes the n x n sweep."""
 
@@ -422,6 +484,14 @@ class TestRecordMutants:
         assert lam * slope == 1.0 and Fraction(lam) * Fraction(slope) > 1
         assert check_majorant(w, (lam,)) == MajorantCheck(True, lam, False)
 
+    @pytest.mark.parametrize("make", [weights.power, weights.log_power])
+    def test_hint_of_a_subnormal_slope(self, make):
+        # 1 / 1e-320 overflows; the hint was an OverflowError
+        w = make(1e-320)
+        assert w.lambda_hint == 1.0
+        assert check_majorant(w, weights.lambda_candidates(w)) == \
+            MajorantCheck(True, 4.0, True)
+
 
 class TestTableProof:
     def test_concave_table_is_proved(self):
@@ -430,18 +500,17 @@ class TestTableProof:
         assert check_modulus_of_continuity(w, 8, work).ok
         # w^4 and w^2 have segments meeting t = 0 below 0, and the sweep
         # rejects them
-        assert check_majorant(w, work=work) == MajorantCheck(True, 1.0, True)
-        assert work["continuity_grids"] == 0 and work["slope_proofs"] == 2
+        assert check_majorant(w, DEFAULT_LAMBDAS, work=work) == \
+            MajorantCheck(True, 1.0, True)
+        assert work["slope_proofs"] == 2
 
     @pytest.mark.parametrize("points", [
         # the last segment meets t = 0 at -0.1
         [(0, 0), (0.5, 0.5), (0.6, 0.5), (1, 0.9)],
-        # starts just below 0, within ORDER_TOL, where v^lam is not real
-        [(0, -1e-13), (0.5, 0.6), (1, 1)],
+        # starts just above 0, within ORDER_TOL (below 0 is rejected)
+        [(0, 1e-13), (0.5, 0.6), (1, 1)],
         # a step down within ORDER_TOL
-        [(0, 0), (0.5, 0.6), (0.75, 0.6 - 1e-13), (1, 1)],
-        # a jump at t = 0.5
-        [(0, 0), (0.5, 0.5), (0.5, 0.6), (1, 1)]])
+        [(0, 0), (0.5, 0.6), (0.75, 0.6 - 1e-13), (1, 1)]])
     def test_tables_left_to_the_grids(self, points):
         w = weights.table_weight(points)
         assert weights._record_verdict(w, 1.0) is None
@@ -458,6 +527,14 @@ class TestTableProof:
         assert oracle_sweep_violation(square, 8) is not None
         assert weights._record_verdict(w, 2.0) is None
         assert weights._record_verdict(w, 1.0) is True
+
+    def test_open_candidate_sweeps_the_table_itself(self):
+        # the grid fallback sweeps w(t)^2, which fails at (0.25, 0.5), not
+        # the table through (t, v^2), which passes
+        w = weights.table_weight([(0, 0), (0.5, 0.72), (1, 1)],
+                                 lambda_hint=2.0)
+        assert check_majorant(w, (2.0,)) == MajorantCheck(False)
+        assert effective_lambda(w) == 1.0
 
 
 def almost_decreasing_violation(w, lam: float) -> float:
@@ -629,3 +706,21 @@ class TestWeightSpecs:
     def test_table_requires_monotone(self):
         with pytest.raises(weights.InvalidWeightError):
             weights.table_weight([(0.0, 0.0), (0.5, 0.9), (1.0, 0.5)])
+
+    # no check samples a table on the continuity grid, so its constructor
+    # rejects what that grid found: a value below 0 (v^lam is not real
+    # there) and a jump, which at t = 0 makes w(0) = 0.5 while the table
+    # lists (0, 0) and passes every subadditivity sweep
+    @pytest.mark.parametrize("points, match", [
+        ([(0, -1e-13), (0.5, 0.6), (1, 1)], "nonnegative"),
+        ([(0, 0), (0.3, 0.0), (0.4, -1e-13), (0.5, 0.6), (1, 1)],
+         "nonnegative"),
+        ([(0, 0), (0.5, 0.5), (0.5, 0.6), (1, 1)], "jumps at t = 0.5"),
+        ([(0, 0), (0, 0.5), (0.5, 0.7), (1, 1)], "jumps at t = 0.0")],
+        ids=["start_below_0", "dip_below_0", "jump_at_0.5", "jump_at_0"])
+    def test_table_rejects_negative_values_and_jumps(self, points, match):
+        with pytest.raises(weights.InvalidWeightError, match=match):
+            weights.table_weight(points)
+        # a repeated point is no jump
+        assert weights.table_weight([(0, 0), (0.5, 0.5), (0.5, 0.5),
+                                     (1, 1)])(0.5) == 0.5
