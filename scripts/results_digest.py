@@ -42,8 +42,9 @@ every seed; the second is rotated, so its set may wrap angle 0); one
 ``privalov check --samples 300`` on the depth-6 triadic set turned so
 that a gap wraps angle 0;
 ``weight check --alpha 0.5`` on four majorants, a table weight that is
-not subadditive and two exp_log weights that no record settles, one
-subadditive on every sweep grid and one with the witness (0.25, 0.25),
+not subadditive, a concave table with no ``lambda_hint`` and two exp_log
+weights that no record settles, one subadditive on every sweep grid and
+one with the witness (0.25, 0.25),
 ``weight check`` on ``power:0.15``, ``exp_log:0.1,1.2``
 and a concave table, which their kinds' records settle, and ``weight
 check`` at ``--depth`` 14 and 16; ``grid
@@ -182,11 +183,12 @@ def cases():
     yield "privalov check triadic 6 rotated 0.6 samples 300", (
         "privalov", "check", "--set", _triadic_set(6, 0.6), "--weight",
         "power:1", "--samples", "300")
-    for name, weight in [(w, w) for w in WEIGHTS] + [("table", TABLE_WEIGHT)]:
+    for name, weight in [(w, w) for w in WEIGHTS] + [
+            ("table", TABLE_WEIGHT), ("concave table", CONCAVE_TABLE)]:
         yield f"weight check {name}", (
             "weight", "check", "--weight", weight, "--alpha", "0.5")
-    # settled by the weight's record: t^0.15, whose continuity grid steps
-    # past CONTINUITY_TOL near t = 2^-20, exp_log with beta > 1, no
+    # settled by the weight's record: t^0.15, which rises by more than
+    # 1e-2 in one step of 2^-20 near 0, exp_log with beta > 1, no
     # majorant, and a table whose segments prove it
     for name, weight in (("power:0.15", "power:0.15"),
                          ("exp_log:0.1,1.2", "exp_log:0.1,1.2"),

@@ -61,30 +61,12 @@ def a1_family() -> dict:
 
 def fast_decay_weight() -> Weight:
     """exp(-exp(1/t)): decays too fast for the comparability condition."""
-    def ev(t):
-        t = np.maximum(np.asarray(t, dtype=float), 1e-300)
-        with np.errstate(over="ignore"):
-            return np.exp(-np.exp(1.0 / t))
-
-    def logev(t):
-        t = np.maximum(np.asarray(t, dtype=float), 1e-300)
-        with np.errstate(over="ignore"):
-            return -np.exp(1.0 / t)
-
-    return weights.custom_weight("exp(-exp(1/t))", ev, log_eval=logev)
+    return weights.exp_recip(1.0, 2)
 
 
 def non_majorant_weight() -> Weight:
     """exp(-1/t): no positive power is subadditive near 0."""
-    def ev(t):
-        t = np.maximum(np.asarray(t, dtype=float), 1e-300)
-        return np.exp(-1.0 / t)
-
-    def logev(t):
-        t = np.maximum(np.asarray(t, dtype=float), 1e-300)
-        return -1.0 / t
-
-    return weights.custom_weight("exp(-1/t)", ev, log_eval=logev)
+    return weights.exp_recip(1.0)
 
 
 # ---------------------------------------------------------------------------

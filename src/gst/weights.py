@@ -4,24 +4,24 @@ A weight is a continuous nondecreasing function w on [0,1] with w(0) = 0.
 A majorant is a weight such that w^lambda is a modulus of continuity
 (nondecreasing, subadditive, vanishing at 0) for some lambda > 0.
 
-The built-in kinds are proved: each closed-form ``KINDS`` record gives the
-exact slope sup over u >= 0 of d/du log(1/w(e^-u)), and lambda times it at
-most 1 makes w^lambda(t)/t nonincreasing, so w^lambda a modulus of
-continuity; a table's segments are checked exactly.  The dyadic grids,
-compared with an absolute tolerance of ORDER_TOL, are the fallback for
-what no record settles: a violation they find is a disproof, a pass only
-evidence at the sampled resolution.  A built-in weight is continuous and
-nondecreasing with w(0) = 0 by construction (the closed forms for every
-positive parameter, a table because ``table_weight`` rejects a bad start,
-a fall, a negative value and a jump), so only a custom weight, which has
-no record, is sampled on the 2^CONTINUITY_DEPTH continuity grid.
+Every weight is one ``KINDS`` record, continuous and nondecreasing with
+w(0) = 0 by construction: the closed forms for every positive parameter,
+a table because ``table_weight`` rejects a start off (0, 0), a fall, a
+negative value and a jump.  The records prove what they can: each
+closed-form record gives the exact slope sup over u >= 0 of
+d/du log(1/w(e^-u)), and lambda times it at most 1 makes w^lambda(t)/t
+nonincreasing, so w^lambda a modulus of continuity, while an unbounded
+slope disproves every lambda; a table's segments are checked exactly.
+The dyadic subadditivity sweeps, compared with an absolute tolerance of
+ORDER_TOL, are the fallback for what no record settles: a violation they
+find is a disproof, a pass only evidence at the sampled resolution.
 """
 
 from __future__ import annotations
 
 import math
 import reprlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional
@@ -32,10 +32,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .util import as_float, as_floats, as_int, as_list, fields
 
 ORDER_TOL = 1e-12
-CONTINUITY_DEPTH = 20
 MAX_GRID_DEPTH = 16
 MAX_LOG_DEPTH = 16  # most nested logs in a log_power weight
-CONTINUITY_TOL = 1e-2
 SWEEP_BLOCK = 2 ** 16  # elements one block of the subadditivity sweep compares
 DEFAULT_LAMBDAS = (4.0, 2.0, 1.0, 0.5, 0.25, 0.125)
 UNIT_ROUNDOFF = 2.0 ** -53
@@ -104,37 +102,31 @@ class WeightKind:
 
 @dataclass(frozen=True)
 class Weight:
-    """A weight with vectorized evaluation and an analytic log form.
+    """A weight of one ``KINDS`` record, with vectorized evaluation.
 
-    ``log`` returns log w(t); keeping it analytic lets checks reason about
-    weights whose values underflow float64 (fast-decay fixtures).  The
-    formulas are those of ``KINDS[kind]``, or ``_eval`` and ``_log_eval``.
+    ``log`` returns log w(t); the closed-form kinds keep it analytic, so
+    checks can reason about weights whose values underflow float64 (the
+    fast-decay fixtures).
     """
 
     kind: str
     params: tuple = ()
     lambda_hint: Optional[float] = None
     name: str = ""
-    _eval: Optional[Callable] = field(default=None, repr=False, compare=False)
-    _log_eval: Optional[Callable] = field(default=None, repr=False, compare=False)
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
-        kind = KINDS.get(self.kind)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            out = (np.asarray(self._eval(t_arr), dtype=float) if kind is None
-                   else kind.value(t_arr, *self.params))
+            out = KINDS[self.kind].value(t_arr, *self.params)
         return float(out) if np.isscalar(t) or out.ndim == 0 else out
 
     def log(self, t):
         """log w(t), finite for t > 0 whenever mathematically finite."""
         t_arr = np.asarray(t, dtype=float)
-        kind = KINDS.get(self.kind)
+        kind = KINDS[self.kind]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            if kind is not None and kind.log is not None:
+            if kind.log is not None:
                 out = kind.log(t_arr, *self.params)
-            elif self._log_eval is not None:
-                out = np.asarray(self._log_eval(t_arr), dtype=float)
             else:
                 vals = self(t_arr)
                 bad = (np.asarray(vals) == 0.0) & (t_arr > 0)
@@ -147,8 +139,8 @@ class Weight:
 
     def neg_log_at_depth(self, n: int) -> float:
         """log(1/w(2^-n)), free of underflow for the closed-form kinds."""
-        kind = KINDS.get(self.kind)
-        if kind is not None and kind.neg_log is not None:
+        kind = KINDS[self.kind]
+        if kind.neg_log is not None:
             return kind.neg_log(n * math.log(2.0), *self.params)
         t = 2.0 ** -n
         if t == 0.0:
@@ -158,23 +150,11 @@ class Weight:
     def pow(self, lam: float) -> "Weight":
         """The weight w^lam: exact on the closed-form kinds; of a table,
         the table through the points (t, v^lam)."""
-        name = f"{self.label()}^{lam:g}"
-        kind = KINDS.get(self.kind)
-        if kind is not None:
-            return Weight(self.kind, kind.pow(self.params, lam), name=name)
-        base = self
-        return Weight(
-            "custom", (lam,) + self.params, name=name,
-            _eval=lambda t: np.power(base(t), lam),
-            _log_eval=(lambda t: lam * np.asarray(base.log(t)))
-            if base._log_eval is not None else None,
-        )
+        return Weight(self.kind, KINDS[self.kind].pow(self.params, lam),
+                      name=f"{self.label()}^{lam:g}")
 
     def label(self) -> str:
-        if self.name:
-            return self.name
-        kind = KINDS.get(self.kind)
-        return self.kind if kind is None else kind.label(*self.params)
+        return self.name or KINDS[self.kind].label(*self.params)
 
 
 def _positive(value, what: str) -> float:
@@ -212,22 +192,37 @@ def exp_log(alpha: float, beta: float,
                                _positive(beta, "exp_log beta")), lambda_hint)
 
 
+def exp_recip(c: float, depth: int = 1,
+              lambda_hint: Optional[float] = None) -> Weight:
+    """log(1/w(t)) = c E_depth(1/t), with E_1(x) = x and E_2(x) = e^x:
+    exp(-c/t) and exp(-c e^(1/t)), which vanish too fast at 0 to be
+    majorants."""
+    c = _positive(c, "exp_recip c")
+    depth = as_int(depth, "exp_recip depth")
+    if depth not in (1, 2):
+        raise InvalidWeightError(
+            f"exp_recip depth must be 1 or 2, got {depth}")
+    return _weight("exp_recip", (c, depth), lambda_hint)
+
+
 def table_weight(points, lambda_hint: Optional[float] = None) -> Weight:
+    """The piecewise-linear weight through ``points``.  It must be a
+    weight as it stands, since nothing samples it for continuity: no value
+    below 0, w(0) = 0 exactly, no fall past ORDER_TOL and no jump (one t
+    with two values)."""
     pts = sorted(tuple(as_floats(p, "table point", 2)) for p in points)
     if not pts:
         raise InvalidWeightError("table needs points")
     ts = tuple(p[0] for p in pts)
     ws = tuple(p[1] for p in pts)
-    if ts[0] != 0.0 or abs(ws[0]) > ORDER_TOL:
+    if min(ws) < 0.0:
+        raise InvalidWeightError("table values must be nonnegative")
+    if ts[0] != 0.0 or ws[0] != 0.0:
         raise InvalidWeightError("table must start at (0, 0)")
     if ts[-1] != 1.0:
         raise InvalidWeightError("table must reach t = 1")
     if any(b < a - ORDER_TOL for a, b in zip(ws, ws[1:])):
         raise InvalidWeightError("table values must be nondecreasing")
-    # no continuity grid samples a table, so these are settled here: a
-    # weight is nonnegative and continuous (one t with two values jumps)
-    if min(ws) < 0.0:
-        raise InvalidWeightError("table values must be nonnegative")
     jump = next((t0 for (t0, v0), (t1, v1) in zip(pts, pts[1:])
                  if t0 == t1 and v0 != v1), None)
     if jump is not None:
@@ -235,8 +230,17 @@ def table_weight(points, lambda_hint: Optional[float] = None) -> Weight:
     return _weight("table", (ts, ws), lambda_hint)
 
 
-def custom_weight(name, eval_fn, log_eval=None) -> Weight:
-    return Weight("custom", (), name=name, _eval=eval_fn, _log_eval=log_eval)
+def _exp_or_inf(x: float) -> float:
+    """math.exp(x), or inf where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _iter_exp(x, depth: int, exp=np.exp):
+    # E_1(x) = x, E_2(x) = e^x; ``exp`` is np.exp on arrays
+    return x if depth == 1 else exp(x)
 
 
 def _reciprocal_hint(slope: float) -> float:
@@ -290,6 +294,16 @@ KINDS = {
         pow=lambda params, lam: (params[0],
                                  tuple(v ** lam for v in params[1])),
         spec=lambda params: ([[t, v] for t, v in zip(*params)],)),
+    "exp_recip": WeightKind(
+        fields=("c", "depth"), required=1, make=exp_recip,
+        value=lambda t, c, depth: np.exp(-c * _iter_exp(1.0 / t, depth)),
+        log=lambda t, c, depth: -c * _iter_exp(1.0 / t, depth),
+        neg_log=lambda u, c, depth: c * _iter_exp(
+            _exp_or_inf(u), depth, _exp_or_inf),
+        # d/du of c e^u or of c exp(e^u) grows without bound
+        slope=lambda c, depth: None,
+        label=lambda c, depth: f"exp(-{c:g}"
+                               f"{'/t' if depth == 1 else ' exp(1/t)'})"),
 }
 
 
@@ -312,9 +326,9 @@ def from_spec(spec) -> Weight:
         spec = {"kind": kind, **dict(zip(KINDS[kind].fields, args))}
     # any field here: the kind's own fields are checked below
     kind = fields(spec, "weight", "kind", optional=spec)["kind"]
-    rec = KINDS.get(kind) if isinstance(kind, str) else None
-    if rec is None:
+    if not isinstance(kind, str) or kind not in KINDS:
         raise InvalidWeightError(f"unknown weight kind {reprlib.repr(kind)}")
+    rec = KINDS[kind]
     fields(spec, f"{kind} weight", "kind", *rec.fields[:rec.required],
            optional=rec.fields + ("lambda_hint",))
     return rec.make(*(spec[f] for f in rec.fields if f in spec),
@@ -322,9 +336,7 @@ def from_spec(spec) -> Weight:
 
 
 def to_spec(w: Weight) -> dict:
-    kind = KINDS.get(w.kind)
-    if kind is None:
-        raise InvalidWeightError(f"weight kind {w.kind!r} has no JSON form")
+    kind = KINDS[w.kind]
     return {"kind": w.kind, **dict(zip(kind.fields, kind.spec(w.params))),
             "lambda_hint": w.lambda_hint}
 
@@ -365,15 +377,6 @@ def _check_grid_depth(grid_depth: int) -> None:
         raise ValueError(f"grid_depth must be at most {MAX_GRID_DEPTH}")
 
 
-@lru_cache(maxsize=1)
-def _continuity_grid() -> np.ndarray:
-    """The read-only 2^CONTINUITY_DEPTH grid, built on first use: only
-    weights that no record settles read it."""
-    grid = np.linspace(0.0, 1.0, 2 ** CONTINUITY_DEPTH + 1)
-    grid.setflags(write=False)
-    return grid
-
-
 def _table_proof(ts, vs, lam: float) -> bool:
     """Whether f^lam(t)/t is proved nonincreasing on (0, 1], f the
     piecewise-linear table through (ts, vs), with f(0) = 0 and f
@@ -401,47 +404,20 @@ def _record_verdict(w: Weight, lam: float, work=None) -> Optional[bool]:
     in Fractions.  A nonincreasing w^lam(t)/t with w(0) = 0 makes w^lam
     subadditive, w(s + t) <= s w(s)/s + t w(t)/t, and the closed forms
     are continuous and nondecreasing.  An unbounded slope (exp_log with
-    beta > 1) disproves every lam: there w^lam(t)/t -> 0, while a nonzero
-    nondecreasing subadditive f on [0, 1] has f(t) >= f(1) t/2.  A table
-    is proved by _table_proof of w^lam itself, the function the grid
-    fallback sweeps, and never disproved.  ``work``, a Counter, gains one
-    ``slope_proofs`` per settled verdict.
+    beta > 1, exp_recip) disproves every lam: there w^lam(t)/t -> 0,
+    while a nonzero nondecreasing subadditive f on [0, 1] has
+    f(t) >= f(1) t/2.  A table is proved by _table_proof of w^lam itself,
+    the function the grid fallback sweeps, and never disproved.  ``work``,
+    a Counter, gains one ``slope_proofs`` per settled verdict.
     """
-    kind = KINDS.get(w.kind)
     if w.kind == "table":
         verdict = _table_proof(*w.params, lam) or None
-    elif kind is None or kind.slope is None:
-        verdict = None
     else:
-        slope = kind.slope(*w.params)
+        slope = KINDS[w.kind].slope(*w.params)
         verdict = slope is not None and (Fraction(lam) * slope <= 1 or None)
     if work is not None and verdict is not None:
         work["slope_proofs"] += 1
     return verdict
-
-
-def _continuity_violation(w: Weight, lam: float) -> Optional[ModulusCheck]:
-    """The failed check of w^lam on the 2^CONTINUITY_DEPTH grid, or None.
-
-    Raises InvalidWeightError on a negative or non-finite value, then checks
-    w(0) = 0, monotonicity and jumps.  Only a custom weight needs it: a
-    built-in one passes by construction.
-    """
-    fine = _continuity_grid()
-    fvals = _values(w, fine, lam)
-    if abs(fvals[0]) > ORDER_TOL:
-        return ModulusCheck(False, (0.0, 0.0), "w(0) != 0")
-    jumps = np.diff(fvals)
-    if jumps.min() < -ORDER_TOL:
-        i = int(np.argmax(jumps < -ORDER_TOL))
-        return ModulusCheck(False, (fine[i], fine[i + 1]), "not nondecreasing")
-    # The step off t = 0 is exempt: slowly-vanishing weights (iterated logs)
-    # are continuous at 0 but no finite grid resolves that; w(0) = 0 plus
-    # monotonicity certifies the endpoint.
-    if jumps[1:].max() > CONTINUITY_TOL:
-        i = 1 + int(np.argmax(jumps[1:] > CONTINUITY_TOL))
-        return ModulusCheck(False, (fine[i], fine[i + 1]), "jump discontinuity")
-    return None
 
 
 def _first_violation(vals: np.ndarray, work=None) -> Optional[tuple]:
@@ -481,7 +457,8 @@ def _subadditivity_violation(w: Weight, grid_depth: int, lam: float,
     None, where f = w^lam.
 
     The grids k/2^d for d = 2 .. grid_depth are swept coarse to fine, and
-    each grid's values are validated as the continuity grid's are.
+    each grid's values are validated: a negative or non-finite one raises
+    InvalidWeightError.
     """
     for depth in range(2, grid_depth + 1):
         n = 2 ** depth
@@ -497,29 +474,25 @@ def check_modulus_of_continuity(w: Weight, grid_depth: int,
                                 work=None) -> ModulusCheck:
     """Monotonicity, continuity, w(0)=0 and subadditivity of w.
 
-    The kind's record is consulted first (``_record_verdict`` at lambda 1);
-    a disproof has no witness.  What it leaves open goes to the grids,
-    whose pass is evidence at their resolution.  The grid check has two
-    halves, run in this order.  A custom weight's monotonicity and
-    continuity are checked on the fixed 2^CONTINUITY_DEPTH grid
-    (``_continuity_violation``); a built-in weight has them by
-    construction.  Subadditivity, w(s) + w(t) >= w(s + t), is then swept
-    over the grids k/2^d for d = 2 .. grid_depth, coarse to fine, in blocks
-    of rows s = i/2^d, each row against every t = j/2^d with i <= j and
-    i + j <= 2^d (``_subadditivity_violation``).  The returned
-    witness is thus the first failed continuity check, or else the first
-    violating pair, in row-major order, at the coarsest failing resolution.
-    Scratch memory is O(2^grid_depth) and time O(4^grid_depth); grid_depth
-    must lie in 4 .. MAX_GRID_DEPTH.  ``work``, a Counter, gains
-    ``slope_proofs`` and ``sweep_rows``.
+    Every record has the first three by construction, so only
+    subadditivity is checked.  The kind's record is consulted first
+    (``_record_verdict`` at lambda 1); a disproof has no witness.  What it
+    leaves open goes to the grids, whose pass is evidence at their
+    resolution: w(s) + w(t) >= w(s + t) is swept over the grids k/2^d for
+    d = 2 .. grid_depth, coarse to fine, in blocks of rows s = i/2^d, each
+    row against every t = j/2^d with i <= j and i + j <= 2^d
+    (``_subadditivity_violation``).  The returned witness is thus the
+    first violating pair, in row-major order, at the coarsest failing
+    resolution.  Scratch memory is O(2^grid_depth) and time
+    O(4^grid_depth); grid_depth must lie in 4 .. MAX_GRID_DEPTH.
+    ``work``, a Counter, gains ``slope_proofs`` and ``sweep_rows``.
     """
     _check_grid_depth(grid_depth)
     proved = _record_verdict(w, 1.0, work)
     if proved is not None:
         return ModulusCheck(True) if proved else ModulusCheck(
             False, None, "w(t)/t -> 0 as t -> 0: not subadditive")
-    return ((w.kind not in KINDS and _continuity_violation(w, 1.0))
-            or _subadditivity_violation(w, grid_depth, 1.0, work)
+    return (_subadditivity_violation(w, grid_depth, 1.0, work)
             or ModulusCheck(True))
 
 
@@ -549,13 +522,9 @@ def check_majorant(w: Weight, candidates, grid_depth: int = 10,
 
     Each candidate goes to the kind's record first (``_record_verdict``):
     a proof takes it, a disproof skips it.  A candidate neither settles
-    passes when check_modulus_of_continuity's grid check of w(t)^lambda
-    passes.  Only a custom weight has a continuity grid, and it is swept
-    first: the sweep usually fails on the coarsest grids, and only a
-    candidate that passes it pays for the 2^CONTINUITY_DEPTH grid.  A NaN
-    or negative value off every sweep grid is thus found
-    (InvalidWeightError) only at a candidate whose sweep passes.  ``work``
-    is as in check_modulus_of_continuity.
+    passes when the subadditivity sweep of w(t)^lambda, the grid check of
+    check_modulus_of_continuity, passes.  ``work`` is as in
+    check_modulus_of_continuity.
     """
     if not candidates:
         raise ValueError("need at least one lambda candidate")
@@ -567,9 +536,7 @@ def check_majorant(w: Weight, candidates, grid_depth: int = 10,
             return MajorantCheck(True, lam, True)
         if proved is None:
             disproved = False
-            if (_subadditivity_violation(w, grid_depth, lam, work) is None
-                    and (w.kind in KINDS
-                         or _continuity_violation(w, lam) is None)):
+            if _subadditivity_violation(w, grid_depth, lam, work) is None:
                 return MajorantCheck(True, lam)
     return MajorantCheck(False, certified=disproved)
 
@@ -744,36 +711,56 @@ def _dini_integrand(w: Weight, alpha: float):
     return lambda u: np.exp(alpha * np.asarray(w.log(np.exp(u))))
 
 
-def _evidence_tail(w: Weight, alpha: float, u0: float) -> Bracket:
-    """Tail below s = e^u0 of a weight with no closed form.
+def _exp_recip_tail(alpha: float, c: float, u0: float) -> Bracket:
+    """[0, e^-x/x] with x = b/s, b = alpha c and s = e^u0: an upper bound
+    on int_0^s w^alpha(t) dt/t = int_0^s exp(-b E_d(1/t)) dt/t.
 
-    The four dyadic blocks below s are bracketed, which bounds the tail
-    from below; above, the last block's geometric trend is extrapolated,
-    which is evidence rather than a certificate, and needs lambda_hint.
+    E_d(y) >= y, so the integral is at most int_0^s e^(-b/t) dt/t, the
+    exponential integral E_1(x) < e^-x/x.  The bound is formed on the log
+    scale and widened for its rounding; past x = 745 it is below the least
+    subnormal, which it is raised to.
     """
-    if w.lambda_hint is None:
-        raise UncertifiedError(
-            f"no tail certificate for {w.label()} (missing lambda_hint)")
-    fn = _dini_integrand(w, alpha)
-    edges = [u0 - j * math.log(2.0) for j in range(5)]
-    blocks = [monotone_integral(fn, np.linspace(lo, hi, DINI_CELLS + 1))
-              for hi, lo in zip(edges, edges[1:])]
-    if blocks[0].high == 0.0:
-        return Bracket(0.0, 0.0)  # w vanishes on [s/2, s], so on [0, s]
-    near = blocks[0] + blocks[1] + blocks[2] + blocks[3]
-    first, last = blocks[0].mid, blocks[3].mid
-    rho = (last / first) ** (1.0 / 3.0) if last > 0 else 0.0
-    if rho >= 0.95:
-        return Bracket(near.low, math.inf)
-    return Bracket(near.low, near.high + blocks[3].high * rho / (1.0 - rho))
+    parts = (math.log(alpha), math.log(c), -u0)
+    log_x = math.fsum(parts)
+    x = _exp_or_inf(log_x)
+    if x > 745.0:
+        return Bracket(0.0, math.ulp(0.0))
+    log_high = -x - log_x
+    high = math.exp(log_high) if log_high < 709.0 else math.inf
+    size = sum(abs(p) for p in parts)
+    rel = 8.0 * (x + 1.0) * (size + 1.0) * UNIT_ROUNDOFF
+    return Bracket(0.0, high * (1.0 + rel) + math.ulp(0.0))
+
+
+def _table_tail(w: Weight, alpha: float, u0: float) -> Bracket:
+    """int_0^s w^alpha(t) dt/t of a table, s = e^u0.
+
+    On its first segment, up to the least t1 > 0, a table is w(t) = m0 t
+    with m0 = v1/t1, since w(0) = 0; there the integral is
+    (m0 min(s, t1))^alpha/alpha.  Past t1, for s > t1, the nondecreasing
+    w(e^u)^alpha is bracketed over [log t1, u0] by monotone_integral,
+    split from the first segment at the same float log t1.
+    """
+    ts, vs = w.params
+    t1, v1 = next((t, v) for t, v in zip(ts, vs) if t > 0.0)
+    u1 = math.log(t1)
+    # on the log scale, since m0 may overflow and s be subnormal
+    head = (math.exp(alpha * (math.log(v1) - u1 + min(u0, u1))) / alpha
+            if v1 > 0.0 else 0.0)
+    tail = _widen(head, head)
+    if u0 <= u1:
+        return tail
+    nodes = np.linspace(u1, u0, DINI_CELLS + 1)
+    return tail + monotone_integral(_dini_integrand(w, alpha), nodes)
 
 
 def _dini_tail(w: Weight, alpha: float, u0: float) -> Bracket:
     """Bracket of int_0^s w^alpha(t) dt/t, s = e^u0, by weight kind.
 
-    power, log_power and exp_log are in closed form (exp_log through the
-    upper incomplete gamma function); Bracket(0, inf) marks a divergent
-    tail.  Other kinds go to _evidence_tail.
+    power, log_power, exp_log and table are in closed form (exp_log
+    through the upper incomplete gamma function, a table on its first
+    segment, _table_tail); Bracket(0, inf) marks a divergent tail.
+    exp_recip, never a majorant, has the upper bound of _exp_recip_tail.
     """
     if w.kind == "power":
         e = alpha * w.params[0]
@@ -789,7 +776,9 @@ def _dini_tail(w: Weight, alpha: float, u0: float) -> Bracket:
     if w.kind == "exp_log":
         a, beta = w.params
         return _exp_log_tail(alpha * a, beta, 1.0 - u0)
-    return _evidence_tail(w, alpha, u0)
+    if w.kind == "table":
+        return _table_tail(w, alpha, u0)
+    return _exp_recip_tail(alpha, w.params[0], u0)
 
 
 def dini_brackets(w: Weight, alpha: float, depth: int) -> tuple:
@@ -837,7 +826,7 @@ class A2Check:
 
 
 def check_A2(w: Weight, alpha: float, quad_depth: int, work=None) -> A2Check:
-    """Dini-type integral of w^alpha with a certified (or evidenced) tail.
+    """Dini-type integral of w^alpha with a certified tail.
 
     ``work`` is as in check_modulus_of_continuity, for the majorant check.
     """
@@ -911,9 +900,6 @@ def check_condition_a(w: Weight, n_max: int) -> ConditionACheck:
     """
     if n_max < 8:
         raise ValueError("n_max must be at least 8")
-    w0 = w(0.0)
-    if abs(w0) > ORDER_TOL:
-        raise InvalidWeightError("w(0) must vanish")
     ns, sups = [], []
     n = 2
     while n <= n_max:

@@ -140,16 +140,49 @@ def test_divergent_tail_has_infinite_high():
     assert res.low <= res.dini_integral < math.inf
 
 
+# 2 w(1/8) < w(1/4): not subadditive; and a concave table
+TABLE = weights.table_weight([(0, 0), (0.09, 0.1), (0.19, 0.25), (1, 1)])
+CONCAVE_TABLE = weights.table_weight([(0, 0), (0.25, 0.5), (0.5, 0.75),
+                                      (1, 1)])
+
+
+def oracle_table_dini(w, alpha, depth):
+    """(body, tail) as in oracle_dini, of the exact piecewise-linear
+    interpolation of a table's float knots: in closed form on the first
+    segment, where w(t) = m0 t, and by quadrature on the others."""
+    ts = [mpmath.mpf(t) for t in w.params[0]]
+    vs = [mpmath.mpf(v) for v in w.params[1]]
+    alpha = mpmath.mpf(alpha)
+    s = mpmath.exp(mpmath.mpf(math.log(2.0) * -depth))
+
+    def integral(lo, hi):
+        total = mpmath.mpf(0)
+        for t0, t1, v0, v1 in zip(ts, ts[1:], vs, vs[1:]):
+            a, b = max(lo, t0), min(hi, t1)
+            if a >= b:
+                continue
+            if t0 == 0:
+                total += (v1 / t1) ** alpha * (b ** alpha - a ** alpha) / alpha
+            else:
+                total += mpmath.quad(lambda t: (
+                    v0 + (t - t0) * (v1 - v0) / (t1 - t0)) ** alpha / t,
+                    [a, b])
+        return total
+    return integral(s, 1), integral(0, s)
+
+
 def test_table_tail_low_is_certified():
-    # a table has no closed form: its body is bracketed on the grid, its
-    # tail below 2^-40 extrapolated; the tail's low is the four blocks below
-    w = weights.table_weight([(0, 0), (0.09, 0.1), (0.19, 0.25), (1, 1)], 0.5)
+    # below its first knot t1 = 0.09 a table is w(t) = m0 t, m0 = 0.1/0.09,
+    # so its tail below s = 2^-40 is int_0^s (m0 t)^0.5 dt/t = 2 sqrt(m0 s)
+    # in closed form, to rounding, and needs no lambda_hint
+    w = TABLE
+    assert w.lambda_hint is None
     body, tail = weights.dini_brackets(w, 0.5, 40)
     slope = mpmath.mpf(0.1) / mpmath.mpf(0.09)
-    s = mpmath.mpf(2) ** -40
-    # w(t) = slope t below 0.09: int_0^s (slope t)^0.5 dt/t = 2 sqrt(slope s)
+    s = mpmath.exp(mpmath.mpf(math.log(2.0) * -40))
     want_tail = 2 * mpmath.sqrt(slope * s)
-    assert tail.low <= want_tail <= tail.high
+    assert_in(want_tail, tail)
+    assert tail.high - tail.low <= 4 * weights.ROUND_REL * float(want_tail)
 
     def f(t):
         return mpmath.sqrt(float(w(float(t)))) / t
@@ -157,6 +190,46 @@ def test_table_tail_low_is_certified():
     # the table's own interpolation between float nodes; pieces at breaks
     want_body = mpmath.quad(f, [s, 2 ** -20, 0.01, 0.09, 0.19, 1])
     assert_in(want_body, body)
+
+
+# at quad_depth 1, s = 1/2 lies past the first knot: the tail adds a
+# bracket over [t1, s] to the first segment's closed form
+@pytest.mark.parametrize("quad_depth", [1, 40])
+@pytest.mark.parametrize("w", [TABLE, CONCAVE_TABLE],
+                         ids=["table", "concave_table"])
+def test_table_A2_bracket_holds_the_oracle(w, quad_depth):
+    want_body, want_tail = oracle_table_dini(w, 0.5, quad_depth)
+    body, tail = weights.dini_brackets(w, 0.5, quad_depth)
+    assert_in(want_body, body)
+    assert_in(want_tail, tail)
+    res = weights.check_A2(w, 0.5, quad_depth)
+    assert res.ok and res.low <= want_body + want_tail <= res.high
+
+
+# exp_recip is never a majorant, so check_A2 refuses it; its tail is the
+# upper bound e^-x/x, x = b/s, b = alpha c, on int_0^s exp(-b E_d(1/t)) dt/t
+@pytest.mark.parametrize("quad_depth", [1, 3, 12])
+@pytest.mark.parametrize("depth", [1, 2])
+def test_exp_recip_tail_bounds_the_oracle(depth, quad_depth):
+    c, alpha = 1.5, 0.5
+    tail = weights.dini_brackets(weights.exp_recip(c, depth), alpha,
+                                 quad_depth)[1]
+    s = mpmath.exp(mpmath.mpf(math.log(2.0) * -quad_depth))
+    x = alpha * c / s
+    if depth == 1:
+        want = mpmath.e1(x)  # int_x^inf e^-y dy/y
+    else:
+        # int_{1/s}^inf exp(-b e^y) dy/y in z = e^y
+        b, z0 = mpmath.mpf(alpha * c), mpmath.exp(1 / s)
+        want = mpmath.quad(lambda z: mpmath.exp(-b * z) / (z * mpmath.log(z)),
+                           [z0 + k / b for k in (0, 1, 4, 16, 64)]
+                           + [mpmath.inf])
+    assert tail.low == 0.0 and want <= tail.high
+    if depth == 1 and x < 700:
+        # E_1(x) > e^-x/(x + 1): the bound is within a factor 1 + 1/x
+        assert tail.high <= (1 + 1 / x) * (1 + 1e-9) * want
+    with pytest.raises(weights.InvalidWeightError):
+        weights.check_A2(weights.exp_recip(c, depth), alpha, quad_depth)
 
 
 @pytest.mark.parametrize("c", [0.01, 0.25, 0.75, 3.0])

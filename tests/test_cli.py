@@ -34,28 +34,18 @@ class TestSubcommands:
     # λ and A2's precondition; only t^1.5's modulus check (slope 1.5 > 1)
     # takes the sweep.  No record settles the table at λ = 1 (its last
     # segment meets t = 0 at -0.1), so its modulus check, majorant search
-    # and A2 precondition are swept, and its majorant λ is evidence.  A
-    # built-in weight, tables included, evaluates no continuity grid, so
-    # meta no longer counts them.
+    # and A2 precondition are swept, and its majorant λ is evidence.  No
+    # weight is sampled for continuity, so meta counts no continuity grid.
     @pytest.mark.parametrize("spec, proofs", [
         ("power:1.5", 2), ("power:0.3", 3), ("exp_log:1.0,0.8", 3),
         (json.dumps({"kind": "table", "lambda_hint": 0.5, "points": [
             [0, 0], [0.5, 0.5], [0.6, 0.5], [1, 0.9]]}), 0)],
         ids=["power:1.5", "power:0.3", "exp_log:1.0,0.8", "table"])
-    def test_weight_check_meta_counts_continuity_grids(self, spec, proofs,
-                                                       capsys, monkeypatch):
-        sizes = []
-        call = weights.Weight.__call__
-
-        def counting(self, t):
-            sizes.append(np.size(t))
-            return call(self, t)
-
-        monkeypatch.setattr(weights.Weight, "__call__", counting)
+    def test_weight_check_meta_counts_proofs_and_sweeps(self, spec, proofs,
+                                                        capsys):
         code, rep = run(["weight", "check", "--weight", spec, "--alpha",
                          "0.5"], capsys)
         assert code == 0
-        assert sizes and 2 ** weights.CONTINUITY_DEPTH + 1 not in sizes
         assert "continuity_grids" not in rep["meta"]
         assert rep["meta"]["slope_proofs"] == proofs
         assert rep["meta"]["majorant_certified"] == (proofs > 0)
@@ -75,8 +65,8 @@ class TestSubcommands:
         if spec == "power:1.5":
             assert rep["results"]["majorant"]["lambda"] == 1.0 / 1.5
 
-    # the continuity grid called t^0.15 and exp_log(0.17, 0.8) jump
-    # discontinuities (their steps near t = 2^-20 pass CONTINUITY_TOL)
+    # t^0.15 and exp_log(0.17, 0.8) rise by more than 1e-2 in one step of
+    # 2^-20 near 0, yet are continuous: their records prove them unswept
     @pytest.mark.parametrize("spec", ["power:0.15", "exp_log:0.17,0.8"])
     def test_weight_check_proves_small_exponents(self, spec, capsys):
         code, rep = run(["weight", "check", "--weight", spec], capsys)
@@ -96,6 +86,41 @@ class TestSubcommands:
         assert not rep["results"]["modulus_of_continuity"]["ok"]
         assert rep["meta"]["majorant_certified"]
         assert rep["meta"]["sweep_rows"] == 0
+
+    # w(0) = 1e-13 makes the Dini integral infinite, which no finite A2
+    # bracket may claim: a table must start at exactly (0, 0)
+    def test_weight_check_rejects_a_table_off_zero(self, capsys):
+        code, out = run(["weight", "check", "--weight", json.dumps(
+            {"kind": "table", "lambda_hint": 0.5, "points": [
+                [0, 1e-13], [0.25, 0.5], [0.5, 0.75], [1, 1]]}),
+            "--alpha", "0.5"], capsys)
+        assert code == 1 and out == ""
+
+    # a table's tail is in closed form, with or without a lambda_hint
+    def test_weight_check_dini_bracket_of_a_table(self, capsys):
+        code, rep = run(["weight", "check", "--weight", json.dumps(
+            {"kind": "table", "points": [
+                [0, 0], [0.25, 0.5], [0.5, 0.75], [1, 1]]}),
+            "--alpha", "0.5"], capsys)
+        assert code == 0
+        a2 = rep["results"]["A2"]
+        assert a2["ok"] and a2["low"] <= a2["dini_integral"] <= a2["high"]
+        assert rep["meta"]["majorant_certified"]
+
+    # exp_recip is no majorant: its checks fail with no witness and A2,
+    # which needs a majorant, exits 1
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_weight_check_exp_recip(self, depth, capsys):
+        spec = json.dumps({"kind": "exp_recip", "c": 1, "depth": depth})
+        code, rep = run(["weight", "check", "--weight", spec], capsys)
+        assert code == 0
+        res = rep["results"]
+        assert res["modulus_of_continuity"]["witness"] is None
+        assert res["majorant"] == {"ok": False, "lambda": None}
+        assert not res["A1"]["ok"] and rep["meta"]["majorant_certified"]
+        code, _ = run(["weight", "check", "--weight", spec, "--alpha", "0.5"],
+                      capsys)
+        assert code == 1
 
     def test_set_entropy(self, capsys):
         code, rep = run(["set", "entropy", "--set", "fixture:point",
@@ -504,6 +529,12 @@ BAD_INPUTS.update({
         '{"kind": "table", "points": 5}'), 1),
     "weight_table_points_empty": (_point_entropy(
         '{"kind": "table", "points": []}'), 1),
+    "weight_table_start_above_0": (_point_entropy(
+        '{"kind": "table", "points": [[0, 1e-13], [1, 1]]}'), 1),
+    "weight_exp_recip_zero_c": (_point_entropy(
+        '{"kind": "exp_recip", "c": 0}'), 1),
+    "weight_exp_recip_depth_3": (_point_entropy(
+        '{"kind": "exp_recip", "c": 1, "depth": 3}'), 1),
     "weight_removed_custom_table": (_point_entropy(
         '{"kind": "custom_table", "points": [[0, 0], [1, 1]]}'), 1),
     "weight_nan_lambda_hint": (_point_entropy(
@@ -823,7 +854,7 @@ WEIGHTS = _text_or(st.one_of(
                                                   "inf", "-inf"])),
                        max_size=3)),
     _object({"kind": st.one_of(st.sampled_from(
-        ["power", "log_power", "exp_log", "table"]), JUNK)},
+        ["power", "log_power", "exp_log", "table", "exp_recip"]), JUNK)},
         {"alpha": NUMBER, "beta": NUMBER, "c": NUMBER, "depth": DEPTH,
          "lambda_hint": NUMBER,
          "points": st.one_of(st.lists(st.lists(NUMBER, max_size=3),

@@ -49,6 +49,8 @@ ALLOWED_OPTIONS = {
                                       "KINDS[kind].make(lambda_hint=)",
     "weights.exp_log(lambda_hint)": "set by from_spec through "
                                     "KINDS[kind].make(lambda_hint=)",
+    "weights.exp_recip(lambda_hint)": "set by from_spec through "
+                                      "KINDS[kind].make(lambda_hint=)",
 }
 
 

@@ -11,26 +11,32 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gst import fixtures, weights
-from gst.weights import (CONTINUITY_DEPTH, CONTINUITY_TOL, DEFAULT_LAMBDAS,
-                         ORDER_TOL, SWEEP_BLOCK, MajorantCheck, ModulusCheck,
-                         check_A1, check_A2, check_condition_a,
-                         check_condition_b, check_majorant,
+from gst.weights import (DEFAULT_LAMBDAS, ORDER_TOL, SWEEP_BLOCK,
+                         MajorantCheck, ModulusCheck, check_A1, check_A2,
+                         check_condition_a, check_condition_b, check_majorant,
                          check_modulus_of_continuity, effective_lambda)
+
+# the oracle's own continuity check: steps on the 2^20 grid, a jump past
+# JUMP_TOL
+FINE_GRID = np.linspace(0.0, 1.0, 2 ** 20 + 1)
+JUMP_TOL = 1e-2
 
 
 def oracle_modulus_check(w, grid_depth):
-    """The n x n subadditivity sweep: every pair of one depth at once."""
-    fine = np.linspace(0.0, 1.0, 2 ** CONTINUITY_DEPTH + 1)
+    """Continuity on FINE_GRID, then the n x n subadditivity sweep, every
+    pair of one depth at once.  ``w`` is any vectorized callable."""
+    fine = FINE_GRID
     fvals = np.asarray(w(fine))
-    weights._validate_values(w, fvals)
+    if not (np.isfinite(fvals).all() and fvals.min() >= 0):
+        raise weights.InvalidWeightError("negative or non-finite value")
     if abs(fvals[0]) > ORDER_TOL:
         return ModulusCheck(False, (0.0, 0.0), "w(0) != 0")
     jumps = np.diff(fvals)
     if np.any(jumps < -ORDER_TOL):
         i = int(np.argmax(jumps < -ORDER_TOL))
         return ModulusCheck(False, (fine[i], fine[i + 1]), "not nondecreasing")
-    if np.any(jumps[1:] > CONTINUITY_TOL):
-        i = 1 + int(np.argmax(jumps[1:] > CONTINUITY_TOL))
+    if np.any(jumps[1:] > JUMP_TOL):
+        i = 1 + int(np.argmax(jumps[1:] > JUMP_TOL))
         return ModulusCheck(False, (fine[i], fine[i + 1]), "jump discontinuity")
     for depth in range(2, grid_depth + 1):
         n = 2 ** depth
@@ -52,9 +58,8 @@ def oracle_majorant(w, lambdas, grid_depth):
     """The search that checks every candidate in full, continuity first, on
     w's own values raised to lambda."""
     for lam in lambdas:
-        wl = weights.custom_weight(f"{w.label()}^{lam:g}",
-                                   lambda t, lam=lam: np.power(w(t), lam))
-        if oracle_modulus_check(wl, grid_depth).ok:
+        if oracle_modulus_check(lambda t, lam=lam: np.power(w(t), lam),
+                                grid_depth).ok:
             return True, lam
     return False, None
 
@@ -118,9 +123,12 @@ class TestModulusOfContinuity:
         assert check_modulus_of_continuity(weights.log_power(1.0), 12).ok
 
     def test_negative_weight_rejected(self):
-        bad = weights.custom_weight("bad", lambda t: np.asarray(t) - 0.5)
-        with pytest.raises(weights.InvalidWeightError):
-            check_modulus_of_continuity(bad, 8)
+        # the sweeps validate every value they read
+        w = weights.power(1.0)
+        weights._validate_values(w, np.array([0.0, 0.5, 1.0]))
+        for bad in (-1e-300, np.nan, np.inf):
+            with pytest.raises(weights.InvalidWeightError, match="t\\^1"):
+                weights._validate_values(w, np.array([0.0, bad, 1.0]))
 
     def test_closed_forms_vanish_at_zero(self):
         # each closed-form value formula gives w(0) = +0.0 by itself
@@ -147,7 +155,12 @@ class TestRowSweepOracle:
     @pytest.mark.parametrize("make", [fixtures.non_majorant_weight,
                                       fixtures.fast_decay_weight])
     def test_failing_fixtures(self, make):
-        assert_matches_oracle(make())
+        # the record disproves, with no witness, what the oracle fails
+        w = make()
+        for depth in (4, 8, 12):
+            assert check_modulus_of_continuity(w, depth) == ModulusCheck(
+                False, None, "w(t)/t -> 0 as t -> 0: not subadditive")
+            assert not oracle_modulus_check(w, depth).ok
 
     @given(planted_tables())
     @settings(max_examples=20, deadline=None)
@@ -226,7 +239,7 @@ class TestBlockSweep:
 
 class TestMajorantSearchOracle:
     """check_majorant's (ok, lam) against the search that runs the n x n
-    oracle on every candidate, continuity grid first."""
+    oracle on every candidate, its continuity check first."""
 
     @pytest.mark.parametrize("depth", [8, 10])
     @pytest.mark.parametrize("name", sorted(fixtures.builtin_majorants()) + [
@@ -243,58 +256,6 @@ class TestMajorantSearchOracle:
     def test_planted_violation_tables(self, w, depth):
         res = check_majorant(w, DEFAULT_LAMBDAS, depth)
         assert (res.ok, res.lam) == oracle_majorant(w, DEFAULT_LAMBDAS, depth)
-
-    def test_continuity_grid_evaluated_once(self, monkeypatch):
-        # A built-in weight, tables included, is continuous and
-        # nondecreasing by construction, so no check samples the
-        # 2^CONTINUITY_DEPTH grid, however far its grid path runs: the
-        # table's last segment meets t = 0 at -0.1 and exp_log(1.3197,
-        # 0.7744) has slope 1.022, so no record settles λ = 1 for either.
-        # A custom weight has no record: its search sweeps λ = 4 and 2
-        # (t^3 and t^1.5 fail) and evaluates the grid once, after the
-        # sweep of λ = 1 passes.
-        sizes = []
-        call = weights.Weight.__call__
-
-        def counting(self, t):
-            sizes.append(np.size(t))
-            return call(self, t)
-
-        monkeypatch.setattr(weights.Weight, "__call__", counting)
-        grid = 2 ** CONTINUITY_DEPTH + 1
-        table = weights.table_weight([(0, 0), (0.5, 0.5), (0.6, 0.5),
-                                      (1, 0.9)], lambda_hint=0.5)
-        for w, modulus, lam in ((table, True, 1.0),
-                                (weights.power(1.5), False, 1.0 / 1.5),
-                                (weights.exp_log(1.3197, 0.7744), True, 1.0)):
-            sizes.clear()
-            assert check_modulus_of_continuity(w, 10).ok == modulus
-            res = check_majorant(w, weights.lambda_candidates(w))
-            assert (res.ok, res.lam) == (True, lam)
-            check_A2(w, 0.5, 20)
-            assert sizes and grid not in sizes, w.label()
-        custom = weights.custom_weight("t^0.75", lambda t: np.power(t, 0.75))
-        sizes.clear()
-        assert check_majorant(custom, DEFAULT_LAMBDAS) == \
-            MajorantCheck(True, 1.0)
-        assert sizes.count(grid) == 1 and sizes[-1] == grid
-        assert sizes[-2] == 2 ** 10 + 1  # the last sweep grid of λ = 1
-
-    def test_nan_off_the_sweep_grids(self):
-        # NaN on |t - 0.3| < 1e-5, which no dyadic grid up to depth 10
-        # meets: t^4 fails the sweep before the continuity grid would see
-        # the NaN, and t^0.5 passes it, so the continuity grid raises
-        w = weights.custom_weight("t, NaN near 0.3", lambda t: np.where(
-            np.abs(np.asarray(t) - 0.3) < 1e-5, np.nan, t))
-        assert check_majorant(w, (4.0,)) == MajorantCheck(False)
-        with pytest.raises(weights.InvalidWeightError):
-            check_majorant(w, (4.0, 0.5))
-
-    def test_nan_on_a_sweep_grid_raises(self):
-        w = weights.custom_weight("t, NaN near 0.75", lambda t: np.where(
-            np.abs(np.asarray(t) - 0.75) < 1e-5, np.nan, t))
-        with pytest.raises(weights.InvalidWeightError):
-            check_majorant(w, (4.0,))
 
 
 class TestMajorant:
@@ -376,10 +337,10 @@ POSITIVE = st.floats(0.0, exclude_min=True, allow_infinity=False)
 
 @st.composite
 def builtin_weights(draw):
-    """A built-in weight anywhere in its kind's parameter range; a table is
-    any point list ``table_weight`` accepts, its steps down within
-    ORDER_TOL and its repeated t values included."""
-    kind = draw(st.sampled_from(["power", "log_power", "exp_log", "table"]))
+    """A weight of any kind anywhere in its parameter range; a table is
+    any point list from (0, 0) that ``table_weight`` accepts, its steps
+    down within ORDER_TOL and its repeated t values included."""
+    kind = draw(st.sampled_from(sorted(weights.KINDS)))
     if kind == "power":
         return weights.power(draw(POSITIVE))
     if kind == "log_power":
@@ -387,10 +348,12 @@ def builtin_weights(draw):
             st.integers(1, weights.MAX_LOG_DEPTH)))
     if kind == "exp_log":
         return weights.exp_log(draw(POSITIVE), draw(POSITIVE))
+    if kind == "exp_recip":
+        return weights.exp_recip(draw(POSITIVE), draw(st.integers(1, 2)))
     ts = sorted(draw(st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
                                         st.floats(0.0, 1.0)), max_size=8)))
     steps = st.one_of(st.floats(-ORDER_TOL, 0.0), st.floats(0.0, 4.0))
-    v = draw(st.floats(0.0, ORDER_TOL))
+    v = 0.0
     points = [(0.0, v)]
     for t in ts + [1.0]:
         v += draw(steps)
@@ -402,22 +365,18 @@ def builtin_weights(draw):
 
 
 class TestBuiltinValues:
-    """The facts that let a built-in weight skip the continuity grid."""
+    """The facts that let every weight skip a continuity check: finite,
+    nonnegative, w(0) = 0 and nondecreasing, here on FINE_GRID."""
 
     @given(builtin_weights())
     @settings(max_examples=40, deadline=None)
     def test_values_on_the_continuity_grid(self, w):
-        vals = w(weights._continuity_grid())
+        vals = w(FINE_GRID)
         assert np.isfinite(vals).all() and vals.min() >= 0.0
-        if w.kind == "table":
-            assert vals[0] <= ORDER_TOL
-        else:
-            assert vals[0] == 0.0 and vals.max() <= 1.0
+        assert vals[0] == 0.0
+        if w.kind != "table":
+            assert vals.max() <= 1.0
         assert np.diff(vals).min() >= -ORDER_TOL
-        # so the grid check passes, or calls a steep rise a jump, as it
-        # did near t = 2^-20 for t^0.15
-        res = weights._continuity_violation(w, 1.0)
-        assert res is None or res.reason == "jump discontinuity"
 
 
 class TestRecordSoundness:
@@ -507,8 +466,8 @@ class TestTableProof:
     @pytest.mark.parametrize("points", [
         # the last segment meets t = 0 at -0.1
         [(0, 0), (0.5, 0.5), (0.6, 0.5), (1, 0.9)],
-        # starts just above 0, within ORDER_TOL (below 0 is rejected)
-        [(0, 1e-13), (0.5, 0.6), (1, 1)],
+        # flat at 0 up to 0.25, so w(t)/t rises (the sweep fails it)
+        [(0, 0), (0.25, 0), (0.5, 0.5), (1, 1)],
         # a step down within ORDER_TOL
         [(0, 0), (0.5, 0.6), (0.75, 0.6 - 1e-13), (1, 1)]])
     def test_tables_left_to_the_grids(self, points):
@@ -522,9 +481,8 @@ class TestTableProof:
         ts, vs = (0.0, 0.5, 1.0), (0.0, 0.72, 1.0)
         w = weights.table_weight(zip(ts, vs))
         assert weights._table_proof(*w.pow(2.0).params, 1.0)
-        square = weights.custom_weight(
-            "table^2", lambda t: np.interp(t, ts, vs) ** 2)
-        assert oracle_sweep_violation(square, 8) is not None
+        assert oracle_sweep_violation(
+            lambda t: np.interp(t, ts, vs) ** 2, 8) is not None
         assert weights._record_verdict(w, 2.0) is None
         assert weights._record_verdict(w, 1.0) is True
 
@@ -613,12 +571,6 @@ class TestConditionA:
         res = check_condition_a(w, 16)
         assert res.ok
 
-    def test_constant_weight_rejected(self):
-        const = weights.custom_weight("one", lambda t: np.ones_like(
-            np.asarray(t, dtype=float)))
-        with pytest.raises(weights.InvalidWeightError):
-            check_condition_a(const, 16)
-
 
 class TestConditionB:
     def test_linear_ratio_near_one(self):
@@ -666,6 +618,28 @@ class TestWeightSpecs:
         w2 = weights.from_spec(spec)
         assert w2(0.25) == pytest.approx(w(0.25))
 
+    def test_exp_recip_record(self):
+        # the fixtures are one record, read from its JSON form, with the
+        # values of exp(-1/t) and exp(-exp(1/t))
+        slow = weights.from_spec({"kind": "exp_recip", "c": 1})
+        fast = weights.from_spec({"kind": "exp_recip", "c": 1, "depth": 2})
+        assert slow == fixtures.non_majorant_weight()
+        assert fast == fixtures.fast_decay_weight()
+        assert weights.from_spec(weights.to_spec(fast)) == fast
+        t = np.array([0.01, 0.3, 0.5, 1.0])
+        assert (slow(t) == np.exp(-1.0 / t)).all()
+        assert (fast(t) == np.exp(-np.exp(1.0 / t))).all()
+        assert slow(0.0) == fast(0.0) == 0.0
+        assert (slow.log(t) == -1.0 / t).all()
+        assert slow.label() == "exp(-1/t)"
+        # log(1/w(2^-n)) is inf where math.exp overflows
+        assert fast.neg_log_at_depth(3) == math.exp(math.exp(
+            3 * math.log(2.0)))
+        assert fast.neg_log_at_depth(10) == math.inf
+        assert slow.neg_log_at_depth(1025) == math.inf
+        assert slow.pow(0.5) == weights.Weight("exp_recip", (0.5, 1),
+                                               name="exp(-1/t)^0.5")
+
     # NaN passes a test written as x <= 0, so each is written as not x > 0
     @pytest.mark.parametrize("make", [
         lambda: weights.power(float("nan")),
@@ -680,7 +654,11 @@ class TestWeightSpecs:
         lambda: weights.power(1.0, lambda_hint=0.0),
         lambda: weights.table_weight([(0.0, 0.0), (0.5, float("nan")),
                                       (1.0, 1.0)]),
-        lambda: weights.table_weight([])])
+        lambda: weights.table_weight([]),
+        lambda: weights.exp_recip(0.0),
+        lambda: weights.exp_recip(1.0, 3),
+        lambda: weights.exp_recip(1.0, 1.5),
+        lambda: weights.from_spec("exp_recip:1")])  # it has no compact form
     def test_constructors_reject_non_finite_parameters(self, make):
         with pytest.raises(ValueError):
             make()
@@ -707,17 +685,20 @@ class TestWeightSpecs:
         with pytest.raises(weights.InvalidWeightError):
             weights.table_weight([(0.0, 0.0), (0.5, 0.9), (1.0, 0.5)])
 
-    # no check samples a table on the continuity grid, so its constructor
-    # rejects what that grid found: a value below 0 (v^lam is not real
-    # there) and a jump, which at t = 0 makes w(0) = 0.5 while the table
-    # lists (0, 0) and passes every subadditivity sweep
+    # no check samples a table for continuity, so its constructor rejects
+    # a value below 0 (v^lam is not real there), a start off (0, 0) (a
+    # table at 1e-13 near 0 has an infinite Dini integral) and a jump,
+    # which at t = 0 makes w(0) = 0.5 while the table lists (0, 0) and
+    # passes every subadditivity sweep
     @pytest.mark.parametrize("points, match", [
         ([(0, -1e-13), (0.5, 0.6), (1, 1)], "nonnegative"),
         ([(0, 0), (0.3, 0.0), (0.4, -1e-13), (0.5, 0.6), (1, 1)],
          "nonnegative"),
         ([(0, 0), (0.5, 0.5), (0.5, 0.6), (1, 1)], "jumps at t = 0.5"),
-        ([(0, 0), (0, 0.5), (0.5, 0.7), (1, 1)], "jumps at t = 0.0")],
-        ids=["start_below_0", "dip_below_0", "jump_at_0.5", "jump_at_0"])
+        ([(0, 0), (0, 0.5), (0.5, 0.7), (1, 1)], "jumps at t = 0.0"),
+        ([(0, 1e-13), (0.5, 0.6), (1, 1)], "start at \\(0, 0\\)")],
+        ids=["start_below_0", "dip_below_0", "jump_at_0.5", "jump_at_0",
+             "start_above_0"])
     def test_table_rejects_negative_values_and_jumps(self, points, match):
         with pytest.raises(weights.InvalidWeightError, match=match):
             weights.table_weight(points)
