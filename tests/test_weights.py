@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gst import fixtures, weights
 from gst.weights import (DEFAULT_LAMBDAS, ORDER_TOL, SWEEP_BLOCK,
@@ -17,9 +17,23 @@ from gst.weights import (DEFAULT_LAMBDAS, ORDER_TOL, SWEEP_BLOCK,
                          check_modulus_of_continuity, effective_lambda)
 
 # the oracle's own continuity check: steps on the 2^20 grid, a jump past
-# JUMP_TOL
+# JUMP_TOL that a step 2^JUMP_REFINE times finer still shows
 FINE_GRID = np.linspace(0.0, 1.0, 2 ** 20 + 1)
 JUMP_TOL = 1e-2
+JUMP_REFINE = 10
+
+
+def oracle_jump(w, fine, jumps):
+    """The first i >= 1 whose step fine[i] -> fine[i + 1] passes JUMP_TOL
+    and, cut into 2^JUMP_REFINE parts, still has a part past JUMP_TOL, or
+    None.  A jump stays whole in one part; a steep continuous rise, such
+    as sqrt(1000 t) near t = 2^-20, shrinks with the parts."""
+    for i in 1 + np.flatnonzero(jumps[1:] > JUMP_TOL):
+        sub = np.asarray(w(np.linspace(fine[i], fine[i + 1],
+                                       2 ** JUMP_REFINE + 1)))
+        if np.diff(sub).max() > JUMP_TOL:
+            return int(i)
+    return None
 
 
 def oracle_modulus_check(w, grid_depth):
@@ -35,8 +49,8 @@ def oracle_modulus_check(w, grid_depth):
     if np.any(jumps < -ORDER_TOL):
         i = int(np.argmax(jumps < -ORDER_TOL))
         return ModulusCheck(False, (fine[i], fine[i + 1]), "not nondecreasing")
-    if np.any(jumps[1:] > JUMP_TOL):
-        i = 1 + int(np.argmax(jumps[1:] > JUMP_TOL))
+    i = oracle_jump(w, fine, jumps)
+    if i is not None:
         return ModulusCheck(False, (fine[i], fine[i + 1]), "jump discontinuity")
     for depth in range(2, grid_depth + 1):
         n = 2 ** depth
@@ -252,10 +266,27 @@ class TestMajorantSearchOracle:
         assert (res.ok, res.lam) == oracle_majorant(w, DEFAULT_LAMBDAS, depth)
 
     @given(planted_tables(), st.sampled_from([8, 10]))
+    # 1000 t below the first knot: w^0.5 = sqrt(1000 t) there rises 0.0128
+    # over the second step of the 2^20 grid, yet is continuous
+    @example(weights.table_weight(zip(
+        (0.0, 1e-4, 0.25, 0.5, 1.0),
+        (0.0, 0.1, 0.25 ** 0.25, 2 * 0.25 ** 0.25 + 0.5,
+         2 * 0.25 ** 0.25 + 0.5))), 8)
     @settings(max_examples=10, deadline=None)
     def test_planted_violation_tables(self, w, depth):
         res = check_majorant(w, DEFAULT_LAMBDAS, depth)
         assert (res.ok, res.lam) == oracle_majorant(w, DEFAULT_LAMBDAS, depth)
+
+    def test_oracle_keeps_a_jump_past_a_steep_rise(self):
+        # a steep continuous rise is no jump; a step of JUMP_TOL or more,
+        # at a grid point or between two, is one, however fine the grid
+        rise = lambda t: np.sqrt(1000 * np.minimum(t, 1e-4))
+        assert oracle_modulus_check(rise, 4).reason != "jump discontinuity"
+        for at in (0.5, 0.3 + 2 ** -22):
+            step = lambda t, at=at: np.minimum(t, 0.1) + 0.2 * (t >= at)
+            res = oracle_modulus_check(step, 4)
+            assert res.reason == "jump discontinuity"
+            assert res.witness[0] < at <= res.witness[1]
 
 
 class TestMajorant:
