@@ -44,8 +44,9 @@ that a gap wraps angle 0;
 ``weight check --alpha 0.5`` on four majorants, a table weight that is
 not subadditive, a concave table with no ``lambda_hint`` and two exp_log
 weights that no record settles, one subadditive on every sweep grid and
-one with the witness (0.25, 0.25),
-``weight check`` on ``power:0.15``, ``exp_log:0.1,1.2``
+one with the witness (0.25, 0.25), ``weight check --alpha 1`` on
+``exp_log:0.0001,0.6``, whose incomplete gamma brackets take the lower
+series, ``weight check`` on ``power:0.15``, ``exp_log:0.1,1.2``
 and a concave table, which their kinds' records settle, and ``weight
 check`` at ``--depth`` 14 and 16; ``grid
 build`` and ``set entropy --form both`` on the triadic set, each with a
@@ -54,7 +55,9 @@ triadic set under ``log:3`` and under its JSON form
 ``{"kind": "log_power", "c": 3}``, whose results must be equal, on the
 ``triadic_union_point`` set (inline JSON) with its gaps listed in
 reverse order, and on the ``harmonic_log`` set under ``exp_log:1,0.5``,
-whose finite entropy rests on the tail's remainder bound; two certified
+whose finite entropy rests on the tail's remainder bound, ``set entropy
+--form sum`` on the same set under ``log:1,2``, which no tail certificate
+decides (exit 2, no bounds); two certified
 divergences, whose infinite bounds the report writes as null: ``set
 entropy --form both`` on the stagewise divergent set and ``dual
 fw-norm`` under ``power:1.5``; ``dual fw-norm`` under ``power:0.5``, a
@@ -201,6 +204,10 @@ def cases():
     for weight in ("exp_log:1.094,0.9305", "exp_log:1.4725,0.9796"):
         yield f"weight check {weight}", (
             "weight", "check", "--weight", weight, "--alpha", "0.5")
+    # x = alpha a = 1e-4 puts the incomplete gamma function on its lower
+    # series at both ends of the Dini integral
+    yield "weight check exp_log:0.0001,0.6 alpha 1", (
+        "weight", "check", "--weight", "exp_log:0.0001,0.6", "--alpha", "1")
     # depth 14 sweeps blocks of 4 rows, depth 16 blocks of one row
     for depth in (14, 16):
         yield f"weight check power:0.5 depth {depth}", (
@@ -224,6 +231,10 @@ def cases():
     yield "set entropy harmonic_log exp_log:1,0.5", (
         "set", "entropy", "--set", "fixture:harmonic_log", "--weight",
         "exp_log:1,0.5", "--form", "both")
+    # no tail certificate: undecided, with no bounds
+    yield "set entropy harmonic_log log:1,2 sum", (
+        "set", "entropy", "--set", "fixture:harmonic_log", "--weight",
+        "log:1,2", "--form", "sum")
     yield "set entropy stagewise_divergent power:1", (
         "set", "entropy", "--set", "fixture:stagewise_divergent", "--weight",
         "power:1", "--form", "both")

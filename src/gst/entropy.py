@@ -2,11 +2,12 @@
 splitting of a singular measure into its entropy-carried and entropy-free
 parts.
 
-Divergence is evidenced, not proven: either a generator-aware analytic
-certificate (integral comparison) or monotone partial sums crossing
-DIVERGENCE_THRESHOLD.  Finiteness of a lazily generated gap family always
-comes with a closed-form tail bound; when neither certificate applies the
-result is tagged undecided.
+A lazily generated gap family is decided only by a closed-form
+certificate on its tail: divergence by integral comparison, finiteness by
+a bound on the remainder past explicitly summed terms.  When neither
+applies the result is tagged undecided, with bounds -inf and +inf.  The
+integral form is exact per gap under a power weight, up to rounding; other
+weights take Gauss panels and an envelope bound near 0.
 """
 
 from __future__ import annotations
@@ -18,13 +19,12 @@ from typing import Optional
 import numpy as np
 
 from .circle import CircleMeasure, ClosedCircleSet, GapTail
-from .weights import Weight, effective_lambda
+from .weights import ROUND_REL, UNIT_ROUNDOFF, Weight, effective_lambda
 
 FINITE = "finite"
 DIVERGES = "diverges"
 UNDECIDED = "undecided"
 
-DIVERGENCE_THRESHOLD = 1e6
 GENERATOR_TERM_BUDGET = 10 ** 6
 
 
@@ -133,6 +133,10 @@ def gap_entropy_sum(lengths, w: Weight) -> float:
     return float(np.sum(terms))
 
 
+NO_TAIL_CERTIFICATE = TaggedValue(UNDECIDED, None, -math.inf, math.inf,
+                                  "no tail certificate for this weight")
+
+
 @dataclass(frozen=True)
 class EntropySumResult:
     result: TaggedValue
@@ -156,17 +160,7 @@ def entropy_sum(E: ClosedCircleSet, w: Weight) -> EntropySumResult:
         return EntropySumResult(tv)
     bounds = _tail_sum_bounds(E.tail, w)
     if bounds is None:
-        # stream generator terms; divergence by threshold is the last resort
-        counts, lens_t = E.tail.levels(GENERATOR_TERM_BUDGET)
-        gen_terms = counts * lens_t * np.asarray(w.log(lens_t))
-        gen_sum = explicit + float(np.cumsum(gen_terms)[-1])
-        if gen_sum < -DIVERGENCE_THRESHOLD:
-            tv = TaggedValue(DIVERGES, None, -math.inf, gen_sum,
-                             f"partial sums beyond {DIVERGENCE_THRESHOLD:g}")
-        else:
-            tv = TaggedValue(UNDECIDED, None, -math.inf, gen_sum,
-                             "no tail certificate for this weight")
-        return EntropySumResult(tv)
+        return EntropySumResult(NO_TAIL_CERTIFICATE)
     lo, hi = bounds
     if lo == -math.inf:
         tv = TaggedValue(DIVERGES, None, -math.inf, -math.inf,
@@ -180,10 +174,18 @@ def entropy_sum(E: ClosedCircleSet, w: Weight) -> EntropySumResult:
 def _gap_integral_values(w: Weight, lens: np.ndarray, lam: float):
     """Per-gap values of 2*int_0^{L/2} log w(t) dt with a shared error bound.
 
-    Panels are dyadic toward 0 with fixed Gauss nodes; the leftover
-    [0, L/2 * 2^-45] is bracketed through the almost-decreasing envelope
-    w(t) >= (t w^lam(L)/(2L))^(1/lam).
+    Under t^a a value is a L (log(L/2) - 1) in closed form, formed as
+    a L (log L - (1 + log 2)), whose terms share a sign for L <= 1; the
+    bound is ROUND_REL per value plus (n - 1) u of their absolute sum for
+    summing n of them (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 4).  Other weights take panels dyadic toward 0 with
+    fixed Gauss nodes; the leftover [0, L/2 * 2^-45] is bracketed through
+    the almost-decreasing envelope w(t) >= (t w^lam(L)/(2L))^(1/lam).
     """
+    if w.kind == "power":
+        vals = w.params[0] * lens * (np.log(lens) - (1.0 + math.log(2.0)))
+        size = float(np.sum(np.abs(vals)))
+        return vals, (ROUND_REL + max(lens.size - 1, 0) * UNIT_ROUNDOFF) * size
     nodes, wts = np.polynomial.legendre.leggauss(8)
     panels = 45
     half = lens / 2.0
@@ -213,8 +215,9 @@ def entropy_integral(E: ClosedCircleSet, w: Weight,
 
     Each gap of length L contributes 2*int_0^{L/2} log w(t) dt: the distance
     to the set sweeps (0, L/2] twice per gap.  ``summed``, the caller's
-    ``entropy_sum(E, w)``, lends its tail bracket and its evidence, so a
-    report of both forms brackets the tail once.
+    ``entropy_sum(E, w)``, lends its tail bracket, so a report of both
+    forms brackets the tail once.  A tail with no certificate leaves the
+    result undecided, as in the sum form.
 
     A divergent tail certificate is read before lambda is needed: each
     gap's integral is at most L log w(L/2) <= L log w(L), its sum term,
@@ -223,7 +226,9 @@ def entropy_integral(E: ClosedCircleSet, w: Weight,
     sums = None
     if E.tail is not None:
         sums = (summed and summed.tail_bounds) or _tail_sum_bounds(E.tail, w)
-        if sums is not None and sums[0] == -math.inf:
+        if sums is None:
+            return NO_TAIL_CERTIFICATE
+        if sums[0] == -math.inf:
             return TaggedValue(
                 DIVERGES, None, -math.inf, -math.inf,
                 "generator tail certificate (integral comparison)")
@@ -236,11 +241,6 @@ def entropy_integral(E: ClosedCircleSet, w: Weight,
     if E.tail is None:
         return TaggedValue(FINITE, explicit, explicit - err, explicit + err,
                            "finite gap family")
-    if sums is None:
-        tag = (summed or entropy_sum(E, w)).result.tag
-        return TaggedValue(tag if tag != FINITE else UNDECIDED, None,
-                           -math.inf, explicit,
-                           "integral tail follows the sum-form evidence")
     lo, hi = sums
     slack = (1.0 + 2.0 * math.log(2.0) + _lambda_log_bound(w, lam)) / lam
     tail_lo = lo - slack * E.tail.gap_mass()

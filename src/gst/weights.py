@@ -669,13 +669,45 @@ def _legendre_cf(sigma: float, x: float) -> tuple:
     return min(f, f_prev), max(f, f_prev), j
 
 
+def _lower_series(sigma: float, x: float) -> tuple:
+    """(low, high, terms): a bracket of e^x x^-sigma Gamma(sigma, x) for
+    0 < sigma <= 1 and 0 < x < 1, as e^x x^-sigma Gamma(sigma) - S with the
+    lower series S = sum_n x^n / (sigma)_(n+1) (DLMF 8.7.1, 8.2.3).
+
+    The terms are positive and fall by x / (sigma + n) < 1, so the sum
+    stops at the first term below a unit roundoff of the sum, and the rest
+    is at most that term over 1 - x / (sigma + terms + 1), a geometric
+    bound.  The first term is exp(x - sigma log x + log Gamma(sigma)), with
+    math.lgamma's log Gamma(sigma) in the exponent, so no factor overflows
+    apart; it is widened by ROUND_REL and for the exponent's rounding, the
+    terms and their sum for theirs.  The value is at least
+    Gamma(sigma, 1) >= E_1(1) > 0.2, which keeps the low end positive where
+    the difference cancels.
+    """
+    term, total, terms = 1.0 / sigma, 0.0, 0
+    while term > UNIT_ROUNDOFF * total:
+        total += term
+        terms += 1
+        term *= x / (sigma + terms)
+    rest = term / (1.0 - x / (sigma + terms + 1.0))
+    rel_sum = 8.0 * (terms + 2) * UNIT_ROUNDOFF
+    parts = (x, -sigma * math.log(x), math.lgamma(sigma))  # lgamma >= 0
+    lead = _exp_or_inf(math.fsum(parts))
+    rel_lead = ROUND_REL + (4.0 * sum(map(abs, parts)) + 4.0) * UNIT_ROUNDOFF
+    low = lead * (1.0 - rel_lead) - (total + rest) * (1.0 + rel_sum)
+    high = lead * (1.0 + rel_lead) - total * (1.0 - rel_sum)
+    return (max(0.2, math.nextafter(low, -math.inf)),
+            math.nextafter(high, math.inf), terms)
+
+
 def _exp_log_tail(c: float, beta: float, y0: float) -> Bracket:
     """Bracket of int_y0^inf exp(-c y^beta) dy = Gamma(s, x) / (beta c^s)
     with s = 1/beta and x = c y0^beta.
 
     The recurrence Gamma(m + 1, x) = x^m e^-x + m Gamma(m, x) (DLMF 8.8.2)
-    lowers s into sigma in (0, 1], where _legendre_cf brackets
-    Gamma(sigma, x).  With Gamma(m, x) = x^(m-1) e^-x Q_m it reads
+    lowers s into sigma in (0, 1], where Gamma(sigma, x) is bracketed by
+    _lower_series for x < 1 and by _legendre_cf, which converges slowly
+    near x = 0, from x = 1 on.  With Gamma(m, x) = x^(m-1) e^-x Q_m it reads
     Q_(m+1) = 1 + (m/x) Q_m, whose terms are positive, and the integral is
     y0^(1-beta) e^-x Q_s / (beta c), formed on the log scale.  Past
     CF_TERMS steps of the recurrence (beta < 1/CF_TERMS), or where x
@@ -687,7 +719,7 @@ def _exp_log_tail(c: float, beta: float, y0: float) -> Bracket:
     x = c * y0 ** beta
     if steps > CF_TERMS or not x > 0.0:
         return Bracket(0.0, math.inf)
-    low, high, terms = _legendre_cf(sigma, x)
+    low, high, terms = (_lower_series if x < 1.0 else _legendre_cf)(sigma, x)
     q_low, q_high, m = x * low, x * high, sigma
     for _ in range(steps):
         q_low, q_high = 1.0 + m / x * q_low, 1.0 + m / x * q_high
@@ -732,26 +764,36 @@ def _exp_recip_tail(alpha: float, c: float, u0: float) -> Bracket:
     return Bracket(0.0, high * (1.0 + rel) + math.ulp(0.0))
 
 
-def _table_tail(w: Weight, alpha: float, u0: float) -> Bracket:
-    """int_0^s w^alpha(t) dt/t of a table, s = e^u0.
+def _riemann_dini(w: Weight, alpha: float, ua: float, ub: float) -> Bracket:
+    """monotone_integral of the nondecreasing w(e^u)^alpha over [ua, ub],
+    with DINI_CELLS uniform cells per octave, fewer past DINI_NODES."""
+    blocks = max(1, math.ceil((ub - ua) / math.log(2.0)))
+    cells = max(1, min(DINI_CELLS, DINI_NODES // blocks))
+    nodes = np.linspace(ua, ub, blocks * cells + 1)
+    return monotone_integral(_dini_integrand(w, alpha), nodes)
+
+
+def _table_integral(w: Weight, alpha: float, ua: float, ub: float) -> Bracket:
+    """int w^alpha(t) dt/t of a table over [e^ua, e^ub], ua possibly -inf.
 
     On its first segment, up to the least t1 > 0, a table is w(t) = m0 t
-    with m0 = v1/t1, since w(0) = 0; there the integral is
-    (m0 min(s, t1))^alpha/alpha.  Past t1, for s > t1, the nondecreasing
-    w(e^u)^alpha is bracketed over [log t1, u0] by monotone_integral,
-    split from the first segment at the same float log t1.
+    with m0 = v1/t1, since w(0) = 0; over [a, b] below u1 = log t1 the
+    integral is m0^alpha (e^(alpha b) - e^(alpha a))/alpha, formed on the
+    log scale as v1^alpha e^(alpha (b - u1)) (1 - e^(alpha (a - b)))/alpha,
+    since m0 may overflow and e^a be subnormal.  The part past u1 goes to
+    _riemann_dini, split from the first segment at the same float u1.
     """
     ts, vs = w.params
     t1, v1 = next((t, v) for t, v in zip(ts, vs) if t > 0.0)
     u1 = math.log(t1)
-    # on the log scale, since m0 may overflow and s be subnormal
-    head = (math.exp(alpha * (math.log(v1) - u1 + min(u0, u1))) / alpha
-            if v1 > 0.0 else 0.0)
-    tail = _widen(head, head)
-    if u0 <= u1:
-        return tail
-    nodes = np.linspace(u1, u0, DINI_CELLS + 1)
-    return tail + monotone_integral(_dini_integrand(w, alpha), nodes)
+    b = min(ub, u1)
+    head = (math.exp(alpha * (math.log(v1) - u1 + b))
+            * -math.expm1(alpha * (ua - b)) / alpha
+            if v1 > 0.0 and ua < b else 0.0)
+    out = _widen(head, head)
+    if ub <= max(ua, u1):
+        return out
+    return out + _riemann_dini(w, alpha, max(ua, u1), ub)
 
 
 def _dini_tail(w: Weight, alpha: float, u0: float) -> Bracket:
@@ -759,7 +801,7 @@ def _dini_tail(w: Weight, alpha: float, u0: float) -> Bracket:
 
     power, log_power, exp_log and table are in closed form (exp_log
     through the upper incomplete gamma function, a table on its first
-    segment, _table_tail); Bracket(0, inf) marks a divergent tail.
+    segment, _table_integral); Bracket(0, inf) marks a divergent tail.
     exp_recip, never a majorant, has the upper bound of _exp_recip_tail.
     """
     if w.kind == "power":
@@ -777,7 +819,7 @@ def _dini_tail(w: Weight, alpha: float, u0: float) -> Bracket:
         a, beta = w.params
         return _exp_log_tail(alpha * a, beta, 1.0 - u0)
     if w.kind == "table":
-        return _table_tail(w, alpha, u0)
+        return _table_integral(w, alpha, -math.inf, u0)
     return _exp_recip_tail(alpha, w.params[0], u0)
 
 
@@ -785,12 +827,15 @@ def dini_brackets(w: Weight, alpha: float, depth: int) -> tuple:
     """Brackets of int_s^1 w^alpha(t) dt/t and of the tail int_0^s, where
     s = 2^-depth.
 
-    In u = log t the first is the integral of the nondecreasing
-    w(e^u)^alpha over [-depth log 2, 0], bracketed by monotone_integral
-    with DINI_CELLS cells per dyadic block (fewer past DINI_NODES nodes in
-    all).  Power and single-log weights take their closed forms:
-    (1 - s^e)/e for t^a and (1 - y^(1-e))/(e - 1), y = 1 + log(1/s), for
-    log^-c, with e = alpha a or alpha c.
+    Power and single-log weights take their closed forms: (1 - s^e)/e for
+    t^a and (1 - y^(1-e))/(e - 1), y = 1 + log(1/s), for log^-c, with
+    e = alpha a or alpha c.  exp_log's whole integral is _exp_log_tail at
+    y = 1, and its body that bracket less the tail's, rounded outward and
+    held between y0 - 1 times the integrand's end values.  A
+    table's body is in closed form below its first knot and a Riemann
+    bracket above (_table_integral).  The other kinds' bodies, in u = log t
+    the integral of the nondecreasing w(e^u)^alpha over [-depth log 2, 0],
+    go to _riemann_dini.
     """
     u0 = math.log(2.0) * -depth
     tail = _dini_tail(w, alpha, u0)
@@ -801,10 +846,21 @@ def dini_brackets(w: Weight, alpha: float, depth: int) -> tuple:
         e, log_y = alpha * w.params[0], math.log(1.0 - u0)
         body = (log_y if e == 1.0
                 else -math.expm1((1.0 - e) * log_y) / (e - 1.0))
+    elif w.kind == "exp_log":
+        (a, beta), y0 = w.params, 1.0 - u0
+        total = _exp_log_tail(alpha * a, beta, 1.0)
+        # exp(-alpha a y^beta) on [1, y0] lies between its end values, which
+        # keeps the body finite where the whole integral overflows
+        box = _widen((y0 - 1.0) * math.exp(-alpha * a * y0 ** beta),
+                     (y0 - 1.0) * math.exp(-alpha * a))
+        return Bracket(
+            max(box.low, math.nextafter(total.low - tail.high, -math.inf)),
+            min(box.high, math.nextafter(total.high - tail.low, math.inf))
+        ), tail
+    elif w.kind == "table":
+        return _table_integral(w, alpha, u0, 0.0), tail
     else:
-        cells = max(1, min(DINI_CELLS, DINI_NODES // depth))
-        nodes = math.log(2.0) * (np.arange(-depth * cells, 1) / cells)
-        return monotone_integral(_dini_integrand(w, alpha), nodes), tail
+        return _riemann_dini(w, alpha, u0, 0.0), tail
     return _widen(body, body), tail
 
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import gst
-from gst import fixtures, inner_outer, weights
+from gst import entropy, fixtures, inner_outer, weights
 from gst.weights import Bracket
 
 mpmath.mp.dps = 30
@@ -84,6 +84,8 @@ def dini_cases():
     yield weights.exp_log(1.0, 0.8), 0.5
     yield weights.exp_log(1.0, 0.5), 0.5
     yield weights.exp_log(2.0, 1.7), 1.0
+    # the whole integral, about 2e600, overflows: the body keeps a bracket
+    yield weights.exp_log(1e-300, 0.5), 1.0
     for a, b in CERTIFY_EXP_LOGS:
         yield weights.exp_log(a, b), 0.5
 
@@ -103,17 +105,27 @@ def test_dini_brackets_hold_the_oracle(w, alpha):
         assert_in(want_body + want_tail, body + tail)
 
 
-@pytest.mark.parametrize("w", [weights.exp_log(a, b)
-                               for a, b in CERTIFY_EXP_LOGS]
-                         + [weights.power(a) for a in CERTIFY_POWERS],
-                         ids=lambda w: w.label())
-def test_check_A2_bracket_holds_the_oracle(w):
-    res = weights.check_A2(w, 0.5, 40)
-    body, tail = oracle_dini(w, 0.5, 40)
+# exp_log:1e-4,0.6 at alpha 1 puts x = c y^beta below 1e-3 at both ends,
+# where Legendre's continued fraction stops at CF_TERMS far from converged
+A2_CASES = ([(weights.exp_log(a, b), 0.5) for a, b in CERTIFY_EXP_LOGS]
+            + [(weights.exp_log(1e-4, 0.6), 1.0)]
+            + [(weights.power(a), 0.5) for a in CERTIFY_POWERS])
+
+
+@pytest.mark.parametrize("w, alpha", A2_CASES, ids=[
+    w.label() + ("" if alpha == 0.5 else f"-alpha{alpha:g}")
+    for w, alpha in A2_CASES])
+def test_check_A2_bracket_holds_the_oracle(w, alpha):
+    res = weights.check_A2(w, alpha, 40)
+    body, tail = oracle_dini(w, alpha, 40)
     assert res.ok
     assert res.low <= body + tail <= res.high
     assert res.low <= res.dini_integral <= res.high
     assert res.tail >= tail
+    if w.kind == "exp_log":
+        # incomplete gamma brackets to rounding: far inside the 2^12 cells
+        # per octave of a Riemann bracket, (log 2 / DINI_CELLS) w(1)^alpha
+        assert res.high - res.low <= 1e-10 * float(body + tail)
 
 
 def test_power_dini_is_two_over_a_to_ulps():
@@ -193,8 +205,9 @@ def test_table_tail_low_is_certified():
 
 
 # at quad_depth 1, s = 1/2 lies past the first knot: the tail adds a
-# bracket over [t1, s] to the first segment's closed form
-@pytest.mark.parametrize("quad_depth", [1, 40])
+# bracket over [t1, s] to the first segment's closed form; at 1074 the body
+# reaches the least subnormal, in closed form below t1
+@pytest.mark.parametrize("quad_depth", [1, 40, 1074])
 @pytest.mark.parametrize("w", [TABLE, CONCAVE_TABLE],
                          ids=["table", "concave_table"])
 def test_table_A2_bracket_holds_the_oracle(w, quad_depth):
@@ -232,11 +245,7 @@ def test_exp_recip_tail_bounds_the_oracle(depth, quad_depth):
         weights.check_A2(weights.exp_recip(c, depth), alpha, quad_depth)
 
 
-@pytest.mark.parametrize("c", [0.01, 0.25, 0.75, 3.0])
-@pytest.mark.parametrize("beta", [0.1, 0.5, 0.6, 0.65, 0.8, 1.0, 1.5, 3.0])
-@pytest.mark.parametrize("depth", [1, 12, 40])
-def test_gamma_tail_holds_gammainc(c, beta, depth):
-    y0 = 1.0 - math.log(2.0) * -depth
+def assert_gamma_tail(c, beta, y0):
     got = weights._exp_log_tail(c, beta, y0)
     s = 1 / mpmath.mpf(beta)
     want = (mpmath.gammainc(s, mpmath.mpf(c) * mpmath.mpf(y0) ** beta)
@@ -244,6 +253,29 @@ def test_gamma_tail_holds_gammainc(c, beta, depth):
     assert_in(want, got)
     if want > 1e-290:
         assert got.high - got.low <= 1e-6 * float(want)
+
+
+GAMMA_BETAS = [0.1, 0.5, 0.6, 0.65, 0.8, 1.0, 1.5, 3.0]
+
+
+# c 1e-6 and 1e-4 keep x = c y0^beta below 1 at every depth: the lower
+# series, where the continued fraction would stop at CF_TERMS
+@pytest.mark.parametrize("c", [1e-6, 1e-4, 0.01, 0.25, 0.75, 3.0])
+@pytest.mark.parametrize("beta", GAMMA_BETAS)
+@pytest.mark.parametrize("depth", [1, 12, 40])
+def test_gamma_tail_holds_gammainc(c, beta, depth):
+    assert_gamma_tail(c, beta, 1.0 - math.log(2.0) * -depth)
+
+
+# x = c y0^beta on both sides of 1, where the series hands over to the
+# continued fraction
+@pytest.mark.parametrize("x", [1.0 - 2.0 ** -20, math.nextafter(1.0, 0.0),
+                               1.0, math.nextafter(1.0, 2.0),
+                               1.0 + 2.0 ** -20])
+@pytest.mark.parametrize("beta", GAMMA_BETAS)
+@pytest.mark.parametrize("y0", [1.0, 1.0 + 12 * math.log(2.0)])
+def test_gamma_tail_holds_gammainc_across_the_switch(x, beta, y0):
+    assert_gamma_tail(x / y0 ** beta, beta, y0)
 
 
 @pytest.mark.parametrize("w", [weights.power(1.0), weights.power(0.5),
@@ -311,6 +343,44 @@ def test_condition_a_compares_certified_sups(w, monkeypatch):
     assert [n for n, _ in seen] == [2, 4, 8, 16, 32, 64]
     for n, bracket in seen:
         assert_in(oracle_moment_sup(w, n), bracket)
+
+
+@pytest.mark.parametrize("a", [0.2, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("name", list(fixtures.entropy_set_fixtures()))
+def test_power_gap_integrals_hold_the_closed_form(name, a):
+    # under t^a a gap of float length L contributes
+    # 2 int_0^(L/2) a log t dt = a L (log(L/2) - 1); the integral form's
+    # bracket over the explicit gaps, summed as entropy_integral sums them,
+    # encloses their exact sum
+    E = fixtures.entropy_set_fixtures()[name][0]
+    w = weights.power(a)
+    vals, err = entropy._gap_integral_values(w, E.lengths,
+                                             weights.effective_lambda(w))
+    explicit = float(np.sum(vals))
+    want = mpmath.fsum(a * mpmath.mpf(L) * (mpmath.log(mpmath.mpf(L) / 2) - 1)
+                       for L in E.lengths)
+    assert explicit - err <= want <= explicit + err, (float(want), err)
+    assert err <= 1e-9 * abs(float(want))
+    if E.tail is None:
+        got = entropy.entropy_integral(E, w)
+        assert (got.low, got.high) == (explicit - err, explicit + err)
+
+
+def test_closed_forms_take_no_quadrature(monkeypatch):
+    # the Dini integrals of power and exp_log weights and the gap integrals
+    # of power weights are closed forms: no Riemann or Gauss fallback
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature on a closed-form path")
+
+    monkeypatch.setattr(weights, "monotone_integral", refuse)
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+    for w in ([weights.power(a) for a in CERTIFY_POWERS]
+              + [weights.exp_log(a, b) for a, b in CERTIFY_EXP_LOGS]):
+        assert weights.check_A2(w, 0.5, 40).ok
+    assert weights.check_A2(weights.exp_log(1e-4, 0.6), 1.0, 40).ok
+    for E, _ in fixtures.entropy_set_fixtures().values():
+        for a in (0.5, 1.0):
+            entropy.entropy_integral(E, weights.power(a))
 
 
 def test_import_leaves_scipy_out():

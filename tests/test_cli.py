@@ -107,6 +107,17 @@ class TestSubcommands:
         assert a2["ok"] and a2["low"] <= a2["dini_integral"] <= a2["high"]
         assert rep["meta"]["majorant_certified"]
 
+    # the body below the first knot is in closed form, so a table whose
+    # values underflow there reaches the deepest quadrature depth
+    @pytest.mark.parametrize("quad_depth", ["1000", "1074"])
+    def test_weight_check_table_at_depth(self, quad_depth, capsys):
+        code, rep = run(["weight", "check", "--weight", json.dumps(
+            {"kind": "table", "points": [[0, 0], [0.5, 0.5e-10], [1, 1e-10]]}),
+            "--alpha", "0.5", "--quad-depth", quad_depth], capsys)
+        assert code == 0
+        a2 = rep["results"]["A2"]
+        assert a2["ok"] and a2["low"] <= a2["dini_integral"] <= a2["high"]
+
     # exp_recip is no majorant: its checks fail with no witness and A2,
     # which needs a majorant, exits 1
     @pytest.mark.parametrize("depth", [1, 2])
@@ -211,6 +222,22 @@ class TestSubcommands:
                          "--grid", "[4,12,36]"], capsys)
         assert code == 0
         assert rep["results"]["is_w_grid"]
+
+    def test_set_entropy_undecided_streams_nothing(self, capsys):
+        # no tail certificate for the stagewise set under log log^-1: the
+        # result is undecided with unbounded bounds, and no generator level
+        # is evaluated, so no numpy warning is raised
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["set", "entropy", "--set",
+                             "fixture:stagewise_divergent", "--weight",
+                             "log:1,2", "--form", "both"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == ""
+        res = json.loads(captured.out)["results"]["uncertified"]
+        for form in ("sum", "integral"):
+            assert res[form]["tag"] == "undecided"
+            assert res[form]["low"] is None and res[form]["high"] is None
 
     def test_dual_fw_norm_overflow(self, capsys):
         # f' = 1e308: the first annulus sum overflows, and no numpy warning

@@ -44,11 +44,16 @@ class TestEntropySum:
         assert math.isfinite(res.low) and res.high - res.low <= 1.0
 
     def test_undecided_without_certificate(self):
-        # iterated-log weights on the harmonic family have no closed-form
-        # tail here and no divergence evidence: tagged undecided
-        res = entropy_sum(fixtures.harmonic_log_set(),
-                          weights.log_power(1.0, depth=2)).result
-        assert res.tag == "undecided"
+        # iterated-log weights on these families have no closed-form tail
+        # certificate: tagged undecided in both forms, with no bounds
+        w = weights.log_power(1.0, depth=2)
+        for E in (fixtures.harmonic_log_set(),
+                  fixtures.stagewise_divergent_set()):
+            summed = entropy_sum(E, w)
+            for res in (summed.result, entropy_integral(E, w),
+                        entropy_integral(E, w, summed)):
+                assert res.tag == "undecided" and res.value is None
+                assert (res.low, res.high) == (-math.inf, math.inf)
 
     @pytest.mark.parametrize("beta", [0.5, 0.9, 1.0, 1.5])
     def test_harmonic_log_under_exp_log(self, beta):
