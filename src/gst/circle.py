@@ -112,18 +112,18 @@ class GapTail:
         # stage j holds the k = j + 2 term
         return amp * log_series_tail(first + 1)
 
-    def levels(self, n_levels: int):
-        """(count, length) arrays for the first n_levels unmaterialized levels."""
+    def levels(self, skip: int, n_levels: int):
+        """(count, length) arrays for n_levels unmaterialized levels, past
+        the first ``skip`` of them."""
+        *scales, first = self.params
+        n = first + skip + np.arange(1, n_levels + 1, dtype=float)
         if self.kind == "geometric_levels":
-            count0, base, length0, ratio, first = self.params
-            n = np.arange(first + 1, first + 1 + n_levels, dtype=float)
+            count0, base, length0, ratio = scales
             return count0 * base ** (n - 1), length0 * ratio ** n
+        amp, = scales
         if self.kind == "harmonic_log":
-            amp, first = self.params
-            k = np.arange(first + 1, first + 1 + n_levels, dtype=float)
-            return np.ones_like(k), amp / (k * np.log(k) ** 2)
-        amp, first = self.params  # stagewise_log
-        j = np.arange(first, first + n_levels, dtype=float)
+            return np.ones_like(n), amp / (n * np.log(n) ** 2)
+        j = n - 1.0  # stagewise_log: stage j >= first
         s = amp / ((j + 2.0) * np.log(j + 2.0) ** 2)
         return 2.0 ** j, s / 2.0 ** j
 

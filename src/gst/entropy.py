@@ -61,9 +61,7 @@ def _tail_sum_bounds(tail: GapTail, w: Weight):
         n = first + 1
         block = 256
         while True:
-            ns = np.arange(n, n + block, dtype=float)
-            counts = count0 * base ** (ns - 1)
-            lens = length0 * ratio ** ns
+            counts, lens = tail.levels(n - first - 1, block)
             terms = counts * lens * np.asarray(w.log(lens))
             if np.any(np.isneginf(terms)):
                 return (-math.inf, -math.inf)
@@ -89,11 +87,9 @@ def _tail_sum_bounds(tail: GapTail, w: Weight):
                 (w.kind == "log_power" and w.params[1] == 1)):
             return None
         # explicit terms, then a bound on the rest from k = m on
-        ks = np.arange(first + 1, first + 1 + GENERATOR_TERM_BUDGET,
-                       dtype=float)
-        lens = amp / (ks * np.log(ks) ** 2)
-        acc = float(np.sum(lens * np.asarray(w.log(lens))))
-        m = ks[-1] + 1.0
+        counts, lens = tail.levels(0, GENERATOR_TERM_BUDGET)
+        acc = float(np.sum(counts * lens * np.asarray(w.log(lens))))
+        m = float(first + GENERATOR_TERM_BUDGET + 1)
         y = math.log(m)
         c0 = max(0.0, math.log(1.0 / amp))
         if w.kind == "log_power":
@@ -124,13 +120,15 @@ def _tail_sum_bounds(tail: GapTail, w: Weight):
 
 
 def gap_entropy_sum(lengths, w: Weight) -> float:
-    """Sum of m log w(m) over an explicit finite gap-length family."""
+    """Sum of m log w(m) over an explicit finite gap-length family, one
+    term at a time, largest first; -inf where w vanishes on a gap length."""
     lens = np.sort(np.asarray(lengths, dtype=float))[::-1]
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = lens * np.asarray(w.log(lens))
     if np.any(np.isneginf(terms)):
         return -math.inf
-    return float(np.sum(terms))
+    # cumsum adds one term at a time
+    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
 
 
 NO_TAIL_CERTIFICATE = TaggedValue(UNDECIDED, None, -math.inf, math.inf,
@@ -144,16 +142,13 @@ class EntropySumResult:
 
 
 def entropy_sum(E: ClosedCircleSet, w: Weight) -> EntropySumResult:
-    """Sum of m(I) log w(m(I)) over complementary arcs, largest first."""
-    lens = np.sort(E.lengths)[::-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = lens * np.asarray(w.log(lens))
-    if np.any(np.isneginf(terms)):
+    """Sum of m(I) log w(m(I)) over complementary arcs, the explicit ones
+    by gap_entropy_sum."""
+    explicit = gap_entropy_sum(E.lengths, w)
+    if explicit == -math.inf:
         tv = TaggedValue(DIVERGES, None, -math.inf, -math.inf,
                          "w vanishes on a gap length")
         return EntropySumResult(tv)
-    # cumsum adds one term at a time, largest first
-    explicit = float(np.cumsum(terms)[-1]) if terms.size else 0.0
     if E.tail is None:
         tv = TaggedValue(FINITE, explicit, explicit, explicit,
                          "finite gap family")

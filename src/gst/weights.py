@@ -76,14 +76,14 @@ class WeightKind:
     spells them and the compact form ``short:v1,v2`` lists them; a spec
     gives at least the first ``required``.  ``make`` builds the weight
     from them and ``spec(params)`` gives them back.  ``value(t, *params)``
-    is w on an array t, ``label(*params)`` its name, ``hint(*params)`` the
-    default lambda_hint and ``pow(params, lam)`` the params of w^lam.  A
-    closed-form kind also gives log w(t) as ``log(t, *params)`` and
-    log(1/w(e^-u)) for a float u as ``neg_log(u, *params)``, both free of
-    underflow, and its ``value`` itself gives the t -> 0 limit w(0) = +0.0.
-    Its ``slope(*params)`` is the exact sup over u >= 0 of
-    d/du log(1/w(e^-u)), a Fraction of the float params, or None where the
-    slope is unbounded (``_record_verdict`` reads it).
+    is w on an array t, ``label(*params)`` its name and ``hint(*params)``
+    the default lambda_hint.  A closed-form kind also gives log w(t) as
+    ``log(t, *params)`` and log(1/w(e^-u)) for a float u as
+    ``neg_log(u, *params)``, both free of underflow, and its ``value``
+    itself gives the t -> 0 limit w(0) = +0.0.  Its ``slope(*params)`` is
+    the exact sup over u >= 0 of d/du log(1/w(e^-u)), a Fraction of the
+    float params, or None where the slope is unbounded (``_record_verdict``
+    reads it).
     """
 
     fields: tuple
@@ -93,7 +93,6 @@ class WeightKind:
     label: Callable
     hint: Callable = lambda *params: None
     short: Optional[str] = None
-    pow: Callable = lambda params, lam: (params[0] * lam,) + params[1:]
     spec: Callable = tuple
     log: Optional[Callable] = None
     neg_log: Optional[Callable] = None
@@ -112,7 +111,6 @@ class Weight:
     kind: str
     params: tuple = ()
     lambda_hint: Optional[float] = None
-    name: str = ""
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
@@ -147,14 +145,8 @@ class Weight:
             return math.inf
         return -float(self.log(t))
 
-    def pow(self, lam: float) -> "Weight":
-        """The weight w^lam: exact on the closed-form kinds; of a table,
-        the table through the points (t, v^lam)."""
-        return Weight(self.kind, KINDS[self.kind].pow(self.params, lam),
-                      name=f"{self.label()}^{lam:g}")
-
     def label(self) -> str:
-        return self.name or KINDS[self.kind].label(*self.params)
+        return KINDS[self.kind].label(*self.params)
 
 
 def _positive(value, what: str) -> float:
@@ -291,8 +283,6 @@ KINDS = {
             as_list(points, "table points"), lambda_hint),
         value=lambda t, ts, ws: np.interp(t, ts, ws),
         label=lambda ts, ws: "table",
-        pow=lambda params, lam: (params[0],
-                                 tuple(v ** lam for v in params[1])),
         spec=lambda params: ([[t, v] for t, v in zip(*params)],)),
     "exp_recip": WeightKind(
         fields=("c", "depth"), required=1, make=exp_recip,
@@ -451,23 +441,30 @@ def _first_violation(vals: np.ndarray, work=None) -> Optional[tuple]:
     return None
 
 
-def _subadditivity_violation(w: Weight, grid_depth: int, lam: float,
-                             work=None) -> Optional[ModulusCheck]:
-    """The first pair (s, t) with f(s) + f(t) + ORDER_TOL < f(s + t), or
-    None, where f = w^lam.
+def _modulus_check(w: Weight, grid_depth: int, lam: float,
+                   work=None) -> tuple:
+    """(verdict, check): whether f = w^lam is a modulus of continuity.
 
-    The grids k/2^d for d = 2 .. grid_depth are swept coarse to fine, and
-    each grid's values are validated: a negative or non-finite one raises
+    The record of w's kind settles it where ``_record_verdict`` gives a
+    verdict, True or False, a disproof with no witness.  Else (verdict
+    None) the grids k/2^d for d = 2 .. grid_depth are swept coarse to fine
+    for a pair (s, t) with f(s) + f(t) + ORDER_TOL < f(s + t), and each
+    grid's values are validated: a negative or non-finite one raises
     InvalidWeightError.
     """
+    _check_grid_depth(grid_depth)
+    verdict = _record_verdict(w, lam, work)
+    if verdict is not None:
+        return verdict, ModulusCheck(True) if verdict else ModulusCheck(
+            False, None, "w(t)/t -> 0 as t -> 0: not subadditive")
     for depth in range(2, grid_depth + 1):
         n = 2 ** depth
         grid = np.arange(n + 1) / n
         hit = _first_violation(_values(w, grid, lam), work)
         if hit is not None:
-            return ModulusCheck(False, (grid[hit[0]], grid[hit[1]]),
-                                "not subadditive")
-    return None
+            return None, ModulusCheck(
+                False, (grid[hit[0]], grid[hit[1]]), "not subadditive")
+    return None, ModulusCheck(True)
 
 
 def check_modulus_of_continuity(w: Weight, grid_depth: int,
@@ -481,19 +478,13 @@ def check_modulus_of_continuity(w: Weight, grid_depth: int,
     resolution: w(s) + w(t) >= w(s + t) is swept over the grids k/2^d for
     d = 2 .. grid_depth, coarse to fine, in blocks of rows s = i/2^d, each
     row against every t = j/2^d with i <= j and i + j <= 2^d
-    (``_subadditivity_violation``).  The returned witness is thus the
-    first violating pair, in row-major order, at the coarsest failing
+    (``_modulus_check``).  The returned witness is thus the first
+    violating pair, in row-major order, at the coarsest failing
     resolution.  Scratch memory is O(2^grid_depth) and time
     O(4^grid_depth); grid_depth must lie in 4 .. MAX_GRID_DEPTH.
     ``work``, a Counter, gains ``slope_proofs`` and ``sweep_rows``.
     """
-    _check_grid_depth(grid_depth)
-    proved = _record_verdict(w, 1.0, work)
-    if proved is not None:
-        return ModulusCheck(True) if proved else ModulusCheck(
-            False, None, "w(t)/t -> 0 as t -> 0: not subadditive")
-    return (_subadditivity_violation(w, grid_depth, 1.0, work)
-            or ModulusCheck(True))
+    return _modulus_check(w, grid_depth, 1.0, work)[1]
 
 
 @dataclass(frozen=True)
@@ -520,24 +511,19 @@ def check_majorant(w: Weight, candidates, grid_depth: int = 10,
                    work=None) -> MajorantCheck:
     """First lambda in ``candidates`` with w^lambda a modulus of continuity.
 
-    Each candidate goes to the kind's record first (``_record_verdict``):
-    a proof takes it, a disproof skips it.  A candidate neither settles
-    passes when the subadditivity sweep of w(t)^lambda, the grid check of
-    check_modulus_of_continuity, passes.  ``work`` is as in
-    check_modulus_of_continuity.
+    Each candidate is settled as in check_modulus_of_continuity, of
+    w(t)^lambda (``_modulus_check``): the kind's record first, where a
+    proof takes the candidate and a disproof skips it, else the
+    subadditivity sweep.  ``work`` is as in check_modulus_of_continuity.
     """
     if not candidates:
         raise ValueError("need at least one lambda candidate")
-    _check_grid_depth(grid_depth)
     disproved = True
     for lam in candidates:
-        proved = _record_verdict(w, lam, work)
-        if proved:
-            return MajorantCheck(True, lam, True)
-        if proved is None:
-            disproved = False
-            if _subadditivity_violation(w, grid_depth, lam, work) is None:
-                return MajorantCheck(True, lam)
+        verdict, res = _modulus_check(w, grid_depth, lam, work)
+        if res.ok:
+            return MajorantCheck(True, lam, verdict is not None)
+        disproved = disproved and verdict is not None
     return MajorantCheck(False, certified=disproved)
 
 
@@ -700,6 +686,14 @@ def _lower_series(sigma: float, x: float) -> tuple:
             math.nextafter(high, math.inf), terms)
 
 
+def _pow_or_inf(y: float, p: float) -> float:
+    """y ** p, or inf where it overflows."""
+    try:
+        return y ** p
+    except OverflowError:
+        return math.inf
+
+
 def _exp_log_tail(c: float, beta: float, y0: float) -> Bracket:
     """Bracket of int_y0^inf exp(-c y^beta) dy = Gamma(s, x) / (beta c^s)
     with s = 1/beta and x = c y0^beta.
@@ -711,14 +705,18 @@ def _exp_log_tail(c: float, beta: float, y0: float) -> Bracket:
     Q_(m+1) = 1 + (m/x) Q_m, whose terms are positive, and the integral is
     y0^(1-beta) e^-x Q_s / (beta c), formed on the log scale.  Past
     CF_TERMS steps of the recurrence (beta < 1/CF_TERMS), or where x
-    underflows, the bracket is [0, inf].
+    underflows, the bracket is [0, inf]; where x overflows, e^-x is below
+    every float and the bracket is [0, ulp(0)].  The integrand is
+    positive, so the low end is at least 0.
     """
     s = 1.0 / beta
+    x = c * _pow_or_inf(y0, beta)
+    if s > CF_TERMS + 1 or not x > 0.0:
+        return Bracket(0.0, math.inf)
+    if x == math.inf:
+        return Bracket(0.0, math.ulp(0.0))
     steps = math.ceil(s) - 1
     sigma = s - steps
-    x = c * y0 ** beta
-    if steps > CF_TERMS or not x > 0.0:
-        return Bracket(0.0, math.inf)
     low, high, terms = (_lower_series if x < 1.0 else _legendre_cf)(sigma, x)
     q_low, q_high, m = x * low, x * high, sigma
     for _ in range(steps):
@@ -734,34 +732,13 @@ def _exp_log_tail(c: float, beta: float, y0: float) -> Bracket:
     size = sum(abs(p) for p in parts) + abs(math.log(q_high))
     rel = (8.0 * (terms + steps) + 4.0 * (size + 4.0)) * UNIT_ROUNDOFF
     high = math.exp(log_high) if log_high < 709.0 else math.inf
-    return Bracket(math.exp(min(log_low, 709.0)) * (1.0 - rel),
+    return Bracket(max(0.0, math.exp(min(log_low, 709.0)) * (1.0 - rel)),
                    high * (1.0 + rel) + math.ulp(0.0))
 
 
 def _dini_integrand(w: Weight, alpha: float):
     """u -> w(e^u)^alpha, nondecreasing in u = log t."""
     return lambda u: np.exp(alpha * np.asarray(w.log(np.exp(u))))
-
-
-def _exp_recip_tail(alpha: float, c: float, u0: float) -> Bracket:
-    """[0, e^-x/x] with x = b/s, b = alpha c and s = e^u0: an upper bound
-    on int_0^s w^alpha(t) dt/t = int_0^s exp(-b E_d(1/t)) dt/t.
-
-    E_d(y) >= y, so the integral is at most int_0^s e^(-b/t) dt/t, the
-    exponential integral E_1(x) < e^-x/x.  The bound is formed on the log
-    scale and widened for its rounding; past x = 745 it is below the least
-    subnormal, which it is raised to.
-    """
-    parts = (math.log(alpha), math.log(c), -u0)
-    log_x = math.fsum(parts)
-    x = _exp_or_inf(log_x)
-    if x > 745.0:
-        return Bracket(0.0, math.ulp(0.0))
-    log_high = -x - log_x
-    high = math.exp(log_high) if log_high < 709.0 else math.inf
-    size = sum(abs(p) for p in parts)
-    rel = 8.0 * (x + 1.0) * (size + 1.0) * UNIT_ROUNDOFF
-    return Bracket(0.0, high * (1.0 + rel) + math.ulp(0.0))
 
 
 def _riemann_dini(w: Weight, alpha: float, ua: float, ub: float) -> Bracket:
@@ -796,72 +773,58 @@ def _table_integral(w: Weight, alpha: float, ua: float, ub: float) -> Bracket:
     return out + _riemann_dini(w, alpha, max(ua, u1), ub)
 
 
-def _dini_tail(w: Weight, alpha: float, u0: float) -> Bracket:
-    """Bracket of int_0^s w^alpha(t) dt/t, s = e^u0, by weight kind.
+def _dini_integral(w: Weight, alpha: float, ua: float, ub: float) -> Bracket:
+    """Bracket of int w^alpha(t) dt/t over [e^ua, e^ub], ua < ub <= 0 and
+    ua possibly -inf, by weight kind.
 
-    power, log_power, exp_log and table are in closed form (exp_log
-    through the upper incomplete gamma function, a table on its first
-    segment, _table_integral); Bracket(0, inf) marks a divergent tail.
-    exp_recip, never a majorant, has the upper bound of _exp_recip_tail.
+    In y = 1 - u = 1 + log(1/t), with ya = 1 - ua and yb = 1 - ub:
+    - t^a: e^(e ub) (1 - e^(e (ua - ub)))/e, e = alpha a;
+    - log^-c: (yb^(1-e) - ya^(1-e))/(e - 1), e = alpha c, or log(ya/yb)
+      at e = 1, and divergent ([0, inf]) below e^ub for e <= 1;
+    - exp_log: int_yb^ya exp(-alpha a y^beta) dy, the difference of two
+      incomplete gamma brackets (_exp_log_tail), rounded outward and held
+      between ya - yb times the integrand's end values, which keeps it
+      finite where each bracket overflows;
+    - a table: _table_integral;
+    - any other kind (iterated logs, exp_recip): _riemann_dini, and
+      [0, inf] below e^ub, where no tail is certified.
     """
     if w.kind == "power":
         e = alpha * w.params[0]
-        tail = math.exp(e * u0) / e
-        return _widen(tail, tail)
-    if w.kind == "log_power":
-        c, depth = w.params
-        e = alpha * c
-        if depth > 1 or e <= 1.0:
-            return Bracket(0.0, math.inf)  # iterated logs are never Dini
-        tail = (1.0 - u0) ** (1.0 - e) / (e - 1.0)
-        return _widen(tail, tail)
-    if w.kind == "exp_log":
-        a, beta = w.params
-        return _exp_log_tail(alpha * a, beta, 1.0 - u0)
-    if w.kind == "table":
-        return _table_integral(w, alpha, -math.inf, u0)
-    return _exp_recip_tail(alpha, w.params[0], u0)
+        value = math.exp(e * ub) * -math.expm1(e * (ua - ub)) / e
+    elif w.kind == "log_power" and w.params[1] == 1 and (
+            ua > -math.inf or alpha * w.params[0] > 1.0):
+        e, ya, yb = alpha * w.params[0], 1.0 - ua, 1.0 - ub
+        log_r = math.log(ya) - math.log(yb)
+        value = (log_r if e == 1.0 else
+                 yb ** (1.0 - e) * -math.expm1((1.0 - e) * log_r) / (e - 1.0))
+    elif w.kind == "exp_log":
+        c, beta = alpha * w.params[0], w.params[1]
+        ya, yb = 1.0 - ua, 1.0 - ub
+        upper = _exp_log_tail(c, beta, yb)
+        if ua == -math.inf:
+            return upper
+        lower = _exp_log_tail(c, beta, ya)
+        box = _widen((ya - yb) * math.exp(-c * _pow_or_inf(ya, beta)),
+                     (ya - yb) * math.exp(-c * _pow_or_inf(yb, beta)))
+        return Bracket(
+            max(box.low, math.nextafter(upper.low - lower.high, -math.inf)),
+            min(box.high, math.nextafter(upper.high - lower.low, math.inf)))
+    elif w.kind == "table":
+        return _table_integral(w, alpha, ua, ub)
+    elif ua > -math.inf:
+        return _riemann_dini(w, alpha, ua, ub)
+    else:
+        return Bracket(0.0, math.inf)
+    return _widen(value, value)
 
 
 def dini_brackets(w: Weight, alpha: float, depth: int) -> tuple:
     """Brackets of int_s^1 w^alpha(t) dt/t and of the tail int_0^s, where
-    s = 2^-depth.
-
-    Power and single-log weights take their closed forms: (1 - s^e)/e for
-    t^a and (1 - y^(1-e))/(e - 1), y = 1 + log(1/s), for log^-c, with
-    e = alpha a or alpha c.  exp_log's whole integral is _exp_log_tail at
-    y = 1, and its body that bracket less the tail's, rounded outward and
-    held between y0 - 1 times the integrand's end values.  A
-    table's body is in closed form below its first knot and a Riemann
-    bracket above (_table_integral).  The other kinds' bodies, in u = log t
-    the integral of the nondecreasing w(e^u)^alpha over [-depth log 2, 0],
-    go to _riemann_dini.
-    """
+    s = 2^-depth (_dini_integral)."""
     u0 = math.log(2.0) * -depth
-    tail = _dini_tail(w, alpha, u0)
-    if w.kind == "power":
-        e = alpha * w.params[0]
-        body = -math.expm1(e * u0) / e
-    elif w.kind == "log_power" and w.params[1] == 1:
-        e, log_y = alpha * w.params[0], math.log(1.0 - u0)
-        body = (log_y if e == 1.0
-                else -math.expm1((1.0 - e) * log_y) / (e - 1.0))
-    elif w.kind == "exp_log":
-        (a, beta), y0 = w.params, 1.0 - u0
-        total = _exp_log_tail(alpha * a, beta, 1.0)
-        # exp(-alpha a y^beta) on [1, y0] lies between its end values, which
-        # keeps the body finite where the whole integral overflows
-        box = _widen((y0 - 1.0) * math.exp(-alpha * a * y0 ** beta),
-                     (y0 - 1.0) * math.exp(-alpha * a))
-        return Bracket(
-            max(box.low, math.nextafter(total.low - tail.high, -math.inf)),
-            min(box.high, math.nextafter(total.high - tail.low, math.inf))
-        ), tail
-    elif w.kind == "table":
-        return _table_integral(w, alpha, u0, 0.0), tail
-    else:
-        return _riemann_dini(w, alpha, u0, 0.0), tail
-    return _widen(body, body), tail
+    return (_dini_integral(w, alpha, u0, 0.0),
+            _dini_integral(w, alpha, -math.inf, u0))
 
 
 @dataclass(frozen=True)
@@ -891,9 +854,12 @@ def check_A2(w: Weight, alpha: float, quad_depth: int, work=None) -> A2Check:
     if not 1 <= quad_depth <= MAX_QUAD_DEPTH:
         raise ValueError(f"quad_depth must lie in [1, {MAX_QUAD_DEPTH}], "
                          f"got {quad_depth}")
-    # precondition at majorant level: some power of w^(1+alpha) is subadditive
-    if not check_majorant(w.pow(1.0 + alpha), DEFAULT_LAMBDAS, grid_depth=8,
-                          work=work).ok:
+    # precondition at majorant level: some power of w^(1+alpha) is
+    # subadditive; the DEFAULT_LAMBDAS are powers of two, so each exponent
+    # (1+alpha) lam is exact, and a table is read as itself
+    if not check_majorant(w, tuple((1.0 + alpha) * lam
+                                   for lam in DEFAULT_LAMBDAS),
+                          grid_depth=8, work=work).ok:
         raise InvalidWeightError("w^(1+alpha) is not a majorant")
     body, tail = dini_brackets(w, alpha, quad_depth)
     total = body + tail

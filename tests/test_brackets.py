@@ -219,30 +219,41 @@ def test_table_A2_bracket_holds_the_oracle(w, quad_depth):
     assert res.ok and res.low <= want_body + want_tail <= res.high
 
 
-# exp_recip is never a majorant, so check_A2 refuses it; its tail is the
-# upper bound e^-x/x, x = b/s, b = alpha c, on int_0^s exp(-b E_d(1/t)) dt/t
+# exp_recip is never a majorant, so check_A2 refuses it, and no tail
+# certificate is kept for it: its tail int_0^s exp(-b E_d(1/t)) dt/t,
+# b = alpha c, is bracketed by [0, inf]
 @pytest.mark.parametrize("quad_depth", [1, 3, 12])
 @pytest.mark.parametrize("depth", [1, 2])
 def test_exp_recip_tail_bounds_the_oracle(depth, quad_depth):
     c, alpha = 1.5, 0.5
     tail = weights.dini_brackets(weights.exp_recip(c, depth), alpha,
                                  quad_depth)[1]
-    s = mpmath.exp(mpmath.mpf(math.log(2.0) * -quad_depth))
-    x = alpha * c / s
-    if depth == 1:
-        want = mpmath.e1(x)  # int_x^inf e^-y dy/y
-    else:
-        # int_{1/s}^inf exp(-b e^y) dy/y in z = e^y
-        b, z0 = mpmath.mpf(alpha * c), mpmath.exp(1 / s)
-        want = mpmath.quad(lambda z: mpmath.exp(-b * z) / (z * mpmath.log(z)),
-                           [z0 + k / b for k in (0, 1, 4, 16, 64)]
-                           + [mpmath.inf])
-    assert tail.low == 0.0 and want <= tail.high
-    if depth == 1 and x < 700:
-        # E_1(x) > e^-x/(x + 1): the bound is within a factor 1 + 1/x
-        assert tail.high <= (1 + 1 / x) * (1 + 1e-9) * want
+    assert tail == Bracket(0.0, math.inf)
     with pytest.raises(weights.InvalidWeightError):
         weights.check_A2(weights.exp_recip(c, depth), alpha, quad_depth)
+
+
+# beta = 0.0003 takes 3333 steps of the Gamma recurrence, which overflow:
+# the whole integral's bracket is [0, inf], and A2's low end is the body's
+# finite low end, not -inf
+def test_gamma_tail_low_end_is_never_negative():
+    assert weights._exp_log_tail(1.0, 0.0003, 1.0) == Bracket(0.0, math.inf)
+    w, alpha = weights.exp_log(1.0, 0.0003), 1.0
+    res = weights.check_A2(w, alpha, 40)
+    body, _ = oracle_dini(w, alpha, 40)
+    assert 0.0 < res.low <= body and res.high == math.inf
+
+
+# beta = 1e300 overflows y0^beta at y0 > 1: there e^-x is below every float
+def test_gamma_tail_survives_an_overflowing_power():
+    c, beta, depth = 0.5, 1e300, 40
+    body, tail = weights.dini_brackets(weights.exp_log(c, beta), 1.0, depth)
+    assert tail == Bracket(0.0, math.ulp(0.0))
+    # the whole integral is Gamma(s, c)/(beta c^s), s = 1/beta; the tail
+    # past y0, below e^-x with x = c y0^beta, is far below a float
+    s = 1 / mpmath.mpf(beta)
+    whole = mpmath.gammainc(s, c) / (beta * mpmath.mpf(c) ** s)
+    assert_in(whole, body)
 
 
 def assert_gamma_tail(c, beta, y0):

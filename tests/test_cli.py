@@ -33,13 +33,15 @@ class TestSubcommands:
     # (spec, slope_proofs) with --alpha 0.5: the records prove the majorant
     # λ and A2's precondition; only t^1.5's modulus check (slope 1.5 > 1)
     # takes the sweep.  No record settles the table at λ = 1 (its last
-    # segment meets t = 0 at -0.1), so its modulus check, majorant search
-    # and A2 precondition are swept, and its majorant λ is evidence.  No
-    # weight is sampled for continuity, so meta counts no continuity grid.
+    # segment meets t = 0 at -0.1), so its modulus check and majorant
+    # search are swept, and its majorant λ is evidence; A2's precondition
+    # sweeps its own w^6, w^3 and w^1.5, which fail, and proves w^0.75.
+    # No weight is sampled for continuity, so meta counts no continuity
+    # grid.
     @pytest.mark.parametrize("spec, proofs", [
         ("power:1.5", 2), ("power:0.3", 3), ("exp_log:1.0,0.8", 3),
         (json.dumps({"kind": "table", "lambda_hint": 0.5, "points": [
-            [0, 0], [0.5, 0.5], [0.6, 0.5], [1, 0.9]]}), 0)],
+            [0, 0], [0.5, 0.5], [0.6, 0.5], [1, 0.9]]}), 1)],
         ids=["power:1.5", "power:0.3", "exp_log:1.0,0.8", "table"])
     def test_weight_check_meta_counts_proofs_and_sweeps(self, spec, proofs,
                                                         capsys):
@@ -48,7 +50,8 @@ class TestSubcommands:
         assert code == 0
         assert "continuity_grids" not in rep["meta"]
         assert rep["meta"]["slope_proofs"] == proofs
-        assert rep["meta"]["majorant_certified"] == (proofs > 0)
+        # the table's one proof is A2's precondition, not its majorant λ
+        assert rep["meta"]["majorant_certified"] == ("table" not in spec)
         assert rep["meta"]["sweep_rows"] > 0
         for key in ("slope_proofs", "sweep_rows", "majorant_certified"):
             assert key not in rep["results"]

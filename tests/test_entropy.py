@@ -67,7 +67,8 @@ class TestEntropySum:
         if want == FINITE:
             assert -math.inf < res.low <= res.value <= res.high < 0.0
             # the partial sum past the certified terms stays in the bracket
-            counts, lens = E.tail.levels(2 * entropy.GENERATOR_TERM_BUDGET)
+            counts, lens = E.tail.levels(
+                0, 2 * entropy.GENERATOR_TERM_BUDGET)
             terms = counts * lens * np.asarray(w.log(lens))
             partial = res.high + math.fsum(
                 terms[entropy.GENERATOR_TERM_BUDGET:])
@@ -105,7 +106,7 @@ class TestEquivalence:
         # finite w-entropy iff finite for w^lambda, lambda in {1/2, 2}
         for name, (E, finite) in fixtures.entropy_set_fixtures().items():
             for lam in (0.5, 2.0):
-                res = entropy_sum(E, W_T.pow(lam)).result
+                res = entropy_sum(E, weights.power(lam)).result
                 assert (res.tag == FINITE) == finite, (name, lam)
 
     def test_finite_union_stays_finite(self):

@@ -6,9 +6,11 @@ A name is a module-level function, class or constant, or a method of a
 module-level class, whose identifier does not start with an underscore.
 It counts as reached when its identifier appears outside its own
 definition in one of those places: as a name, an attribute, an imported
-name or alias, a keyword argument or a string constant.  Matching is by
-identifier alone, so a name shared with another definition counts as
-reached through any use of that identifier.
+name or alias, a keyword argument or a string constant.  A method counts
+as reached only through an attribute or an import, so a local variable
+of the same spelling does not reach it.  Matching is by identifier
+alone, so a name shared with another definition counts as reached
+through any use of that identifier.
 
 An option is a parameter with a default of a module-level function or of
 a method of a module-level class (``__init__`` included).  A call sets it
@@ -74,33 +76,38 @@ def public_definitions(path: Path):
 
 
 def appearances(path: Path):
-    """(identifier, line) of every appearance of an identifier."""
+    """(identifier, line, whether a method is reached by it) of every
+    appearance of an identifier; only an attribute or an import reaches
+    a method."""
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, True
         elif isinstance(node, ast.alias):
-            yield node.name.rpartition(".")[2], node.lineno
+            yield node.name.rpartition(".")[2], node.lineno, True
             if node.asname:
-                yield node.asname, node.lineno
+                yield node.asname, node.lineno, True
         elif isinstance(node, ast.keyword) and node.arg:
-            yield node.arg, node.lineno
+            yield node.arg, node.lineno, False
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            yield node.value, node.lineno
+            yield node.value, node.lineno, False
 
 
-def unreached() -> set:
+def unreached(sources, readers) -> set:
+    """The public names defined in ``sources`` that no appearance in
+    ``readers`` reaches."""
     seen: dict = {}
-    for path in READERS:
-        for ident, line in appearances(path):
-            seen.setdefault(ident, []).append((path, line))
+    for path in readers:
+        for ident, line, as_method in appearances(path):
+            seen.setdefault(ident, []).append((path, line, as_method))
     out = set()
-    for path in sorted(SRC.glob("*.py")):
+    for path in sources:
         for qualname, ident, node in public_definitions(path):
             own = range(node.lineno, node.end_lineno + 1)
-            if all(p == path and line in own
-                   for p, line in seen.get(ident, [])):
+            method = "." in qualname
+            if all((p == path and line in own) or (method and not as_method)
+                   for p, line, as_method in seen.get(ident, [])):
                 out.add(f"{path.stem}.{qualname}")
     return out
 
@@ -168,18 +175,22 @@ def unset_options(sources, readers) -> set:
 
 
 def test_every_public_name_is_reached():
-    assert unreached() == set(ALLOWED)
+    assert unreached(sorted(SRC.glob("*.py")), READERS) == set(ALLOWED)
 
 
 def test_scan_sees_a_planted_name(tmp_path):
-    # a definition nothing reads is reported; one read elsewhere is not
+    # a definition nothing reads is reported; one read elsewhere is not,
+    # and a method is reached as an attribute, not by a local variable of
+    # the same spelling
     planted = tmp_path / "planted.py"
     planted.write_text("def lonely():\n    return lonely\n\n"
-                       "def used():\n    pass\n\nused()\n")
+                       "def used():\n    spin = Top()\n    spin.turn()\n\n"
+                       "class Top:\n    def spin(self):\n        pass\n\n"
+                       "    def turn(self):\n        pass\n\nused()\n")
     names = {q for q, _, _ in public_definitions(planted)}
-    assert names == {"lonely", "used"}
-    seen = [i for i, line in appearances(planted) if line > 2]
-    assert "lonely" not in seen and "used" in seen
+    assert names == {"lonely", "used", "Top", "Top.spin", "Top.turn"}
+    assert unreached([planted], [planted]) == {"planted.lonely",
+                                               "planted.Top.spin"}
 
 
 def test_every_option_is_set():
