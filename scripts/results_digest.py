@@ -26,8 +26,9 @@ relative move of each float field (list entries pooled under ``[]``).
 The cases: ``report cyclicity`` on the divergent Cantor fixture, once
 more with ``--kmax 2`` (a second, shorter decomposition), at ``--c 0.05``
 and at ``--c 0.2`` (pieces at depths 20 and 24 whose minimum is 1.0),
-and on the first input of the benchmark's ``cyclicity`` workload at
-seeds 1-3;
+with ``--grid "[4,8,46]" --kmax 3`` (a piece at depth 46, where the
+rings past 1 - 2^-46 would round onto the circle), and on the first
+input of the benchmark's ``cyclicity`` workload at seeds 1-3;
 ``inner eval`` on triadic measures of 2^10 and 2^14 atoms; ``measure
 decompose``, once on an atom with a depth-2000 grid level and once on a
 measure with a depth-70 multiplier layer (arc indices past int64);
@@ -46,11 +47,13 @@ not subadditive, a concave table with no ``lambda_hint`` and two exp_log
 weights that no record settles, one subadditive on every sweep grid and
 one with the witness (0.25, 0.25), ``weight check --alpha 1`` on
 ``exp_log:0.0001,0.6``, whose incomplete gamma brackets take the lower
-series, ``weight check`` on ``power:0.15``, ``exp_log:0.1,1.2``
-and a concave table, which their kinds' records settle, and ``weight
-check`` at ``--depth`` 14 and 16; ``grid
-build`` and ``set entropy --form both`` on the triadic set, each with a
-power and an ``exp_log`` weight; ``set entropy --form both`` on the
+series, ``weight check --alpha 0.5`` on ``power:7``, whose lambda 1/7
+lies below every (1 + alpha) 2^-k with k <= 3, and on
+``exp_log:1e-323,0.5``, where beta alpha a rounds to 0, ``weight check``
+on ``power:0.15``, ``exp_log:0.1,1.2`` and a concave table, which their
+kinds' records settle, and ``weight check`` at ``--depth`` 14 and 16;
+``grid build`` and ``set entropy --form both`` on the triadic set, each
+with a power and an ``exp_log`` weight; ``set entropy --form both`` on the
 triadic set under ``log:3`` and under its JSON form
 ``{"kind": "log_power", "c": 3}``, whose results must be equal, on the
 ``triadic_union_point`` set (inline JSON) with its gaps listed in
@@ -134,6 +137,10 @@ def cases():
         yield f"report cyclicity divergent_cantor c {c}", (
             "report", "cyclicity", "--measure", "fixture:divergent_cantor",
             "--weight", "power:1", "--c", c)
+    # a depth-46 piece: rings past 1 - 2^-46 would round onto the circle
+    yield "report cyclicity divergent_cantor grid [4,8,46] kmax 3", (
+        "report", "cyclicity", "--measure", "fixture:divergent_cantor",
+        "--weight", "power:1", "--grid", "[4,8,46]", "--kmax", "3")
     for seed in SEEDS:
         yield f"report cyclicity workload seed {seed}", \
             Cyclicity(seed).next_op().argv
@@ -208,6 +215,12 @@ def cases():
     # series at both ends of the Dini integral
     yield "weight check exp_log:0.0001,0.6 alpha 1", (
         "weight", "check", "--weight", "exp_log:0.0001,0.6", "--alpha", "1")
+    # a majorant whose lambda 1/7 lies below (1 + alpha) 2^-k for k <= 3
+    yield "weight check power:7", (
+        "weight", "check", "--weight", "power:7", "--alpha", "0.5")
+    # alpha a = 5e-324: beta c rounds to 0
+    yield "weight check exp_log:1e-323,0.5", (
+        "weight", "check", "--weight", "exp_log:1e-323,0.5", "--alpha", "0.5")
     # depth 14 sweeps blocks of 4 rows, depth 16 blocks of one row
     for depth in (14, 16):
         yield f"weight check power:0.5 depth {depth}", (

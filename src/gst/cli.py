@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import dataclasses
 import functools
 import json
 import math
@@ -151,7 +152,10 @@ def cmd_weight(args):
     except weights.InvalidWeightError as exc:
         out["A1"] = {"error": str(exc)}
     if args.alpha is not None:
-        a2 = weights.check_A2(w, args.alpha, args.quad_depth, work)
+        # (A2) presumes a majorant: w^(1+alpha) is one exactly when w is
+        if not maj.ok:
+            raise weights.InvalidWeightError("w^(1+alpha) is not a majorant")
+        a2 = weights.check_A2(w, args.alpha, args.quad_depth)
         out["A2"] = {"dini_integral": a2.dini_integral, "ok": a2.ok,
                      "low": a2.low, "high": a2.high}
     return out, {"majorant_certified": maj.certified,
@@ -163,16 +167,13 @@ def cmd_set_entropy(args) -> dict:
     E = _set(args)
     w = _weight(args)
     summed = entropy.entropy_sum(E, w)
-    res = summed.result
-    out = {"form": "sum", "tag": res.tag, "value": res.value,
-           "low": res.low, "high": res.high, "evidence": res.evidence}
-    if args.form in ("integral", "both"):
-        ri = entropy.entropy_integral(E, w, summed)
-        out_i = {"form": "integral", "tag": ri.tag, "value": ri.value,
-                 "low": ri.low, "high": ri.high, "evidence": ri.evidence}
-        out = {"sum": out, "integral": out_i} if args.form == "both" else out_i
-    if (res.tag if args.form == "sum" else out.get("tag", res.tag)) \
-            == entropy.UNDECIDED:
+    forms = ("sum", "integral") if args.form == "both" else (args.form,)
+    tagged = {form: summed.result if form == "sum" else
+              entropy.entropy_integral(E, w, summed) for form in forms}
+    blocks = {form: {"form": form, **dataclasses.asdict(tv)}
+              for form, tv in tagged.items()}
+    out = blocks if args.form == "both" else blocks[args.form]
+    if any(tv.tag == entropy.UNDECIDED for tv in tagged.values()):
         raise UncertifiedResult(out)
     return out
 

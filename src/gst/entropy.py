@@ -19,13 +19,16 @@ from typing import Optional
 import numpy as np
 
 from .circle import CircleMeasure, ClosedCircleSet, GapTail
-from .weights import ROUND_REL, UNIT_ROUNDOFF, Weight, effective_lambda
+from .weights import (ROUND_REL, UNIT_ROUNDOFF, Bracket, Weight,
+                      effective_lambda)
 
 FINITE = "finite"
 DIVERGES = "diverges"
 UNDECIDED = "undecided"
 
 GENERATOR_TERM_BUDGET = 10 ** 6
+DIVERGENT_TAIL = Bracket(-math.inf, -math.inf)
+UNCERTIFIED_TAIL = Bracket(-math.inf, math.inf)
 
 
 @dataclass(frozen=True)
@@ -45,47 +48,42 @@ def _lambda_log_bound(w: Weight, lam: float) -> float:
     return math.log(2.0) + lam * u1
 
 
-def _tail_sum_bounds(tail: GapTail, w: Weight):
-    """Bracket (lo, hi) for sum over unmaterialized gaps of m*log w(m).
+def _tail_sum_bounds(tail: GapTail, w: Weight) -> Bracket:
+    """Bracket of the sum over unmaterialized gaps of m*log w(m).
 
-    Returns -inf bounds when a divergence certificate applies and None when
-    nothing can be certified for this (tail, weight) pair.
+    A divergence certificate gives Bracket(-inf, -inf), and a (tail,
+    weight) pair that nothing certifies gives Bracket(-inf, inf).
     """
     if tail.kind == "geometric_levels":
         count0, base, length0, ratio, first = tail.params
         lam = effective_lambda(w)
         c0 = _lambda_log_bound(w, lam)
         q = base * ratio  # below 1, as GapTail checks
+        # |log w(l_n)| <= (n log(1/ratio) - log(length0) + c0)/lam
+        a = math.log(1.0 / ratio) / lam
+        b = (c0 - math.log(length0)) / lam
+        scale, q_sum = count0 * length0 / base, q / (1 - q)
         # explicit levels until the remainder bound is negligible
-        acc = 0.0
-        n = first + 1
-        block = 256
+        acc, n, block = 0.0, first + 1, 256
         while True:
             counts, lens = tail.levels(n - first - 1, block)
             terms = counts * lens * np.asarray(w.log(lens))
             if np.any(np.isneginf(terms)):
-                return (-math.inf, -math.inf)
+                return DIVERGENT_TAIL
             acc += float(np.sum(terms))
             n += block
-            # |log w(l_n)| <= (n log(1/ratio) - log(length0) + c0)/lam
-            a = math.log(1.0 / ratio) / lam
-            b = (c0 - math.log(length0)) / lam
-            qn = q ** n
-            rem = (count0 * length0 / base) * qn * (
-                a * (n + q / (1 - q)) + b) / (1 - q)
-            if rem < 1e-15 * (1.0 + abs(acc)):
-                return (acc - rem, acc + rem)
-            if n > first + 100_000:
-                return (acc - rem, acc + rem)
+            rem = scale * q ** n * (a * (n + q_sum) + b) / (1 - q)
+            if rem < 1e-15 * (1.0 + abs(acc)) or n > first + 100_000:
+                return Bracket(acc - rem, acc + rem)
     if tail.kind == "harmonic_log":
         amp, first = tail.params
         if w.kind == "power" or (w.kind == "exp_log" and w.params[1] >= 1):
             # log(1/w(l)) >~ log(1/l), so sum_k l_k log(1/w(l_k))
             # >~ sum_k c/(k log k) = inf
-            return (-math.inf, -math.inf)
+            return DIVERGENT_TAIL
         if not (w.kind == "exp_log" or
                 (w.kind == "log_power" and w.params[1] == 1)):
-            return None
+            return UNCERTIFIED_TAIL
         # explicit terms, then a bound on the rest from k = m on
         counts, lens = tail.levels(0, GENERATOR_TERM_BUDGET)
         acc = float(np.sum(counts * lens * np.asarray(w.log(lens))))
@@ -97,7 +95,7 @@ def _tail_sum_bounds(tail: GapTail, w: Weight):
             # remainder via  u(l_k) <= c (k0 + log log k),  integral in y = log x
             k0 = math.log(3.0) + c0
             rem = amp * c * (k0 + math.log(y) + 1.0) / y
-            return (acc - rem, acc + rem)
+            return Bracket(acc - rem, acc + rem)
         # exp_log, beta < 1: log(1/l_k) <= log k + 2 log log k + c0, so
         # log(1/w(l_k)) <= alpha log^beta(k) (1 + delta)^beta for k >= m,
         # delta decreasing in k; the terms are then at most
@@ -107,16 +105,15 @@ def _tail_sum_bounds(tail: GapTail, w: Weight):
         delta = (1.0 + c0 + 2.0 * math.log(y)) / y
         rem = (alpha * amp * (1.0 + delta) ** beta
                * math.log(m - 1.0) ** (beta - 1.0) / (1.0 - beta))
-        return (acc - rem, acc)
+        return Bracket(acc - rem, acc)
     if tail.kind == "stagewise_log":
         amp, first = tail.params
         if w.kind in ("power", "exp_log") or (
                 w.kind == "log_power" and w.params[1] == 1):
             # per-stage gaps have length ~ 2^-j: -log w(g_j) grows at least
             # like log j, so the stage series dominates sum 1/(j log j) = inf
-            return (-math.inf, -math.inf)
-        return None
-    return None
+            return DIVERGENT_TAIL
+    return UNCERTIFIED_TAIL
 
 
 def gap_entropy_sum(lengths, w: Weight) -> float:
@@ -131,14 +128,28 @@ def gap_entropy_sum(lengths, w: Weight) -> float:
     return float(np.cumsum(terms)[-1]) if terms.size else 0.0
 
 
-NO_TAIL_CERTIFICATE = TaggedValue(UNDECIDED, None, -math.inf, math.inf,
-                                  "no tail certificate for this weight")
+def _tagged(explicit: float, part: Bracket,
+            tail: Optional[Bracket]) -> TaggedValue:
+    """A set's entropy from its explicit part, that part's enclosure and
+    its tail's bracket (None without a tail).  A tail with low end -inf
+    decides alone: undecided if its high end is inf, else divergent."""
+    if tail is None:
+        return TaggedValue(FINITE, explicit, part.low, part.high,
+                           "finite gap family")
+    if tail.low == -math.inf:
+        if tail.high == math.inf:
+            return TaggedValue(UNDECIDED, None, -math.inf, math.inf,
+                               "no tail certificate for this weight")
+        return TaggedValue(DIVERGES, None, -math.inf, -math.inf,
+                           "generator tail certificate (integral comparison)")
+    return TaggedValue(FINITE, explicit + tail.mid, part.low + tail.low,
+                       part.high + tail.high, "generator tail bound")
 
 
 @dataclass(frozen=True)
 class EntropySumResult:
     result: TaggedValue
-    tail_bounds: Optional[tuple] = None  # the tail's bracket, when built
+    tail_bounds: Optional[Bracket] = None  # the tail's bracket, when built
 
 
 def entropy_sum(E: ClosedCircleSet, w: Weight) -> EntropySumResult:
@@ -149,21 +160,9 @@ def entropy_sum(E: ClosedCircleSet, w: Weight) -> EntropySumResult:
         tv = TaggedValue(DIVERGES, None, -math.inf, -math.inf,
                          "w vanishes on a gap length")
         return EntropySumResult(tv)
-    if E.tail is None:
-        tv = TaggedValue(FINITE, explicit, explicit, explicit,
-                         "finite gap family")
-        return EntropySumResult(tv)
-    bounds = _tail_sum_bounds(E.tail, w)
-    if bounds is None:
-        return EntropySumResult(NO_TAIL_CERTIFICATE)
-    lo, hi = bounds
-    if lo == -math.inf:
-        tv = TaggedValue(DIVERGES, None, -math.inf, -math.inf,
-                         "generator tail certificate (integral comparison)")
-        return EntropySumResult(tv, bounds)
-    tv = TaggedValue(FINITE, explicit + 0.5 * (lo + hi), explicit + lo,
-                     explicit + hi, "generator tail bound")
-    return EntropySumResult(tv, bounds)
+    tail = None if E.tail is None else _tail_sum_bounds(E.tail, w)
+    return EntropySumResult(
+        _tagged(explicit, Bracket(explicit, explicit), tail), tail)
 
 
 def _gap_integral_values(w: Weight, lens: np.ndarray, lam: float):
@@ -218,31 +217,21 @@ def entropy_integral(E: ClosedCircleSet, w: Weight,
     gap's integral is at most L log w(L/2) <= L log w(L), its sum term,
     for any nondecreasing w, so it holds for a weight that is no majorant.
     """
-    sums = None
+    tail = None
     if E.tail is not None:
-        sums = (summed and summed.tail_bounds) or _tail_sum_bounds(E.tail, w)
-        if sums is None:
-            return NO_TAIL_CERTIFICATE
-        if sums[0] == -math.inf:
-            return TaggedValue(
-                DIVERGES, None, -math.inf, -math.inf,
-                "generator tail certificate (integral comparison)")
+        tail = (summed and summed.tail_bounds) or _tail_sum_bounds(E.tail, w)
+        if tail.low == -math.inf:  # the tail decides alone
+            return _tagged(-math.inf, DIVERGENT_TAIL, tail)
     lam = effective_lambda(w)
     vals, err = _gap_integral_values(w, E.lengths, lam)
     if np.any(~np.isfinite(vals)):
         return TaggedValue(DIVERGES, None, -math.inf, -math.inf,
                            "log w not integrable on a gap")
+    if tail is not None:  # a gap's integral is its sum term less <= slack L
+        slack = (1.0 + 2.0 * math.log(2.0) + _lambda_log_bound(w, lam)) / lam
+        tail = Bracket(tail.low - slack * E.tail.gap_mass(), tail.high)
     explicit = float(np.sum(vals))
-    if E.tail is None:
-        return TaggedValue(FINITE, explicit, explicit - err, explicit + err,
-                           "finite gap family")
-    lo, hi = sums
-    slack = (1.0 + 2.0 * math.log(2.0) + _lambda_log_bound(w, lam)) / lam
-    tail_lo = lo - slack * E.tail.gap_mass()
-    tail_hi = hi
-    mid = explicit + 0.5 * (tail_lo + tail_hi)
-    return TaggedValue(FINITE, mid, explicit - err + tail_lo,
-                       explicit + err + tail_hi, "generator tail bound")
+    return _tagged(explicit, Bracket(explicit - err, explicit + err), tail)
 
 
 # ---------------------------------------------------------------------------

@@ -338,9 +338,10 @@ def corona_datum_check(mu_k: CircleMeasure, n_k: int, c: float, w: Weight,
                        grid_density: int = 64, work=None) -> CoronaCheck:
     """inf over the disc of |S_mu_k(z)| + |z|^(2^n_k) against w(2^-n_k)^(12c).
 
-    Sampling is two-zone: a radial-angular grid on |z| <= 1 - 2^-n_k (with
-    extra rays through the support), and radial rays beyond, where the
-    monomial term alone is at least 1/4 and dominates the bound.
+    On |z| >= 1 - 2^-n_k, |z|^(2^n_k) >= (1 - 2^-n_k)^(2^n_k) >= 1/4 tops
+    the bound, which must lie below 1/4.  So the samples are the centre
+    and the rings 1 - 2^-j, j <= min(n_k, 50), each at grid_density
+    angles and a stride of the support's.
 
     ``mu_k`` carries no grating tag: the caller passes the depth n_k and
     the parameter c of the grating that made it (``roberts.decompose``).
@@ -387,13 +388,9 @@ def corona_datum_check(mu_k: CircleMeasure, n_k: int, c: float, w: Weight,
     support_angles = pos[:: max(1, pos.size // grid_density)]
     base = np.arange(grid_density) / grid_density
     angles = np.unique(np.concatenate([base, support_angles]))
-    rays = support_angles if support_angles.size else np.array([0.0])
     grid = [1.0 - 2.0 ** -j for j in range(1, min(n_k, 50) + 1)]
-    # outer zone: radial-only refinement; the monomial term clears 1/4
-    outer = [1.0 - 2.0 ** -n_k * 2.0 ** -i for i in range(1, 9)]
     zs = np.concatenate([np.zeros(1, dtype=complex)]
-                        + [r * unit_point(angles) for r in grid]
-                        + [r * unit_point(rays) for r in outer])
+                        + [r * unit_point(angles) for r in grid])
     with np.errstate(divide="ignore"):
         mono = np.exp(2.0 ** n_k * np.log(np.maximum(np.abs(zs), 1e-300)))
     mono = np.where(np.abs(zs) == 0.0, 0.0, mono)

@@ -36,6 +36,7 @@ MAX_GRID_DEPTH = 16
 MAX_LOG_DEPTH = 16  # most nested logs in a log_power weight
 SWEEP_BLOCK = 2 ** 16  # elements one block of the subadditivity sweep compares
 DEFAULT_LAMBDAS = (4.0, 2.0, 1.0, 0.5, 0.25, 0.125)
+MAJORANT_GRID_DEPTH = 10  # finest sweep grid of a majorant candidate
 UNIT_ROUNDOFF = 2.0 ** -53
 # relative error allowed in one computed value of w or of an integrand:
 # 2^13 ulps, room for the exp/log/pow chains of the analytic kinds at
@@ -360,13 +361,6 @@ def _values(w: Weight, grid: np.ndarray, lam: float) -> np.ndarray:
     return vals
 
 
-def _check_grid_depth(grid_depth: int) -> None:
-    if grid_depth < 4:
-        raise ValueError("grid_depth must be at least 4")
-    if grid_depth > MAX_GRID_DEPTH:
-        raise ValueError(f"grid_depth must be at most {MAX_GRID_DEPTH}")
-
-
 def _table_proof(ts, vs, lam: float) -> bool:
     """Whether f^lam(t)/t is proved nonincreasing on (0, 1], f the
     piecewise-linear table through (ts, vs), with f(0) = 0 and f
@@ -452,7 +446,10 @@ def _modulus_check(w: Weight, grid_depth: int, lam: float,
     grid's values are validated: a negative or non-finite one raises
     InvalidWeightError.
     """
-    _check_grid_depth(grid_depth)
+    if grid_depth < 4:
+        raise ValueError("grid_depth must be at least 4")
+    if grid_depth > MAX_GRID_DEPTH:
+        raise ValueError(f"grid_depth must be at most {MAX_GRID_DEPTH}")
     verdict = _record_verdict(w, lam, work)
     if verdict is not None:
         return verdict, ModulusCheck(True) if verdict else ModulusCheck(
@@ -507,20 +504,20 @@ def lambda_candidates(w: Weight) -> tuple:
                         reverse=True))
 
 
-def check_majorant(w: Weight, candidates, grid_depth: int = 10,
-                   work=None) -> MajorantCheck:
+def check_majorant(w: Weight, candidates, work=None) -> MajorantCheck:
     """First lambda in ``candidates`` with w^lambda a modulus of continuity.
 
     Each candidate is settled as in check_modulus_of_continuity, of
     w(t)^lambda (``_modulus_check``): the kind's record first, where a
     proof takes the candidate and a disproof skips it, else the
-    subadditivity sweep.  ``work`` is as in check_modulus_of_continuity.
+    subadditivity sweep to MAJORANT_GRID_DEPTH.  ``work`` is as in
+    check_modulus_of_continuity.
     """
     if not candidates:
         raise ValueError("need at least one lambda candidate")
     disproved = True
     for lam in candidates:
-        verdict, res = _modulus_check(w, grid_depth, lam, work)
+        verdict, res = _modulus_check(w, MAJORANT_GRID_DEPTH, lam, work)
         if res.ok:
             return MajorantCheck(True, lam, verdict is not None)
         disproved = disproved and verdict is not None
@@ -722,7 +719,8 @@ def _exp_log_tail(c: float, beta: float, y0: float) -> Bracket:
     for _ in range(steps):
         q_low, q_high = 1.0 + m / x * q_low, 1.0 + m / x * q_high
         m += 1.0
-    parts = ((1.0 - beta) * math.log(y0), -x, -math.log(beta * c))
+    # log beta and log c apart: beta c may round to 0 or lose digits
+    parts = ((1.0 - beta) * math.log(y0), -x, -math.log(beta), -math.log(c))
     log_low = math.fsum(parts + (math.log(q_low),))
     log_high = math.fsum(parts + (math.log(q_high),))
     # the recurrences' rounding grows with their lengths, the exponential's
@@ -844,23 +842,18 @@ class A2Check:
     high: float
 
 
-def check_A2(w: Weight, alpha: float, quad_depth: int, work=None) -> A2Check:
+def check_A2(w: Weight, alpha: float, quad_depth: int) -> A2Check:
     """Dini-type integral of w^alpha with a certified tail.
 
-    ``work`` is as in check_modulus_of_continuity, for the majorant check.
+    (A2) is stated for majorants and presumes one: w^(1+alpha) is a
+    majorant exactly when w is, as (w^(1+alpha))^(lam/(1+alpha)) = w^lam,
+    so callers read the premise from w's own check_majorant.
     """
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0,1]")
     if not 1 <= quad_depth <= MAX_QUAD_DEPTH:
         raise ValueError(f"quad_depth must lie in [1, {MAX_QUAD_DEPTH}], "
                          f"got {quad_depth}")
-    # precondition at majorant level: some power of w^(1+alpha) is
-    # subadditive; the DEFAULT_LAMBDAS are powers of two, so each exponent
-    # (1+alpha) lam is exact, and a table is read as itself
-    if not check_majorant(w, tuple((1.0 + alpha) * lam
-                                   for lam in DEFAULT_LAMBDAS),
-                          grid_depth=8, work=work).ok:
-        raise InvalidWeightError("w^(1+alpha) is not a majorant")
     body, tail = dini_brackets(w, alpha, quad_depth)
     total = body + tail
     ok = math.isfinite(tail.high)

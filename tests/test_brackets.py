@@ -219,9 +219,10 @@ def test_table_A2_bracket_holds_the_oracle(w, quad_depth):
     assert res.ok and res.low <= want_body + want_tail <= res.high
 
 
-# exp_recip is never a majorant, so check_A2 refuses it, and no tail
-# certificate is kept for it: its tail int_0^s exp(-b E_d(1/t)) dt/t,
-# b = alpha c, is bracketed by [0, inf]
+# exp_recip is never a majorant, and no tail certificate is kept for it:
+# its tail int_0^s exp(-b E_d(1/t)) dt/t, b = alpha c, is bracketed by
+# [0, inf], so check_A2, which presumes a majorant and leaves the refusal
+# to its caller, finds no finite integral
 @pytest.mark.parametrize("quad_depth", [1, 3, 12])
 @pytest.mark.parametrize("depth", [1, 2])
 def test_exp_recip_tail_bounds_the_oracle(depth, quad_depth):
@@ -229,8 +230,8 @@ def test_exp_recip_tail_bounds_the_oracle(depth, quad_depth):
     tail = weights.dini_brackets(weights.exp_recip(c, depth), alpha,
                                  quad_depth)[1]
     assert tail == Bracket(0.0, math.inf)
-    with pytest.raises(weights.InvalidWeightError):
-        weights.check_A2(weights.exp_recip(c, depth), alpha, quad_depth)
+    res = weights.check_A2(weights.exp_recip(c, depth), alpha, quad_depth)
+    assert not res.ok and res.tail == math.inf
 
 
 # beta = 0.0003 takes 3333 steps of the Gamma recurrence, which overflow:

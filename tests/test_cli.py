@@ -31,17 +31,17 @@ class TestSubcommands:
         assert rep["results"]["majorant"]["ok"]
 
     # (spec, slope_proofs) with --alpha 0.5: the records prove the majorant
-    # λ and A2's precondition; only t^1.5's modulus check (slope 1.5 > 1)
-    # takes the sweep.  No record settles the table at λ = 1 (its last
-    # segment meets t = 0 at -0.1), so its modulus check and majorant
-    # search are swept, and its majorant λ is evidence; A2's precondition
-    # sweeps its own w^6, w^3 and w^1.5, which fail, and proves w^0.75.
-    # No weight is sampled for continuity, so meta counts no continuity
-    # grid.
+    # λ; only t^1.5's modulus check (slope 1.5 > 1) and the λ = 4 and 2
+    # candidates of t^0.3 and exp_log take the sweep.  No record settles
+    # the table at λ = 1 (its last segment meets t = 0 at -0.1), so its
+    # modulus check and majorant search are swept, and its majorant λ is
+    # evidence.  A2 reads the majorant verdict and adds no proof and no
+    # sweep row, and no weight is sampled for continuity, so meta counts
+    # no continuity grid.
     @pytest.mark.parametrize("spec, proofs", [
-        ("power:1.5", 2), ("power:0.3", 3), ("exp_log:1.0,0.8", 3),
+        ("power:1.5", 1), ("power:0.3", 2), ("exp_log:1.0,0.8", 2),
         (json.dumps({"kind": "table", "lambda_hint": 0.5, "points": [
-            [0, 0], [0.5, 0.5], [0.6, 0.5], [1, 0.9]]}), 1)],
+            [0, 0], [0.5, 0.5], [0.6, 0.5], [1, 0.9]]}), 0)],
         ids=["power:1.5", "power:0.3", "exp_log:1.0,0.8", "table"])
     def test_weight_check_meta_counts_proofs_and_sweeps(self, spec, proofs,
                                                         capsys):
@@ -50,11 +50,13 @@ class TestSubcommands:
         assert code == 0
         assert "continuity_grids" not in rep["meta"]
         assert rep["meta"]["slope_proofs"] == proofs
-        # the table's one proof is A2's precondition, not its majorant λ
         assert rep["meta"]["majorant_certified"] == ("table" not in spec)
         assert rep["meta"]["sweep_rows"] > 0
         for key in ("slope_proofs", "sweep_rows", "majorant_certified"):
             assert key not in rep["results"]
+        _, plain = run(["weight", "check", "--weight", spec], capsys)
+        for key in ("slope_proofs", "sweep_rows"):
+            assert rep["meta"][key] == plain["meta"][key]
 
     # the report's λ is the one every downstream bracket uses: for t^1.5
     # the hint 1/1.5, which the search over DEFAULT_LAMBDAS alone missed
@@ -135,6 +137,28 @@ class TestSubcommands:
         code, _ = run(["weight", "check", "--weight", spec, "--alpha", "0.5"],
                       capsys)
         assert code == 1
+
+    # majorants whose λ (1/7, 1/9, 1/8) lies below every (1 + α) 2^-k of
+    # the search that once stood for A2's premise: A2 reads w's own
+    # majorant verdict, so each is checked; the integrals are 1/(α a) for
+    # t^a and 1/(α c - 1) for log^-c
+    @pytest.mark.parametrize("spec, want", [
+        ("power:7", 1 / 3.5), ("power:9", 1 / 4.5), ("log:9", 1 / 3.5)])
+    def test_weight_check_A2_of_a_small_lambda(self, spec, want, capsys):
+        code, rep = run(["weight", "check", "--weight", spec, "--alpha",
+                         "0.5"], capsys)
+        assert code == 0 and rep["results"]["majorant"]["ok"]
+        a2 = rep["results"]["A2"]
+        assert a2["ok"] and a2["low"] <= want <= a2["high"]
+
+    # α a = 5e-324: β c rounds to 0, yet log β and log c are finite; w^0.5
+    # stays near 1, so the Dini integral diverges
+    def test_weight_check_A2_of_a_subnormal_exp_log(self, capsys):
+        code, rep = run(["weight", "check", "--weight", "exp_log:1e-323,0.5",
+                         "--alpha", "0.5"], capsys)
+        assert code == 0
+        a2 = rep["results"]["A2"]
+        assert not a2["ok"] and a2["high"] is None
 
     def test_set_entropy(self, capsys):
         code, rep = run(["set", "entropy", "--set", "fixture:point",

@@ -3,6 +3,7 @@ growth norms, envelope bounds, Whitney arcs and the gap-family outer
 function."""
 
 import math
+import warnings
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -377,7 +378,7 @@ def corona_monomial(zs, n_k):
 
 
 def oracle_corona(mu_k, n_k, c, w, grid_density=64):
-    """The corona check as one Herglotz sum per ring and per outer ray set."""
+    """The corona check as one Herglotz sum per ring."""
     pos = mu_k.positions_float()
     support_angles = pos[:: max(1, pos.size // grid_density)]
     base = np.arange(grid_density) / grid_density
@@ -391,9 +392,6 @@ def oracle_corona(mu_k, n_k, c, w, grid_density=64):
 
     rings = [(1.0 - 2.0 ** -j) * unit_point(angles) if j else
              np.array([0.0 + 0.0j]) for j in range(min(n_k, 50) + 1)]
-    rays = unit_point(support_angles if support_angles.size else
-                      np.array([0.0]))
-    rings += [(1.0 - 2.0 ** -n_k * 2.0 ** -i) * rays for i in range(1, 9)]
     for zs in rings:
         worst = min(worst, float(np.min(combined(zs))))
         count += zs.size
@@ -466,12 +464,13 @@ class TestCorona:
         assert work["corona_summed"] <= got.n_samples
 
     def test_nan_in_a_summed_block_gives_a_nan_minimum(self, monkeypatch):
-        # from depth 46 the outer rays round onto the circle and through
-        # the atoms: those sums are NaN, with or without pruning
+        # at depth 46 rings past 1 - 2^-46 would round onto the circle and
+        # through the atoms; none is sampled, so the minimum is finite
         mu = CircleMeasure(atoms=[(0.1, 0.5), (0.6, 0.25)])
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             got = corona_datum_check(mu, 46, 0.1, W_T)
-        assert math.isnan(got.min_combined) and not got.ok
+        assert math.isfinite(got.min_combined) and got.ok
         # a NaN in the first block's lowest-floor sample
         values = singular_inner_many
 
@@ -500,9 +499,24 @@ class TestCorona:
 
     def test_outer_zone_monomial_floor(self):
         # at |z| = 1 - 2^-n the monomial term alone clears the bound
-        n = 12
-        r = 1.0 - 2.0 ** -n
-        assert r ** (2 ** n) >= 0.25
+        for n in range(1, 64):
+            r = 1.0 - 2.0 ** -n
+            assert r ** (2 ** n) >= 0.25
+
+    def test_outer_zone_values_clear_a_quarter(self):
+        # the outer rings the check once sampled, at 1 - 2^-n 2^-i on rays
+        # through the support, where the computed value is never below 1/4
+        d = decompose(fixtures.divergent_cantor_measure(12),
+                      DyadicGrid((4, 8, 12, 16, 20, 24)), 0.1, W_T, 6)
+        for piece, rep in zip(d.pieces, d.reports):
+            pos = piece.positions_float()
+            rays = unit_point(pos[:: max(1, pos.size // 32)])
+            zs = np.concatenate([(1.0 - 2.0 ** -rep.depth * 2.0 ** -i) * rays
+                                 for i in range(1, 9)])
+            vals, errs = singular_inner_many(piece, zs)
+            value = np.maximum(np.abs(vals) - errs, 0.0) + \
+                corona_monomial(zs, rep.depth)
+            assert zs.size and np.all(value >= 0.25)
 
     def test_parameter_report(self):
         from gst.inner_outer import corona_parameter_report
