@@ -37,7 +37,7 @@ def main() -> int:
                     "c": c,
                     "k_max": k,
                     "residual_mass": dec.residual.total_mass(),
-                    "heavy_final": len(dec.heavy_sets[-1][1]),
+                    "heavy_final": dec.reports[-1].heavy_count,
                     "ledger": dec.light_entropy_ledger,
                     "ledger_bound": dec.carrier_entropy_bound,
                 })

@@ -51,7 +51,9 @@ series, ``weight check --alpha 0.5`` on ``power:7``, whose lambda 1/7
 lies below every (1 + alpha) 2^-k with k <= 3, and on
 ``exp_log:1e-323,0.5``, where beta alpha a rounds to 0, ``weight check``
 on ``power:0.15``, ``exp_log:0.1,1.2`` and a concave table, which their
-kinds' records settle, and ``weight check`` at ``--depth`` 14 and 16;
+kinds' records settle, and ``weight check`` on a table whose only
+violation lies below the sweep grids and on one whose values all lie
+below 1e-6, which the relative tolerance sweeps;
 ``grid build`` and ``set entropy --form both`` on the triadic set, each
 with a power and an ``exp_log`` weight; ``set entropy --form both`` on the
 triadic set under ``log:3`` and under its JSON form
@@ -98,6 +100,12 @@ TABLE_WEIGHT = json.dumps({"kind": "table", "lambda_hint": 0.5, "points": [
 # every segment meets t = 0 at or above 0: its own record proves it
 CONCAVE_TABLE = json.dumps({"kind": "table", "points": [
     [0, 0], [0.25, 0.5], [0.5, 0.75], [1, 1]]})
+# 2 w(2^-11) < w(2^-10), a violation finer than every sweep grid
+FINE_VIOLATION_TABLE = json.dumps({"kind": "table", "points": [
+    [0, 0], [2 ** -11, 2 ** -12], [2 ** -10, 2 ** -10], [1, 1]]})
+# w(1/4) + w(1/2) < w(3/4), with every value below 1e-6
+TINY_TABLE = json.dumps({"kind": "table", "points": [
+    [0, 0], [0.5, 1e-7], [1, 1e-6]]})
 Z_POINTS = ("0.3+0.1i", "0.99", "-0.5+0.8i", "0.0005-0.9999i")
 
 
@@ -221,10 +229,14 @@ def cases():
     # alpha a = 5e-324: beta c rounds to 0
     yield "weight check exp_log:1e-323,0.5", (
         "weight", "check", "--weight", "exp_log:1e-323,0.5", "--alpha", "0.5")
-    # depth 14 sweeps blocks of 4 rows, depth 16 blocks of one row
-    for depth in (14, 16):
-        yield f"weight check power:0.5 depth {depth}", (
-            "weight", "check", "--weight", "power:0.5", "--depth", str(depth))
+    # the modulus line is the majorant's lambda = 1 step: the first table
+    # violates subadditivity only below the sweep grids, so both lines
+    # pass; the second fails lambda = 1, and its w^4, all below 1e-24,
+    # fails too under the sweep's relative tolerance
+    for name, weight in (("fine violation", FINE_VIOLATION_TABLE),
+                         ("tiny values", TINY_TABLE)):
+        yield f"weight check table with {name}", (
+            "weight", "check", "--weight", weight)
     for weight in ("power:0.5", EXP_LOG_WEIGHT):
         yield f"grid build {weight}", ("grid", "build", "--weight", weight)
     for weight in ("power:1", EXP_LOG_WEIGHT):

@@ -137,8 +137,11 @@ def positive_float(text: str) -> float:
 def cmd_weight(args):
     w = _weight(args)
     work = Counter()
-    moc = weights.check_modulus_of_continuity(w, args.depth, work)
     maj = weights.check_majorant(w, weights.lambda_candidates(w), work=work)
+    # the passing lambdas form a down-set: w is a modulus where the walk
+    # passed some lambda >= 1, else its lambda = 1 step is repeated
+    moc = (weights.ModulusCheck(True) if maj.ok and maj.lam >= 1.0 else
+           weights.check_modulus_of_continuity(w, work))
     out = {
         "label": w.label(),
         "modulus_of_continuity": {"ok": moc.ok, "witness": moc.witness,
@@ -146,7 +149,7 @@ def cmd_weight(args):
         "majorant": {"ok": maj.ok, "lambda": maj.lam},
     }
     try:
-        a1 = weights.check_A1(w, args.depth)
+        a1 = weights.check_A1(w, 12)  # at t = 2^-2 .. 2^-12
         out["A1"] = {"ratio_low": a1.ratio_low, "ratio_high": a1.ratio_high,
                      "ok": a1.ok}
     except weights.InvalidWeightError as exc:
@@ -356,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     w = sub.add_parser("weight", help="regularity checks for a weight")
     w.add_argument("weight_cmd", choices=["check"])
     w.add_argument("--weight", required=True)
-    w.add_argument("--depth", type=int, default=12)
     w.add_argument("--alpha", type=finite_float)
     w.add_argument("--quad-depth", type=int, default=40)
 

@@ -78,8 +78,7 @@ class RobertsDecomposition:
     pieces: list
     residual: CircleMeasure
     residual_masses: list         # residual total mass after each level
-    heavy_sets: list              # (depth, sorted indices) per level
-    reports: list
+    reports: list                 # one GratingReport per level
     beta: float
     carrier_entropy_bound: float
     light_entropy_ledger: float
@@ -91,14 +90,15 @@ class RobertsDecomposition:
         return abs(recon - self.total_mass)
 
     def heavy_nesting_ok(self) -> bool:
-        return all(np.isin(h1 >> (d1 - d0), h0).all() for (d0, h0), (d1, h1)
-                   in zip(self.heavy_sets, self.heavy_sets[1:]))
+        return all(np.isin(r1.heavy_arcs >> (r1.depth - r0.depth),
+                           r0.heavy_arcs).all()
+                   for r0, r1 in zip(self.reports, self.reports[1:]))
 
     def residual_carrier_gaps(self) -> list:
         """Gap lengths of the recorded carrier: complement arcs of the final
         heavy union.  At finite level count the carrier is a finite arc
         union, so the gap family is finite."""
-        depth, heavy = self.heavy_sets[-1]
+        depth, heavy = self.reports[-1].depth, self.reports[-1].heavy_arcs
         if depth > 500:
             raise ValueError("carrier gaps not materializable at this depth")
         if not heavy.size:
@@ -129,7 +129,7 @@ def decompose(mu: CircleMeasure, grid: DyadicGrid, c: float, w: Weight,
         raise ValueError("grid fails the w-grid condition")
     total = mu.total_mass()
     remainder = mu
-    pieces, reports, heavy_sets, residual_masses = [], [], [], []
+    pieces, reports, residual_masses = [], [], []
     for k in range(levels):
         n = grid.depths[k]
         # one index pass per level, shared by the grating and the remainder
@@ -137,7 +137,6 @@ def decompose(mu: CircleMeasure, grid: DyadicGrid, c: float, w: Weight,
         piece, report = grate(remainder, n, c, w, idx)
         pieces.append(piece)
         reports.append(report)
-        heavy_sets.append((n, report.heavy_arcs))
         # the remainder keeps 1 - thr/m of a heavy arc, nothing of a light one
         keys = np.concatenate([report.heavy_arcs, report.light_arcs])
         factors = np.concatenate([1.0 - report.threshold / report.heavy_masses,
@@ -150,16 +149,15 @@ def decompose(mu: CircleMeasure, grid: DyadicGrid, c: float, w: Weight,
     # entropy bookkeeping: all light arcs inside the previous heavy union,
     # counted in closed form since depth-n arcs share one length
     ledger = 0.0
-    for k in range(1, levels):
-        n_prev, heavy_prev = heavy_sets[k - 1]
-        n_k, heavy_k = heavy_sets[k]
-        sub = 2 ** (n_k - n_prev)
-        light_count = heavy_prev.size * sub - heavy_k.size
+    for prev, rep in zip(reports, reports[1:]):
+        n_k = rep.depth
+        light_count = prev.heavy_count * 2 ** (n_k - prev.depth) \
+            - rep.heavy_count
         # exact int division: past depth 1023 the count overflows a float
         ledger += light_count / 2 ** n_k * w.neg_log_at_depth(n_k)
     beta = check.beta
     return RobertsDecomposition(
         pieces=pieces, residual=remainder, residual_masses=residual_masses,
-        heavy_sets=heavy_sets, reports=reports, beta=beta,
+        reports=reports, beta=beta,
         carrier_entropy_bound=(beta / c) * total,
         light_entropy_ledger=ledger, total_mass=total)

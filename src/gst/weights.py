@@ -12,9 +12,10 @@ closed-form record gives the exact slope sup over u >= 0 of
 d/du log(1/w(e^-u)), and lambda times it at most 1 makes w^lambda(t)/t
 nonincreasing, so w^lambda a modulus of continuity, while an unbounded
 slope disproves every lambda; a table's segments are checked exactly.
-The dyadic subadditivity sweeps, compared with an absolute tolerance of
-ORDER_TOL, are the fallback for what no record settles: a violation they
-find is a disproof, a pass only evidence at the sampled resolution.
+The dyadic subadditivity sweeps to MAJORANT_GRID_DEPTH, compared with a
+relative tolerance of ORDER_TOL, are the fallback for what no record
+settles: a violation they find is a disproof, a pass only evidence at the
+sampled resolution.
 """
 
 from __future__ import annotations
@@ -32,11 +33,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .util import as_float, as_floats, as_int, as_list, fields
 
 ORDER_TOL = 1e-12
-MAX_GRID_DEPTH = 16
 MAX_LOG_DEPTH = 16  # most nested logs in a log_power weight
 SWEEP_BLOCK = 2 ** 16  # elements one block of the subadditivity sweep compares
 DEFAULT_LAMBDAS = (4.0, 2.0, 1.0, 0.5, 0.25, 0.125)
-MAJORANT_GRID_DEPTH = 10  # finest sweep grid of a majorant candidate
+MAJORANT_GRID_DEPTH = 10  # finest grid of every subadditivity sweep
 UNIT_ROUNDOFF = 2.0 ** -53
 # relative error allowed in one computed value of w or of an integrand:
 # 2^13 ulps, room for the exp/log/pow chains of the analytic kinds at
@@ -405,8 +405,11 @@ def _record_verdict(w: Weight, lam: float, work=None) -> Optional[bool]:
 
 
 def _first_violation(vals: np.ndarray, work=None) -> Optional[tuple]:
-    """The first (i, j), row-major, with vals[i] + vals[j] + ORDER_TOL <
-    vals[i + j] over 1 <= i <= j <= n - i, where n = vals.size - 1.
+    """The first (i, j), row-major, with vals[i] + vals[j] <
+    vals[i + j] (1 - ORDER_TOL) over 1 <= i <= j <= n - i, where
+    n = vals.size - 1.  The tolerance is relative, so a pass of f is a
+    pass of every f^p with p <= 1 on the same grid:
+    f(s)^p + f(t)^p >= (f(s) + f(t))^p.
 
     Rows [i0, i1) are compared at once, at most SWEEP_BLOCK elements: row i
     reads vals[i + k] and vals[2i + k] for k < n - 2 i0 + 1 through two
@@ -419,12 +422,12 @@ def _first_violation(vals: np.ndarray, work=None) -> Optional[tuple]:
     last = n // 2
     rows = max(1, min(last, SWEEP_BLOCK // n))
     src = sliding_window_view(np.concatenate([vals, np.zeros(last)]), n - 1)
-    tgt = sliding_window_view(
-        np.concatenate([vals, np.full(n - 1, -np.inf)]), n - 1)
+    tgt = sliding_window_view(np.concatenate(
+        [vals * (1.0 - ORDER_TOL), np.full(n - 1, -np.inf)]), n - 1)
     for i0 in range(1, last + 1, rows):
         i1 = min(i0 + rows, last + 1)
         width = n - 2 * i0 + 1
-        viol = (vals[i0:i1, None] + src[i0:i1, :width] + ORDER_TOL
+        viol = (vals[i0:i1, None] + src[i0:i1, :width]
                 < tgt[2 * i0:2 * i1:2, :width])
         if work is not None:
             work["sweep_rows"] += i1 - i0
@@ -435,26 +438,21 @@ def _first_violation(vals: np.ndarray, work=None) -> Optional[tuple]:
     return None
 
 
-def _modulus_check(w: Weight, grid_depth: int, lam: float,
-                   work=None) -> tuple:
+def _modulus_check(w: Weight, lam: float, work=None) -> tuple:
     """(verdict, check): whether f = w^lam is a modulus of continuity.
 
     The record of w's kind settles it where ``_record_verdict`` gives a
     verdict, True or False, a disproof with no witness.  Else (verdict
-    None) the grids k/2^d for d = 2 .. grid_depth are swept coarse to fine
-    for a pair (s, t) with f(s) + f(t) + ORDER_TOL < f(s + t), and each
-    grid's values are validated: a negative or non-finite one raises
-    InvalidWeightError.
+    None) the grids k/2^d for d = 2 .. MAJORANT_GRID_DEPTH are swept
+    coarse to fine for a pair (s, t) with f(s) + f(t) <
+    f(s + t) (1 - ORDER_TOL), and each grid's values are validated: a
+    negative or non-finite one raises InvalidWeightError.
     """
-    if grid_depth < 4:
-        raise ValueError("grid_depth must be at least 4")
-    if grid_depth > MAX_GRID_DEPTH:
-        raise ValueError(f"grid_depth must be at most {MAX_GRID_DEPTH}")
     verdict = _record_verdict(w, lam, work)
     if verdict is not None:
         return verdict, ModulusCheck(True) if verdict else ModulusCheck(
             False, None, "w(t)/t -> 0 as t -> 0: not subadditive")
-    for depth in range(2, grid_depth + 1):
+    for depth in range(2, MAJORANT_GRID_DEPTH + 1):
         n = 2 ** depth
         grid = np.arange(n + 1) / n
         hit = _first_violation(_values(w, grid, lam), work)
@@ -464,24 +462,15 @@ def _modulus_check(w: Weight, grid_depth: int, lam: float,
     return None, ModulusCheck(True)
 
 
-def check_modulus_of_continuity(w: Weight, grid_depth: int,
-                                work=None) -> ModulusCheck:
-    """Monotonicity, continuity, w(0)=0 and subadditivity of w.
-
-    Every record has the first three by construction, so only
-    subadditivity is checked.  The kind's record is consulted first
-    (``_record_verdict`` at lambda 1); a disproof has no witness.  What it
-    leaves open goes to the grids, whose pass is evidence at their
-    resolution: w(s) + w(t) >= w(s + t) is swept over the grids k/2^d for
-    d = 2 .. grid_depth, coarse to fine, in blocks of rows s = i/2^d, each
-    row against every t = j/2^d with i <= j and i + j <= 2^d
-    (``_modulus_check``).  The returned witness is thus the first
-    violating pair, in row-major order, at the coarsest failing
-    resolution.  Scratch memory is O(2^grid_depth) and time
-    O(4^grid_depth); grid_depth must lie in 4 .. MAX_GRID_DEPTH.
-    ``work``, a Counter, gains ``slope_proofs`` and ``sweep_rows``.
+def check_modulus_of_continuity(w: Weight, work=None) -> ModulusCheck:
+    """Subadditivity of w, the other modulus properties holding by
+    construction: check_majorant's step at lambda 1 (``_modulus_check``).
+    A record's disproof has no witness; a sweep's witness is the first
+    violating pair, row-major, on the coarsest failing grid, and a sweep's
+    pass is evidence at its resolution only.  ``work``, a Counter, gains
+    ``slope_proofs`` and ``sweep_rows``.
     """
-    return _modulus_check(w, grid_depth, 1.0, work)[1]
+    return _modulus_check(w, 1.0, work)[1]
 
 
 @dataclass(frozen=True)
@@ -510,14 +499,16 @@ def check_majorant(w: Weight, candidates, work=None) -> MajorantCheck:
     Each candidate is settled as in check_modulus_of_continuity, of
     w(t)^lambda (``_modulus_check``): the kind's record first, where a
     proof takes the candidate and a disproof skips it, else the
-    subadditivity sweep to MAJORANT_GRID_DEPTH.  ``work`` is as in
+    subadditivity sweep.  The candidates that pass form a down-set, as
+    f^p is subadditive for p <= 1 when f is, so a pass at some lambda >= 1
+    makes w itself a modulus of continuity.  ``work`` is as in
     check_modulus_of_continuity.
     """
     if not candidates:
         raise ValueError("need at least one lambda candidate")
     disproved = True
     for lam in candidates:
-        verdict, res = _modulus_check(w, MAJORANT_GRID_DEPTH, lam, work)
+        verdict, res = _modulus_check(w, lam, work)
         if res.ok:
             return MajorantCheck(True, lam, verdict is not None)
         disproved = disproved and verdict is not None
@@ -549,8 +540,12 @@ def check_A1(w: Weight, depth: int) -> A1Check:
 
     Returns the extreme ratios log(1/w(t^2)) / log(1/w(t)); the acceptance
     band (0, 64) is a pragmatic stand-in for two-sided comparability with
-    an unspecified constant.
+    an unspecified constant.  A closed-form log w is linear in the first
+    parameter, so the ratio is taken with that parameter's binary exponent
+    cancelled: exact, and no huge or tiny one overflows both logs.
     """
+    if KINDS[w.kind].log is not None:
+        w = Weight(w.kind, (math.frexp(w.params[0])[0],) + w.params[1:])
     js = np.arange(2, depth + 1)
     t = 2.0 ** -js
     u_t = -np.asarray(w.log(t))

@@ -31,15 +31,16 @@ class TestSubcommands:
         assert rep["results"]["majorant"]["ok"]
 
     # (spec, slope_proofs) with --alpha 0.5: the records prove the majorant
-    # λ; only t^1.5's modulus check (slope 1.5 > 1) and the λ = 4 and 2
-    # candidates of t^0.3 and exp_log take the sweep.  No record settles
-    # the table at λ = 1 (its last segment meets t = 0 at -0.1), so its
-    # modulus check and majorant search are swept, and its majorant λ is
-    # evidence.  A2 reads the majorant verdict and adds no proof and no
-    # sweep row, and no weight is sampled for continuity, so meta counts
-    # no continuity grid.
+    # λ; only t^1.5's λ = 4, 2 and 1 (slope 1.5 > 1) and the λ = 4 and 2
+    # candidates of t^0.3 and exp_log take the sweep.  The modulus line
+    # reads the majorant walk where it passed some λ >= 1, so only t^1.5
+    # checks λ = 1 again.  No record settles the table at λ = 1 (its last
+    # segment meets t = 0 at -0.1), so its majorant search is swept, and
+    # its λ is evidence.  A2 reads the majorant verdict and adds no proof
+    # and no sweep row, and no weight is sampled for continuity, so meta
+    # counts no continuity grid.
     @pytest.mark.parametrize("spec, proofs", [
-        ("power:1.5", 1), ("power:0.3", 2), ("exp_log:1.0,0.8", 2),
+        ("power:1.5", 1), ("power:0.3", 1), ("exp_log:1.0,0.8", 1),
         (json.dumps({"kind": "table", "lambda_hint": 0.5, "points": [
             [0, 0], [0.5, 0.5], [0.6, 0.5], [1, 0.9]]}), 0)],
         ids=["power:1.5", "power:0.3", "exp_log:1.0,0.8", "table"])
@@ -122,6 +123,34 @@ class TestSubcommands:
         assert code == 0
         a2 = rep["results"]["A2"]
         assert a2["ok"] and a2["low"] <= a2["dini_integral"] <= a2["high"]
+
+    # the modulus line is the majorant walk's λ = 1 step.  The first table
+    # violates subadditivity only at s = t = 2^-11, finer than every sweep
+    # grid, so both lines pass; the second fails λ = 1, and its w^4, all
+    # below 1e-24, fails the relative tolerance too
+    @pytest.mark.parametrize("points, lam, witness", [
+        ([[0, 0], [2 ** -11, 2 ** -12], [2 ** -10, 2 ** -10], [1, 1]], 1.0,
+         None),
+        ([[0, 0], [0.5, 1e-7], [1, 1e-6]], 0.25, [0.25, 0.5])],
+        ids=["fine violation", "tiny values"])
+    def test_weight_check_modulus_is_the_majorant_at_one(self, points, lam,
+                                                         witness, capsys):
+        code, rep = run(["weight", "check", "--weight", json.dumps(
+            {"kind": "table", "points": points})], capsys)
+        assert code == 0
+        res = rep["results"]
+        assert res["majorant"] == {"ok": True, "lambda": lam}
+        assert res["modulus_of_continuity"]["ok"] == (lam >= 1.0)
+        assert res["modulus_of_continuity"]["witness"] == witness
+
+    # log w = alpha log t overflows at alpha = 1e308 in both logs of the A1
+    # ratio; the ratio cancels alpha's binary exponent
+    def test_weight_check_A1_of_a_huge_exponent(self, capsys):
+        code, rep = run(["weight", "check", "--weight", "power:1e308"],
+                        capsys)
+        assert code == 0
+        assert rep["results"]["A1"] == {"ratio_low": 2.0, "ratio_high": 2.0,
+                                        "ok": True}
 
     # exp_recip is no majorant: its checks fail with no witness and A2,
     # which needs a majorant, exits 1
@@ -520,10 +549,9 @@ BAD_INPUTS = {
     "fw_norm_quad_depth_past_float": (["dual", "fw-norm", "--f", "[0,1]",
                                        "--weight", "power:0.5",
                                        "--quad-depth", "54"], 1),
-    "weight_depth_above_cap": (["weight", "check", "--weight", "power:1",
-                                "--depth", "17"], 1),
-    "weight_depth_40": (["weight", "check", "--weight", "power:1",
-                         "--depth", "40"], 1),
+    # every sweep runs to weights.MAJORANT_GRID_DEPTH: no option sets it
+    "weight_depth_option": (["weight", "check", "--weight", "power:1",
+                             "--depth", "12"], 1),
     # 2^-1075 rounds to 0: past MAX_QUAD_DEPTH the Dini body has no floor
     "weight_quad_depth_past_float": (["weight", "check", "--weight",
                                       "exp_log:1,0.8", "--alpha", "0.5",

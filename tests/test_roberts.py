@@ -18,11 +18,11 @@ GRID = DyadicGrid((4, 12, 36))
 DECAY_GRID = DyadicGrid((4, 8, 12, 16, 20, 24))
 
 
-def residual_in_heavy_sets(d) -> bool:
+def residual_in_heavy_arcs(d) -> bool:
     """Every residual atom lies in the heavy union of every level."""
     r = d.residual.realized()
-    return all(np.isin(r.indices(depth), heavy).all()
-               for depth, heavy in d.heavy_sets)
+    return all(np.isin(r.indices(rep.depth), rep.heavy_arcs).all()
+               for rep in d.reports)
 
 
 class TestGrate:
@@ -73,7 +73,7 @@ class TestDecompose:
         # residual is the ground-down atom, still on the original chain
         assert d.residual.total_mass() == pytest.approx(
             1.0 - sum(p.total_mass() for p in d.pieces))
-        assert residual_in_heavy_sets(d)
+        assert residual_in_heavy_arcs(d)
 
     def test_below_threshold_consumed_at_once(self):
         from gst.circle import atom_measure
@@ -95,7 +95,7 @@ class TestDecompose:
         d = decompose(mu, GRID, 0.1, W_T, 3)
         assert d.mass_balance_error() <= 1e-9
         assert d.heavy_nesting_ok()
-        assert residual_in_heavy_sets(d)
+        assert residual_in_heavy_arcs(d)
         # dyadic-level modulus bound, exact at each level
         for piece, rep in zip(d.pieces, d.reports):
             _, masses = piece.arc_masses_at_depth(rep.depth)
@@ -145,8 +145,10 @@ class TestDecompose:
         # union, never above the total mass
         for mu in fixtures.measure_fixtures().values():
             d = decompose(mu, GRID, 0.1, W_T, 3)
-            for n, heavy in d.heavy_sets:
-                bound = 0.1 * (heavy.size / 2 ** n) * W_T.neg_log_at_depth(n)
+            for rep in d.reports:
+                n = rep.depth
+                bound = 0.1 * (rep.heavy_count / 2 ** n) \
+                    * W_T.neg_log_at_depth(n)
                 assert bound <= d.total_mass + 1e-12
 
 
@@ -331,7 +333,7 @@ class TestArrayGrating:
         assert d.light_entropy_ledger == ledger
         heavy_sets = [(n, rep[1]) for n, rep in zip(depths, reports)]
         assert d.heavy_nesting_ok() == oracle_nesting_ok(heavy_sets)
-        assert residual_in_heavy_sets(d)
+        assert residual_in_heavy_arcs(d)
         n, heavy = heavy_sets[-1]
         if n <= 500 and heavy:
             assert d.residual_carrier_gaps() == oracle_carrier_gaps(n, heavy)
@@ -340,6 +342,6 @@ class TestArrayGrating:
     def test_carrier_gaps_on_shallow_grid(self):
         mu = fixtures.triadic_cantor_measure()
         d = decompose(mu, GRID, 0.1, W_T, 2)
-        n, heavy = d.heavy_sets[-1]
+        rep = d.reports[-1]
         assert d.residual_carrier_gaps() == oracle_carrier_gaps(
-            n, heavy.tolist())
+            rep.depth, rep.heavy_arcs.tolist())

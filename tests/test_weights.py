@@ -36,9 +36,10 @@ def oracle_jump(w, fine, jumps):
     return None
 
 
-def oracle_modulus_check(w, grid_depth):
-    """Continuity on FINE_GRID, then the n x n subadditivity sweep, every
-    pair of one depth at once.  ``w`` is any vectorized callable."""
+def oracle_modulus_check(w, depth=weights.MAJORANT_GRID_DEPTH):
+    """Continuity on FINE_GRID, then the n x n subadditivity sweep to
+    ``depth``, every pair of one grid at once, with the relative tolerance
+    ORDER_TOL.  ``w`` is any vectorized callable."""
     fine = FINE_GRID
     fvals = np.asarray(w(fine))
     if not (np.isfinite(fvals).all() and fvals.min() >= 0):
@@ -52,15 +53,15 @@ def oracle_modulus_check(w, grid_depth):
     i = oracle_jump(w, fine, jumps)
     if i is not None:
         return ModulusCheck(False, (fine[i], fine[i + 1]), "jump discontinuity")
-    for depth in range(2, grid_depth + 1):
-        n = 2 ** depth
+    for d in range(2, depth + 1):
+        n = 2 ** d
         grid = np.arange(n + 1) / n
         vals = np.asarray(w(grid))
         i_idx = np.arange(1, n)
         sums = vals[i_idx][:, None] + vals[i_idx][None, :]
         tot = i_idx[:, None] + i_idx[None, :]
         valid = (tot <= n) & (i_idx[:, None] <= i_idx[None, :])
-        viol = valid & (sums + ORDER_TOL < vals[np.minimum(tot, n)])
+        viol = valid & (sums < vals[np.minimum(tot, n)] * (1 - ORDER_TOL))
         if np.any(viol):
             ii, jj = np.argwhere(viol)[0]
             return ModulusCheck(False, (grid[ii + 1], grid[jj + 1]),
@@ -68,12 +69,12 @@ def oracle_modulus_check(w, grid_depth):
     return ModulusCheck(True)
 
 
-def oracle_majorant(w, lambdas, grid_depth):
+def oracle_majorant(w, lambdas, depth=weights.MAJORANT_GRID_DEPTH):
     """The search that checks every candidate in full, continuity first, on
     w's own values raised to lambda."""
     for lam in lambdas:
         if oracle_modulus_check(lambda t, lam=lam: np.power(w(t), lam),
-                                grid_depth).ok:
+                                depth).ok:
             return True, lam
     return False, None
 
@@ -82,25 +83,27 @@ def row_sweep_reference(vals):
     """The first violating (i, j) of one grid's values, one row at a time."""
     n = vals.size - 1
     for i in range(1, n // 2 + 1):
-        viol = vals[i] + vals[i:n - i + 1] + ORDER_TOL < vals[2 * i:]
+        viol = vals[i] + vals[i:n - i + 1] < vals[2 * i:] * (1 - ORDER_TOL)
         if viol.any():
             return i, i + int(np.argmax(viol))
     return None
 
 
-def assert_matches_oracle(w, depths=range(4, 13)):
-    for depth in depths:
-        got = check_modulus_of_continuity(w, depth)
-        want = oracle_modulus_check(w, depth)
-        assert (got.ok, got.witness, got.reason) == \
-            (want.ok, want.witness, want.reason), (w.label(), depth)
+def assert_matches_oracle(w):
+    got = check_modulus_of_continuity(w)
+    want = oracle_modulus_check(w)
+    assert (got.ok, got.witness, got.reason) == \
+        (want.ok, want.witness, want.reason), w.label()
 
 
 @st.composite
 def planted_tables(draw):
     """A table weight near t^a with w(2s) = 2 w(s) + delta at a dyadic s.
 
-    Half the deltas sit around ORDER_TOL, so the sweep's tolerance decides.
+    Half the deltas are at most 3e-12, so for s near 1/2 the sweep's
+    relative tolerance, ORDER_TOL times w(2s), decides.  s may lie on a
+    grid finer than MAJORANT_GRID_DEPTH, where no sweep sees the
+    violation itself.
     """
     a = draw(st.floats(0.2, 1.0))
     m = draw(st.integers(2, 12))
@@ -119,13 +122,13 @@ def planted_tables(draw):
 
 class TestModulusOfContinuity:
     def test_concave_power_passes(self):
-        assert check_modulus_of_continuity(weights.power(0.5), 12).ok
+        assert check_modulus_of_continuity(weights.power(0.5)).ok
 
     def test_linear_passes(self):
-        assert check_modulus_of_continuity(weights.power(1.0), 12).ok
+        assert check_modulus_of_continuity(weights.power(1.0)).ok
 
     def test_square_fails_with_coarse_witness(self):
-        res = check_modulus_of_continuity(weights.power(2.0), 12)
+        res = check_modulus_of_continuity(weights.power(2.0))
         assert not res.ok
         s, t = res.witness
         assert (s, t) == (0.25, 0.25)
@@ -134,7 +137,7 @@ class TestModulusOfContinuity:
         assert w(s + t) > w(s) + w(t)
 
     def test_log_weight_passes(self):
-        assert check_modulus_of_continuity(weights.log_power(1.0), 12).ok
+        assert check_modulus_of_continuity(weights.log_power(1.0)).ok
 
     def test_negative_weight_rejected(self):
         # the sweeps validate every value they read
@@ -155,11 +158,6 @@ class TestModulusOfContinuity:
             for v in (w(0.0), w(np.zeros(3))[0]):
                 assert v == 0.0 and not np.signbit(v), w.label()
 
-    @pytest.mark.parametrize("depth", [3, weights.MAX_GRID_DEPTH + 1])
-    def test_depth_out_of_range_rejected(self, depth):
-        with pytest.raises(ValueError):
-            check_modulus_of_continuity(weights.power(0.5), depth)
-
 
 class TestRowSweepOracle:
     @pytest.mark.parametrize("name", sorted(fixtures.builtin_majorants()))
@@ -171,10 +169,9 @@ class TestRowSweepOracle:
     def test_failing_fixtures(self, make):
         # the record disproves, with no witness, what the oracle fails
         w = make()
-        for depth in (4, 8, 12):
-            assert check_modulus_of_continuity(w, depth) == ModulusCheck(
-                False, None, "w(t)/t -> 0 as t -> 0: not subadditive")
-            assert not oracle_modulus_check(w, depth).ok
+        assert check_modulus_of_continuity(w) == ModulusCheck(
+            False, None, "w(t)/t -> 0 as t -> 0: not subadditive")
+        assert not oracle_modulus_check(w).ok
 
     @given(planted_tables())
     @settings(max_examples=20, deadline=None)
@@ -182,10 +179,11 @@ class TestRowSweepOracle:
         assert_matches_oracle(w)
 
     def test_scratch_memory_is_linear(self):
-        w = weights.power(0.5)
+        # no record settles alpha beta > 1: every grid is swept
+        w = weights.exp_log(1.094, 0.9305)
         tracemalloc.start()
         try:
-            check_modulus_of_continuity(w, 12)
+            check_modulus_of_continuity(w)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -193,8 +191,9 @@ class TestRowSweepOracle:
 
 
 class TestBlockSweep:
-    """The block sweep against the row-at-a-time sweep at depths 13 and 14,
-    where a block holds 8 and 4 rows."""
+    """The block sweep against the row-at-a-time sweep at the finest sweep
+    grid, depth 10, and on the larger grids of depths 13 and 14, where a
+    block holds 64, 8 and 4 rows."""
 
     @staticmethod
     def planted(depth, i, j, delta=1e-9):
@@ -212,14 +211,15 @@ class TestBlockSweep:
             vals[i + j + 2] += delta
         return vals
 
-    @pytest.mark.parametrize("depth", [13, 14])
+    @pytest.mark.parametrize("depth", [weights.MAJORANT_GRID_DEPTH, 13, 14])
     @pytest.mark.parametrize("where", ["block first row", "block last row",
                                        "row n/2"])
     def test_planted_witness(self, depth, where):
         n = 2 ** depth
         rows = SWEEP_BLOCK // n
-        i = {"block first row": 1 + 100 * rows,
-             "block last row": 101 * rows,
+        # the third block's first and last rows
+        i = {"block first row": 1 + 2 * rows,
+             "block last row": 3 * rows,
              "row n/2": n // 2}[where]
         j = max(i, n - i - 5)
         vals = self.planted(depth, i, j)
@@ -229,7 +229,7 @@ class TestBlockSweep:
         # the sweep stops at the end of the witness's block
         assert work["sweep_rows"] == min(n // 2, (i - 1) // rows * rows + rows)
 
-    @pytest.mark.parametrize("depth", [13, 14])
+    @pytest.mark.parametrize("depth", [weights.MAJORANT_GRID_DEPTH, 13, 14])
     def test_no_violation_sweeps_every_row(self, depth):
         n = 2 ** depth
         vals = np.sqrt(np.arange(n + 1) / n)
@@ -238,8 +238,9 @@ class TestBlockSweep:
         assert row_sweep_reference(vals) is None
         assert work["sweep_rows"] == n // 2
 
-    @given(st.integers(13, 14), st.lists(st.integers(1, 2 ** 14), min_size=1,
-                                         max_size=4), st.booleans())
+    @given(st.sampled_from([weights.MAJORANT_GRID_DEPTH, 13, 14]),
+           st.lists(st.integers(1, 2 ** 14), min_size=1, max_size=4),
+           st.booleans())
     @settings(max_examples=10, deadline=None)
     def test_perturbed_values(self, depth, spots, lower):
         # k/n with a few values moved by 1e-9: raised targets or lowered
@@ -251,53 +252,53 @@ class TestBlockSweep:
         assert weights._first_violation(vals) == row_sweep_reference(vals)
 
 
-def majorant_search(w, depth):
-    """check_majorant's search with sweeps to ``depth``: one
-    _modulus_check per lambda, the first that passes taken."""
-    for lam in DEFAULT_LAMBDAS:
-        if weights._modulus_check(w, depth, lam)[1].ok:
-            return True, lam
-    return False, None
-
-
 class TestMajorantSearchOracle:
     """check_majorant's (ok, lam) against the search that runs the n x n
-    oracle on every candidate, its continuity check first, with sweeps to
-    depth 8 and to check_majorant's own MAJORANT_GRID_DEPTH."""
+    oracle on every candidate, its continuity check first."""
 
-    @pytest.mark.parametrize("depth", [8, 10])
+    # the oracle sweeps to MAJORANT_GRID_DEPTH and, for the fixtures, to
+    # depth 8 too: no fixture's verdict rests on the two finest grids
+    @pytest.mark.parametrize("depth", [8, weights.MAJORANT_GRID_DEPTH])
     @pytest.mark.parametrize("name", sorted(fixtures.builtin_majorants()) + [
         "non_majorant", "fast_decay"])
     def test_fixtures(self, name, depth):
         w = {**fixtures.builtin_majorants(),
              "non_majorant": fixtures.non_majorant_weight(),
              "fast_decay": fixtures.fast_decay_weight()}[name]
-        want = oracle_majorant(w, DEFAULT_LAMBDAS, depth)
-        assert majorant_search(w, depth) == want
-        if depth == weights.MAJORANT_GRID_DEPTH:
-            res = check_majorant(w, DEFAULT_LAMBDAS)
-            assert (res.ok, res.lam) == want
+        res = check_majorant(w, DEFAULT_LAMBDAS)
+        assert (res.ok, res.lam) == oracle_majorant(w, DEFAULT_LAMBDAS, depth)
 
-    @given(planted_tables(), st.sampled_from([8, 10]))
+    @given(planted_tables())
     # 1000 t below the first knot: w^0.5 = sqrt(1000 t) there rises 0.0128
     # over the second step of the 2^20 grid, yet is continuous
     @example(weights.table_weight(zip(
         (0.0, 1e-4, 0.25, 0.5, 1.0),
         (0.0, 0.1, 0.25 ** 0.25, 2 * 0.25 ** 0.25 + 0.5,
-         2 * 0.25 ** 0.25 + 0.5))), 8)
+         2 * 0.25 ** 0.25 + 0.5))))
     @settings(max_examples=10, deadline=None)
-    def test_planted_violation_tables(self, w, depth):
-        assert majorant_search(w, depth) == \
-            oracle_majorant(w, DEFAULT_LAMBDAS, depth)
+    def test_planted_violation_tables(self, w):
+        res = check_majorant(w, DEFAULT_LAMBDAS)
+        assert (res.ok, res.lam) == oracle_majorant(w, DEFAULT_LAMBDAS)
+
+    @given(planted_tables(), st.sampled_from([1.0, 1e-6]))
+    @settings(max_examples=20, deadline=None)
+    def test_modulus_is_the_walk_at_lambda_one(self, w, scale):
+        # the passing lambdas form a down-set, so the modulus check agrees
+        # with the majorant walk at every scale of the values
+        ts, vs = w.params
+        w = weights.table_weight(zip(ts, [v * scale for v in vs]))
+        maj = check_majorant(w, weights.lambda_candidates(w))
+        assert check_modulus_of_continuity(w).ok == \
+            (maj.ok and maj.lam >= 1.0)
 
     def test_oracle_keeps_a_jump_past_a_steep_rise(self):
         # a steep continuous rise is no jump; a step of JUMP_TOL or more,
         # at a grid point or between two, is one, however fine the grid
         rise = lambda t: np.sqrt(1000 * np.minimum(t, 1e-4))
-        assert oracle_modulus_check(rise, 4).reason != "jump discontinuity"
+        assert oracle_modulus_check(rise).reason != "jump discontinuity"
         for at in (0.5, 0.3 + 2 ** -22):
             step = lambda t, at=at: np.minimum(t, 0.1) + 0.2 * (t >= at)
-            res = oracle_modulus_check(step, 4)
+            res = oracle_modulus_check(step)
             assert res.reason == "jump discontinuity"
             assert res.witness[0] < at <= res.witness[1]
 
@@ -471,7 +472,7 @@ class TestRecordMutants:
         w = weights.exp_log(1.0, beta)
         cands = DEFAULT_LAMBDAS + (2.0 ** -1074,)
         assert check_majorant(w, cands) == MajorantCheck(False, None, True)
-        assert not check_modulus_of_continuity(w, 8).ok
+        assert not check_modulus_of_continuity(w).ok
         with pytest.raises(weights.UncertifiedError):
             effective_lambda(w)
 
@@ -502,7 +503,7 @@ class TestTableProof:
     def test_concave_table_is_proved(self):
         w = weights.table_weight([(0, 0), (0.25, 0.5), (0.5, 0.75), (1, 1)])
         work = Counter()
-        assert check_modulus_of_continuity(w, 8, work).ok
+        assert check_modulus_of_continuity(w, work).ok
         # w^4 and w^2 have segments meeting t = 0 below 0, and the sweep
         # rejects them
         assert check_majorant(w, DEFAULT_LAMBDAS, work=work) == \
