@@ -549,9 +549,12 @@ BAD_INPUTS = {
     "fw_norm_quad_depth_past_float": (["dual", "fw-norm", "--f", "[0,1]",
                                        "--weight", "power:0.5",
                                        "--quad-depth", "54"], 1),
-    # every sweep runs to weights.MAJORANT_GRID_DEPTH: no option sets it
-    "weight_depth_option": (["weight", "check", "--weight", "power:1",
-                             "--depth", "12"], 1),
+    # every sweep runs to weights.MAJORANT_GRID_DEPTH: no option sets it,
+    # so --depth is rejected whatever its value
+    "weight_depth_above_cap": (["weight", "check", "--weight", "power:1",
+                                "--depth", "17"], 1),
+    "weight_depth_40": (["weight", "check", "--weight", "power:1",
+                         "--depth", "40"], 1),
     # 2^-1075 rounds to 0: past MAX_QUAD_DEPTH the Dini body has no floor
     "weight_quad_depth_past_float": (["weight", "check", "--weight",
                                       "exp_log:1,0.8", "--alpha", "0.5",
