@@ -25,13 +25,15 @@ relative move of each float field (list entries pooled under ``[]``).
 
 The cases: ``report cyclicity`` on the divergent Cantor fixture, once
 more with ``--kmax 2`` (a second, shorter decomposition), at ``--c 0.05``
-and at ``--c 0.2`` (pieces at depths 20 and 24 whose minimum is 1.0),
-with ``--grid "[4,8,46]" --kmax 3`` (a piece at depth 46, where the
-rings past 1 - 2^-46 would round onto the circle), and on the first
-input of the benchmark's ``cyclicity`` workload at seeds 1-3;
+and at ``--c 0.2`` (empty pieces at depths 20 and 24, whose ``inf_low``
+is 1), with ``--grid "[4,8,46]" --kmax 3`` and ``--grid "[4,8,100]"
+--kmax 3`` (pieces at depths 46 and 100, where 1 - 2^-n is 1 or nearly
+so in float and the arc masses stop at depth 49 and 62), and on the
+first input of the benchmark's ``cyclicity`` workload at seeds 1-3;
 ``inner eval`` on triadic measures of 2^10 and 2^14 atoms; ``measure
-decompose``, once on an atom with a depth-2000 grid level and once on a
-measure with a depth-70 multiplier layer (arc indices past int64);
+decompose`` on the triadic and divergent Cantor fixtures, once on an atom
+with a depth-2000 grid level and once on a measure with a depth-70
+multiplier layer (arc indices past int64);
 ``measure classify`` on inline triadic (10 stages) and stagewise_log (12
 stages) measures, whose Cantor parts build their carrier sets;
 ``privalov check`` and ``carleson build --N auto`` on the
@@ -145,10 +147,11 @@ def cases():
         yield f"report cyclicity divergent_cantor c {c}", (
             "report", "cyclicity", "--measure", "fixture:divergent_cantor",
             "--weight", "power:1", "--c", c)
-    # a depth-46 piece: rings past 1 - 2^-46 would round onto the circle
-    yield "report cyclicity divergent_cantor grid [4,8,46] kmax 3", (
-        "report", "cyclicity", "--measure", "fixture:divergent_cantor",
-        "--weight", "power:1", "--grid", "[4,8,46]", "--kmax", "3")
+    # deep pieces: their corona checks read arc masses, not float radii
+    for grid in ("[4,8,46]", "[4,8,100]"):
+        yield f"report cyclicity divergent_cantor grid {grid} kmax 3", (
+            "report", "cyclicity", "--measure", "fixture:divergent_cantor",
+            "--weight", "power:1", "--grid", grid, "--kmax", "3")
     for seed in SEEDS:
         yield f"report cyclicity workload seed {seed}", \
             Cyclicity(seed).next_op().argv

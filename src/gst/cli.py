@@ -325,20 +325,13 @@ def cmd_report_cyclicity(args) -> dict:
         for kmax in (2, 4, 6)]
     if args.kmax < len(masses):
         dec = roberts.decompose(mu, grid, args.c, w, args.kmax)
-    margins = []
-    samples, work = 0, Counter()
+    margins, arcs = [], 0
     for piece, rep in zip(dec.pieces, dec.reports):
-        if rep.depth > 50:
-            continue
-        cc = inner_outer.corona_datum_check(piece, rep.depth, args.c, w,
-                                            grid_density=32, work=work)
-        margins.append({"depth": rep.depth, "min_combined": cc.min_combined,
+        cc = inner_outer.corona_datum_check(piece, rep.depth, args.c, w)
+        margins.append({"depth": rep.depth, "inf_low": cc.inf_low,
                         "bound": cc.bound, "ok": cc.ok})
-        samples += cc.n_samples
-    meta = {"corona_samples": samples,
-            "corona_summed": work["corona_summed"],
-            "herglotz_direct_pairs": work["direct_pairs"],
-            "herglotz_far_evals": work["far_evals"]}
+        arcs += cc.n_samples
+    meta = {"corona_arcs": arcs}
     out["corona_margins"] = margins
     out["corona_parameters"] = inner_outer.corona_parameter_report(
         w, args.c, grid.depths[0], K=args.K)

@@ -22,7 +22,6 @@ from .circle import CircleMeasure, ClosedCircleSet, modulus_of_continuity
 from .entropy import entropy_sum
 from .weights import Weight, effective_lambda, moment_sup
 
-TWO_PI = 2.0 * math.pi
 FLOAT_TERM = 5e-15
 WHITNEY_LEVELS = 60
 LEAF = 16  # most sources in a leaf of a kernel-sum tree
@@ -31,8 +30,6 @@ ORDER = 24  # expansion order of a far node
 OPEN = 0.25  # a node is far from z when its radius is at most OPEN |z - c|
 TARGET_BLOCK = 256  # targets walked together: the scratch stays a few MB
 SLACK = 1.0 + 2.0 ** -40  # covers the rounding of node radii and weight sums
-FLOOR_LEVEL = 6  # the tree level whose nodes bound a corona sample's floor
-CORONA_BLOCK = 256  # first block of corona samples summed; blocks then double
 
 
 @dataclass(frozen=True)
@@ -239,17 +236,19 @@ def _herglotz_tree(mu: CircleMeasure) -> KernelTree:
     return mu._kernel_tree
 
 
-def _herglotz_sum(mu: CircleMeasure, z: np.ndarray, work=None):
-    """sum_atoms m (zeta+z)/(zeta-z) and its error radius."""
+def _herglotz_sum(mu: CircleMeasure, z: np.ndarray):
+    """sum_atoms m (zeta+z)/(zeta-z) and its error radius; masses past
+    the float range give non-finite sums, which certify nothing."""
     total = float(np.sum(mu.realized().masses))
-    s, budget, trunc = _cauchy_sum(z, _herglotz_tree(mu), work=work)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, budget, trunc = _cauchy_sum(z, _herglotz_tree(mu))
     return s - total, _rounding_radius(budget + total) + trunc
 
 
-def singular_inner_many(mu: CircleMeasure, z: np.ndarray, work=None):
+def singular_inner_many(mu: CircleMeasure, z: np.ndarray):
     """(values, errs) of S_mu on an array of interior points."""
     z = np.asarray(z, dtype=complex)
-    h, err = _herglotz_sum(mu, z, work)
+    h, err = _herglotz_sum(mu, z)
     with np.errstate(under="ignore"):
         vals = np.exp(-h)
     return vals, np.abs(vals) * err
@@ -328,124 +327,84 @@ def lower_bound_check(nu: CircleMeasure, samples, eps: float = 1e-9
 
 @dataclass(frozen=True)
 class CoronaCheck:
-    min_combined: float
+    inf_low: float
     bound: float
     ok: bool
     n_samples: int
 
 
-def corona_datum_check(mu_k: CircleMeasure, n_k: int, c: float, w: Weight,
-                       grid_density: int = 64, work=None) -> CoronaCheck:
-    """inf over the disc of |S_mu_k(z)| + |z|^(2^n_k) against w(2^-n_k)^(12c).
-
-    On |z| >= 1 - 2^-n_k, |z|^(2^n_k) >= (1 - 2^-n_k)^(2^n_k) >= 1/4 tops
-    the bound, which must lie below 1/4.  So the samples are the centre
-    and the rings 1 - 2^-j, j <= min(n_k, 50), each at grid_density
-    angles and a stride of the support's.
+def corona_datum_check(mu_k: CircleMeasure, n_k: int, c: float,
+                       w: Weight) -> CoronaCheck:
+    """A certified lower bound ``inf_low`` on the inf over the disc of
+    |S_mu_k(z)| + |z|^(2^n_k), against w(2^-n_k)^(12c).
 
     ``mu_k`` carries no grating tag: the caller passes the depth n_k and
     the parameter c of the grating that made it (``roberts.decompose``).
 
-    The samples are summed best first.  Each gets a floor F(z), at most
-    the value computed there, max(|S| - err, 0) + |z|^(2^n_k), where err
-    is |S| times the Herglotz sum's radius (``_corona_floor``):
+    Put h = 2^-n_k and r = 1 - h.  On |z| >= r, |z|^(2^n_k) >= r^(2^n_k)
+    >= 1/4 tops the bound, which must lie below 1/4.  S has no zeros, so
+    by the minimum principle |S| on |z| <= r is least on |z| = r, where
+    |S| = exp(-Re H) and Re H = sum m P(d) over the atoms, d the atom's
+    distance in turns from the angle of z and
 
-    - |S| = exp(-Re H), Re H(z) = sum m (1 - |z|^2) / |zeta - z|^2 (the
-      Poisson kernel).  On level FLOOR_LEVEL of the measure's kernel tree
-      a node of centre c, radius rho and weight sum A >= 2 sum m has its
-      atoms at least max(|z - c| - rho, delta) from z, delta the distance
-      to the nearest atom (searchsorted on the sorted positions, both
-      neighbours, wrapping at angle 0), less 2^-45 for rounded angles.  So Re H <= U = (1 - |z|^2)
-      sum_nodes (A/2) / max(|z - c| - rho, delta)^2; 2^-48 added to
-      1 - |z|^2 covers |z| and |zeta| = 1 +- u as rounded.
-    - The radius is at most E = 2 FLOAT_TERM (B + M) + B 4^-(ORDER+1),
-      B = (5/3) 2M / delta and M the total mass: a term summed directly is
-      at most 2m / delta, and a far node (rho <= R/4, R = |z - c|) has
-      delta <= R + rho, so its budget A / (R - rho) and its truncation
-      A theta^(ORDER+1) / ((1 - theta) R) are at most (5/3) A / delta and
-      (5/3) A 4^-(ORDER+1) / delta.
-    - With the computed Re H within its radius, |S| - err >=
-      e^-U (1 - E)^2 >= e^-U (1 - 2E).  So F = max(e^-U (1 - 2E), 0) +
-      |z|^(2^n_k), its factors shaded by 2^-30 against its own rounding,
-      stays below the computed value.  A sample within 2^-500 of an atom,
-      whose sum may overflow to NaN, gets F = -inf.
+        P(d) = h (2 - h) / (h^2 + 4 (1 - h) sin^2(pi d)),
 
-    In ascending order of F the samples go to the Herglotz sum in blocks
-    of CORONA_BLOCK, doubling: a block takes only samples whose F is below
-    the running minimum, and the walk stops when none is left.  A sample
-    with F at or above the minimum cannot lower it, a minimum of floats is
-    exact, and a target's bits depend only on the target and the tree
-    (``_cauchy_sum``), so the result is bit for bit that of one sum over
-    every sample; a NaN in a summed block makes the minimum NaN.
-    ``n_samples`` counts every sample; ``work`` gains the kernel sum's
-    counts (see ``_cauchy_sum``) and the samples summed (``corona_summed``).
+    which falls with d.  An open arc of length 2^-j lies in two adjacent
+    depth-j dyadic arcs, so the mass within 2^-(j+1) of any angle is at
+    most D_j, the largest mass of two adjacent depth-j arcs (wrapping at
+    0).  Summing by parts over the shells between those distances, with
+    J = min(n_k + 3, 62) and M the total mass,
+
+        Re H <= U = D_J (P(0) - P(2^-(J+1)))
+                    + sum_{j<J} D_j (P(2^-(j+2)) - P(2^-(j+1))) + M P(1/4),
+
+    every bracket >= 0.  So inf_low = min(e^-U, r^(2^n_k)); a piece of no
+    mass has S = 1 and inf_low = 1.
+
+    The masses come exact from the depth-J arcs (``arc_masses_at_depth``)
+    and coarsen level by level; ``n_samples`` counts the arcs read.  Each
+    D_j is a float sum of at most atoms + J + 1 masses, each P lies within
+    12 u of its value (u the unit roundoff) and the dot products add J + 2
+    roundings, so U errs by less than (atoms + 128) 2^-50 times the same
+    sum with each bracket's difference made a sum.  U is raised by that,
+    the exponentials are shaded by 2^-50, and ``ok`` compares U with
+    -log of the bound, where neither side underflows.  Past depth 1022
+    P(0) = (2 - h)/h overflows: U is infinite, inf_low 0 and ``ok`` false.
     """
     log_bound = -12.0 * c * w.neg_log_at_depth(n_k)
     bound = math.exp(log_bound)
     if bound >= 0.25:
         raise ValueError("need w(2^-n)^{12c} < 1/4 for the outer zone bound")
-    pos = mu_k.positions_float()
-    support_angles = pos[:: max(1, pos.size // grid_density)]
-    base = np.arange(grid_density) / grid_density
-    angles = np.unique(np.concatenate([base, support_angles]))
-    grid = [1.0 - 2.0 ** -j for j in range(1, min(n_k, 50) + 1)]
-    zs = np.concatenate([np.zeros(1, dtype=complex)]
-                        + [r * unit_point(angles) for r in grid])
-    with np.errstate(divide="ignore"):
-        mono = np.exp(2.0 ** n_k * np.log(np.maximum(np.abs(zs), 1e-300)))
-    mono = np.where(np.abs(zs) == 0.0, 0.0, mono)
-    floor = _corona_floor(mu_k, zs, mono)
-    order = np.argsort(floor, kind="stable")
-    floor = floor[order]
-    worst, done, size = np.inf, 0, CORONA_BLOCK
-    while done < zs.size and floor[done] < worst:
-        stop = min(done + size, int(np.searchsorted(floor, worst)))
-        at = order[done:stop]
-        vals, errs = singular_inner_many(mu_k, zs[at], work)
-        mod = np.maximum(np.abs(vals) - errs, 0.0)
-        worst = np.minimum(worst, np.min(mod + mono[at]))
-        done, size = stop, 2 * size
-    if work is not None:
-        work["corona_summed"] += done
-    worst = float(worst)
-    return CoronaCheck(worst, bound, worst >= bound - 1e-15, zs.size)
-
-
-def _corona_floor(mu: CircleMeasure, zs: np.ndarray, mono: np.ndarray):
-    """Floors F <= max(|S_mu| - err, 0) + mono of the corona values as
-    ``corona_datum_check`` computes them; see there for the derivation."""
-    total = float(np.sum(mu.realized().masses))
-    weight = 2.0 * total * (1.0 + 2.0 ** -30)  # 2M, at least sum |2 m zeta|
-    pos = np.sort(mu.positions_float())
-    if pos.size:
-        right = np.searchsorted(pos, np.angle(zs) / TWO_PI % 1.0) % pos.size
-        near = unit_point(pos[np.stack([right - 1, right])])
-        delta = np.abs(zs - near).min(axis=0) * (1.0 - 2.0 ** -40) - \
-            2.0 ** -45
-    else:
-        delta = np.full(zs.shape, np.inf)
-    tree = _herglotz_tree(mu)
-    lev = min(FLOOR_LEVEL, len(tree.far_levels) - 1)
-    if lev >= 0:
-        at = slice(2 ** lev, 2 ** (lev + 1))
-        c, rho, A = tree.centres[at], tree.radii[at], tree.weights[at]
-    else:  # one leaf: every source is at least delta away
-        c, rho, A = np.zeros(1), np.full(1, np.inf), np.full(1, weight)
-    r = np.abs(zs)
-    poisson = np.empty(zs.size)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for b in range(0, zs.size, TARGET_BLOCK):  # (sample, node) terms
-            rows = slice(b, b + TARGET_BLOCK)
-            gap = np.maximum(np.abs(zs[rows, None] - c) * (1.0 - 2.0 ** -40)
-                             - rho, delta[rows, None])
-            poisson[rows] = np.sum(0.5 * A / np.square(gap), axis=1)
-        poisson *= (1.0 - r) * (1.0 + r) + 2.0 ** -48
-        budget = weight * 5.0 / 3.0 / delta
-        err = (2.0 * FLOAT_TERM * (budget + total)
-               + budget * 0.25 ** tree.moments.shape[0]) * (1.0 + 2.0 ** -30)
-        mod = np.exp(-poisson * (1.0 + 2.0 ** -30)) * (1.0 - 2.0 * err)
-    floor = (np.maximum(mod, 0.0) + mono) * (1.0 - 2.0 ** -30)
-    return np.where(delta > 2.0 ** -500, floor, -np.inf)
+    J = min(n_k + 3, 62)
+    keys, masses = mu_k.arc_masses_at_depth(J)
+    atoms = mu_k.positions_float().size
+    if not atoms:
+        return CoronaCheck(1.0, bound, True, 0)
+    total = float(np.sum(masses))
+    D, arcs = np.empty(J), 0
+    for j in range(J, 0, -1):  # D_j at D[j - 1]
+        if j < J:
+            keys = keys >> 1
+            starts = np.flatnonzero(np.diff(keys, prepend=-1))
+            keys, masses = keys[starts], np.add.reduceat(masses, starts)
+        arcs += keys.size
+        adjacent = (np.roll(keys, -1) - keys) % (1 << j) == 1
+        D[j - 1] = max(masses.max(), (masses + np.roll(masses, -1))[adjacent]
+                       .max(initial=0.0))
+    h = np.ldexp(1.0, -n_k)
+    with np.errstate(divide="ignore", over="ignore"):
+        s = np.sin(np.pi * np.ldexp(1.0, -np.arange(2, J + 2)))
+        lower = h * (2.0 - h) / (h * h + 4.0 * (1.0 - h) * s * s)
+        upper = np.append(lower[1:], (2.0 - h) / h)  # P(0) = (2 - h)/h
+        U = D @ (upper - lower) + total * lower[0]
+        U = float(U + (atoms + 128) * 2.0 ** -50 *
+                  (D @ (upper + lower) + total * lower[0]))
+    mono = math.exp(math.ldexp(math.log1p(-h), n_k))  # r^(2^n_k)
+    inf_low = min(math.exp(-U), mono) * (1.0 - 2.0 ** -50)
+    # mono >= 1/4 tops the bound; e^-U meets it on the log scale, where
+    # neither side underflows
+    return CoronaCheck(inf_low, bound, U <= -log_bound * (1.0 - 2.0 ** -50),
+                       arcs)
 
 
 def corona_parameter_report(w: Weight, c: float, n0: int,

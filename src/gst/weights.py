@@ -201,7 +201,7 @@ def exp_recip(c: float, depth: int = 1,
 def table_weight(points, lambda_hint: Optional[float] = None) -> Weight:
     """The piecewise-linear weight through ``points``.  It must be a
     weight as it stands, since nothing samples it for continuity: no value
-    below 0, w(0) = 0 exactly, no fall past ORDER_TOL and no jump (one t
+    below 0, w(0) = 0 exactly, no fall at all and no jump (one t
     with two values)."""
     pts = sorted(tuple(as_floats(p, "table point", 2)) for p in points)
     if not pts:
@@ -214,7 +214,7 @@ def table_weight(points, lambda_hint: Optional[float] = None) -> Weight:
         raise InvalidWeightError("table must start at (0, 0)")
     if ts[-1] != 1.0:
         raise InvalidWeightError("table must reach t = 1")
-    if any(b < a - ORDER_TOL for a, b in zip(ws, ws[1:])):
+    if any(b < a for a, b in zip(ws, ws[1:])):
         raise InvalidWeightError("table values must be nondecreasing")
     jump = next((t0 for (t0, v0), (t1, v1) in zip(pts, pts[1:])
                  if t0 == t1 and v0 != v1), None)

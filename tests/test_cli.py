@@ -372,42 +372,47 @@ class TestReportCyclicity:
         assert decay[0] > decay[1] > decay[2]
         assert all(m["ok"] for m in res["corona_margins"])
 
-    def test_meta_counts_the_corona_sums(self, capsys, monkeypatch):
-        sums, checks = [], []
-        herglotz = inner_outer._herglotz_sum
+    def test_meta_counts_the_corona_arcs(self, capsys, monkeypatch):
+        checks = []
         check = inner_outer.corona_datum_check
-
-        def counting(mu, z, work=None):
-            sums.append((mu, z))
-            return herglotz(mu, z, work)
 
         def counting_check(*args, **kwargs):
             checks.append(check(*args, **kwargs))
             return checks[-1]
 
-        monkeypatch.setattr(inner_outer, "_herglotz_sum", counting)
         monkeypatch.setattr(inner_outer, "corona_datum_check", counting_check)
         code, rep = run(["report", "cyclicity", "--measure", SMALL_DIVERGENT,
                          "--weight", "power:1"], capsys)
         assert code == 0
-        meta = rep["meta"]
-        assert len(checks) == len(rep["results"]["corona_margins"]) == 6
-        assert len({id(mu) for mu, _ in sums}) == 6
-        assert meta["corona_samples"] == sum(cc.n_samples for cc in checks)
-        # best first: each piece sums some of its samples, none twice
-        for piece in {id(mu): mu for mu, _ in sums}.values():
-            z = np.concatenate([z for mu, z in sums if mu is piece])
-            assert np.unique(z).size == z.size
-        assert meta["corona_summed"] == sum(z.size for _, z in sums) < \
-            meta["corona_samples"]
-        # the walk's own counts, summed over the pieces' sums
-        work = Counter()
-        for mu, z in sums:
-            herglotz(mu, z, work)
-        assert meta["herglotz_direct_pairs"] == work["direct_pairs"] > 0
-        assert meta["herglotz_far_evals"] == work["far_evals"] > 0
-        nominal = sum(z.size * mu.positions_float().size for mu, z in sums)
-        assert work["direct_pairs"] + work["far_evals"] < nominal
+        margins = rep["results"]["corona_margins"]
+        assert len(checks) == len(margins) == 6
+        assert [m["inf_low"] for m in margins] == [cc.inf_low for cc in checks]
+        assert all(set(m) == {"depth", "inf_low", "bound", "ok"}
+                   for m in margins)
+        assert set(rep["meta"]) == {"corona_arcs", "runtime_s"}
+        assert rep["meta"]["corona_arcs"] == \
+            sum(cc.n_samples for cc in checks) > 0
+
+    @pytest.mark.parametrize("depth", [60, 100])
+    def test_deep_pieces_are_checked(self, depth, capsys):
+        code, rep = run(["report", "cyclicity", "--measure",
+                         "fixture:divergent_cantor", "--weight", "power:1",
+                         "--grid", f"[4,8,{depth}]", "--kmax", "3"], capsys)
+        assert code == 0
+        margins = rep["results"]["corona_margins"]
+        assert [m["depth"] for m in margins] == [4, 8, depth]
+        assert all(m["ok"] and m["inf_low"] > m["bound"] for m in margins)
+
+    def test_no_kernel_sums(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the cyclicity report sums no kernels")
+
+        monkeypatch.setattr(inner_outer, "_cauchy_sum", refuse)
+        monkeypatch.setattr(inner_outer, "kernel_tree", refuse)
+        code, rep = run(["report", "cyclicity", "--measure", SMALL_DIVERGENT,
+                         "--weight", "power:1"], capsys)
+        assert code == 0
+        assert all(m["ok"] for m in rep["results"]["corona_margins"])
 
 
 # 1024 atoms: cheap enough to run the whole report at several --kmax
@@ -450,11 +455,13 @@ class TestReportSinglePass:
         assert code == 0
         assert rep["results"]["residual_decay"] == separate_decays
         # the decay rows come from one 6-level run; a shorter dossier
-        # needs one more run of its own
+        # needs one more run of its own; each piece's corona check reads
+        # its arc masses once more
         if kmax is None:
-            assert calls == {"decompose": [6], "arc_masses": 6}
+            assert calls == {"decompose": [6], "arc_masses": 6 + 6}
         else:
-            assert calls == {"decompose": [6, kmax], "arc_masses": 6 + kmax}
+            assert calls == {"decompose": [6, kmax],
+                             "arc_masses": 6 + kmax + kmax}
 
 
 BAD_INPUTS = {
@@ -616,6 +623,11 @@ BAD_INPUTS.update({
         '{"kind": "table", "points": []}'), 1),
     "weight_table_start_above_0": (_point_entropy(
         '{"kind": "table", "points": [[0, 1e-13], [1, 1]]}'), 1),
+    # a fall of 9e-14: a table may not fall at all
+    "weight_table_falls": (["weight", "check", "--weight",
+                            '{"kind": "table", "points": [[0, 0], [0.5, '
+                            '1e-13], [0.75, 1e-14], [1, 1e-13]]}',
+                            "--alpha", "0.5"], 1),
     "weight_exp_recip_zero_c": (_point_entropy(
         '{"kind": "exp_recip", "c": 0}'), 1),
     "weight_exp_recip_depth_3": (_point_entropy(

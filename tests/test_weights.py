@@ -515,11 +515,18 @@ class TestTableProof:
         [(0, 0), (0.5, 0.5), (0.6, 0.5), (1, 0.9)],
         # flat at 0 up to 0.25, so w(t)/t rises (the sweep fails it)
         [(0, 0), (0.25, 0), (0.5, 0.5), (1, 1)],
-        # a step down within ORDER_TOL
-        [(0, 0), (0.5, 0.6), (0.75, 0.6 - 1e-13), (1, 1)]])
+        # a flat step, the nearest a table may come to a fall
+        [(0, 0), (0.5, 0.6), (0.75, 0.6), (1, 1)]])
     def test_tables_left_to_the_grids(self, points):
         w = weights.table_weight(points)
         assert weights._record_verdict(w, 1.0) is None
+
+    def test_any_fall_is_rejected(self):
+        # a step down of 1e-13, once let through as rounding
+        with pytest.raises(weights.InvalidWeightError,
+                           match="nondecreasing"):
+            weights.table_weight([(0, 0), (0.5, 0.6), (0.75, 0.6 - 1e-13),
+                                  (1, 1)])
 
     def test_square_of_the_table_itself(self):
         # the table through (t, v^2) has every intercept >= 0, but the
