@@ -443,10 +443,6 @@ class TestCorona:
         value = np.maximum(np.abs(vals) - errs, 0.0) + corona_monomial(z, n)
         assert np.all(got.inf_low <= value * (1.0 + 1e-12))
 
-    def test_empty_piece_reads_no_arcs(self):
-        got = corona_datum_check(CircleMeasure(), 8, 0.1, W_T)
-        assert got.inf_low == 1.0 and got.ok and got.n_samples == 0
-
     def test_deep_pieces_are_certified_without_warnings(self):
         # past depth 52, 1 - 2^-n rounds to 1; the check reads arcs and
         # (angle, depth) kernels, never a float radius
@@ -469,7 +465,7 @@ class TestCorona:
     def test_zero_piece_trivial(self):
         mu = CircleMeasure(name="zero")
         res = corona_datum_check(mu, 4, 0.1, W_T)
-        assert res.ok and res.inf_low == 1.0
+        assert res.ok and res.inf_low == 1.0 and res.n_samples == 0
 
     def test_atom_grating_level_zero(self):
         d = decompose(fixtures.atom_fixture(), DyadicGrid((4, 12, 36)),
