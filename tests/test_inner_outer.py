@@ -443,6 +443,14 @@ class TestCorona:
         value = np.maximum(np.abs(vals) - errs, 0.0) + corona_monomial(z, n)
         assert np.all(got.inf_low <= value * (1.0 + 1e-12))
 
+    def test_empty_piece_equals_the_oracle(self):
+        # no mass: S = 1 on the disc, no arc is read, and the bound is
+        # w(2^-8)^(12c) in closed form
+        got = corona_datum_check(CircleMeasure(), 8, 0.1, W_T)
+        bound = W_T(2.0 ** -8) ** 1.2
+        assert got.inf_low == 1.0 and got.ok and got.n_samples == 0
+        assert got.bound == pytest.approx(bound, rel=1e-12)
+
     def test_deep_pieces_are_certified_without_warnings(self):
         # past depth 52, 1 - 2^-n rounds to 1; the check reads arcs and
         # (angle, depth) kernels, never a float radius
@@ -465,7 +473,7 @@ class TestCorona:
     def test_zero_piece_trivial(self):
         mu = CircleMeasure(name="zero")
         res = corona_datum_check(mu, 4, 0.1, W_T)
-        assert res.ok and res.inf_low == 1.0 and res.n_samples == 0
+        assert res.ok and res.inf_low == 1.0
 
     def test_atom_grating_level_zero(self):
         d = decompose(fixtures.atom_fixture(), DyadicGrid((4, 12, 36)),
