@@ -38,7 +38,7 @@ def main() -> int:
                     "k_max": k,
                     "residual_mass": dec.residual.total_mass(),
                     "heavy_final": dec.reports[-1].heavy_count,
-                    "ledger": dec.light_entropy_ledger,
+                    "ledger": dec.light_entropy_ledgers[-1],
                     "ledger_bound": dec.carrier_entropy_bound,
                 })
                 print(f"{name:18s} c={c:<5g} k={k}: residual "

@@ -24,7 +24,8 @@ case by case (exit status 1 otherwise) and prints, per case, the largest
 relative move of each float field (list entries pooled under ``[]``).
 
 The cases: ``report cyclicity`` on the divergent Cantor fixture, once
-more with ``--kmax 2`` (a second, shorter decomposition), at ``--c 0.05``
+more with ``--kmax 2`` (a shorter dossier, read from the first two levels
+of the one six-level decomposition), at ``--c 0.05``
 and at ``--c 0.2`` (empty pieces at depths 20 and 24, whose ``inf_low``
 is 1), with ``--grid "[4,8,46]" --kmax 3`` and ``--grid "[4,8,100]"
 --kmax 3`` (pieces at depths 46 and 100, where 1 - 2^-n is 1 or nearly
@@ -59,7 +60,10 @@ below 1e-6, which the relative tolerance sweeps;
 ``grid build`` and ``set entropy --form both`` on the triadic set, each
 with a power and an ``exp_log`` weight; ``set entropy --form both`` on the
 triadic set under ``log:3`` and under its JSON form
-``{"kind": "log_power", "c": 3}``, whose results must be equal, on the
+``{"kind": "log_power", "c": 3}``, whose results must be equal, and
+under ``log:1,2`` and the concave table, whose gap integrals are
+certified Riemann sums, on ``two_points`` under ``log:1``, a set with no
+tail, whose bracket is all explicit part, on the
 ``triadic_union_point`` set (inline JSON) with its gaps listed in
 reverse order, and on the ``harmonic_log`` set under ``exp_log:1,0.5``,
 whose finite entropy rests on the tail's remainder bound, ``set entropy
@@ -251,6 +255,16 @@ def cases():
         yield f"set entropy triadic {weight}", (
             "set", "entropy", "--set", "fixture:triadic", "--weight", weight,
             "--form", "both")
+    # gap integrals by certified Riemann sums: an iterated log and a table
+    for name, weight in (("log:1,2", "log:1,2"),
+                         ("concave table", CONCAVE_TABLE)):
+        yield f"set entropy triadic {name}", (
+            "set", "entropy", "--set", "fixture:triadic", "--weight", weight,
+            "--form", "both")
+    # no tail: the bracket is all explicit part
+    yield "set entropy two_points log:1", (
+        "set", "entropy", "--set", "fixture:two_points", "--weight", "log:1",
+        "--form", "both")
     # gaps in any order: the set sorts them by start
     yield "set entropy triadic_union_point gaps reversed", (
         "set", "entropy", "--set", _union_point_set(reverse=True), "--weight",

@@ -626,7 +626,7 @@ class CircleMeasure:
 
     def sorted_atoms(self):
         """(sorted positions, prefix sums of their masses over two turns,
-        total mass); cached for window queries."""
+        total mass, the sorting order); cached for window queries."""
         if self._sorted is None:
             r = self.realized()
             order = np.argsort(r.pos)
@@ -634,7 +634,7 @@ class CircleMeasure:
             self._sorted = (
                 r.pos[order],
                 np.concatenate([[0.0], np.cumsum(np.concatenate([m, m]))]),
-                float(np.sum(m)))
+                float(np.sum(m)), order)
         return self._sorted
 
     # -- queries -------------------------------------------------------------
@@ -706,26 +706,39 @@ def _count_below(p: np.ndarray, a, b):
 
 
 def modulus_of_continuity(nu: CircleMeasure, delta: float) -> ModulusOfMeasure:
-    """sup { nu(I) : m(I) <= delta } for the atoms at their float positions
-    (``Realization.pos``), one exact value up to the order of summation.
+    """sup { nu(I) : m(I) <= delta }, exact up to the order of summation.
 
     A half-open window of length delta can slide right until its start
     meets an atom without losing mass, so the supremum is the maximum over
-    windows [p, p + delta) anchored at the atoms p.  Which atoms a window
-    holds is decided exactly, from its end as a float plus its rounding
-    error.
+    windows [x, x + delta) mod 1 anchored at the atoms x.  Floats place the
+    atoms and a window's end (plus its rounding error), but within 2^-50 of
+    its start or end (coinciding floats too) ``Realization.exact`` does.
     """
     if not 0 < delta <= 1:
         raise ValueError("delta must lie in (0,1]")
-    p, csum, total = nu.sorted_atoms()
+    p, csum, total, order = nu.sorted_atoms()
     if p.size == 0:
         return ModulusOfMeasure(0.0)
     first, s, e = _count_below(p, p, delta)
     # past 1 the window runs on into the next turn up to s - 1 + e; s - 1
     # is exact for s >= 1/2, and for s < 1/2 the end less 1 is negative
     second = _count_below(p, s - 1.0, e)[0]
-    upper = float(np.max(csum[first + second] - csum[np.arange(p.size)]))
-    return ModulusOfMeasure(min(upper, total))
+    rows = np.arange(p.size)
+    sums = csum[first + second] - csum[rows]
+    bands = [(np.searchsorted(p, c - 2.0 ** -50),
+              np.searchsorted(p, c + 2.0 ** -50, "right"))
+             for c in (p, s, s - 1.0)]
+    unsure = np.flatnonzero(sum(hi - lo - ((lo <= rows) & (rows < hi))
+                                for lo, hi in bands))
+    near = [np.setdiff1d(np.concatenate(
+        [np.arange(lo[i], hi[i]) for lo, hi in bands]), [i]) for i in unsure]
+    ix = np.unique(np.concatenate([unsure, *near]))  # one exact pass
+    x = dict(zip(ix.tolist(), map(Fraction, *nu.realized().exact(order[ix]))))
+    for i, js in zip(unsure, near):
+        held = np.array([(x[j] - x[i]) % 1 < delta for j in js], float)
+        read = ((js >= i) & (js < first[i])) | (js < second[i])
+        sums[i] += nu.realized().masses[order[js]] @ (held - read)
+    return ModulusOfMeasure(min(float(np.max(sums)), total))
 
 
 # ---------------------------------------------------------------------------

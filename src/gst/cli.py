@@ -225,7 +225,7 @@ def cmd_measure(args) -> dict:
         "mass_balance_error": dec.mass_balance_error(),
         "heavy_nesting": dec.heavy_nesting_ok(),
         "beta": dec.beta,
-        "light_entropy_ledger": dec.light_entropy_ledger,
+        "light_entropy_ledger": dec.light_entropy_ledgers[-1],
         "carrier_entropy_bound": dec.carrier_entropy_bound,
     }
 
@@ -323,10 +323,9 @@ def cmd_report_cyclicity(args) -> dict:
     out["residual_decay"] = [
         {"k_max": kmax, "residual_mass": masses[min(kmax, len(masses)) - 1]}
         for kmax in (2, 4, 6)]
-    if args.kmax < len(masses):
-        dec = roberts.decompose(mu, grid, args.c, w, args.kmax)
+    levels = min(args.kmax, len(masses))  # the dossier's first levels
     margins, arcs = [], 0
-    for piece, rep in zip(dec.pieces, dec.reports):
+    for piece, rep in zip(dec.pieces[:levels], dec.reports):
         cc = inner_outer.corona_datum_check(piece, rep.depth, args.c, w)
         margins.append({"depth": rep.depth, "inf_low": cc.inf_low,
                         "bound": cc.bound, "ok": cc.ok})
@@ -335,8 +334,8 @@ def cmd_report_cyclicity(args) -> dict:
     out["corona_margins"] = margins
     out["corona_parameters"] = inner_outer.corona_parameter_report(
         w, args.c, grid.depths[0], K=args.K)
-    out["mass_balance_error"] = dec.mass_balance_error()
-    out["light_entropy_ledger"] = dec.light_entropy_ledger
+    out["mass_balance_error"] = dec.mass_balance_error(levels)
+    out["light_entropy_ledger"] = dec.light_entropy_ledgers[levels - 1]
     out["carrier_entropy_bound"] = dec.carrier_entropy_bound
     return out, meta
 

@@ -6,8 +6,9 @@ A lazily generated gap family is decided only by a closed-form
 certificate on its tail: divergence by integral comparison, finiteness by
 a bound on the remainder past explicitly summed terms.  When neither
 applies the result is tagged undecided, with bounds -inf and +inf.  The
-integral form is exact per gap under a power weight, up to rounding; other
-weights take Gauss panels and an envelope bound near 0.
+integral form takes each gap from ``weights.neg_log_integral``: closed
+forms under power, log and exp_log weights, certified Riemann sums for the
+rest.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .circle import CircleMeasure, ClosedCircleSet, GapTail
 from .weights import (ROUND_REL, UNIT_ROUNDOFF, Bracket, Weight,
-                      effective_lambda)
+                      effective_lambda, neg_log_integral)
 
 FINITE = "finite"
 DIVERGES = "diverges"
@@ -165,44 +166,6 @@ def entropy_sum(E: ClosedCircleSet, w: Weight) -> EntropySumResult:
         _tagged(explicit, Bracket(explicit, explicit), tail), tail)
 
 
-def _gap_integral_values(w: Weight, lens: np.ndarray, lam: float):
-    """Per-gap values of 2*int_0^{L/2} log w(t) dt with a shared error bound.
-
-    Under t^a a value is a L (log(L/2) - 1) in closed form, formed as
-    a L (log L - (1 + log 2)), whose terms share a sign for L <= 1; the
-    bound is ROUND_REL per value plus (n - 1) u of their absolute sum for
-    summing n of them (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, ch. 4).  Other weights take panels dyadic toward 0 with
-    fixed Gauss nodes; the leftover [0, L/2 * 2^-45] is bracketed through
-    the almost-decreasing envelope w(t) >= (t w^lam(L)/(2L))^(1/lam).
-    """
-    if w.kind == "power":
-        vals = w.params[0] * lens * (np.log(lens) - (1.0 + math.log(2.0)))
-        size = float(np.sum(np.abs(vals)))
-        return vals, (ROUND_REL + max(lens.size - 1, 0) * UNIT_ROUNDOFF) * size
-    nodes, wts = np.polynomial.legendre.leggauss(8)
-    panels = 45
-    half = lens / 2.0
-    i = np.arange(panels, dtype=float)
-    hi = half[:, None] * 2.0 ** -i[None, :]
-    lo = hi / 2.0
-    mid = (hi + lo) / 2.0
-    rad = (hi - lo) / 2.0
-    t = mid[:, :, None] + rad[:, :, None] * nodes[None, None, :]
-    vals = np.asarray(w.log(t))
-    panel_ints = np.sum(vals * wts[None, None, :], axis=2) * rad
-    total = 2.0 * np.sum(panel_ints, axis=1)
-    eps = half * 2.0 ** -panels
-    c0 = _lambda_log_bound(w, lam)
-    # bracket of 2*int_0^eps log w: within [2 eps(log w(eps) - (1+2log2+c0)/lam), 2 eps log w(eps)]
-    weps = np.asarray(w.log(eps))
-    low_piece = 2.0 * eps * (weps - (1.0 + 2.0 * math.log(2.0) + c0) / lam)
-    high_piece = 2.0 * eps * weps
-    total_mid = total + 0.5 * (low_piece + high_piece)
-    err = 0.5 * float(np.sum(high_piece - low_piece))
-    return total_mid, err
-
-
 def entropy_integral(E: ClosedCircleSet, w: Weight,
                      summed: Optional[EntropySumResult] = None) -> TaggedValue:
     """Circle integral of log w(dist(., E)) via per-gap change of variables.
@@ -223,13 +186,18 @@ def entropy_integral(E: ClosedCircleSet, w: Weight,
         if tail.low == -math.inf:  # the tail decides alone
             return _tagged(-math.inf, DIVERGENT_TAIL, tail)
     lam = effective_lambda(w)
-    vals, err = _gap_integral_values(w, E.lengths, lam)
+    low, high = neg_log_integral(w, E.lengths / 2.0, lam)
+    vals = -(low + high)  # -2 times each gap's midpoint
     if np.any(~np.isfinite(vals)):
         return TaggedValue(DIVERGES, None, -math.inf, -math.inf,
                            "log w not integrable on a gap")
     if tail is not None:  # a gap's integral is its sum term less <= slack L
         slack = (1.0 + 2.0 * math.log(2.0) + _lambda_log_bound(w, lam)) / lam
         tail = Bracket(tail.low - slack * E.tail.gap_mass(), tail.high)
+    # the widths, ROUND_REL per value, (n - 1) u of the sum (Higham, ch. 4)
+    size = float(np.sum(np.abs(vals)))
+    err = ((ROUND_REL + max(vals.size - 1, 0) * UNIT_ROUNDOFF) * size
+           + float(np.sum(high - low)))
     explicit = float(np.sum(vals))
     return _tagged(explicit, Bracket(explicit - err, explicit + err), tail)
 

@@ -81,12 +81,13 @@ class RobertsDecomposition:
     reports: list                 # one GratingReport per level
     beta: float
     carrier_entropy_bound: float
-    light_entropy_ledger: float
+    light_entropy_ledgers: list   # the light-entropy ledger after each level
     total_mass: float = 0.0
 
-    def mass_balance_error(self) -> float:
-        recon = math.fsum(p.total_mass() for p in self.pieces)
-        recon += self.residual.total_mass()
+    def mass_balance_error(self, levels: int = 0) -> float:
+        """|pieces + residual - total| after ``levels`` levels, or all (0)."""
+        recon = math.fsum(p.total_mass() for p in self.pieces[:levels or None])
+        recon += self.residual_masses[levels - 1]
         return abs(recon - self.total_mass)
 
     def heavy_nesting_ok(self) -> bool:
@@ -117,9 +118,9 @@ def decompose(mu: CircleMeasure, grid: DyadicGrid, c: float, w: Weight,
               k_max: int) -> RobertsDecomposition:
     """Iterated gratings over the grid depths; stops after k_max levels.
 
-    The residual is the remainder after the last level; ``residual_masses``
-    records the remainder's mass after every level, so one call at k levels
-    answers every k_max up to k.
+    The residual is the remainder after the last level; its mass and the
+    light-entropy ledger are recorded after every level, which does not
+    depend on later ones, so one call at k levels answers every k_max <= k.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -148,16 +149,17 @@ def decompose(mu: CircleMeasure, grid: DyadicGrid, c: float, w: Weight,
         residual_masses.append(remainder.total_mass())
     # entropy bookkeeping: all light arcs inside the previous heavy union,
     # counted in closed form since depth-n arcs share one length
-    ledger = 0.0
+    ledgers = [0.0]
     for prev, rep in zip(reports, reports[1:]):
         n_k = rep.depth
         light_count = prev.heavy_count * 2 ** (n_k - prev.depth) \
             - rep.heavy_count
         # exact int division: past depth 1023 the count overflows a float
-        ledger += light_count / 2 ** n_k * w.neg_log_at_depth(n_k)
+        ledgers.append(
+            ledgers[-1] + light_count / 2 ** n_k * w.neg_log_at_depth(n_k))
     beta = check.beta
     return RobertsDecomposition(
         pieces=pieces, residual=remainder, residual_masses=residual_masses,
         reports=reports, beta=beta,
         carrier_entropy_bound=(beta / c) * total,
-        light_entropy_ledger=ledger, total_mass=total)
+        light_entropy_ledgers=ledgers, total_mass=total)

@@ -46,7 +46,7 @@ DINI_CELLS = 2 ** 12  # cells per dyadic block of a Dini integral
 DINI_NODES = 2 ** 20  # past this many nodes a Dini block gets fewer cells
 MAX_QUAD_DEPTH = 1074  # 2^-1074 is the least positive float
 NEG_LOG_BLOCKS = 48
-NEG_LOG_CELLS = 2 ** 12  # cells per dyadic block of neg_log_integral
+NEG_LOG_CELLS = 2 ** 8  # cells per dyadic block of neg_log_integral
 SUP_RTOL = 2.0 ** -20  # how far a moment_sup cell's bound may pass its best
 SUP_SPLIT = 8
 SUP_ROUNDS = 16
@@ -619,16 +619,16 @@ def monotone_integral(fn, nodes) -> Bracket:
     return Bracket(lower - pad, upper + pad)
 
 
-def _legendre_cf(sigma: float, x: float) -> tuple:
+def _legendre_cf(sigma: float, x) -> tuple:
     """(low, high, terms): two consecutive convergents of Legendre's
     continued fraction (DLMF 8.9.2)
 
         e^x x^-sigma Gamma(sigma, x)
             = 1/(x + (1 - sigma)/(1 + 1/(x + (2 - sigma)/(1 + 2/(x + ...)))))
 
-    for 0 < sigma <= 1 and x > 0.  Every partial numerator is then >= 0, so
-    any two consecutive convergents enclose the value; the fraction stops
-    when they agree to a few ulps, or after CF_TERMS terms.
+    for 0 <= sigma <= 1 and x > 0, on an array x elementwise.  Every partial
+    numerator is then >= 0, so any two consecutive convergents enclose the
+    value; it stops when all agree to a few ulps, or after CF_TERMS terms.
     """
     p0, p1, q0, q1 = 1.0, 0.0, 0.0, 1.0  # numerators and denominators
     f_prev = f = math.inf
@@ -642,9 +642,10 @@ def _legendre_cf(sigma: float, x: float) -> tuple:
         q0, q1 = q1, den * q1 + num * q0
         p0, p1, q0, q1 = p0 / q1, p1 / q1, q0 / q1, 1.0  # rescale
         f_prev, f = f, p1
-        if abs(f - f_prev) <= 4.0 * UNIT_ROUNDOFF * f:
+        if np.all(abs(f - f_prev) <= 4.0 * UNIT_ROUNDOFF * f):
             break
-    return min(f, f_prev), max(f, f_prev), j
+    low, high = np.minimum(f, f_prev), np.maximum(f, f_prev)
+    return (low, high, j) if np.ndim(x) else (float(low), float(high), j)
 
 
 def _lower_series(sigma: float, x: float) -> tuple:
@@ -729,18 +730,15 @@ def _exp_log_tail(c: float, beta: float, y0: float) -> Bracket:
                    high * (1.0 + rel) + math.ulp(0.0))
 
 
-def _dini_integrand(w: Weight, alpha: float):
-    """u -> w(e^u)^alpha, nondecreasing in u = log t."""
-    return lambda u: np.exp(alpha * np.asarray(w.log(np.exp(u))))
-
-
 def _riemann_dini(w: Weight, alpha: float, ua: float, ub: float) -> Bracket:
     """monotone_integral of the nondecreasing w(e^u)^alpha over [ua, ub],
     with DINI_CELLS uniform cells per octave, fewer past DINI_NODES."""
     blocks = max(1, math.ceil((ub - ua) / math.log(2.0)))
     cells = max(1, min(DINI_CELLS, DINI_NODES // blocks))
     nodes = np.linspace(ua, ub, blocks * cells + 1)
-    return monotone_integral(_dini_integrand(w, alpha), nodes)
+    # w(e^u)^alpha is nondecreasing in u = log t
+    return monotone_integral(
+        lambda u: np.exp(alpha * np.asarray(w.log(np.exp(u)))), nodes)
 
 
 def _table_integral(w: Weight, alpha: float, ua: float, ub: float) -> Bracket:
@@ -939,35 +937,54 @@ class ConditionBCheck:
     ok: bool
 
 
-def neg_log_integral(w: Weight, ell: float, lam: float) -> Bracket:
-    """Bracket of int_0^ell log(1/w(t)) dt, w^lam subadditive.
-
-    log(1/w) is nonincreasing, so NEG_LOG_BLOCKS dyadic blocks below ell,
-    NEG_LOG_CELLS uniform cells each, go to monotone_integral.  Below
-    eps = ell 2^-NEG_LOG_BLOCKS, log(1/w(eps)) <= log(1/w(t)) and, since
-    subadditivity gives w^lam(t) >= w^lam(eps) t / (2 eps),
-    log(1/w(t)) <= log(1/w(eps)) + log(2 eps/t)/lam, whose integral over
-    [0, eps] is eps (log(1/w(eps)) + (1 + log 2)/lam).
+def neg_log_integral(w: Weight, ell, lam: float) -> tuple:
+    """(low, high) arrays bracketing int_0^ell log(1/w(t)) dt at each ell of
+    an array in (0, 1/2], w^lam subadditive, each end up to ROUND_REL of its
+    size, which the caller adds once.  With y0 = 1 + log(1/ell):
+    - t^a: a ell y0, as a L (1 + log 2 - log L)/2 with L = 2 ell, which
+      keeps the integral form's a L (log L - (1 + log 2)) bit for bit;
+    - log^-c: c ell (log y0 + e^y0 E_1(y0)) (DLMF 6.2);
+    - exp_log, b <= 1: a ell y0^b (1 + b e^y0 y0^-b Gamma(b, y0)) (8.8.2);
+    their Gamma factors are _legendre_cf's, moved out by 8 u per term.
+    Else log(1/w), nonincreasing, goes to monotone_integral once per
+    distinct ell, on NEG_LOG_BLOCKS dyadic blocks of NEG_LOG_CELLS cells;
+    below eps = ell 2^-NEG_LOG_BLOCKS it lies between log(1/w(eps)) and
+    log(1/w(eps)) + log(2 eps/t)/lam, as w^lam(t) >= w^lam(eps) t/(2 eps).
     """
-    starts = ell * np.exp2(-np.arange(NEG_LOG_BLOCKS, 0, -1.0))
-    cells = 1.0 + np.arange(NEG_LOG_CELLS) / NEG_LOG_CELLS
-    nodes = np.append((starts[:, None] * cells).ravel(), ell)
-    body = monotone_integral(lambda t: -np.asarray(w.log(t)), nodes)
-    eps = float(starts[0])
-    at_eps = -w.log(eps)
-    tail = _widen(eps * at_eps, eps * (at_eps + (1.0 + math.log(2.0)) / lam))
-    return body + tail
+    ell = np.asarray(ell, dtype=float)
+    if w.kind == "power":
+        L = 2.0 * ell
+        value = 0.5 * (w.params[0] * L * ((1.0 + math.log(2.0)) - np.log(L)))
+        return value, value
+    if (w.kind == "log_power" and w.params[1] == 1
+            or w.kind == "exp_log" and w.params[1] <= 1):
+        c, b = w.params[0], 0.0 if w.kind == "log_power" else w.params[1]
+        y0 = 1.0 - np.log(ell)
+        f_low, f_high, terms = _legendre_cf(b, y0)
+        rel = 8.0 * terms * UNIT_ROUNDOFF
+        lead = np.log(y0) if b == 0.0 else y0 ** b  # value c ell (lead + kF)
+        k = 1.0 if b == 0.0 else b * lead
+        return (c * ell * (lead + k * f_low * (1.0 - rel)),
+                c * ell * (lead + k * f_high * (1.0 + rel)))
+    uniq, where = np.unique(ell, return_inverse=True)
+    grid = np.append(np.ravel(np.exp2(-np.arange(NEG_LOG_BLOCKS, 0, -1.0))[
+        :, None] * (1.0 + np.arange(NEG_LOG_CELLS) / NEG_LOG_CELLS)), 1.0)
+    out = np.empty((2, uniq.size))
+    for i, x in enumerate(uniq):
+        body = monotone_integral(lambda t: -np.asarray(w.log(t)), x * grid)
+        eps = x * 2.0 ** -NEG_LOG_BLOCKS
+        at_eps = -w.log(eps)
+        out[:, i] = (body.low + eps * at_eps,
+                     body.high + eps * (at_eps + (1.0 + math.log(2.0)) / lam))
+    return out[0][where], out[1][where]
 
 
 def check_condition_b(w: Weight, depth: int) -> ConditionBCheck:
-    """Averaged-entropy comparability: int_0^l log(1/w) <= C2 l log(1/w(l)),
-    with the integral's upper bound in C2."""
-    lam = effective_lambda(w)
-    worst = 0.0
-    for j in range(2, depth + 1):
-        ell = 2.0 ** -j
-        denom = -w.log(ell) * ell
-        if denom <= 0:
-            continue  # w(l) = 1 boundary convention: excluded from the max
-        worst = max(worst, neg_log_integral(w, ell, lam).high / denom)
+    """Averaged-entropy comparability: int_0^l log(1/w) <= C2 l log(1/w(l))
+    at l = 2^-2 .. 2^-depth, with the integral's upper bound in C2."""
+    ell = 2.0 ** -np.arange(2, depth + 1)
+    high = neg_log_integral(w, ell, effective_lambda(w))[1] * (1.0 + ROUND_REL)
+    denom = -np.asarray(w.log(ell)) * ell
+    # w(l) = 1 boundary convention: excluded from the max
+    worst = float(np.max(high[denom > 0] / denom[denom > 0], initial=0.0))
     return ConditionBCheck(worst, math.isfinite(worst) and worst > 0)

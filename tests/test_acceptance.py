@@ -86,8 +86,8 @@ def test_criterion_03_roberts_decomposition():
                 (name, rep.depth)
         assert dec.mass_balance_error() <= 1e-9, name
         assert dec.heavy_nesting_ok(), name
-        assert dec.light_entropy_ledger <= dec.carrier_entropy_bound + 1e-12, \
-            name
+        assert (dec.light_entropy_ledgers[-1]
+                <= dec.carrier_entropy_bound + 1e-12), name
         details.append(f"{name}:bal={dec.mass_balance_error():.1e}")
     elapsed = time.monotonic() - start
     _line(3, "grating decomposition on {4,12,36}", elapsed < 60.0,

@@ -6,6 +6,7 @@ y = 1 + log(1/t), the Gamma tail by ``mpmath.gammainc``, and moment sups by
 a root of the derivative of log(t^n w(1 - t)) in the variable log(1 - t).
 """
 
+import functools
 import math
 import os
 import subprocess
@@ -21,7 +22,6 @@ from gst import entropy, fixtures, inner_outer, weights
 from gst.weights import Bracket
 
 mpmath.mp.dps = 30
-LOG2 = mpmath.log(2)
 
 # the certify workload's weight strata at their extremes: power exponents
 # in [0.2, 0.45], [0.55, 0.9] and [1.1, 2.0], exp_log alpha in [0.5, 1.5]
@@ -290,22 +290,59 @@ def test_gamma_tail_holds_gammainc_across_the_switch(x, beta, y0):
     assert_gamma_tail(x / y0 ** beta, beta, y0)
 
 
+def neg_log_bracket(w, ell) -> tuple:
+    """neg_log_integral's arrays at ell, moved out by the ROUND_REL of each
+    end's size that it leaves to its caller."""
+    low, high = weights.neg_log_integral(w, np.asarray(ell),
+                                         weights.effective_lambda(w))
+    return (low - weights.ROUND_REL * abs(low),
+            high + weights.ROUND_REL * abs(high))
+
+
+def oracle_neg_log(w, ell):
+    """int_0^ell -log w(t) dt = int_{y_ell}^inf -log w(y) e^(1-y) dy, with
+    y_ell = 1 + log(1/ell)."""
+    y_ell = 1 - mpmath.log(mpmath.mpf(ell))
+    return mpmath.quad(lambda y: -mp_log_w(w, y) * mpmath.exp(1 - y),
+                       [y_ell, y_ell + 1, y_ell + 10, mpmath.inf])
+
+
+# log:1,2 takes the Riemann fallback, the rest closed forms
 @pytest.mark.parametrize("w", [weights.power(1.0), weights.power(0.5),
                                weights.power(2.0), weights.log_power(1.0),
                                weights.log_power(2.0),
                                weights.exp_log(1.0, 0.5),
-                               weights.exp_log(1.0, 0.8)],
+                               weights.exp_log(1.0, 0.8),
+                               weights.exp_log(1.0, 1.0),
+                               weights.log_power(1.0, depth=2)],
                          ids=lambda w: w.label())
 @pytest.mark.parametrize("j", [2, 6, 12])
 def test_neg_log_integral_holds_the_oracle(w, j):
-    ell = 2.0 ** -j
-    got = weights.neg_log_integral(w, ell, weights.effective_lambda(w))
-    # int_0^ell -log w(t) dt = int_{y_ell}^inf -log w(y) e^(1-y) dy
-    y_ell = 1 + j * LOG2
-    want = mpmath.quad(lambda y: -mp_log_w(w, y) * mpmath.exp(1 - y),
-                       [y_ell, y_ell + 1, y_ell + 10, mpmath.inf])
-    assert_in(want, got)
-    assert got.high - got.low <= 1e-3 * float(want)
+    # elementwise: 2^-j between the largest length and a far smaller one
+    low, high = neg_log_bracket(w, 2.0 ** -np.array([1, j, 40]))
+    assert low.shape == high.shape == (3,)
+    want = oracle_neg_log(w, 2.0 ** -j)
+    assert_in(want, Bracket(low[1], high[1]))
+    closed = w.kind != "log_power" or w.params[1] == 1
+    assert high[1] - low[1] <= (1e-11 if closed else 1e-3) * float(want)
+
+
+def test_neg_log_integral_takes_each_length_once(monkeypatch):
+    # the fallback integrates once per distinct ell, in any order
+    calls = []
+    monotone_integral = weights.monotone_integral
+
+    def counting(fn, nodes):
+        calls.append(nodes[-1])
+        return monotone_integral(fn, nodes)
+
+    monkeypatch.setattr(weights, "monotone_integral", counting)
+    w = weights.log_power(1.0, depth=2)
+    ell = np.array([0.25, 2.0 ** -5, 0.25, 0.125, 2.0 ** -5])
+    low, high = weights.neg_log_integral(w, ell, 1.0)
+    assert sorted(calls) == [2.0 ** -5, 0.125, 0.25]
+    assert np.array_equal(low[[0, 1]], low[[2, 4]])
+    assert np.array_equal(high[[0, 1]], high[[2, 4]])
 
 
 def oracle_moment_sup(w, n):
@@ -361,26 +398,101 @@ def test_condition_a_compares_certified_sups(w, monkeypatch):
 @pytest.mark.parametrize("name", list(fixtures.entropy_set_fixtures()))
 def test_power_gap_integrals_hold_the_closed_form(name, a):
     # under t^a a gap of float length L contributes
-    # 2 int_0^(L/2) a log t dt = a L (log(L/2) - 1); the integral form's
-    # bracket over the explicit gaps, summed as entropy_integral sums them,
-    # encloses their exact sum
+    # 2 int_0^(L/2) a log t dt = a L (log(L/2) - 1); the integral form
+    # takes it as a L (log L - (1 + log 2)) bit for bit, and its bracket
+    # over the explicit gaps, ROUND_REL per value and (n - 1) u of their
+    # absolute sum, encloses their exact sum
     E = fixtures.entropy_set_fixtures()[name][0]
     w = weights.power(a)
-    vals, err = entropy._gap_integral_values(w, E.lengths,
-                                             weights.effective_lambda(w))
+    lens = E.lengths
+    low, high = weights.neg_log_integral(w, lens / 2,
+                                         weights.effective_lambda(w))
+    vals = -(low + high)
+    assert np.array_equal(low, high)
+    assert np.array_equal(vals,
+                          a * lens * (np.log(lens) - (1 + math.log(2.0))))
+    err = ((weights.ROUND_REL + (lens.size - 1) * weights.UNIT_ROUNDOFF)
+           * float(np.sum(np.abs(vals))))
     explicit = float(np.sum(vals))
     want = mpmath.fsum(a * mpmath.mpf(L) * (mpmath.log(mpmath.mpf(L) / 2) - 1)
-                       for L in E.lengths)
+                       for L in lens)
     assert explicit - err <= want <= explicit + err, (float(want), err)
     assert err <= 1e-9 * abs(float(want))
     if E.tail is None:
         got = entropy.entropy_integral(E, w)
-        assert (got.low, got.high) == (explicit - err, explicit + err)
+        assert (got.value, got.low, got.high) == (explicit, explicit - err,
+                                                  explicit + err)
+
+
+# every segment meets t = 0 at or above 0: its record proves lambda 1
+CONCAVE_TABLE = weights.table_weight([(0, 0), (0.25, 0.5), (0.5, 0.75),
+                                      (1, 1)])
+INTEGRAL_FORM_WEIGHTS = [weights.power(1.0), weights.log_power(1.0),
+                         weights.log_power(1.0, depth=2),
+                         weights.exp_log(1.0, 0.5), weights.exp_log(1.0, 1.0),
+                         CONCAVE_TABLE]
+FINITE_SETS = [name for name, (_, finite)
+               in fixtures.entropy_set_fixtures().items() if finite]
+
+
+def oracle_gap_term(w, L):
+    """2 int_0^(L/2) log w(t) dt; for a table, segment by segment through
+    the antiderivative (w log w - w)/m of log w on a segment of slope m."""
+    x = mpmath.mpf(L) / 2
+    if w.kind != "table":
+        return -2 * oracle_neg_log(w, x)
+    total = 0
+    ts, vs = w.params
+    for t0, v0, t1, v1 in zip(ts, vs, ts[1:], vs[1:]):
+        t0, v0, t1, v1 = map(mpmath.mpf, (t0, v0, t1, v1))
+        if t0 >= x:
+            break
+        b = min(t1, x)
+        m = (v1 - v0) / (t1 - t0)
+        if m == 0:
+            total += (b - t0) * mpmath.log(v0)
+            continue
+        vb = v0 + m * (b - t0)
+        total += ((vb * mpmath.log(vb) - vb)
+                  - (v0 * mpmath.log(v0) - v0 if v0 > 0 else 0)) / m
+    return 2 * total
+
+
+@functools.lru_cache(maxsize=None)
+def cached_gap_term(w, L):
+    return oracle_gap_term(w, L)
+
+
+@pytest.mark.parametrize("w", INTEGRAL_FORM_WEIGHTS, ids=lambda w: w.label())
+@pytest.mark.parametrize("name", FINITE_SETS)
+def test_integral_form_holds_the_oracle(name, w):
+    # each explicit gap's bracket holds its oracle, and is narrow where
+    # neg_log_integral has a closed form; the whole bracket holds the
+    # explicit oracle plus the tail's, its levels summed until the rest,
+    # below (2/3)^80 times a log, is far inside the tail's slack
+    E = fixtures.entropy_set_fixtures()[name][0]
+    low, high = neg_log_bracket(w, E.lengths / 2)
+    closed = w.kind != "table" and (w.kind != "log_power" or w.params[1] == 1)
+    for L, lo, hi in zip(E.lengths, low, high):
+        assert -2 * hi <= cached_gap_term(w, float(L)) <= -2 * lo
+        assert hi - lo <= (1e-11 if closed else 2e-3) * abs(hi)
+    explicit = mpmath.fsum(cached_gap_term(w, float(L)) for L in E.lengths)
+    got = entropy.entropy_integral(E, w)
+    if E.tail is None and closed:
+        assert got.high - got.low <= 1e-11 * abs(float(explicit))
+    want = explicit
+    if E.tail is not None:
+        counts, lens = E.tail.levels(0, 80)
+        want += mpmath.fsum(int(n) * cached_gap_term(w, float(L))
+                            for n, L in zip(counts, lens))
+    assert got.tag == entropy.FINITE
+    assert got.low <= want <= got.high, (float(want), got)
 
 
 def test_closed_forms_take_no_quadrature(monkeypatch):
-    # the Dini integrals of power and exp_log weights and the gap integrals
-    # of power weights are closed forms: no Riemann or Gauss fallback
+    # the Dini integrals of power and exp_log weights, the gap integrals
+    # of power, log and exp_log weights and condition (B) of power weights
+    # are closed forms: no Riemann or Gauss fallback
     def refuse(*args, **kwargs):
         raise AssertionError("quadrature on a closed-form path")
 
@@ -390,9 +502,14 @@ def test_closed_forms_take_no_quadrature(monkeypatch):
               + [weights.exp_log(a, b) for a, b in CERTIFY_EXP_LOGS]):
         assert weights.check_A2(w, 0.5, 40).ok
     assert weights.check_A2(weights.exp_log(1e-4, 0.6), 1.0, 40).ok
+    closed = ([weights.power(a) for a in (0.5, 1.0)]
+              + [weights.log_power(c) for c in (1.0, 3.0)]
+              + [weights.exp_log(a, b) for a, b in CERTIFY_EXP_LOGS])
     for E, _ in fixtures.entropy_set_fixtures().values():
-        for a in (0.5, 1.0):
-            entropy.entropy_integral(E, weights.power(a))
+        for w in closed:
+            entropy.entropy_integral(E, w)
+    for a in (0.5, 1.0, 2.0):
+        assert weights.check_condition_b(weights.power(a), 12).ok
 
 
 def test_import_leaves_scipy_out():

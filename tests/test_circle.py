@@ -144,6 +144,27 @@ class TestModulus:
         assert abs(Fraction(got) - want) <= Fraction(
             4 * len(atoms) * math.ulp(2.0 * total))
 
+    @given(st.integers(0, 3 ** 20 - 1),
+           st.lists(st.tuples(st.sampled_from([-1, 0, 1]),
+                              st.integers(55, 80),
+                              st.sampled_from([0.5, 1.0, 2.0])),
+                    min_size=2, max_size=2))
+    @settings(max_examples=300, deadline=None)
+    def test_exact_positions_at_a_window_edge(self, k, offsets):
+        """Atoms at a = k/3^20, a + s and a + 0.1 + s' with |s|, |s'| 0 or
+        2^-55 .. 2^-80: floats that coincide at the start of the window
+        anchored at a, or lie within an ulp of its end, where only the
+        exact positions tell which atoms it holds."""
+        a = Fraction(k, 3 ** 20)
+        (s1, e1, m1), (s2, e2, m2) = offsets
+        atoms = [(a, 1.0), (frac_mod1(a + Fraction(s1, 2 ** e1)), m1),
+                 (frac_mod1(a + Fraction(0.1) + Fraction(s2, 2 ** e2)), m2)]
+        want = max(sum(m for q, m in atoms
+                       if frac_mod1(q - p) < Fraction(0.1))
+                   for p, _ in atoms)
+        got = modulus_of_continuity(CircleMeasure(atoms=atoms), 0.1).upper
+        assert got == want
+
 
 class TestRestrict:
     def test_atom_kept_on_point(self):

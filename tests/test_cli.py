@@ -420,12 +420,16 @@ SMALL_DIVERGENT = json.dumps({"cantor": [{"generator": "stagewise_log",
                                           "depth": 10, "mass": 1.0}]})
 
 
+def separate_decomposition(k: int):
+    mu = circle.measure_from_json(json.loads(SMALL_DIVERGENT))
+    return roberts.decompose(mu, DyadicGrid((4, 8, 12, 16, 20, 24)), 0.1,
+                             weights.power(1.0), k)
+
+
 @pytest.fixture(scope="module")
 def separate_decays():
-    mu = circle.measure_from_json(json.loads(SMALL_DIVERGENT))
-    grid = DyadicGrid((4, 8, 12, 16, 20, 24))
-    return [{"k_max": k, "residual_mass": roberts.decompose(
-                mu, grid, 0.1, weights.power(1.0), k).residual.total_mass()}
+    return [{"k_max": k, "residual_mass":
+             separate_decomposition(k).residual.total_mass()}
             for k in (2, 4, 6)]
 
 
@@ -454,14 +458,17 @@ class TestReportSinglePass:
                         capsys)
         assert code == 0
         assert rep["results"]["residual_decay"] == separate_decays
-        # the decay rows come from one 6-level run; a shorter dossier
-        # needs one more run of its own; each piece's corona check reads
-        # its arc masses once more
-        if kmax is None:
-            assert calls == {"decompose": [6], "arc_masses": 6 + 6}
-        else:
-            assert calls == {"decompose": [6, kmax],
-                             "arc_masses": 6 + kmax + kmax}
+        # the decay rows and a shorter dossier both come from one 6-level
+        # run, whose first levels are those of a shorter run; each piece's
+        # corona check reads its arc masses once more
+        levels = kmax or 6
+        assert calls == {"decompose": [6], "arc_masses": 6 + levels}
+        dec = separate_decomposition(levels)
+        res = rep["results"]
+        assert [m["depth"] for m in res["corona_margins"]] == [
+            r.depth for r in dec.reports]
+        assert res["mass_balance_error"] == dec.mass_balance_error()
+        assert res["light_entropy_ledger"] == dec.light_entropy_ledgers[-1]
 
 
 BAD_INPUTS = {

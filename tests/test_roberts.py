@@ -100,7 +100,7 @@ class TestDecompose:
         for piece, rep in zip(d.pieces, d.reports):
             _, masses = piece.arc_masses_at_depth(rep.depth)
             assert np.all(masses <= rep.threshold * (1.0 + 1e-12))
-        assert d.light_entropy_ledger <= d.carrier_entropy_bound + 1e-12
+        assert d.light_entropy_ledgers[-1] <= d.carrier_entropy_bound + 1e-12
 
     def test_divergent_residual_decays(self):
         mu = fixtures.divergent_cantor_measure()
@@ -330,7 +330,7 @@ class TestArrayGrating:
             for a, b in zip(got.realized()[:3], want.realized()[:3]):
                 assert_same_bits(a, b)
         assert d.residual_masses == residual_masses
-        assert d.light_entropy_ledger == ledger
+        assert d.light_entropy_ledgers[-1] == ledger
         heavy_sets = [(n, rep[1]) for n, rep in zip(depths, reports)]
         assert d.heavy_nesting_ok() == oracle_nesting_ok(heavy_sets)
         assert residual_in_heavy_arcs(d)
