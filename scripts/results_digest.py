@@ -65,10 +65,13 @@ under ``log:1,2`` and the concave table, whose gap integrals are
 certified Riemann sums, on ``two_points`` under ``log:1``, a set with no
 tail, whose bracket is all explicit part, on the
 ``triadic_union_point`` set (inline JSON) with its gaps listed in
-reverse order, and on the ``harmonic_log`` set under ``exp_log:1,0.5``,
-whose finite entropy rests on the tail's remainder bound, ``set entropy
---form sum`` on the same set under ``log:1,2``, which no tail certificate
-decides (exit 2, no bounds); two certified
+reverse order, on the ``harmonic_log`` set under ``exp_log:1,0.5``,
+``log:1`` and ``log:1,2`` and on the stagewise divergent set under
+``log:1,2``, whose finite tails are bracketed by integral comparison,
+and, once more, on the ``harmonic_log`` set under ``log:1,2`` with
+``--form sum`` alone; ``set entropy --form both`` on the ``harmonic_log``
+set under the concave table, which no tail certificate decides (exit 2,
+no bounds); two certified
 divergences, whose infinite bounds the report writes as null: ``set
 entropy --form both`` on the stagewise divergent set and ``dual
 fw-norm`` under ``power:1.5``; ``dual fw-norm`` under ``power:0.5``, a
@@ -269,14 +272,21 @@ def cases():
     yield "set entropy triadic_union_point gaps reversed", (
         "set", "entropy", "--set", _union_point_set(reverse=True), "--weight",
         "power:1", "--form", "both")
-    # a finite sum certified by the remainder bound of the exp_log tail
-    yield "set entropy harmonic_log exp_log:1,0.5", (
-        "set", "entropy", "--set", "fixture:harmonic_log", "--weight",
-        "exp_log:1,0.5", "--form", "both")
-    # no tail certificate: undecided, with no bounds
+    # finite sums of the log tails, bracketed by integral comparison
+    for weight in ("exp_log:1,0.5", "log:1", "log:1,2"):
+        yield f"set entropy harmonic_log {weight}", (
+            "set", "entropy", "--set", "fixture:harmonic_log", "--weight",
+            weight, "--form", "both")
     yield "set entropy harmonic_log log:1,2 sum", (
         "set", "entropy", "--set", "fixture:harmonic_log", "--weight",
         "log:1,2", "--form", "sum")
+    yield "set entropy stagewise_divergent log:1,2", (
+        "set", "entropy", "--set", "fixture:stagewise_divergent", "--weight",
+        "log:1,2", "--form", "both")
+    # no tail certificate: undecided, with no bounds
+    yield "set entropy harmonic_log concave table", (
+        "set", "entropy", "--set", "fixture:harmonic_log", "--weight",
+        CONCAVE_TABLE, "--form", "both")
     yield "set entropy stagewise_divergent power:1", (
         "set", "entropy", "--set", "fixture:stagewise_divergent", "--weight",
         "power:1", "--form", "both")

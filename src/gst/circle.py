@@ -99,6 +99,20 @@ class GapTail:
         if self.kind == "geometric_levels" and not scales[1] * scales[3] < 1:
             raise ValueError("geometric_levels needs base * ratio < 1")
 
+    def level_log(self, y, shift: float):
+        """log(1 + u), rising in y and free of overflow to y ~ 1e300, at
+        level x + shift of a log family, log x = y: u = max(log(1/s), 0) +
+        j log 2 for the gap mass s = amp/(x log^2 x) over 2^j gaps (stage
+        j = x - 2, or j = 0 for harmonic_log); no tail level has s > 1."""
+        ys = y + np.log1p(shift * np.exp(-y))  # log(x + shift)
+        ell = np.log1p(np.maximum(
+            ys + 2.0 * np.log(ys) - math.log(self.params[0]), 0.0))
+        if self.kind == "harmonic_log":
+            return ell
+        with np.errstate(divide="ignore"):  # log j = -inf at j = 0
+            return np.logaddexp(ell, math.log(math.log(2.0)) + y + np.log1p(
+                (shift - 2.0) * np.exp(-y)))
+
     def gap_mass(self) -> float:
         if self.kind == "geometric_levels":
             count0, base, length0, ratio, first = self.params
@@ -111,21 +125,6 @@ class GapTail:
         amp, first = self.params  # stagewise_log
         # stage j holds the k = j + 2 term
         return amp * log_series_tail(first + 1)
-
-    def levels(self, skip: int, n_levels: int):
-        """(count, length) arrays for n_levels unmaterialized levels, past
-        the first ``skip`` of them."""
-        *scales, first = self.params
-        n = first + skip + np.arange(1, n_levels + 1, dtype=float)
-        if self.kind == "geometric_levels":
-            count0, base, length0, ratio = scales
-            return count0 * base ** (n - 1), length0 * ratio ** n
-        amp, = scales
-        if self.kind == "harmonic_log":
-            return np.ones_like(n), amp / (n * np.log(n) ** 2)
-        j = n - 1.0  # stagewise_log: stage j >= first
-        s = amp / ((j + 2.0) * np.log(j + 2.0) ** 2)
-        return 2.0 ** j, s / 2.0 ** j
 
 
 # ---------------------------------------------------------------------------
@@ -625,16 +624,22 @@ class CircleMeasure:
         return float(np.sum(self.realized().masses))
 
     def sorted_atoms(self):
-        """(sorted positions, prefix sums of their masses over two turns,
-        total mass, the sorting order); cached for window queries."""
+        """(sorted positions, masses, their prefix sums over two turns,
+        total mass, sorting order), cached; atoms at one exact position
+        merge, found by one exact pass over the coinciding floats."""
         if self._sorted is None:
             r = self.realized()
             order = np.argsort(r.pos)
-            m = r.masses[order]
+            p, m = r.pos[order], r.masses[order]
+            tie = np.flatnonzero(p[1:] == p[:-1])
+            num, den = r.exact(order[np.concatenate([tie, tie + 1])])
+            k, keep = tie.size, np.ones(p.size, dtype=bool)
+            keep[tie[num[:k] * den[k:] == num[k:] * den[:k]] + 1] = False
+            total, m = float(np.sum(m)), np.bincount(np.cumsum(keep) - 1, m)
             self._sorted = (
-                r.pos[order],
+                p[keep], m,
                 np.concatenate([[0.0], np.cumsum(np.concatenate([m, m]))]),
-                float(np.sum(m)), order)
+                total, order[keep])
         return self._sorted
 
     # -- queries -------------------------------------------------------------
@@ -716,7 +721,7 @@ def modulus_of_continuity(nu: CircleMeasure, delta: float) -> ModulusOfMeasure:
     """
     if not 0 < delta <= 1:
         raise ValueError("delta must lie in (0,1]")
-    p, csum, total, order = nu.sorted_atoms()
+    p, m, csum, total, order = nu.sorted_atoms()
     if p.size == 0:
         return ModulusOfMeasure(0.0)
     first, s, e = _count_below(p, p, delta)
@@ -737,7 +742,7 @@ def modulus_of_continuity(nu: CircleMeasure, delta: float) -> ModulusOfMeasure:
     for i, js in zip(unsure, near):
         held = np.array([(x[j] - x[i]) % 1 < delta for j in js], float)
         read = ((js >= i) & (js < first[i])) | (js < second[i])
-        sums[i] += nu.realized().masses[order[js]] @ (held - read)
+        sums[i] += m[js] @ (held - read)
     return ModulusOfMeasure(min(float(np.max(sums)), total))
 
 

@@ -3,9 +3,9 @@ splitting of a singular measure into its entropy-carried and entropy-free
 parts.
 
 A lazily generated gap family is decided only by a closed-form
-certificate on its tail: divergence by integral comparison, finiteness by
-a bound on the remainder past explicitly summed terms.  When neither
-applies the result is tagged undecided, with bounds -inf and +inf.  The
+certificate on its tail: divergence and a log tail's sum by integral
+comparison, a geometric tail's sum by a remainder bound past explicit
+levels.  Else the result is undecided, with bounds -inf and +inf.  The
 integral form takes each gap from ``weights.neg_log_integral``: closed
 forms under power, log and exp_log weights, certified Riemann sums for the
 rest.
@@ -20,14 +20,16 @@ from typing import Optional
 import numpy as np
 
 from .circle import CircleMeasure, ClosedCircleSet, GapTail
-from .weights import (ROUND_REL, UNIT_ROUNDOFF, Bracket, Weight,
+from .weights import (ROUND_REL, UNIT_ROUNDOFF, Bracket, Weight, _nested_log,
                       effective_lambda, neg_log_integral)
 
 FINITE = "finite"
 DIVERGES = "diverges"
 UNDECIDED = "undecided"
 
-GENERATOR_TERM_BUDGET = 10 ** 6
+TAIL_V = 690.0  # where the cells of a log tail end: log x ~ 1e300
+# 2^14 cells in v = log log x, graded cubically, finest where A is largest
+TAIL_GRID = np.linspace(0.0, 1.0, 2 ** 14 + 1) ** 3
 DIVERGENT_TAIL = Bracket(-math.inf, -math.inf)
 UNCERTIFIED_TAIL = Bracket(-math.inf, math.inf)
 
@@ -49,6 +51,41 @@ def _lambda_log_bound(w: Weight, lam: float) -> float:
     return math.log(2.0) + lam * u1
 
 
+def _sum_pad(size: float, n: int) -> float:
+    """Rounding bound of a float sum of n computed terms whose magnitudes
+    add to ``size``: ROUND_REL of each value (w.log and the products) and
+    (n - 1) u of the sum (Higham, ch. 4)."""
+    return (ROUND_REL + max(n - 1, 0) * UNIT_ROUNDOFF) * size
+
+
+def _log_tail_sum(tail: GapTail, w: Weight) -> Bracket:
+    """Bracket of sum A(x) log w(l) over a log family's tail levels
+    x = k or j + 2: the gap mass A = amp/(x log^2 x) falls and
+    g = log(1/w(l)) rises with x, so each term lies between the integrals
+    of A(t) g(t - 1) on [x, x + 1] and A(t) g(t + 1) on [x - 1, x] (Knopp,
+    integral test).  In v = log log t, A dt = amp e^-v dv: each cell of v
+    holds that mass times g at its ends.  Past TAIL_V, g <= c (v + log 2)
+    under log_power and a (2 e^v)^b under exp_log."""
+    amp, first = tail.params
+    x0, (c, d) = first + 1.0 + (tail.kind == "stagewise_log"), w.params
+    if x0 < 3.0:  # stage 0: the integral of A from t = 1 diverges
+        return UNCERTIFIED_TAIL
+    if w.kind == "log_power":  # g / c of ell = GapTail.level_log, <= ell
+        def g(ell): return _nested_log(1.0 + ell, d) - 1.0
+        past = (TAIL_V + 1.0 + math.log(2.0)) * math.exp(-TAIL_V)
+    else:  # exp_log with beta d < 1: g / c, below e^691
+        def g(ell): return np.exp(d * ell)
+        past = 2.0 ** d * math.exp((d - 1.0) * TAIL_V) / (1.0 - d)
+    sums = []
+    for start, shift, extra in ((x0 - 1.0, 1.0, past), (x0, -1.0, 0.0)):
+        v = np.interp(TAIL_GRID, (0, 1), (math.log(math.log(start)), TAIL_V))
+        gv = g(tail.level_log(np.exp(v), shift))
+        s = amp * c * (extra + float(np.sum(np.exp(-v[:-1]) * -np.expm1(
+            v[:-1] - v[1:]) * (gv[1:] if shift > 0 else gv[:-1]))))
+        sums.append(s + shift * _sum_pad(s, TAIL_GRID.size + 1))
+    return Bracket(-sums[0], -sums[1])
+
+
 def _tail_sum_bounds(tail: GapTail, w: Weight) -> Bracket:
     """Bracket of the sum over unmaterialized gaps of m*log w(m).
 
@@ -65,68 +102,43 @@ def _tail_sum_bounds(tail: GapTail, w: Weight) -> Bracket:
         b = (c0 - math.log(length0)) / lam
         scale, q_sum = count0 * length0 / base, q / (1 - q)
         # explicit levels until the remainder bound is negligible
-        acc, n, block = 0.0, first + 1, 256
+        acc, size, n, block = 0.0, 0.0, first + 1, 256
         while True:
-            counts, lens = tail.levels(n - first - 1, block)
-            terms = counts * lens * np.asarray(w.log(lens))
+            k = np.arange(n, n + block, dtype=float)
+            lens = length0 * ratio ** k
+            terms = count0 * base ** (k - 1) * lens * np.asarray(w.log(lens))
             if np.any(np.isneginf(terms)):
                 return DIVERGENT_TAIL
             acc += float(np.sum(terms))
+            size += float(np.sum(np.abs(terms)))
             n += block
             rem = scale * q ** n * (a * (n + q_sum) + b) / (1 - q)
             if rem < 1e-15 * (1.0 + abs(acc)) or n > first + 100_000:
+                rem += _sum_pad(size, n - first - 1)
                 return Bracket(acc - rem, acc + rem)
-    if tail.kind == "harmonic_log":
-        amp, first = tail.params
-        if w.kind == "power" or (w.kind == "exp_log" and w.params[1] >= 1):
-            # log(1/w(l)) >~ log(1/l), so sum_k l_k log(1/w(l_k))
-            # >~ sum_k c/(k log k) = inf
-            return DIVERGENT_TAIL
-        if not (w.kind == "exp_log" or
-                (w.kind == "log_power" and w.params[1] == 1)):
-            return UNCERTIFIED_TAIL
-        # explicit terms, then a bound on the rest from k = m on
-        counts, lens = tail.levels(0, GENERATOR_TERM_BUDGET)
-        acc = float(np.sum(counts * lens * np.asarray(w.log(lens))))
-        m = float(first + GENERATOR_TERM_BUDGET + 1)
-        y = math.log(m)
-        c0 = max(0.0, math.log(1.0 / amp))
-        if w.kind == "log_power":
-            c = w.params[0]
-            # remainder via  u(l_k) <= c (k0 + log log k),  integral in y = log x
-            k0 = math.log(3.0) + c0
-            rem = amp * c * (k0 + math.log(y) + 1.0) / y
-            return Bracket(acc - rem, acc + rem)
-        # exp_log, beta < 1: log(1/l_k) <= log k + 2 log log k + c0, so
-        # log(1/w(l_k)) <= alpha log^beta(k) (1 + delta)^beta for k >= m,
-        # delta decreasing in k; the terms are then at most
-        # alpha amp (1 + delta)^beta / (k log^(2 - beta) k), whose sum from
-        # m on is at most the integral from m - 1
-        alpha, beta = w.params
-        delta = (1.0 + c0 + 2.0 * math.log(y)) / y
-        rem = (alpha * amp * (1.0 + delta) ** beta
-               * math.log(m - 1.0) ** (beta - 1.0) / (1.0 - beta))
-        return Bracket(acc - rem, acc)
-    if tail.kind == "stagewise_log":
-        amp, first = tail.params
-        if w.kind in ("power", "exp_log") or (
-                w.kind == "log_power" and w.params[1] == 1):
-            # per-stage gaps have length ~ 2^-j: -log w(g_j) grows at least
-            # like log j, so the stage series dominates sum 1/(j log j) = inf
-            return DIVERGENT_TAIL
-    return UNCERTIFIED_TAIL
+    if w.kind not in ("power", "log_power", "exp_log"):
+        return UNCERTIFIED_TAIL
+    # log families: the terms are >~ c/(x log x) under power, exp_log with
+    # beta >= 1 and, on stagewise_log's 2^j gaps a stage, any exp_log or log:c
+    stages, last = tail.kind == "stagewise_log", w.params[-1]
+    if w.kind == "power" or (w.kind == "exp_log" and (
+            stages or last >= 1)) or (stages and last == 1):
+        return DIVERGENT_TAIL
+    return _log_tail_sum(tail, w)
 
 
-def gap_entropy_sum(lengths, w: Weight) -> float:
-    """Sum of m log w(m) over an explicit finite gap-length family, one
-    term at a time, largest first; -inf where w vanishes on a gap length."""
+def gap_entropy_sum(lengths, w: Weight) -> tuple:
+    """(sum, rounding bound) of m log w(m) over an explicit finite gap
+    family, one term at a time, largest first; the sum is -inf where w
+    vanishes on a gap length."""
     lens = np.sort(np.asarray(lengths, dtype=float))[::-1]
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = lens * np.asarray(w.log(lens))
     if np.any(np.isneginf(terms)):
-        return -math.inf
+        return -math.inf, 0.0
     # cumsum adds one term at a time
-    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
+    return (float(np.cumsum(terms)[-1]) if terms.size else 0.0,
+            _sum_pad(float(np.sum(np.abs(terms))), terms.size))
 
 
 def _tagged(explicit: float, part: Bracket,
@@ -156,14 +168,14 @@ class EntropySumResult:
 def entropy_sum(E: ClosedCircleSet, w: Weight) -> EntropySumResult:
     """Sum of m(I) log w(m(I)) over complementary arcs, the explicit ones
     by gap_entropy_sum."""
-    explicit = gap_entropy_sum(E.lengths, w)
+    explicit, err = gap_entropy_sum(E.lengths, w)
     if explicit == -math.inf:
         tv = TaggedValue(DIVERGES, None, -math.inf, -math.inf,
                          "w vanishes on a gap length")
         return EntropySumResult(tv)
     tail = None if E.tail is None else _tail_sum_bounds(E.tail, w)
     return EntropySumResult(
-        _tagged(explicit, Bracket(explicit, explicit), tail), tail)
+        _tagged(explicit, Bracket(explicit - err, explicit + err), tail), tail)
 
 
 def entropy_integral(E: ClosedCircleSet, w: Weight,
@@ -194,9 +206,7 @@ def entropy_integral(E: ClosedCircleSet, w: Weight,
     if tail is not None:  # a gap's integral is its sum term less <= slack L
         slack = (1.0 + 2.0 * math.log(2.0) + _lambda_log_bound(w, lam)) / lam
         tail = Bracket(tail.low - slack * E.tail.gap_mass(), tail.high)
-    # the widths, ROUND_REL per value, (n - 1) u of the sum (Higham, ch. 4)
-    size = float(np.sum(np.abs(vals)))
-    err = ((ROUND_REL + max(vals.size - 1, 0) * UNIT_ROUNDOFF) * size
+    err = (_sum_pad(float(np.sum(np.abs(vals))), vals.size)
            + float(np.sum(high - low)))
     explicit = float(np.sum(vals))
     return _tagged(explicit, Bracket(explicit - err, explicit + err), tail)

@@ -101,7 +101,8 @@ def test_criterion_04_residual_dichotomy():
     monotone = masses[0] > masses[1] > masses[2]
     ratios = [masses[1] / masses[0], masses[2] / masses[1]]
     dec = decompose(fixtures.triadic_cantor_measure(), GRID_3, 0.1, W_T, 3)
-    carrier_value = entropy.gap_entropy_sum(dec.residual_carrier_gaps(), W_T)
+    carrier_value, _ = entropy.gap_entropy_sum(dec.residual_carrier_gaps(),
+                                               W_T)
     finite = math.isfinite(carrier_value)
     _line(4, "residual dichotomy",
           monotone and all(r < 1.0 for r in ratios) and finite,

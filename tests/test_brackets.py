@@ -20,6 +20,7 @@ import pytest
 import gst
 from gst import entropy, fixtures, inner_outer, weights
 from gst.weights import Bracket
+from oracles import mp_log_w
 
 mpmath.mp.dps = 30
 
@@ -28,22 +29,6 @@ mpmath.mp.dps = 30
 # and beta in [0.6, 1.0]
 CERTIFY_POWERS = (0.2, 0.45, 0.55, 0.9, 1.1, 2.0)
 CERTIFY_EXP_LOGS = [(a, b) for a in (0.5, 1.5) for b in (0.6, 1.0)]
-
-
-def mp_log_w(w, y):
-    """log w(t) at y = 1 + log(1/t), in mpmath."""
-    if w.kind == "power":
-        return -w.params[0] * (y - 1)
-    if w.kind == "log_power":
-        c, depth = w.params
-        val = y
-        for _ in range(depth - 1):
-            val = 1 + mpmath.log(val)
-        return -c * mpmath.log(val)
-    if w.kind == "exp_log":
-        a, beta = w.params
-        return -a * y ** beta
-    raise AssertionError(w.kind)
 
 
 def oracle_dini(w, alpha, depth):
@@ -482,7 +467,9 @@ def test_integral_form_holds_the_oracle(name, w):
         assert got.high - got.low <= 1e-11 * abs(float(explicit))
     want = explicit
     if E.tail is not None:
-        counts, lens = E.tail.levels(0, 80)
+        count0, base, length0, ratio, first = E.tail.params
+        n = first + np.arange(1.0, 81.0)
+        counts, lens = count0 * base ** (n - 1), length0 * ratio ** n
         want += mpmath.fsum(int(n) * cached_gap_term(w, float(L))
                             for n, L in zip(counts, lens))
     assert got.tag == entropy.FINITE

@@ -122,6 +122,32 @@ class TestModulus:
             assert (modulus_of_continuity(mu, d).upper
                     <= modulus_of_continuity(mu, 2 * d).upper + 1e-12)
 
+    def test_exact_twins_merge_into_one_part(self, monkeypatch):
+        # two equal 12-stage triadic parts: each atom's float coincides
+        # with its twin's.  One exact pass merges the twins, so the
+        # windows read no exact position, and the modulus is that of one
+        # part of double mass
+        part = circle.CantorPart(circle.triadic_generator(), 12, 0.5)
+        twins = CircleMeasure(cantor_parts=[part, part])
+        single = CircleMeasure(cantor_parts=[circle.CantorPart(
+            circle.triadic_generator(), 12, 1.0)])
+        seen = []
+        exact = circle.Realization.exact
+
+        def spy(self, sel):
+            seen.append(np.asarray(sel))
+            return exact(self, sel)
+
+        monkeypatch.setattr(circle.Realization, "exact", spy)
+        deltas = (1e-4, 0.01, 0.1, 0.3, 0.7)
+        want = [modulus_of_continuity(single, d) for d in deltas]
+        assert not any(sel.size for sel in seen)
+        seen.clear()
+        assert [modulus_of_continuity(twins, d) for d in deltas] == want
+        read = [sel for sel in seen if sel.size]
+        assert len(read) == 1
+        assert np.array_equal(np.sort(read[0]), np.arange(2 * 4096))
+
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_exact_oracle(self, data):

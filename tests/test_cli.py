@@ -280,14 +280,16 @@ class TestSubcommands:
         assert rep["results"]["is_w_grid"]
 
     def test_set_entropy_undecided_streams_nothing(self, capsys):
-        # no tail certificate for the stagewise set under log log^-1: the
-        # result is undecided with unbounded bounds, and no generator level
-        # is evaluated, so no numpy warning is raised
+        # no tail certificate for the stagewise set under a table weight:
+        # the result is undecided with unbounded bounds, and no generator
+        # level is evaluated, so no numpy warning is raised
+        table = json.dumps({"kind": "table",
+                            "points": [[0, 0], [0.5, 0.75], [1, 1]]})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = cli.main(["set", "entropy", "--set",
                              "fixture:stagewise_divergent", "--weight",
-                             "log:1,2", "--form", "both"])
+                             table, "--form", "both"])
         captured = capsys.readouterr()
         assert code == 2 and captured.err == ""
         res = json.loads(captured.out)["results"]["uncertified"]
@@ -1101,7 +1103,8 @@ class TestNSearchSumsOnce:
 
 class TestEntropyTailOnce:
     def test_both_forms_bracket_the_tail_once(self, capsys, monkeypatch):
-        # the harmonic_log tail under exp_log sums 10^6 explicit terms
+        # the harmonic_log tail under exp_log is bracketed by integral
+        # comparison, once for both forms
         builds = []
         bounds = entropy._tail_sum_bounds
 

@@ -1,12 +1,13 @@
 """Entropy of closed sets in both forms, and measure classification."""
 
+import functools
 import math
 
-import numpy as np
 import pytest
 
+import oracles
 from gst import entropy, fixtures, weights
-from gst.circle import point_set, set_union
+from gst.circle import GapTail, point_set, set_union
 from gst.entropy import (DIVERGES, FINITE, classify_measure, entropy_integral,
                          entropy_sum)
 
@@ -44,9 +45,9 @@ class TestEntropySum:
         assert math.isfinite(res.low) and res.high - res.low <= 1.0
 
     def test_undecided_without_certificate(self):
-        # iterated-log weights on these families have no closed-form tail
-        # certificate: tagged undecided in both forms, with no bounds
-        w = weights.log_power(1.0, depth=2)
+        # a table weight has no closed-form tail certificate on these
+        # families: tagged undecided in both forms, with no bounds
+        w = weights.table_weight([(0.0, 0.0), (0.5, 0.75), (1.0, 1.0)])
         for E in (fixtures.harmonic_log_set(),
                   fixtures.stagewise_divergent_set()):
             summed = entropy_sum(E, w)
@@ -66,13 +67,57 @@ class TestEntropySum:
         assert entropy_integral(E, w).tag == want
         if want == FINITE:
             assert -math.inf < res.low <= res.value <= res.high < 0.0
-            # the partial sum past the certified terms stays in the bracket
-            counts, lens = E.tail.levels(
-                0, 2 * entropy.GENERATOR_TERM_BUDGET)
-            terms = counts * lens * np.asarray(w.log(lens))
-            partial = res.high + math.fsum(
-                terms[entropy.GENERATOR_TERM_BUDGET:])
-            assert res.low <= partial <= res.high
+            low, high = tail_oracle("harmonic_log", f"exp_log:1,{beta}")
+            got = entropy._tail_sum_bounds(E.tail, w)
+            assert got.low <= low and high <= got.high
+
+
+@functools.lru_cache(maxsize=None)
+def tail_oracle(name, spec):
+    E = fixtures.named_fixture(name)
+    return oracles.log_tail(E.tail, weights.from_spec(spec),
+                            2000 if name == "harmonic_log" else 200)
+
+
+class TestLogTails:
+    """The log families' tails by integral comparison, against the mpmath
+    oracle: explicit terms, then quadrature of the comparison integrals."""
+
+    @pytest.mark.parametrize("name,spec,width", [
+        ("harmonic_log", "log:1", 1e-3), ("harmonic_log", "log:2", 1e-3),
+        ("harmonic_log", "log:1,2", 1e-3),
+        ("harmonic_log", "exp_log:1,0.5", 1e-3),
+        ("harmonic_log", "exp_log:1,0.9", 0.05),
+        ("stagewise_divergent", "log:1,2", 0.05)])
+    def test_sum_bracket_holds_the_oracle(self, name, spec, width):
+        E, w = fixtures.named_fixture(name), weights.from_spec(spec)
+        low, high = tail_oracle(name, spec)
+        got = entropy._tail_sum_bounds(E.tail, w)
+        assert got.low <= low and high <= got.high, (float(low), got)
+        assert got.high - got.low <= width
+        res = entropy_sum(E, w).result
+        explicit = oracles.gap_sum(E.lengths, w)
+        assert res.tag == entropy_integral(E, w).tag == FINITE
+        assert res.low <= explicit + low and explicit + high <= res.high
+
+    def test_stage_zero_tail_is_undecided(self):
+        # stage 0 sits where the integral of the gap mass from x = 1
+        # diverges, so its tail has no comparison bracket
+        tail = GapTail("stagewise_log", (0.4, 0))
+        w = weights.log_power(1.0, depth=2)
+        assert entropy._tail_sum_bounds(tail, w) == entropy.UNCERTIFIED_TAIL
+
+
+@pytest.mark.parametrize("spec", ["power:1", "power:0.5", "log:1",
+                                  "exp_log:1,0.5"])
+def test_triadic_sum_bracket_holds_the_oracle(spec):
+    # the explicit gaps and levels carry their float rounding: at power:1
+    # the exact value is -3 log 3, which a zero-width bracket misses
+    E, w = fixtures.triadic_cantor_set(8), weights.from_spec(spec)
+    low, high = oracles.entropy_sum(E, w)
+    res = entropy_sum(E, w).result
+    assert res.low <= low and high <= res.high, (float(low), res)
+    assert res.high - res.low <= 1e-11 * abs(res.value)
 
 
 class TestEntropyIntegral:

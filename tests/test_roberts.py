@@ -130,7 +130,7 @@ class TestDecompose:
     def test_triadic_residual_carrier_entropy_finite(self):
         d = decompose(fixtures.triadic_cantor_measure(), GRID, 0.1, W_T, 3)
         gaps = d.residual_carrier_gaps()
-        val = entropy.gap_entropy_sum(gaps, W_T)
+        val, _ = entropy.gap_entropy_sum(gaps, W_T)
         assert math.isfinite(val)
 
     def test_piece_modulus_at_dyadic_scale(self):
