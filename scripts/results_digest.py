@@ -51,8 +51,11 @@ weights that no record settles, one subadditive on every sweep grid and
 one with the witness (0.25, 0.25), ``weight check --alpha 1`` on
 ``exp_log:0.0001,0.6``, whose incomplete gamma brackets take the lower
 series, ``weight check --alpha 0.5`` on ``power:7``, whose lambda 1/7
-lies below every (1 + alpha) 2^-k with k <= 3, and on
-``exp_log:1e-323,0.5``, where beta alpha a rounds to 0, ``weight check``
+lies below every (1 + alpha) 2^-k with k <= 3, on
+``exp_log:1e-323,0.5``, where beta alpha a rounds to 0, and on
+``power:1e-320``, whose integral 1/(alpha a) is finite but past the
+float range, ``weight check --alpha 1`` on ``log:1`` and ``log:1,2``,
+two certified divergences with null bounds, ``weight check``
 on ``power:0.15``, ``exp_log:0.1,1.2`` and a concave table, which their
 kinds' records settle, and ``weight check`` on a table whose only
 violation lies below the sweep grids and on one whose values all lie
@@ -229,8 +232,8 @@ def cases():
     for weight in ("exp_log:1.094,0.9305", "exp_log:1.4725,0.9796"):
         yield f"weight check {weight}", (
             "weight", "check", "--weight", weight, "--alpha", "0.5")
-    # x = alpha a = 1e-4 puts the incomplete gamma function on its lower
-    # series at both ends of the Dini integral
+    # x = alpha a = 1e-4 puts the incomplete gamma function of the Dini
+    # integral on its lower series
     yield "weight check exp_log:0.0001,0.6 alpha 1", (
         "weight", "check", "--weight", "exp_log:0.0001,0.6", "--alpha", "1")
     # a majorant whose lambda 1/7 lies below (1 + alpha) 2^-k for k <= 3
@@ -239,6 +242,13 @@ def cases():
     # alpha a = 5e-324: beta c rounds to 0
     yield "weight check exp_log:1e-323,0.5", (
         "weight", "check", "--weight", "exp_log:1e-323,0.5", "--alpha", "0.5")
+    # certified divergences, with no number printed
+    for weight in ("log:1", "log:1,2"):
+        yield f"weight check {weight} alpha 1", (
+            "weight", "check", "--weight", weight, "--alpha", "1")
+    # 1/(alpha a) = 2e320 is finite but past the float range
+    yield "weight check power:1e-320", (
+        "weight", "check", "--weight", "power:1e-320", "--alpha", "0.5")
     # the modulus line is the majorant's lambda = 1 step: the first table
     # violates subadditivity only below the sweep grids, so both lines
     # pass; the second fails lambda = 1, and its w^4, all below 1e-24,

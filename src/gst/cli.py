@@ -138,10 +138,7 @@ def cmd_weight(args):
     w = _weight(args)
     work = Counter()
     maj = weights.check_majorant(w, weights.lambda_candidates(w), work=work)
-    # the passing lambdas form a down-set: w is a modulus where the walk
-    # passed some lambda >= 1, else its lambda = 1 step is repeated
-    moc = (weights.ModulusCheck(True) if maj.ok and maj.lam >= 1.0 else
-           weights.check_modulus_of_continuity(w, work))
+    moc = maj.modulus  # the walk's lambda = 1 step: the candidates hold 1
     out = {
         "label": w.label(),
         "modulus_of_continuity": {"ok": moc.ok, "witness": moc.witness,
@@ -158,7 +155,7 @@ def cmd_weight(args):
         # (A2) presumes a majorant: w^(1+alpha) is one exactly when w is
         if not maj.ok:
             raise weights.InvalidWeightError("w^(1+alpha) is not a majorant")
-        a2 = weights.check_A2(w, args.alpha, args.quad_depth)
+        a2 = weights.check_A2(w, args.alpha)
         out["A2"] = {"dini_integral": a2.dini_integral, "ok": a2.ok,
                      "low": a2.low, "high": a2.high}
     return out, {"majorant_certified": maj.certified,
@@ -352,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("weight_cmd", choices=["check"])
     w.add_argument("--weight", required=True)
     w.add_argument("--alpha", type=finite_float)
-    w.add_argument("--quad-depth", type=int, default=40)
 
     s = sub.add_parser("set", help="entropy of a closed null set")
     s.add_argument("set_cmd", choices=["entropy"])

@@ -4,10 +4,11 @@ counterpart, and the reproducing and orthogonality checks of model-space
 kernels.  Polynomials are given by their coefficient arrays.
 
 Every boundary limit r -> 1- goes through ``_dilated_boundary_mean``: the
-integrand is averaged over midpoint nodes on dilated circles, where it is
-smooth and the trapezoid rule is spectrally accurate, and the means are
-extrapolated to r = 1.  Area integrals use the normalization
-dA = (Lebesgue area)/pi, so the unit disc has measure 1.
+integrand is averaged over midpoint nodes on a circle where it is smooth,
+so the trapezoid rule is spectrally accurate; that is the unit circle
+itself for rational integrands and dilated circles, whose means are
+extrapolated to r = 1, for singular inner factors.  Area integrals use
+the normalization dA = (Lebesgue area)/pi, so the unit disc has measure 1.
 """
 
 from __future__ import annotations
@@ -221,22 +222,18 @@ def _kernel_many(spec: ModelKernelSpec, zs: np.ndarray, lam: complex
 
 def _dilated_boundary_mean(fn, boundary_n: int,
                            singular: bool = False) -> complex:
-    """Extrapolated limit of mean_theta fn(r e^(2 pi i theta)) as r -> 1-.
+    """Limit of mean_theta fn(r e^(2 pi i theta)) as r -> 1-.
 
     Rational integrands (polynomials, finite Blaschke content) are
-    analytic across the boundary: the radii 1 - 2^-30, 2^-31 and 2^-32
-    with plain Richardson are exact to rounding.  Inner functions of
-    atomic measures have Taylor tails ~ n^(-3/4), so their dilation bias
-    is O(sqrt(1-r)): radii are then tied to the node count (aliasing stays
-    below the bias) and the extrapolation solves in the basis
-    {1, sqrt(h), h}.
+    analytic across the boundary, so the limit is their plain mean over
+    the nodes on the unit circle.  Inner functions of atomic measures
+    have Taylor tails ~ n^(-3/4), so their dilation bias is O(sqrt(1-r)):
+    radii are then tied to the node count (aliasing stays below the bias)
+    and the extrapolation solves in the basis {1, sqrt(h), h}.
     """
     ez = _circle_nodes(boundary_n)
     if not singular:
-        vals = [complex(np.mean(fn((1.0 - 2.0 ** -k) * ez)))
-                for k in (30, 31, 32)]
-        r1 = [2.0 * vals[i + 1] - vals[i] for i in range(2)]
-        return (4.0 * r1[1] - r1[0]) / 3.0
+        return complex(np.mean(fn(ez)))
     hs = [4.0 / boundary_n, 16.0 / boundary_n, 64.0 / boundary_n]
     vals = np.array([complex(np.mean(fn((1.0 - h) * ez))) for h in hs])
     M = np.array([[1.0, math.sqrt(h), h] for h in hs])

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import math
 import reprlib
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional
@@ -44,7 +45,6 @@ UNIT_ROUNDOFF = 2.0 ** -53
 ROUND_REL = 2.0 ** -40
 DINI_CELLS = 2 ** 12  # cells per dyadic block of a Dini integral
 DINI_NODES = 2 ** 20  # past this many nodes a Dini block gets fewer cells
-MAX_QUAD_DEPTH = 1074  # 2^-1074 is the least positive float
 NEG_LOG_BLOCKS = 48
 NEG_LOG_CELLS = 2 ** 8  # cells per dyadic block of neg_log_integral
 SUP_RTOL = 2.0 ** -20  # how far a moment_sup cell's bound may pass its best
@@ -462,26 +462,28 @@ def _modulus_check(w: Weight, lam: float, work=None) -> tuple:
     return None, ModulusCheck(True)
 
 
-def check_modulus_of_continuity(w: Weight, work=None) -> ModulusCheck:
+def check_modulus_of_continuity(w: Weight) -> ModulusCheck:
     """Subadditivity of w, the other modulus properties holding by
     construction: check_majorant's step at lambda 1 (``_modulus_check``).
     A record's disproof has no witness; a sweep's witness is the first
     violating pair, row-major, on the coarsest failing grid, and a sweep's
-    pass is evidence at its resolution only.  ``work``, a Counter, gains
-    ``slope_proofs`` and ``sweep_rows``.
+    pass is evidence at its resolution only.
     """
-    return _modulus_check(w, 1.0, work)[1]
+    return _modulus_check(w, 1.0)[1]
 
 
 @dataclass(frozen=True)
 class MajorantCheck:
     """The first lambda that passed, if any.  ``certified`` says that the
     verdict rests on the kind's record alone: it proves lam, or it
-    disproves every candidate."""
+    disproves every candidate.  ``modulus`` is check_modulus_of_continuity
+    as the walk found it, or None where the candidates skip 1; it is no
+    part of the verdict, so equality ignores it."""
 
     ok: bool
     lam: Optional[float] = None
     certified: bool = False
+    modulus: Optional[ModulusCheck] = field(default=None, compare=False)
 
 
 def lambda_candidates(w: Weight) -> tuple:
@@ -501,18 +503,23 @@ def check_majorant(w: Weight, candidates, work=None) -> MajorantCheck:
     proof takes the candidate and a disproof skips it, else the
     subadditivity sweep.  The candidates that pass form a down-set, as
     f^p is subadditive for p <= 1 when f is, so a pass at some lambda >= 1
-    makes w itself a modulus of continuity.  ``work`` is as in
-    check_modulus_of_continuity.
+    makes w itself a modulus of continuity, and else the step at lambda 1
+    is that check.  ``work``, a Counter, gains ``slope_proofs`` and
+    ``sweep_rows``.
     """
     if not candidates:
         raise ValueError("need at least one lambda candidate")
-    disproved = True
+    disproved, modulus = True, None
     for lam in candidates:
         verdict, res = _modulus_check(w, lam, work)
         if res.ok:
-            return MajorantCheck(True, lam, verdict is not None)
+            return MajorantCheck(True, lam, verdict is not None,
+                                 ModulusCheck(True) if lam >= 1.0
+                                 else modulus)
+        if lam == 1.0:
+            modulus = res
         disproved = disproved and verdict is not None
-    return MajorantCheck(False, certified=disproved)
+    return MajorantCheck(False, None, disproved, modulus)
 
 
 @lru_cache(maxsize=256)
@@ -582,7 +589,8 @@ class Bracket:
 
     @property
     def mid(self) -> float:
-        return 0.5 * (self.low + self.high)
+        # halves first: the sum of two large ends may overflow
+        return 0.5 * self.low + 0.5 * self.high
 
     def __add__(self, other: "Bracket") -> "Bracket":
         # fsum rounds once, so one step outward keeps the enclosure
@@ -741,102 +749,73 @@ def _riemann_dini(w: Weight, alpha: float, ua: float, ub: float) -> Bracket:
         lambda u: np.exp(alpha * np.asarray(w.log(np.exp(u)))), nodes)
 
 
-def _table_integral(w: Weight, alpha: float, ua: float, ub: float) -> Bracket:
-    """int w^alpha(t) dt/t of a table over [e^ua, e^ub], ua possibly -inf.
-
-    On its first segment, up to the least t1 > 0, a table is w(t) = m0 t
-    with m0 = v1/t1, since w(0) = 0; over [a, b] below u1 = log t1 the
-    integral is m0^alpha (e^(alpha b) - e^(alpha a))/alpha, formed on the
-    log scale as v1^alpha e^(alpha (b - u1)) (1 - e^(alpha (a - b)))/alpha,
-    since m0 may overflow and e^a be subnormal.  The part past u1 goes to
-    _riemann_dini, split from the first segment at the same float u1.
-    """
-    ts, vs = w.params
-    t1, v1 = next((t, v) for t, v in zip(ts, vs) if t > 0.0)
-    u1 = math.log(t1)
-    b = min(ub, u1)
-    head = (math.exp(alpha * (math.log(v1) - u1 + b))
-            * -math.expm1(alpha * (ua - b)) / alpha
-            if v1 > 0.0 and ua < b else 0.0)
-    out = _widen(head, head)
-    if ub <= max(ua, u1):
-        return out
-    return out + _riemann_dini(w, alpha, max(ua, u1), ub)
-
-
-def _dini_integral(w: Weight, alpha: float, ua: float, ub: float) -> Bracket:
-    """Bracket of int w^alpha(t) dt/t over [e^ua, e^ub], ua < ub <= 0 and
-    ua possibly -inf, by weight kind.
-
-    In y = 1 - u = 1 + log(1/t), with ya = 1 - ua and yb = 1 - ub:
-    - t^a: e^(e ub) (1 - e^(e (ua - ub)))/e, e = alpha a;
-    - log^-c: (yb^(1-e) - ya^(1-e))/(e - 1), e = alpha c, or log(ya/yb)
-      at e = 1, and divergent ([0, inf]) below e^ub for e <= 1;
-    - exp_log: int_yb^ya exp(-alpha a y^beta) dy, the difference of two
-      incomplete gamma brackets (_exp_log_tail), rounded outward and held
-      between ya - yb times the integrand's end values, which keeps it
-      finite where each bracket overflows;
-    - a table: _table_integral;
-    - any other kind (iterated logs, exp_recip): _riemann_dini, and
-      [0, inf] below e^ub, where no tail is certified.
-    """
-    if w.kind == "power":
-        e = alpha * w.params[0]
-        value = math.exp(e * ub) * -math.expm1(e * (ua - ub)) / e
-    elif w.kind == "log_power" and w.params[1] == 1 and (
-            ua > -math.inf or alpha * w.params[0] > 1.0):
-        e, ya, yb = alpha * w.params[0], 1.0 - ua, 1.0 - ub
-        log_r = math.log(ya) - math.log(yb)
-        value = (log_r if e == 1.0 else
-                 yb ** (1.0 - e) * -math.expm1((1.0 - e) * log_r) / (e - 1.0))
-    elif w.kind == "exp_log":
-        c, beta = alpha * w.params[0], w.params[1]
-        ya, yb = 1.0 - ua, 1.0 - ub
-        upper = _exp_log_tail(c, beta, yb)
-        if ua == -math.inf:
-            return upper
-        lower = _exp_log_tail(c, beta, ya)
-        box = _widen((ya - yb) * math.exp(-c * _pow_or_inf(ya, beta)),
-                     (ya - yb) * math.exp(-c * _pow_or_inf(yb, beta)))
-        return Bracket(
-            max(box.low, math.nextafter(upper.low - lower.high, -math.inf)),
-            min(box.high, math.nextafter(upper.high - lower.low, math.inf)))
-    elif w.kind == "table":
-        return _table_integral(w, alpha, ua, ub)
-    elif ua > -math.inf:
-        return _riemann_dini(w, alpha, ua, ub)
-    else:
-        return Bracket(0.0, math.inf)
+def _closed_form(value) -> Bracket:
+    """A closed form's value widened by ROUND_REL; one past the float range
+    is finite but no float, so its bracket is [largest float, inf]."""
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        return Bracket(sys.float_info.max, math.inf)
     return _widen(value, value)
 
 
-def dini_brackets(w: Weight, alpha: float, depth: int) -> tuple:
-    """Brackets of int_s^1 w^alpha(t) dt/t and of the tail int_0^s, where
-    s = 2^-depth (_dini_integral)."""
-    u0 = math.log(2.0) * -depth
-    return (_dini_integral(w, alpha, u0, 0.0),
-            _dini_integral(w, alpha, -math.inf, u0))
+def _dini_integral(w: Weight, alpha: float) -> Bracket:
+    """Bracket of int_0^1 w^alpha(t) dt/t, which is int_1^inf of
+    w^alpha dy in y = 1 + log(1/t), by weight kind:
+    - t^a: 1/e, e = alpha a, exact in Fractions;
+    - log^-c: 1/(e - 1), e = alpha c, where e > 1 exactly, else divergent;
+    - iterated logs: divergent, as the integrand in u = log(1/t) is at
+      least (1 + log(1 + u))^-(alpha c);
+    - exp_log: int_1^inf exp(-alpha a y^beta) dy (_exp_log_tail), at least
+      exp(-alpha a 2^beta), the integrand's least value on [1, 2];
+    - a table: w(t) = v1 t/t1 below its first knot t1 > 0, which gives
+      v1^alpha/alpha, plus _riemann_dini over [log t1, 0];
+    - exp_recip: [0, inf], no certificate.
+    A divergent integral is [inf, inf].
+    """
+    if w.kind == "power":
+        return _closed_form(1 / (Fraction(alpha) * Fraction(w.params[0])))
+    if w.kind == "log_power":
+        excess = Fraction(alpha) * Fraction(w.params[0]) - 1
+        if w.params[1] > 1 or excess <= 0:
+            return Bracket(math.inf, math.inf)
+        return _closed_form(1 / excess)
+    if w.kind == "exp_log":
+        c, beta = alpha * w.params[0], w.params[1]
+        whole = _exp_log_tail(c, beta, 1.0)
+        # the exponent's rounding is below ROUND_REL up to exp's underflow,
+        # where one ulp of 0 covers it
+        floor = (math.exp(-c * _pow_or_inf(2.0, beta)) * (1.0 - ROUND_REL)
+                 - math.ulp(0.0))
+        return Bracket(max(whole.low, floor), whole.high)
+    if w.kind == "table":
+        ts, vs = w.params
+        t1, v1 = next((t, v) for t, v in zip(ts, vs) if t > 0.0)
+        head = _closed_form(v1 ** alpha / alpha)
+        return head if t1 == 1.0 else head + _riemann_dini(
+            w, alpha, math.log(t1), 0.0)
+    return Bracket(0.0, math.inf)
 
 
 @dataclass(frozen=True)
 class A2Check:
     """The Dini-type integral int_0^1 w^alpha(t) dt/t.
 
-    [low, high] encloses it (high is inf when the tail diverges) and
-    ``dini_integral`` is the midpoint, or without a finite tail the
-    midpoint of the part above 2^-quad_depth; ``tail`` is the upper bound
-    of the part below.  Every number is a Python float.
+    [low, high] encloses it, both inf where it diverges, and
+    ``dini_integral`` is the midpoint, inf whenever high is; ``ok`` says
+    that high is finite.  Every number is a Python float.
     """
 
     dini_integral: float
     ok: bool
-    tail: float
     low: float
     high: float
 
 
-def check_A2(w: Weight, alpha: float, quad_depth: int) -> A2Check:
-    """Dini-type integral of w^alpha with a certified tail.
+def check_A2(w: Weight, alpha: float) -> A2Check:
+    """Dini-type integral of w^alpha, one bracket of all of (0, 1].
 
     (A2) is stated for majorants and presumes one: w^(1+alpha) is a
     majorant exactly when w is, as (w^(1+alpha))^(lam/(1+alpha)) = w^lam,
@@ -844,14 +823,9 @@ def check_A2(w: Weight, alpha: float, quad_depth: int) -> A2Check:
     """
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0,1]")
-    if not 1 <= quad_depth <= MAX_QUAD_DEPTH:
-        raise ValueError(f"quad_depth must lie in [1, {MAX_QUAD_DEPTH}], "
-                         f"got {quad_depth}")
-    body, tail = dini_brackets(w, alpha, quad_depth)
-    total = body + tail
-    ok = math.isfinite(tail.high)
-    return A2Check(total.mid if ok else body.mid, ok, tail.high,
-                   total.low, total.high)
+    whole = _dini_integral(w, alpha)
+    return A2Check(whole.mid, math.isfinite(whole.high), whole.low,
+                   whole.high)
 
 
 def moment_sup(w: Weight, n: int) -> Bracket:

@@ -226,8 +226,8 @@ def test_criterion_10_weight_diagnostics():
     for name, w in fixtures.a1_family().items():
         assert weights.check_A1(w, 16).ok, name
     assert not weights.check_A1(fixtures.fast_decay_weight(), 12).ok
-    assert weights.check_A2(W_SQRT, 0.5, 40).ok
-    assert not weights.check_A2(weights.log_power(1.0), 1.0, 40).ok
+    assert weights.check_A2(W_SQRT, 0.5).ok
+    assert not weights.check_A2(weights.log_power(1.0), 1.0).ok
     consts = []
     for w in (W_T, W_SQRT, weights.power(2.0)):
         ca = weights.check_condition_a(w, 64)

@@ -2,7 +2,8 @@
 
 Each oracle is computed independently of the bracket it checks: Dini
 integrals and entropy integrals by mpmath quadrature in the variable
-y = 1 + log(1/t), the Gamma tail by ``mpmath.gammainc``, and moment sups by
+y = 1 + log(1/t), the Gamma tails, exp_log's Dini tail among them, by
+``mpmath.gammainc``, and moment sups by
 a root of the derivative of log(t^n w(1 - t)) in the variable log(1 - t).
 """
 
@@ -11,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -46,6 +48,11 @@ def oracle_dini(w, alpha, depth):
     # absolute and the tail can be 1e-264
     body = mpmath.quad(f, [1] + [1 + (y0 - 1) / 2 ** k
                                  for k in range(12, -1, -1)])
+    if w.kind == "exp_log":
+        # the Gamma tail, whose scale can be far past 1/|(log f)'(y0)|
+        c, beta = alpha * mpmath.mpf(w.params[0]), mpmath.mpf(w.params[1])
+        return body, (mpmath.gammainc(1 / beta, c * y0 ** beta)
+                      / (beta * c ** (1 / beta)))
     scale = 1 / abs(mpmath.diff(lambda y: alpha * mp_log_w(w, y), y0))
     at_y0 = f(y0)
     tail = at_y0 * mpmath.quad(
@@ -64,12 +71,13 @@ def dini_cases():
         yield weights.power(a), 0.5
     yield weights.log_power(2.0), 1.0
     yield weights.log_power(3.0), 0.5
-    yield weights.log_power(1.0, depth=2), 0.5  # body only: never Dini
+    yield weights.log_power(1.0, depth=2), 0.5  # never Dini
     yield weights.exp_log(0.6, 0.65), 0.5
     yield weights.exp_log(1.0, 0.8), 0.5
     yield weights.exp_log(1.0, 0.5), 0.5
     yield weights.exp_log(2.0, 1.7), 1.0
-    # the whole integral, about 2e600, overflows: the body keeps a bracket
+    # the whole integral, about 2e600, overflows: the bracket keeps a
+    # finite low end
     yield weights.exp_log(1e-300, 0.5), 1.0
     for a, b in CERTIFY_EXP_LOGS:
         yield weights.exp_log(a, b), 0.5
@@ -79,15 +87,17 @@ def dini_cases():
                          ids=lambda v: v.label() if hasattr(v, "label")
                          else str(v))
 def test_dini_brackets_hold_the_oracle(w, alpha):
-    body, tail = weights.dini_brackets(w, alpha, 40)
+    whole = weights._dini_integral(w, alpha)
+    if w.kind == "log_power" and w.params[1] > 1:
+        # a certified divergence
+        assert whole == Bracket(math.inf, math.inf)
+        return
     want_body, want_tail = oracle_dini(w, alpha, 40)
-    assert_in(want_body, body)
-    # the grid's width is (log 2 / DINI_CELLS) (f(0) - f(u0)), f <= w(1)^alpha
-    assert body.high - body.low <= (
-        1.01 * math.log(2.0) / weights.DINI_CELLS * w(1.0) ** alpha + 1e-12)
-    if math.isfinite(tail.high):
-        assert_in(want_tail, tail)
-        assert_in(want_body + want_tail, body + tail)
+    assert_in(want_body + want_tail, whole)
+    # closed forms and incomplete gamma brackets, all far inside the width
+    # (log 2 / DINI_CELLS) w(1)^alpha of one octave of Riemann sums
+    if math.isfinite(whole.high):
+        assert whole.high - whole.low <= 1e-10 * whole.high
 
 
 # exp_log:1e-4,0.6 at alpha 1 puts x = c y^beta below 1e-3 at both ends,
@@ -101,12 +111,11 @@ A2_CASES = ([(weights.exp_log(a, b), 0.5) for a, b in CERTIFY_EXP_LOGS]
     w.label() + ("" if alpha == 0.5 else f"-alpha{alpha:g}")
     for w, alpha in A2_CASES])
 def test_check_A2_bracket_holds_the_oracle(w, alpha):
-    res = weights.check_A2(w, alpha, 40)
+    res = weights.check_A2(w, alpha)
     body, tail = oracle_dini(w, alpha, 40)
     assert res.ok
     assert res.low <= body + tail <= res.high
     assert res.low <= res.dini_integral <= res.high
-    assert res.tail >= tail
     if w.kind == "exp_log":
         # incomplete gamma brackets to rounding: far inside the 2^12 cells
         # per octave of a Riemann bracket, (log 2 / DINI_CELLS) w(1)^alpha
@@ -115,26 +124,36 @@ def test_check_A2_bracket_holds_the_oracle(w, alpha):
 
 def test_power_dini_is_two_over_a_to_ulps():
     for a in CERTIFY_POWERS:
-        res = weights.check_A2(weights.power(a), 0.5, 40)
+        res = weights.check_A2(weights.power(a), 0.5)
         assert abs(res.dini_integral - 2.0 / a) <= 4 * math.ulp(2.0 / a)
 
 
 def test_check_A2_fields_are_python_floats():
     for w in (weights.exp_log(1.0, 0.8), weights.power(0.5),
               weights.log_power(1.0)):
-        res = weights.check_A2(w, 0.5 if w.kind != "log_power" else 1.0, 40)
-        for name in ("dini_integral", "tail", "low", "high"):
+        res = weights.check_A2(w, 0.5 if w.kind != "log_power" else 1.0)
+        for name in ("dini_integral", "low", "high"):
             assert type(getattr(res, name)) is float, (w.label(), name)
         assert type(res.ok) is bool
-    b = weights.dini_brackets(weights.exp_log(1.0, 0.8), 0.5, 40)[0]
+    b = weights._dini_integral(weights.exp_log(1.0, 0.8), 0.5)
     assert type(b.low) is float and type(b.high) is float
     assert type(Bracket(np.float64(1.0), 2).high) is float
 
 
 def test_divergent_tail_has_infinite_high():
-    res = weights.check_A2(weights.log_power(1.0), 1.0, 40)
-    assert not res.ok and res.high == math.inf and res.tail == math.inf
-    assert res.low <= res.dini_integral < math.inf
+    # a certified divergence: no finite number is printed for it
+    for w in (weights.log_power(1.0), weights.log_power(3.0, depth=2)):
+        res = weights.check_A2(w, 1.0)
+        assert not res.ok
+        assert res.low == res.high == res.dini_integral == math.inf
+
+
+def test_midpoint_of_ends_summing_past_the_float_range():
+    # 1/(alpha a), about 1e308, is a float, and so is the midpoint of its
+    # bracket, whose ends sum past the float range
+    res = weights.check_A2(weights.power(1e-308), 1.0)
+    assert res.ok and res.low <= 1 / Fraction(1e-308) <= res.high
+    assert res.dini_integral == pytest.approx(1e308, rel=1e-15)
 
 
 # 2 w(1/8) < w(1/4): not subadditive; and a concave table
@@ -170,76 +189,80 @@ def oracle_table_dini(w, alpha, depth):
 
 def test_table_tail_low_is_certified():
     # below its first knot t1 = 0.09 a table is w(t) = m0 t, m0 = 0.1/0.09,
-    # so its tail below s = 2^-40 is int_0^s (m0 t)^0.5 dt/t = 2 sqrt(m0 s)
-    # in closed form, to rounding, and needs no lambda_hint
+    # so its integral there is int_0^t1 (m0 t)^0.5 dt/t = 2 sqrt(0.1) in
+    # closed form, to rounding, and needs no lambda_hint; only [t1, 1]
+    # takes Riemann sums
     w = TABLE
     assert w.lambda_hint is None
-    body, tail = weights.dini_brackets(w, 0.5, 40)
-    slope = mpmath.mpf(0.1) / mpmath.mpf(0.09)
-    s = mpmath.exp(mpmath.mpf(math.log(2.0) * -40))
-    want_tail = 2 * mpmath.sqrt(slope * s)
-    assert_in(want_tail, tail)
-    assert tail.high - tail.low <= 4 * weights.ROUND_REL * float(want_tail)
+    whole = weights._dini_integral(w, 0.5)
+    want_head = 2 * mpmath.sqrt(mpmath.mpf(0.1))
 
     def f(t):
         return mpmath.sqrt(float(w(float(t)))) / t
 
     # the table's own interpolation between float nodes; pieces at breaks
-    want_body = mpmath.quad(f, [s, 2 ** -20, 0.01, 0.09, 0.19, 1])
-    assert_in(want_body, body)
+    want_body = mpmath.quad(f, [0.09, 0.19, 1])
+    assert_in(want_head + want_body, whole)
+    # the width of the Riemann sums over [t1, 1] alone: (log(1/t1) / cells)
+    # (w(1)^0.5 - w(t1)^0.5), with 4 octaves of DINI_CELLS cells
+    cell = math.log(1 / 0.09) / (4 * weights.DINI_CELLS)
+    assert whole.high - whole.low <= (
+        1.01 * cell * (1 - math.sqrt(0.1)) + 1e-12)
 
 
-# at quad_depth 1, s = 1/2 lies past the first knot: the tail adds a
-# bracket over [t1, s] to the first segment's closed form; at 1074 the body
-# reaches the least subnormal, in closed form below t1
+# the oracle sums its two integrals split at 2^-quad_depth: at 1 the split
+# lies past the first knot, at 1074 at the least subnormal
 @pytest.mark.parametrize("quad_depth", [1, 40, 1074])
 @pytest.mark.parametrize("w", [TABLE, CONCAVE_TABLE],
                          ids=["table", "concave_table"])
 def test_table_A2_bracket_holds_the_oracle(w, quad_depth):
     want_body, want_tail = oracle_table_dini(w, 0.5, quad_depth)
-    body, tail = weights.dini_brackets(w, 0.5, quad_depth)
-    assert_in(want_body, body)
-    assert_in(want_tail, tail)
-    res = weights.check_A2(w, 0.5, quad_depth)
+    assert_in(want_body + want_tail, weights._dini_integral(w, 0.5))
+    res = weights.check_A2(w, 0.5)
     assert res.ok and res.low <= want_body + want_tail <= res.high
 
 
-# exp_recip is never a majorant, and no tail certificate is kept for it:
-# its tail int_0^s exp(-b E_d(1/t)) dt/t, b = alpha c, is bracketed by
+# exp_recip is never a majorant, and no certificate is kept for it: its
+# integral int_0^1 exp(-b E_d(1/t)) dt/t, b = alpha c, is bracketed by
 # [0, inf], so check_A2, which presumes a majorant and leaves the refusal
-# to its caller, finds no finite integral
+# to its caller, finds no finite integral.  The oracle is its part above
+# s = 2^-quad_depth, in x = 1/t over [1, 1/s], a lower bound of the whole
 @pytest.mark.parametrize("quad_depth", [1, 3, 12])
 @pytest.mark.parametrize("depth", [1, 2])
 def test_exp_recip_tail_bounds_the_oracle(depth, quad_depth):
     c, alpha = 1.5, 0.5
-    tail = weights.dini_brackets(weights.exp_recip(c, depth), alpha,
-                                 quad_depth)[1]
-    assert tail == Bracket(0.0, math.inf)
-    res = weights.check_A2(weights.exp_recip(c, depth), alpha, quad_depth)
-    assert not res.ok and res.tail == math.inf
+    w = weights.exp_recip(c, depth)
+    whole = weights._dini_integral(w, alpha)
+    assert whole == Bracket(0.0, math.inf)
+    b = mpmath.mpf(alpha * c)
+    part = mpmath.quad(lambda x: mpmath.exp(
+        -b * (x if depth == 1 else mpmath.exp(x))) / x,
+        [mpmath.mpf(2) ** k for k in range(quad_depth + 1)])
+    assert 0 < part and whole.low <= part <= whole.high
+    res = weights.check_A2(w, alpha)
+    assert not res.ok and res.high == math.inf
 
 
 # beta = 0.0003 takes 3333 steps of the Gamma recurrence, which overflow:
-# the whole integral's bracket is [0, inf], and A2's low end is the body's
-# finite low end, not -inf
+# the incomplete gamma bracket is [0, inf], and A2's low end is the
+# integrand's least value on [1, 2] in y, not -inf
 def test_gamma_tail_low_end_is_never_negative():
     assert weights._exp_log_tail(1.0, 0.0003, 1.0) == Bracket(0.0, math.inf)
     w, alpha = weights.exp_log(1.0, 0.0003), 1.0
-    res = weights.check_A2(w, alpha, 40)
+    res = weights.check_A2(w, alpha)
     body, _ = oracle_dini(w, alpha, 40)
     assert 0.0 < res.low <= body and res.high == math.inf
 
 
 # beta = 1e300 overflows y0^beta at y0 > 1: there e^-x is below every float
 def test_gamma_tail_survives_an_overflowing_power():
-    c, beta, depth = 0.5, 1e300, 40
-    body, tail = weights.dini_brackets(weights.exp_log(c, beta), 1.0, depth)
-    assert tail == Bracket(0.0, math.ulp(0.0))
-    # the whole integral is Gamma(s, c)/(beta c^s), s = 1/beta; the tail
-    # past y0, below e^-x with x = c y0^beta, is far below a float
+    c, beta, y0 = 0.5, 1e300, 1.0 + 40 * math.log(2.0)
+    assert weights._exp_log_tail(c, beta, y0) == Bracket(0.0, math.ulp(0.0))
+    # the whole integral is Gamma(s, c)/(beta c^s), s = 1/beta, and 2^beta
+    # overflows in the low end exp(-c 2^beta)
     s = 1 / mpmath.mpf(beta)
     whole = mpmath.gammainc(s, c) / (beta * mpmath.mpf(c) ** s)
-    assert_in(whole, body)
+    assert_in(whole, weights._dini_integral(weights.exp_log(c, beta), 1.0))
 
 
 def assert_gamma_tail(c, beta, y0):
@@ -487,8 +510,8 @@ def test_closed_forms_take_no_quadrature(monkeypatch):
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
     for w in ([weights.power(a) for a in CERTIFY_POWERS]
               + [weights.exp_log(a, b) for a, b in CERTIFY_EXP_LOGS]):
-        assert weights.check_A2(w, 0.5, 40).ok
-    assert weights.check_A2(weights.exp_log(1e-4, 0.6), 1.0, 40).ok
+        assert weights.check_A2(w, 0.5).ok
+    assert weights.check_A2(weights.exp_log(1e-4, 0.6), 1.0).ok
     closed = ([weights.power(a) for a in (0.5, 1.0)]
               + [weights.log_power(c) for c in (1.0, 3.0)]
               + [weights.exp_log(a, b) for a, b in CERTIFY_EXP_LOGS])

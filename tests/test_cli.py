@@ -33,8 +33,7 @@ class TestSubcommands:
     # (spec, slope_proofs) with --alpha 0.5: the records prove the majorant
     # λ; only t^1.5's λ = 4, 2 and 1 (slope 1.5 > 1) and the λ = 4 and 2
     # candidates of t^0.3 and exp_log take the sweep.  The modulus line
-    # reads the majorant walk where it passed some λ >= 1, so only t^1.5
-    # checks λ = 1 again.  No record settles the table at λ = 1 (its last
+    # is the majorant walk's λ = 1 step, never swept again.  No record settles the table at λ = 1 (its last
     # segment meets t = 0 at -0.1), so its majorant search is swept, and
     # its λ is evidence.  A2 reads the majorant verdict and adds no proof
     # and no sweep row, and no weight is sampled for continuity, so meta
@@ -113,17 +112,6 @@ class TestSubcommands:
         assert a2["ok"] and a2["low"] <= a2["dini_integral"] <= a2["high"]
         assert rep["meta"]["majorant_certified"]
 
-    # the body below the first knot is in closed form, so a table whose
-    # values underflow there reaches the deepest quadrature depth
-    @pytest.mark.parametrize("quad_depth", ["1000", "1074"])
-    def test_weight_check_table_at_depth(self, quad_depth, capsys):
-        code, rep = run(["weight", "check", "--weight", json.dumps(
-            {"kind": "table", "points": [[0, 0], [0.5, 0.5e-10], [1, 1e-10]]}),
-            "--alpha", "0.5", "--quad-depth", quad_depth], capsys)
-        assert code == 0
-        a2 = rep["results"]["A2"]
-        assert a2["ok"] and a2["low"] <= a2["dini_integral"] <= a2["high"]
-
     # the modulus line is the majorant walk's λ = 1 step.  The first table
     # violates subadditivity only at s = t = 2^-11, finer than every sweep
     # grid, so both lines pass; the second fails λ = 1, and its w^4, all
@@ -188,6 +176,36 @@ class TestSubcommands:
         assert code == 0
         a2 = rep["results"]["A2"]
         assert not a2["ok"] and a2["high"] is None
+
+    # a certified divergence prints no number: once its low end and
+    # midpoint were those of the part above 2^-40 alone
+    @pytest.mark.parametrize("spec", ["log:1", "log:1,2"])
+    def test_weight_check_A2_certified_divergence(self, spec, capsys):
+        code, rep = run(["weight", "check", "--weight", spec, "--alpha",
+                         "1"], capsys)
+        assert code == 0
+        assert rep["results"]["A2"] == {"dini_integral": None, "ok": False,
+                                        "low": None, "high": None}
+
+    # 1/(α a) = 2e320 is finite but past the float range: the low end is
+    # the largest float, where inf - inf once made it NaN (exit 2)
+    def test_weight_check_A2_past_the_float_range(self, capsys):
+        code, rep = run(["weight", "check", "--weight", "power:1e-320",
+                         "--alpha", "0.5"], capsys)
+        assert code == 0
+        assert rep["results"]["A2"] == {"dini_integral": None, "ok": False,
+                                        "low": sys.float_info.max,
+                                        "high": None}
+
+    # the modulus line is read from the majorant walk, whose λ = 1 step
+    # sweeps two rows of t^1.5 after λ = 4 and 2; no step runs twice
+    def test_weight_check_modulus_is_read_from_the_walk(self, capsys):
+        code, rep = run(["weight", "check", "--weight", "power:1.5"],
+                        capsys)
+        assert code == 0 and rep["meta"]["sweep_rows"] == 6
+        moc = weights.check_modulus_of_continuity(weights.power(1.5))
+        assert rep["results"]["modulus_of_continuity"] == {
+            "ok": moc.ok, "witness": list(moc.witness), "reason": moc.reason}
 
     def test_set_entropy(self, capsys):
         code, rep = run(["set", "entropy", "--set", "fixture:point",
@@ -323,14 +341,6 @@ class TestSubcommands:
         assert code == 0
         assert rep["results"]["tag"] == "finite"
         assert abs(rep["results"]["value"] - 8.0 / 3.0) <= 1e-6
-
-    def test_weight_deepest_quadrature(self, capsys):
-        code, rep = run(["weight", "check", "--weight", "exp_log:1,0.8",
-                         "--alpha", "0.5", "--quad-depth",
-                         str(weights.MAX_QUAD_DEPTH)], capsys)
-        assert code == 0
-        a2 = rep["results"]["A2"]
-        assert a2["low"] <= a2["dini_integral"] <= a2["high"]
 
     def test_privalov_check(self, capsys):
         code, rep = run(["privalov", "check", "--set", "fixture:point",
@@ -550,11 +560,6 @@ BAD_INPUTS = {
                            "--c", "inf"], 1),
     "weight_infinite_alpha": (["weight", "check", "--weight", "power:1",
                                "--alpha", "-inf"], 1),
-    "weight_zero_quad_depth": (["weight", "check", "--weight", "power:0.5",
-                                "--alpha", "0.5", "--quad-depth", "0"], 1),
-    "weight_negative_quad_depth": (["weight", "check", "--weight",
-                                    "power:0.5", "--alpha", "0.5",
-                                    "--quad-depth", "-3"], 1),
     "fw_norm_zero_quad_depth": (["dual", "fw-norm", "--f", "[0,1]",
                                  "--weight", "power:0.5",
                                  "--quad-depth", "0"], 1),
@@ -571,10 +576,6 @@ BAD_INPUTS = {
                                 "--depth", "17"], 1),
     "weight_depth_40": (["weight", "check", "--weight", "power:1",
                          "--depth", "40"], 1),
-    # 2^-1075 rounds to 0: past MAX_QUAD_DEPTH the Dini body has no floor
-    "weight_quad_depth_past_float": (["weight", "check", "--weight",
-                                      "exp_log:1,0.8", "--alpha", "0.5",
-                                      "--quad-depth", "1075"], 1),
     "privalov_samples_above_cap": (["privalov", "check", "--set",
                                     "fixture:point", "--weight", "power:1",
                                     "--samples", str(2 ** 20 + 1)], 1),
