@@ -72,13 +72,14 @@ def blaschke_many(B: BlaschkeSeq, z: np.ndarray) -> np.ndarray:
 class KernelTree(NamedTuple):
     """The sources of a Cauchy sum  sum_k a_k / (p_k - z)  on a binary tree.
 
-    The sources are sorted by angle and padded (weight 0 at the last
+    The sources are sorted by angle, starting just after the widest cyclic
+    gap between them (the first on ties), and padded (weight 0 at the last
     position) to 2^depth leaves of equal count; the nodes of a level split
     them into equal runs, so the tree is count-balanced however the
-    sources crowd.  Up to DIRECT_MAX sources make one leaf.  Internal
-    nodes go in heap order (the root is node 1, the children of node i are
-    2i and 2i + 1) with their centres c (the middle of their bounding
-    boxes), radii rho >= max |p_k - c| and weight sums A >= sum |a_k|,
+    sources crowd, and turning the sources moves no split.  Up to
+    DIRECT_MAX sources make one leaf.  Internal nodes go in heap order (the
+    root is node 1, the children of node i are 2i and 2i + 1) with their
+    centres c (the middle of their bounding boxes), radii rho >= max |p_k - c| and weight sums A >= sum |a_k|,
     both raised by SLACK over their float values, and, on the levels
     where a target in the closed disc could find a node far, the moments
     M_q = sum a_k (p_k - c)^q for q <= ORDER.
@@ -98,7 +99,11 @@ def kernel_tree(p, a) -> KernelTree:
     a = np.asarray(a, dtype=complex).reshape(-1)
     depth = 0 if p.size <= DIRECT_MAX else math.ceil(math.log2(p.size / LEAF))
     width = -(-p.size // 2 ** depth)
-    order = np.argsort(np.angle(p), kind="stable")
+    angle = np.angle(p)
+    order = np.argsort(angle, kind="stable")
+    if p.size:  # start just after the widest cyclic gap, the first on ties
+        gaps = np.diff(angle[order], append=angle[order[0]] + 2.0 * math.pi)
+        order = np.roll(order, -1 - int(np.argmax(gaps)))
     pad = width * 2 ** depth - p.size
     p = np.concatenate([p[order], np.repeat(p[order[-1:]], pad)])
     a = np.concatenate([a[order], np.zeros(pad, dtype=complex)])
@@ -381,16 +386,21 @@ def corona_datum_check(mu_k: CircleMeasure, n_k: int, c: float,
     if not atoms:
         return CoronaCheck(1.0, bound, True, 0)
     total = float(np.sum(masses))
-    D, arcs = np.empty(J), 0
+    D, arcs, top = np.empty(J), 0, None
     for j in range(J, 0, -1):  # D_j at D[j - 1]
         if j < J:
             keys = keys >> 1
-            starts = np.flatnonzero(np.diff(keys, prepend=-1))
-            keys, masses = keys[starts], np.add.reduceat(masses, starts)
+            merged = keys[1:] == keys[:-1]
+            if merged.any():
+                starts = np.flatnonzero(np.concatenate([[True], ~merged]))
+                keys, masses = keys[starts], np.add.reduceat(masses, starts)
+                top = None
+        if top is None:  # the masses changed: their max and adjacent sums
+            top, pairs = masses.max(), masses[:-1] + masses[1:]
         arcs += keys.size
-        adjacent = (np.roll(keys, -1) - keys) % (1 << j) == 1
-        D[j - 1] = max(masses.max(), (masses + np.roll(masses, -1))[adjacent]
-                       .max(initial=0.0))
+        D[j - 1] = pairs[keys[1:] - keys[:-1] == 1].max(initial=top)
+        if keys.size > 1 and keys[0] == 0 and keys[-1] == (1 << j) - 1:
+            D[j - 1] = max(D[j - 1], masses[-1] + masses[0])  # wraps at 0
     h = np.ldexp(1.0, -n_k)
     with np.errstate(divide="ignore", over="ignore"):
         s = np.sin(np.pi * np.ldexp(1.0, -np.arange(2, J + 2)))
@@ -501,16 +511,79 @@ def carleson_outer(E: ClosedCircleSet, w: Weight, N: float,
 
 
 def psi_sum_many(G: CarlesonOuter, z: np.ndarray, work=None):
-    """(sum_k psi_k(z), truncation bound) on an array of disc points."""
+    """(sum_k psi_k(z), error bound) on an array of disc points.
+
+    The bound adds the walk's truncation, its rounding radius and the
+    Whitney tail (``_whitney_tail``): the poles below the last level."""
     z = np.asarray(z, dtype=complex)
-    acc, _, tail = _cauchy_sum(z, kernel_tree(G.poles, G.coeffs * G.centers),
-                               work=work)
-    # the Whitney tail: for each gap endpoint the remaining poles cluster
-    # within a few tail lengths of the endpoint
-    for e, tc, sc in zip(G.gap_endpoints, G.tail_coeffs, G.tail_scale):
-        d = np.maximum(np.abs(z - e) - 16.0 * sc, sc)
-        tail = tail + tc / d
-    return acc, tail
+    acc, budget, trunc = _cauchy_sum(
+        z, kernel_tree(G.poles, G.coeffs * G.centers), work=work)
+    return acc, trunc + _rounding_radius(budget) + _whitney_tail(G, z)
+
+
+def _whitney_tail(G: CarlesonOuter, z: np.ndarray) -> np.ndarray:
+    """A bound on sum_e tc_e / max(|z - e| - 16 sc_e, sc_e) over the gap
+    endpoints e, whose Whitney tails (coefficient tail tc, length sc) cluster
+    within a few tail lengths of e.
+
+    With the endpoints sorted by angle, each target sums the terms of its
+    LEAF nearest endpoints on each side exactly.  Past them each side walks
+    shells of index offsets [LEAF 2^s, LEAF 2^(s+1)), the last one running
+    on into the other side's far end (counted twice, still a bound).  A
+    shell adds its sum of tc over max(D - 16 max sc, min sc), the extremes
+    over all endpoints, where D <= |z - e| on the shell: |z - e|^2 =
+    (1 - r)^2 + 4 r sin^2(pi d) with r = |z| and d the cyclic angular
+    distance in turns, least at one end of the shell.  d is shaded by 2^-50
+    turns for the rounding of angles, D by 2^-44 relative and 2^-50
+    absolute for its own, the shell sums' (of positive terms) and |e| != 1.
+    The cost is O(targets log endpoints), and a target's bits depend on
+    the target and G alone.
+    """
+    e = G.gap_endpoints
+    t = np.angle(e) / (2.0 * math.pi)
+    t = np.where(t < 0.0, t + 1.0, t)
+    order = np.argsort(t, kind="stable")
+    n, t = e.size, t[order]
+    # three turns of the circle, so no index or angle needs a remainder
+    turns = np.concatenate([t - 1.0, t, t + 1.0])
+    e, tc, sc = (np.tile(x[order], 3) for x in (e, G.tail_coeffs,
+                                                 G.tail_scale))
+    th = np.angle(z) / (2.0 * math.pi)
+    th = np.where(th < 0.0, th + 1.0, th)
+    first = np.searchsorted(t, th) + n  # the nearest endpoint on the right
+    r = np.abs(z)
+    tail = np.zeros(z.shape)
+    right = n - n // 2  # endpoints on each side: right, then n // 2 left
+    sides = ((1, right), (-1, n // 2))
+    for step, count in sides:
+        for i in range(min(LEAF, count)):
+            p = first + i if step > 0 else first - 1 - i
+            tail = tail + tc[p] / np.maximum(np.abs(z - e[p]) - 16.0 * sc[p],
+                                             sc[p])
+    # window sums of tc over LEAF 2^s consecutive endpoints, by doubling
+    window, ln = {}, LEAF
+    if right > LEAF:
+        window[ln] = sum(tc[i:tc.size - ln + 1 + i] for i in range(ln))
+    while 2 * ln < right:
+        window[2 * ln] = window[ln][:-ln] + window[ln][ln:]
+        ln *= 2
+    near_sq, far16, floor = (1.0 - r) ** 2, 16.0 * sc.max(), sc.min()
+    for step, count in sides:
+        lo = LEAF
+        while lo < count:  # the shell [lo, 2 lo) of offsets
+            if step > 0:
+                p = first + lo
+                near, far = turns[p] - th, turns[p + lo - 1] - th
+            else:
+                p = first - 2 * lo
+                near, far = th - turns[p + lo - 1], th - turns[p]
+            d = np.maximum(np.minimum(near, 1.0 - far) - 2.0 ** -50, 0.0)
+            s = np.sin(math.pi * d)
+            D = np.sqrt(near_sq + 4.0 * r * s * s) * (1.0 - 2.0 ** -44) - \
+                2.0 ** -50
+            tail = tail + window[lo][p] / np.maximum(D - far16, floor)
+            lo *= 2
+    return tail
 
 
 def carleson_many(G: CarlesonOuter, z: np.ndarray):

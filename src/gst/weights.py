@@ -769,7 +769,9 @@ def _dini_integral(w: Weight, alpha: float) -> Bracket:
     - iterated logs: divergent, as the integrand in u = log(1/t) is at
       least (1 + log(1 + u))^-(alpha c);
     - exp_log: int_1^inf exp(-alpha a y^beta) dy (_exp_log_tail), at least
-      exp(-alpha a 2^beta), the integrand's least value on [1, 2];
+      the box (Y - 1) e^(-1/beta) at Y = (beta alpha a)^(-1/beta) where
+      Y > 2, else exp(-alpha a 2^beta), the integrand's least value on
+      [1, 2]; a box past the float range gives [largest float, inf];
     - a table: w(t) = v1 t/t1 below its first knot t1 > 0, which gives
       v1^alpha/alpha, plus _riemann_dini over [log t1, 0];
     - exp_recip: [0, inf], no certificate.
@@ -785,10 +787,22 @@ def _dini_integral(w: Weight, alpha: float) -> Bracket:
     if w.kind == "exp_log":
         c, beta = alpha * w.params[0], w.params[1]
         whole = _exp_log_tail(c, beta, 1.0)
-        # the exponent's rounding is below ROUND_REL up to exp's underflow,
-        # where one ulp of 0 covers it
-        floor = (math.exp(-c * _pow_or_inf(2.0, beta)) * (1.0 - ROUND_REL)
-                 - math.ulp(0.0))
+        # the integrand falls, so it tops the box (Y - 1) exp(-c Y^beta);
+        # at Y = (beta c)^(-1/beta), where c Y^beta = 1/beta, in logs with
+        # log beta and log c apart (beta c may round to 0)
+        log_y = -(math.log(beta) + math.log(alpha)
+                  + math.log(w.params[0])) / beta
+        if log_y <= math.log(2.0):
+            # the box [1, 2]: the exponent's rounding is below ROUND_REL up
+            # to exp's underflow, where one ulp of 0 covers it
+            floor = (math.exp(-c * _pow_or_inf(2.0, beta))
+                     * (1.0 - ROUND_REL) - math.ulp(0.0))
+        else:
+            log_box = log_y + math.log1p(-math.exp(-log_y)) - 1.0 / beta
+            if log_box >= 709.0:
+                return Bracket(sys.float_info.max, math.inf)
+            rel = 4.0 * (abs(log_y) + 1.0 / beta + 4.0) * UNIT_ROUNDOFF
+            floor = math.exp(log_box) * (1.0 - rel)
         return Bracket(max(whole.low, floor), whole.high)
     if w.kind == "table":
         ts, vs = w.params

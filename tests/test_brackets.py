@@ -244,14 +244,44 @@ def test_exp_recip_tail_bounds_the_oracle(depth, quad_depth):
 
 
 # beta = 0.0003 takes 3333 steps of the Gamma recurrence, which overflow:
-# the incomplete gamma bracket is [0, inf], and A2's low end is the
-# integrand's least value on [1, 2] in y, not -inf
+# the incomplete gamma bracket is [0, inf], and A2's low end is the box
+# under the integrand at Y = (beta c)^(-1/beta), not -inf; the integral,
+# Gamma(1/beta, 1)/beta, is near 1e10000, so that box is past the float
+# range and the low end is the largest float
 def test_gamma_tail_low_end_is_never_negative():
     assert weights._exp_log_tail(1.0, 0.0003, 1.0) == Bracket(0.0, math.inf)
     w, alpha = weights.exp_log(1.0, 0.0003), 1.0
     res = weights.check_A2(w, alpha)
-    body, _ = oracle_dini(w, alpha, 40)
-    assert 0.0 < res.low <= body and res.high == math.inf
+    beta = mpmath.mpf(0.0003)
+    whole = mpmath.gammainc(1 / beta, 1) / beta
+    assert 0.0 < res.low <= whole and res.high == math.inf
+    assert res.low == sys.float_info.max
+
+
+# with the incomplete gamma bracket made [0, inf], the low end is the box
+# alone; at beta = 1/2 the integral is int_1^inf e^(-c sqrt y) dy =
+# 2 e^-c (1 + c)/c^2, and Y = (c/2)^-2 runs from 1 (the [1, 2] box) to 1600
+@pytest.mark.parametrize("a", [0.1, 0.3, 1.0, 2.0, 4.0])
+def test_exp_log_box_floor_holds_the_closed_form(a, monkeypatch):
+    monkeypatch.setattr(weights, "_exp_log_tail",
+                        lambda c, beta, y0: Bracket(0.0, math.inf))
+    c = 0.5 * mpmath.mpf(a)
+    exact = 2 * mpmath.exp(-c) * (1 + c) / c ** 2
+    low = weights._dini_integral(weights.exp_log(a, 0.5), 0.5).low
+    assert 0.0 < low <= exact
+    box_1_2 = math.exp(-0.5 * a * math.sqrt(2.0))
+    if a < 4.0:  # Y > 2: the box at Y beats the [1, 2] box
+        assert low > box_1_2 and low >= exact / 4
+    else:
+        assert low == pytest.approx(box_1_2, rel=1e-12)
+
+
+# beta alpha a rounds to 0: Y = (beta alpha a)^-2 is near e^1490, and so
+# is the integral, past the float range
+def test_exp_log_floor_past_the_float_range():
+    res = weights.check_A2(weights.exp_log(1e-323, 0.5), 0.5)
+    assert (res.low, res.high, res.ok) == (sys.float_info.max, math.inf,
+                                           False)
 
 
 # beta = 1e300 overflows y0^beta at y0 > 1: there e^-x is below every float

@@ -22,6 +22,7 @@ from gst.inner_outer import (BlaschkeSeq, _herglotz_sum, auto_carleson_N,
                              corona_datum_check, eval_singular_inner,
                              lower_bound_check, moment_check, psi_sum_many,
                              singular_inner_many, unit_point, whitney)
+from gst.privalov import PrivalovDomain, boundary_samples_with_profile
 from gst.roberts import decompose
 
 W_T = weights.power(1.0)
@@ -106,9 +107,11 @@ def check_herglotz(mu, z):
 def check_psi(G, z):
     s, rad, trunc = _tree_sum((G.poles, G.coeffs * G.centers), z)
     _within((s, rad), oracle_psi_sum(G, z))
-    psi, tail = psi_sum_many(G, z)
-    # the reported tail holds the truncation (the float model stays out)
-    assert _same_bits(psi, s) and np.all(tail >= trunc)
+    psi, bound = psi_sum_many(G, z)
+    # the reported bound holds the truncation and the rounding radius, and
+    # the Whitney tail
+    assert _same_bits(psi, s) and np.all(bound >= rad)
+    assert np.all(bound >= inner_outer._whitney_tail(G, z))
 
 
 # 2048 atoms and 1800 Whitney arcs: 4488 and 6118 targets span several
@@ -620,6 +623,97 @@ class TestWhitney:
         lens = wd.lengths()
         ledger = float(np.sum(lens * (-np.asarray(W_T.log(lens)))))
         assert math.isfinite(ledger)
+
+
+def oracle_whitney_tail(G, z):
+    """The Whitney tail bound, one gap endpoint at a time."""
+    tail = np.zeros(z.shape)
+    for e, tc, sc in zip(G.gap_endpoints, G.tail_coeffs, G.tail_scale):
+        tail = tail + tc / np.maximum(np.abs(z - e) - 16.0 * sc, sc)
+    return tail
+
+
+# triadic3 and triadic4 (14 and 30 gap endpoints) are summed term by term,
+# triadic5 (62, at most 4 LEAF) has one shell per side
+TAIL_SETS = {
+    "point": lambda: point_set([0.0]),
+    "two_points": lambda: point_set([0.0, 0.5]),
+    **{f"triadic{d}": (lambda d=d: fixtures.triadic_cantor_set(d))
+       for d in range(3, 8)},
+    # the gap (1/3, 2/3) turns to (0.933.., 1.266..) and wraps angle 0
+    "rotated_triadic7": lambda: rotated_set(fixtures.triadic_cantor_set(7),
+                                            0.6),
+    # 128 endpoints within 0.07 turns: a side's last shells run past the
+    # far side of the circle, and come nearer again
+    "crowded": lambda: point_set([k / 1000 for k in range(64)]),
+}
+
+
+def _tail_targets(G, seed):
+    """Disc points at depths 2^-1 to 2^-40, the origin, and points within
+    1e-12 turns of each gap endpoint at the same depths."""
+    rng = np.random.default_rng(seed)
+    depth = 2.0 ** -rng.integers(1, 41, 2000)
+    disc = (1.0 - depth) * unit_point(rng.uniform(0.0, 1.0, depth.size))
+    ends = np.repeat(np.angle(G.gap_endpoints) / (2.0 * math.pi), 8)
+    depth = 2.0 ** -rng.integers(1, 41, ends.size)
+    near = (1.0 - depth) * unit_point(ends + rng.uniform(-1e-12, 1e-12,
+                                                         ends.size))
+    return np.concatenate([disc, [0.0], near])
+
+
+class TestWhitneyTail:
+    """The shell bound of the Whitney tail against the sum over every gap
+    endpoint: never below it, and at most 3 times it on the lid.  The
+    terms of the nearest endpoints are the oracle's, added in another order,
+    so the two may differ by rounding where every term is exact."""
+
+    # at 12 levels the tail lengths sc reach 2^-13 of a gap, so the 16 sc
+    # in the denominators count
+    @pytest.mark.parametrize("levels", [12, inner_outer.WHITNEY_LEVELS])
+    @pytest.mark.parametrize("name", sorted(TAIL_SETS))
+    def test_bounds_the_oracle(self, name, levels):
+        E = TAIL_SETS[name]()
+        G = carleson_outer(E, W_T, 1.0, levels)
+        lid, _ = boundary_samples_with_profile(PrivalovDomain(E), 2048)
+        for z in (lid, _tail_targets(G, len(name))):
+            got, want = inner_outer._whitney_tail(G, z), \
+                oracle_whitney_tail(G, z)
+            assert np.all(got >= want * (1.0 - 1e-13))
+            if z is lid:
+                assert np.all(got <= 3.0 * want)
+            if G.gap_endpoints.size <= 2 * inner_outer.LEAF:
+                # every endpoint is among the nearest: the sums agree
+                assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+
+class TestTreeCut:
+    # the tree starts its angle order after the widest gap between sources,
+    # so turning the carrier moves no split: the walk does the same work
+    def test_rotation_keeps_the_walk(self):
+        base = fixtures.triadic_cantor_set(7)
+        offsets = [0.0] + list(np.random.default_rng(7).uniform(0, 1, 5))
+        works = []
+        for offset in offsets:
+            E = rotated_set(base, offset)
+            G = carleson_outer(E, W_T, 1.0)
+            zs, _ = boundary_samples_with_profile(PrivalovDomain(E), 2048)
+            work = Counter()
+            psi_sum_many(G, zs, work)
+            works.append(work)
+        for key in ("direct_pairs", "far_evals"):
+            ref = works[0][key]
+            assert all(abs(w[key] - ref) <= 0.01 * ref for w in works), \
+                [w[key] for w in works]
+
+    def test_order_starts_after_the_widest_gap(self):
+        # sources at turns 0.1, 0.2, 0.5, 0.55: the widest gap runs from
+        # 0.55 round to 0.1, so the first leaf column starts at 0.1
+        turns = np.array([0.55, 0.2, 0.1, 0.5] * 100)
+        tree = inner_outer.kernel_tree(unit_point(turns), np.ones(400))
+        leaves = np.angle(tree.p.T.reshape(-1)) / (2.0 * math.pi) % 1.0
+        assert np.all(np.diff(leaves) >= 0.0)
+        assert leaves[0] == pytest.approx(0.1)
 
 
 class TestCarlesonOuter:
