@@ -30,11 +30,14 @@ and at ``--c 0.2`` (empty pieces at depths 20 and 24, whose ``inf_low``
 is 1), with ``--grid "[4,8,46]" --kmax 3`` and ``--grid "[4,8,100]"
 --kmax 3`` (pieces at depths 46 and 100, where 1 - 2^-n is 1 or nearly
 so in float and the arc masses stop at depth 49 and 62), and on the
-first input of the benchmark's ``cyclicity`` workload at seeds 1-3;
-``inner eval`` on triadic measures of 2^10 and 2^14 atoms; ``measure
-decompose`` on the triadic and divergent Cantor fixtures, once on an atom
-with a depth-2000 grid level and once on a measure with a depth-70
-multiplier layer (arc indices past int64);
+first input of the benchmark's ``cyclicity`` workload at seeds 1-3, once
+more at seed 1 with ``--grid "[4,8,59]"`` (a corona reading the depth-62
+arc masses); ``inner eval`` on triadic measures of 2^10 and 2^14 atoms;
+``measure decompose`` on the triadic and divergent Cantor fixtures, once
+on an atom with a depth-2000 grid level, once on a measure with a
+depth-70 multiplier layer (arc indices past int64) and once, with
+``--grid "[4,20,62]"``, on atoms listed before a triadic part, three of
+them on dyadic arc edges (arc indices out of order);
 ``measure classify`` on inline triadic (10 stages) and stagewise_log (12
 stages) measures, whose Cantor parts build their carrier sets;
 ``privalov check`` and ``carleson build --N auto`` on the
@@ -165,6 +168,9 @@ def cases():
     for seed in SEEDS:
         yield f"report cyclicity workload seed {seed}", \
             Cyclicity(seed).next_op().argv
+    # a piece at depth 59, whose corona reads the arc masses at depth 62
+    yield "report cyclicity workload seed 1 grid [4,8,59]", \
+        Cyclicity(1).next_op().argv + ("--grid", "[4,8,59]")
     for stages in (10, 14):
         for z in Z_POINTS:
             # one token: argparse reads a separate "-0.5+0.8i" as an option
@@ -188,6 +194,16 @@ def cases():
     yield "measure decompose depth-70 multiplier layer", (
         "measure", "decompose", "--measure", json.dumps(deep_layer),
         "--weight", "power:1", "--grid", "[4,8,12,16,20,24]", "--kmax", "6")
+    # atoms before the Cantor part, so the arc indices are out of order,
+    # three of them on dyadic arc edges
+    edge_atoms = {
+        "atoms": [{"pos": 0.9, "mass": 0.25}, {"pos": 0.5, "mass": 0.5},
+                  {"pos": 0.25, "mass": 0.125}, {"pos": 3 * 2.0 ** -60,
+                                                 "mass": 0.25}],
+        "cantor": [{"generator": "triadic", "depth": 10, "mass": 1.0}]}
+    yield "measure decompose atoms and triadic grid [4,20,62]", (
+        "measure", "decompose", "--measure", json.dumps(edge_atoms),
+        "--weight", "power:1", "--grid", "[4,20,62]", "--kmax", "3")
     # each Cantor part builds its carrier set from its exact cells
     for generator, stages in (("triadic", 10), ("stagewise_log", 12)):
         measure = {"cantor": [{"generator": generator, "depth": stages,

@@ -339,14 +339,13 @@ class CantorPart:
         # consecutive stage-depth cells (the first starts at 0, the last
         # ends at 1, so no gap wraps); a stage-depth cell starts where its
         # leftmost terminal cell does
-        cells, _ = self.exact(
+        hi, lo = self._limbs(
             np.arange(1 << depth, dtype=np.int64) << (self.stages - depth))
         ln = self._lengths[depth - 1] if depth else self.den
-        # Python int / int on the object arrays: each quotient correctly
-        # rounded
-        a, b = cells[:-1], cells[1:]
-        starts = ((a + ln) / self.den % 1.0).astype(float)
-        lengths = ((b - a - ln) / self.den).astype(float)
+        # a gap runs from a cell's start plus ln to the next cell's start
+        hi_s, lo_s = hi[:-1] + (ln >> LIMB), lo[:-1] + (ln & LIMB_MASK)
+        starts = self._quotient(hi_s, lo_s) % 1.0
+        lengths = self._quotient(hi[1:] - hi_s, lo[1:] - lo_s)
         if self.generator.kind == "triadic":
             # level n has 2^(n-1) gaps of length 3^-n
             tail = GapTail("geometric_levels", (1.0, 2.0, 1.0, 1.0 / 3.0, depth))
@@ -356,20 +355,62 @@ class CantorPart:
             name = f"stagewise({depth})"
         return ClosedCircleSet(starts, lengths, tail=tail, name=name)
 
-    def positions(self) -> np.ndarray:
-        """Left endpoints of the terminal cells in cell order, each the
-        correctly rounded float64 of the exact endpoint.
+    def realize(self):
+        """(positions, keys) of the terminal cells' left endpoints in cell
+        order: each position the correctly rounded float64 of the exact
+        endpoint x, each key floor(2^62 x) in int64.
 
-        Built by doubling: each stage replaces every cell by its left
-        child and then its right child, offset by that stage's step.
+        Built by doubling in place: before stage j the 2^j cells sit every
+        size/2^j entries, and each stage writes every cell's right child
+        half that far after it, offset by that stage's step.
         """
-        hi = lo = np.zeros(1, dtype=np.int64)
-        for step in self._offsets:
-            hi = np.stack([hi, hi + (step >> LIMB)], axis=1).ravel()
-            lo = np.stack([lo, lo + (step & LIMB_MASK)], axis=1).ravel()
+        hi, lo = np.zeros((2, self.size), dtype=np.int64)
+        for j, step in enumerate(self._offsets):
+            for limbs, part in ((hi, step >> LIMB), (lo, step & LIMB_MASK)):
+                cells = limbs.reshape(1 << j, 2, self.size >> (j + 1))
+                np.add(cells[:, 0, 0], part, out=cells[:, 1, 0])
+        return self._quotient(hi, lo), self._keys(hi, lo)
+
+    def _quotient(self, hi, lo) -> np.ndarray:
+        """The correctly rounded float64 of (hi 2^LIMB + lo) / den."""
         # hi 2^LIMB and lo are exact floats: the sum rounds once, and the
         # division is exact or the numerator was
-        return (hi * 2.0 ** LIMB + lo) / float(self.den)
+        x = hi * 2.0 ** LIMB
+        x += lo
+        x /= float(self.den)
+        return x
+
+    def _keys(self, hi, lo) -> np.ndarray:
+        """floor(2^62 num / den) of every terminal cell's numerator
+        num = hi 2^LIMB + lo, in cell order."""
+        if self.den >= 2 ** 53:
+            # den = 2^D: num = a 2^LIMB + r with r < 2^LIMB, and the key is
+            # num shifted right by s = D - 62 <= LIMB (left if s < 0), so
+            # a 2^(LIMB - s) is exact and r takes its own shift
+            s = self.den.bit_length() - 63
+            key, r = lo >> LIMB, lo & LIMB_MASK
+            key += hi
+            key <<= LIMB - s
+            key += r >> s if s >= 0 else r << -s
+            return key
+        # a cell's numerator is a sum over its first ``split`` stages plus
+        # one over the rest.  Each half splits exactly as num 2^62 = k den
+        # + r, 0 <= r < den, so the key is k_first + k_last + (r_first +
+        # r_last >= den): two tables of about 2^(stages/2) Python ints, and
+        # no division per cell
+        split = self.stages - self.stages // 2
+        halves = []
+        for steps in (self._offsets[:split], self._offsets[split:]):
+            nums = [0]  # Python ints, by doubling in cell order
+            for step in steps:
+                nums = [x for n in nums for x in (n, n + step)]
+            k, r = zip(*(divmod(n << 62, self.den) for n in nums))
+            halves.append((np.array(k, dtype=np.int64),
+                           np.array(r, dtype=np.int64)))
+        (k_hi, r_hi), (k_lo, r_lo) = halves
+        key = (k_hi[:, None] + k_lo).ravel()
+        key += (r_lo >= (self.den - r_hi)[:, None]).ravel()
+        return key
 
     def masses(self) -> np.ndarray:
         return np.full(self.size, self.mass / self.size)
@@ -377,13 +418,19 @@ class CantorPart:
     def exact(self, cells: np.ndarray):
         """(numerators, den) of the exact left endpoints of the given cells:
         an object array of Python ints over one denominator."""
+        hi, lo = self._limbs(cells)
+        return hi.astype(object) * (1 << LIMB) + lo.astype(object), self.den
+
+    def _limbs(self, cells: np.ndarray):
+        """(hi, lo): int64 limbs of the exact left endpoints' numerators,
+        hi 2^LIMB + lo."""
         hi = np.zeros(cells.size, dtype=np.int64)
         lo = np.zeros(cells.size, dtype=np.int64)
         for j, step in enumerate(self._offsets):
             turn = (cells >> (self.stages - 1 - j)) & 1
             hi += turn * (step >> LIMB)
             lo += turn * (step & LIMB_MASK)
-        return hi.astype(object) * (1 << LIMB) + lo.astype(object), self.den
+        return hi, lo
 
 
 def triadic_generator() -> CantorGenerator:
@@ -406,9 +453,11 @@ class _Atoms:
         self._masses = np.array([m for _, m in atom_list], dtype=float)
         self.size = len(atom_list)
 
-    def positions(self) -> np.ndarray:
+    def realize(self):
         # int / int is the correctly rounded quotient
-        return (self.num / self.den).astype(float)
+        return (self.num / self.den).astype(float), np.array(
+            [(n << 62) // d for n, d in zip(self.num, self.den)],
+            dtype=np.int64)
 
     def masses(self) -> np.ndarray:
         return self._masses
@@ -475,11 +524,32 @@ class MultiplierLayer:
         return dict(zip(self.keys.tolist(), self.factors.tolist()))
 
     def factors_at(self, idx: np.ndarray) -> np.ndarray:
-        """The factor of each given arc index (1 off the listed arcs)."""
+        """The factor of each given arc index (1 off the listed arcs).
+        Nondecreasing indices are looked up once per run of equal ones,
+        others one by one."""
         if not self.keys.size:
             return np.ones(idx.size)
+        runs = _runs(idx)
+        if runs is None:
+            return self._lookup(idx)
+        keys, counts = runs
+        return np.repeat(self._lookup(keys), counts)
+
+    def _lookup(self, idx: np.ndarray) -> np.ndarray:
         at = np.minimum(np.searchsorted(self.keys, idx), self.keys.size - 1)
         return np.where(self.keys[at] == idx, self.factors[at], 1.0)
+
+
+def _runs(idx: np.ndarray):
+    """(keys, counts): the distinct entries of a nondecreasing index array,
+    increasing, and how many times each occurs, found in one run-length
+    pass; None when the array decreases somewhere."""
+    if not np.all(idx[1:] >= idx[:-1]):
+        return None
+    if not idx.size:
+        return idx, np.zeros(0, dtype=np.intp)
+    start = np.flatnonzero(np.concatenate([[True], idx[1:] != idx[:-1]]))
+    return idx[start], np.diff(start, append=idx.size)
 
 
 class Realization(NamedTuple):
@@ -488,14 +558,18 @@ class Realization(NamedTuple):
     ``pos`` holds the correctly rounded float64 of each atom's exact
     position in [0,1); ``rows`` locates the atom in ``blocks`` (the
     measure's atoms, then each Cantor part's cells), whose exact data
-    settles every query the float position cannot.  All arrays are
-    read-only.
+    settles every query the float position cannot.  ``keys`` holds the
+    exact depth-62 dyadic index floor(2^62 x) of each block row's
+    position x, in int64, and is shared by every realization of the same
+    blocks: atom i's key is ``keys[rows[i]]``.  Every dyadic index to
+    depth 62 is a shift of it.  All arrays are read-only.
     """
 
     pos: np.ndarray
     masses: np.ndarray
     rows: np.ndarray
     blocks: tuple
+    keys: np.ndarray
 
     def exact(self, sel: np.ndarray):
         """(numerators, denominators) of the exact positions of the atoms
@@ -512,8 +586,9 @@ class Realization(NamedTuple):
 
     def indices(self, depth: int) -> np.ndarray:
         """Index of the depth-n dyadic arc holding each atom (exact): int64
-        up to depth 62, Python ints (an object array) beyond, for at most
-        INDEX_BITS bits in all."""
+        up to depth 62, each the atom's key shifted right by 62 - n, and
+        Python ints (an object array) beyond, formed from the exact
+        positions, for at most INDEX_BITS bits in all."""
         if depth > 62:
             if self.pos.size * depth > INDEX_BITS:
                 raise ValueError(
@@ -521,17 +596,8 @@ class Realization(NamedTuple):
                     f"{depth} exceed {INDEX_BITS} bits")
             num, den = self.exact(np.arange(self.pos.size))
             return (num << depth) // den
-        scaled = self.pos * 2.0 ** depth
-        idx = np.floor(scaled).astype(np.int64)
-        # positions are within 2^-54 of the exact ones, so the float index
-        # is exact for every atom more than 2^-52 from an arc edge (past
-        # depth ~52 no atom is)
-        near = np.flatnonzero(
-            np.abs(scaled - np.rint(scaled)) <= 2.0 ** (depth - 52))
-        if near.size:
-            num, den = self.exact(near)
-            idx[near] = ((num << depth) // den).astype(np.int64)
-        return idx
+        idx = self.keys[self.rows]
+        return np.right_shift(idx, 62 - depth, out=idx)
 
     def in_arc(self, start: float, length: float) -> np.ndarray:
         """Mask of the atoms in the half-open arc [start, start + length)
@@ -562,15 +628,26 @@ class Realization(NamedTuple):
         keep = masses > 0
         if keep.all():
             return self._replace(masses=_frozen(masses))
-        return Realization(_frozen(self.pos[keep]), _frozen(masses[keep]),
-                           _frozen(self.rows[keep]), self.blocks)
+        # cut the masses first, so the uncut array is freed before the
+        # other cuts are made: a lower peak
+        masses = masses[keep]
+        return Realization(_frozen(self.pos[keep]), _frozen(masses),
+                           _frozen(self.rows[keep]), self.blocks, self.keys)
+
+
+def _joined(arrays) -> np.ndarray:
+    """The arrays end to end; the one nonempty array itself if only one
+    is."""
+    full = [a for a in arrays if a.size]
+    return full[0] if len(full) == 1 else np.concatenate(arrays)
 
 
 def _realize_blocks(blocks: tuple) -> Realization:
-    pos = np.concatenate([b.positions() for b in blocks])
-    masses = np.concatenate([b.masses() for b in blocks])
+    pos, keys = map(_joined, zip(*[b.realize() for b in blocks]))
+    masses = _joined([b.masses() for b in blocks])
     return Realization(_frozen(pos), _frozen(masses),
-                       _frozen(np.arange(pos.size, dtype=np.int64)), blocks)
+                       _frozen(np.arange(pos.size, dtype=np.int64)), blocks,
+                       _frozen(keys))
 
 
 @dataclass(frozen=True)
@@ -656,10 +733,17 @@ class CircleMeasure:
         """(keys, masses): the increasing indices of the depth-n dyadic
         arcs holding atoms, as ``Realization.indices`` types them, and each
         arc's mass (exact).  ``idx`` are the atoms' depth-n indices, when
-        the caller has them."""
+        the caller has them.  Nondecreasing indices (every realization of
+        one Cantor part) are grouped in one run-length pass, others by
+        ``np.unique``."""
         r = self.realized()
-        keys, where = np.unique(r.indices(depth) if idx is None else idx,
-                                return_inverse=True)
+        idx = r.indices(depth) if idx is None else idx
+        runs = _runs(idx)
+        if runs is None:
+            keys, where = np.unique(idx, return_inverse=True)
+        else:
+            keys, counts = runs
+            where = np.repeat(np.arange(keys.size), counts)
         # bincount adds each arc's masses in atom order
         masses = np.bincount(where, weights=r.masses)
         return keys, masses.astype(float, copy=False)  # int64 when empty

@@ -188,12 +188,15 @@ def _cauchy_sum(z, tree: KernelTree, work=None):
             ft, fn, dz = (np.concatenate(x) for x in zip(*far_pairs))
             w = 1.0 / dz
             # Horner; no product is written over one of its own inputs:
-            # numpy rounds those in place differently for long arrays
+            # numpy rounds those in place differently for long arrays.  The
+            # node ids are valid, so the gathers clip, which writes ``m``
+            # directly where the default mode buffers it
             y, wy, m = np.take(tree.moments[P], fn), np.empty_like(w), \
                 np.empty_like(w)
             for q in range(P - 1, -1, -1):
                 np.add(np.multiply(y, w, out=wy),
-                       np.take(tree.moments[q], fn, out=m), out=y)
+                       np.take(tree.moments[q], fn, out=m, mode="clip"),
+                       out=y)
             R, rho, A = np.abs(dz), tree.radii[fn], tree.weights[fn]
             theta = rho / R
             _add_at(accs, ft, n, -(y * w), A / (R - rho),

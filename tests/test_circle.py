@@ -502,7 +502,7 @@ class TestArrayCore:
 
     def test_realized_arrays_are_read_only(self):
         r = fixtures.triadic_cantor_measure(6).realized()
-        for a in (r.pos, r.masses, r.rows):
+        for a in (r.pos, r.masses, r.rows, r.keys):
             with pytest.raises(ValueError):
                 a[0] = 0
 
@@ -519,6 +519,128 @@ class TestArrayCore:
                for d in (0.5, 0.01, 2.0 ** -12)]
         assert got == want
         assert len(calls) == 1
+
+
+# -- exact depth-62 arc keys --------------------------------------------------
+
+def cantor(generator, stages: int) -> CircleMeasure:
+    return CircleMeasure(cantor_parts=[CantorPart(generator(), stages, 1.0)])
+
+
+KEY_ATOMS = [Fraction(0), Fraction(1, 4), Fraction(3, 2 ** 60),
+             1 - Fraction(1, 2 ** 62), Fraction(1, 3), Fraction(5, 7),
+             Fraction(0.1)]
+
+
+def oracle_unique_arc_masses(r, depth: int):
+    """(keys, masses) by np.unique and bincount over the atoms' indices."""
+    keys, where = np.unique(r.indices(depth), return_inverse=True)
+    return keys, np.bincount(where, weights=r.masses).astype(float)
+
+
+def oracle_factors(layer: MultiplierLayer, idx) -> np.ndarray:
+    """One searchsorted lookup per atom."""
+    at = np.minimum(np.searchsorted(layer.keys, idx), layer.keys.size - 1)
+    return np.where(layer.keys[at] == idx, layer.factors[at], 1.0)
+
+
+def oracle_carrier(part: CantorPart, depth: int):
+    """(starts, lengths) of the carrier's gaps, each an object-array Python
+    int quotient (correctly rounded) of the exact cell starts."""
+    cells, den = part.exact(
+        np.arange(1 << depth, dtype=np.int64) << (part.stages - depth))
+    ln = part._lengths[depth - 1] if depth else den
+    a, b = cells[:-1], cells[1:]
+    return (((a + ln) / den % 1.0).astype(float),
+            ((b - a - ln) / den).astype(float))
+
+
+class TestArcKeys:
+    """Every dyadic index to depth 62 is a shift of one exact key, and arc
+    masses and factors by runs match the per-atom references bit for bit."""
+
+    @pytest.mark.parametrize("mu, sample", [
+        (cantor(circle.triadic_generator, 1), None),
+        (cantor(circle.triadic_generator, 9), None),
+        (cantor(circle.triadic_generator, 14), 2048),
+        # denominators 2^73 and 2^78: keys are shifts of the numerators
+        (cantor(circle.stagewise_log_generator, 14), 2048),
+        (cantor(circle.stagewise_log_generator, 18), 2048),
+        (CircleMeasure(atoms=[(p, 1.0) for p in KEY_ATOMS]), None),
+        (CircleMeasure(
+            atoms=[(p, 0.5) for p in KEY_ATOMS],
+            cantor_parts=[CantorPart(circle.triadic_generator(), 6, 1.0),
+                          CantorPart(circle.stagewise_log_generator(), 7,
+                                     1.0)],
+            multipliers=[MultiplierLayer.from_dict(2, {0: 0.0, 3: 0.5})]),
+         None),
+    ])
+    def test_indices_match_the_exact_quotient(self, mu, sample):
+        r = mu.realized()
+        sel = np.arange(r.pos.size)
+        if sample is not None:
+            sel = np.sort(np.random.default_rng(31).choice(
+                sel, sample, replace=False))
+        num, den = r.exact(sel)
+        for depth in list(range(63)) + [63, 70]:
+            got = r.indices(depth)
+            assert got.dtype == (np.int64 if depth <= 62 else object)
+            assert got[sel].tolist() == ((num << depth) // den).tolist()
+
+    def test_layers_share_the_keys(self):
+        mu = CircleMeasure(
+            cantor_parts=[CantorPart(circle.triadic_generator(), 8, 1.0)],
+            multipliers=[MultiplierLayer.from_dict(1, {0: 0.0}),
+                         MultiplierLayer.from_dict(3, {5: 0.5})])
+        base = CircleMeasure(cantor_parts=mu.cantor_parts).realized()
+        r = mu.realized()
+        assert r.pos.size == base.pos.size // 2
+        assert r.keys.size == base.keys.size
+        assert np.array_equal(r.indices(62), base.keys[r.rows])
+
+    @pytest.mark.parametrize("sorted_keys, mu", [
+        (True, cantor(circle.stagewise_log_generator, 12)),
+        (True, CircleMeasure(
+            cantor_parts=[CantorPart(circle.triadic_generator(), 10, 1.0)],
+            multipliers=[MultiplierLayer.from_dict(2, {1: 0.0})])),
+        # the atom at 0.9 comes before the triadic part's cells
+        (False, CircleMeasure(
+            atoms=[(0.9, 0.25), (0.5, 0.125)],
+            cantor_parts=[CantorPart(circle.triadic_generator(), 10, 1.0)])),
+    ])
+    def test_runs_match_unique_and_searchsorted(self, sorted_keys, mu):
+        r = mu.realized()
+        rng = np.random.default_rng(5)
+        for depth in (0, 1, 3, 7, 12, 20, 40, 62, 63, 70):
+            idx = r.indices(depth)
+            # at depth 0 every atom is in arc 0
+            assert (circle._runs(idx) is not None) == (
+                sorted_keys or depth == 0)
+            keys, masses = mu.arc_masses_at_depth(depth)
+            want_keys, want_masses = oracle_unique_arc_masses(r, depth)
+            assert keys.dtype == want_keys.dtype
+            assert keys.tolist() == want_keys.tolist()
+            assert _same_bits(masses, want_masses)
+            # a layer on some arcs holding atoms and some holding none
+            listed = sorted(set(rng.choice(keys, min(keys.size, 9)).tolist())
+                            | {(1 << depth) - 1})
+            layer = MultiplierLayer.from_dict(depth, {
+                i: float(f) for i, f in zip(listed, rng.random(len(listed)))})
+            assert _same_bits(layer.factors_at(idx),
+                              oracle_factors(layer, idx))
+
+    @pytest.mark.parametrize("generator", [circle.triadic_generator,
+                                           circle.stagewise_log_generator])
+    def test_carrier_from_limbs(self, generator):
+        for stages in range(1, 23):
+            for depth in (0, 1, 5, 10):
+                if depth > stages:
+                    continue
+                part = CantorPart(generator(), stages, 1.0,
+                                  carrier_depth=depth)
+                starts, lengths = oracle_carrier(part, depth)
+                assert _same_bits(part.carrier.starts, starts)
+                assert _same_bits(part.carrier.lengths, lengths)
 
 
 # -- oracle: the retired tuple-of-Arc gap lookup ------------------------------
