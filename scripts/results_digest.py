@@ -40,6 +40,11 @@ depth-70 multiplier layer (arc indices past int64) and once, with
 them on dyadic arc edges (arc indices out of order);
 ``measure classify`` on inline triadic (10 stages) and stagewise_log (12
 stages) measures, whose Cantor parts build their carrier sets;
+``measure classify`` and ``report cyclicity`` under ``power:1`` on an
+atom at 0.75 of mass 0.25 with a triadic part (10 stages, mass 0.5) and a
+stagewise_log part (12 stages, mass 1), whose two classes are each a
+part of the measure, and ``measure classify`` under ``log:1`` on the two
+Cantor parts alone;
 ``privalov check`` and ``carleson build --N auto`` on the
 one-point set, the triadic sets of depth 5-7 and the
 ``triadic_union_point`` set (inline JSON, many distinct gap lengths),
@@ -211,6 +216,18 @@ def cases():
         yield f"measure classify {generator} {stages} stages", (
             "measure", "classify", "--measure", json.dumps(measure),
             "--weight", "power:1")
+    # parts on both sides of the split: each class is a fresh measure
+    mixed = {"atoms": [{"pos": 0.75, "mass": 0.25}],
+             "cantor": [{"generator": "triadic", "depth": 10, "mass": 0.5},
+                        {"generator": "stagewise_log", "depth": 12,
+                         "mass": 1.0}]}
+    for command in ("measure classify", "report cyclicity"):
+        yield f"{command} atom, triadic and stagewise_log power:1", (
+            *command.split(), "--measure", json.dumps(mixed), "--weight",
+            "power:1")
+    yield "measure classify triadic and stagewise_log log:1", (
+        "measure", "classify", "--measure", json.dumps(
+            {"cantor": mixed["cantor"]}), "--weight", "log:1")
     sets = [("point", "fixture:point")] + [
         (f"triadic {d}", _triadic_set(d)) for d in (5, 6, 7)] + [
         ("triadic_union_point", _union_point_set())]

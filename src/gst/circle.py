@@ -523,21 +523,14 @@ class MultiplierLayer:
     def as_dict(self) -> dict:
         return dict(zip(self.keys.tolist(), self.factors.tolist()))
 
-    def factors_at(self, idx: np.ndarray) -> np.ndarray:
-        """The factor of each given arc index (1 off the listed arcs).
-        Nondecreasing indices are looked up once per run of equal ones,
-        others one by one."""
+    def factors_at(self, keys: np.ndarray) -> np.ndarray:
+        """The factor of each given arc index (1 off the listed arcs), one
+        lookup per entry: given the keys of ``Realization.arcs``, one per
+        arc holding atoms."""
         if not self.keys.size:
-            return np.ones(idx.size)
-        runs = _runs(idx)
-        if runs is None:
-            return self._lookup(idx)
-        keys, counts = runs
-        return np.repeat(self._lookup(keys), counts)
-
-    def _lookup(self, idx: np.ndarray) -> np.ndarray:
-        at = np.minimum(np.searchsorted(self.keys, idx), self.keys.size - 1)
-        return np.where(self.keys[at] == idx, self.factors[at], 1.0)
+            return np.ones(keys.size)
+        at = np.minimum(np.searchsorted(self.keys, keys), self.keys.size - 1)
+        return np.where(self.keys[at] == keys, self.factors[at], 1.0)
 
 
 def _runs(idx: np.ndarray):
@@ -618,13 +611,25 @@ class Realization(NamedTuple):
                             for a, b in zip(num, den)]
         return inside
 
-    def scaled(self, layer: MultiplierLayer, idx=None) -> "Realization":
-        """This realization with one more layer applied; atoms whose mass
-        drops to 0 (factor-0 arcs) are left out.  ``idx`` are the atoms'
-        indices at the layer's depth, when the caller has them."""
-        if idx is None:
-            idx = self.indices(layer.depth)
-        masses = self.masses * layer.factors_at(idx)
+    def arcs(self, depth: int):
+        """(keys, where): the increasing indices of the depth-n dyadic arcs
+        holding atoms, as ``indices`` types them, and each atom's position
+        in ``keys``; the one pass that groups the atoms by arc.
+        Nondecreasing indices (every realization of one Cantor part) are
+        grouped by runs, others by ``np.unique``."""
+        idx = self.indices(depth)
+        runs = _runs(idx)
+        if runs is None:
+            return np.unique(idx, return_inverse=True)
+        keys, counts = runs
+        return keys, np.repeat(np.arange(keys.size), counts)
+
+    def scaled(self, arc_factors: np.ndarray,
+               where: np.ndarray) -> "Realization":
+        """This realization with each atom's mass times its arc's factor,
+        ``arc_factors`` one per arc of ``arcs`` and ``where`` as it gives
+        them; atoms whose mass drops to 0 (factor-0 arcs) are left out."""
+        masses = self.masses * arc_factors[where]
         keep = masses > 0
         if keep.all():
             return self._replace(masses=_frozen(masses))
@@ -690,7 +695,8 @@ class CircleMeasure:
         if self._realized is None:
             r = _realize_blocks((_Atoms(self.atom_list),) + self.cantor_parts)
             for layer in self.multipliers:
-                r = r.scaled(layer)
+                keys, where = r.arcs(layer.depth)
+                r = r.scaled(layer.factors_at(keys), where)
             self._realized = r
         return self._realized
 
@@ -729,34 +735,25 @@ class CircleMeasure:
         return MassResult(float(np.cumsum(inside)[-1]) if inside.size else 0.0,
                           0.0)
 
-    def arc_masses_at_depth(self, depth: int, idx=None) -> tuple:
-        """(keys, masses): the increasing indices of the depth-n dyadic
-        arcs holding atoms, as ``Realization.indices`` types them, and each
-        arc's mass (exact).  ``idx`` are the atoms' depth-n indices, when
-        the caller has them.  Nondecreasing indices (every realization of
-        one Cantor part) are grouped in one run-length pass, others by
-        ``np.unique``."""
+    def arc_masses_at_depth(self, depth: int) -> tuple:
+        """(keys, masses): the ``Realization.arcs`` keys at depth n and each
+        arc's mass (exact)."""
         r = self.realized()
-        idx = r.indices(depth) if idx is None else idx
-        runs = _runs(idx)
-        if runs is None:
-            keys, where = np.unique(idx, return_inverse=True)
-        else:
-            keys, counts = runs
-            where = np.repeat(np.arange(keys.size), counts)
+        keys, where = r.arcs(depth)
         # bincount adds each arc's masses in atom order
         masses = np.bincount(where, weights=r.masses)
         return keys, masses.astype(float, copy=False)  # int64 when empty
 
-    def scaled_on_arcs(self, layer: MultiplierLayer, idx: np.ndarray,
-                       name: str = "") -> "CircleMeasure":
+    def scaled_on_arcs(self, layer: MultiplierLayer, factors: np.ndarray,
+                       where: np.ndarray, name: str = "") -> "CircleMeasure":
         """New measure with one more multiplier layer, realized at once from
-        this measure's realization; ``idx`` are its atoms' indices at the
-        layer's depth."""
+        this measure's realization: ``factors`` are the layer's factors on
+        the arcs of ``Realization.arcs`` at its depth, ``where`` as that
+        gives it."""
         out = CircleMeasure(
             atoms=self.atom_list, cantor_parts=self.cantor_parts,
             multipliers=self.multipliers + (layer,), name=name or self.name)
-        out._realized = self.realized().scaled(layer, idx)
+        out._realized = self.realized().scaled(factors, where)
         return out
 
     def restrict(self, closed_set: ClosedCircleSet) -> "CircleMeasure":

@@ -248,8 +248,12 @@ def classify_measure(mu: CircleMeasure, w: Weight) -> Classification:
             c_parts.append(part)
         else:
             undecided.append(part)
-    mu_p = CircleMeasure(atoms=mu.atom_list, cantor_parts=p_parts,
-                         multipliers=mu.multipliers, name=f"{mu.name}_P")
-    mu_c = CircleMeasure(cantor_parts=c_parts, multipliers=mu.multipliers,
-                         name=f"{mu.name}_C")
+    # a class that is all of mu is mu itself, realized once
+    mu_p = mu_c = mu
+    if len(p_parts) < len(mu.cantor_parts):
+        mu_p = CircleMeasure(atoms=mu.atom_list, cantor_parts=p_parts,
+                             multipliers=mu.multipliers, name=f"{mu.name}_P")
+    if mu.atom_list or len(c_parts) < len(mu.cantor_parts):
+        mu_c = CircleMeasure(cantor_parts=c_parts, multipliers=mu.multipliers,
+                             name=f"{mu.name}_C")
     return Classification(mu_p, mu_c, tuple(undecided), tuple(certs))

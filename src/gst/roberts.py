@@ -45,32 +45,39 @@ class GratingReport:
         return self.heavy_arcs.size
 
 
-def grate(mu: CircleMeasure, n: int, c: float, w: Weight, idx=None):
-    """One grating pass; returns (capped measure, report).
+def grate(mu: CircleMeasure, n: int, c: float, w: Weight):
+    """One grating pass; returns (capped piece, report, remainder).
 
-    Ties (arc mass equal to the threshold) count as light, so the capped
-    measure agrees with mu there.  ``idx`` are the atoms' depth-n indices
-    (computed here when not given); the capped measure is realized from
-    them at once, with no second index pass.
+    Ties (arc mass equal to the threshold) count as light, so the piece
+    agrees with mu there.  One ``Realization.arcs`` pass groups the atoms
+    by depth-n arc.  On a heavy arc of mass m the piece keeps thr/m of mu
+    and the remainder 1 - thr/m; on a light arc the piece keeps all of it
+    and the remainder nothing.  Both are realized at once from mu's
+    realization.
     """
     if c <= 0:
         raise ValueError("grating parameter c must be positive")
     if n < 1:
         raise ValueError("grating depth must be at least 1")
     thr = grating_threshold(n, c, w)
-    if idx is None:
-        idx = mu.realized().indices(n)
-    keys, masses = mu.arc_masses_at_depth(n, idx)
-    heavy = masses > thr
-    light = (masses > 0) & ~heavy
+    r = mu.realized()
+    keys, where = r.arcs(n)
+    # bincount adds each arc's masses in atom order; int64 when empty
+    masses = np.bincount(where, weights=r.masses).astype(float, copy=False)
+    heavy, held = masses > thr, masses > 0
     report = GratingReport(
         depth=n, threshold=thr, heavy_arcs=keys[heavy],
-        heavy_masses=masses[heavy], light_arcs=keys[light],
+        heavy_masses=masses[heavy], light_arcs=keys[held & ~heavy],
         total_mass_before=mu.total_mass())
+    cap = np.ones(keys.size)
+    cap[heavy] = thr / report.heavy_masses
+    rest = 1.0 - cap  # 0 on light arcs
     piece = mu.scaled_on_arcs(
-        MultiplierLayer(n, report.heavy_arcs, thr / report.heavy_masses),
-        idx, name=f"{mu.name}|grate{n}")
-    return piece, report
+        MultiplierLayer(n, report.heavy_arcs, cap[heavy]), cap, where,
+        name=f"{mu.name}|grate{n}")
+    remainder = mu.scaled_on_arcs(MultiplierLayer(n, keys[held], rest[held]),
+                                  rest, where, name=f"{mu.name}|rem{n}")
+    return piece, report, remainder
 
 
 @dataclass
@@ -118,7 +125,9 @@ def decompose(mu: CircleMeasure, grid: DyadicGrid, c: float, w: Weight,
               k_max: int) -> RobertsDecomposition:
     """Iterated gratings over the grid depths; stops after k_max levels.
 
-    The residual is the remainder after the last level; its mass and the
+    Each level grates the last remainder (``grate``, one arc pass), which
+    gives that level's piece and the next remainder.  The residual is the
+    remainder after the last level; its mass and the
     light-entropy ledger are recorded after every level, which does not
     depend on later ones, so one call at k levels answers every k_max <= k.
     """
@@ -131,21 +140,10 @@ def decompose(mu: CircleMeasure, grid: DyadicGrid, c: float, w: Weight,
     total = mu.total_mass()
     remainder = mu
     pieces, reports, residual_masses = [], [], []
-    for k in range(levels):
-        n = grid.depths[k]
-        # one index pass per level, shared by the grating and the remainder
-        idx = remainder.realized().indices(n)
-        piece, report = grate(remainder, n, c, w, idx)
+    for n in grid.depths[:levels]:
+        piece, report, remainder = grate(remainder, n, c, w)
         pieces.append(piece)
         reports.append(report)
-        # the remainder keeps 1 - thr/m of a heavy arc, nothing of a light one
-        keys = np.concatenate([report.heavy_arcs, report.light_arcs])
-        factors = np.concatenate([1.0 - report.threshold / report.heavy_masses,
-                                  np.zeros(report.light_arcs.size)])
-        order = np.argsort(keys, kind="stable")
-        remainder = remainder.scaled_on_arcs(
-            MultiplierLayer(n, keys[order], factors[order]), idx,
-            name=f"{mu.name}|rem{k + 1}")
         residual_masses.append(remainder.total_mass())
     # entropy bookkeeping: all light arcs inside the previous heavy union,
     # counted in closed form since depth-n arcs share one length

@@ -695,27 +695,23 @@ def _pow_or_inf(y: float, p: float) -> float:
         return math.inf
 
 
-def _exp_log_tail(c: float, beta: float, y0: float) -> Bracket:
-    """Bracket of int_y0^inf exp(-c y^beta) dy = Gamma(s, x) / (beta c^s)
-    with s = 1/beta and x = c y0^beta.
+def _exp_log_tail(c: float, beta: float) -> Bracket:
+    """Bracket of int_1^inf exp(-c y^beta) dy = Gamma(s, c) / (beta c^s)
+    with s = 1/beta.
 
     The recurrence Gamma(m + 1, x) = x^m e^-x + m Gamma(m, x) (DLMF 8.8.2)
     lowers s into sigma in (0, 1], where Gamma(sigma, x) is bracketed by
     _lower_series for x < 1 and by _legendre_cf, which converges slowly
-    near x = 0, from x = 1 on.  With Gamma(m, x) = x^(m-1) e^-x Q_m it reads
-    Q_(m+1) = 1 + (m/x) Q_m, whose terms are positive, and the integral is
-    y0^(1-beta) e^-x Q_s / (beta c), formed on the log scale.  Past
+    near x = 0, from x = 1 on; here x = c.  With Gamma(m, x) = x^(m-1)
+    e^-x Q_m it reads Q_(m+1) = 1 + (m/x) Q_m, whose terms are positive,
+    and the integral is e^-x Q_s / (beta c), formed on the log scale.  Past
     CF_TERMS steps of the recurrence (beta < 1/CF_TERMS), or where x
-    underflows, the bracket is [0, inf]; where x overflows, e^-x is below
-    every float and the bracket is [0, ulp(0)].  The integrand is
-    positive, so the low end is at least 0.
+    underflows, the bracket is [0, inf].  The integrand is positive, so
+    the low end is at least 0.
     """
-    s = 1.0 / beta
-    x = c * _pow_or_inf(y0, beta)
+    s, x = 1.0 / beta, c
     if s > CF_TERMS + 1 or not x > 0.0:
         return Bracket(0.0, math.inf)
-    if x == math.inf:
-        return Bracket(0.0, math.ulp(0.0))
     steps = math.ceil(s) - 1
     sigma = s - steps
     low, high, terms = (_lower_series if x < 1.0 else _legendre_cf)(sigma, x)
@@ -724,7 +720,7 @@ def _exp_log_tail(c: float, beta: float, y0: float) -> Bracket:
         q_low, q_high = 1.0 + m / x * q_low, 1.0 + m / x * q_high
         m += 1.0
     # log beta and log c apart: beta c may round to 0 or lose digits
-    parts = ((1.0 - beta) * math.log(y0), -x, -math.log(beta), -math.log(c))
+    parts = (-x, -math.log(beta), -math.log(c))
     log_low = math.fsum(parts + (math.log(q_low),))
     log_high = math.fsum(parts + (math.log(q_high),))
     # the recurrences' rounding grows with their lengths, the exponential's
@@ -786,7 +782,7 @@ def _dini_integral(w: Weight, alpha: float) -> Bracket:
         return _closed_form(1 / excess)
     if w.kind == "exp_log":
         c, beta = alpha * w.params[0], w.params[1]
-        whole = _exp_log_tail(c, beta, 1.0)
+        whole = _exp_log_tail(c, beta)
         # the integrand falls, so it tops the box (Y - 1) exp(-c Y^beta);
         # at Y = (beta c)^(-1/beta), where c Y^beta = 1/beta, in logs with
         # log beta and log c apart (beta c may round to 0)

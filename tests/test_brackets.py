@@ -249,7 +249,7 @@ def test_exp_recip_tail_bounds_the_oracle(depth, quad_depth):
 # Gamma(1/beta, 1)/beta, is near 1e10000, so that box is past the float
 # range and the low end is the largest float
 def test_gamma_tail_low_end_is_never_negative():
-    assert weights._exp_log_tail(1.0, 0.0003, 1.0) == Bracket(0.0, math.inf)
+    assert weights._exp_log_tail(1.0, 0.0003) == Bracket(0.0, math.inf)
     w, alpha = weights.exp_log(1.0, 0.0003), 1.0
     res = weights.check_A2(w, alpha)
     beta = mpmath.mpf(0.0003)
@@ -264,7 +264,7 @@ def test_gamma_tail_low_end_is_never_negative():
 @pytest.mark.parametrize("a", [0.1, 0.3, 1.0, 2.0, 4.0])
 def test_exp_log_box_floor_holds_the_closed_form(a, monkeypatch):
     monkeypatch.setattr(weights, "_exp_log_tail",
-                        lambda c, beta, y0: Bracket(0.0, math.inf))
+                        lambda c, beta: Bracket(0.0, math.inf))
     c = 0.5 * mpmath.mpf(a)
     exact = 2 * mpmath.exp(-c) * (1 + c) / c ** 2
     low = weights._dini_integral(weights.exp_log(a, 0.5), 0.5).low
@@ -284,22 +284,22 @@ def test_exp_log_floor_past_the_float_range():
                                            False)
 
 
-# beta = 1e300 overflows y0^beta at y0 > 1: there e^-x is below every float
+# beta = 1e300: the whole integral is Gamma(s, c)/(beta c^s), s = 1/beta,
+# and 2^beta overflows in the low end exp(-c 2^beta)
 def test_gamma_tail_survives_an_overflowing_power():
-    c, beta, y0 = 0.5, 1e300, 1.0 + 40 * math.log(2.0)
-    assert weights._exp_log_tail(c, beta, y0) == Bracket(0.0, math.ulp(0.0))
-    # the whole integral is Gamma(s, c)/(beta c^s), s = 1/beta, and 2^beta
-    # overflows in the low end exp(-c 2^beta)
+    c, beta = 0.5, 1e300
     s = 1 / mpmath.mpf(beta)
     whole = mpmath.gammainc(s, c) / (beta * mpmath.mpf(c) ** s)
     assert_in(whole, weights._dini_integral(weights.exp_log(c, beta), 1.0))
 
 
 def assert_gamma_tail(c, beta, y0):
-    got = weights._exp_log_tail(c, beta, y0)
+    """The tail from 1 at c' = c y0^beta, which is 1/y0 times the tail from
+    y0 at c (y = y0 u): its incomplete gamma argument is x = c y0^beta."""
+    c = c * y0 ** beta
+    got = weights._exp_log_tail(c, beta)
     s = 1 / mpmath.mpf(beta)
-    want = (mpmath.gammainc(s, mpmath.mpf(c) * mpmath.mpf(y0) ** beta)
-            / (beta * mpmath.mpf(c) ** s))
+    want = mpmath.gammainc(s, c) / (beta * mpmath.mpf(c) ** s)
     assert_in(want, got)
     if want > 1e-290:
         assert got.high - got.low <= 1e-6 * float(want)

@@ -449,21 +449,27 @@ class TestReportSinglePass:
     @pytest.mark.parametrize("kmax", [2, 4, None])
     def test_one_decomposition_per_report(self, kmax, capsys, monkeypatch,
                                           separate_decays):
-        calls = {"decompose": [], "arc_masses": 0}
+        calls = {"decompose": [], "arc_masses": 0, "arcs": 0}
         decompose = roberts.decompose
         arc_masses = circle.CircleMeasure.arc_masses_at_depth
+        arcs = circle.Realization.arcs
 
         def counting_decompose(*args):
             calls["decompose"].append(args[4])
             return decompose(*args)
 
-        def counting_arc_masses(mu, depth, idx=None):
+        def counting_arc_masses(mu, depth):
             calls["arc_masses"] += 1
-            return arc_masses(mu, depth, idx)
+            return arc_masses(mu, depth)
+
+        def counting_arcs(r, depth):
+            calls["arcs"] += 1
+            return arcs(r, depth)
 
         monkeypatch.setattr(roberts, "decompose", counting_decompose)
         monkeypatch.setattr(circle.CircleMeasure, "arc_masses_at_depth",
                             counting_arc_masses)
+        monkeypatch.setattr(circle.Realization, "arcs", counting_arcs)
         argv = ["report", "cyclicity", "--measure", SMALL_DIVERGENT,
                 "--weight", "power:1"]
         code, rep = run(argv + (["--kmax", str(kmax)] if kmax else []),
@@ -471,16 +477,40 @@ class TestReportSinglePass:
         assert code == 0
         assert rep["results"]["residual_decay"] == separate_decays
         # the decay rows and a shorter dossier both come from one 6-level
-        # run, whose first levels are those of a shorter run; each piece's
-        # corona check reads its arc masses once more
+        # run, whose first levels are those of a shorter run, and each
+        # level groups its atoms by arc once; each piece's corona check
+        # reads its arc masses, one more grouping
         levels = kmax or 6
-        assert calls == {"decompose": [6], "arc_masses": 6 + levels}
+        assert calls == {"decompose": [6], "arc_masses": levels,
+                         "arcs": 6 + levels}
         dec = separate_decomposition(levels)
         res = rep["results"]
         assert [m["depth"] for m in res["corona_margins"]] == [
             r.depth for r in dec.reports]
         assert res["mass_balance_error"] == dec.mass_balance_error()
         assert res["light_entropy_ledger"] == dec.light_entropy_ledgers[-1]
+
+
+class TestClassesRealizedOnce:
+    """A class that is the whole measure is the measure itself, so each
+    Cantor part is realized once per report."""
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "cyclicity", "--measure", "fixture:divergent_cantor"],
+        ["measure", "classify", "--measure", "fixture:triadic_cantor"],
+    ])
+    def test_each_part_realized_once(self, argv, capsys, monkeypatch):
+        calls = []
+        realize = circle.CantorPart.realize
+        monkeypatch.setattr(circle.CantorPart, "realize",
+                            lambda part: calls.append(part) or realize(part))
+        code, rep = run(argv + ["--weight", "power:1"], capsys)
+        assert code == 0
+        assert len(calls) == 1
+        mass = rep["results"]["total_mass"]
+        assert mass == pytest.approx(1.0)
+        assert [rep["results"]["mu_P_mass"], rep["results"]["mu_C_mass"]] \
+            == ([0.0, mass] if "divergent" in argv[3] else [mass, 0.0])
 
 
 BAD_INPUTS = {

@@ -31,25 +31,25 @@ class TestGrate:
             0.1 * 2.0 ** -4 * 4 * math.log(2.0))
 
     def test_heavy_atom_capped(self):
-        piece, rep = grate(fixtures.atom_fixture(), 4, 0.1, W_T)
+        piece, rep, _ = grate(fixtures.atom_fixture(), 4, 0.1, W_T)
         assert rep.heavy_arcs.tolist() == [0]
         assert piece.total_mass() == pytest.approx(rep.threshold, rel=1e-12)
 
     def test_light_atom_passes_through(self):
         from gst.circle import atom_measure
         mu = atom_measure(0, 0.01)
-        piece, rep = grate(mu, 4, 0.1, W_T)
+        piece, rep, _ = grate(mu, 4, 0.1, W_T)
         assert rep.heavy_count == 0
         assert piece.total_mass() == pytest.approx(0.01)
 
     def test_zero_measure(self):
-        piece, rep = grate(CircleMeasure(name="zero"), 4, 0.1, W_T)
+        piece, rep, _ = grate(CircleMeasure(name="zero"), 4, 0.1, W_T)
         assert piece.total_mass() == 0.0
         assert rep.heavy_count == 0 and rep.light_arcs.size == 0
 
     def test_difference_nonnegative_on_heavy(self):
         mu = fixtures.triadic_cantor_measure()
-        piece, rep = grate(mu, 4, 0.1, W_T)
+        piece, rep, _ = grate(mu, 4, 0.1, W_T)
         keys, before = mu.arc_masses_at_depth(4)
         after_keys, after = piece.arc_masses_at_depth(4)
         assert after_keys.tolist() == keys.tolist()
@@ -59,7 +59,7 @@ class TestGrate:
         from gst.circle import atom_measure
         thr = grating_threshold(4, 0.1, W_T)
         mu = atom_measure(0, thr)
-        _, rep = grate(mu, 4, 0.1, W_T)
+        _, rep, _ = grate(mu, 4, 0.1, W_T)
         assert rep.heavy_count == 0 and rep.light_arcs.tolist() == [0]
 
 
@@ -198,6 +198,17 @@ class TestCarryForward:
         for piece in d.pieces:
             piece.realized()
         assert calls == list(DECAY_GRID.depths)
+
+    def test_one_run_pass_per_level(self, monkeypatch):
+        # the grating's arc masses, its piece and its remainder all read
+        # one grouping of the atoms by arc
+        calls = []
+        runs = circle._runs
+        monkeypatch.setattr(circle, "_runs",
+                            lambda idx: calls.append(idx.size) or runs(idx))
+        decompose(fixtures.divergent_cantor_measure(), DECAY_GRID, 0.1, W_T,
+                  6)
+        assert len(calls) == len(DECAY_GRID.depths)
 
 
 # ---------------------------------------------------------------------------
