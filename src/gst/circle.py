@@ -548,14 +548,16 @@ def _runs(idx: np.ndarray):
 class Realization(NamedTuple):
     """The atoms of a measure with its multiplier layers applied.
 
-    ``pos`` holds the correctly rounded float64 of each atom's exact
-    position in [0,1); ``rows`` locates the atom in ``blocks`` (the
+    ``keys`` holds the exact depth-62 dyadic index floor(2^62 x) of each
+    block row's position x, in int64, and is shared by every realization
+    of the same blocks: atom i's key is ``keys[rows[i]]``.  Every dyadic
+    index to depth 62 is a shift of it, and keys decide every exact
+    comparison: an atom whose key is above or below floor(2^62 t) lies
+    above or below t.  ``rows`` locates the atom in ``blocks`` (the
     measure's atoms, then each Cantor part's cells), whose exact data
-    settles every query the float position cannot.  ``keys`` holds the
-    exact depth-62 dyadic index floor(2^62 x) of each block row's
-    position x, in int64, and is shared by every realization of the same
-    blocks: atom i's key is ``keys[rows[i]]``.  Every dyadic index to
-    depth 62 is a shift of it.  All arrays are read-only.
+    settles a tie of keys.  ``pos`` holds the correctly rounded float64 of
+    each position, for the kernel sums and ``restrict``'s set test.  All
+    arrays are read-only.
     """
 
     pos: np.ndarray
@@ -594,17 +596,16 @@ class Realization(NamedTuple):
 
     def in_arc(self, start: float, length: float) -> np.ndarray:
         """Mask of the atoms in the half-open arc [start, start + length)
-        mod 1 (exact)."""
+        mod 1 (exact): the keys decide, and only the atoms on the key of
+        an end read their exact positions."""
         s = Fraction(start)
         e = s + Fraction(length)
-        # x lies in the arc iff s <= x < e, or x < e - 1 when it wraps
-        ends = (start, float(e), float(e - 1))
-        x = self.pos
-        inside = ((x >= ends[0]) & (x < ends[1])) | (x < ends[2])
-        # x and the float ends are within 2^-52 of the exact values, so the
-        # float comparisons hold for atoms 2^-50 or more from every end
-        near = np.flatnonzero(np.any(
-            [np.abs(x - t) <= 2.0 ** -50 for t in ends], axis=0))
+        # x lies in the arc iff s <= x < e, or x < e - 1 when it wraps; the
+        # end keys fit int64, as s < 1, e < 2 and e - 1 >= -1
+        ends = [math.floor(t * 2 ** 62) for t in (s, e, e - 1)]
+        k = self.keys[self.rows]
+        inside = ((k >= ends[0]) & (k < ends[1])) | (k < ends[2])
+        near = np.flatnonzero(np.any([k == t for t in ends], axis=0))
         if near.size:
             num, den = self.exact(near)
             inside[near] = [s <= Fraction(a, b) < e or Fraction(a, b) < e - 1
@@ -685,6 +686,7 @@ class CircleMeasure:
         self.multipliers = tuple(multipliers)
         self.name = name
         self._realized = None
+        self._total = None
         self._sorted = None
         self._kernel_tree = None  # built by inner_outer on first use
 
@@ -704,23 +706,27 @@ class CircleMeasure:
         return self.realized().pos
 
     def total_mass(self) -> float:
-        return float(np.sum(self.realized().masses))
+        if self._total is None:
+            self._total = float(np.sum(self.realized().masses))
+        return self._total
 
     def sorted_atoms(self):
-        """(sorted positions, masses, their prefix sums over two turns,
-        total mass, sorting order), cached; atoms at one exact position
-        merge, found by one exact pass over the coinciding floats."""
+        """(sorted keys, masses, their prefix sums over two turns, total
+        mass, sorting order), cached: one stable sort of the keys, and
+        atoms at one exact position merge, found by one exact pass over
+        the tied keys."""
         if self._sorted is None:
             r = self.realized()
-            order = np.argsort(r.pos)
-            p, m = r.pos[order], r.masses[order]
-            tie = np.flatnonzero(p[1:] == p[:-1])
+            keys = r.keys[r.rows]
+            order = np.argsort(keys, kind="stable")
+            keys, m = keys[order], r.masses[order]
+            tie = np.flatnonzero(keys[1:] == keys[:-1])
             num, den = r.exact(order[np.concatenate([tie, tie + 1])])
-            k, keep = tie.size, np.ones(p.size, dtype=bool)
+            k, keep = tie.size, np.ones(keys.size, dtype=bool)
             keep[tie[num[:k] * den[k:] == num[k:] * den[:k]] + 1] = False
             total, m = float(np.sum(m)), np.bincount(np.cumsum(keep) - 1, m)
             self._sorted = (
-                p[keep], m,
+                keys[keep], m,
                 np.concatenate([[0.0], np.cumsum(np.concatenate([m, m]))]),
                 total, order[keep])
         return self._sorted
@@ -779,41 +785,32 @@ class ModulusOfMeasure:
     upper: float
 
 
-def _count_below(p: np.ndarray, a, b):
-    """(count, s, e): how many of the sorted floats p lie below the exact
-    a + b, with s = a + b in float and e = a + b - s (Knuth's two-sum).  A
-    float lies below s + e iff it lies below s, or at s when e > 0, since
-    |e| is at most half the float spacing at s."""
-    s = a + b
-    bb = s - a
-    e = (a - (s - bb)) + (b - bb)
-    ends = np.searchsorted(p, np.where(e > 0, np.nextafter(s, np.inf), s))
-    return ends, s, e
-
-
 def modulus_of_continuity(nu: CircleMeasure, delta: float) -> ModulusOfMeasure:
     """sup { nu(I) : m(I) <= delta }, exact up to the order of summation.
 
     A half-open window of length delta can slide right until its start
     meets an atom without losing mass, so the supremum is the maximum over
-    windows [x, x + delta) mod 1 anchored at the atoms x.  Floats place the
-    atoms and a window's end (plus its rounding error), but within 2^-50 of
-    its start or end (coinciding floats too) ``Realization.exact`` does.
+    windows [x, x + delta) mod 1 anchored at the atoms x.  The keys place
+    them: with D = min(floor(2^62 delta), 2^62 - 1), so that D <= 2^62
+    delta < D + 2, the window anchored at key k ends at t with floor(2^62
+    t) one of end = k + D and end + 1.  Keys below end lie inside it, keys
+    above end + 1 outside, and the same a turn on (end - 2^62); only atoms
+    on those two keys or on the anchor's own read ``Realization.exact``.
     """
     if not 0 < delta <= 1:
         raise ValueError("delta must lie in (0,1]")
-    p, m, csum, total, order = nu.sorted_atoms()
-    if p.size == 0:
+    k, m, csum, total, order = nu.sorted_atoms()
+    if k.size == 0:
         return ModulusOfMeasure(0.0)
-    first, s, e = _count_below(p, p, delta)
-    # past 1 the window runs on into the next turn up to s - 1 + e; s - 1
-    # is exact for s >= 1/2, and for s < 1/2 the end less 1 is negative
-    second = _count_below(p, s - 1.0, e)[0]
-    rows = np.arange(p.size)
+    turn = 1 << 62
+    end = k + min(int(math.ldexp(delta, 62)), turn - 1)
+    rows = np.arange(k.size)
+    # the anchor is in its window, also when D = 0
+    first = np.maximum(np.searchsorted(k, end), rows + 1)
+    second = np.searchsorted(k, end - turn)
     sums = csum[first + second] - csum[rows]
-    bands = [(np.searchsorted(p, c - 2.0 ** -50),
-              np.searchsorted(p, c + 2.0 ** -50, "right"))
-             for c in (p, s, s - 1.0)]
+    bands = [(np.searchsorted(k, c), np.searchsorted(k, c + w, "right"))
+             for c, w in ((k, 0), (end, 1), (end - turn, 1))]
     unsure = np.flatnonzero(sum(hi - lo - ((lo <= rows) & (rows < hi))
                                 for lo, hi in bands))
     near = [np.setdiff1d(np.concatenate(

@@ -287,12 +287,14 @@ def cmd_dual(args) -> dict:
                                           _coefficients(args, "f"))
         return {"pairing": {"re": val.real, "im": val.imag}}
     f, w = _coefficients(args, "f"), _weight(args)
-    res = duality.fw_norm(f, w, args.quad_depth)
+    res = duality.fw_norm(f, w)
     return {"tag": res.tag, "value": res.value,
             "tail_estimate": res.tail_estimate}
 
 
 def cmd_report_cyclicity(args) -> dict:
+    if args.kmax < 1:
+        raise CliError(f"--kmax {args.kmax} is below 1")
     w = _weight(args)
     mu = _measure(args)
     cls = entropy.classify_measure(mu, w)
@@ -398,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--g")
     d.add_argument("--f")
     d.add_argument("--weight")
-    d.add_argument("--quad-depth", type=int, default=40)
 
     r = sub.add_parser("report", help="composed evidence dossiers")
     r.add_argument("report_cmd", choices=["cyclicity"])

@@ -27,7 +27,7 @@ from .inner_outer import (BlaschkeSeq, blaschke_many, singular_inner_many,
 from .weights import Weight
 
 FW_ANGLES = 128  # angular nodes per radius of the F_w quadrature
-QUAD_DEPTH_MAX = 53  # deeper annuli have nodes that round to r = 1
+FW_ANNULI = 40  # annuli of the F_w quadrature, out to r = 1 - 2^-40
 KERNEL_TOL = 1e-6  # reproducing check, relative to 1 + |kappa(lam2, lam)|
 ORTHOGONAL_TOL = 1e-5  # orthogonality check, absolute
 
@@ -54,26 +54,21 @@ class FwNorm:
     tail_estimate: float = 0.0
 
 
-def fw_norm(coeffs, w: Weight, quad_depth: int = 40) -> FwNorm:
+def fw_norm(coeffs, w: Weight) -> FwNorm:
     """|f(0)| + integral over the disc of |f'| dA / w(1-|z|) for the
     polynomial f of these coefficients.
 
-    Annulus j spans radii 1 - 2^-j to 1 - 2^-(j+1), for j < quad_depth.
+    Annulus j spans radii 1 - 2^-j to 1 - 2^-(j+1), for j < FW_ANNULI.
     Annulus contributions toward |z| = 1 are monitored: if they stop
     decaying the norm is tagged divergent; otherwise the geometric trend
-    extrapolates the remaining tail.  Past QUAD_DEPTH_MAX the Gauss nodes
-    of the last annulus round to r = 1 in float64, where w(1 - r) = 0, so
-    deeper quadratures are refused.  An annulus sum past the float range
+    extrapolates the remaining tail.  An annulus sum past the float range
     raises OverflowError.
     """
-    if not 1 <= quad_depth <= QUAD_DEPTH_MAX:
-        raise ValueError(
-            f"quad_depth must lie in [1, {QUAD_DEPTH_MAX}], got {quad_depth}")
     c = np.asarray(coeffs, dtype=complex)
     nodes, wts = np.polynomial.legendre.leggauss(10)
     ez = _circle_nodes(FW_ANGLES)
     # every (annulus, node) radius at once, the node sum in node order
-    js = np.arange(quad_depth)
+    js = np.arange(FW_ANNULI)
     lo, hi = 1.0 - 2.0 ** -js, 1.0 - 2.0 ** -(js + 1)
     mid, rad = 0.5 * (hi + lo), 0.5 * (hi - lo)
     rs = mid[:, None] + rad[:, None] * nodes
@@ -82,7 +77,7 @@ def fw_norm(coeffs, w: Weight, quad_depth: int = 40) -> FwNorm:
         means = (np.mean(np.abs(_polyval(rs[:, :, None] * ez, dc)), axis=2)
                  if dc.size else np.zeros_like(rs))
         terms = wts * 2.0 * rs * means / w(1.0 - rs)
-        totals = np.zeros(quad_depth)
+        totals = np.zeros(FW_ANNULI)
         for k in range(nodes.size):
             totals += terms[:, k]
     bad = ~np.isfinite(totals)

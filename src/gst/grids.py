@@ -48,6 +48,8 @@ def build_grid(w: Weight, n0: int, C: float, k_max: int) -> DyadicGrid:
         raise ValueError("C must exceed 2")
     if not 1 <= n0 <= DEPTH_CAP:
         raise ValueError(f"n0 must be an integer in 1 .. {DEPTH_CAP}")
+    if k_max < 0:
+        raise ValueError(f"k_max {k_max} is negative")
     lam = effective_lambda(w)
     if lam * w.neg_log_at_depth(n0) <= math.log(2.0) * (1.0 + 1e-12):
         raise ValueError(

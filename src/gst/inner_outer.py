@@ -247,7 +247,7 @@ def _herglotz_tree(mu: CircleMeasure) -> KernelTree:
 def _herglotz_sum(mu: CircleMeasure, z: np.ndarray):
     """sum_atoms m (zeta+z)/(zeta-z) and its error radius; masses past
     the float range give non-finite sums, which certify nothing."""
-    total = float(np.sum(mu.realized().masses))
+    total = mu.total_mass()
     with np.errstate(over="ignore", invalid="ignore"):
         s, budget, trunc = _cauchy_sum(z, _herglotz_tree(mu))
     return s - total, _rounding_radius(budget + total) + trunc

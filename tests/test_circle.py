@@ -58,6 +58,20 @@ class TestClosedSets:
         assert E.contains_points([0.5])[0]
 
 
+@pytest.fixture
+def exact_reads(monkeypatch):
+    """The atoms of each ``Realization.exact`` call, one array per call."""
+    seen = []
+    exact = circle.Realization.exact
+
+    def spy(self, sel):
+        seen.append(np.asarray(sel))
+        return exact(self, sel)
+
+    monkeypatch.setattr(circle.Realization, "exact", spy)
+    return seen
+
+
 class TestMassQueries:
     def test_atom_inside(self):
         r = atom_measure(0, 1.0).mass_of_arc(Arc(0.0, 0.5))
@@ -67,6 +81,14 @@ class TestMassQueries:
         mu = atom_measure(0.5, 1.0)
         assert mu.mass_of_arc(Arc(0.0, 0.5)).mass == 0.0
         assert mu.mass_of_arc(Arc(0.5, 0.5)).mass == 1.0
+
+    def test_keys_decide_off_the_ends(self, exact_reads):
+        # the floats of both atoms are the arc's ends, 0.5 and 0.75, but
+        # their keys are not the ends' keys
+        mu = CircleMeasure(atoms=[(Fraction(1, 2) + Fraction(1, 2 ** 55), 1.0),
+                                  (Fraction(3, 4) - Fraction(1, 2 ** 56), 0.5)])
+        assert mu.mass_of_arc(Arc(0.5, 0.25)).mass == 1.5
+        assert not any(sel.size for sel in exact_reads)
 
     def test_triadic_self_similarity(self):
         mu = fixtures.triadic_cantor_measure()
@@ -122,29 +144,29 @@ class TestModulus:
             assert (modulus_of_continuity(mu, d).upper
                     <= modulus_of_continuity(mu, 2 * d).upper + 1e-12)
 
-    def test_exact_twins_merge_into_one_part(self, monkeypatch):
-        # two equal 12-stage triadic parts: each atom's float coincides
-        # with its twin's.  One exact pass merges the twins, so the
-        # windows read no exact position, and the modulus is that of one
-        # part of double mass
+    def test_keys_decide_off_the_ends(self, exact_reads):
+        # the window [1/4, 1/2) ends at the float of the atom 1/2 + 2^-55,
+        # but not at its key
+        mu = CircleMeasure(atoms=[(Fraction(1, 4), 1.0),
+                                  (Fraction(1, 2) + Fraction(1, 2 ** 55), 0.5)])
+        assert modulus_of_continuity(mu, 0.25).upper == 1.0
+        assert not any(sel.size for sel in exact_reads)
+
+    def test_exact_twins_merge_into_one_part(self, exact_reads):
+        # two equal 12-stage triadic parts: each atom's key ties with its
+        # twin's.  One exact pass merges the twins, so the windows read
+        # no exact position, and the modulus is that of one part of
+        # double mass
         part = circle.CantorPart(circle.triadic_generator(), 12, 0.5)
         twins = CircleMeasure(cantor_parts=[part, part])
         single = CircleMeasure(cantor_parts=[circle.CantorPart(
             circle.triadic_generator(), 12, 1.0)])
-        seen = []
-        exact = circle.Realization.exact
-
-        def spy(self, sel):
-            seen.append(np.asarray(sel))
-            return exact(self, sel)
-
-        monkeypatch.setattr(circle.Realization, "exact", spy)
         deltas = (1e-4, 0.01, 0.1, 0.3, 0.7)
         want = [modulus_of_continuity(single, d) for d in deltas]
-        assert not any(sel.size for sel in seen)
-        seen.clear()
+        assert not any(sel.size for sel in exact_reads)
+        exact_reads.clear()
         assert [modulus_of_continuity(twins, d) for d in deltas] == want
-        read = [sel for sel in seen if sel.size]
+        read = [sel for sel in exact_reads if sel.size]
         assert len(read) == 1
         assert np.array_equal(np.sort(read[0]), np.arange(2 * 4096))
 
@@ -159,7 +181,8 @@ class TestModulus:
             st.tuples(st.sampled_from(pool), st.floats(2.0 ** -20, 4.0)),
             min_size=1, max_size=8))
         delta = data.draw(st.one_of(
-            st.sampled_from([2.0 ** -30, 0.1, 0.5, 1.0]),
+            st.sampled_from([2.0 ** -30, 0.1, 0.5, 1.0, 2.0 ** -63, 1e-20,
+                             1e-300]),
             st.floats(2.0 ** -30, 1.0)))
         want = max(
             sum(Fraction(m) for q, m in atoms
@@ -178,18 +201,21 @@ class TestModulus:
     @settings(max_examples=300, deadline=None)
     def test_exact_positions_at_a_window_edge(self, k, offsets):
         """Atoms at a = k/3^20, a + s and a + 0.1 + s' with |s|, |s'| 0 or
-        2^-55 .. 2^-80: floats that coincide at the start of the window
-        anchored at a, or lie within an ulp of its end, where only the
-        exact positions tell which atoms it holds."""
+        2^-55 .. 2^-80, and at 1 - 2^-70: keys that tie at the start of
+        the window anchored at a, or at its end, where only the exact
+        positions tell which atoms it holds; at delta = 1 the last atom's
+        key 2^62 - 1 takes the clamped window end, the largest."""
         a = Fraction(k, 3 ** 20)
         (s1, e1, m1), (s2, e2, m2) = offsets
         atoms = [(a, 1.0), (frac_mod1(a + Fraction(s1, 2 ** e1)), m1),
-                 (frac_mod1(a + Fraction(0.1) + Fraction(s2, 2 ** e2)), m2)]
-        want = max(sum(m for q, m in atoms
-                       if frac_mod1(q - p) < Fraction(0.1))
-                   for p, _ in atoms)
-        got = modulus_of_continuity(CircleMeasure(atoms=atoms), 0.1).upper
-        assert got == want
+                 (frac_mod1(a + Fraction(0.1) + Fraction(s2, 2 ** e2)), m2),
+                 (1 - Fraction(1, 2 ** 70), 0.25)]
+        mu = CircleMeasure(atoms=atoms)
+        for delta in (0.1, 1.0 - 2.0 ** -60, 1.0):
+            want = max(sum(m for q, m in atoms
+                           if frac_mod1(q - p) < Fraction(delta))
+                       for p, _ in atoms)
+            assert modulus_of_continuity(mu, delta).upper == want, delta
 
 
 class TestRestrict:

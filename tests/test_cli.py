@@ -335,13 +335,6 @@ class TestSubcommands:
         assert rep["results"]["tag"] == "finite"
         assert rep["results"]["value"] == pytest.approx(8.0 / 3.0, abs=1e-4)
 
-    def test_dual_fw_norm_deepest_quadrature(self, capsys):
-        code, rep = run(["dual", "fw-norm", "--f", "[0,1]", "--weight",
-                         "power:0.5", "--quad-depth", "53"], capsys)
-        assert code == 0
-        assert rep["results"]["tag"] == "finite"
-        assert abs(rep["results"]["value"] - 8.0 / 3.0) <= 1e-6
-
     def test_privalov_check(self, capsys):
         code, rep = run(["privalov", "check", "--set", "fixture:point",
                          "--weight", "power:1", "--samples", "512"], capsys)
@@ -490,6 +483,23 @@ class TestReportSinglePass:
         assert res["mass_balance_error"] == dec.mass_balance_error()
         assert res["light_entropy_ledger"] == dec.light_entropy_ledgers[-1]
 
+    def test_each_measure_summed_once(self, capsys, monkeypatch):
+        # a measure's masses are one read-only realization array: summed
+        # once each, every total mass is formed once
+        summed = []
+        np_sum = np.sum
+
+        def counting_sum(a, *args, **kwargs):
+            if isinstance(a, np.ndarray) and not a.flags.writeable:
+                summed.append(a)
+            return np_sum(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "sum", counting_sum)
+        code, _ = run(["report", "cyclicity", "--measure", SMALL_DIVERGENT,
+                       "--weight", "power:1"], capsys)
+        assert code == 0 and summed
+        assert len({id(a) for a in summed}) == len(summed)
+
 
 class TestClassesRealizedOnce:
     """A class that is the whole measure is the measure itself, so each
@@ -590,16 +600,18 @@ BAD_INPUTS = {
                            "--c", "inf"], 1),
     "weight_infinite_alpha": (["weight", "check", "--weight", "power:1",
                                "--alpha", "-inf"], 1),
-    "fw_norm_zero_quad_depth": (["dual", "fw-norm", "--f", "[0,1]",
-                                 "--weight", "power:0.5",
-                                 "--quad-depth", "0"], 1),
-    "fw_norm_negative_quad_depth": (["dual", "fw-norm", "--f", "[0,1]",
-                                     "--weight", "power:0.5",
-                                     "--quad-depth", "-3"], 1),
-    # the last annulus's Gauss nodes round to r = 1, where w(0) = 0
-    "fw_norm_quad_depth_past_float": (["dual", "fw-norm", "--f", "[0,1]",
-                                       "--weight", "power:0.5",
-                                       "--quad-depth", "54"], 1),
+    # level counts: a report needs a level, a grid no negative step count
+    "report_zero_kmax": (["report", "cyclicity", "--measure",
+                          "fixture:atom", "--weight", "power:1",
+                          "--kmax", "0"], 1),
+    "report_negative_kmax": (["report", "cyclicity", "--measure",
+                              "fixture:atom", "--weight", "power:1",
+                              "--kmax", "-2"], 1),
+    "decompose_zero_kmax": (["measure", "decompose", "--measure",
+                             "fixture:atom", "--weight", "power:1",
+                             "--kmax", "0"], 1),
+    "grid_negative_k": (["grid", "build", "--weight", "power:1", "--k",
+                         "-3"], 1),
     # every sweep runs to weights.MAJORANT_GRID_DEPTH: no option sets it,
     # so --depth is rejected whatever its value
     "weight_depth_above_cap": (["weight", "check", "--weight", "power:1",
