@@ -85,7 +85,16 @@ set under the concave table, which no tail certificate decides (exit 2,
 no bounds); two certified
 divergences, whose infinite bounds the report writes as null: ``set
 entropy --form both`` on the stagewise divergent set and ``dual
-fw-norm`` under ``power:1.5``; ``dual fw-norm`` under ``power:0.5``, a
+fw-norm`` under ``power:1.5``; ``set entropy --form both`` on two gaps,
+one of length 1e-310, under ``log:1``, ``exp_log:1,0.5``, ``log:1,2``
+and the concave table, where 1/t overflows and the finest Riemann nodes
+of the gap integral underflow, and on two gaps with a geometric tail
+past the float range: params ``[1,1.9,1,0.5,1060]`` under ``log:1``
+(counts past it from the first level), ``[1,2,1,1/3,700]`` under
+``power:1`` (lengths that underflow to 0), ``[1,2,1e-300,0.3,0]`` under
+``power:1``, ``log:1`` and ``exp_log:1,0.5`` (subnormal lengths) and
+``[1,100,3e-303,1e-3,0]`` under ``power:1`` (a length that rounds to
+nearly twice its value); ``dual fw-norm`` under ``power:0.5``, a
 finite norm, and of ``[0.4194,1.0486]`` under ``power:0.6063``, the
 benchmark's kind of dual operation, ``dual pair`` of two quadratics, and
 ``dual pair`` of two
@@ -333,6 +342,28 @@ def cases():
     yield "set entropy stagewise_divergent power:1", (
         "set", "entropy", "--set", "fixture:stagewise_divergent", "--weight",
         "power:1", "--form", "both")
+    # a subnormal gap length: finite in both forms under every weight
+    subnormal = json.dumps({"gaps": [[0, 1e-310], [1e-310, 1]]})
+    for name, weight in (("log:1", "log:1"),
+                         ("exp_log:1,0.5", "exp_log:1,0.5"),
+                         ("log:1,2", "log:1,2"),
+                         ("concave table", CONCAVE_TABLE)):
+        yield f"set entropy subnormal gap {name}", (
+            "set", "entropy", "--set", subnormal, "--weight", weight,
+            "--form", "both")
+    # geometric tails past the float range: counts that overflow, lengths
+    # that underflow to 0 or to subnormals
+    for params, weights in (([1, 1.9, 1, 0.5, 1060], ("log:1",)),
+                            ([1, 2, 1, 1 / 3, 700], ("power:1",)),
+                            ([1, 2, 1e-300, 0.3, 0],
+                             ("power:1", "log:1", "exp_log:1,0.5")),
+                            ([1, 100, 3e-303, 1e-3, 0], ("power:1",))):
+        tailed = json.dumps({"gaps": [[0, 0.5], [0.5, 0.5]], "tail": {
+            "kind": "geometric_levels", "params": params}})
+        for weight in weights:
+            yield f"set entropy geometric tail {params} {weight}", (
+                "set", "entropy", "--set", tailed, "--weight", weight,
+                "--form", "both")
     yield "dual fw-norm power:1.5", (
         "dual", "fw-norm", "--f", "[0,1]", "--weight", "power:1.5")
     yield "dual fw-norm power:0.5", (

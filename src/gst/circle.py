@@ -362,14 +362,24 @@ class CantorPart:
 
         Built by doubling in place: before stage j the 2^j cells sit every
         size/2^j entries, and each stage writes every cell's right child
-        half that far after it, offset by that stage's step.
+        half that far after it, offset by that stage's step.  A step is
+        split once as 2^62 step/den = k + r/u, u = den/gcd(den, 2^62) and
+        0 <= r < u, so a key is K + floor(R/u) for the sums K of k and R of
+        r over the cell's right turns; u < 2^53, so R < 22 u fits int64.
         """
-        hi, lo = np.zeros((2, self.size), dtype=np.int64)
+        g = math.gcd(self.den, 1 << 62)
+        u, scale = self.den // g, (1 << 62) // g
+        # four arrays, not views of one block, which would outlive them all
+        hi, lo, key, rem = (np.zeros(self.size, dtype=np.int64)
+                            for _ in range(4))
         for j, step in enumerate(self._offsets):
-            for limbs, part in ((hi, step >> LIMB), (lo, step & LIMB_MASK)):
-                cells = limbs.reshape(1 << j, 2, self.size >> (j + 1))
+            k, r = divmod(step * scale, u)
+            for a, part in ((hi, step >> LIMB), (lo, step & LIMB_MASK),
+                            (key, k), (rem, r)):
+                cells = a.reshape(1 << j, 2, self.size >> (j + 1))
                 np.add(cells[:, 0, 0], part, out=cells[:, 1, 0])
-        return self._quotient(hi, lo), self._keys(hi, lo)
+        key += rem // u
+        return self._quotient(hi, lo), key
 
     def _quotient(self, hi, lo) -> np.ndarray:
         """The correctly rounded float64 of (hi 2^LIMB + lo) / den."""
@@ -379,38 +389,6 @@ class CantorPart:
         x += lo
         x /= float(self.den)
         return x
-
-    def _keys(self, hi, lo) -> np.ndarray:
-        """floor(2^62 num / den) of every terminal cell's numerator
-        num = hi 2^LIMB + lo, in cell order."""
-        if self.den >= 2 ** 53:
-            # den = 2^D: num = a 2^LIMB + r with r < 2^LIMB, and the key is
-            # num shifted right by s = D - 62 <= LIMB (left if s < 0), so
-            # a 2^(LIMB - s) is exact and r takes its own shift
-            s = self.den.bit_length() - 63
-            key, r = lo >> LIMB, lo & LIMB_MASK
-            key += hi
-            key <<= LIMB - s
-            key += r >> s if s >= 0 else r << -s
-            return key
-        # a cell's numerator is a sum over its first ``split`` stages plus
-        # one over the rest.  Each half splits exactly as num 2^62 = k den
-        # + r, 0 <= r < den, so the key is k_first + k_last + (r_first +
-        # r_last >= den): two tables of about 2^(stages/2) Python ints, and
-        # no division per cell
-        split = self.stages - self.stages // 2
-        halves = []
-        for steps in (self._offsets[:split], self._offsets[split:]):
-            nums = [0]  # Python ints, by doubling in cell order
-            for step in steps:
-                nums = [x for n in nums for x in (n, n + step)]
-            k, r = zip(*(divmod(n << 62, self.den) for n in nums))
-            halves.append((np.array(k, dtype=np.int64),
-                           np.array(r, dtype=np.int64)))
-        (k_hi, r_hi), (k_lo, r_lo) = halves
-        key = (k_hi[:, None] + k_lo).ravel()
-        key += (r_lo >= (self.den - r_hi)[:, None]).ravel()
-        return key
 
     def masses(self) -> np.ndarray:
         return np.full(self.size, self.mass / self.size)
@@ -549,15 +527,15 @@ class Realization(NamedTuple):
     """The atoms of a measure with its multiplier layers applied.
 
     ``keys`` holds the exact depth-62 dyadic index floor(2^62 x) of each
-    block row's position x, in int64, and is shared by every realization
-    of the same blocks: atom i's key is ``keys[rows[i]]``.  Every dyadic
-    index to depth 62 is a shift of it, and keys decide every exact
+    block row's position x, in int64, and ``pos`` its correctly rounded
+    float64, for the kernel sums and ``restrict``'s set test; both are
+    shared by every realization of the same blocks: atom i's key is
+    ``keys[rows[i]]`` and its float ``pos[rows[i]]``.  Every dyadic index
+    to depth 62 is a shift of a key, and keys decide every exact
     comparison: an atom whose key is above or below floor(2^62 t) lies
     above or below t.  ``rows`` locates the atom in ``blocks`` (the
     measure's atoms, then each Cantor part's cells), whose exact data
-    settles a tie of keys.  ``pos`` holds the correctly rounded float64 of
-    each position, for the kernel sums and ``restrict``'s set test.  All
-    arrays are read-only.
+    settles a tie of keys.  All arrays are read-only.
     """
 
     pos: np.ndarray
@@ -585,11 +563,11 @@ class Realization(NamedTuple):
         Python ints (an object array) beyond, formed from the exact
         positions, for at most INDEX_BITS bits in all."""
         if depth > 62:
-            if self.pos.size * depth > INDEX_BITS:
+            if self.rows.size * depth > INDEX_BITS:
                 raise ValueError(
-                    f"exact arc indices of {self.pos.size} atoms at depth "
+                    f"exact arc indices of {self.rows.size} atoms at depth "
                     f"{depth} exceed {INDEX_BITS} bits")
-            num, den = self.exact(np.arange(self.pos.size))
+            num, den = self.exact(np.arange(self.rows.size))
             return (num << depth) // den
         idx = self.keys[self.rows]
         return np.right_shift(idx, 62 - depth, out=idx)
@@ -634,11 +612,8 @@ class Realization(NamedTuple):
         keep = masses > 0
         if keep.all():
             return self._replace(masses=_frozen(masses))
-        # cut the masses first, so the uncut array is freed before the
-        # other cuts are made: a lower peak
-        masses = masses[keep]
-        return Realization(_frozen(self.pos[keep]), _frozen(masses),
-                           _frozen(self.rows[keep]), self.blocks, self.keys)
+        return self._replace(masses=_frozen(masses[keep]),
+                             rows=_frozen(self.rows[keep]))
 
 
 def _joined(arrays) -> np.ndarray:
@@ -703,7 +678,9 @@ class CircleMeasure:
         return self._realized
 
     def positions_float(self) -> np.ndarray:
-        return self.realized().pos
+        """The correctly rounded float64 of each atom's position."""
+        r = self.realized()
+        return r.pos[r.rows]
 
     def total_mass(self) -> float:
         if self._total is None:
@@ -765,7 +742,8 @@ class CircleMeasure:
     def restrict(self, closed_set: ClosedCircleSet) -> "CircleMeasure":
         """Restriction to a closed set: atoms kept iff they lie in the set."""
         r = self.realized()
-        kept = np.flatnonzero(closed_set.contains_points(r.pos))
+        kept = np.flatnonzero(closed_set.contains_points(
+            self.positions_float()))
         num, den = r.exact(kept)
         atoms = zip(map(Fraction, num, den), r.masses[kept].tolist())
         return CircleMeasure(atoms=atoms, name=f"{self.name}|restricted")

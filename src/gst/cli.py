@@ -250,8 +250,8 @@ def _carleson_check(args, spec: str):
     w = _weight(args)
     D = privalov.PrivalovDomain(E)
     auto = spec == "auto"
-    G = inner_outer.carleson_outer(E, w, 1.0 if auto else float(spec))
     zs, hs = privalov.boundary_samples_with_profile(D, args.samples)
+    G = inner_outer.carleson_outer(E, w, 1.0 if auto else float(spec))
     work = Counter()
     psi, tail = inner_outer.psi_sum_many(G, zs, work)
     tried = [G.N]

@@ -101,19 +101,28 @@ def _tail_sum_bounds(tail: GapTail, w: Weight) -> Bracket:
         a = math.log(1.0 / ratio) / lam
         b = (c0 - math.log(length0)) / lam
         scale, q_sum = count0 * length0 / base, q / (1 - q)
-        # explicit levels until the remainder bound is negligible
+        # explicit levels until the remainder bound is negligible, or up
+        # to one whose count overflows or whose length or mass leaves the
+        # normal range, where a rounding is no longer relative
         acc, size, n, block = 0.0, 0.0, first + 1, 256
         while True:
             k = np.arange(n, n + block, dtype=float)
             lens = length0 * ratio ** k
-            terms = count0 * base ** (k - 1) * lens * np.asarray(w.log(lens))
+            with np.errstate(all="ignore"):
+                mass = count0 * base ** (k - 1) * lens
+                terms = mass * np.asarray(w.log(lens))
+            tiny = np.finfo(float).tiny
+            normal = (mass < math.inf) & (np.minimum(mass, lens) >= tiny)
+            end = int(np.argmin(np.append(normal, False)))
+            terms = terms[:end]
             if np.any(np.isneginf(terms)):
                 return DIVERGENT_TAIL
             acc += float(np.sum(terms))
             size += float(np.sum(np.abs(terms)))
-            n += block
+            n += end
             rem = scale * q ** n * (a * (n + q_sum) + b) / (1 - q)
-            if rem < 1e-15 * (1.0 + abs(acc)) or n > first + 100_000:
+            if rem < 1e-15 * (1.0 + abs(acc)) or n > first + 100_000 or (
+                    end < block):
                 rem += _sum_pad(size, n - first - 1)
                 return Bracket(acc - rem, acc + rem)
     if w.kind not in ("power", "log_power", "exp_log"):

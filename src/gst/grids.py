@@ -20,7 +20,11 @@ DEPTH_CAP = 10 ** 7  # deepest grid level: n log 2 stays an ordinary float
 
 
 class GridConstructionError(RuntimeError):
-    pass
+    """A grid level that cannot be built, after the levels ``depths``."""
+
+    def __init__(self, message: str, depths: tuple = ()):
+        super().__init__(message)
+        self.depths = depths
 
 
 @dataclass(frozen=True)
@@ -69,7 +73,8 @@ def build_grid(w: Weight, n0: int, C: float, k_max: int) -> DyadicGrid:
             hi = min(2 * hi, DEPTH_CAP)
             if hi == DEPTH_CAP and eta(hi) < target:
                 raise GridConstructionError(
-                    f"depth cap {DEPTH_CAP} reached before eta ratio {C}")
+                    f"depth cap {DEPTH_CAP} reached before eta ratio {C}",
+                    tuple(depths))
         while hi - lo > 1:  # smallest n with eta(n) >= target
             mid = (lo + hi) // 2
             if eta(mid) >= target:
@@ -80,7 +85,8 @@ def build_grid(w: Weight, n0: int, C: float, k_max: int) -> DyadicGrid:
         if ratio >= 10 * C:
             raise GridConstructionError(
                 "eta ratio overshoots 10C: the halving inequality "
-                "(1/2) eta(t/2) <= eta(t) fails for this weight")
+                "(1/2) eta(t/2) <= eta(t) fails for this weight",
+                tuple(depths))
         depths.append(hi)
     return DyadicGrid(tuple(depths), C_param=C, lam=lam)
 
@@ -90,14 +96,16 @@ def feasible_grid(w: Weight, n0: int, C: float, k_max: int) -> DyadicGrid:
 
     Slow weights (iterated logs) may exhaust the 10^7 depth cap after a few
     levels; the deepest achievable grid still certifies the construction.
+    The levels are greedy: it is the levels built before the first error.
     """
-    for k in range(k_max, 0, -1):
-        try:
-            return build_grid(w, n0, C, k)
-        except GridConstructionError:
-            continue
-    raise GridConstructionError(
-        f"no grid level fits below the depth cap for {w.label()}")
+    try:
+        g = build_grid(w, n0, C, k_max)
+    except GridConstructionError as exc:
+        g = DyadicGrid(exc.depths, C_param=C, lam=effective_lambda(w))
+    if len(g.depths) < 2:
+        raise GridConstructionError(
+            f"no grid level fits below the depth cap for {w.label()}")
+    return g
 
 
 @dataclass(frozen=True)

@@ -238,8 +238,7 @@ def _herglotz_tree(mu: CircleMeasure) -> KernelTree:
     """The measure's Herglotz sources on a kernel tree, built once per
     measure: m (zeta+z)/(zeta-z) = 2 m zeta / (zeta - z) - m."""
     if mu._kernel_tree is None:
-        pos, masses = mu.realized()[:2]
-        zeta = unit_point(pos)
+        zeta, masses = unit_point(mu.positions_float()), mu.realized().masses
         mu._kernel_tree = kernel_tree(zeta, 2.0 * masses * zeta)
     return mu._kernel_tree
 
@@ -385,7 +384,7 @@ def corona_datum_check(mu_k: CircleMeasure, n_k: int, c: float,
         raise ValueError("need w(2^-n)^{12c} < 1/4 for the outer zone bound")
     J = min(n_k + 3, 62)
     keys, masses = mu_k.arc_masses_at_depth(J)
-    atoms = mu_k.positions_float().size
+    atoms = mu_k.realized().masses.size
     if not atoms:
         return CoronaCheck(1.0, bound, True, 0)
     total = float(np.sum(masses))

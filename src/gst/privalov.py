@@ -74,6 +74,9 @@ def boundary_samples_with_profile(D: PrivalovDomain, count: int):
         2.0 ** -np.arange(2, dens + 2),
         1.0 - 2.0 ** -np.arange(2, dens + 2),
     ])) for n in set(n_uni)}
+    if (made := sum(offsets[n].size for n in n_uni)) > MAX_SAMPLES:
+        raise ValueError(f"sample count {count} makes {made} samples on "
+                         f"{len(lengths)} gaps, more than {MAX_SAMPLES}")
     # a set without gaps has no samples
     s = np.concatenate([np.zeros(0)] + [offsets[n] for n in n_uni])
     start, length = (np.repeat(x, [offsets[n].size for n in n_uni])

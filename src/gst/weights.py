@@ -259,9 +259,9 @@ KINDS = {
     "log_power": WeightKind(
         fields=("c", "depth"), required=1, short="log", make=log_power,
         value=lambda t, c, depth: np.power(
-            _nested_log(1.0 + np.log(1.0 / t), depth), -c),
+            _nested_log(1.0 - np.log(t), depth), -c),
         log=lambda t, c, depth: -c * np.log(
-            _nested_log(1.0 + np.log(1.0 / t), depth)),
+            _nested_log(1.0 - np.log(t), depth)),
         neg_log=lambda u, c, depth: c * math.log(
             _nested_log(1.0 + u, depth, math.log)),
         # d/du log L_d(u) is at most 1, its value at u = 0, at any depth
@@ -270,8 +270,8 @@ KINDS = {
         hint=lambda c, depth: _reciprocal_hint(c)),
     "exp_log": WeightKind(
         fields=("alpha", "beta"), required=2, short="exp_log", make=exp_log,
-        value=lambda t, a, b: np.exp(-a * np.power(1.0 + np.log(1.0 / t), b)),
-        log=lambda t, a, b: -a * np.power(1.0 + np.log(1.0 / t), b),
+        value=lambda t, a, b: np.exp(-a * np.power(1.0 - np.log(t), b)),
+        log=lambda t, a, b: -a * np.power(1.0 - np.log(t), b),
         neg_log=lambda u, a, b: a * (1.0 + u) ** b,
         # a b (1 + u)^(b - 1): its value at u = 0 for b <= 1, unbounded past
         slope=lambda a, b: Fraction(a) * Fraction(b) if b <= 1 else None,
@@ -932,7 +932,8 @@ def neg_log_integral(w: Weight, ell, lam: float) -> tuple:
     their Gamma factors are _legendre_cf's, moved out by 8 u per term.
     Else log(1/w), nonincreasing, goes to monotone_integral once per
     distinct ell, on NEG_LOG_BLOCKS dyadic blocks of NEG_LOG_CELLS cells;
-    below eps = ell 2^-NEG_LOG_BLOCKS it lies between log(1/w(eps)) and
+    below eps = ell 2^-NEG_LOG_BLOCKS, or below the first node that does
+    not underflow for a subnormal ell, it lies between log(1/w(eps)) and
     log(1/w(eps)) + log(2 eps/t)/lam, as w^lam(t) >= w^lam(eps) t/(2 eps).
     """
     ell = np.asarray(ell, dtype=float)
@@ -955,8 +956,9 @@ def neg_log_integral(w: Weight, ell, lam: float) -> tuple:
         :, None] * (1.0 + np.arange(NEG_LOG_CELLS) / NEG_LOG_CELLS)), 1.0)
     out = np.empty((2, uniq.size))
     for i, x in enumerate(uniq):
-        body = monotone_integral(lambda t: -np.asarray(w.log(t)), x * grid)
-        eps = x * 2.0 ** -NEG_LOG_BLOCKS
+        nodes = np.trim_zeros(x * grid, "f")  # underflowed for a subnormal x
+        body = monotone_integral(lambda t: -np.asarray(w.log(t)), nodes)
+        eps = nodes[0]
         at_eps = -w.log(eps)
         out[:, i] = (body.low + eps * at_eps,
                      body.high + eps * (at_eps + (1.0 + math.log(2.0)) / lam))

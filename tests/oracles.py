@@ -32,21 +32,39 @@ def gap_sum(lengths, w):
                        for L in map(float, lengths))
 
 
+def gap_integral(lengths, w):
+    """sum of 2 int_0^(L/2) log w(t) dt over float gap lengths, each read
+    exactly, in y = 1 + log(1/t)."""
+    return 2 * mpmath.fsum(mpmath.quad(
+        lambda y: mp_log_w(w, y) * mpmath.exp(1 - y),
+        [1 - mpmath.log(mpmath.mpf(L) / 2), mpmath.inf])
+        for L in map(float, lengths))
+
+
+def geometric_tail(tail, w):
+    """sum over the levels of a geometric_levels tail of count * length *
+    log w(length): the first max(300, 100/log(1/q)) levels, q = base *
+    ratio, past which the rest is below e^-100 of the first level's term
+    times a polynomial in the level."""
+    count0, base, length0, ratio, first = map(mpmath.mpf, tail.params)
+    levels = max(300, int(100 / -mpmath.log(base * ratio)))
+    return mpmath.fsum(count0 * base ** (n - 1) * length0 * ratio ** n
+                       * mp_log_w(w, 1 - mpmath.log(length0 * ratio ** n))
+                       for n in range(int(first) + 1,
+                                      int(first) + levels + 1))
+
+
 def entropy_sum(E, w):
     """(low, high) around the sum of m log w(m) over the gaps of E: its
-    explicit gaps by ``gap_sum``, a geometric tail's first 300 levels
-    (the rest is below 1e-40 on the fixtures' ratio 1/3 and base 2) and a
-    log tail by ``log_tail``."""
+    explicit gaps by ``gap_sum``, a geometric tail by ``geometric_tail``
+    and a log tail by ``log_tail``."""
     explicit = gap_sum(E.lengths, w)
     if E.tail is None:
         return explicit, explicit
     if E.tail.kind != "geometric_levels":
         low, high = log_tail(E.tail, w)
         return explicit + low, explicit + high
-    count0, base, length0, ratio, first = map(mpmath.mpf, E.tail.params)
-    rest = mpmath.fsum(count0 * base ** (n - 1) * length0 * ratio ** n
-                       * mp_log_w(w, 1 - mpmath.log(length0 * ratio ** n))
-                       for n in range(int(first) + 1, int(first) + 301))
+    rest = geometric_tail(E.tail, w)
     return explicit + rest, explicit + rest
 
 

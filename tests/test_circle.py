@@ -454,7 +454,7 @@ class TestArrayCore:
     def test_positions_masses_indices(self, mu, depths):
         pos, masses = oracle_realize(mu)
         r = mu.realized()
-        assert r.pos.tolist() == [float(p) for p in pos]
+        assert mu.positions_float().tolist() == [float(p) for p in pos]
         assert r.masses.tolist() == masses.tolist()
         for depth in depths + [53, 54]:
             assert r.indices(depth).tolist() == [dyadic_index(p, depth)
@@ -603,7 +603,7 @@ class TestArcKeys:
     ])
     def test_indices_match_the_exact_quotient(self, mu, sample):
         r = mu.realized()
-        sel = np.arange(r.pos.size)
+        sel = np.arange(mu.positions_float().size)
         if sample is not None:
             sel = np.sort(np.random.default_rng(31).choice(
                 sel, sample, replace=False))
@@ -620,9 +620,23 @@ class TestArcKeys:
                          MultiplierLayer.from_dict(3, {5: 0.5})])
         base = CircleMeasure(cantor_parts=mu.cantor_parts).realized()
         r = mu.realized()
-        assert r.pos.size == base.pos.size // 2
-        assert r.keys.size == base.keys.size
+        assert r.rows.size == base.rows.size // 2
+        assert np.array_equal(r.pos, base.pos)
+        assert np.array_equal(r.keys, base.keys)
         assert np.array_equal(r.indices(62), base.keys[r.rows])
+        assert np.array_equal(mu.positions_float(), base.pos[r.rows])
+
+    def test_a_cut_shares_the_positions_and_keys(self):
+        mu = fixtures.triadic_cantor_measure(8)
+        base = mu.realized()
+        keys, where = base.arcs(2)
+        factors = np.array([0.0, 0.5, 1.0, 0.0])[keys]
+        cut = mu.scaled_on_arcs(MultiplierLayer.from_dict(
+            2, {0: 0.0, 1: 0.5, 3: 0.0}), factors, where).realized()
+        masses = base.masses * factors[where]
+        assert cut.rows.tolist() == np.flatnonzero(masses).tolist()
+        assert cut.masses.tolist() == masses[cut.rows].tolist()
+        assert cut.pos is base.pos and cut.keys is base.keys
 
     @pytest.mark.parametrize("sorted_keys, mu", [
         (True, cantor(circle.stagewise_log_generator, 12)),

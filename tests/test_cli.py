@@ -868,6 +868,21 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert_contract(code, captured.out, captured.err, (expected,))
 
+    @pytest.mark.parametrize("command", [["privalov", "check"],
+                                         ["carleson", "build", "--N", "8"]])
+    def test_samples_past_the_cap_build_nothing(self, command, capsys,
+                                                 monkeypatch):
+        # --samples 1 on 2^15 - 1 gaps makes 1114078 samples, past 2^20
+        built = []
+        monkeypatch.setattr(inner_outer, "carleson_outer",
+                            lambda *args: built.append(args))
+        spec = json.dumps(circle.set_to_json(fixtures.triadic_cantor_set(15)))
+        code = cli.main([*command, "--set", spec, "--weight", "power:1",
+                         "--samples", "1"])
+        captured = capsys.readouterr()
+        assert_contract(code, captured.out, captured.err, (1,))
+        assert "1114078 samples" in captured.err and not built
+
 
 class TestOperandReader:
     def test_file_needs_json_suffix(self, tmp_path, capsys):

@@ -6,7 +6,7 @@ import math
 import pytest
 
 import oracles
-from gst import entropy, fixtures, weights
+from gst import circle, entropy, fixtures, weights
 from gst.circle import GapTail, point_set, set_union
 from gst.entropy import (DIVERGES, FINITE, classify_measure, entropy_integral,
                          entropy_sum)
@@ -118,6 +118,65 @@ def test_triadic_sum_bracket_holds_the_oracle(spec):
     res = entropy_sum(E, w).result
     assert res.low <= low and high <= res.high, (float(low), res)
     assert res.high - res.low <= 1e-11 * abs(res.value)
+
+
+# (0, 1e-310) and (1e-310, 1): 1/t overflows at the first gap's length,
+# and the finest Riemann nodes of its integral underflow to 0
+SUBNORMAL_GAP = circle.set_from_json({"gaps": [[0.0, 1e-310],
+                                               [1e-310, 1.0]]})
+CONCAVE_TABLE = {"kind": "table", "points": [[0, 0], [0.25, 0.5],
+                                             [0.5, 0.75], [1, 1]]}
+
+
+class TestSubnormalGaps:
+    """Two gaps have finite entropy under every weight with w > 0."""
+
+    @pytest.mark.parametrize("spec", ["log:1", "exp_log:1,0.5", "log:1,2",
+                                      CONCAVE_TABLE])
+    def test_both_forms_are_finite(self, spec):
+        w = weights.from_spec(spec)
+        res = entropy_sum(SUBNORMAL_GAP, w).result
+        both = (res, entropy_integral(SUBNORMAL_GAP, w))
+        assert [r.tag for r in both] == [FINITE, FINITE]
+        if isinstance(spec, str):  # the oracle reads no table
+            oracle = (oracles.gap_sum(SUBNORMAL_GAP.lengths, w),
+                      oracles.gap_integral(SUBNORMAL_GAP.lengths, w))
+            for r, want in zip(both, oracle):
+                assert r.low <= want <= r.high, (spec, r, float(want))
+
+    @pytest.mark.parametrize("spec", ["log:1", "exp_log:1,0.5", "log:1,2"])
+    def test_log_w_of_a_subnormal_length(self, spec):
+        w, t = weights.from_spec(spec), 1e-310
+        want = oracles.mp_log_w(w, 1 - oracles.mpmath.log(t))
+        assert float(w.log(t)) == pytest.approx(float(want), rel=1e-15)
+
+
+def _with_tail(params):
+    return circle.ClosedCircleSet([0.0, 0.5], [0.5, 0.5], tail=GapTail(
+        "geometric_levels", tuple(params)))
+
+
+class TestGeometricTailsPastTheFloatRange:
+    """Levels whose count overflows, or whose length or mass leaves the
+    normal range, go to the remainder bound."""
+
+    @pytest.mark.parametrize("params", [
+        (1.0, 1.9, 1.0, 0.5, 1060.0),  # the count is inf from level 1061
+        (1.0, 2.0, 1.0, 1.0 / 3.0, 700.0),  # lengths underflow to 0
+        (1.0, 2.0, 1e-300, 0.3, 0.0),  # subnormal lengths from level 15
+        # level 7 has length about 3e-324, which rounds to 5e-324: summed
+        # explicitly, the bracket misses the oracle
+        (1.0, 100.0, 3e-303, 1e-3, 0.0),
+    ])
+    @pytest.mark.parametrize("spec", ["power:1", "log:1", "exp_log:1,0.5"])
+    def test_brackets_hold_the_oracle(self, params, spec):
+        E, w = _with_tail(params), weights.from_spec(spec)
+        summed = entropy_sum(E, w)
+        assert summed.result.tag == FINITE
+        assert entropy_integral(E, w, summed).tag == FINITE
+        tail = summed.tail_bounds
+        want = oracles.geometric_tail(E.tail, w)
+        assert tail.low <= want <= tail.high, (float(want), tail)
 
 
 class TestEntropyIntegral:

@@ -37,6 +37,28 @@ class TestBuild:
             build_grid(weights.log_power(1.0), 8, 5.0, 3)
 
 
+class TestFeasible:
+    def test_one_walk_to_the_depth_cap(self, monkeypatch):
+        # loglog^-1 reaches the depth cap in its second level: the grid is
+        # the first level, and each level is searched once, as in the one
+        # build_grid walk that fails there
+        w = weights.log_power(1.0, depth=2)
+        calls = []
+        neg_log = weights.Weight.neg_log_at_depth
+        monkeypatch.setattr(weights.Weight, "neg_log_at_depth", lambda self,
+                            n: calls.append(n) or neg_log(self, n))
+        with pytest.raises(GridConstructionError, match="depth cap"):
+            build_grid(w, 4, 3.0, 5)
+        walk, calls[:] = list(calls), []
+        g = feasible_grid(w, 4, 3.0, 5)
+        assert g.depths == (4, 159440) and g.C_param == 3.0
+        assert calls == walk
+
+    def test_no_level_below_the_cap(self):
+        with pytest.raises(GridConstructionError, match="no grid level"):
+            feasible_grid(weights.log_power(1.0, depth=2), 8, 3.0, 5)
+
+
 class TestVerify:
     def test_constructed_grid_passes(self):
         g = build_grid(W_T, 4, 3.0, 3)

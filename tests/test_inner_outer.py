@@ -46,7 +46,7 @@ def _direct(z, zeta, terms):
 
 
 def oracle_herglotz_sum(mu, z):
-    pos, masses = mu.realized()[:2]
+    pos, masses = mu.positions_float(), mu.realized().masses
     zeta = unit_point(pos)
     return _direct(z, zeta, lambda s, zt: masses[s] * (zeta[s] + zt) /
                    (zeta[s] - zt))
@@ -78,7 +78,7 @@ def _tree_sum(sources, z):
 
 
 def _herglotz_sources(mu):
-    pos, masses = mu.realized()[:2]
+    pos, masses = mu.positions_float(), mu.realized().masses
     zeta = unit_point(pos)
     return zeta, 2.0 * masses * zeta
 
@@ -389,7 +389,7 @@ def poisson(n, d):
 
 def poisson_max(mu, n, thetas):
     """max over the angles of Re H on |z| = 1 - 2^-n, summed directly."""
-    pos, masses = mu.realized()[:2]
+    pos, masses = mu.positions_float(), mu.realized().masses
     d = np.abs((pos - np.asarray(thetas)[:, None] + 0.5) % 1.0 - 0.5)
     return float(np.max(poisson(n, d) @ masses))
 
@@ -398,7 +398,7 @@ def atom_offsets(mu, n):
     """max of Re H at the atoms' angles moved by k 2^-n / 4, |k| <= 4,
     summed directly; the differences of float positions are exact near
     each atom, so the self term sees its offset even past depth 52."""
-    pos, masses = mu.realized()[:2]
+    pos, masses = mu.positions_float(), mu.realized().masses
     diff = (pos[None, :] - pos[:, None] + 0.5) % 1.0 - 0.5
     return max(float(np.max(poisson(n, np.abs(diff - k * 2.0 ** -n / 4))
                             @ masses)) for k in range(-4, 5))

@@ -9,7 +9,7 @@ from gst import circle, fixtures, weights
 from gst.circle import point_set, set_union
 from gst.inner_outer import (NoAdmissibleN, auto_carleson_N, carleson_outer,
                              psi_sum_many, unit_point)
-from gst.privalov import (H_MAX, PrivalovDomain,
+from gst.privalov import (H_MAX, MAX_SAMPLES, PrivalovDomain,
                           boundary_samples_with_profile,
                           privalov_boundary_estimate)
 
@@ -99,6 +99,15 @@ class TestBoundarySamples:
         D = PrivalovDomain(point_set([0.0]))
         zs, _ = boundary_samples_with_profile(D, 4)
         assert np.min(np.abs(zs)) == pytest.approx(1.0 - 1.0 / 32.0)
+
+    def test_the_cap_counts_the_samples_made(self):
+        # 2^15 - 1 gaps of about 34 samples each, whatever the count asks
+        D = PrivalovDomain(fixtures.triadic_cantor_set(15))
+        with pytest.raises(ValueError, match="makes 1114078 samples"):
+            boundary_samples_with_profile(D, 1)
+        zs, _ = boundary_samples_with_profile(
+            PrivalovDomain(fixtures.triadic_cantor_set(14)), 1)
+        assert zs.size == 557022 <= MAX_SAMPLES
 
 
 def oracle_samples(D, count):
